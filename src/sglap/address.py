@@ -10,8 +10,8 @@ junction detection and canonical ordering run on -- floats never enter.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +21,9 @@ Word = tuple  # letters in {0, 1, 2}
 
 DEFAULT_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 DEFAULT_LEVEL_CAP = 10
+# deepest level whose base-4 sort code (level word digits plus the corner
+# letter) fits in a signed int64
+MAX_SORT_CODE_LEVEL = 30
 
 
 def max_level() -> int:
@@ -127,6 +130,64 @@ def canonical_address(key, level):
     return resolve_addresses(key, level)[0]
 
 
+def canonical_address_arrays(keys, level):
+    """canonical_address over an (N, 3) array of level-`level` keys at once.
+
+    Returns (birth, words, letters): the birth levels (N,), an (N, level)
+    int8 word matrix padded with -1 past each birth level, and the corner
+    letters (N,).  Row i spells canonical_address(keys[i], level).
+    """
+    m = int(level)
+    if m < 0:
+        raise DomainError(f"level must be nonnegative, got {m}")
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    if (keys < 0).any() or (keys.sum(axis=1) != 1 << m).any():
+        raise DomainError(f"keys must be nonnegative and sum to 2**{m}")
+    # birth level: strip the common trailing zero bits (a corner keeps m of them)
+    low = np.bitwise_or.reduce(keys, axis=1)
+    low &= -low
+    zeros = np.frexp(low.astype(float))[1] - 1  # exact: low is a power of two
+    birth = (m - np.minimum(zeros, m)).astype(np.int64)
+
+    # greedy smallest-letter descent, kept at level-m scale so that step s
+    # halves by the same 2**(m-1-s) on every row still above its birth level
+    cur = keys.copy()
+    words = np.full((keys.shape[0], m), -1, dtype=np.int8)
+    for s in range(m - 1):
+        active = np.flatnonzero(birth > s + 1)
+        if not active.size:
+            break
+        half = np.int64(1 << (m - 1 - s))
+        letter = np.argmax(cur[active] >= half, axis=1)
+        words[active, s] = letter
+        cur[active, letter] -= half
+
+    # what is left is one unit coordinate (a corner) or two, a < c (a
+    # junction, canonically (word + (a,), c)); a corner's letter is its 1
+    unit = np.left_shift(np.int64(1), m - birth)
+    is_unit = cur == unit[:, None]
+    junction = birth > 0
+    if ((is_unit.sum(axis=1) != 1 + junction) | ((cur != 0) & ~is_unit).any(axis=1)).any():
+        raise DomainError(f"keys are not all vertices of V_{m}")
+    a = np.argmax(is_unit, axis=1)
+    letters = (2 - np.argmax(is_unit[:, ::-1], axis=1)).astype(np.int8)
+    rows = np.flatnonzero(junction)
+    words[rows, birth[rows] - 1] = a[rows]
+    return birth, words, letters
+
+
+def address_sort_code(words, letters):
+    """Base-4 int64 codes ordered like the (word, letter) tuples: digit + 1
+    per word letter, 0 past the end of the word, the corner letter last."""
+    if words.shape[1] > MAX_SORT_CODE_LEVEL:
+        raise DomainError(f"sort codes overflow int64 above level {MAX_SORT_CODE_LEVEL}, "
+                          f"got level {words.shape[1]}")
+    code = np.zeros(len(letters), dtype=np.int64)
+    for p in range(words.shape[1]):
+        code = 4 * code + (words[:, p].astype(np.int64) + 1)
+    return 4 * code + letters
+
+
 def format_address(word, letter) -> str:
     return "".join(str(c) for c in word) + ":" + str(letter)
 
@@ -201,8 +262,9 @@ class EventuallyConstantWord:
 @dataclass(frozen=True, eq=False)
 class LevelGraph:
     """The graph on V_m: vertices in canonical address order (the three
-    boundary corners are always indices 0, 1, 2), cells as index triples in
-    word order, and a CSR adjacency for Laplacian sweeps."""
+    boundary corners are always indices 0, 1, 2) together with their
+    canonical addresses, cells as index triples in word order, and a CSR
+    adjacency for Laplacian sweeps."""
 
     level: int
     keys: np.ndarray  # (N, 3) int64 numerators, denominator 2**level
@@ -212,7 +274,9 @@ class LevelGraph:
     indices: np.ndarray
     degree: np.ndarray
     interior_mask: np.ndarray
-    key_index: dict = field(repr=False)
+    births: np.ndarray  # (N,) birth level of each canonical address
+    words: np.ndarray  # (N, level) int8 canonical words, -1 past the birth level
+    letters: np.ndarray  # (N,) int8 canonical corner letters
 
     @property
     def size(self) -> int:
@@ -222,11 +286,29 @@ class LevelGraph:
     def boundary(self):
         return np.array([0, 1, 2])
 
+    @cached_property
+    def key_index(self) -> dict:
+        return {tuple(k): i for i, k in enumerate(self.keys.tolist())}
+
     def index_of(self, word, letter) -> int:
         return self.key_index[vertex_key(word, letter, self.level)]
 
+    def addresses(self) -> list:
+        """format_address of every vertex, in vertex order."""
+        n, m = self.words.shape
+        chars = np.zeros((n, m + 2), dtype=np.uint32)
+        chars[:, :m] = np.where(self.words >= 0, self.words + ord("0"), 0)
+        rows = np.arange(n)
+        chars[rows, self.births] = ord(":")
+        chars[rows, self.births + 1] = self.letters + ord("0")
+        # trailing NULs drop off numpy unicode strings
+        return chars.view(np.dtype(f"U{m + 2}")).ravel().tolist()
+
     def vertex_ids(self):
-        return [vertex_id(tuple(k), self.level) for k in self.keys]
+        bkeys = self.keys >> (self.level - self.births)[:, None]
+        return [VertexId(tuple(word[:b]), letter, tuple(key))
+                for word, b, letter, key in zip(self.words.tolist(), self.births.tolist(),
+                                                self.letters.tolist(), bkeys.tolist())]
 
 
 def _cell_corner_keys(m: int):
@@ -254,11 +336,11 @@ def _build_level_graph(m: int) -> LevelGraph:
     rest = uniq // K
     triples = np.stack([rest // K, rest % K, n2], axis=1)
 
-    addrs = [canonical_address(tuple(int(x) for x in t), m) for t in triples]
-    order = sorted(range(len(addrs)), key=addrs.__getitem__)
+    births, words, letters = canonical_address_arrays(triples, m)
+    order = np.argsort(address_sort_code(words, letters))
     perm = np.empty(len(order), dtype=np.int64)
     perm[order] = np.arange(len(order))
-    triples = triples[order]
+    triples, births, words, letters = triples[order], births[order], words[order], letters[order]
     cells = perm[inverse].reshape(-1, 3).astype(np.int32)
 
     n = triples.shape[0]
@@ -279,10 +361,10 @@ def _build_level_graph(m: int) -> LevelGraph:
     interior = np.ones(n, dtype=bool)
     interior[:3] = False
 
-    key_index = {tuple(int(x) for x in t): i for i, t in enumerate(triples)}
-    for arr in (triples, coords, cells, indptr, indices, degree, interior):
+    arrays = (triples, coords, cells, indptr, indices, degree, interior, births, words, letters)
+    for arr in arrays:
         arr.setflags(write=False)
-    return LevelGraph(m, triples, coords, cells, indptr, indices, degree, interior, key_index)
+    return LevelGraph(m, *arrays)
 
 
 def build_level_graph(m: int) -> LevelGraph:

@@ -55,8 +55,11 @@ def _write_json(columns, rows) -> str:
 
 def _emit(args, text: str):
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -76,6 +79,8 @@ def parse_seed(text: str) -> SpectralEigenfunction:
             raise UsageError(f"malformed free seed {text!r}: {exc}") from None
         if len(triple) != 3:
             raise UsageError(f"free seed needs exactly three boundary values, got {parts[2]!r}")
+        if not np.isfinite([lam, *triple]).all():
+            raise UsageError(f"free seed values must be finite, got {text!r}")
         seq = sequence_from_limit(lam)
         if seq.m0 != 0:
             raise UsageError(f"lambda={lam!r} hits a singular level; "
@@ -160,22 +165,35 @@ def _reingest_values(fmt: str, text: str, size: int) -> np.ndarray:
     return np.array(vals)
 
 
+def _eval_text(args, graph, values) -> str:
+    # Row by row from plain Python columns; the bytes equal what csv.writer
+    # and json.dumps(indent=2) give for these rows (addresses need no quoting
+    # or escaping, and finite floats print as repr in both).
+    x, y = graph.coords.T.tolist()
+    v = values.tolist()
+    if args.format == "obj":
+        lines = [f"v {a!r} {b!r} {c!r}\n" for a, b, c in zip(x, y, v)]
+        lines += [f"f {a} {b} {c}\n" for a, b, c in (graph.cells + 1).tolist()]
+        return f"# sglap eval seed={args.seed} level={args.level}\n" + "".join(lines)
+    level = args.level
+    addresses = graph.addresses()
+    if args.format == "csv":
+        lines = [f"{s},{level},{a!r},{b!r},{c!r}\n"
+                 for s, a, b, c in zip(addresses, x, y, v)]
+        return "address,level,x,y,value\n" + "".join(lines)
+    records = [f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a!r},\n'
+               f'    "y": {b!r},\n    "value": {c!r}\n  }}'
+               for s, a, b, c in zip(addresses, x, y, v)]
+    return "[\n" + ",\n".join(records) + "\n]\n"
+
+
 def cmd_eval(args) -> int:
     u = parse_seed(args.seed)
     graph = build_level_graph(args.level)
     values = u.values_on_level(args.level)
-    if args.format == "obj":
-        out = [f"# sglap eval seed={args.seed} level={args.level}"]
-        for (x, y), v in zip(graph.coords, values):
-            out.append(f"v {float(x)!r} {float(y)!r} {float(v)!r}")
-        for a, b, c in graph.cells:
-            out.append(f"f {a + 1} {b + 1} {c + 1}")
-        text = "\n".join(out) + "\n"
-    else:
-        columns = ["address", "level", "x", "y", "value"]
-        rows = [[str(vid), args.level, float(x), float(y), float(v)]
-                for vid, (x, y), v in zip(graph.vertex_ids(), graph.coords, values)]
-        text = (_write_csv if args.format == "csv" else _write_json)(columns, rows)
+    if not np.isfinite(values).all():
+        raise SglapError(f"seed {args.seed!r} gives non-finite values on V_{args.level}")
+    text = _eval_text(args, graph, values)
     _emit(args, text)
     if args.verify:
         back = _reingest_values(args.format, text, graph.size)
@@ -191,7 +209,10 @@ def cmd_eval(args) -> int:
 
 def cmd_tangent(args) -> int:
     u = parse_seed(args.seed)
-    word = EventuallyConstantWord.parse(args.word)
+    try:
+        word = EventuallyConstantWord.parse(args.word)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
     triple = tangent.tangent_at(u, word)
     grad = tangent.gradient_at(u, word)
     k = max(len(word.prefix), u.m0)

@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 from sglap import address
 from sglap.address import (
     DEFAULT_CORNERS,
+    MAX_SORT_CODE_LEVEL,
     EventuallyConstantWord,
+    address_sort_code,
     apply_ifs,
     build_level_graph,
     canonical_address,
+    canonical_address_arrays,
+    format_address,
     resolve_addresses,
     vertex_id,
     vertex_key,
@@ -93,6 +97,54 @@ def test_vertex_ids_round_trip():
         shift = g.level - vid.birth
         assert tuple(n << shift for n in vid.key) == key
         assert str(vid).count(":") == 1
+
+
+def _array_addresses(keys, level):
+    births, words, letters = canonical_address_arrays(keys, level)
+    out = [(tuple(c for c in row if c >= 0), letter)
+           for row, letter in zip(words.tolist(), letters.tolist())]
+    assert [len(word) for word, _ in out] == births.tolist()
+    return out
+
+
+def test_array_addressing_matches_scalar():
+    for m in range(9):
+        g = build_level_graph(m)
+        keys = g.keys.tolist()
+        scalar = [resolve_addresses(tuple(k), m)[0] for k in keys]
+        assert _array_addresses(g.keys, m) == scalar
+        # vertex order is the scalar canonical order, and the graph carries it
+        assert keys == sorted(keys, key=lambda k: canonical_address(tuple(k), m))
+        assert g.addresses() == [format_address(w, c) for w, c in scalar]
+        assert g.vertex_ids() == [vertex_id(tuple(k), m) for k in keys]
+
+
+@given(words, letters, st.integers(0, 4))
+def test_array_addressing_of_lifted_keys(word, letter, j):
+    level = len(word) + j
+    key = vertex_key(word, letter, level)
+    assert _array_addresses([key], level) == [canonical_address(key, level)]
+
+
+def test_sort_code_orders_like_tuples_up_to_its_level_cap():
+    m = MAX_SORT_CODE_LEVEL
+    pairs = [((), 0), ((), 2), ((0,), 1), ((0,) * m, 2), ((1,), 0), ((2,) * (m - 1) + (1,), 2),
+             ((2,) * m, 1), ((2,) * m, 2)]
+    assert pairs == sorted(pairs)
+    mat = np.array([list(w) + [-1] * (m - len(w)) for w, _ in pairs], dtype=np.int8)
+    codes = address_sort_code(mat, np.array([c for _, c in pairs], dtype=np.int8))
+    assert (np.diff(codes) > 0).all()
+    assert codes[-1] == 4 ** (m + 1) - 2  # the largest code: no int64 overflow
+    births, words, letters = canonical_address_arrays([(1 << (m + 1), 0, 0)], m + 1)
+    with pytest.raises(DomainError):
+        address_sort_code(words, letters)
+
+
+def test_array_addressing_rejects_non_vertices():
+    with pytest.raises(DomainError):
+        canonical_address_arrays([(3, 3, 2)], 3)  # sums to 8 but lies in no 1-cell
+    with pytest.raises(DomainError):
+        canonical_address_arrays([(1, 1, 1)], 2)
 
 
 def test_cells_are_in_word_order():

@@ -1,11 +1,13 @@
 """Command-line surface: seed grammar, formats, determinism, exit codes."""
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
 from sglap import cli
+from sglap.address import build_level_graph
 from sglap.errors import DomainError, UsageError
 
 
@@ -163,3 +165,59 @@ def test_seed_grammar_units():
         cli.parse_seed("six")
     with pytest.raises(DomainError):
         cli.parse_seed("six:1:2")
+
+
+# sha256 of `eval --seed five:2:3:+-+ --level 7` stdout, pinned from the
+# per-vertex canonical_address implementation with csv.writer/json.dumps rows
+EVAL_GOLDEN_SHA256 = {
+    "csv": "e68e0011c0f9f9034e4c416d9339442e7f23025d8d895bf0d5e6f9f31ded07b1",
+    "json": "c98f0ee1dc8e2afcdb6e54c20cc60e4c8752b6bcb252e2a1eef20d185953f586",
+    "obj": "bcc6076028b69aac9902dca86990a2ecc64d20b10c259a412e77e41f7740078b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EVAL_GOLDEN_SHA256))
+def test_eval_golden_bytes(fmt, capsys):
+    code, out, _ = run(["eval", "--seed", "five:2:3:+-+", "--level", "7", "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_GOLDEN_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eval_rows_match_generic_writers(fmt, capsys):
+    seed, level = "free:-7.25:0.1,-2,1e-05", 4
+    code, out, _ = run(["eval", "--seed", seed, "--level", str(level), "--format", fmt], capsys)
+    assert code == 0
+    graph = build_level_graph(level)
+    values = cli.parse_seed(seed).values_on_level(level)
+    rows = [[str(vid), level, float(x), float(y), float(v)]
+            for vid, (x, y), v in zip(graph.vertex_ids(), graph.coords, values)]
+    writer = cli._write_csv if fmt == "csv" else cli._write_json
+    assert out == writer(["address", "level", "x", "y", "value"], rows)
+
+
+def test_eval_non_finite_values_exit_three_with_empty_stdout(capsys):
+    code, out, err = run(["eval", "--seed", "free:-1e9:1,0,0", "--level", "2"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", ["free:nan:1,0,0", "free:inf:1,2,3", "free:1:1,-inf,0"])
+def test_non_finite_free_seed_exits_two(seed, capsys):
+    code, out, err = run(["eval", "--seed", seed, "--level", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "finite" in err and err.count("\n") == 1
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(["eval", "--seed", "two:1:1", "--level", "2", "--output", str(target)],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot write") and err.count("\n") == 1
+
+
+def test_malformed_word_exits_two(capsys):
+    code, out, err = run(["tangent", "--seed", "six:1:1", "--word", "abc"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ")

@@ -19,17 +19,13 @@ from .address import (
 )
 from .decimation import (
     Branch,
-    DirichletSeed,
     EigenvalueSequence,
     SpectralEigenfunction,
     SpectrumLine,
-    dirichlet_basis,
     dirichlet_eigenfunction,
     eigen_matrix,
-    eigen_values_on_level,
     enumerate_dirichlet_spectrum,
     extend_eigen,
-    lambda_limit,
     lambda_next,
     sequence_from_limit,
     six_series_element,

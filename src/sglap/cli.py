@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -64,6 +65,44 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _float(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{what} must be a number, got {text!r}") from None
+
+
+def parse_tol(text: str) -> float:
+    """--tol: a finite positive number."""
+    tol = _float(text, "tolerance")
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"tolerance must be finite and positive, got {text!r}")
+    return tol
+
+
+def parse_verify_tol(text: str) -> float:
+    """--verify-tol: any number but NaN (0 makes every check fail)."""
+    tol = _float(text, "verify tolerance")
+    if math.isnan(tol):
+        raise UsageError(f"verify tolerance must not be NaN, got {text!r}")
+    return tol
+
+
+def parse_range(text: str) -> list:
+    """--range a:b:n: the n-point inclusive grid, every point finite."""
+    try:
+        a, b, n = text.split(":")
+        a, b, n = float(a), float(b), int(n)
+    except ValueError as exc:
+        raise UsageError(f"malformed range {text!r}: {exc}") from None
+    if n < 1:
+        raise UsageError(f"range needs at least one point, got {n}")
+    grid = [a + (b - a) * i / (n - 1) for i in range(n)] if n > 1 else [a]
+    if not all(math.isfinite(z) for z in [a, b, *grid]):
+        raise UsageError(f"range endpoints and grid points must be finite, got {text!r}")
+    return grid
+
+
 def parse_seed(text: str) -> SpectralEigenfunction:
     """Resolve the seed mini-grammar to an eigenfunction."""
     parts = text.split(":")
@@ -106,12 +145,7 @@ def parse_seed(text: str) -> SpectralEigenfunction:
         # the basic (non-Dirichlet) 6-series element; Dirichlet gluings start at m0 = 2
         if index != 1:
             raise DomainError("the basic 6-series element is unique (index 1)")
-        if plus is None:
-            plus = {2}
-        if 2 not in plus:
-            raise DomainError("the 6-series must take the plus root at level m0 + 1")
-        seq = decimation.EigenvalueSequence(1, 6.0, frozenset(plus))
-        return SpectralEigenfunction(seq, decimation.rotate_six(2), label="six-element")
+        return decimation.six_series_element(plus)
     return decimation.dirichlet_eigenfunction(series, m0, index, plus)
 
 
@@ -237,22 +271,12 @@ def cmd_tangent(args) -> int:
 # --- special ----------------------------------------------------------------
 
 def cmd_special(args) -> int:
-    try:
-        a, b, n = args.range.split(":")
-        a, b, n = float(a), float(b), int(n)
-    except ValueError as exc:
-        raise UsageError(f"malformed range {args.range!r}: {exc}") from None
-    if n < 1:
-        raise UsageError(f"range needs at least one point, got {n}")
-    if args.tol <= 0:
-        raise UsageError(f"tolerance must be positive, got {args.tol!r}")
     config = dataclasses.replace(special.DEFAULT_CONFIG, tol=args.tol)
-    grid = [a + (b - a) * i / (n - 1) for i in range(n)] if n > 1 else [a]
     columns = ["z", "value", "error", "note"]
     if args.fn == "psi":
         columns.insert(3, "functional_eq")
     rows = []
-    for z in grid:
+    for z in args.range:
         note = None
         try:
             if args.fn == "psi":
@@ -287,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--verify", action="store_true",
                     help="cross-check against the dense eigensolver (level <= 6)")
-    sp.add_argument("--verify-tol", type=float, default=SPECTRUM_TOL)
+    sp.add_argument("--verify-tol", type=parse_verify_tol, default=SPECTRUM_TOL)
     sp.add_argument("--output")
     sp.set_defaults(run=cmd_spectrum)
 
@@ -297,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--format", choices=["csv", "json", "obj"], default="csv")
     ev.add_argument("--verify", action="store_true",
                     help="re-ingest the output and check the eigen-equation residual")
-    ev.add_argument("--verify-tol", type=float, default=EVAL_TOL)
+    ev.add_argument("--verify-tol", type=parse_verify_tol, default=EVAL_TOL)
     ev.add_argument("--output")
     ev.set_defaults(run=cmd_eval)
 
@@ -307,15 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     tg.add_argument("--format", choices=["csv", "json"], default="csv")
     tg.add_argument("--verify", action="store_true",
                     help="compare against the direct limit iterated to m=25")
-    tg.add_argument("--verify-tol", type=float, default=TANGENT_TOL)
+    tg.add_argument("--verify-tol", type=parse_verify_tol, default=TANGENT_TOL)
     tg.add_argument("--output")
     tg.set_defaults(run=cmd_tangent)
 
     spc = sub.add_parser("special", help="tabulate Psi or Upsilon on a grid")
     spc.add_argument("--fn", choices=["psi", "upsilon"], required=True)
-    spc.add_argument("--range", required=True,
+    spc.add_argument("--range", type=parse_range, required=True,
                      help="a:b:n inclusive grid (write --range=-2:2:5 for negative a)")
-    spc.add_argument("--tol", type=float, default=special.DEFAULT_CONFIG.tol)
+    spc.add_argument("--tol", type=parse_tol, default=special.DEFAULT_CONFIG.tol)
     spc.add_argument("--format", choices=["csv", "json"], default="csv")
     spc.add_argument("--output")
     spc.set_defaults(run=cmd_special)
@@ -325,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the number parsers raise UsageError from inside parse_args
+        args = parser.parse_args(argv)
         return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -16,11 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels, special
+from . import special
 from .address import (LevelGraph, build_level_graph, check_word, max_level,
                       resolve_addresses, vertex_key)
 from .errors import ConvergenceError, DomainError, SingularLevelError
-from .harmonic import (CORNER_SWAPS, cell_values_to_vertex, graph_laplacian,
+from .harmonic import (CORNER_SWAPS, cell_values_to_vertex, extend_level, graph_laplacian,
                        vertex_to_cell_values)
 
 SINGULAR_VALUES = (2.0, 5.0, 6.0)
@@ -141,12 +141,6 @@ def sequence_from_limit(lam, config: special.ConvergenceConfig = special.DEFAULT
     return EigenvalueSequence(m0, vals[m0], plus)
 
 
-def lambda_limit(sequence: EigenvalueSequence,
-                 config: special.ConvergenceConfig = special.DEFAULT_CONFIG) -> float:
-    """Renormalized eigenvalue (3/2) lim 5^j lambda_j of the sequence."""
-    return sequence.limit(config)
-
-
 @lru_cache(maxsize=4096)
 def eigen_matrices(lam: float) -> np.ndarray:
     """The three lambda-deformed extension matrices, stacked (letter, 3, 3)."""
@@ -189,8 +183,7 @@ def extend_eigen_cells(cell_values, sequence: EigenvalueSequence, from_level: in
         raise DomainError(f"cannot extend from level {from_level} < m0 = {sequence.m0}")
     values = np.ascontiguousarray(cell_values, dtype=float).reshape(-1, 3)
     for m in range(from_level + 1, to_level + 1):
-        mats = np.ascontiguousarray(eigen_matrices(sequence.value(m)))
-        values = _kernels.extend_level(values, mats)
+        values = extend_level(values, eigen_matrices(sequence.value(m)))
     return values
 
 
@@ -270,11 +263,6 @@ class SpectralEigenfunction:
         return eigen_residual(build_level_graph(m), self.values_on_level(m), self.sequence.value(m))
 
 
-def eigen_values_on_level(u: SpectralEigenfunction, m: int) -> np.ndarray:
-    """Vertex values of u on V_m, checking junction consistency tightly."""
-    return u.values_on_level(m, tol=1e-10)
-
-
 def rotate_six(corner: int) -> np.ndarray:
     """Level-1 values of the basic 6-series element with its 2 at the given
     corner: adjacent midpoints get -1, the opposite one +1, other corners 0."""
@@ -293,9 +281,15 @@ def rotate_six(corner: int) -> np.ndarray:
 _LEVEL1_ADDRESSES = [((), 0), ((), 1), ((), 2), ((0,), 1), ((0,), 2), ((1,), 2)]
 
 
-def six_series_element() -> SpectralEigenfunction:
-    """The basic 6-series seed: lambda_1 = 6 with the forced plus root 3."""
-    seq = EigenvalueSequence(1, 6.0, frozenset({2}))
+def six_series_element(plus_indices=None) -> SpectralEigenfunction:
+    """The basic 6-series seed: lambda_1 = 6 with the forced plus root 3.
+
+    plus_indices defaults to {2}; any set given must contain level 2.
+    """
+    plus_indices = frozenset({2}) if plus_indices is None else frozenset(plus_indices)
+    if 2 not in plus_indices:
+        raise DomainError("the 6-series must take the plus root at level m0 + 1")
+    seq = EigenvalueSequence(1, 6.0, plus_indices)
     return SpectralEigenfunction(seq, rotate_six(2), label="six-element")
 
 
@@ -410,29 +404,6 @@ def dirichlet_eigenfunction(series: str, m0: int, index: int = 1,
     seed = dirichlet_seed_values(series, m0, index)
     seq = EigenvalueSequence(m0, SERIES_SEED[series], plus_indices)
     return SpectralEigenfunction(seq, seed, label=f"{series}:{m0}:{index}")
-
-
-@dataclass(frozen=True)
-class DirichletSeed:
-    """Names one member of a Dirichlet eigenspace: series, birth level, which
-    basis vector, and the branch choices below the birth level."""
-
-    series: str
-    m0: int
-    index: int = 1
-    plus_indices: frozenset = None  # None = series default
-
-    def __post_init__(self):
-        if self.series not in SERIES_SEED:
-            raise DomainError(f"unknown series {self.series!r}")
-        if self.plus_indices is not None:
-            object.__setattr__(self, "plus_indices",
-                               frozenset(int(j) for j in self.plus_indices))
-
-
-def dirichlet_basis(seed: DirichletSeed) -> SpectralEigenfunction:
-    """Materialize the named Dirichlet seed as a spectral eigenfunction."""
-    return dirichlet_eigenfunction(seed.series, seed.m0, seed.index, seed.plus_indices)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,12 @@ A harmonic function is determined by its three boundary values; restricting
 to a cell F_w multiplies the boundary triple by A_w = A_{w_m} ... A_{w_1}
 (letters applied in the order the maps compose).  Appending a letter to a
 word multiplies one more matrix on the left, which is exactly the cell
-refinement step the kernels implement.
+refinement step of `extend_level`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
 from .address import LevelGraph, build_level_graph, check_word
 from .errors import ConvergenceError, DomainError
 
@@ -60,11 +59,20 @@ def harmonic_pullback(word) -> np.ndarray:
     return m
 
 
+def extend_level(cell_values, mats) -> np.ndarray:
+    """One refinement step: child cell 3*c + letter gets mats[letter] @ cell c."""
+    values = np.ascontiguousarray(cell_values, dtype=float).reshape(-1, 3)
+    out = np.empty((3 * values.shape[0], 3))
+    for letter in range(3):
+        out[letter::3] = values @ mats[letter].T
+    return out
+
+
 def extend_cells(cell_values, steps: int, mats=HARMONIC_MATRICES):
     """Refine per-cell triples by `steps` levels with the given letter matrices."""
     values = np.ascontiguousarray(cell_values, dtype=float).reshape(-1, 3)
     for _ in range(int(steps)):
-        values = _kernels.extend_level(values, np.ascontiguousarray(mats))
+        values = extend_level(values, mats)
     return values
 
 
@@ -108,7 +116,7 @@ def graph_laplacian(graph: LevelGraph, values) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=float)
     if values.shape != (graph.size,):
         raise DomainError(f"expected {graph.size} vertex values, got shape {values.shape}")
-    return _kernels.laplacian_apply(graph.indptr, graph.indices, graph.degree, values)
+    return np.add.reduceat(values[graph.indices], graph.indptr[:-1]) - graph.degree * values
 
 
 def graph_laplacian_apply(graph: LevelGraph, values) -> np.ma.MaskedArray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp, mpf
 
-from . import _kernels
 from .address import EventuallyConstantWord, build_level_graph
 from .decimation import SpectralEigenfunction
 from .errors import ConvergenceError, DomainError
@@ -73,13 +72,13 @@ def dense_interior_matrix(level: int):
 
 
 def dense_dirichlet_spectrum(m: int) -> DenseSpectrum:
-    """Full Dirichlet spectrum of -Delta_m by in-repo Jacobi rotations."""
+    """Full Dirichlet spectrum of -Delta_m by LAPACK's symmetric eigensolver."""
     if m < 0:
         raise DomainError(f"level must be nonnegative, got {m}")
     if m > DENSE_LEVEL_CAP:
         raise DomainError(f"dense solves are capped at level {DENSE_LEVEL_CAP}, got {m}")
     a, interior = dense_interior_matrix(m)
-    w, v = _kernels.jacobi_eigh(a)
+    w, v = np.linalg.eigh(a)
     spec = DenseSpectrum(m, w, v, interior, a)
     res = spec.residual()
     if res >= 1e-9:

@@ -64,14 +64,14 @@ def test_criterion_01_level1_dense_spectrum():
 def test_criterion_02_spectrum_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
-    for m in (1, 2, 3):
+    for m in range(1, 7):
         gap = sorted_pairing_gap(_enumerated_multiset(m), dense_dirichlet_spectrum(m).eigenvalues)
         worst = max(worst, gap)
     dt = time.perf_counter() - t0
     _report(
         2,
         worst < 1e-9 and dt < 30.0,
-        f"decimated vs dense multisets m=1..3: worst gap {worst:.3e} < 1e-9 ({dt:.2f}s < 30s)",
+        f"decimated vs dense multisets m=1..6: worst gap {worst:.3e} < 1e-9 ({dt:.2f}s < 30s)",
     )
 
 

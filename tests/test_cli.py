@@ -3,6 +3,8 @@ import csv
 import hashlib
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -221,3 +223,56 @@ def test_malformed_word_exits_two(capsys):
     code, out, err = run(["tangent", "--seed", "six:1:1", "--word", "abc"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("usage error: ")
+
+
+def test_special_nan_range_endpoint_exits_two(capsys):
+    code, out, err = run(["special", "--fn", "psi", "--range=nan:1:3"], capsys)
+    assert code == 2 and out == ""
+    assert "finite" in err and err.count("\n") == 1
+
+
+def test_special_infinite_range_endpoint_exits_two(capsys):
+    # 0:inf:3 would put inf * 0 = nan on the grid
+    code, out, err = run(["special", "--fn", "upsilon", "--range=0:inf:3"], capsys)
+    assert code == 2 and out == ""
+    assert "finite" in err and err.count("\n") == 1
+
+
+def test_special_overflowing_grid_exits_two(capsys):
+    # finite endpoints whose difference overflows
+    code, out, err = run(["special", "--fn", "psi", "--range=-1e308:1e308:3"], capsys)
+    assert code == 2 and out == ""
+    assert "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_special_non_finite_or_non_positive_tol_exits_two(tol, capsys):
+    code, out, err = run(["special", "--fn", "psi", "--range=0:1:3", f"--tol={tol}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--level", "2", "--verify"],
+    ["eval", "--seed", "six:1:1", "--level", "2", "--verify"],
+    ["tangent", "--seed", "six:1:1", "--word", ":0", "--verify"],
+])
+def test_nan_verify_tol_exits_two(command, capsys):
+    code, out, err = run(command + ["--verify-tol", "nan"], capsys)
+    assert code == 2 and out == ""
+    assert "NaN" in err and err.count("\n") == 1
+
+
+def test_spectrum_verify_tol_zero_fails(capsys):
+    code, _, err = run(["spectrum", "--level", "2", "--verify", "--verify-tol", "0"], capsys)
+    assert code == 4 and err.startswith("verification failed")
+
+
+def test_spectrum_verify_at_the_dense_cap():
+    # a fresh process, so that numpy warnings would reach the real stderr
+    proc = subprocess.run([sys.executable, "-m", "sglap.cli", "spectrum", "--level", "6",
+                           "--verify"], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    _, rows = parse_csv(proc.stdout)
+    assert sum(int(r[5]) for r in rows) == (3**7 - 3) // 2
+    assert max(float(r[-1]) for r in rows) < 1e-9

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 from sglap.address import build_level_graph, resolve_addresses, vertex_key
 from sglap.decimation import (
     Branch,
-    DirichletSeed,
     EigenvalueSequence,
     SpectralEigenfunction,
-    dirichlet_basis,
     dirichlet_eigenfunction,
     eigen_matrix,
-    eigen_values_on_level,
     enumerate_dirichlet_spectrum,
     lambda_next,
     rotate_six,
@@ -132,7 +129,7 @@ def test_junction_values_agree_from_both_addresses():
 
 def test_values_on_level_shape_and_boundary():
     u = dirichlet_eigenfunction("two", 1, plus_indices={2})
-    v = eigen_values_on_level(u, 4)
+    v = u.values_on_level(4, tol=1e-10)
     assert v.shape == (build_level_graph(4).size,)
     assert np.array_equal(v[:3], np.zeros(3))
 
@@ -193,11 +190,20 @@ def test_closed_form_support_flags():
 
 
 def test_dirichlet_seed_names_a_basis_function():
-    u = dirichlet_basis(DirichletSeed("two", 1, plus_indices={2, 4}))
+    u = dirichlet_eigenfunction("two", 1, plus_indices={2, 4})
     assert u.sequence.plus_indices == frozenset({2, 4})
     assert u.m0 == 1
     with pytest.raises(DomainError):
-        DirichletSeed("seven", 1)
+        dirichlet_eigenfunction("seven", 1)
+
+
+def test_six_element_branches():
+    assert six_series_element().sequence.plus_indices == frozenset({2})
+    u = six_series_element({2, 4})
+    assert u.sequence.plus_indices == frozenset({2, 4})
+    assert u.residual(5) < 1e-12
+    with pytest.raises(DomainError):
+        six_series_element({3})  # level 2 must take the plus root
 
 
 def test_eigen_matrix_degenerates_to_harmonic():

@@ -12,6 +12,8 @@ from sglap.harmonic import (
     HARMONIC_INVERSES,
     HARMONIC_MATRICES,
     extend_harmonic,
+    extend_level,
+    graph_laplacian,
     graph_laplacian_apply,
     harmonic_extension,
     harmonic_matrix,
@@ -97,6 +99,26 @@ def test_extend_cells_matches_vertex_extension():
     cv = harmonic.extend_cells(b[None, :], 3)
     g3 = build_level_graph(3)
     assert np.allclose(harmonic.cell_values_to_vertex(g3, cv), harmonic_extension(b, 3))
+
+
+def test_extend_level_splits_cells():
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((9, 3))
+    out = extend_level(vals, HARMONIC_MATRICES)
+    assert out.shape == (27, 3)
+    for c in range(9):
+        for letter in range(3):
+            assert np.allclose(out[3 * c + letter], HARMONIC_MATRICES[letter] @ vals[c])
+
+
+@given(st.integers(0, 10_000))
+def test_laplacian_is_linear_and_kills_constants(seed):
+    g = build_level_graph(2)
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, g.size))
+    lap = lambda v: graph_laplacian(g, v)
+    assert np.allclose(lap(x) + lap(y), lap(x + y), atol=1e-12)
+    assert np.array_equal(lap(np.ones(g.size)), np.zeros(g.size))
 
 
 def test_masked_laplacian_masks_exactly_the_boundary():

@@ -1,10 +1,14 @@
 """Independent verification routes: dense spectra, brute tangent limits, 1-D calculus."""
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sglap.address import build_level_graph
 from sglap.decimation import (
     dirichlet_eigenfunction,
     enumerate_dirichlet_spectrum,
@@ -30,6 +34,7 @@ def test_level1_dense_spectrum():
 def test_dense_residual_and_orthogonality():
     sp = dense_dirichlet_spectrum(3)
     assert sp.count == (3**4 - 3) // 2
+    assert np.all(np.diff(sp.eigenvalues) >= 0)  # spectrum --verify pairs blocks in order
     assert sp.residual() < 1e-10
     v = sp.eigenvectors
     assert np.allclose(v.T @ v, np.eye(sp.count), atol=1e-9)
@@ -67,6 +72,43 @@ def test_decimated_functions_solve_the_dense_problem():
         v = u.values_on_level(m)[interior]
         lam = u.sequence.value(m)
         assert np.abs(a @ v - lam * v).max() < 1e-9 * max(1.0, np.abs(v).max())
+
+
+_dense = lru_cache(maxsize=None)(dense_dirichlet_spectrum)
+
+
+@st.composite
+def closed_form_seeds(draw):
+    """(series, m0, index, branch string down to a level m <= 6)."""
+    series = draw(st.sampled_from(["two", "five", "six"]))
+    if series == "two":
+        m0, index = 1, 1
+    elif series == "five":
+        m0 = draw(st.integers(1, 2))
+        index = draw(st.integers(1, 2 if m0 == 1 else 3))
+    else:
+        m0 = draw(st.integers(2, 6))
+        index = draw(st.integers(1, build_level_graph(m0 - 1).size - 3))
+    m = draw(st.integers(m0, 6))
+    return series, m0, index, draw(st.text("+-", min_size=m - m0, max_size=m - m0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(closed_form_seeds())
+def test_random_seeds_solve_the_dense_problem(seed):
+    series, m0, index, branches = seed
+    m = m0 + len(branches)
+    plus = {m0 + 1 + t for t, ch in enumerate(branches) if ch == "+"}
+    if series == "six":
+        plus.add(m0 + 1)  # the 6-series always takes the plus root there
+    u = dirichlet_eigenfunction(series, m0, index, plus)
+    dense = _dense(m)
+    lam = u.sequence.value(m)
+    v = u.values_on_level(m)[dense.interior_indices]
+    scale = np.abs(v).max()
+    assert scale > 0.0
+    assert np.abs(dense.matrix @ v - lam * v).max() < 1e-9 * max(1.0, scale)
+    assert np.abs(dense.eigenvalues - lam).min() < 1e-9
 
 
 def test_direct_limit_matches_the_closed_tangent():

@@ -272,26 +272,31 @@ def cmd_tangent(args) -> int:
 
 def cmd_special(args) -> int:
     config = dataclasses.replace(special.DEFAULT_CONFIG, tol=args.tol)
-    columns = ["z", "value", "error", "note"]
+    z = np.array(args.range)
     if args.fn == "psi":
-        columns.insert(3, "functional_eq")
+        columns = ["z", "value", "error", "functional_eq", "note"]
+        values, errors, failures = special.psi_limit_array(z, config)
+        # audit psi(Psi(z)) = Psi(5z) wherever 5z is in the domain (an
+        # overflowing 5z is not); a failure there fails the row
+        with np.errstate(over="ignore"):
+            in_domain = np.abs(5.0 * z) <= special.PSI_DOMAIN_BOUND
+        audited = [i for i in np.flatnonzero(in_domain).tolist() if i not in failures]
+        five, _, five_failures = special.psi_limit_array(5.0 * z[audited], config)
+        audit = [None] * z.size
+        for i, gap in zip(audited, np.abs(special.psi(values[audited]) - five).tolist()):
+            audit[i] = gap
+        failures.update((audited[k], exc) for k, exc in five_failures.items())
+        fields = [values.tolist(), errors.tolist(), audit]
+    else:
+        columns = ["z", "value", "error", "note"]
+        values, errors, failures = special.upsilon_with_error_array(z, config)
+        fields = [values.tolist(), errors.tolist()]
     rows = []
-    for z in args.range:
-        note = None
-        try:
-            if args.fn == "psi":
-                val, err = special.psi_limit_with_error(z, config)
-                audit = None
-                if abs(5.0 * z) <= special.PSI_DOMAIN_BOUND:
-                    audit = abs(special.psi(val) - special.psi_limit(5.0 * z, config))
-                rows.append([float(z), val, err, audit, note])
-                continue
-            val, err = special.upsilon_with_error(z, config)
-            rows.append([float(z), val, err, note])
-        except SglapError as exc:
-            note = f"pole: {exc}"
-            rows.append([float(z), None, None, None, note] if args.fn == "psi"
-                        else [float(z), None, None, note])
+    for i, (point, *row) in enumerate(zip(args.range, *fields)):
+        if i in failures:
+            rows.append([point, *[None] * len(row), f"pole: {failures[i]}"])
+        else:
+            rows.append([point, *row, None])
     text = (_write_csv if args.format == "csv" else _write_json)(columns, rows)
     _emit(args, text)
     return 0
@@ -299,10 +304,16 @@ def cmd_special(args) -> int:
 
 # --- wiring -----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed arguments as a UsageError: exit 2, one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sglap",
-                                     description="Laplacian spectra and harmonic "
-                                                 "tangents on the Sierpinski gasket")
+    parser = _Parser(prog="sglap", description="Laplacian spectra and harmonic "
+                                               "tangents on the Sierpinski gasket")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="enumerate the level-m Dirichlet spectrum")
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        # the number parsers raise UsageError from inside parse_args
+        # argparse and the number parsers raise UsageError from parse_args
         args = parser.parse_args(argv)
         return args.run(args)
     except UsageError as exc:

@@ -1,4 +1,4 @@
-"""Scalar special functions built from the quadratic map psi(z) = z(5 - z).
+"""Special functions built from the quadratic map psi(z) = z(5 - z).
 
 psi_limit is the decreasing-argument limit of the psi_m approximants; it
 converts a renormalized eigenvalue back into the level-j entries of its
@@ -6,12 +6,17 @@ generating sequence (argument divided by 5 per level, plus branches included
 for free since both quadratic roots satisfy the same forward relation).
 upsilon is the tail product scaling tangent and normal-derivative limits;
 tau is the same product taken along an explicit sequence.
+
+psi_limit_array and upsilon_with_error_array evaluate whole grids; the
+scalar psi_limit, upsilon and their _with_error forms run the same kernels
+on one-element arrays, so a value does not depend on the grid it is in.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -45,16 +50,61 @@ def psi_m(z, m: int) -> float:
     return x
 
 
-@lru_cache(maxsize=65536)
-def _psi_limit(z: float, config: ConvergenceConfig):
-    prev = psi_m(z, 0)
-    for m in range(1, config.max_iterations + 1):
-        cur = psi_m(z, m)
-        err = abs(cur - prev)
-        if err <= config.tol * max(1.0, abs(cur)):
-            return cur, err
-        prev = cur
-    raise ConvergenceError(f"psi approximants did not settle for z={z!r}")
+def _approximants(z, m: int):
+    """psi_m over an array, with the same operations as psi_m."""
+    x = (2.0 / 3.0) * z / 5.0**m
+    for _ in range(m):
+        x *= 5.0 - x
+    return x
+
+
+def psi_limit_array(z, config: ConvergenceConfig = DEFAULT_CONFIG):
+    """psi_limit over a 1-D array: (values, increments, failures).
+
+    Each element takes the same steps as the scalar definition (psi_m for
+    m = 0, 1, ... until the increment passes the tolerance) and drops out
+    once it has converged, so its value does not depend on the rest of the
+    array.  failures maps an index to the SglapError psi_limit raises there,
+    in index order; values and increments are NaN at those indices.
+    """
+    z = np.asarray(z, dtype=float)
+    values = np.full(z.shape, np.nan)
+    increments = np.full(z.shape, np.nan)
+    failures = {}
+    outside = np.abs(z) > PSI_DOMAIN_BOUND
+    for i in np.flatnonzero(outside).tolist():
+        failures[i] = DomainError(f"argument {float(z[i])!r} outside the validated "
+                                  f"region |z| <= {PSI_DOMAIN_BOUND:g}")
+    live = np.flatnonzero(~outside)
+    prev = None
+    # an element that overflows is reported as its failure, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(config.max_iterations + 1):
+            if not live.size:
+                break
+            cur = _approximants(z[live], m)
+            drop = ~np.isfinite(cur)
+            for i in live[drop].tolist():
+                failures[i] = DomainError(
+                    f"psi iteration overflowed for z={float(z[i])!r} at m={m}")
+            if m:
+                err = np.abs(cur - prev)
+                done = ~drop & (err <= config.tol * np.maximum(1.0, np.abs(cur)))
+                values[live[done]] = cur[done]
+                increments[live[done]] = err[done]
+                drop |= done
+            live, prev = live[~drop], cur[~drop]
+    for i in live.tolist():
+        failures[i] = ConvergenceError(f"psi approximants did not settle for z={float(z[i])!r}")
+    return values, increments, dict(sorted(failures.items()))
+
+
+def _scalar(kernel, x, config):
+    """Run an array kernel on one number; raise its failure or return floats."""
+    *columns, failures = kernel(np.array([float(x)]), config)
+    if failures:
+        raise failures[0]
+    return tuple(float(c[0]) for c in columns)
 
 
 def psi_limit_with_error(z, config: ConvergenceConfig = DEFAULT_CONFIG):
@@ -63,49 +113,84 @@ def psi_limit_with_error(z, config: ConvergenceConfig = DEFAULT_CONFIG):
     The increments shrink by a factor 5 per step (seed error ~ 5^-m z^2), so
     the returned increment bounds the remaining truncation error.
     """
-    z = float(z)
-    if abs(z) > PSI_DOMAIN_BOUND:
-        raise DomainError(
-            f"argument {z!r} outside the validated region |z| <= {PSI_DOMAIN_BOUND:g}"
-        )
-    return _psi_limit(z, config)
+    return _scalar(psi_limit_array, z, config)
 
 
 def psi_limit(z, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
     return psi_limit_with_error(z, config)[0]
 
 
-@lru_cache(maxsize=65536)
-def _upsilon(lam: float, config: ConvergenceConfig) -> float:
-    head = 2.0 - psi_limit(lam / 5.0, config)
-    if head == 0.0:
-        raise DomainError(f"tail product has a pole at lambda={lam!r}")
-    prod = 1.0 / head
-    for j in range(2, config.max_iterations + 2):
-        prod *= 1.0 - psi_limit(lam / 5.0**j, config) / 3.0
-        # remaining factors are bounded via |lambda_j| <= 5^-j |lambda|,
-        # a geometric tail of ratio 1/5
-        if abs(lam) / 5.0**j / 3.0 < config.tol * config.tail_bound_factor:
-            return prod
-    raise ConvergenceError(f"tail product did not converge for lambda={lam!r}")
+def _upsilon_array(lam, config: ConvergenceConfig):
+    """(values, failures) of the tail product over a 1-D array.
+
+    The product for lambda is 1/(2 - psi_limit(lambda/5)) times the factors
+    1 - psi_limit(lambda/5^j)/3 for j = 2, 3, ..., up to the first j whose
+    remaining factors are bounded via |lambda_j| <= 5^-j |lambda|, a
+    geometric tail of ratio 1/5.  All the psi_limit arguments of the array go
+    through one psi_limit_array call; the factors multiply in j order.
+    """
+    size = np.abs(lam)
+    last = config.max_iterations + 1
+    # stop[i]: the first j whose tail bound passes; 0 where none does
+    stop = np.zeros(lam.size, dtype=int)
+    for j in range(last, 1, -1):
+        stop[size / 5.0**j / 3.0 < config.tol * config.tail_bound_factor] = j
+    depth = np.where(stop > 0, stop, last)
+    rows = np.arange(1, depth.max(initial=1) + 1)
+    needed = rows[:, None] <= depth
+    args = lam / np.array([5.0**j for j in rows.tolist()])[:, None]
+    vals, _, psi_failures = psi_limit_array(args[needed], config)
+    factors = np.full(needed.shape, np.nan)
+    factors[needed] = vals
+    failures = {i: ConvergenceError(f"tail product did not converge for lambda={float(lam[i])!r}")
+                for i in np.flatnonzero(stop == 0).tolist()}
+    # the first failing factor in j order wins: the row-major order of
+    # `needed` ascends in j, so the earliest is written last
+    element = np.nonzero(needed)[1]
+    for k in reversed(psi_failures):
+        failures[int(element[k])] = psi_failures[k]
+    head = 2.0 - factors[0]
+    # a failed head leaves a NaN head, so a pole never hides a psi failure
+    for i in np.flatnonzero(head == 0.0).tolist():
+        failures[i] = DomainError(f"tail product has a pole at lambda={float(lam[i])!r}")
+    with np.errstate(divide="ignore", over="ignore"):
+        prod = 1.0 / head
+        for j in rows[1:].tolist():
+            prod = np.where(j <= depth, prod * (1.0 - factors[j - 1] / 3.0), prod)
+    prod[list(failures)] = np.nan
+    return prod, dict(sorted(failures.items()))
 
 
 def upsilon(lam, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
     """1 / (2 - psi_limit(lam/5)) times prod_{j>=2} (1 - psi_limit(5^-j lam)/3)."""
-    return _upsilon(float(lam), config)
+    return _scalar(_upsilon_array, lam, config)[0]
 
 
 _EPS = math.ulp(1.0)
 
 
+def upsilon_with_error_array(lam, config: ConvergenceConfig = DEFAULT_CONFIG):
+    """upsilon_with_error over a 1-D array: (values, errors, failures).
+
+    failures maps an index to the SglapError upsilon_with_error raises
+    there, in index order; values and errors are NaN at those indices.
+    """
+    lam = np.asarray(lam, dtype=float)
+    values, failures = _upsilon_array(lam, config)
+    tight = ConvergenceConfig(config.tol / 8.0, config.max_iterations + 8,
+                              config.tail_bound_factor)
+    tight_values, tight_failures = _upsilon_array(lam, tight)
+    errors = np.abs(values - tight_values) + 8.0 * _EPS * (1.0 + np.abs(values))
+    # the configured evaluation runs first, so its failure is the one raised
+    failures = dict(sorted({**tight_failures, **failures}.items()))
+    values[list(failures)] = errors[list(failures)] = np.nan
+    return values, errors, failures
+
+
 def upsilon_with_error(lam, config: ConvergenceConfig = DEFAULT_CONFIG):
     """Value plus an error proxy: distance to an 8x tighter evaluation, with
     a floating-point floor so the estimate stays positive."""
-    val = upsilon(lam, config)
-    tight = ConvergenceConfig(config.tol / 8.0, config.max_iterations + 8,
-                              config.tail_bound_factor)
-    err = abs(val - upsilon(lam, tight)) + 8.0 * _EPS * (1.0 + abs(val))
-    return val, err
+    return _scalar(upsilon_with_error_array, lam, config)
 
 
 def tau(k: int, sequence, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:

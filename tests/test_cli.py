@@ -1,12 +1,16 @@
 """Command-line surface: seed grammar, formats, determinism, exit codes."""
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from sglap import cli
 from sglap.address import build_level_graph
@@ -185,6 +189,42 @@ def test_eval_golden_bytes(fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EVAL_GOLDEN_SHA256[fmt]
 
 
+# sha256 of `special` stdout, pinned from the per-point scalar loops: a
+# workload-sized grid in both formats, out-of-domain rows, out-of-domain
+# tail factors, and a tolerance that only an exact zero increment meets
+SPECIAL_GOLDEN_SHA256 = {
+    ("--fn", "psi", "--range=-12.3:14.2:2000", "--format", "csv"):
+        "a3010d0523c6095e6d76216d1e3abcb514074cfee3d551d1217cd12e24358e3d",
+    ("--fn", "psi", "--range=-12.3:14.2:2000", "--format", "json"):
+        "137e4fd2dd1e5114d8c0f06eece81e3c5dab8de34fbab09fdfc6e64b7d2cdc5c",
+    ("--fn", "upsilon", "--range=-12.3:14.2:2000", "--format", "csv"):
+        "2ba2c8077065dee55bb3a68eb715a63c48284bdaae46acd0ac1e11f0094be5de",
+    ("--fn", "upsilon", "--range=-12.3:14.2:2000", "--format", "json"):
+        "24a296a5f94939cd435f7f4ac48e5bce3345712cbdf9ee7b84814a6dee88a8c4",
+    ("--fn", "psi", "--range=-150:150:601"):
+        "5d2b333d0a0d84bdeab5fcf42c9d5e1fe7612ad7e648a9fad8bc677d5502b521",
+    ("--fn", "upsilon", "--range=-1e4:1e4:101"):
+        "d049299ada96e98f1c6e25ba2de885f538baf04bc62ab72cd36f05812c2de292",
+    ("--fn", "psi", "--range=1:2:5", "--tol=1e-300"):
+        "05ef9bde260c27dc32c2b39cb77d7611e986b3a213317e5d11bbbd4c4fbdea36",
+}
+
+
+@pytest.mark.parametrize("args", list(SPECIAL_GOLDEN_SHA256), ids=" ".join)
+def test_special_golden_bytes(args, capsys):
+    code, out, err = run(["special", *args], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECIAL_GOLDEN_SHA256[args]
+
+
+def test_special_audit_of_an_overflowing_5z_is_skipped(capsys):
+    # 5 * 1e308 overflows; the row is out of the domain, with no warning
+    code, out, err = run(["special", "--fn", "psi", "--range=1e308:1e308:2"], capsys)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert [r[-1].split(" ")[:2] for r in rows] == [["pole:", "argument"]] * 2
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_eval_rows_match_generic_writers(fmt, capsys):
     seed, level = "free:-7.25:0.1,-2,1e-05", 4
@@ -276,3 +316,73 @@ def test_spectrum_verify_at_the_dense_cap():
     _, rows = parse_csv(proc.stdout)
     assert sum(int(r[5]) for r in rows) == (3**7 - 3) // 2
     assert max(float(r[-1]) for r in rows) < 1e-9
+
+
+@pytest.mark.parametrize("command", [
+    # argparse reads a negative number in scientific notation as a flag
+    ["special", "--fn", "psi", "--range=0:1:3", "--tol", "-1e-9"],
+    ["tangent", "--seed", "six:1:1", "--word", ":0", "--verify", "--verify-tol", "-1e-9"],
+    ["eval", "--seed", "six:1:1", "--level", "abc"],
+    ["spectrum", "--series", "seven"],
+], ids=["special-tol", "tangent-verify-tol", "eval-level", "spectrum-series"])
+def test_argparse_errors_are_one_line(command, capsys):
+    code, out, err = run(command, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: argument ") and err.count("\n") == 1
+
+
+def test_help_still_prints_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["special", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sglap special")
+
+
+# mostly well-formed input, so that about half the examples reach the kernel
+_finite_numbers = st.one_of(st.floats(-200.0, 200.0), st.floats(-1e4, 1e4)).map(repr)
+_numbers = st.one_of(_finite_numbers, _finite_numbers, _finite_numbers, st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "abc", "", "5e-324"]))
+_counts = st.one_of(st.integers(1, 40).map(str), st.integers(1, 40).map(str),
+                    st.sampled_from(["0", "-2", "x", "2.5", ""]))
+_ranges = st.one_of(st.builds(lambda a, b, n: f"{a}:{b}:{n}", _numbers, _numbers, _counts),
+                    st.sampled_from(["", "1:2", "1:2:3:4", "::"]))
+_tols = st.one_of(
+    st.just([]),
+    st.floats(1e-15, 1e-3).map(lambda tol: [f"--tol={tol!r}"]),
+    st.tuples(st.sampled_from(["1e-300", "0", "-1e-9", "nan", "inf", "abc"]), st.booleans())
+    .map(lambda t: [f"--tol={t[0]}"] if t[1] else ["--tol", t[0]]),
+)
+
+
+def _finite(field) -> bool:
+    try:
+        return math.isfinite(float(field))
+    except (TypeError, ValueError):
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["psi", "upsilon"] * 4 + ["tau"]), _ranges, _tols,
+       st.sampled_from(["csv", "json"] * 4 + ["obj"]))
+def test_special_grammar_fuzz(fn, grid, tol, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["special", "--fn", fn, f"--range={grid}", *tol, "--format", fmt])
+    event(f"exit {code}")
+    assert code in (0, 2)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
+        return
+    if fmt == "json":
+        records = json.loads(out.getvalue())
+    else:
+        records = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert records
+    for record in records:
+        assert _finite(record["z"])
+        if record["note"]:
+            assert record["note"].startswith("pole: ") and record["value"] in ("", None)
+            continue
+        assert _finite(record["value"]) and _finite(record["error"])
+        assert record.get("functional_eq") in ("", None) or _finite(record["functional_eq"])

@@ -8,12 +8,10 @@ and normal derivatives), oracle (independent brute-force checks), cli.
 from .address import (
     EventuallyConstantWord,
     LevelGraph,
-    VertexId,
     apply_ifs,
     build_level_graph,
     canonical_address,
     resolve_addresses,
-    vertex_id,
     vertex_key,
     word_from_string,
 )

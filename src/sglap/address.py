@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,10 +44,22 @@ def check_word(word) -> Word:
     return word
 
 
+def check_letter(letter) -> int:
+    letter = int(letter)
+    if letter not in (0, 1, 2):
+        raise DomainError(f"corner letter must be 0, 1 or 2: {letter!r}")
+    return letter
+
+
+def _is_ascii_digits(text: str) -> bool:
+    # str.isdigit alone also admits superscripts and other scripts' digits
+    return text.isascii() and text.isdigit()
+
+
 def word_from_string(text: str) -> Word:
     if text == "":
         return ()
-    if not text.isdigit():
+    if not _is_ascii_digits(text):
         raise DomainError(f"malformed word {text!r}")
     return check_word(text)
 
@@ -72,14 +84,13 @@ def vertex_key(word, letter: int, level: int):
     """Exact coordinates of F_w(q_letter) at the given level (|word| <= level)."""
     word = check_word(word)
     m = len(word)
-    if not 0 <= int(letter) <= 2:
-        raise DomainError(f"corner letter must be 0, 1 or 2: {letter!r}")
+    letter = check_letter(letter)
     if level < m:
         raise DomainError(f"level {level} below word length {m}")
     n = [0, 0, 0]
     for t, c in enumerate(word, start=1):
         n[c] += 1 << (m - t)
-    n[int(letter)] += 1
+    n[letter] += 1
     shift = level - m
     return (n[0] << shift, n[1] << shift, n[2] << shift)
 
@@ -108,14 +119,10 @@ def _descend_prefix(key, b):
     return word, cur
 
 
-def resolve_addresses(key, level=None):
+def resolve_addresses(key, level):
     """All (word, letter) addresses of a vertex at its birth level: one for a
-    boundary corner, exactly two for a junction point.  Accepts either a
-    VertexId or a raw barycentric key with its level."""
-    if isinstance(key, VertexId):
-        key, level = key.key, key.birth
-    elif level is None:
-        raise DomainError("a raw barycentric key needs an explicit level")
+    boundary corner, exactly two for a junction point.  The scalar reference
+    for canonical_address_arrays."""
     key, b = _birth_key(key, level)
     if b == 0:
         return [((), key.index(1))]
@@ -193,28 +200,6 @@ def format_address(word, letter) -> str:
 
 
 @dataclass(frozen=True)
-class VertexId:
-    """A vertex named by its canonical birth address plus exact coordinates."""
-
-    word: Word
-    letter: int
-    key: tuple  # barycentric numerators at birth level len(word)
-
-    @property
-    def birth(self) -> int:
-        return len(self.word)
-
-    def __str__(self) -> str:
-        return format_address(self.word, self.letter)
-
-
-def vertex_id(key, level) -> VertexId:
-    bkey, _ = _birth_key(key, level)
-    word, letter = canonical_address(key, level)
-    return VertexId(word, letter, bkey)
-
-
-@dataclass(frozen=True)
 class EventuallyConstantWord:
     """Infinite word prefix . tail tail tail ... addressing a single point.
 
@@ -239,9 +224,9 @@ class EventuallyConstantWord:
     @classmethod
     def parse(cls, text: str) -> "EventuallyConstantWord":
         head, sep, tail = text.partition(":")
-        if not sep or len(tail) != 1:
+        if not sep or len(tail) != 1 or not _is_ascii_digits(tail):
             raise DomainError(f"expected 'prefix:tail', got {text!r}")
-        return cls(word_from_string(head), int(tail) if tail.isdigit() else -1)
+        return cls(word_from_string(head), int(tail))
 
     def letter(self, j: int) -> int:
         """1-indexed j-th letter."""
@@ -261,19 +246,17 @@ class EventuallyConstantWord:
 
 @dataclass(frozen=True, eq=False)
 class LevelGraph:
-    """The graph on V_m: vertices in canonical address order (the three
-    boundary corners are always indices 0, 1, 2) together with their
-    canonical addresses, cells as index triples in word order, and a CSR
-    adjacency for Laplacian sweeps."""
+    """The graph on V_m as its cells: cells[word_index(w), i] is the vertex
+    F_w(q_i) for |w| = m.  Every edge lies in exactly one m-cell, so the cell
+    triples are the whole graph; index_of is the vertex lookup.  Vertices are
+    in canonical address order (the three boundary corners are always 0, 1,
+    2, everything after them is interior) and carry their canonical
+    addresses and exact keys."""
 
     level: int
     keys: np.ndarray  # (N, 3) int64 numerators, denominator 2**level
     coords: np.ndarray  # (N, 2) float
     cells: np.ndarray  # (3**level, 3) int32
-    indptr: np.ndarray
-    indices: np.ndarray
-    degree: np.ndarray
-    interior_mask: np.ndarray
     births: np.ndarray  # (N,) birth level of each canonical address
     words: np.ndarray  # (N, level) int8 canonical words, -1 past the birth level
     letters: np.ndarray  # (N,) int8 canonical corner letters
@@ -282,16 +265,14 @@ class LevelGraph:
     def size(self) -> int:
         return self.keys.shape[0]
 
-    @property
-    def boundary(self):
-        return np.array([0, 1, 2])
-
-    @cached_property
-    def key_index(self) -> dict:
-        return {tuple(k): i for i, k in enumerate(self.keys.tolist())}
-
     def index_of(self, word, letter) -> int:
-        return self.key_index[vertex_key(word, letter, self.level)]
+        """Index of F_word(q_letter): corner `letter` of the level cell
+        word + (letter, ..., letter)."""
+        word = check_word(word)
+        letter = check_letter(letter)
+        if self.level < len(word):
+            raise DomainError(f"level {self.level} below word length {len(word)}")
+        return int(self.cells[word_index(word + (letter,) * (self.level - len(word))), letter])
 
     def addresses(self) -> list:
         """format_address of every vertex, in vertex order."""
@@ -303,12 +284,6 @@ class LevelGraph:
         chars[rows, self.births + 1] = self.letters + ord("0")
         # trailing NULs drop off numpy unicode strings
         return chars.view(np.dtype(f"U{m + 2}")).ravel().tolist()
-
-    def vertex_ids(self):
-        bkeys = self.keys >> (self.level - self.births)[:, None]
-        return [VertexId(tuple(word[:b]), letter, tuple(key))
-                for word, b, letter, key in zip(self.words.tolist(), self.births.tolist(),
-                                                self.letters.tolist(), bkeys.tolist())]
 
 
 def _cell_corner_keys(m: int):
@@ -349,19 +324,7 @@ def _build_level_graph(m: int) -> LevelGraph:
 
     coords = (triples @ DEFAULT_CORNERS) / float(1 << m)
 
-    # each edge lives in exactly one cell
-    pairs = np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [0, 2]]])
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    o = np.argsort(src, kind="stable")
-    indices = dst[o].astype(np.int64)
-    degree = np.bincount(src, minlength=n).astype(np.int64)
-    indptr = np.concatenate([[0], np.cumsum(degree)]).astype(np.int64)
-
-    interior = np.ones(n, dtype=bool)
-    interior[:3] = False
-
-    arrays = (triples, coords, cells, indptr, indices, degree, interior, births, words, letters)
+    arrays = (triples, coords, cells, births, words, letters)
     for arr in arrays:
         arr.setflags(write=False)
     return LevelGraph(m, *arrays)

@@ -17,8 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import special
-from .address import (LevelGraph, build_level_graph, check_word, max_level,
-                      resolve_addresses, vertex_key)
+from .address import LevelGraph, build_level_graph, check_letter, check_word, max_level
 from .errors import ConvergenceError, DomainError, SingularLevelError
 from .harmonic import (CORNER_SWAPS, cell_values_to_vertex, extend_level, graph_laplacian,
                        vertex_to_cell_values)
@@ -53,6 +52,8 @@ def lambda_next(prev: float, branch: Branch = Branch.MINUS) -> float:
     textbook (5 - sqrt(...))/2 form cancels catastrophically once prev is
     small, which it is after a handful of levels.
     """
+    if not math.isfinite(prev):
+        raise DomainError(f"no refinement of the non-finite lambda={prev!r}")
     disc = 25.0 - 4.0 * prev
     if disc < 0.0:
         raise DomainError(f"no real refinement of lambda={prev!r} (needs lambda <= 6.25)")
@@ -100,14 +101,18 @@ class EigenvalueSequence:
         if config in self._limits:
             return self._limits[config]
         j = max([self.m0, *self.plus_indices])
-        prev = 1.5 * 5.0**j * self.value(j)
-        for _ in range(config.max_iterations):
-            j += 1
-            cur = 1.5 * 5.0**j * self.value(j)
-            if abs(cur - prev) <= config.tol * max(1.0, abs(cur)):
-                self._limits[config] = cur
-                return cur
-            prev = cur
+        try:
+            prev = 1.5 * 5.0**j * self.value(j)
+            for _ in range(config.max_iterations):
+                j += 1
+                cur = 1.5 * 5.0**j * self.value(j)
+                if abs(cur - prev) <= config.tol * max(1.0, abs(cur)):
+                    self._limits[config] = cur
+                    return cur
+                prev = cur
+        except OverflowError:
+            # 5.0**j leaves the float range near j = 441
+            raise DomainError(f"renormalized eigenvalue overflows at level {j}") from None
         raise ConvergenceError(f"renormalized eigenvalue did not settle for {self!r}")
 
     def branch_string(self, upto: int) -> str:
@@ -124,6 +129,8 @@ def sequence_from_limit(lam, config: special.ConvergenceConfig = special.DEFAULT
     which entries exceed 5/2 (the two roots are separated by that line).
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise DomainError(f"renormalized eigenvalue must be finite, got {lam!r}")
     J = 1
     while abs(lam) / 5.0**J > 2.0:
         J += 1
@@ -131,6 +138,9 @@ def sequence_from_limit(lam, config: special.ConvergenceConfig = special.DEFAULT
     vals[J] = special.psi_limit(lam / 5.0**J, config)
     for j in range(J - 1, -1, -1):
         vals[j] = special.psi(vals[j + 1])
+        if not math.isfinite(vals[j]):
+            raise DomainError(f"lambda={lam!r} has no finite generating sequence: "
+                              f"lambda_{j} overflowed")
     m0 = 0
     for j in range(J + 1):
         for s in SINGULAR_VALUES:
@@ -144,6 +154,8 @@ def sequence_from_limit(lam, config: special.ConvergenceConfig = special.DEFAULT
 @lru_cache(maxsize=4096)
 def eigen_matrices(lam: float) -> np.ndarray:
     """The three lambda-deformed extension matrices, stacked (letter, 3, 3)."""
+    if not math.isfinite(lam):
+        raise DomainError(f"extension matrices need a finite lambda, got {lam!r}")
     den = (5.0 - lam) * (2.0 - lam)
     if den == 0.0:
         raise DomainError(f"extension matrices are singular at lambda={lam!r}")
@@ -156,10 +168,7 @@ def eigen_matrices(lam: float) -> np.ndarray:
 def eigen_matrix(i, lam: float) -> np.ndarray:
     """The letter-i extension matrix at level eigenvalue lam; degenerates to
     the harmonic matrix at lam = 0."""
-    i = int(i)
-    if i not in (0, 1, 2):
-        raise DomainError(f"corner letter must be 0, 1 or 2: {i!r}")
-    return eigen_matrices(float(lam))[i]
+    return eigen_matrices(float(lam))[check_letter(i)]
 
 
 def extend_eigen(b, suffix, sequence: EigenvalueSequence, at_level: int) -> np.ndarray:
@@ -188,10 +197,11 @@ def extend_eigen_cells(cell_values, sequence: EigenvalueSequence, from_level: in
 
 
 def eigen_residual(graph: LevelGraph, values, lam_level: float) -> float:
-    """Max interior defect of the level eigen-equation, relative to the sup norm."""
+    """Max interior defect of the level eigen-equation, relative to the sup
+    norm; 0.0 on V_0, which has no interior vertex."""
     r = graph_laplacian(graph, values) + float(lam_level) * np.asarray(values, dtype=float)
     scale = max(1.0, float(np.max(np.abs(values))))
-    return float(np.max(np.abs(r[graph.interior_mask]))) / scale
+    return float(np.max(np.abs(r[3:]), initial=0.0)) / scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,13 +247,10 @@ class SpectralEigenfunction:
     def value_at(self, word, letter) -> float:
         """Value at the single vertex F_word(q_letter)."""
         word = check_word(word)
-        letter = int(letter)
-        if letter not in (0, 1, 2):
-            raise DomainError(f"corner letter must be 0, 1 or 2: {letter!r}")
+        letter = check_letter(letter)
         if len(word) <= self.m0:
             # already a vertex of the seed graph
-            key = vertex_key(word, letter, self.m0)
-            return float(self.seed_values[build_level_graph(self.m0).key_index[key]])
+            return float(self.seed_values[build_level_graph(self.m0).index_of(word, letter)])
         return float(self.cell_triple(word)[letter])
 
     def cell_triple(self, word) -> np.ndarray:
@@ -277,8 +284,10 @@ def rotate_six(corner: int) -> np.ndarray:
     return out
 
 
-# level-1 vertex order is q0, q1, q2, then the three midpoints as (subword, corner)
-_LEVEL1_ADDRESSES = [((), 0), ((), 1), ((), 2), ((0,), 1), ((0,), 2), ((1,), 2)]
+# the level-1 vertices q0, q1, q2, (0):1, (0):2, (1):2 of rotate_six's order
+# as (child cell letter, corner) pairs
+_LEVEL1_CHILDREN = np.array([0, 1, 2, 0, 0, 1])
+_LEVEL1_CORNERS = np.array([0, 1, 2, 1, 2, 2])
 
 
 def six_series_element(plus_indices=None) -> SpectralEigenfunction:
@@ -291,13 +300,6 @@ def six_series_element(plus_indices=None) -> SpectralEigenfunction:
         raise DomainError("the 6-series must take the plus root at level m0 + 1")
     seq = EigenvalueSequence(1, 6.0, plus_indices)
     return SpectralEigenfunction(seq, rotate_six(2), label="six-element")
-
-
-def _lifted_addresses(key, level: int):
-    # the two level-`level` cell addresses of an interior vertex, padded from
-    # its birth addresses by repeating the corner letter
-    return [(word + (letter,) * (level - len(word)), letter)
-            for word, letter in resolve_addresses(key, level)]
 
 
 def _two_seed_values(index: int) -> np.ndarray:
@@ -337,13 +339,12 @@ def _six_seed_values(m0: int, index: int) -> np.ndarray:
     n_interior = coarse.size - 3
     if not 1 <= index <= n_interior:
         raise DomainError(f"6-series index must be in 1..{n_interior} at m0={m0}")
-    key = tuple(int(x) for x in coarse.keys[2 + index])
     graph = build_level_graph(m0)
     out = np.zeros(graph.size)
-    for word, letter in _lifted_addresses(key, m0 - 1):
-        block = rotate_six(letter)
-        for (sub, c), v in zip(_LEVEL1_ADDRESSES, block):
-            out[graph.key_index[vertex_key(word + sub, c, m0)]] = v
+    # the junction is a corner of two (m0-1)-cells; each gets the basic
+    # 6-series element with its 2 there, on its three child cells
+    for cell, corner in np.argwhere(coarse.cells == 2 + index).tolist():
+        out[graph.cells[3 * cell + _LEVEL1_CHILDREN, _LEVEL1_CORNERS]] = rotate_six(corner)
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .address import LevelGraph, build_level_graph, check_word
+from .address import LevelGraph, build_level_graph, check_letter, check_word
 from .errors import ConvergenceError, DomainError
 
 # CORNER_SWAPS[i] exchanges corner 0 with corner i; conjugating the corner-0
@@ -30,16 +30,9 @@ HARMONIC_MATRICES.setflags(write=False)
 HARMONIC_INVERSES.setflags(write=False)
 
 
-def _check_letter(i) -> int:
-    i = int(i)
-    if i not in (0, 1, 2):
-        raise DomainError(f"corner letter must be 0, 1 or 2: {i!r}")
-    return i
-
-
 def harmonic_matrix(i) -> np.ndarray:
     """The extension matrix A_i sending a cell triple to the letter-i subcell."""
-    return HARMONIC_MATRICES[_check_letter(i)]
+    return HARMONIC_MATRICES[check_letter(i)]
 
 
 def extend_harmonic(b, word) -> np.ndarray:
@@ -112,18 +105,26 @@ def harmonic_extension(boundary_values, m: int) -> np.ndarray:
 
 
 def graph_laplacian(graph: LevelGraph, values) -> np.ndarray:
-    """sum_{y~x} (u(y) - u(x)) at every vertex, boundary included."""
-    values = np.ascontiguousarray(values, dtype=float)
+    """sum_{y~x} (u(y) - u(x)) at every vertex, boundary included.
+
+    Every edge lies in exactly one cell, so this is the sum over cells of the
+    cell Laplacian (u_0 + u_1 + u_2) - 3 u_i at each corner i.
+    """
+    values = np.asarray(values, dtype=float)
     if values.shape != (graph.size,):
         raise DomainError(f"expected {graph.size} vertex values, got shape {values.shape}")
-    return np.add.reduceat(values[graph.indices], graph.indptr[:-1]) - graph.degree * values
+    cv = values[graph.cells]
+    cell_laplacians = cv.sum(axis=1, keepdims=True) - 3.0 * cv
+    return np.bincount(graph.cells.ravel(), weights=cell_laplacians.ravel(), minlength=graph.size)
 
 
 def graph_laplacian_apply(graph: LevelGraph, values) -> np.ma.MaskedArray:
-    """Graph Laplacian at interior vertices; boundary entries are masked out
-    (the operator is only defined away from V_0)."""
+    """Graph Laplacian at interior vertices; the boundary entries 0, 1, 2 are
+    masked out (the operator is only defined away from V_0)."""
     full = graph_laplacian(graph, values)
-    return np.ma.MaskedArray(full, mask=~graph.interior_mask)
+    mask = np.zeros(graph.size, dtype=bool)
+    mask[:3] = True
+    return np.ma.MaskedArray(full, mask=mask)
 
 
 def harmonic_normal_derivative(boundary_values, corner: int) -> float:
@@ -133,7 +134,7 @@ def harmonic_normal_derivative(boundary_values, corner: int) -> float:
     values) is constant in M, so the level-0 expression is already exact.
     """
     b = np.asarray(boundary_values, dtype=float).reshape(3)
-    i = _check_letter(corner)
+    i = check_letter(corner)
     return float(2.0 * b[i] - b[(i + 1) % 3] - b[(i + 2) % 3])
 
 
@@ -146,7 +147,7 @@ def normal_derivative_limit(value_at, corner: int, levels: int = 20):
     and the gap to the previous estimate as an error proxy.  Raises if the
     estimates start moving apart instead of settling.
     """
-    i = _check_letter(corner)
+    i = check_letter(corner)
     if levels < 2:
         raise DomainError(f"need at least 2 refinement levels, got {levels}")
     base = 2.0 * value_at((), i)

@@ -57,18 +57,18 @@ class DenseSpectrum:
 
 
 def dense_interior_matrix(level: int):
-    """-Delta_m with boundary rows and columns removed, plus the index map."""
+    """-Delta_m with boundary rows and columns removed, plus the index map.
+
+    Built from the cell edges (each edge lies in exactly one cell), not from
+    the cell-Laplacian sum that graph_laplacian uses.
+    """
     graph = build_level_graph(level)
-    interior = np.flatnonzero(graph.interior_mask)
-    pos = -np.ones(graph.size, dtype=np.int64)
-    pos[interior] = np.arange(interior.size)
-    a = np.zeros((interior.size, interior.size))
-    for row, x in enumerate(interior):
-        a[row, row] = graph.degree[x]
-        for y in graph.indices[graph.indptr[x]:graph.indptr[x + 1]]:
-            if pos[y] >= 0:
-                a[row, pos[y]] -= 1.0
-    return a, interior
+    cells, n = graph.cells, graph.size
+    a = np.zeros((n, n))
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        a[cells[:, i], cells[:, j]] = a[cells[:, j], cells[:, i]] = -1.0
+    a[np.diag_indices(n)] = -a.sum(axis=1)
+    return a[3:, 3:], np.arange(3, n)
 
 
 def dense_dirichlet_spectrum(m: int) -> DenseSpectrum:

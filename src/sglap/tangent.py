@@ -31,6 +31,7 @@ from .decimation import Branch, EigenvalueSequence, SpectralEigenfunction, six_s
 from .errors import DomainError
 from .harmonic import CORNER_SWAPS, harmonic_normal_derivative, harmonic_pullback, normal_derivative_limit
 
+# alpha, beta and gamma_vector(lambda_m): the triple diagonalizing the tail action
 ALPHA = np.array([0.0, 1.0, 1.0])
 BETA = np.array([0.0, 1.0, -1.0])
 
@@ -40,19 +41,6 @@ BETA.setflags(write=False)
 
 def gamma_vector(lam_m: float) -> np.ndarray:
     return np.array([4.0, 4.0 - lam_m, 4.0 - lam_m])
-
-
-@dataclass(frozen=True, eq=False)
-class BasisVectors:
-    """alpha, beta and gamma_m: the triple diagonalizing the tail action."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-
-
-def basis_vectors(sequence: EigenvalueSequence, m: int) -> BasisVectors:
-    return BasisVectors(ALPHA, BETA, gamma_vector(sequence.value(m)))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from sglap.address import (
     canonical_address_arrays,
     format_address,
     resolve_addresses,
-    vertex_id,
     vertex_key,
     word_from_string,
     word_index,
@@ -42,14 +41,18 @@ def test_vertex_count_formula():
 
 def test_degrees():
     g = build_level_graph(4)
-    assert set(g.degree[:3]) == {2}
-    assert set(g.degree[3:]) == {4}
+    # each cell gives each of its corners two edges, and no edge is in two cells
+    degree = 2 * np.bincount(g.cells.ravel())
+    assert set(degree[:3]) == {2}
+    assert set(degree[3:]) == {4}
 
 
 def test_boundary_is_first_three():
     g = build_level_graph(3)
-    assert not g.interior_mask[:3].any()
-    assert g.interior_mask[3:].all()
+    # a boundary corner lies in one cell, every other vertex in two
+    counts = np.bincount(g.cells.ravel())
+    assert counts[:3].tolist() == [1, 1, 1]
+    assert (counts[3:] == 2).all()
     for i in range(3):
         assert g.index_of((), i) == i
 
@@ -84,19 +87,21 @@ def test_junctions_have_exactly_two_addresses():
         assert len(resolve_addresses(key, 3)) == (1 if i < 3 else 2)
 
 
-def test_resolve_accepts_vertex_id():
-    vid = vertex_id(vertex_key((0, 1), 2, 2), 2)
-    assert resolve_addresses(vid) == resolve_addresses(vid.key, vid.birth)
-    with pytest.raises(DomainError):
-        resolve_addresses((1, 1, 0))  # raw key needs a level
-
-
-def test_vertex_ids_round_trip():
+def test_index_of_finds_every_address():
+    for m in range(5):
+        g = build_level_graph(m)
+        for n in range(m + 1):
+            for word in itertools.product((0, 1, 2), repeat=n):
+                for letter in range(3):
+                    i = g.index_of(word, letter)
+                    assert tuple(g.keys[i]) == vertex_key(word, letter, m)
     g = build_level_graph(2)
-    for vid, key in zip(g.vertex_ids(), map(tuple, g.keys)):
-        shift = g.level - vid.birth
-        assert tuple(n << shift for n in vid.key) == key
-        assert str(vid).count(":") == 1
+    with pytest.raises(DomainError):
+        g.index_of((0, 1, 2), 0)  # word longer than the level
+    with pytest.raises(DomainError):
+        g.index_of((0,), 3)
+    with pytest.raises(DomainError):
+        g.index_of((0, 5), 1)
 
 
 def _array_addresses(keys, level):
@@ -116,7 +121,7 @@ def test_array_addressing_matches_scalar():
         # vertex order is the scalar canonical order, and the graph carries it
         assert keys == sorted(keys, key=lambda k: canonical_address(tuple(k), m))
         assert g.addresses() == [format_address(w, c) for w, c in scalar]
-        assert g.vertex_ids() == [vertex_id(tuple(k), m) for k in keys]
+        assert [list(vertex_key(w, c, m)) for w, c in scalar] == keys
 
 
 @given(words, letters, st.integers(0, 4))
@@ -170,6 +175,17 @@ def test_eventually_constant_word_letters_and_point():
     assert np.allclose(w.point(), apply_ifs((0, 1), DEFAULT_CORNERS[2]))
     with pytest.raises(DomainError):
         w.letter(0)
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "0\u00b2", "\uff11", "1\u0661"])
+def test_words_take_ascii_digits_only(text):
+    # str.isdigit holds for superscripts, fullwidth and Arabic-Indic digits
+    with pytest.raises(DomainError):
+        word_from_string(text)
+    with pytest.raises(DomainError):
+        EventuallyConstantWord.parse(f"{text}:1")
+    with pytest.raises(DomainError):
+        EventuallyConstantWord.parse(f"1:{text[-1]}")
 
 
 def test_malformed_inputs():

@@ -13,7 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sglap import cli
-from sglap.address import build_level_graph
+from sglap.address import build_level_graph, canonical_address, format_address
 from sglap.errors import DomainError, UsageError
 
 
@@ -232,8 +232,8 @@ def test_eval_rows_match_generic_writers(fmt, capsys):
     assert code == 0
     graph = build_level_graph(level)
     values = cli.parse_seed(seed).values_on_level(level)
-    rows = [[str(vid), level, float(x), float(y), float(v)]
-            for vid, (x, y), v in zip(graph.vertex_ids(), graph.coords, values)]
+    rows = [[format_address(*canonical_address(tuple(key), level)), level, float(x), float(y),
+             float(v)] for key, (x, y), v in zip(graph.keys.tolist(), graph.coords, values)]
     writer = cli._write_csv if fmt == "csv" else cli._write_json
     assert out == writer(["address", "level", "x", "y", "value"], rows)
 
@@ -263,6 +263,28 @@ def test_malformed_word_exits_two(capsys):
     code, out, err = run(["tangent", "--seed", "six:1:1", "--word", "abc"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("usage error: ")
+
+
+def test_eval_level0_verify_has_no_interior_to_check(capsys):
+    # V_0 is the three corners: the eigen-equation residual is over no vertex
+    code, out, err = run(["eval", "--seed", "free:3.1:1,2,3", "--level", "0", "--verify"], capsys)
+    assert code == 0 and err == ""
+    assert len(parse_csv(out)[1]) == 3
+
+
+# superscript two, and a fullwidth one that int() would read as 1
+@pytest.mark.parametrize("word", ["\u00b2:1", "0\u00b2:1", ":\u00b2", "1:\uff11"])
+def test_non_ascii_digit_words_exit_two(word, capsys):
+    code, out, err = run(["tangent", "--seed", "two:1:1", "--word", word], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", ["free:1e300:1,2,3", "free:1e15:1,2,3"])
+def test_overflowing_free_seed_tangent_exits_three(seed, capsys):
+    code, out, err = run(["tangent", "--seed", seed, "--word", ":0"], capsys)
+    assert code == 3 and out == ""
+    assert "no finite generating sequence" in err and err.count("\n") == 1
 
 
 def test_special_nan_range_endpoint_exits_two(capsys):
@@ -386,3 +408,38 @@ def test_special_grammar_fuzz(fn, grid, tol, fmt):
             continue
         assert _finite(record["value"]) and _finite(record["error"])
         assert record.get("functional_eq") in ("", None) or _finite(record["functional_eq"])
+
+
+_series_seeds = st.builds(
+    lambda name, m0, index, branches: f"{name}:{m0}:{index}" + branches,
+    st.sampled_from(["two", "five", "six", "six", "seven", ""]), st.integers(-1, 4),
+    st.integers(-1, 15),
+    st.one_of(st.just(""), st.text("+-", max_size=5).map(":".__add__),
+              st.text("+-x\u00b2 ", max_size=3).map(":".__add__)))
+_free_seeds = st.builds(
+    lambda lam, values: f"free:{lam}:{values}",
+    st.one_of(st.sampled_from(["0", "1e-320", "-1e-320", "1e12", "-1e12", "1e300", "-1e300"]),
+              st.floats(-50.0, 50.0).map(repr)),
+    st.sampled_from(["1,2,3", "0,0,1", "0.5,-1,2"]))
+_word_letters = st.sampled_from(list("012" * 4 + "3") + ["\u00b2", "\uff11", "\u0661"])
+_words = st.builds(
+    lambda prefix, tail: "".join(prefix) + ":" + tail,
+    st.lists(_word_letters, max_size=4),
+    st.one_of(st.sampled_from(list("012") * 3), st.just(""),
+              st.text(st.sampled_from(list("012") + ["\u00b2", "x"]), min_size=2, max_size=2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_series_seeds, _free_seeds, _free_seeds), _words, st.booleans())
+def test_tangent_grammar_fuzz(seed, word, verify):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["tangent", "--seed", seed, "--word", word, *(["--verify"] * verify)])
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    if code != 0:
+        return
+    [record] = csv.DictReader(io.StringIO(out.getvalue()))
+    assert record.pop("word") and len(record) == (12 if verify else 7)
+    assert all(_finite(field) for field in record.values())

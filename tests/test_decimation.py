@@ -1,4 +1,7 @@
 """Spectral decimation: sequences, seed eigenfunctions, spectrum enumeration."""
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,11 +13,14 @@ from sglap.decimation import (
     EigenvalueSequence,
     SpectralEigenfunction,
     dirichlet_eigenfunction,
+    dirichlet_seed_values,
+    eigen_matrices,
     eigen_matrix,
     enumerate_dirichlet_spectrum,
     lambda_next,
     rotate_six,
     sequence_from_limit,
+    series_multiplicity,
     six_series_element,
     supports_closed_form,
 )
@@ -42,6 +48,40 @@ def test_lambda_next_inverts_the_quadratic():
             assert nxt * (5.0 - nxt) == pytest.approx(lam, rel=1e-14, abs=1e-14)
     assert lambda_next(6.0) == 2.0
     assert lambda_next(6.0, Branch.PLUS) == 3.0  # the forced 6-series step
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_lambda_next_rejects_non_finite_input(bad):
+    with pytest.raises(DomainError):
+        lambda_next(bad)
+    with pytest.raises(DomainError):
+        lambda_next(bad, Branch.PLUS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_eigen_matrices_reject_non_finite_input(bad):
+    with pytest.raises(DomainError):
+        eigen_matrices(bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_sequence_from_limit_rejects_non_finite_input(bad):
+    with pytest.raises(DomainError):
+        sequence_from_limit(bad)
+
+
+@pytest.mark.parametrize("lam", [1e12, -1e10, 1e300, -1e300])
+def test_sequence_from_limit_rejects_an_overflowing_back_iteration(lam):
+    # psi squares its argument per level on the way down; these lambdas
+    # leave the float range before reaching lambda_0
+    with pytest.raises(DomainError, match="no finite generating sequence"):
+        sequence_from_limit(lam)
+
+
+def test_limit_overflow_is_a_domain_error():
+    # 5.0**j overflows past j = 441, which a long enough plus run reaches
+    with pytest.raises(DomainError, match="overflows"):
+        EigenvalueSequence(1, 2.0, range(2, 450)).limit()
 
 
 def test_branch_parse():
@@ -100,12 +140,42 @@ def test_seed_eigen_equations_are_integer_exact():
         u = dirichlet_eigenfunction(series, m0, index)
         g = build_level_graph(m0)
         defect = graph_laplacian(g, u.seed_values) + u.sequence.lambda_m0 * u.seed_values
-        assert np.array_equal(defect[g.interior_mask], np.zeros(int(g.interior_mask.sum()))), (
+        assert np.array_equal(defect[3:], np.zeros(g.size - 3)), (
             series,
             m0,
             index,
         )
         assert np.array_equal(u.seed_values[:3], np.zeros(3))  # Dirichlet
+
+
+# sha256 of the seed vectors, computed by the key-dict/scalar-address
+# construction these ones replaced: per m0 over every 6-series seed in index
+# order, and per index for the three level-2 5-series seeds
+SIX_SEEDS_SHA256 = {
+    2: "bef8ef564e8ead32efb6f4738351cf113ef06948b625f1706de8fcbeae2d1a88",
+    3: "c337d479599812f3fd1dadf488101d2090665cd87b6626810990787fc1df5c13",
+    4: "b281d7849fc19c99c3ceb3e663719088c169cc217f8346f2f17e3ea953515e48",
+    5: "fb914a814c78a1ce5529541de964b5821c88329c6381c58a140388615670e79a",
+}
+FIVE_LEVEL2_SEEDS_SHA256 = {
+    1: "72241e16a9f6f018b16b9379e2523b07b841e769c3360b3aa4624b05bd4906bd",
+    2: "794cb15476e89b6cda2bceddd2fed14d59f7cc4cdf4049295277ce516325dcf0",
+    3: "7b7d77e80a8b28248c5b92e12f5c50d6714df3875c92056d5092ff7df65d683d",
+}
+
+
+@pytest.mark.parametrize("m0", sorted(SIX_SEEDS_SHA256))
+def test_six_seeds_are_pinned(m0):
+    digest = hashlib.sha256()
+    for index in range(1, series_multiplicity("six", m0) + 1):
+        digest.update(dirichlet_seed_values("six", m0, index).tobytes())
+    assert digest.hexdigest() == SIX_SEEDS_SHA256[m0]
+
+
+@pytest.mark.parametrize("index", sorted(FIVE_LEVEL2_SEEDS_SHA256))
+def test_five_level2_seeds_are_pinned(index):
+    seed = dirichlet_seed_values("five", 2, index)
+    assert hashlib.sha256(seed.tobytes()).hexdigest() == FIVE_LEVEL2_SEEDS_SHA256[index]
 
 
 def test_residuals_stay_tiny_under_refinement():

@@ -1,5 +1,6 @@
 """Independent verification routes: dense spectra, brute tangent limits, 1-D calculus."""
 import cmath
+import hashlib
 import math
 from functools import lru_cache
 
@@ -15,6 +16,7 @@ from sglap.decimation import (
     six_series_element,
 )
 from sglap.errors import DomainError
+from sglap.harmonic import graph_laplacian
 from sglap.oracle import (
     dense_dirichlet_spectrum,
     dense_interior_matrix,
@@ -59,6 +61,38 @@ def test_enumeration_matches_dense():
 def test_pairing_gap_shape_guard():
     with pytest.raises(DomainError):
         sorted_pairing_gap([1.0, 2.0], [1.0])
+
+
+# sha256 of dense_interior_matrix(m)[0].tobytes(), computed by the CSR-walking
+# construction this one replaced; the entries are small integers, so any
+# correct construction reproduces them bit for bit
+DENSE_MATRIX_SHA256 = {
+    0: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    1: "185bee422b10f6028c9169f38125103fc1ec92c42a3908977b36cfb6651ed99a",
+    2: "f83671493d0715bc729a5451ddfe24bd497c7283f2576eee761f5a82d8feb891",
+    3: "9d0f85f11d981e62033b85c451b8d646fbbd08f9668f25759a43f5d3cb9786be",
+    4: "08e704a2449be5caf2dc591f0280f963df8becf9086d661d21afc6cc864b0c56",
+    5: "47b03af943fb8650ad73b6bc04eca1e039d16766497be85c24a775050b1403b8",
+    6: "9678deb3a7838764b75e25db5fae8ce5917c2a1fb3546dc0f2486b3751ad74ad",
+}
+
+
+@pytest.mark.parametrize("m", sorted(DENSE_MATRIX_SHA256))
+def test_dense_matrix_is_pinned(m):
+    a, interior = dense_interior_matrix(m)
+    assert hashlib.sha256(a.tobytes()).hexdigest() == DENSE_MATRIX_SHA256[m]
+    assert np.array_equal(interior, np.arange(3, build_level_graph(m).size))
+
+
+def test_dense_matrix_agrees_with_the_graph_laplacian():
+    rng = np.random.default_rng(11)
+    for m in range(1, 7):
+        g = build_level_graph(m)
+        a, _ = dense_interior_matrix(m)
+        for _ in range(3):
+            v = rng.standard_normal(g.size)
+            v[:3] = 0.0  # Dirichlet: the interior block is the whole operator
+            assert np.allclose(a @ v[3:], -graph_laplacian(g, v)[3:], rtol=0, atol=1e-12)
 
 
 def test_decimated_functions_solve_the_dense_problem():

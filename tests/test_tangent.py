@@ -19,7 +19,6 @@ from sglap.tangent import (
     ALPHA,
     BETA,
     TangentTriple,
-    basis_vectors,
     dirichlet_tangent_seed,
     gamma_vector,
     gradient_at,
@@ -39,10 +38,10 @@ SEQUENCES = [
 
 
 def test_basis_vectors():
-    bv = basis_vectors(EigenvalueSequence(1, 6.0, {2}), 2)
-    assert np.array_equal(bv.alpha, [0, 1, 1])
-    assert np.array_equal(bv.beta, [0, 1, -1])
-    assert np.array_equal(bv.gamma, [4.0, 1.0, 1.0])  # lambda_2 = 3
+    assert np.array_equal(ALPHA, [0, 1, 1])
+    assert np.array_equal(BETA, [0, 1, -1])
+    seq = EigenvalueSequence(1, 6.0, {2})
+    assert np.array_equal(gamma_vector(seq.value(2)), [4.0, 1.0, 1.0])  # lambda_2 = 3
 
 
 def test_tail_matrix_eigen_identities():

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, LevelCapError
+from .errors import DomainError, InvariantError, LevelCapError
 
 Word = tuple  # letters in {0, 1, 2}
 
@@ -301,6 +301,11 @@ def _cell_corner_keys(m: int):
     return keys
 
 
+def vertex_count(m: int) -> int:
+    """|V_m| = (3^{m+1} + 3) / 2."""
+    return (3 ** (m + 1) + 3) // 2
+
+
 @lru_cache(maxsize=None)
 def _build_level_graph(m: int) -> LevelGraph:
     keys = _cell_corner_keys(m)
@@ -318,9 +323,9 @@ def _build_level_graph(m: int) -> LevelGraph:
     triples, births, words, letters = triples[order], births[order], words[order], letters[order]
     cells = perm[inverse].reshape(-1, 3).astype(np.int32)
 
-    n = triples.shape[0]
-    expected = (3 ** (m + 1) + 3) // 2
-    assert n == expected, (n, expected)
+    if triples.shape[0] != vertex_count(m):
+        raise InvariantError(f"level-{m} graph has {triples.shape[0]} vertices, "
+                             f"not {vertex_count(m)}")
 
     coords = (triples @ DEFAULT_CORNERS) / float(1 << m)
 

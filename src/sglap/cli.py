@@ -169,8 +169,8 @@ def cmd_spectrum(args) -> int:
     for i, line in enumerate(lines):
         if args.series != "all" and line.series != args.series:
             continue
-        row = [line.series, line.m0, line.branch_string(), line.value,
-               line.sequence().limit(), line.multiplicity]
+        row = [line.series, line.m0, line.branches, line.value, line.limit,
+               line.multiplicity]
         if residuals is not None:
             row.append(residuals[i])
         rows.append(row)

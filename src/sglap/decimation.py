@@ -17,8 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import special
-from .address import LevelGraph, build_level_graph, check_letter, check_word, max_level
-from .errors import ConvergenceError, DomainError, SingularLevelError
+from .address import (LevelGraph, build_level_graph, check_letter, check_word, max_level,
+                      vertex_count)
+from .errors import ConvergenceError, DomainError, InvariantError, SingularLevelError
 from .harmonic import (CORNER_SWAPS, cell_values_to_vertex, extend_level, graph_laplacian,
                        vertex_to_cell_values)
 
@@ -45,28 +46,140 @@ class Branch(enum.Enum):
         raise DomainError(f"unknown branch {spec!r} (use '+' or '-')")
 
 
-def lambda_next(prev: float, branch: Branch = Branch.MINUS) -> float:
-    """One refinement step of the eigenvalue recursion.
+def _refine(prev, plus):
+    """One refinement step over arrays: (roots, rows with no real root).
 
     The minus root is evaluated as 2 prev / (5 + sqrt(25 - 4 prev)); the
     textbook (5 - sqrt(...))/2 form cancels catastrophically once prev is
-    small, which it is after a handful of levels.
+    small, which it is after a handful of levels.  A non-finite prev or one
+    above 25/4 has no real refinement: such rows are flagged, their roots
+    are meaningless, and the caller silences their floating-point warnings.
     """
-    if not math.isfinite(prev):
-        raise DomainError(f"no refinement of the non-finite lambda={prev!r}")
     disc = 25.0 - 4.0 * prev
-    if disc < 0.0:
-        raise DomainError(f"no real refinement of lambda={prev!r} (needs lambda <= 6.25)")
-    root = math.sqrt(disc)
-    if Branch.parse(branch) is Branch.PLUS:
-        return (5.0 + root) / 2.0
-    return 2.0 * prev / (5.0 + root)
+    bad = ~np.isfinite(prev) | (disc < 0.0)
+    root = np.sqrt(disc)
+    return np.where(plus, (5.0 + root) / 2.0, 2.0 * prev / (5.0 + root)), bad
+
+
+def _refine_error(prev: float) -> DomainError:
+    if not math.isfinite(prev):
+        return DomainError(f"no refinement of the non-finite lambda={prev!r}")
+    return DomainError(f"no real refinement of lambda={prev!r} (needs lambda <= 6.25)")
+
+
+def lambda_next(prev: float, branch: Branch = Branch.MINUS) -> float:
+    """One refinement step of the eigenvalue recursion (see _refine)."""
+    prev = float(prev)
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots, bad = _refine(np.array([prev]), Branch.parse(branch) is Branch.PLUS)
+    if bad[0]:
+        raise _refine_error(prev)
+    return float(roots[0])
+
+
+def _powers_of_five() -> tuple:
+    """5.0**j as Python floats for every j up to the first that overflows."""
+    powers = []
+    try:
+        while True:
+            powers.append(5.0 ** len(powers))
+    except OverflowError:  # near j = 441
+        return tuple(powers)
+
+
+_FIVE_POWERS = _powers_of_five()
+
+
+def sequence_array(m0, lambda_m0, plus, level: int, config=special.DEFAULT_CONFIG):
+    """lambda_level and the renormalized limit of many sequences at once.
+
+    Row r is EigenvalueSequence(m0[r], lambda_m0[r], {t > m0[r] : plus[r, t]});
+    levels past the last column of plus take the minus root.  The rows step
+    down together one level at a time, each taking the scalar recursion's
+    operations in its order: the refinement checks, a singular lambda_t,
+    then from j = max(m0, plus levels) on the renormalized 1.5 * 5.0**j *
+    lambda_j until the increment passes the tolerance.  A row drops out once
+    it is past `level` and its limit is settled, so its figures do not depend
+    on the other rows.  config=None skips the limits.
+
+    Returns (values, limits, value_failures, limit_failures): the failures
+    map a row to the SglapError that value(level) or limit(config) raises
+    there, in row order; values and limits are NaN at those rows.
+    """
+    m0 = np.asarray(m0, dtype=np.int64).reshape(-1)
+    seed = np.asarray(lambda_m0, dtype=float).reshape(-1)
+    plus = np.asarray(plus, dtype=bool).reshape(m0.size, -1)
+    values = np.where(m0 == level, seed, np.nan)
+    limits = np.full(m0.size, np.nan)
+    value_failures, limit_failures = {}, {}
+    for i in np.flatnonzero(m0 > level).tolist():
+        value_failures[i] = DomainError(f"sequence starts at level {m0[i]}, got {level}")
+    limiting = np.full(m0.size, config is not None)
+    if config is not None:
+        start = np.maximum(m0, np.max(np.where(plus, np.arange(plus.shape[1]), -1), axis=1,
+                                      initial=-1))
+        # 5.0**start is taken before any level down to start is refined
+        limiting = start < len(_FIVE_POWERS)
+        for i in np.flatnonzero(~limiting).tolist():
+            limit_failures[i] = DomainError(f"renormalized eigenvalue overflows at level {start[i]}")
+
+    def fail(i, exc, value_too):
+        if value_too:
+            value_failures[i] = exc
+        if limiting[i]:
+            limit_failures[i] = exc
+            limiting[i] = False
+
+    live = np.flatnonzero(m0 <= level)
+    lam, prev = seed[live], np.full(live.size, np.nan)  # prev: the last renormalized value
+    t = int(m0[live].min(initial=level))
+    last_birth = int(m0.max(initial=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            if config is not None and t >= len(_FIVE_POWERS):
+                for i in live[limiting[live] & (start[live] < t)].tolist():
+                    fail(i, DomainError(f"renormalized eigenvalue overflows at level {t}"), False)
+            roots, bad = _refine(lam, plus[live, t] if t < plus.shape[1] else False)
+            singular = (roots[:, None] == SINGULAR_VALUES).any(axis=1)
+            if t <= last_birth:  # rows born at t or deeper do not step yet
+                step = m0[live] < t
+                bad &= step
+                singular &= step
+                roots = np.where(step, roots, lam)
+            failed = bad | singular
+            if failed.any():
+                for k in np.flatnonzero(failed).tolist():
+                    fail(int(live[k]), _refine_error(float(lam[k])) if bad[k]
+                         else SingularLevelError(t, float(roots[k])), t <= level)
+            lam = roots
+            if t == level:
+                values[live[~failed]] = lam[~failed]
+            if config is not None and t < len(_FIVE_POWERS):
+                since = t - start[live]
+                going = limiting[live] & (since >= 0)
+                cur = 1.5 * _FIVE_POWERS[t] * lam
+                done = going & (since > 0) & (
+                    np.abs(cur - prev) <= config.tol * np.maximum(1.0, np.abs(cur)))
+                limits[live[done]] = cur[done]
+                limiting[live[done]] = False
+                prev = np.where(going, cur, prev)
+                for i in live[going & ~done & (since >= config.max_iterations)].tolist():
+                    levels = np.flatnonzero(plus[i, m0[i] + 1:]) + m0[i] + 1
+                    seq = EigenvalueSequence(int(m0[i]), seed[i], levels.tolist())
+                    fail(i, ConvergenceError(f"renormalized eigenvalue did not settle for {seq!r}"),
+                         False)
+            keep = ~failed & ((t < level) | limiting[live])
+            if not keep.all():
+                live, lam, prev = live[keep], lam[keep], prev[keep]
+            t += 1
+    return values, limits, dict(sorted(value_failures.items())), dict(sorted(limit_failures.items()))
 
 
 @dataclass(frozen=True)
 class EigenvalueSequence:
     """lambda_{m0}, lambda_{m0+1}, ... determined by the seed and the set of
-    levels taking the plus root.  Entries past m0 may not hit {2, 5, 6}."""
+    levels taking the plus root.  Entries past m0 may not hit {2, 5, 6}.
+    value and limit run sequence_array on this one row."""
 
     m0: int
     lambda_m0: float
@@ -75,10 +188,15 @@ class EigenvalueSequence:
     def __post_init__(self):
         if self.m0 < 0:
             raise DomainError(f"m0 must be nonnegative, got {self.m0}")
-        object.__setattr__(self, "plus_indices", frozenset(int(j) for j in self.plus_indices))
-        if any(j <= self.m0 for j in self.plus_indices):
+        # built in ascending order, so that equal sets print alike
+        plus = sorted(int(j) for j in self.plus_indices)
+        object.__setattr__(self, "plus_indices", frozenset(plus))
+        if any(j <= self.m0 for j in plus):
             raise DomainError("plus branches start at level m0 + 1")
         object.__setattr__(self, "lambda_m0", float(self.lambda_m0))
+        mask = np.zeros(max(plus, default=0) + 1, dtype=bool)
+        mask[plus] = True
+        object.__setattr__(self, "_plus", mask)
         object.__setattr__(self, "_values", {self.m0: self.lambda_m0})
         object.__setattr__(self, "_limits", {})
 
@@ -86,37 +204,25 @@ class EigenvalueSequence:
         if j < self.m0:
             raise DomainError(f"sequence starts at level {self.m0}, got {j}")
         vals = self._values
-        top = max(vals)
-        if j > top:
-            cur = vals[top]
-            for t in range(top + 1, j + 1):
-                cur = lambda_next(cur, Branch.PLUS if t in self.plus_indices else Branch.MINUS)
-                if cur in SINGULAR_VALUES:
-                    raise SingularLevelError(t, cur)
-                vals[t] = cur
+        if j not in vals:
+            # each level only looks at the one above, so start from the
+            # deepest known level above j
+            base = max(k for k in vals if k < j)
+            values, _, failures, _ = sequence_array([base], [vals[base]], self._plus, j, None)
+            if failures:
+                raise failures[0]
+            vals[j] = float(values[0])
         return vals[j]
 
     def limit(self, config: special.ConvergenceConfig = special.DEFAULT_CONFIG) -> float:
         """Renormalized eigenvalue (3/2) lim 5^j lambda_j."""
-        if config in self._limits:
-            return self._limits[config]
-        j = max([self.m0, *self.plus_indices])
-        try:
-            prev = 1.5 * 5.0**j * self.value(j)
-            for _ in range(config.max_iterations):
-                j += 1
-                cur = 1.5 * 5.0**j * self.value(j)
-                if abs(cur - prev) <= config.tol * max(1.0, abs(cur)):
-                    self._limits[config] = cur
-                    return cur
-                prev = cur
-        except OverflowError:
-            # 5.0**j leaves the float range near j = 441
-            raise DomainError(f"renormalized eigenvalue overflows at level {j}") from None
-        raise ConvergenceError(f"renormalized eigenvalue did not settle for {self!r}")
-
-    def branch_string(self, upto: int) -> str:
-        return "".join("+" if j in self.plus_indices else "-" for j in range(self.m0 + 1, upto + 1))
+        if config not in self._limits:
+            _, limits, _, failures = sequence_array([self.m0], [self.lambda_m0], self._plus,
+                                                    self.m0, config)
+            if failures:
+                raise failures[0]
+            self._limits[config] = float(limits[0])
+        return self._limits[config]
 
 
 def sequence_from_limit(lam, config: special.ConvergenceConfig = special.DEFAULT_CONFIG,
@@ -214,7 +320,7 @@ class SpectralEigenfunction:
 
     def __post_init__(self):
         seed = np.array(self.seed_values, dtype=float)
-        expected = (3 ** (self.m0 + 1) + 3) // 2
+        expected = vertex_count(self.m0)
         if seed.shape != (expected,):
             raise DomainError(f"need {expected} vertex values at level {self.m0}, got {seed.shape}")
         seed.setflags(write=False)
@@ -413,28 +519,28 @@ class SpectrumLine:
 
     series: str
     m0: int
-    plus_indices: frozenset
+    branches: str  # "+"/"-" per level m0+1..level
     level: int
     value: float  # lambda_level
+    limit: float  # the renormalized eigenvalue
     multiplicity: int
 
-    def sequence(self) -> EigenvalueSequence:
-        return EigenvalueSequence(self.m0, SERIES_SEED[self.series], self.plus_indices)
 
-    def branch_string(self) -> str:
-        return self.sequence().branch_string(self.level)
-
-
-def _branch_sets(first: int, last: int, forced=()):
-    """All plus-index subsets of {first..last} containing `forced`."""
-    free = [j for j in range(first, last + 1) if j not in forced]
-    for mask in range(1 << len(free)):
-        yield frozenset(forced) | frozenset(j for t, j in enumerate(free) if mask >> t & 1)
+def _family_masks(level: int, m0: int, forced=()) -> np.ndarray:
+    """Plus masks of every branch set on m0+1..level that takes the forced
+    levels, the free levels counting up in binary.  Columns run to level + 1,
+    where the 6-series born at the level itself takes its forced plus."""
+    free = [j for j in range(m0 + 1, level + 1) if j not in forced]
+    masks = np.zeros((1 << len(free), level + 2), dtype=bool)
+    masks[:, free] = np.arange(1 << len(free))[:, None] >> np.arange(len(free)) & 1
+    masks[:, list(forced)] = True
+    return masks
 
 
 def enumerate_dirichlet_spectrum(level: int):
     """Every (series, m0, branches) family alive at the given level, sorted by
-    its lambda_level; multiplicities add up to dim = (3^{level+1} - 3) / 2."""
+    its lambda_level; multiplicities add up to dim = (3^{level+1} - 3) / 2.
+    All families go through one sequence_array call."""
     if level < 0:
         raise DomainError(f"level must be nonnegative, got {level}")
     if level == 0:
@@ -442,24 +548,28 @@ def enumerate_dirichlet_spectrum(level: int):
     cap = max_level()
     if level > cap:
         raise DomainError(f"level {level} exceeds cap {cap} (override with SG_MAX_LEVEL)")
-    lines = []
-
-    def emit(series, m0, plus):
-        seq = EigenvalueSequence(m0, SERIES_SEED[series], plus)
-        lines.append(SpectrumLine(series, m0, plus, level, seq.value(level),
-                                  series_multiplicity(series, m0)))
-
-    for plus in _branch_sets(2, level):
-        emit("two", 1, plus)
-    for m0 in range(1, level + 1):
-        for plus in _branch_sets(m0 + 1, level):
-            emit("five", m0, plus)
-    for m0 in range(2, level + 1):
-        for plus in _branch_sets(m0 + 1, level, forced=(m0 + 1,)):
-            emit("six", m0, plus)
-
-    total = sum(line.multiplicity for line in lines)
-    dim = (3 ** (level + 1) - 3) // 2
-    assert total == dim, (total, dim)
-    lines.sort(key=lambda l: (l.value, _SERIES_RANK[l.series], l.m0, l.branch_string()))
-    return lines
+    blocks = [("two", 1, _family_masks(level, 1))]
+    blocks += [("five", m0, _family_masks(level, m0)) for m0 in range(1, level + 1)]
+    blocks += [("six", m0, _family_masks(level, m0, forced=(m0 + 1,)))
+               for m0 in range(2, level + 1)]
+    mult = {(series, m0): series_multiplicity(series, m0) for series, m0, _ in blocks}
+    total = sum(mult[series, m0] * len(masks) for series, m0, masks in blocks)
+    dim = vertex_count(level) - 3
+    if total != dim:
+        raise InvariantError(f"level-{level} multiplicities add up to {total}, not {dim}")
+    counts = [len(masks) for _, _, masks in blocks]
+    series = np.repeat([s for s, _, _ in blocks], counts).tolist()
+    m0s = np.repeat([m0 for _, m0, _ in blocks], counts).tolist()
+    plus = np.concatenate([masks for _, _, masks in blocks])
+    values, limits, value_failures, limit_failures = sequence_array(
+        m0s, [SERIES_SEED[s] for s in series], plus, level)
+    for failures in (value_failures, limit_failures):
+        if failures:
+            raise next(iter(failures.values()))
+    chars = np.where(plus, "+", "-").tolist()
+    branches = ["".join(row[m0 + 1:level + 1]) for row, m0 in zip(chars, m0s)]
+    values, limits = values.tolist(), limits.tolist()
+    order = sorted(range(len(series)), key=lambda i: (values[i], _SERIES_RANK[series[i]],
+                                                       m0s[i], branches[i]))
+    return [SpectrumLine(series[i], m0s[i], branches[i], level, values[i], limits[i],
+                         mult[series[i], m0s[i]]) for i in order]

@@ -39,3 +39,7 @@ class LevelCapError(SglapError):
 
 class ConvergenceError(SglapError):
     """An iterative limit failed to meet its tolerance within the budget."""
+
+
+class InvariantError(SglapError):
+    """A count the construction guarantees came out wrong: a bug, not bad input."""

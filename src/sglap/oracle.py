@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .address import EventuallyConstantWord, build_level_graph
 from .decimation import SpectralEigenfunction
@@ -122,8 +121,7 @@ def _mp_eigen_matrix(i, lam):
     return [[a0[s[a]][s[b]] for b in range(3)] for a in range(3)]
 
 
-def _mp_harmonic_inverse(i):
-    third = mpf(1) / 3
+def _mp_harmonic_inverse(i, third):
     a0inv = [[1, 0, 0],
              [-2 * third, 10 * third, -5 * third],
              [-2 * third, -5 * third, 10 * third]]
@@ -144,11 +142,15 @@ def direct_tangent_limit(u: SpectralEigenfunction, w, m: int):
     m0 = u.m0
     if m < m0:
         raise DomainError(f"need m >= m0 = {m0}, got {m}")
+    # mpmath is imported here, so that only a tangent check pays for it
+    from mpmath import mp, mpf
+
     with mp.workdps(ORACLE_DPS):
+        third = mpf(1) / 3
         lam = mpf(u.sequence.lambda_m0)
         pull = [[mpf(1 if a == b else 0) for b in range(3)] for a in range(3)]
         for c in w.truncation(m0):
-            pull = _mp_matmul(pull, _mp_harmonic_inverse(c))
+            pull = _mp_matmul(pull, _mp_harmonic_inverse(c, third))
         triple = [mpf(float(x)) for x in u.cell_triple(w.truncation(m0))]
         prev = None
         cur = _mp_matvec(pull, triple)
@@ -157,7 +159,7 @@ def direct_tangent_limit(u: SpectralEigenfunction, w, m: int):
             lam = (5 + root) / 2 if t in u.sequence.plus_indices else 2 * lam / (5 + root)
             letter = w.letter(t)
             triple = _mp_matvec(_mp_eigen_matrix(letter, lam), triple)
-            pull = _mp_matmul(pull, _mp_harmonic_inverse(letter))
+            pull = _mp_matmul(pull, _mp_harmonic_inverse(letter, third))
             prev = cur
             cur = _mp_matvec(pull, triple)
         out = TangentTriple(*(float(x) for x in cur))

@@ -8,11 +8,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sglap import cli
+from sglap.decimation import SpectralEigenfunction
 from sglap.address import build_level_graph, canonical_address, format_address
 from sglap.errors import DomainError, UsageError
 
@@ -189,6 +191,55 @@ def test_eval_golden_bytes(fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EVAL_GOLDEN_SHA256[fmt]
 
 
+# sha256 of `spectrum --level 10` stdout, pinned from the per-family scalar
+# EigenvalueSequence.value/limit loops
+SPECTRUM_GOLDEN_SHA256 = {
+    ("--series", "all"): "a3e7b4352b24fa7217660b97987081846721b3886b745cc275b9c101b003c030",
+    ("--series", "two"): "35f522d0819116a4f024a113b1a353b14d251e6b1c4fbae41bc54f62aebe9452",
+    ("--series", "five"): "bd5e0f19ab904e483f80d920067905cd7cc09db196f1e336918caab16e0bb5f0",
+    ("--series", "six"): "88404f1d83fa4e17f991d2e10f5c78687434d25103f8c981ef3498a16e361a7c",
+    ("--format", "json"): "6e442571a8b49dc2dbb8dee1e75e184081f93907f8a2f3d3ad551af862a9a39f",
+}
+
+
+@pytest.mark.parametrize("args", list(SPECTRUM_GOLDEN_SHA256), ids=" ".join)
+def test_spectrum_golden_bytes(args, capsys):
+    code, out, err = run(["spectrum", "--level", "10", *args], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_GOLDEN_SHA256[args]
+
+
+def test_spectrum_verify_golden_columns(capsys):
+    # the residual column carries LAPACK's last bits, which follow the BLAS
+    # thread count; columns 1-6 are pinned, from the same scalar loops
+    code, out, _ = run(["spectrum", "--level", "4", "--verify"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][6] == "residual" and all(float(r[6]) < 1e-9 for r in rows[1:])
+    cut = "".join(",".join(r[:6]) + "\n" for r in rows)
+    assert hashlib.sha256(cut.encode()).hexdigest() == \
+        "235ffd28ee1184eb44abfd50a38e6af0713bae8ea3cb718f87542d97262198e8"
+
+
+def test_only_a_tangent_check_imports_mpmath():
+    # a fresh process, since this one has long imported mpmath
+    script = """if True:
+        import contextlib, io, sys
+        import sglap.cli
+        assert "mpmath" not in sys.modules, "import"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert sglap.cli.main(["spectrum", "--level", "2", "--verify"]) == 0
+        assert "mpmath" not in sys.modules, "spectrum --verify"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert sglap.cli.main(["tangent", "--seed", "six:1:1", "--word", ":0",
+                                   "--verify"]) == 0
+        assert "mpmath" in sys.modules
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == proc.stderr == ""
+
+
 # sha256 of `special` stdout, pinned from the per-point scalar loops: a
 # workload-sized grid in both formats, out-of-domain rows, out-of-domain
 # tail factors, and a tolerance that only an exact zero increment meets
@@ -242,6 +293,20 @@ def test_eval_non_finite_values_exit_three_with_empty_stdout(capsys):
     code, out, err = run(["eval", "--seed", "free:-1e9:1,0,0", "--level", "2"], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_non_finite_guard_exits_three_with_empty_stdout(monkeypatch, capsys):
+    # no known seed reaches the guard (free: lambdas this large stop in
+    # sequence_from_limit), so hand it a NaN
+    def values_on_level(self, m, tol=1e-9):
+        values = np.zeros(build_level_graph(m).size)
+        values[-1] = math.nan
+        return values
+
+    monkeypatch.setattr(SpectralEigenfunction, "values_on_level", values_on_level)
+    code, out, err = run(["eval", "--seed", "two:1:1", "--level", "3"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: seed 'two:1:1' gives non-finite values on V_3\n"
 
 
 @pytest.mark.parametrize("seed", ["free:nan:1,0,0", "free:inf:1,2,3", "free:1:1,-inf,0"])

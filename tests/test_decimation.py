@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sglap import address, decimation
 from sglap.address import build_level_graph, resolve_addresses, vertex_key
 from sglap.decimation import (
+    SERIES_SEED,
+    SINGULAR_VALUES,
     Branch,
     EigenvalueSequence,
     SpectralEigenfunction,
@@ -19,13 +22,16 @@ from sglap.decimation import (
     enumerate_dirichlet_spectrum,
     lambda_next,
     rotate_six,
+    sequence_array,
     sequence_from_limit,
     series_multiplicity,
     six_series_element,
     supports_closed_form,
 )
-from sglap.errors import DomainError, SglapError, SingularLevelError
+from sglap.errors import (ConvergenceError, DomainError, InvariantError, SglapError,
+                          SingularLevelError)
 from sglap.harmonic import graph_laplacian, harmonic_matrix
+from sglap.special import DEFAULT_CONFIG, ConvergenceConfig
 
 CLOSED_FORM_SEEDS = [
     ("two", 1, 1),
@@ -119,8 +125,6 @@ def test_sequence_validation():
 def test_limit_is_the_renormalized_tail():
     seq = EigenvalueSequence(1, 2.0)
     assert seq.limit() == pytest.approx(1.5 * 5.0**30 * seq.value(30), rel=1e-12)
-    assert seq.branch_string(4) == "---"
-    assert EigenvalueSequence(1, 2.0, {3}).branch_string(4) == "-+-"
 
 
 @given(st.floats(-60, 60))
@@ -219,6 +223,12 @@ def test_enumeration_dimension_and_order():
         assert sum(line.multiplicity for line in lines) == (3 ** (m + 1) - 3) // 2
         vals = [line.value for line in lines]
         assert vals == sorted(vals)
+    # branch strings cover levels m0+1..level, the first character at m0+1
+    lines = enumerate_dirichlet_spectrum(4)
+    assert sorted(l.branches for l in lines if l.series == "two") == sorted(
+        a + b + c for a in "+-" for b in "+-" for c in "+-")
+    assert {l.m0: l.branches for l in lines if l.series == "six" and "-" not in l.branches} == {
+        2: "++", 3: "+", 4: ""}
     assert enumerate_dirichlet_spectrum(0) == []
     with pytest.raises(DomainError):
         enumerate_dirichlet_spectrum(-1)
@@ -290,3 +300,146 @@ def test_eigen_matrix_singularities():
 def test_seed_shape_is_validated():
     with pytest.raises(DomainError):
         SpectralEigenfunction(EigenvalueSequence(1, 2.0), [0.0, 1.0, 2.0])
+
+
+# The scalar recursion sequence_array replaced, kept literally as the reference.
+def reference_lambda_next(prev, plus):
+    if not math.isfinite(prev):
+        raise DomainError(f"no refinement of the non-finite lambda={prev!r}")
+    disc = 25.0 - 4.0 * prev
+    if disc < 0.0:
+        raise DomainError(f"no real refinement of lambda={prev!r} (needs lambda <= 6.25)")
+    root = math.sqrt(disc)
+    if plus:
+        return (5.0 + root) / 2.0
+    return 2.0 * prev / (5.0 + root)
+
+
+class ReferenceSequence:
+    def __init__(self, m0, lambda_m0, plus_indices):
+        self.seq = EigenvalueSequence(m0, lambda_m0, plus_indices)  # validation and repr
+        self.m0, self.plus_indices = m0, self.seq.plus_indices
+        self.vals = {m0: self.seq.lambda_m0}
+
+    def value(self, j):
+        vals = self.vals
+        top = max(vals)
+        if j > top:
+            cur = vals[top]
+            for t in range(top + 1, j + 1):
+                cur = reference_lambda_next(cur, t in self.plus_indices)
+                if cur in SINGULAR_VALUES:
+                    raise SingularLevelError(t, cur)
+                vals[t] = cur
+        return vals[j]
+
+    def limit(self, config):
+        j = max([self.m0, *self.plus_indices])
+        try:
+            prev = 1.5 * 5.0**j * self.value(j)
+            for _ in range(config.max_iterations):
+                j += 1
+                cur = 1.5 * 5.0**j * self.value(j)
+                if abs(cur - prev) <= config.tol * max(1.0, abs(cur)):
+                    return cur
+                prev = cur
+        except OverflowError:
+            raise DomainError(f"renormalized eigenvalue overflows at level {j}") from None
+        raise ConvergenceError(f"renormalized eigenvalue did not settle for {self.seq!r}")
+
+
+def outcome(fn, *args):
+    """The value's repr (equal NaNs compare equal, and 0.0 differs from -0.0),
+    or the exception's class and message."""
+    try:
+        return repr(float(fn(*args)))
+    except SglapError as exc:
+        return type(exc), str(exc)
+
+
+def test_spectrum_matches_the_scalar_recursion_bit_for_bit():
+    for level in range(1, 11):
+        for line in enumerate_dirichlet_spectrum(level):
+            plus = {line.m0 + 1 + i for i, c in enumerate(line.branches) if c == "+"}
+            if line.series == "six":
+                plus.add(line.m0 + 1)  # the forced plus, past the string at m0 = level
+            ref = ReferenceSequence(line.m0, SERIES_SEED[line.series], plus)
+            assert line.value == ref.value(level) and line.limit == ref.limit(DEFAULT_CONFIG)
+            if level <= 7:  # the one-row kernel runs, on fewer families
+                seq = EigenvalueSequence(line.m0, SERIES_SEED[line.series], plus)
+                assert line.value == seq.value(level) and line.limit == seq.limit()
+
+
+plus_sets = st.one_of(
+    st.sets(st.integers(1, 14), max_size=6),
+    # a plus level near 441, where 5.0**j leaves the float range
+    st.tuples(st.integers(1, 8), st.integers(436, 446)).map(lambda ab: set(range(ab[0], ab[1]))),
+)
+seeds = st.one_of(st.sampled_from([2.0, 5.0, 6.0, 0.0, 6.25, 7.0, -1e308, math.nan, math.inf]),
+                  st.floats(-50.0, 6.5))
+rows = st.lists(st.tuples(st.integers(0, 4), seeds, plus_sets), min_size=1, max_size=5)
+sequence_configs = st.builds(ConvergenceConfig, tol=st.floats(1e-16, 1e-3),
+                             max_iterations=st.sampled_from([80, 80, 30, 5, 1, 0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows, st.integers(0, 12), sequence_configs)
+def test_sequence_array_matches_the_scalar_recursion(rows, depth, config):
+    # plus levels at or below m0 are not part of a sequence
+    rows = [(m0, seed, {j for j in plus if j > m0}) for m0, seed, plus in rows]
+    level = max(m0 for m0, _, _ in rows) + depth
+    width = max([j for _, _, plus in rows for j in plus], default=0) + 1
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for r, (_, _, plus) in enumerate(rows):
+        mask[r, sorted(plus)] = True
+    values, limits, value_failures, limit_failures = sequence_array(
+        [m0 for m0, _, _ in rows], [seed for _, seed, _ in rows], mask, level, config)
+    for r, (m0, seed, plus) in enumerate(rows):
+        expected_value = outcome(ReferenceSequence(m0, seed, plus).value, level)
+        expected_limit = outcome(ReferenceSequence(m0, seed, plus).limit, config)
+        for got, failures, expected in ((values, value_failures, expected_value),
+                                        (limits, limit_failures, expected_limit)):
+            if isinstance(expected, tuple):
+                assert (type(failures[r]), str(failures[r])) == expected
+                assert math.isnan(got[r])
+            else:
+                assert r not in failures and repr(float(got[r])) == expected
+        # the one-row wrappers, asked for levels out of order
+        seq = EigenvalueSequence(m0, seed, plus)
+        assert outcome(seq.limit, config) == expected_limit
+        assert outcome(seq.value, level) == expected_value
+        assert outcome(seq.value, max(m0, level - 3)) == outcome(
+            ReferenceSequence(m0, seed, plus).value, max(m0, level - 3))
+    for _, seed, _ in rows:
+        for plus in (False, True):
+            assert outcome(lambda_next, seed, Branch.PLUS if plus else Branch.MINUS) == outcome(
+                reference_lambda_next, seed, plus)
+
+
+def test_sequence_array_reports_each_failure_kind():
+    mask = np.zeros((5, 450), dtype=bool)
+    mask[1, 2] = True
+    mask[2, 2:445] = True
+    values, limits, value_failures, limit_failures = sequence_array(
+        [1, 1, 1, 1, 3], [6.0, 6.0, 2.0, 7.0, 2.0], mask, 3,
+        ConvergenceConfig(tol=1e-13, max_iterations=5))
+    assert type(value_failures[0]) is SingularLevelError  # minus root of 6 is 2
+    assert values[1] == EigenvalueSequence(1, 6.0, {2}).value(3)
+    assert str(limit_failures[2]) == "renormalized eigenvalue overflows at level 444"
+    assert "no real refinement of lambda=7.0" in str(value_failures[3])
+    assert type(limit_failures[1]) is ConvergenceError
+    assert list(value_failures) == [0, 3] and list(limit_failures) == [0, 1, 2, 3, 4]
+
+
+def test_vertex_count_check_raises(monkeypatch):
+    monkeypatch.setattr(address, "vertex_count", lambda m: 7)
+    with pytest.raises(InvariantError, match="level-2 graph has 15 vertices, not 7"):
+        address._build_level_graph.__wrapped__(2)
+
+
+def test_multiplicity_check_raises(monkeypatch):
+    count = decimation.series_multiplicity
+    monkeypatch.setattr(decimation, "series_multiplicity",
+                        lambda series, m0: count(series, m0) + (series == "six"))
+    with pytest.raises(InvariantError, match="level-3 multiplicities add up to 41, not 39"):
+        enumerate_dirichlet_spectrum(3)

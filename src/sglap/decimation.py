@@ -114,7 +114,7 @@ def sequence_array(m0, lambda_m0, plus, level: int, config=special.DEFAULT_CONFI
     value_failures, limit_failures = {}, {}
     for i in np.flatnonzero(m0 > level).tolist():
         value_failures[i] = DomainError(f"sequence starts at level {m0[i]}, got {level}")
-    limiting = np.full(m0.size, config is not None)
+    limiting = np.zeros(m0.size, dtype=bool)  # rows whose limit is still open
     if config is not None:
         start = np.maximum(m0, np.max(np.where(plus, np.arange(plus.shape[1]), -1), axis=1,
                                       initial=-1))

@@ -20,7 +20,7 @@ from .errors import DomainError, InvariantError, LevelCapError
 Word = tuple  # letters in {0, 1, 2}
 
 DEFAULT_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-DEFAULT_LEVEL_CAP = 10
+DEFAULT_LEVEL_CAP = 12
 # deepest level whose base-4 sort code (level word digits plus the corner
 # letter) fits in a signed int64
 MAX_SORT_CODE_LEVEL = 30
@@ -35,6 +35,16 @@ def max_level() -> int:
         return int(raw)
     except ValueError as exc:
         raise DomainError(f"SG_MAX_LEVEL must be an integer, got {raw!r}") from exc
+
+
+def check_level(m: int) -> int:
+    """A refinement level: DomainError below 0, LevelCapError above max_level()."""
+    if m < 0:
+        raise DomainError(f"level must be nonnegative, got {m}")
+    cap = max_level()
+    if m > cap:
+        raise LevelCapError(f"level {m} exceeds cap {cap} (override with SG_MAX_LEVEL)")
+    return m
 
 
 def check_word(word) -> Word:
@@ -274,31 +284,17 @@ class LevelGraph:
             raise DomainError(f"level {self.level} below word length {len(word)}")
         return int(self.cells[word_index(word + (letter,) * (self.level - len(word))), letter])
 
-    def addresses(self) -> list:
-        """format_address of every vertex, in vertex order."""
-        n, m = self.words.shape
+    def addresses(self, lo: int = 0, hi: int | None = None) -> list:
+        """format_address of vertices lo..hi-1 (by default all), in vertex order."""
+        words, births = self.words[lo:hi], self.births[lo:hi]
+        n, m = words.shape
         chars = np.zeros((n, m + 2), dtype=np.uint32)
-        chars[:, :m] = np.where(self.words >= 0, self.words + ord("0"), 0)
+        chars[:, :m] = np.where(words >= 0, words + ord("0"), 0)
         rows = np.arange(n)
-        chars[rows, self.births] = ord(":")
-        chars[rows, self.births + 1] = self.letters + ord("0")
+        chars[rows, births] = ord(":")
+        chars[rows, births + 1] = self.letters[lo:hi] + ord("0")
         # trailing NULs drop off numpy unicode strings
         return chars.view(np.dtype(f"U{m + 2}")).ravel().tolist()
-
-
-def _cell_corner_keys(m: int):
-    ncells = 3**m
-    base = np.zeros((ncells, 3), dtype=np.int64)
-    idx = np.arange(ncells)
-    for t in range(1, m + 1):
-        digit = (idx // 3 ** (m - t)) % 3
-        w = np.int64(1 << (m - t))
-        for c in range(3):
-            base[:, c] += w * (digit == c)
-    keys = np.repeat(base[:, None, :], 3, axis=1)
-    for i in range(3):
-        keys[:, i, i] += 1
-    return keys
 
 
 def vertex_count(m: int) -> int:
@@ -308,13 +304,19 @@ def vertex_count(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _build_level_graph(m: int) -> LevelGraph:
-    keys = _cell_corner_keys(m)
-    K = np.int64((1 << m) + 1)
-    codes = (keys[..., 0] * K + keys[..., 1]) * K + keys[..., 2]
-    uniq, inverse = np.unique(codes.reshape(-1), return_inverse=True)
-    n2 = uniq % K
-    rest = uniq // K
-    triples = np.stack([rest // K, rest % K, n2], axis=1)
+    # A key (n0, n1, n2) packs into the int64 code (n0 K + n1) K + n2, K =
+    # 2^m + 1.  Letter t of a cell's word adds 2^(m-t) (K^2, K, 1)[letter] to
+    # the cell's base code, and corner i adds (K^2, K, 1)[i] to that, so the
+    # codes come out cell by cell in word order, corner within cell.
+    K = (1 << m) + 1
+    unit = np.array([K * K, K, 1], dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    for weight in [1 << (m - t) for t in range(1, m + 1)] + [1]:
+        codes = (codes[:, None] + weight * unit).ravel()
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    del codes
+    triples = np.stack([uniq // (K * K), uniq // K % K, uniq % K], axis=1)
+    del uniq
 
     births, words, letters = canonical_address_arrays(triples, m)
     order = np.argsort(address_sort_code(words, letters))
@@ -336,9 +338,4 @@ def _build_level_graph(m: int) -> LevelGraph:
 
 
 def build_level_graph(m: int) -> LevelGraph:
-    if m < 0:
-        raise DomainError(f"level must be nonnegative, got {m}")
-    cap = max_level()
-    if m > cap:
-        raise LevelCapError(f"level {m} exceeds cap {cap} (override with SG_MAX_LEVEL)")
-    return _build_level_graph(m)
+    return _build_level_graph(check_level(m))

@@ -15,11 +15,13 @@ Exit codes: 0 ok, 2 usage, 3 domain error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -54,15 +56,38 @@ def _write_json(columns, rows) -> str:
     return json.dumps(records, indent=2, default=lambda o: o.item()) + "\n"
 
 
-def _emit(args, text: str):
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+def _emit(args, blocks):
+    """Write the text blocks to stdout or to --output.
+
+    A regular --output file is written atomically: into a new file in the
+    target's directory, renamed onto the target once every block is written,
+    and removed on any failure, so that a failure leaves no file behind.
+    Targets that exist but are not regular files (/dev/null, a FIFO) are
+    written in place."""
+    if not args.output:
+        for block in blocks:
+            sys.stdout.write(block)
+        return
+    target = os.path.realpath(args.output)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    path = target if in_place else os.path.join(
+        os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(path, "w" if in_place else "x", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from None
+    try:
+        with fh:
+            for block in blocks:
+                fh.write(block)
+        if not in_place:
+            os.replace(path, target)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from None
+    finally:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(path)  # already gone once renamed
 
 
 def _float(text: str, what: str) -> float:
@@ -175,7 +200,7 @@ def cmd_spectrum(args) -> int:
             row.append(residuals[i])
         rows.append(row)
     text = (_write_csv if args.format == "csv" else _write_json)(columns, rows)
-    _emit(args, text)
+    _emit(args, [text])
     if residuals is not None and residuals and max(residuals) >= args.verify_tol:
         print(f"verification failed: worst dense residual {max(residuals):.3e} "
               f">= {args.verify_tol:.3e}", file=sys.stderr)
@@ -185,40 +210,62 @@ def cmd_spectrum(args) -> int:
 
 # --- eval -------------------------------------------------------------------
 
-def _reingest_values(fmt: str, text: str, size: int) -> np.ndarray:
-    if fmt == "csv":
-        rows = list(csv.reader(io.StringIO(text)))
-        vals = [float(r[4]) for r in rows[1:]]
-    elif fmt == "json":
-        vals = [float(rec["value"]) for rec in json.loads(text)]
+BLOCK_ROWS = 1 << 12  # rows per eval output block
+
+
+def _row_ranges(n: int):
+    """(lo, hi) bounds of the BLOCK_ROWS-row blocks of n rows."""
+    return [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
+
+
+def _eval_blocks(args, graph, values):
+    """The eval output as text blocks: a header, then BLOCK_ROWS rows at a
+    time, so that no more than one block of rows is ever held as text.
+
+    The bytes equal what csv.writer and json.dumps(indent=2) give for these
+    rows (addresses need no quoting or escaping, and finite floats print as
+    repr in both); a JSON block after the first starts with the ",\n" seam."""
+    level, fmt = args.level, args.format
+    if fmt == "obj":
+        yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
-        vals = [float(line.split()[3]) for line in text.splitlines()
-                if line.startswith("v ")]
-    if len(vals) != size:
-        raise SglapError(f"re-ingested {len(vals)} values, expected {size}")
-    return np.array(vals)
+        yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
+    for lo, hi in _row_ranges(graph.size):
+        x, y = graph.coords[lo:hi].T.tolist()
+        v = values[lo:hi].tolist()
+        if fmt == "obj":
+            yield "".join([f"v {a!r} {b!r} {c!r}\n" for a, b, c in zip(x, y, v)])
+        elif fmt == "csv":
+            yield "".join([f"{s},{level},{a!r},{b!r},{c!r}\n"
+                           for s, a, b, c in zip(graph.addresses(lo, hi), x, y, v)])
+        else:
+            yield ("" if lo == 0 else ",\n") + ",\n".join(
+                [f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a!r},\n'
+                 f'    "y": {b!r},\n    "value": {c!r}\n  }}'
+                 for s, a, b, c in zip(graph.addresses(lo, hi), x, y, v)])
+    if fmt == "obj":
+        for lo, hi in _row_ranges(len(graph.cells)):
+            yield "".join([f"f {a} {b} {c}\n" for a, b, c in (graph.cells[lo:hi] + 1).tolist()])
+    elif fmt == "json":
+        yield "\n]\n"
 
 
-def _eval_text(args, graph, values) -> str:
-    # Row by row from plain Python columns; the bytes equal what csv.writer
-    # and json.dumps(indent=2) give for these rows (addresses need no quoting
-    # or escaping, and finite floats print as repr in both).
-    x, y = graph.coords.T.tolist()
-    v = values.tolist()
-    if args.format == "obj":
-        lines = [f"v {a!r} {b!r} {c!r}\n" for a, b, c in zip(x, y, v)]
-        lines += [f"f {a} {b} {c}\n" for a, b, c in (graph.cells + 1).tolist()]
-        return f"# sglap eval seed={args.seed} level={args.level}\n" + "".join(lines)
-    level = args.level
-    addresses = graph.addresses()
-    if args.format == "csv":
-        lines = [f"{s},{level},{a!r},{b!r},{c!r}\n"
-                 for s, a, b, c in zip(addresses, x, y, v)]
-        return "address,level,x,y,value\n" + "".join(lines)
-    records = [f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a!r},\n'
-               f'    "y": {b!r},\n    "value": {c!r}\n  }}'
-               for s, a, b, c in zip(addresses, x, y, v)]
-    return "[\n" + ",\n".join(records) + "\n]\n"
+def _block_values(fmt: str, block: str) -> list:
+    """The vertex values that one eval output block spells."""
+    if fmt == "csv":
+        return [float(r[4]) for r in csv.reader(io.StringIO(block)) if r[4] != "value"]
+    if fmt == "json":
+        # a block is whole records between the list's brackets and seams
+        return [float(rec["value"]) for rec in json.loads("[" + block.strip("[],\n") + "]")]
+    return [float(line.split()[3]) for line in block.splitlines() if line.startswith("v ")]
+
+
+def _reingest(fmt: str, blocks, parsed: list):
+    """Pass the blocks through, appending each one's parsed values to
+    `parsed` as soon as it has been written."""
+    for block in blocks:
+        yield block
+        parsed.append(np.array(_block_values(fmt, block)))
 
 
 def cmd_eval(args) -> int:
@@ -227,15 +274,20 @@ def cmd_eval(args) -> int:
     values = u.values_on_level(args.level)
     if not np.isfinite(values).all():
         raise SglapError(f"seed {args.seed!r} gives non-finite values on V_{args.level}")
-    text = _eval_text(args, graph, values)
-    _emit(args, text)
-    if args.verify:
-        back = _reingest_values(args.format, text, graph.size)
-        residual = eigen_residual(graph, back, u.sequence.value(args.level))
-        if residual >= args.verify_tol:
-            print(f"verification failed: round-trip residual {residual:.3e} "
-                  f">= {args.verify_tol:.3e}", file=sys.stderr)
-            return 4
+    blocks = _eval_blocks(args, graph, values)
+    if not args.verify:
+        _emit(args, blocks)
+        return 0
+    parsed = []
+    _emit(args, _reingest(args.format, blocks, parsed))
+    back = np.concatenate(parsed)
+    if back.size != graph.size:
+        raise SglapError(f"re-ingested {back.size} values, expected {graph.size}")
+    residual = eigen_residual(graph, back, u.sequence.value(args.level))
+    if not residual < args.verify_tol:
+        print(f"verification failed: round-trip residual {residual:.3e} "
+              f">= {args.verify_tol:.3e}", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -260,7 +312,7 @@ def cmd_tangent(args) -> int:
         columns += ["oracle_t0", "oracle_t1", "oracle_t2", "deviation", "error_estimate"]
         row += [ref.t0, ref.t1, ref.t2, deviation, err]
     text = (_write_csv if args.format == "csv" else _write_json)(columns, [row])
-    _emit(args, text)
+    _emit(args, [text])
     if deviation is not None and deviation >= args.verify_tol:
         print(f"verification failed: tangent deviates from the direct limit by "
               f"{deviation:.3e} >= {args.verify_tol:.3e}", file=sys.stderr)
@@ -298,7 +350,7 @@ def cmd_special(args) -> int:
         else:
             rows.append([point, *row, None])
     text = (_write_csv if args.format == "csv" else _write_json)(columns, rows)
-    _emit(args, text)
+    _emit(args, [text])
     return 0
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import special
-from .address import (LevelGraph, build_level_graph, check_letter, check_word, max_level,
+from .address import (LevelGraph, build_level_graph, check_letter, check_level, check_word,
                       vertex_count)
 from .errors import ConvergenceError, DomainError, InvariantError, SingularLevelError
 from .harmonic import (CORNER_SWAPS, cell_values_to_vertex, extend_level, graph_laplacian,
@@ -541,13 +541,8 @@ def enumerate_dirichlet_spectrum(level: int):
     """Every (series, m0, branches) family alive at the given level, sorted by
     its lambda_level; multiplicities add up to dim = (3^{level+1} - 3) / 2.
     All families go through one sequence_array call."""
-    if level < 0:
-        raise DomainError(f"level must be nonnegative, got {level}")
-    if level == 0:
+    if check_level(level) == 0:
         return []  # no interior vertices, empty operator, empty spectrum
-    cap = max_level()
-    if level > cap:
-        raise DomainError(f"level {level} exceeds cap {cap} (override with SG_MAX_LEVEL)")
     blocks = [("two", 1, _family_masks(level, 1))]
     blocks += [("five", m0, _family_masks(level, m0)) for m0 in range(1, level + 1)]
     blocks += [("six", m0, _family_masks(level, m0, forced=(m0 + 1,)))

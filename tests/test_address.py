@@ -1,5 +1,6 @@
 """Exact-arithmetic addressing: IFS words, barycentric keys, level graphs."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,27 @@ def test_array_addressing_matches_scalar():
         assert keys == sorted(keys, key=lambda k: canonical_address(tuple(k), m))
         assert g.addresses() == [format_address(w, c) for w, c in scalar]
         assert [list(vertex_key(w, c, m)) for w, c in scalar] == keys
+
+
+def test_address_ranges_match_scalar_across_blocks():
+    m = 6
+    g = build_level_graph(m)
+    scalar = [format_address(*canonical_address(tuple(k), m)) for k in g.keys.tolist()]
+    n = g.size
+    for lo, hi in [(0, 0), (0, 1), (0, 3), (2, 4), (3, 100), (99, 101), (100, 1000),
+                   (n - 1, n), (0, n), (n, n)]:
+        assert g.addresses(lo, hi) == scalar[lo:hi]
+    assert sum((g.addresses(lo, lo + 97) for lo in range(0, n, 97)), []) == scalar
+
+
+def test_level_graph_build_peak_memory():
+    tracemalloc.start()
+    try:
+        address._build_level_graph.__wrapped__(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
 
 
 @given(words, letters, st.integers(0, 4))

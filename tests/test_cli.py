@@ -1,12 +1,16 @@
 """Command-line surface: seed grammar, formats, determinism, exit codes."""
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +18,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sglap import cli
-from sglap.decimation import SpectralEigenfunction
-from sglap.address import build_level_graph, canonical_address, format_address
-from sglap.errors import DomainError, UsageError
+from sglap.decimation import SpectralEigenfunction, enumerate_dirichlet_spectrum
+from sglap.address import build_level_graph, canonical_address, format_address, max_level
+from sglap.errors import DomainError, LevelCapError, SglapError, UsageError
 
 
 def run(args, capsys):
@@ -189,6 +193,139 @@ def test_eval_golden_bytes(fmt, capsys):
     code, out, _ = run(["eval", "--seed", "five:2:3:+-+", "--level", "7", "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EVAL_GOLDEN_SHA256[fmt]
+
+
+@pytest.mark.parametrize("block_rows", [1, 1000])
+@pytest.mark.parametrize("fmt", sorted(EVAL_GOLDEN_SHA256))
+def test_eval_golden_bytes_across_block_seams(fmt, block_rows, monkeypatch, capsys):
+    # the 3282 rows of the golden run fit in one default block
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    code, out, _ = run(["eval", "--seed", "five:2:3:+-+", "--level", "7", "--format", fmt,
+                        "--verify"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_GOLDEN_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
+def test_eval_verify_reads_back_the_written_blocks(fmt, monkeypatch, capsys):
+    # the first row is the corner q_0, where six:1:1 is 0.0; writing 1.0
+    # there fails the check on the values read back, not the computed ones
+    spelling = {"csv": ",{}\n", "json": '"value": {}\n', "obj": " {}\n"}[fmt]
+
+    def blocks(args, graph, values):
+        for i, block in enumerate(original(args, graph, values)):
+            if i == 1:
+                corrupted = block.replace(spelling.format(0.0), spelling.format(1.0), 1)
+                assert corrupted != block
+                block = corrupted
+            yield block
+
+    original = cli._eval_blocks
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 16)
+    args = ["eval", "--seed", "six:1:1", "--level", "4", "--format", fmt, "--verify"]
+    assert run(args, capsys)[0] == 0
+    monkeypatch.setattr(cli, "_eval_blocks", blocks)
+    code, _, err = run(args, capsys)
+    assert code == 4 and err.startswith("verification failed: round-trip residual")
+
+
+class _Sink:
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def _emission_peak(fmt, level):
+    seed = "five:1:2:+-+-++"
+    graph = build_level_graph(level)
+    values = cli.parse_seed(seed).values_on_level(level)
+    args = argparse.Namespace(seed=seed, level=level, format=fmt, output=None)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            cli._emit(args, cli._eval_blocks(args, graph, values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > graph.size * 20
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
+def test_eval_output_memory_does_not_grow_with_the_level(fmt):
+    # V_10 has 9x the rows of V_8; held output text is one block either way
+    assert _emission_peak(fmt, 10) <= 1.5 * _emission_peak(fmt, 8)
+
+
+def test_failed_emission_leaves_the_target_unchanged(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "out.csv"
+    target.write_text("earlier output\n")
+
+    def blocks(args, graph, values):
+        yield "address,level,x,y,value\n"
+        raise SglapError("stopped mid-stream")
+
+    monkeypatch.setattr(cli, "_eval_blocks", blocks)
+    code, out, err = run(["eval", "--seed", "two:1:1", "--level", "2", "--output", str(target)],
+                         capsys)
+    assert (code, out, err) == (3, "", "error: stopped mid-stream\n")
+    assert target.read_text() == "earlier output\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_emit_removes_its_file_on_any_exception(tmp_path):
+    target = tmp_path / "out.txt"
+
+    def blocks():
+        yield "first block\n"
+        raise RuntimeError("not a package error")
+
+    with pytest.raises(RuntimeError):
+        cli._emit(argparse.Namespace(output=str(target)), blocks())
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_replaces_an_existing_file(tmp_path, capsys):
+    args = ["eval", "--seed", "six:2:1", "--level", "3", "--format", "json"]
+    target = tmp_path / "out.json"
+    target.write_text("x" * 100_000)
+    expected = run(args, capsys)[1]
+    assert run(args + ["--output", str(target)], capsys)[:2] == (0, "")
+    assert target.read_text() == expected
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_output_through_a_symlink_writes_the_linked_file(tmp_path, capsys):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert run(["spectrum", "--level", "1", "--output", str(link)], capsys)[0] == 0
+    assert link.is_symlink() and real.read_text().startswith("series,")
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(["spectrum", "--level", "1", "--output", str(fifo)], capsys)[0] == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive() and received[0].startswith("series,")
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_spectrum_above_the_cap_raises_level_cap_error(capsys):
+    cap = max_level()
+    with pytest.raises(LevelCapError):
+        enumerate_dirichlet_spectrum(cap + 1)
+    code, out, err = run(["spectrum", "--level", str(cap + 1)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: level {cap + 1} exceeds cap {cap} (override with SG_MAX_LEVEL)\n"
 
 
 # sha256 of `spectrum --level 10` stdout, pinned from the per-family scalar

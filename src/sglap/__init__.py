@@ -53,7 +53,6 @@ from .oracle import (
 )
 from .special import ConvergenceConfig, psi, psi_limit, psi_m, tau, upsilon
 from .tangent import (
-    TangentMatrix,
     TangentSeed,
     TangentTriple,
     dirichlet_tangent_seed,

@@ -4,8 +4,13 @@ The gasket is the attractor of F_i(x) = (x + q_i)/2 for the three corners
 q_0, q_1, q_2 of a triangle; a word w = w_1...w_m addresses the cell
 F_w = F_{w_1} o ... o F_{w_m}.  Every vertex of the level-m graph is
 F_w(q_i) for some |w| = m and carries exact barycentric coordinates
-(n_0, n_1, n_2) with n_0 + n_1 + n_2 = 2^m, which is what deduplication,
-junction detection and canonical ordering run on -- floats never enter.
+(n_0, n_1, n_2) with n_0 + n_1 + n_2 = 2^m; the scalar junction resolution
+and canonical addressing run on these -- floats never enter.
+
+The level-m graph is the union of its three images F_j V_{m-1}, glued at
+the level-1 junctions, so it is built one level at a time from V_0: each
+vertex's canonical address is its copy's letter prepended to the address it
+had one level up, and the canonical vertex order falls out of the gluing.
 """
 from __future__ import annotations
 
@@ -21,9 +26,6 @@ Word = tuple  # letters in {0, 1, 2}
 
 DEFAULT_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 DEFAULT_LEVEL_CAP = 12
-# deepest level whose base-4 sort code (level word digits plus the corner
-# letter) fits in a signed int64
-MAX_SORT_CODE_LEVEL = 30
 
 
 def max_level() -> int:
@@ -132,7 +134,7 @@ def _descend_prefix(key, b):
 def resolve_addresses(key, level):
     """All (word, letter) addresses of a vertex at its birth level: one for a
     boundary corner, exactly two for a junction point.  The scalar reference
-    for canonical_address_arrays."""
+    that the level graph's addresses are tested against."""
     key, b = _birth_key(key, level)
     if b == 0:
         return [((), key.index(1))]
@@ -145,64 +147,6 @@ def resolve_addresses(key, level):
 def canonical_address(key, level):
     """Lexicographically smallest (word, letter) address, taken at birth level."""
     return resolve_addresses(key, level)[0]
-
-
-def canonical_address_arrays(keys, level):
-    """canonical_address over an (N, 3) array of level-`level` keys at once.
-
-    Returns (birth, words, letters): the birth levels (N,), an (N, level)
-    int8 word matrix padded with -1 past each birth level, and the corner
-    letters (N,).  Row i spells canonical_address(keys[i], level).
-    """
-    m = int(level)
-    if m < 0:
-        raise DomainError(f"level must be nonnegative, got {m}")
-    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
-    if (keys < 0).any() or (keys.sum(axis=1) != 1 << m).any():
-        raise DomainError(f"keys must be nonnegative and sum to 2**{m}")
-    # birth level: strip the common trailing zero bits (a corner keeps m of them)
-    low = np.bitwise_or.reduce(keys, axis=1)
-    low &= -low
-    zeros = np.frexp(low.astype(float))[1] - 1  # exact: low is a power of two
-    birth = (m - np.minimum(zeros, m)).astype(np.int64)
-
-    # greedy smallest-letter descent, kept at level-m scale so that step s
-    # halves by the same 2**(m-1-s) on every row still above its birth level
-    cur = keys.copy()
-    words = np.full((keys.shape[0], m), -1, dtype=np.int8)
-    for s in range(m - 1):
-        active = np.flatnonzero(birth > s + 1)
-        if not active.size:
-            break
-        half = np.int64(1 << (m - 1 - s))
-        letter = np.argmax(cur[active] >= half, axis=1)
-        words[active, s] = letter
-        cur[active, letter] -= half
-
-    # what is left is one unit coordinate (a corner) or two, a < c (a
-    # junction, canonically (word + (a,), c)); a corner's letter is its 1
-    unit = np.left_shift(np.int64(1), m - birth)
-    is_unit = cur == unit[:, None]
-    junction = birth > 0
-    if ((is_unit.sum(axis=1) != 1 + junction) | ((cur != 0) & ~is_unit).any(axis=1)).any():
-        raise DomainError(f"keys are not all vertices of V_{m}")
-    a = np.argmax(is_unit, axis=1)
-    letters = (2 - np.argmax(is_unit[:, ::-1], axis=1)).astype(np.int8)
-    rows = np.flatnonzero(junction)
-    words[rows, birth[rows] - 1] = a[rows]
-    return birth, words, letters
-
-
-def address_sort_code(words, letters):
-    """Base-4 int64 codes ordered like the (word, letter) tuples: digit + 1
-    per word letter, 0 past the end of the word, the corner letter last."""
-    if words.shape[1] > MAX_SORT_CODE_LEVEL:
-        raise DomainError(f"sort codes overflow int64 above level {MAX_SORT_CODE_LEVEL}, "
-                          f"got level {words.shape[1]}")
-    code = np.zeros(len(letters), dtype=np.int64)
-    for p in range(words.shape[1]):
-        code = 4 * code + (words[:, p].astype(np.int64) + 1)
-    return 4 * code + letters
 
 
 def format_address(word, letter) -> str:
@@ -304,34 +248,47 @@ def vertex_count(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _build_level_graph(m: int) -> LevelGraph:
-    # A key (n0, n1, n2) packs into the int64 code (n0 K + n1) K + n2, K =
-    # 2^m + 1.  Letter t of a cell's word adds 2^(m-t) (K^2, K, 1)[letter] to
-    # the cell's base code, and corner i adds (K^2, K, 1)[i] to that, so the
-    # codes come out cell by cell in word order, corner within cell.
-    K = (1 << m) + 1
-    unit = np.array([K * K, K, 1], dtype=np.int64)
-    codes = np.zeros(1, dtype=np.int64)
-    for weight in [1 << (m - t) for t in range(1, m + 1)] + [1]:
-        codes = (codes[:, None] + weight * unit).ravel()
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    del codes
-    triples = np.stack([uniq // (K * K), uniq // K % K, uniq % K], axis=1)
-    del uniq
+    # V_k = F_0 V_{k-1} u F_1 V_{k-1} u F_2 V_{k-1}, glued at the level-1
+    # junctions.  Prepending letter j to an interior address of V_{k-1} keeps
+    # it canonical, so canonical order on V_k is: the corners, (0):1, (0):2,
+    # copy 0's interior, (1):2, copy 1's interior, copy 2's interior.  Built
+    # in a loop, not by recursion, so no coarser graph stays cached.
+    cells = np.array([[0, 1, 2]], dtype=np.int32)
+    words = np.empty((3, 0), dtype=np.int8)
+    letters = np.arange(3, dtype=np.int8)
+    for k in range(1, m + 1):
+        n = letters.size - 3  # interior vertices of V_{k-1}
+        first = (5, 6 + n, 6 + 2 * n)  # where copy j's interior starts
+        # maps[j] sends V_{k-1} into V_k under F_j; column i < 3 is F_j(q_i)
+        maps = np.empty((3, n + 3), dtype=np.int32)
+        maps[:, :3] = [[0, 3, 4], [3, 1, 5 + n], [4, 5 + n, 2]]
+        maps[:, 3:] = np.add.outer(first, np.arange(n))
+        cells = maps[:, cells].reshape(-1, 3)  # cell j + w is F_j of cell w
 
-    births, words, letters = canonical_address_arrays(triples, m)
-    order = np.argsort(address_sort_code(words, letters))
-    perm = np.empty(len(order), dtype=np.int64)
-    perm[order] = np.arange(len(order))
-    triples, births, words, letters = triples[order], births[order], words[order], letters[order]
-    cells = perm[inverse].reshape(-1, 3).astype(np.int32)
+        inner_words, inner_letters = words[3:], letters[3:]
+        words = np.full((6 + 3 * n, k), -1, dtype=np.int8)
+        letters = np.empty(6 + 3 * n, dtype=np.int8)
+        words[[3, 4, 5 + n], 0] = (0, 0, 1)
+        letters[[0, 1, 2, 3, 4, 5 + n]] = (0, 1, 2, 1, 2, 2)
+        for j, lo in enumerate(first):
+            words[lo:lo + n, 0] = j
+            words[lo:lo + n, 1:] = inner_words
+            letters[lo:lo + n] = inner_letters
 
-    if triples.shape[0] != vertex_count(m):
-        raise InvariantError(f"level-{m} graph has {triples.shape[0]} vertices, "
+    if letters.size != vertex_count(m):
+        raise InvariantError(f"level-{m} graph has {letters.size} vertices, "
                              f"not {vertex_count(m)}")
 
-    coords = (triples @ DEFAULT_CORNERS) / float(1 << m)
+    # vertex_key over the rows: 2^(m-t) for letter t, 2^(m-birth) for the corner
+    births = (words >= 0).sum(axis=1, dtype=np.int64)
+    keys = np.zeros((letters.size, 3), dtype=np.int64)
+    for s in range(m):
+        live = words[:, s] >= 0
+        keys[live, words[live, s]] += 1 << (m - 1 - s)
+    keys[np.arange(letters.size), letters] += np.left_shift(1, m - births)
+    coords = (keys @ DEFAULT_CORNERS) / float(1 << m)
 
-    arrays = (triples, coords, cells, births, words, letters)
+    arrays = (keys, coords, cells, births, words, letters)
     for arr in arrays:
         arr.setflags(write=False)
     return LevelGraph(m, *arrays)

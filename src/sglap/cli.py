@@ -300,7 +300,7 @@ def cmd_tangent(args) -> int:
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     triple = tangent.tangent_at(u, word)
-    grad = tangent.gradient_at(u, word)
+    grad = triple.gradient()
     k = max(len(word.prefix), u.m0)
     columns = ["word", "k", "t0", "t1", "t2", "g0", "g1", "g2"]
     row = [str(word), k, triple.t0, triple.t1, triple.t2,
@@ -346,7 +346,7 @@ def cmd_special(args) -> int:
     rows = []
     for i, (point, *row) in enumerate(zip(args.range, *fields)):
         if i in failures:
-            rows.append([point, *[None] * len(row), f"pole: {failures[i]}"])
+            rows.append([point, *[None] * len(row), str(failures[i])])
         else:
             rows.append([point, *row, None])
     text = (_write_csv if args.format == "csv" else _write_json)(columns, rows)

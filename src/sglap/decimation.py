@@ -24,6 +24,8 @@ from .harmonic import (CORNER_SWAPS, cell_values_to_vertex, extend_level, graph_
                        vertex_to_cell_values)
 
 SINGULAR_VALUES = (2.0, 5.0, 6.0)
+# sequence_from_limit snaps an entry this close to a singular value onto it
+SNAP_TOL = 1e-11
 
 SERIES_SEED = {"two": 2.0, "five": 5.0, "six": 6.0}
 _SERIES_RANK = {"two": 0, "five": 1, "six": 2}
@@ -225,12 +227,12 @@ class EigenvalueSequence:
         return self._limits[config]
 
 
-def sequence_from_limit(lam, config: special.ConvergenceConfig = special.DEFAULT_CONFIG,
-                        snap_tol: float = 1e-11) -> EigenvalueSequence:
+def sequence_from_limit(
+        lam, config: special.ConvergenceConfig = special.DEFAULT_CONFIG) -> EigenvalueSequence:
     """Invert the renormalized limit back to a sequence.
 
     psi_limit(5^-j lam) recovers lambda_j for every j, plus branches
-    included.  Entries within snap_tol of a singular value are snapped to it
+    included.  Entries within SNAP_TOL of a singular value are snapped to it
     and the deepest such level becomes m0; the plus set is read off from
     which entries exceed 5/2 (the two roots are separated by that line).
     """
@@ -250,7 +252,7 @@ def sequence_from_limit(lam, config: special.ConvergenceConfig = special.DEFAULT
     m0 = 0
     for j in range(J + 1):
         for s in SINGULAR_VALUES:
-            if abs(vals[j] - s) <= snap_tol:
+            if abs(vals[j] - s) <= SNAP_TOL:
                 vals[j] = s
                 m0 = j
     plus = frozenset(j for j in range(m0 + 1, J + 1) if vals[j] > 2.5)

@@ -29,8 +29,7 @@ class DenseSpectrum:
 
     level: int
     eigenvalues: np.ndarray  # ascending, one per interior vertex
-    eigenvectors: np.ndarray  # columns, matching order
-    interior_indices: np.ndarray  # rows into the level graph vertex order
+    eigenvectors: np.ndarray  # columns, matching order; row r is vertex 3 + r
     matrix: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -56,7 +55,7 @@ class DenseSpectrum:
 
 
 def dense_interior_matrix(level: int):
-    """-Delta_m with boundary rows and columns removed, plus the index map.
+    """-Delta_m with boundary rows and columns removed: row r is vertex 3 + r.
 
     Built from the cell edges (each edge lies in exactly one cell), not from
     the cell-Laplacian sum that graph_laplacian uses.
@@ -67,7 +66,7 @@ def dense_interior_matrix(level: int):
     for i, j in ((0, 1), (1, 2), (2, 0)):
         a[cells[:, i], cells[:, j]] = a[cells[:, j], cells[:, i]] = -1.0
     a[np.diag_indices(n)] = -a.sum(axis=1)
-    return a[3:, 3:], np.arange(3, n)
+    return a[3:, 3:]
 
 
 def dense_dirichlet_spectrum(m: int) -> DenseSpectrum:
@@ -76,9 +75,9 @@ def dense_dirichlet_spectrum(m: int) -> DenseSpectrum:
         raise DomainError(f"level must be nonnegative, got {m}")
     if m > DENSE_LEVEL_CAP:
         raise DomainError(f"dense solves are capped at level {DENSE_LEVEL_CAP}, got {m}")
-    a, interior = dense_interior_matrix(m)
+    a = dense_interior_matrix(m)
     w, v = np.linalg.eigh(a)
-    spec = DenseSpectrum(m, w, v, interior, a)
+    spec = DenseSpectrum(m, w, v, a)
     res = spec.residual()
     if res >= 1e-9:
         raise ConvergenceError(f"dense eigensolve residual {res:.3e} at level {m}")

@@ -22,13 +22,14 @@ from .errors import ConvergenceError, DomainError
 
 # validated stability region for the limit iteration
 PSI_DOMAIN_BOUND = 100.0
+# a tail product stops once its next factor is within tol * this of 1
+TAIL_BOUND_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
     tol: float = 1e-13
     max_iterations: int = 80
-    tail_bound_factor: float = 0.1
 
 
 DEFAULT_CONFIG = ConvergenceConfig()
@@ -134,7 +135,7 @@ def _upsilon_array(lam, config: ConvergenceConfig):
     # stop[i]: the first j whose tail bound passes; 0 where none does
     stop = np.zeros(lam.size, dtype=int)
     for j in range(last, 1, -1):
-        stop[size / 5.0**j / 3.0 < config.tol * config.tail_bound_factor] = j
+        stop[size / 5.0**j / 3.0 < config.tol * TAIL_BOUND_FACTOR] = j
     depth = np.where(stop > 0, stop, last)
     rows = np.arange(1, depth.max(initial=1) + 1)
     needed = rows[:, None] <= depth
@@ -177,8 +178,7 @@ def upsilon_with_error_array(lam, config: ConvergenceConfig = DEFAULT_CONFIG):
     """
     lam = np.asarray(lam, dtype=float)
     values, failures = _upsilon_array(lam, config)
-    tight = ConvergenceConfig(config.tol / 8.0, config.max_iterations + 8,
-                              config.tail_bound_factor)
+    tight = ConvergenceConfig(config.tol / 8.0, config.max_iterations + 8)
     tight_values, tight_failures = _upsilon_array(lam, tight)
     errors = np.abs(values - tight_values) + 8.0 * _EPS * (1.0 + np.abs(values))
     # the configured evaluation runs first, so its failure is the one raised
@@ -207,6 +207,6 @@ def tau(k: int, sequence, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
     for j in range(2, config.max_iterations + 2):
         term = sequence.value(k + j)
         prod *= 1.0 - term / 3.0
-        if abs(term) / 3.0 < config.tol * config.tail_bound_factor:
+        if abs(term) / 3.0 < config.tol * TAIL_BOUND_FACTOR:
             return prod
     raise ConvergenceError(f"tail product did not converge at k={k}")

@@ -57,14 +57,14 @@ class TangentTriple:
     def __iter__(self):
         return iter((self.t0, self.t1, self.t2))
 
+    def gradient(self) -> np.ndarray:
+        """Mean-subtracted triple.
 
-@dataclass(frozen=True, eq=False)
-class TangentMatrix:
-    """M0(lambda, k) with the cut level and sequence it was built from."""
-
-    matrix: np.ndarray
-    k: int
-    sequence: EigenvalueSequence
+        The average-zero projection is taken coordinatewise (plain mean
+        subtraction); tangent-level identities do not depend on this choice.
+        """
+        t = self.as_array()
+        return t - t.mean()
 
 
 def limit_action(sequence: EigenvalueSequence, m0: int, v: str) -> np.ndarray:
@@ -91,12 +91,12 @@ def limit_action(sequence: EigenvalueSequence, m0: int, v: str) -> np.ndarray:
     return 2.0 * c * BETA
 
 
-def m0_matrix(sequence: EigenvalueSequence, k: int) -> TangentMatrix:
+def m0_matrix(sequence: EigenvalueSequence, k: int) -> np.ndarray:
     """The closed-form tail matrix M0(lambda, k) at cut level k >= m0."""
     if k < sequence.m0:
         raise DomainError(f"cut level {k} below the sequence start {sequence.m0}")
     if sequence.lambda_m0 == 0.0:
-        return TangentMatrix(np.eye(3), k, sequence)
+        return np.eye(3)
     lam_k = sequence.value(k)
     if lam_k == 0.0:
         raise DomainError(f"M0 is undefined at lambda_k = 0 (level {k})")
@@ -104,12 +104,11 @@ def m0_matrix(sequence: EigenvalueSequence, k: int) -> TangentMatrix:
     t = special.tau(k, sequence)
     c = lam / (3.0 * 5.0**k * lam_k)
     off = 1.0 - (4.0 - lam_k) * t * c
-    m = np.array([
+    return np.array([
         [1.0, 0.0, 0.0],
         [off, c * (2.0 * t + 1.0), c * (2.0 * t - 1.0)],
         [off, c * (2.0 * t - 1.0), c * (2.0 * t + 1.0)],
     ])
-    return TangentMatrix(m, k, sequence)
 
 
 def _as_word(w) -> EventuallyConstantWord:
@@ -134,19 +133,14 @@ def tangent_at(u: SpectralEigenfunction, w, cut=None) -> TangentTriple:
         k = int(cut)
     word = w.truncation(k)
     s = CORNER_SWAPS[w.tail]
-    tail_matrix = s @ m0_matrix(u.sequence, k).matrix @ s
+    tail_matrix = s @ m0_matrix(u.sequence, k) @ s
     triple = harmonic_pullback(word) @ tail_matrix @ u.cell_triple(word)
     return TangentTriple(*(float(x) for x in triple))
 
 
 def gradient_at(u: SpectralEigenfunction, w) -> np.ndarray:
-    """Mean-subtracted tangent triple.
-
-    The average-zero projection is taken coordinatewise (plain mean
-    subtraction); tangent-level identities do not depend on this choice.
-    """
-    t = tangent_at(u, w).as_array()
-    return t - t.mean()
+    """Mean-subtracted tangent triple of u at w (TangentTriple.gradient)."""
+    return tangent_at(u, w).gradient()
 
 
 def normal_derivative(u: SpectralEigenfunction, i: int) -> float:

@@ -261,7 +261,7 @@ def test_criterion_09_harmonic_degeneration():
     devs = {}
     for lam in (1e-5, -1e-5, 1e-6):
         seq = sequence_from_limit(lam)
-        devs[lam] = float(np.abs(m0_matrix(seq, 0).matrix - np.eye(3)).max())
+        devs[lam] = float(np.abs(m0_matrix(seq, 0) - np.eye(3)).max())
         ok = ok and devs[lam] < 1e-6
     ok = ok and 5.0 < devs[1e-5] / devs[1e-6] < 20.0  # deviation vanishes linearly
     u = SpectralEigenfunction(zero, b)

@@ -1,4 +1,5 @@
 """Exact-arithmetic addressing: IFS words, barycentric keys, level graphs."""
+import hashlib
 import itertools
 import tracemalloc
 
@@ -10,13 +11,10 @@ from hypothesis import strategies as st
 from sglap import address
 from sglap.address import (
     DEFAULT_CORNERS,
-    MAX_SORT_CODE_LEVEL,
     EventuallyConstantWord,
-    address_sort_code,
     apply_ifs,
     build_level_graph,
     canonical_address,
-    canonical_address_arrays,
     format_address,
     resolve_addresses,
     vertex_key,
@@ -105,24 +103,47 @@ def test_index_of_finds_every_address():
         g.index_of((0, 5), 1)
 
 
-def _array_addresses(keys, level):
-    births, words, letters = canonical_address_arrays(keys, level)
-    out = [(tuple(c for c in row if c >= 0), letter)
-           for row, letter in zip(words.tolist(), letters.tolist())]
-    assert [len(word) for word, _ in out] == births.tolist()
-    return out
-
-
 def test_array_addressing_matches_scalar():
     for m in range(9):
         g = build_level_graph(m)
         keys = g.keys.tolist()
         scalar = [resolve_addresses(tuple(k), m)[0] for k in keys]
-        assert _array_addresses(g.keys, m) == scalar
+        carried = [(tuple(c for c in row if c >= 0), letter)
+                   for row, letter in zip(g.words.tolist(), g.letters.tolist())]
+        assert carried == scalar
+        assert [len(word) for word, _ in carried] == g.births.tolist()
         # vertex order is the scalar canonical order, and the graph carries it
         assert keys == sorted(keys, key=lambda k: canonical_address(tuple(k), m))
         assert g.addresses() == [format_address(w, c) for w, c in scalar]
         assert [list(vertex_key(w, c, m)) for w, c in scalar] == keys
+
+
+# sha256 over name, dtype, shape and bytes of every LevelGraph array, computed
+# by the key-packing and greedy-descent construction this one replaced
+LEVEL_GRAPH_SHA256 = {
+    0: "baddbaad86eff6de2c8864fe35c91526fa80df05506852426fda2fa58d0752d0",
+    1: "dc33c8953937ff549e8fca91e3d33863383825dcfe185c7b7ba997ffd98d4b4c",
+    2: "614c3960677af4b8675710f0dcbd04df9a9086b139e94559119611430b6ab2cf",
+    3: "a3e5436f539e0bc8161a03b30a35d927aa1cc73c3baeb78adbd286d205adcd28",
+    4: "7c2085860490dfa91d5184e9eef9ddd80f80da20b5d593943db6a12a57d0b4da",
+    5: "2e7a5e53898ee99e1e83521c7b908e96b5ee9eff8212c84641d2d17f0e03d1bd",
+    6: "3fe8e7133436ab669340d6a19351e8c2fdd24e2b590c43eb1e14ff40d5cd57c7",
+    7: "0fd26c71fa588badec7ccb68993ac7f558eeaa9c61d40add6137b2c83401475d",
+    8: "0b859aadfdfc147d80065dcbf2073c3aaeb9f595ff492800c6044fdbc1c07f4b",
+    9: "ba839f1c015155716b1e2db32b0acf59d29f2e0d45b7f440333160fcfb0676b0",
+    10: "0d589bfde3d6534928a6e3dfda606c5c1d2214e51a6fd4e6d7a17a6322dbcae0",
+}
+
+
+@pytest.mark.parametrize("m", sorted(LEVEL_GRAPH_SHA256))
+def test_level_graph_is_pinned(m):
+    g = build_level_graph(m)
+    digest = hashlib.sha256()
+    for name in ("keys", "coords", "cells", "births", "words", "letters"):
+        arr = getattr(g, name)
+        digest.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == LEVEL_GRAPH_SHA256[m]
 
 
 def test_address_ranges_match_scalar_across_blocks():
@@ -143,35 +164,7 @@ def test_level_graph_build_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15e6
-
-
-@given(words, letters, st.integers(0, 4))
-def test_array_addressing_of_lifted_keys(word, letter, j):
-    level = len(word) + j
-    key = vertex_key(word, letter, level)
-    assert _array_addresses([key], level) == [canonical_address(key, level)]
-
-
-def test_sort_code_orders_like_tuples_up_to_its_level_cap():
-    m = MAX_SORT_CODE_LEVEL
-    pairs = [((), 0), ((), 2), ((0,), 1), ((0,) * m, 2), ((1,), 0), ((2,) * (m - 1) + (1,), 2),
-             ((2,) * m, 1), ((2,) * m, 2)]
-    assert pairs == sorted(pairs)
-    mat = np.array([list(w) + [-1] * (m - len(w)) for w, _ in pairs], dtype=np.int8)
-    codes = address_sort_code(mat, np.array([c for _, c in pairs], dtype=np.int8))
-    assert (np.diff(codes) > 0).all()
-    assert codes[-1] == 4 ** (m + 1) - 2  # the largest code: no int64 overflow
-    births, words, letters = canonical_address_arrays([(1 << (m + 1), 0, 0)], m + 1)
-    with pytest.raises(DomainError):
-        address_sort_code(words, letters)
-
-
-def test_array_addressing_rejects_non_vertices():
-    with pytest.raises(DomainError):
-        canonical_address_arrays([(3, 3, 2)], 3)  # sums to 8 but lies in no 1-cell
-    with pytest.raises(DomainError):
-        canonical_address_arrays([(1, 1, 1)], 2)
+    assert peak < 11e6
 
 
 def test_cells_are_in_word_order():

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -390,9 +391,9 @@ SPECIAL_GOLDEN_SHA256 = {
     ("--fn", "upsilon", "--range=-12.3:14.2:2000", "--format", "json"):
         "24a296a5f94939cd435f7f4ac48e5bce3345712cbdf9ee7b84814a6dee88a8c4",
     ("--fn", "psi", "--range=-150:150:601"):
-        "5d2b333d0a0d84bdeab5fcf42c9d5e1fe7612ad7e648a9fad8bc677d5502b521",
+        "2b6a6c5502a71dc59f8d51797a49e6f3a68412d649aefb68f0fb2785cb346222",
     ("--fn", "upsilon", "--range=-1e4:1e4:101"):
-        "d049299ada96e98f1c6e25ba2de885f538baf04bc62ab72cd36f05812c2de292",
+        "173f2981f6cb0fb51545fa54e7c23b7588f012f21aca4846a2d56f4a0c65e07f",
     ("--fn", "psi", "--range=1:2:5", "--tol=1e-300"):
         "05ef9bde260c27dc32c2b39cb77d7611e986b3a213317e5d11bbbd4c4fbdea36",
 }
@@ -410,7 +411,7 @@ def test_special_audit_of_an_overflowing_5z_is_skipped(capsys):
     code, out, err = run(["special", "--fn", "psi", "--range=1e308:1e308:2"], capsys)
     assert code == 0 and err == ""
     _, rows = parse_csv(out)
-    assert [r[-1].split(" ")[:2] for r in rows] == [["pole:", "argument"]] * 2
+    assert [r[-1] for r in rows] == ["argument 1e+308 outside the validated region |z| <= 100"] * 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -578,6 +579,10 @@ _tols = st.one_of(
 )
 
 
+# every way a special row can fail names itself in its note
+FAILURE_NOTE = re.compile("has a pole|outside|overflowed|did not settle|did not converge")
+
+
 def _finite(field) -> bool:
     try:
         return math.isfinite(float(field))
@@ -606,7 +611,7 @@ def test_special_grammar_fuzz(fn, grid, tol, fmt):
     for record in records:
         assert _finite(record["z"])
         if record["note"]:
-            assert record["note"].startswith("pole: ") and record["value"] in ("", None)
+            assert FAILURE_NOTE.search(record["note"]) and record["value"] in ("", None)
             continue
         assert _finite(record["value"]) and _finite(record["error"])
         assert record.get("functional_eq") in ("", None) or _finite(record["functional_eq"])

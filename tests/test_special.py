@@ -10,6 +10,7 @@ from sglap.decimation import EigenvalueSequence, sequence_from_limit
 from sglap.errors import ConvergenceError, DomainError, SglapError
 from sglap.special import (
     PSI_DOMAIN_BOUND,
+    TAIL_BOUND_FACTOR,
     ConvergenceConfig,
     psi,
     psi_limit,
@@ -120,15 +121,14 @@ def reference_upsilon(lam, config):
     prod = 1.0 / head
     for j in range(2, config.max_iterations + 2):
         prod *= 1.0 - reference_psi_limit(lam / 5.0**j, config)[0] / 3.0
-        if abs(lam) / 5.0**j / 3.0 < config.tol * config.tail_bound_factor:
+        if abs(lam) / 5.0**j / 3.0 < config.tol * TAIL_BOUND_FACTOR:
             return prod
     raise ConvergenceError(f"tail product did not converge for lambda={lam!r}")
 
 
 def reference_upsilon_with_error(lam, config):
     val = reference_upsilon(lam, config)
-    tight = ConvergenceConfig(config.tol / 8.0, config.max_iterations + 8,
-                              config.tail_bound_factor)
+    tight = ConvergenceConfig(config.tol / 8.0, config.max_iterations + 8)
     return val, abs(val - reference_upsilon(lam, tight)) + 8.0 * math.ulp(1.0) * (1.0 + abs(val))
 
 
@@ -172,8 +172,8 @@ def test_scalar_forms_return_python_floats_and_raise_the_failure():
         psi_limit(math.nan)
     with pytest.raises(ConvergenceError, match=r"did not settle for z=3\.0"):
         psi_limit(3.0, ConvergenceConfig(tol=1e-15, max_iterations=2))
-    with pytest.raises(ConvergenceError, match=r"tail product did not converge for lambda=7\.0"):
-        upsilon(7.0, ConvergenceConfig(tol=1e-13, max_iterations=80, tail_bound_factor=1e-300))
+    with pytest.raises(ConvergenceError, match=r"tail product did not converge for lambda=0\.0001"):
+        upsilon(1e-4, ConvergenceConfig(max_iterations=12))
     with pytest.raises(DomainError, match=r"argument 200\.0 outside"):
         upsilon_with_error(1000.0)
 

@@ -49,7 +49,7 @@ def test_tail_matrix_eigen_identities():
     for seq in SEQUENCES:
         # k = m0 exercises singular head values (2 and 6), which M0 allows
         for k in (seq.m0, seq.m0 + 2):
-            m = m0_matrix(seq, k).matrix
+            m = m0_matrix(seq, k)
             lam, lam_k = seq.limit(), seq.value(k)
             c = lam / (3.0 * 5.0**k * lam_k)
             t = tau(k, seq)
@@ -80,7 +80,7 @@ def test_limit_action_zero_sequence():
 def test_tail_matrix_guards():
     with pytest.raises(DomainError):
         m0_matrix(EigenvalueSequence(1, 2.0), 0)  # cut below the sequence start
-    assert np.array_equal(m0_matrix(EigenvalueSequence(0, 0.0), 3).matrix, np.eye(3))
+    assert np.array_equal(m0_matrix(EigenvalueSequence(0, 0.0), 3), np.eye(3))
 
 
 def test_six_element_tangent_closed_form():

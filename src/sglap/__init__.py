@@ -38,7 +38,6 @@ from .errors import (
 )
 from .harmonic import (
     extend_harmonic,
-    graph_laplacian_apply,
     harmonic_extension,
     harmonic_matrix,
     harmonic_normal_derivative,

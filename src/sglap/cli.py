@@ -218,30 +218,43 @@ def _row_ranges(n: int):
     return [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
 
 
+def _reprs(column) -> list:
+    """repr of each float64 in `column`, computing each distinct one once.
+
+    Floats are keyed by bit pattern, not by value, so 0.0 and -0.0 (equal,
+    with different reprs) keep their own strings."""
+    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    table = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return table[inverse].tolist()
+
+
 def _eval_blocks(args, graph, values):
     """The eval output as text blocks: a header, then BLOCK_ROWS rows at a
     time, so that no more than one block of rows is ever held as text.
 
     The bytes equal what csv.writer and json.dumps(indent=2) give for these
     rows (addresses need no quoting or escaping, and finite floats print as
-    repr in both); a JSON block after the first starts with the ",\n" seam."""
+    repr in both); a JSON block after the first starts with the ",\n" seam.
+    The vertices sit on a dyadic grid and the values repeat by symmetry, so
+    each block formats every distinct float once (_reprs)."""
     level, fmt = args.level, args.format
     if fmt == "obj":
         yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
         yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
     for lo, hi in _row_ranges(graph.size):
-        x, y = graph.coords[lo:hi].T.tolist()
-        v = values[lo:hi].tolist()
+        x, y = map(_reprs, graph.coords[lo:hi].T)
+        v = _reprs(values[lo:hi])
         if fmt == "obj":
-            yield "".join([f"v {a!r} {b!r} {c!r}\n" for a, b, c in zip(x, y, v)])
+            yield "".join([f"v {a} {b} {c}\n" for a, b, c in zip(x, y, v)])
         elif fmt == "csv":
-            yield "".join([f"{s},{level},{a!r},{b!r},{c!r}\n"
+            yield "".join([f"{s},{level},{a},{b},{c}\n"
                            for s, a, b, c in zip(graph.addresses(lo, hi), x, y, v)])
         else:
             yield ("" if lo == 0 else ",\n") + ",\n".join(
-                [f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a!r},\n'
-                 f'    "y": {b!r},\n    "value": {c!r}\n  }}'
+                [f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a},\n'
+                 f'    "y": {b},\n    "value": {c}\n  }}'
                  for s, a, b, c in zip(graph.addresses(lo, hi), x, y, v)])
     if fmt == "obj":
         for lo, hi in _row_ranges(len(graph.cells)):

@@ -118,15 +118,6 @@ def graph_laplacian(graph: LevelGraph, values) -> np.ndarray:
     return np.bincount(graph.cells.ravel(), weights=cell_laplacians.ravel(), minlength=graph.size)
 
 
-def graph_laplacian_apply(graph: LevelGraph, values) -> np.ma.MaskedArray:
-    """Graph Laplacian at interior vertices; the boundary entries 0, 1, 2 are
-    masked out (the operator is only defined away from V_0)."""
-    full = graph_laplacian(graph, values)
-    mask = np.zeros(graph.size, dtype=bool)
-    mask[:3] = True
-    return np.ma.MaskedArray(full, mask=mask)
-
-
 def harmonic_normal_derivative(boundary_values, corner: int) -> float:
     """Normal derivative of a harmonic function at q_corner.
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -205,6 +206,93 @@ def test_eval_golden_bytes_across_block_seams(fmt, block_rows, monkeypatch, caps
                         "--verify"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EVAL_GOLDEN_SHA256[fmt]
+
+
+# sha256 of `eval --seed six:3:5:+-+- --level 9` stdout, pinned from the
+# per-row repr formatting: 29526 rows, so 8 default blocks, mostly zeros
+EVAL_L9_GOLDEN_SHA256 = {
+    "csv": "b90190558b3fbb43586f53688114c54d1ab50aa1b4c4319d8d63958f9f4b298c",
+    "json": "0de8c7f12f0029d9f18c947e6647aa5c42e8ca030bbb9db6ef1fd1cd5294290b",
+    "obj": "cb97e5cc24b477cd30ef592f4079ceb624d4b9b3bafff5ccfeac7917fc8fbd98",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EVAL_L9_GOLDEN_SHA256))
+def test_eval_golden_bytes_over_many_blocks(fmt, capsys):
+    code, out, _ = run(["eval", "--seed", "six:3:5:+-+-", "--level", "9", "--format", fmt],
+                       capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_L9_GOLDEN_SHA256[fmt]
+
+
+def test_reprs_key_floats_by_bit_pattern():
+    tiny = np.nextafter(1.0, 2.0)
+    column = np.array([tiny, 0.0, -3.5, 5e-324, -0.0, 1.0, tiny, 0.0, -0.0, 2.5e-310, -3.5,
+                       1.0, 5e-324])
+    assert cli._reprs(column) == [repr(v) for v in column.tolist()]
+    strided = np.stack([column, column[::-1]], axis=1)[:, 1]
+    assert cli._reprs(strided) == [repr(v) for v in strided.tolist()]
+
+
+def _reference_eval_blocks(args, graph, values):
+    """The eval blocks as formatted one row at a time with repr."""
+    level, fmt = args.level, args.format
+    if fmt == "obj":
+        yield f"# sglap eval seed={args.seed} level={level}\n"
+    else:
+        yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
+    for lo, hi in cli._row_ranges(graph.size):
+        x, y = graph.coords[lo:hi].T.tolist()
+        v = values[lo:hi].tolist()
+        if fmt == "obj":
+            yield "".join([f"v {a!r} {b!r} {c!r}\n" for a, b, c in zip(x, y, v)])
+        elif fmt == "csv":
+            yield "".join([f"{s},{level},{a!r},{b!r},{c!r}\n"
+                           for s, a, b, c in zip(graph.addresses(lo, hi), x, y, v)])
+        else:
+            yield ("" if lo == 0 else ",\n") + ",\n".join(
+                [f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a!r},\n'
+                 f'    "y": {b!r},\n    "value": {c!r}\n  }}'
+                 for s, a, b, c in zip(graph.addresses(lo, hi), x, y, v)])
+    if fmt == "obj":
+        for lo, hi in cli._row_ranges(len(graph.cells)):
+            yield "".join([f"f {a} {b} {c}\n" for a, b, c in (graph.cells[lo:hi] + 1).tolist()])
+    elif fmt == "json":
+        yield "\n]\n"
+
+
+# the benchmark's series seeds: (series, m0, number of indices); the six:3
+# seeds vanish on whole cells, so their blocks are mostly zeros
+_EVAL_SERIES = (("two", 1, 1), ("five", 1, 2), ("five", 2, 3), ("six", 1, 1), ("six", 2, 3),
+                ("six", 3, 12))
+
+
+def _eval_seed(family, index, branches):
+    """(seed, m0) drawn as the benchmark draws them; the 6-series takes the
+    plus root at m0 + 1."""
+    series, m0, count = family
+    if series == "six" and branches:
+        branches = "+" + branches[1:]
+    seed = f"{series}:{m0}:{index % count + 1}"
+    return (f"{seed}:{branches}" if branches else seed), m0
+
+
+_eval_seeds = st.builds(_eval_seed, st.one_of(st.sampled_from(_EVAL_SERIES),
+                                              st.just(("six", 3, 12))),
+                        st.integers(0, 11), st.text("+-", max_size=6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_eval_seeds.flatmap(lambda seed: st.tuples(st.just(seed[0]), st.integers(seed[1], 6))),
+       st.sampled_from(["csv", "json", "obj"]), st.sampled_from([1, 7, 4096]))
+def test_eval_blocks_equal_per_row_repr(seed_level, fmt, block_rows):
+    seed, level = seed_level
+    graph = build_level_graph(level)
+    values = cli.parse_seed(seed).values_on_level(level)
+    args = argparse.Namespace(seed=seed, level=level, format=fmt)
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        assert "".join(cli._eval_blocks(args, graph, values)) == \
+            "".join(_reference_eval_blocks(args, graph, values))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "obj"])

@@ -26,9 +26,9 @@ import sys
 
 import numpy as np
 
-from . import decimation, oracle, special, tangent
-from .address import EventuallyConstantWord, build_level_graph
-from .decimation import SpectralEigenfunction, eigen_residual, sequence_from_limit
+# the other layers are imported by the subcommands that run them, so that a
+# process loads only what its subcommand uses
+from . import special
 from .errors import DomainError, SglapError, UsageError
 
 SPECTRUM_TOL = 1e-9
@@ -128,8 +128,10 @@ def parse_range(text: str) -> list:
     return grid
 
 
-def parse_seed(text: str) -> SpectralEigenfunction:
-    """Resolve the seed mini-grammar to an eigenfunction."""
+def parse_seed(text: str):
+    """Resolve the seed mini-grammar to a decimation.SpectralEigenfunction."""
+    from . import decimation
+
     parts = text.split(":")
     if not parts or parts[0] == "":
         raise UsageError(f"empty seed spec {text!r}")
@@ -145,11 +147,11 @@ def parse_seed(text: str) -> SpectralEigenfunction:
             raise UsageError(f"free seed needs exactly three boundary values, got {parts[2]!r}")
         if not np.isfinite([lam, *triple]).all():
             raise UsageError(f"free seed values must be finite, got {text!r}")
-        seq = sequence_from_limit(lam)
+        seq = decimation.sequence_from_limit(lam)
         if seq.m0 != 0:
             raise UsageError(f"lambda={lam!r} hits a singular level; "
                              "use a series seed for Dirichlet eigenfunctions")
-        return SpectralEigenfunction(seq, np.array(triple), label=f"free:{lam!r}")
+        return decimation.SpectralEigenfunction(seq, np.array(triple), label=f"free:{lam!r}")
     if len(parts) not in (3, 4):
         raise UsageError(f"seed needs series:m0:index[:branches], got {text!r}")
     series = parts[0]
@@ -177,10 +179,14 @@ def parse_seed(text: str) -> SpectralEigenfunction:
 # --- spectrum ---------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
+    from . import decimation
+
     lines = decimation.enumerate_dirichlet_spectrum(args.level)
     columns = ["series", "m0", "branches", "lambda_m", "lambda", "multiplicity"]
     residuals = None
     if args.verify:
+        from . import oracle
+
         dense = oracle.dense_dirichlet_spectrum(args.level)
         residuals = []
         start = 0
@@ -282,6 +288,9 @@ def _reingest(fmt: str, blocks, parsed: list):
 
 
 def cmd_eval(args) -> int:
+    from .address import build_level_graph
+    from .decimation import eigen_residual
+
     u = parse_seed(args.seed)
     graph = build_level_graph(args.level)
     values = u.values_on_level(args.level)
@@ -307,6 +316,9 @@ def cmd_eval(args) -> int:
 # --- tangent ----------------------------------------------------------------
 
 def cmd_tangent(args) -> int:
+    from . import tangent
+    from .address import EventuallyConstantWord
+
     u = parse_seed(args.seed)
     try:
         word = EventuallyConstantWord.parse(args.word)
@@ -320,6 +332,8 @@ def cmd_tangent(args) -> int:
            float(grad[0]), float(grad[1]), float(grad[2])]
     deviation = None
     if args.verify:
+        from . import oracle
+
         ref, err = oracle.direct_tangent_limit(u, word, 25)
         deviation = float(np.max(np.abs(triple.as_array() - ref.as_array())))
         columns += ["oracle_t0", "oracle_t1", "oracle_t2", "deviation", "error_estimate"]

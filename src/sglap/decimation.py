@@ -273,12 +273,6 @@ def eigen_matrices(lam: float) -> np.ndarray:
     return out
 
 
-def eigen_matrix(i, lam: float) -> np.ndarray:
-    """The letter-i extension matrix at level eigenvalue lam; degenerates to
-    the harmonic matrix at lam = 0."""
-    return eigen_matrices(float(lam))[check_letter(i)]
-
-
 def extend_eigen(b, suffix, sequence: EigenvalueSequence, at_level: int) -> np.ndarray:
     """Walk one cell triple down the suffix letters, one level per letter.
 

@@ -30,19 +30,6 @@ HARMONIC_MATRICES.setflags(write=False)
 HARMONIC_INVERSES.setflags(write=False)
 
 
-def harmonic_matrix(i) -> np.ndarray:
-    """The extension matrix A_i sending a cell triple to the letter-i subcell."""
-    return HARMONIC_MATRICES[check_letter(i)]
-
-
-def extend_harmonic(b, word) -> np.ndarray:
-    """A_w b: the triple of the harmonic function with data b on cell w."""
-    out = np.asarray(b, dtype=float).reshape(3)
-    for c in check_word(word):
-        out = HARMONIC_MATRICES[c] @ out
-    return out
-
-
 def harmonic_pullback(word) -> np.ndarray:
     """Inverse of A_w, i.e. A_{w_1}^{-1} ... A_{w_m}^{-1}, built from the
     exact-rational inverses; used to pull cell data back to boundary data."""

@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DomainError
 from .tangent import TangentTriple
 
 DENSE_LEVEL_CAP = 6
-ORACLE_DPS = 50  # enough headroom for 5^25 noise amplification in tangents
+ORACLE_DPS = 50  # significant digits (stdlib decimal): headroom for 5^25 noise amplification
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,28 +133,30 @@ def direct_tangent_limit(u: SpectralEigenfunction, w, m: int):
 
     This is the defining sequence of the harmonic tangent, iterated with no
     closed-form shortcuts; the reported error is the distance to the m-1
-    iterate.  Runs in extended precision because the pullback amplifies the
-    antisymmetric roundoff component five-fold per level.
+    iterate.  Runs in ORACLE_DPS significant decimal digits because the
+    pullback amplifies the antisymmetric roundoff component five-fold per
+    level.
     """
     if isinstance(w, str):
         w = EventuallyConstantWord.parse(w)
     m0 = u.m0
     if m < m0:
         raise DomainError(f"need m >= m0 = {m0}, got {m}")
-    # mpmath is imported here, so that only a tangent check pays for it
-    from mpmath import mp, mpf
+    # decimal is imported here, so that only a tangent check pays for it
+    from decimal import Context, Decimal, localcontext
 
-    with mp.workdps(ORACLE_DPS):
-        third = mpf(1) / 3
-        lam = mpf(u.sequence.lambda_m0)
-        pull = [[mpf(1 if a == b else 0) for b in range(3)] for a in range(3)]
+    # a local context: the caller's decimal context is left as it was
+    with localcontext(Context(prec=ORACLE_DPS)):
+        third = Decimal(1) / 3
+        lam = Decimal(u.sequence.lambda_m0)
+        pull = [[Decimal(1 if a == b else 0) for b in range(3)] for a in range(3)]
         for c in w.truncation(m0):
             pull = _mp_matmul(pull, _mp_harmonic_inverse(c, third))
-        triple = [mpf(float(x)) for x in u.cell_triple(w.truncation(m0))]
+        triple = [Decimal(float(x)) for x in u.cell_triple(w.truncation(m0))]
         prev = None
         cur = _mp_matvec(pull, triple)
         for t in range(m0 + 1, m + 1):
-            root = mp.sqrt(25 - 4 * lam)
+            root = (25 - 4 * lam).sqrt()
             lam = (5 + root) / 2 if t in u.sequence.plus_indices else 2 * lam / (5 + root)
             letter = w.letter(t)
             triple = _mp_matvec(_mp_eigen_matrix(letter, lam), triple)

@@ -13,19 +13,18 @@ import time
 import mpmath as mp
 import numpy as np
 
-from conftest import acceptance_log
+from conftest import acceptance_log, eigen_matrix, extend_harmonic, harmonic_matrix
 
 from sglap.decimation import (
     EigenvalueSequence,
     SpectralEigenfunction,
     dirichlet_eigenfunction,
-    eigen_matrix,
     enumerate_dirichlet_spectrum,
     extend_eigen,
     sequence_from_limit,
     six_series_element,
 )
-from sglap.harmonic import extend_harmonic, harmonic_matrix, normal_derivative_limit
+from sglap.harmonic import normal_derivative_limit
 from sglap.oracle import (
     dense_dirichlet_spectrum,
     direct_tangent_limit,

@@ -447,19 +447,30 @@ def test_spectrum_verify_golden_columns(capsys):
         "235ffd28ee1184eb44abfd50a38e6af0713bae8ea3cb718f87542d97262198e8"
 
 
-def test_only_a_tangent_check_imports_mpmath():
-    # a fresh process, since this one has long imported mpmath
+def test_each_subcommand_loads_only_the_layers_it_runs():
+    # a fresh process, since this one has long loaded every layer and mpmath
     script = """if True:
         import contextlib, io, sys
+
+        def layers():
+            return {name for name in sys.modules if name.startswith("sglap.")}
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert sglap.cli.main(list(argv)) == 0, argv
+            assert "mpmath" not in sys.modules, argv
+            return layers()
+
         import sglap.cli
-        assert "mpmath" not in sys.modules, "import"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert sglap.cli.main(["spectrum", "--level", "2", "--verify"]) == 0
-        assert "mpmath" not in sys.modules, "spectrum --verify"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert sglap.cli.main(["tangent", "--seed", "six:1:1", "--word", ":0",
-                                   "--verify"]) == 0
-        assert "mpmath" in sys.modules
+        base = {"sglap.cli", "sglap.special", "sglap.errors"}
+        assert layers() == base, layers()
+        assert run("special", "--fn", "psi", "--range=0:1:3") == base
+        assert run("special", "--fn", "upsilon", "--range=0:1:3") == base
+        checks = {"sglap.oracle", "sglap.tangent"}
+        assert not run("spectrum", "--level", "2") & checks
+        assert not run("eval", "--seed", "six:2:1", "--level", "2", "--verify") & checks
+        assert "sglap.oracle" in run("spectrum", "--level", "2", "--verify")
+        run("tangent", "--seed", "six:1:1", "--word", ":0", "--verify")
     """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

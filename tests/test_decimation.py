@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import eigen_matrix, harmonic_matrix
+
 from sglap import address, decimation
 from sglap.address import build_level_graph, resolve_addresses, vertex_key
 from sglap.decimation import (
@@ -18,7 +20,6 @@ from sglap.decimation import (
     dirichlet_eigenfunction,
     dirichlet_seed_values,
     eigen_matrices,
-    eigen_matrix,
     enumerate_dirichlet_spectrum,
     lambda_next,
     rotate_six,
@@ -30,7 +31,7 @@ from sglap.decimation import (
 )
 from sglap.errors import (ConvergenceError, DomainError, InvariantError, SglapError,
                           SingularLevelError)
-from sglap.harmonic import graph_laplacian, harmonic_matrix
+from sglap.harmonic import graph_laplacian
 from sglap.special import DEFAULT_CONFIG, ConvergenceConfig
 
 CLOSED_FORM_SEEDS = [

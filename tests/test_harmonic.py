@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import extend_harmonic, harmonic_matrix
+
 from sglap import harmonic
 from sglap.address import build_level_graph
 from sglap.errors import ConvergenceError, DomainError
@@ -11,11 +13,9 @@ from sglap.harmonic import (
     CORNER_SWAPS,
     HARMONIC_INVERSES,
     HARMONIC_MATRICES,
-    extend_harmonic,
     extend_level,
     graph_laplacian,
     harmonic_extension,
-    harmonic_matrix,
     harmonic_normal_derivative,
     harmonic_pullback,
     normal_derivative_limit,

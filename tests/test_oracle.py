@@ -1,30 +1,39 @@
 """Independent verification routes: dense spectra, brute tangent limits, 1-D calculus."""
 import cmath
+import decimal
 import hashlib
 import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sglap.address import build_level_graph
+from sglap.address import EventuallyConstantWord, build_level_graph
 from sglap.decimation import (
+    SpectralEigenfunction,
     dirichlet_eigenfunction,
     enumerate_dirichlet_spectrum,
+    sequence_from_limit,
     six_series_element,
 )
 from sglap.errors import DomainError
 from sglap.harmonic import graph_laplacian
 from sglap.oracle import (
+    ORACLE_DPS,
+    _mp_eigen_matrix,
+    _mp_harmonic_inverse,
+    _mp_matmul,
+    _mp_matvec,
     dense_dirichlet_spectrum,
     dense_interior_matrix,
     direct_tangent_limit,
     interval_tangent,
     sorted_pairing_gap,
 )
-from sglap.tangent import tangent_at
+from sglap.tangent import TangentTriple, tangent_at
 
 
 def test_level1_dense_spectrum():
@@ -166,6 +175,101 @@ def test_direct_limit_rejects_short_truncations():
     u = dirichlet_eigenfunction("six", 2, 1)
     with pytest.raises(DomainError):
         direct_tangent_limit(u, ":0", 1)  # below the seed level
+
+
+def _mpmath_tangent_limit(u, w, m):
+    """direct_tangent_limit as it ran on mpmath before it moved to stdlib
+    decimal, transcribed literally: the reference of the differential test."""
+    if isinstance(w, str):
+        w = EventuallyConstantWord.parse(w)
+    m0 = u.m0
+    if m < m0:
+        raise DomainError(f"need m >= m0 = {m0}, got {m}")
+    mp, mpf = mpmath.mp, mpmath.mpf
+
+    with mp.workdps(ORACLE_DPS):
+        third = mpf(1) / 3
+        lam = mpf(u.sequence.lambda_m0)
+        pull = [[mpf(1 if a == b else 0) for b in range(3)] for a in range(3)]
+        for c in w.truncation(m0):
+            pull = _mp_matmul(pull, _mp_harmonic_inverse(c, third))
+        triple = [mpf(float(x)) for x in u.cell_triple(w.truncation(m0))]
+        prev = None
+        cur = _mp_matvec(pull, triple)
+        for t in range(m0 + 1, m + 1):
+            root = mp.sqrt(25 - 4 * lam)
+            lam = (5 + root) / 2 if t in u.sequence.plus_indices else 2 * lam / (5 + root)
+            letter = w.letter(t)
+            triple = _mp_matvec(_mp_eigen_matrix(letter, lam), triple)
+            pull = _mp_matmul(pull, _mp_harmonic_inverse(letter, third))
+            prev = cur
+            cur = _mp_matvec(pull, triple)
+        out = TangentTriple(*(float(x) for x in cur))
+        err = math.inf if prev is None else float(max(abs(a - b) for a, b in zip(cur, prev)))
+    return out, err
+
+
+ORACLE_DEPTH_CAP = 30
+
+
+@st.composite
+def oracle_seeds(draw):
+    """Series seeds with random branches down to the depth cap, and free:
+    seeds across the lambda range, near 0 and at the lambda_0 -> 25/4 edge
+    (free:21.75625 has lambda_0 = 6.2499999987)."""
+    if draw(st.booleans()):
+        series, m0, index, _ = draw(closed_form_seeds())
+        branches = draw(st.text("+-", max_size=ORACLE_DEPTH_CAP - m0))
+        plus = {m0 + 1 + t for t, ch in enumerate(branches) if ch == "+"}
+        if series == "six" and draw(st.booleans()):
+            return six_series_element(plus | {2})  # the basic element, m0 = 1
+        if series == "six":
+            plus.add(m0 + 1)
+        return dirichlet_eigenfunction(series, m0, index, plus)
+    lam = draw(st.one_of(
+        st.floats(-100.0, 21.75625),
+        st.floats(-1e-6, 1e-6),
+        st.floats(21.7, 21.8),
+        st.sampled_from([0.0, 1e-9, -1e-9, 21.75625]),
+    ))
+    seq = sequence_from_limit(lam)
+    assume(seq.m0 == 0)  # a free: seed starts on V_0
+    triple = draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+    return SpectralEigenfunction(seq, np.array(triple))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # compared by class below
+        return None, exc
+
+
+@settings(deadline=None, max_examples=300)
+@given(oracle_seeds(),
+       st.builds(EventuallyConstantWord, st.lists(st.integers(0, 2), max_size=6).map(tuple),
+                 st.integers(0, 2)),
+       st.data())
+def test_decimal_oracle_matches_the_mpmath_loop(u, w, data):
+    m = data.draw(st.integers(max(u.m0 - 1, 0), ORACLE_DEPTH_CAP), label="m")
+    context = decimal.getcontext()
+    state = repr(context)
+    got, got_exc = _outcome(direct_tangent_limit, u, w, m)
+    assert decimal.getcontext() is context and repr(context) == state
+    ref, ref_exc = _outcome(_mpmath_tangent_limit, u, w, m)
+    if ref_exc is not None or got_exc is not None:
+        # decimal's DivisionByZero is a ZeroDivisionError, as mpmath's is
+        assert isinstance(got_exc, type(ref_exc)), (ref_exc, got_exc)
+        return
+    (triple, err), (ref_triple, ref_err) = got, ref
+    # 50 decimal digits and mpmath's 169 bits round differently, and each
+    # pullback level amplifies that five-fold, so the exact results may part
+    # by this floor (1e-27 of the triple at m = 30), and their floats by the
+    # floor and one ulp. Beyond an ulp, only a component whose exact value is
+    # 0, or an increment that has reached the floor, can show the floor.
+    floor = 5.0**m * 1e-48 * np.abs(ref_triple.as_array()).max()
+    for x, y in zip([*triple.as_array(), err], [*ref_triple.as_array(), ref_err]):
+        assert x == y or abs(x - y) <= floor + math.ulp(max(abs(x), abs(y)))
 
 
 def _sine_fit_tangent(lam, x0, f0, f1):

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import extend_harmonic
+
 from sglap.address import EventuallyConstantWord
 from sglap.decimation import (
     EigenvalueSequence,
@@ -13,7 +15,7 @@ from sglap.decimation import (
     six_series_element,
 )
 from sglap.errors import DomainError
-from sglap.harmonic import extend_harmonic, normal_derivative_limit
+from sglap.harmonic import normal_derivative_limit
 from sglap.special import tau
 from sglap.tangent import (
     ALPHA,

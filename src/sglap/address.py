@@ -144,11 +144,6 @@ def resolve_addresses(key, level):
     return sorted([(base + (a,), c), (base + (c,), a)])
 
 
-def canonical_address(key, level):
-    """Lexicographically smallest (word, letter) address, taken at birth level."""
-    return resolve_addresses(key, level)[0]
-
-
 def format_address(word, letter) -> str:
     return "".join(str(c) for c in word) + ":" + str(letter)
 
@@ -190,9 +185,6 @@ class EventuallyConstantWord:
 
     def truncation(self, k: int) -> Word:
         return tuple(self.letter(j) for j in range(1, k + 1))
-
-    def point(self, corners=DEFAULT_CORNERS):
-        return apply_ifs(self.prefix, corners[self.tail], corners)
 
     def __str__(self) -> str:
         return format_address(self.prefix, self.tail)

@@ -151,7 +151,7 @@ def parse_seed(text: str):
         if seq.m0 != 0:
             raise UsageError(f"lambda={lam!r} hits a singular level; "
                              "use a series seed for Dirichlet eigenfunctions")
-        return decimation.SpectralEigenfunction(seq, np.array(triple), label=f"free:{lam!r}")
+        return decimation.SpectralEigenfunction(seq, np.array(triple))
     if len(parts) not in (3, 4):
         raise UsageError(f"seed needs series:m0:index[:branches], got {text!r}")
     series = parts[0]

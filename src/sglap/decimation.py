@@ -69,16 +69,6 @@ def _refine_error(prev: float) -> DomainError:
     return DomainError(f"no real refinement of lambda={prev!r} (needs lambda <= 6.25)")
 
 
-def lambda_next(prev: float, branch: Branch = Branch.MINUS) -> float:
-    """One refinement step of the eigenvalue recursion (see _refine)."""
-    prev = float(prev)
-    with np.errstate(over="ignore", invalid="ignore"):
-        roots, bad = _refine(np.array([prev]), Branch.parse(branch) is Branch.PLUS)
-    if bad[0]:
-        raise _refine_error(prev)
-    return float(roots[0])
-
-
 def _powers_of_five() -> tuple:
     """5.0**j as Python floats for every j up to the first that overflows."""
     powers = []
@@ -273,31 +263,6 @@ def eigen_matrices(lam: float) -> np.ndarray:
     return out
 
 
-def extend_eigen(b, suffix, sequence: EigenvalueSequence, at_level: int) -> np.ndarray:
-    """Walk one cell triple down the suffix letters, one level per letter.
-
-    `at_level` is the level of the starting cell, so letter t of the suffix
-    applies the extension matrix at lambda_{at_level + t}.
-    """
-    if at_level < sequence.m0:
-        raise DomainError(f"cannot extend from level {at_level} < m0 = {sequence.m0}")
-    out = np.asarray(b, dtype=float).reshape(3)
-    for t, c in enumerate(check_word(suffix), start=1):
-        out = eigen_matrices(sequence.value(at_level + t))[c] @ out
-    return out
-
-
-def extend_eigen_cells(cell_values, sequence: EigenvalueSequence, from_level: int,
-                       to_level: int):
-    """Refine per-cell triples from one level to another along the sequence."""
-    if from_level < sequence.m0:
-        raise DomainError(f"cannot extend from level {from_level} < m0 = {sequence.m0}")
-    values = np.ascontiguousarray(cell_values, dtype=float).reshape(-1, 3)
-    for m in range(from_level + 1, to_level + 1):
-        values = extend_level(values, eigen_matrices(sequence.value(m)))
-    return values
-
-
 def eigen_residual(graph: LevelGraph, values, lam_level: float) -> float:
     """Max interior defect of the level eigen-equation, relative to the sup
     norm; 0.0 on V_0, which has no interior vertex."""
@@ -312,7 +277,6 @@ class SpectralEigenfunction:
 
     sequence: EigenvalueSequence
     seed_values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         seed = np.array(self.seed_values, dtype=float)
@@ -321,7 +285,6 @@ class SpectralEigenfunction:
             raise DomainError(f"need {expected} vertex values at level {self.m0}, got {seed.shape}")
         seed.setflags(write=False)
         object.__setattr__(self, "seed_values", seed)
-        object.__setattr__(self, "_cells", {})
 
     @property
     def m0(self) -> int:
@@ -331,17 +294,13 @@ class SpectralEigenfunction:
         return self.sequence.limit(config)
 
     def cell_values(self, m: int) -> np.ndarray:
+        """Per-cell triples on level m, refined level by level from the seed."""
         if m < self.m0:
             raise DomainError(f"level {m} below seed level {self.m0}")
-        cache = self._cells
-        if m not in cache:
-            base = max((k for k in cache if k < m), default=None)
-            if base is None:
-                start = vertex_to_cell_values(build_level_graph(self.m0), self.seed_values)
-                cache[self.m0] = start
-                base = self.m0
-            cache[m] = extend_eigen_cells(cache[base], self.sequence, base, m)
-        return cache[m]
+        values = vertex_to_cell_values(build_level_graph(self.m0), self.seed_values)
+        for j in range(self.m0 + 1, m + 1):
+            values = extend_level(values, eigen_matrices(self.sequence.value(j)))
+        return values
 
     def values_on_level(self, m: int, tol: float = 1e-9) -> np.ndarray:
         return cell_values_to_vertex(build_level_graph(m), self.cell_values(m), tol=tol)
@@ -359,14 +318,17 @@ class SpectralEigenfunction:
         """Values at the three corners of the given cell.
 
         Walks one triple down the word instead of materializing whole levels,
-        so arbitrarily deep cells stay cheap.
+        so arbitrarily deep cells stay cheap: letter t of the word applies
+        the extension matrix at lambda_t.
         """
         word = check_word(word)
         m0 = self.m0
         if len(word) <= m0:
             return np.array([self.value_at(word, c) for c in range(3)])
-        base = self.cell_triple(word[:m0])
-        return extend_eigen(base, word[m0:], self.sequence, m0)
+        out = self.cell_triple(word[:m0])
+        for t in range(m0 + 1, len(word) + 1):
+            out = eigen_matrices(self.sequence.value(t))[word[t - 1]] @ out
+        return out
 
     def residual(self, m: int) -> float:
         return eigen_residual(build_level_graph(m), self.values_on_level(m), self.sequence.value(m))
@@ -401,7 +363,7 @@ def six_series_element(plus_indices=None) -> SpectralEigenfunction:
     if 2 not in plus_indices:
         raise DomainError("the 6-series must take the plus root at level m0 + 1")
     seq = EigenvalueSequence(1, 6.0, plus_indices)
-    return SpectralEigenfunction(seq, rotate_six(2), label="six-element")
+    return SpectralEigenfunction(seq, rotate_six(2))
 
 
 def _two_seed_values(index: int) -> np.ndarray:
@@ -506,7 +468,7 @@ def dirichlet_eigenfunction(series: str, m0: int, index: int = 1,
         raise DomainError("the 6-series must take the plus root at level m0 + 1")
     seed = dirichlet_seed_values(series, m0, index)
     seq = EigenvalueSequence(m0, SERIES_SEED[series], plus_indices)
-    return SpectralEigenfunction(seq, seed, label=f"{series}:{m0}:{index}")
+    return SpectralEigenfunction(seq, seed)
 
 
 @dataclass(frozen=True)

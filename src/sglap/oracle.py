@@ -36,17 +36,6 @@ class DenseSpectrum:
     def count(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def multiplicities(self, tol: float = 1e-8):
-        """Group the ascending eigenvalues into (value, multiplicity) runs."""
-        groups = []
-        for lam in self.eigenvalues:
-            if groups and abs(lam - groups[-1][0] / groups[-1][1]) <= tol:
-                s, n = groups[-1]
-                groups[-1] = (s + lam, n + 1)
-            else:
-                groups.append((lam, 1))
-        return [(s / n, n) for s, n in groups]
-
     def residual(self) -> float:
         if self.count == 0:
             return 0.0

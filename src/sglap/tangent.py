@@ -54,9 +54,6 @@ class TangentTriple:
     def as_array(self) -> np.ndarray:
         return np.array([self.t0, self.t1, self.t2])
 
-    def __iter__(self):
-        return iter((self.t0, self.t1, self.t2))
-
     def gradient(self) -> np.ndarray:
         """Mean-subtracted triple.
 
@@ -138,11 +135,6 @@ def tangent_at(u: SpectralEigenfunction, w, cut=None) -> TangentTriple:
     return TangentTriple(*(float(x) for x in triple))
 
 
-def gradient_at(u: SpectralEigenfunction, w) -> np.ndarray:
-    """Mean-subtracted tangent triple of u at w (TangentTriple.gradient)."""
-    return tangent_at(u, w).gradient()
-
-
 def normal_derivative(u: SpectralEigenfunction, i: int) -> float:
     """Normal derivative of u at the corner q_i.
 
@@ -178,18 +170,13 @@ _SEED_CONFIGS = {
 @dataclass(frozen=True, eq=False)
 class TangentSeed:
     """One local piece of a Dirichlet tangent field: the re-based cell
-    function together with its branch data."""
+    function together with its branch data.  Its tangents are
+    tangent_at(piece, w)."""
 
     series: str
     branch: Branch
     piece: SpectralEigenfunction
     lambda1: float
-
-    def tangent(self, w) -> TangentTriple:
-        return tangent_at(self.piece, w)
-
-    def corner_tangents(self):
-        return tuple(self.tangent(EventuallyConstantWord((), t)) for t in range(3))
 
 
 def dirichlet_tangent_seed(series: str, branch_sign, lambda1=None) -> TangentSeed:
@@ -213,7 +200,7 @@ def dirichlet_tangent_seed(series: str, branch_sign, lambda1=None) -> TangentSee
         triple, lam0 = _SEED_CONFIGS[series]
         plus = frozenset({1}) if branch is Branch.PLUS else frozenset()
         seq = EigenvalueSequence(0, lam0, plus)
-        piece = SpectralEigenfunction(seq, triple, label=f"seed:{series}{branch.value}")
+        piece = SpectralEigenfunction(seq, triple)
         lam1 = seq.value(1)
     else:
         raise DomainError(f"unknown seed series {series!r} "

@@ -14,7 +14,6 @@ from sglap.address import (
     EventuallyConstantWord,
     apply_ifs,
     build_level_graph,
-    canonical_address,
     format_address,
     resolve_addresses,
     vertex_key,
@@ -75,7 +74,7 @@ def test_key_matches_float_coordinates(word, letter):
 def test_canonical_address_round_trip(word, letter):
     m = len(word)
     key = vertex_key(word, letter, m)
-    cword, cletter = canonical_address(key, m)
+    cword, cletter = resolve_addresses(key, m)[0]
     assert vertex_key(cword, cletter, m) == key
     assert len(cword) <= m
 
@@ -113,7 +112,7 @@ def test_array_addressing_matches_scalar():
         assert carried == scalar
         assert [len(word) for word, _ in carried] == g.births.tolist()
         # vertex order is the scalar canonical order, and the graph carries it
-        assert keys == sorted(keys, key=lambda k: canonical_address(tuple(k), m))
+        assert keys == sorted(keys, key=lambda k: resolve_addresses(tuple(k), m)[0])
         assert g.addresses() == [format_address(w, c) for w, c in scalar]
         assert [list(vertex_key(w, c, m)) for w, c in scalar] == keys
 
@@ -149,7 +148,7 @@ def test_level_graph_is_pinned(m):
 def test_address_ranges_match_scalar_across_blocks():
     m = 6
     g = build_level_graph(m)
-    scalar = [format_address(*canonical_address(tuple(k), m)) for k in g.keys.tolist()]
+    scalar = [format_address(*resolve_addresses(tuple(k), m)[0]) for k in g.keys.tolist()]
     n = g.size
     for lo, hi in [(0, 0), (0, 1), (0, 3), (2, 4), (3, 100), (99, 101), (100, 1000),
                    (n - 1, n), (0, n), (n, n)]:
@@ -187,7 +186,10 @@ def test_eventually_constant_word_letters_and_point():
     w = EventuallyConstantWord.parse("01:2")
     assert [w.letter(j) for j in range(1, 6)] == [0, 1, 2, 2, 2]
     assert w.truncation(4) == (0, 1, 2, 2)
-    assert np.allclose(w.point(), apply_ifs((0, 1), DEFAULT_CORNERS[2]))
+    # every truncation past the prefix maps q_2 to the same point, F_01(q_2)
+    point = apply_ifs((0, 1), DEFAULT_CORNERS[2])
+    for k in range(2, 6):
+        assert np.array_equal(apply_ifs(w.truncation(k), DEFAULT_CORNERS[2]), point)
     with pytest.raises(DomainError):
         w.letter(0)
 

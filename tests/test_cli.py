@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from sglap import cli
 from sglap.decimation import SpectralEigenfunction, enumerate_dirichlet_spectrum
-from sglap.address import build_level_graph, canonical_address, format_address, max_level
+from sglap.address import build_level_graph, format_address, max_level, resolve_addresses
 from sglap.errors import DomainError, LevelCapError, SglapError, UsageError
 
 
@@ -520,7 +520,7 @@ def test_eval_rows_match_generic_writers(fmt, capsys):
     assert code == 0
     graph = build_level_graph(level)
     values = cli.parse_seed(seed).values_on_level(level)
-    rows = [[format_address(*canonical_address(tuple(key), level)), level, float(x), float(y),
+    rows = [[format_address(*resolve_addresses(tuple(key), level)[0]), level, float(x), float(y),
              float(v)] for key, (x, y), v in zip(graph.keys.tolist(), graph.coords, values)]
     writer = cli._write_csv if fmt == "csv" else cli._write_json
     assert out == writer(["address", "level", "x", "y", "value"], rows)

@@ -21,7 +21,6 @@ from sglap.decimation import (
     dirichlet_seed_values,
     eigen_matrices,
     enumerate_dirichlet_spectrum,
-    lambda_next,
     rotate_six,
     sequence_array,
     sequence_from_limit,
@@ -49,20 +48,21 @@ CLOSED_FORM_SEEDS = [
 
 
 def test_lambda_next_inverts_the_quadratic():
-    for lam in (0.3, 1.7, 2.0, 4.0, 6.0):
-        for br in (Branch.MINUS, Branch.PLUS):
-            nxt = lambda_next(lam, br)
+    # one refinement step: lambda_1 of a sequence seeded at level 0
+    for lam in (0.3, 1.7, 2.0, 4.0):
+        for plus in (set(), {1}):
+            nxt = EigenvalueSequence(0, lam, plus).value(1)
             assert nxt * (5.0 - nxt) == pytest.approx(lam, rel=1e-14, abs=1e-14)
-    assert lambda_next(6.0) == 2.0
-    assert lambda_next(6.0, Branch.PLUS) == 3.0  # the forced 6-series step
+    assert EigenvalueSequence(0, 6.0, {1}).value(1) == 3.0  # the forced 6-series step
+    with pytest.raises(SingularLevelError, match="lambda_1 = 2.0 "):
+        EigenvalueSequence(0, 6.0).value(1)  # the minus root of 6 is 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
 def test_lambda_next_rejects_non_finite_input(bad):
-    with pytest.raises(DomainError):
-        lambda_next(bad)
-    with pytest.raises(DomainError):
-        lambda_next(bad, Branch.PLUS)
+    for plus in (set(), {1}):
+        with pytest.raises(DomainError, match="non-finite"):
+            EigenvalueSequence(0, bad, plus).value(1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
@@ -100,12 +100,11 @@ def test_branch_parse():
 
 
 def test_minus_branch_is_cancellation_free():
-    lam = 4.9
-    for _ in range(200):
-        lam = lambda_next(lam)
+    seq = EigenvalueSequence(0, 4.9)
+    lam = seq.value(200)
     # far below the scale where the textbook form has gone to exact zero
     assert 0.0 < lam < 1e-130
-    assert lambda_next(lam) / lam == pytest.approx(0.2, rel=1e-6)
+    assert seq.value(201) / lam == pytest.approx(0.2, rel=1e-6)
 
 
 def test_singular_levels_raise():
@@ -411,10 +410,11 @@ def test_sequence_array_matches_the_scalar_recursion(rows, depth, config):
         assert outcome(seq.value, level) == expected_value
         assert outcome(seq.value, max(m0, level - 3)) == outcome(
             ReferenceSequence(m0, seed, plus).value, max(m0, level - 3))
+    # one step from each seed, both roots: the non-finite, 7.0 and -1e308 seeds included
     for _, seed, _ in rows:
-        for plus in (False, True):
-            assert outcome(lambda_next, seed, Branch.PLUS if plus else Branch.MINUS) == outcome(
-                reference_lambda_next, seed, plus)
+        for plus in (set(), {1}):
+            assert outcome(EigenvalueSequence(0, seed, plus).value, 1) == outcome(
+                ReferenceSequence(0, seed, plus).value, 1)
 
 
 def test_sequence_array_reports_each_failure_kind():

@@ -8,6 +8,7 @@ from conftest import extend_harmonic, harmonic_matrix
 
 from sglap import harmonic
 from sglap.address import build_level_graph
+from sglap.decimation import EigenvalueSequence, SpectralEigenfunction
 from sglap.errors import ConvergenceError, DomainError
 from sglap.harmonic import (
     CORNER_SWAPS,
@@ -15,7 +16,6 @@ from sglap.harmonic import (
     HARMONIC_MATRICES,
     extend_level,
     graph_laplacian,
-    harmonic_extension,
     harmonic_normal_derivative,
     harmonic_pullback,
     normal_derivative_limit,
@@ -23,6 +23,8 @@ from sglap.harmonic import (
 
 triples = st.tuples(*[st.floats(-5, 5, allow_nan=False) for _ in range(3)])
 short_words = st.lists(st.integers(0, 2), max_size=5).map(tuple)
+# the lambda = 0 sequence: its extension matrices are the harmonic ones
+HARMONIC = EigenvalueSequence(0, 0.0)
 
 
 def test_base_matrix_entries():
@@ -56,22 +58,22 @@ def test_pullback_inverts_extension(b, word):
 
 @given(triples)
 def test_extension_is_discrete_harmonic(b):
-    vals = harmonic_extension(np.array(b), 3)
+    vals = SpectralEigenfunction(HARMONIC, b).values_on_level(3, tol=1e-12)
     defect = graph_laplacian(build_level_graph(3), vals)[3:]
     assert float(np.abs(defect).max()) < 1e-12 * max(1.0, float(np.abs(vals).max()))
 
 
 @given(triples)
 def test_maximum_principle(b):
-    vals = harmonic_extension(np.array(b), 4)
+    vals = SpectralEigenfunction(HARMONIC, b).values_on_level(4, tol=1e-12)
     assert vals.min() >= min(b) - 1e-12
     assert vals.max() <= max(b) + 1e-12
 
 
 def test_extensions_are_nested_across_levels():
     b = (1.0, -0.5, 2.0)
-    v2 = harmonic_extension(b, 2)
-    v3 = harmonic_extension(b, 3)
+    u = SpectralEigenfunction(HARMONIC, b)
+    v2, v3 = u.values_on_level(2, tol=1e-12), u.values_on_level(3, tol=1e-12)
     g2, g3 = build_level_graph(2), build_level_graph(3)
     index3 = {tuple(key): j for j, key in enumerate(g3.keys.tolist())}
     for i, key in enumerate(g2.keys.tolist()):
@@ -81,24 +83,28 @@ def test_extensions_are_nested_across_levels():
 
 def test_cell_vertex_round_trip():
     g = build_level_graph(3)
-    vals = harmonic_extension((0.3, 1.0, -2.0), 3)
+    vals = SpectralEigenfunction(HARMONIC, (0.3, 1.0, -2.0)).values_on_level(3, tol=1e-12)
     cv = harmonic.vertex_to_cell_values(g, vals)
     assert np.array_equal(harmonic.cell_values_to_vertex(g, cv), vals)
 
 
 def test_junction_mismatch_is_rejected():
     g = build_level_graph(1)
-    cv = harmonic.vertex_to_cell_values(g, harmonic_extension((1.0, 0.0, 0.0), 1)).copy()
+    cv = SpectralEigenfunction(HARMONIC, (1.0, 0.0, 0.0)).cell_values(1)
     cv[0, 1] += 1e-3
     with pytest.raises(DomainError):
         harmonic.cell_values_to_vertex(g, cv)
 
 
 def test_extend_cells_matches_vertex_extension():
+    # three 1-5-5 steps from the boundary triple, collapsed to vertices, give
+    # the lambda = 0 eigenfunction's values bit for bit
     b = np.array([1.0, 2.0, -1.0])
-    cv = harmonic.extend_cells(b[None, :], 3)
-    g3 = build_level_graph(3)
-    assert np.allclose(harmonic.cell_values_to_vertex(g3, cv), harmonic_extension(b, 3))
+    cv = b[None, :]
+    for _ in range(3):
+        cv = extend_level(cv, HARMONIC_MATRICES)
+    vals = harmonic.cell_values_to_vertex(build_level_graph(3), cv, tol=1e-12)
+    assert np.array_equal(vals, SpectralEigenfunction(HARMONIC, b).values_on_level(3, tol=1e-12))
 
 
 def test_extend_level_splits_cells():

@@ -233,6 +233,13 @@ class LevelGraph:
         return chars.view(np.dtype(f"U{m + 2}")).ravel().tolist()
 
 
+def key_coords(keys, level: int) -> np.ndarray:
+    """Planar points of barycentric numerators over 2**level.  Every product
+    and sum is exact but the one rounding of n_2 * sqrt(3)/2, so x takes the
+    same bits for equal 2 n_1 + n_2, and y for equal n_2."""
+    return (keys @ DEFAULT_CORNERS) / float(1 << level)
+
+
 def vertex_count(m: int) -> int:
     """|V_m| = (3^{m+1} + 3) / 2."""
     return (3 ** (m + 1) + 3) // 2
@@ -248,6 +255,9 @@ def _build_level_graph(m: int) -> LevelGraph:
     cells = np.array([[0, 1, 2]], dtype=np.int32)
     words = np.empty((3, 0), dtype=np.int8)
     letters = np.arange(3, dtype=np.int8)
+    # keys[v] is vertex_key of v's canonical address; births[v] its length
+    keys = np.eye(3, dtype=np.int64)
+    births = np.zeros(3, dtype=np.int64)
     for k in range(1, m + 1):
         n = letters.size - 3  # interior vertices of V_{k-1}
         first = (5, 6 + n, 6 + 2 * n)  # where copy j's interior starts
@@ -258,27 +268,30 @@ def _build_level_graph(m: int) -> LevelGraph:
         cells = maps[:, cells].reshape(-1, 3)  # cell j + w is F_j of cell w
 
         inner_words, inner_letters = words[3:], letters[3:]
+        inner_keys, inner_births = keys[3:], births[3:]
         words = np.full((6 + 3 * n, k), -1, dtype=np.int8)
         letters = np.empty(6 + 3 * n, dtype=np.int8)
-        words[[3, 4, 5 + n], 0] = (0, 0, 1)
-        letters[[0, 1, 2, 3, 4, 5 + n]] = (0, 1, 2, 1, 2, 2)
+        keys = np.empty((6 + 3 * n, 3), dtype=np.int64)
+        births = np.empty(6 + 3 * n, dtype=np.int64)
+        glued = [0, 1, 2, 3, 4, 5 + n]  # the corners and the level-1 junctions
+        words[glued[3:], 0] = (0, 0, 1)
+        letters[glued] = (0, 1, 2, 1, 2, 2)
+        keys[glued] = np.left_shift([[2, 0, 0], [0, 2, 0], [0, 0, 2],
+                                     [1, 1, 0], [1, 0, 1], [0, 1, 1]], k - 1)
+        births[glued] = (0, 0, 0, 1, 1, 1)
         for j, lo in enumerate(first):
+            # F_j(x) = (x + q_j)/2 sends n over 2^(k-1) to n + 2^(k-1) e_j over 2^k
             words[lo:lo + n, 0] = j
             words[lo:lo + n, 1:] = inner_words
             letters[lo:lo + n] = inner_letters
+            keys[lo:lo + n] = inner_keys
+            keys[lo:lo + n, j] += 1 << (k - 1)
+            births[lo:lo + n] = inner_births + 1
 
     if letters.size != vertex_count(m):
         raise InvariantError(f"level-{m} graph has {letters.size} vertices, "
                              f"not {vertex_count(m)}")
-
-    # vertex_key over the rows: 2^(m-t) for letter t, 2^(m-birth) for the corner
-    births = (words >= 0).sum(axis=1, dtype=np.int64)
-    keys = np.zeros((letters.size, 3), dtype=np.int64)
-    for s in range(m):
-        live = words[:, s] >= 0
-        keys[live, words[live, s]] += 1 << (m - 1 - s)
-    keys[np.arange(letters.size), letters] += np.left_shift(1, m - births)
-    coords = (keys @ DEFAULT_CORNERS) / float(1 << m)
+    coords = key_coords(keys, m)
 
     arrays = (keys, coords, cells, births, words, letters)
     for arr in arrays:

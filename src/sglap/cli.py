@@ -235,6 +235,17 @@ def _reprs(column) -> list:
     return table[inverse].tolist()
 
 
+def _lattice_reprs(level: int):
+    """repr of x on each lattice line 2 n_1 + n_2 = t (t = 0..2^(level+1))
+    and of y on each line n_2 = t (t = 0..2^level) of V_level: key_coords of
+    the points (0, 0, t), as object arrays to index with a block's keys."""
+    from .address import key_coords
+
+    lines = key_coords(np.outer(np.arange(2 ** (level + 1) + 1), [0, 0, 1]), level)
+    return (np.array([repr(x) for x in lines[:, 0].tolist()], dtype=object),
+            np.array([repr(y) for y in lines[:2 ** level + 1, 1].tolist()], dtype=object))
+
+
 def _eval_blocks(args, graph, values):
     """The eval output as text blocks: a header, then BLOCK_ROWS rows at a
     time, so that no more than one block of rows is ever held as text.
@@ -242,15 +253,18 @@ def _eval_blocks(args, graph, values):
     The bytes equal what csv.writer and json.dumps(indent=2) give for these
     rows (addresses need no quoting or escaping, and finite floats print as
     repr in both); a JSON block after the first starts with the ",\n" seam.
-    The vertices sit on a dyadic grid and the values repeat by symmetry, so
-    each block formats every distinct float once (_reprs)."""
+    x and y depend on a vertex's key only through its lattice lines, so they
+    are looked up in the level's _lattice_reprs; the values repeat by
+    symmetry, so each block formats every distinct value once (_reprs)."""
     level, fmt = args.level, args.format
+    x_table, y_table = _lattice_reprs(level)
     if fmt == "obj":
         yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
         yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
     for lo, hi in _row_ranges(graph.size):
-        x, y = map(_reprs, graph.coords[lo:hi].T)
+        _, n1, n2 = graph.keys[lo:hi].T
+        x, y = x_table[2 * n1 + n2].tolist(), y_table[n2].tolist()
         v = _reprs(values[lo:hi])
         if fmt == "obj":
             yield "".join([f"v {a} {b} {c}\n" for a, b, c in zip(x, y, v)])
@@ -264,7 +278,7 @@ def _eval_blocks(args, graph, values):
                  for s, a, b, c in zip(graph.addresses(lo, hi), x, y, v)])
     if fmt == "obj":
         for lo, hi in _row_ranges(len(graph.cells)):
-            yield "".join([f"f {a} {b} {c}\n" for a, b, c in (graph.cells[lo:hi] + 1).tolist()])
+            yield ("f %d %d %d\n" * (hi - lo)) % tuple((graph.cells[lo:hi] + 1).ravel().tolist())
     elif fmt == "json":
         yield "\n]\n"
 

@@ -57,8 +57,7 @@ def cell_values_to_vertex(graph: LevelGraph, cell_values, tol: float = 1e-9):
     cv = np.asarray(cell_values, dtype=float)
     if cv.shape != graph.cells.shape:
         raise DomainError(f"expected cell array of shape {graph.cells.shape}, got {cv.shape}")
-    out = np.zeros(graph.size)
-    np.add.at(out, graph.cells, cv)
+    out = np.bincount(graph.cells.reshape(-1), weights=cv.reshape(-1), minlength=graph.size)
     out /= np.bincount(graph.cells.reshape(-1), minlength=graph.size)
     scale = max(1.0, float(np.max(np.abs(cv))))
     # one corner column at a time, so that the gaps take a third of cv's memory
@@ -85,8 +84,8 @@ def graph_laplacian(graph: LevelGraph, values) -> np.ndarray:
     if values.shape != (graph.size,):
         raise DomainError(f"expected {graph.size} vertex values, got shape {values.shape}")
     cv = values[graph.cells]
-    cell_laplacians = cv.sum(axis=1, keepdims=True) - 3.0 * cv
-    return np.bincount(graph.cells.ravel(), weights=cell_laplacians.ravel(), minlength=graph.size)
+    cv = cv.sum(axis=1, keepdims=True) - 3.0 * cv  # cell Laplacians; frees the triples
+    return np.bincount(graph.cells.ravel(), weights=cv.ravel(), minlength=graph.size)
 
 
 def harmonic_normal_derivative(boundary_values, corner: int) -> float:

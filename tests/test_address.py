@@ -118,7 +118,8 @@ def test_array_addressing_matches_scalar():
 
 
 # sha256 over name, dtype, shape and bytes of every LevelGraph array, computed
-# by the key-packing and greedy-descent construction this one replaced
+# by the key-packing and greedy-descent construction this one replaced (L0-L10)
+# and by this one before it glued keys and births copy by copy (L11-L12)
 LEVEL_GRAPH_SHA256 = {
     0: "baddbaad86eff6de2c8864fe35c91526fa80df05506852426fda2fa58d0752d0",
     1: "dc33c8953937ff549e8fca91e3d33863383825dcfe185c7b7ba997ffd98d4b4c",
@@ -131,6 +132,8 @@ LEVEL_GRAPH_SHA256 = {
     8: "0b859aadfdfc147d80065dcbf2073c3aaeb9f595ff492800c6044fdbc1c07f4b",
     9: "ba839f1c015155716b1e2db32b0acf59d29f2e0d45b7f440333160fcfb0676b0",
     10: "0d589bfde3d6534928a6e3dfda606c5c1d2214e51a6fd4e6d7a17a6322dbcae0",
+    11: "c47667fb275a0e62a0e9a0bcfafacde0a4e17f3b98f9aae1ebdcf078fbd5a8d8",
+    12: "913519aec44847892603faec64d4a5f84b26957ff80ea61685e39cb7e2a15496",
 }
 
 

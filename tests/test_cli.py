@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from sglap import cli
@@ -293,6 +294,61 @@ def test_eval_blocks_equal_per_row_repr(seed_level, fmt, block_rows):
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
         assert "".join(cli._eval_blocks(args, graph, values)) == \
             "".join(_reference_eval_blocks(args, graph, values))
+
+
+@pytest.mark.parametrize("level", range(13))
+def test_lattice_reprs_equal_the_coordinate_reprs(level):
+    # every vertex of V_0..V_12 (L12 takes about 0.7 s): its lattice lines'
+    # strings are the per-row reprs of graph.coords
+    graph = build_level_graph(level)
+    x_table, y_table = cli._lattice_reprs(level)
+    _, n1, n2 = graph.keys.T
+    assert x_table[2 * n1 + n2].tolist() == [repr(x) for x in graph.coords[:, 0].tolist()]
+    assert y_table[n2].tolist() == [repr(y) for y in graph.coords[:, 1].tolist()]
+
+
+def _d3_vertex_map(level, p):
+    """perm[x] is the vertex sigma(x) of V_level, where sigma takes corner
+    q_i to q_p[i]: sigma F_i = F_p[i] sigma, so cells[c, i] goes to
+    cells[p(c), p[i]], with p applied to each base-3 digit of c."""
+    graph = build_level_graph(level)
+    cell = np.arange(3 ** level)
+    moved = np.zeros_like(cell)
+    for t in range(level):
+        moved += np.array(p)[cell // 3 ** t % 3] * 3 ** t
+    perm = np.empty(graph.size, dtype=np.int64)
+    perm[graph.cells] = graph.cells[moved][:, list(p)]
+    return perm
+
+
+_free_seeds = st.builds(lambda lam, b: f"free:{lam!r}:{b[0]!r},{b[1]!r},{b[2]!r}",
+                        st.floats(-60.0, 60.0).filter(lambda lam: lam == 0.0 or abs(lam) >= 1e-9),
+                        st.tuples(*[st.floats(-5.0, 5.0)] * 3))
+
+# Worst gap measured, relative to max(1, max |u|): 2.6e-15 over 6300 random
+# draws x 6 permutations (series and free: seeds, L <= 8), and 3.4e-15 over
+# 2000 examples of the test below.  The two sides differ only in the order in
+# which a refinement step sums a triple, so the tolerance allows about 30
+# times the worst gap seen.
+D3_EVAL_TOL = 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_eval_seeds.map(lambda seed: seed[0]), _free_seeds), st.integers(0, 8))
+def test_eval_values_are_d3_equivariant(seed, level):
+    # u o sigma, seeded with u's seed values moved by sigma on V_m0, takes on
+    # V_level the values of u moved by sigma
+    try:
+        u = cli.parse_seed(seed)
+    except SglapError:
+        assume(False)  # a free: lambda that hits a singular level
+    assume(level >= u.m0)
+    values = u.values_on_level(level)
+    scale = max(1.0, float(np.abs(values).max()))
+    for p in itertools.permutations(range(3)):
+        moved = SpectralEigenfunction(u.sequence, u.seed_values[_d3_vertex_map(u.m0, p)])
+        gap = float(np.abs(moved.values_on_level(level) - values[_d3_vertex_map(level, p)]).max())
+        assert gap <= D3_EVAL_TOL * scale, (p, gap / scale)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "obj"])

@@ -1,0 +1,141 @@
+"""Alternating parent/change pairs of perfbench runs, written as BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --parent REV --change REV --workdir DIR \
+        --workload mesh:12301:10 --workload spectral:12401:10 \
+        --claim mesh --note "what the change does" --out BENCH_12.json
+
+Each commit is exported with `git archive` into its own directory under
+DIR, and `perfbench/run.py --workload W --seed S --seconds 24 --trace 0`
+runs from the root of each export.  A workload given as NAME:FIRST:COUNT
+runs seeds FIRST..FIRST+COUNT-1; one pair is one run of each commit with
+the same seed, back to back, the parent first for even seeds and the change
+first for odd ones.  The end-to-end metrics of BENCHMARK.json are recorded
+for both sides with their quartiles, the per-pair direction and the median
+delta, together with the attempted and failed counts of every run.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.metadata
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 24
+
+
+def export(rev: str, dest: Path) -> Path:
+    dest.mkdir(parents=True, exist_ok=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def src_sha256(tree: Path) -> str:
+    """sha256 over the relative path and bytes of every file under src/."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(str(path.relative_to(tree)).encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n"
+                         f"{proc.stdout}{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(runs: list) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": round(median, 5), "q1": round(q1, 5), "q3": round(q3, 5),
+            "runs": [round(r, 5) for r in runs]}
+
+
+def compare(spec: dict, parent: list, change: list) -> dict:
+    out = {**spec, "parent": summary(parent), "change": summary(change)}
+    delta = out["change"]["median"] - out["parent"]["median"]
+    out["median_delta"] = round(delta, 5)
+    out["median_delta_frac"] = round(delta / out["parent"]["median"], 4)
+    out["parent_iqr"] = round(out["parent"]["q3"] - out["parent"]["q1"], 5)
+    pairs = len(parent)
+    out["change_lower_in"] = f"{sum(c < p for p, c in zip(parent, change))} of {pairs} pairs"
+    out["change_higher_in"] = f"{sum(c > p for p, c in zip(parent, change))} of {pairs} pairs"
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workdir", required=True, type=Path)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="NAME:FIRST_SEED:PAIRS")
+    parser.add_argument("--claim", required=True, help="the workload whose wall_s is claimed")
+    parser.add_argument("--note", required=True, help="one line on what the change does")
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args()
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    specs = {m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
+             for m in bench["end_to_end"]}
+    trees = {side: export(rev, args.workdir / side)
+             for side, rev in (("parent", args.parent), ("change", args.change))}
+    record = {
+        "change": args.note,
+        "parent_commit": subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short",
+                                         args.parent], check=True, capture_output=True,
+                                        text=True).stdout.strip(),
+        "src_sha256": {side: src_sha256(tree) for side, tree in trees.items()},
+        "how": f"OPENBLAS_NUM_THREADS=1 python3 perfbench/run.py --workload W --seed S "
+               f"--seconds {SECONDS} --trace 0, from the root of a clean checkout of each "
+               "commit; one pair is one run of each commit with the same seed, the two run "
+               "back to back; src_sha256 hashes the path and bytes of every file under src/",
+        "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",
+        "machine": {"nproc": os.cpu_count(), "cpu_model": platform.processor() or
+                    platform.machine(), "python": platform.python_version(),
+                    "numpy": importlib.metadata.version("numpy"), "OPENBLAS_NUM_THREADS": 1},
+        "claim": {"workload": args.claim, "metric": "wall_s",
+                  "rule": "change lower in at least 9 of 10 pairs, and the median drop "
+                          "larger than the parent's interquartile range"},
+        "workloads": {},
+    }
+    for item in args.workload:
+        name, first, count = item.split(":")
+        seeds = list(range(int(first), int(first) + int(count)))
+        results = {"parent": [], "change": []}
+        for seed in seeds:
+            order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+            for side in order:
+                results[side].append(run_once(trees[side], name, seed))
+                print(f"{name} seed {seed} {side}: {results[side][-1]['metrics']['wall_s']}",
+                      file=sys.stderr, flush=True)
+        record["workloads"][name] = {
+            "seeds": seeds, "pairs": len(seeds),
+            "order": "alternating: parent first for even seeds, change first for odd seeds",
+            "metrics": {metric: compare(spec, *([r["metrics"][metric]["value"]
+                                                 for r in results[side]]
+                                                for side in ("parent", "change")))
+                        for metric, spec in specs.items()},
+            "attempted": {side: [r["attempted"] for r in runs] for side, runs in results.items()},
+            "failed": {side: [r["failed"] for r in runs] for side, runs in results.items()},
+        }
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -196,16 +196,13 @@ class LevelGraph:
     F_w(q_i) for |w| = m.  Every edge lies in exactly one m-cell, so the cell
     triples are the whole graph; index_of is the vertex lookup.  Vertices are
     in canonical address order (the three boundary corners are always 0, 1,
-    2, everything after them is interior) and carry their canonical
-    addresses and exact keys."""
+    2, everything after them is interior) and carry their exact keys and the
+    text of their canonical addresses."""
 
     level: int
     keys: np.ndarray  # (N, 3) int64 numerators, denominator 2**level
-    coords: np.ndarray  # (N, 2) float
     cells: np.ndarray  # (3**level, 3) int32
-    births: np.ndarray  # (N,) birth level of each canonical address
-    words: np.ndarray  # (N, level) int8 canonical words, -1 past the birth level
-    letters: np.ndarray  # (N,) int8 canonical corner letters
+    names: np.ndarray  # (N, level + 2) uint8 ASCII of format_address, NUL-padded
 
     @property
     def size(self) -> int:
@@ -222,15 +219,8 @@ class LevelGraph:
 
     def addresses(self, lo: int = 0, hi: int | None = None) -> list:
         """format_address of vertices lo..hi-1 (by default all), in vertex order."""
-        words, births = self.words[lo:hi], self.births[lo:hi]
-        n, m = words.shape
-        chars = np.zeros((n, m + 2), dtype=np.uint32)
-        chars[:, :m] = np.where(words >= 0, words + ord("0"), 0)
-        rows = np.arange(n)
-        chars[rows, births] = ord(":")
-        chars[rows, births + 1] = self.letters[lo:hi] + ord("0")
         # trailing NULs drop off numpy unicode strings
-        return chars.view(np.dtype(f"U{m + 2}")).ravel().tolist()
+        return self.names[lo:hi].astype(np.uint32).view(f"U{self.level + 2}").ravel().tolist()
 
 
 def key_coords(keys, level: int) -> np.ndarray:
@@ -253,13 +243,10 @@ def _build_level_graph(m: int) -> LevelGraph:
     # copy 0's interior, (1):2, copy 1's interior, copy 2's interior.  Built
     # in a loop, not by recursion, so no coarser graph stays cached.
     cells = np.array([[0, 1, 2]], dtype=np.int32)
-    words = np.empty((3, 0), dtype=np.int8)
-    letters = np.arange(3, dtype=np.int8)
-    # keys[v] is vertex_key of v's canonical address; births[v] its length
-    keys = np.eye(3, dtype=np.int64)
-    births = np.zeros(3, dtype=np.int64)
+    keys = np.eye(3, dtype=np.int64)  # keys[v] is vertex_key of v's canonical address
+    names = np.array([b":0", b":1", b":2"]).view(np.uint8).reshape(3, 2)
     for k in range(1, m + 1):
-        n = letters.size - 3  # interior vertices of V_{k-1}
+        n = keys.shape[0] - 3  # interior vertices of V_{k-1}
         first = (5, 6 + n, 6 + 2 * n)  # where copy j's interior starts
         # maps[j] sends V_{k-1} into V_k under F_j; column i < 3 is F_j(q_i)
         maps = np.empty((3, n + 3), dtype=np.int32)
@@ -267,36 +254,27 @@ def _build_level_graph(m: int) -> LevelGraph:
         maps[:, 3:] = np.add.outer(first, np.arange(n))
         cells = maps[:, cells].reshape(-1, 3)  # cell j + w is F_j of cell w
 
-        inner_words, inner_letters = words[3:], letters[3:]
-        inner_keys, inner_births = keys[3:], births[3:]
-        words = np.full((6 + 3 * n, k), -1, dtype=np.int8)
-        letters = np.empty(6 + 3 * n, dtype=np.int8)
+        inner_keys, inner_names = keys[3:], names[3:]
         keys = np.empty((6 + 3 * n, 3), dtype=np.int64)
-        births = np.empty(6 + 3 * n, dtype=np.int64)
+        names = np.zeros((6 + 3 * n, k + 2), dtype=np.uint8)
         glued = [0, 1, 2, 3, 4, 5 + n]  # the corners and the level-1 junctions
-        words[glued[3:], 0] = (0, 0, 1)
-        letters[glued] = (0, 1, 2, 1, 2, 2)
         keys[glued] = np.left_shift([[2, 0, 0], [0, 2, 0], [0, 0, 2],
                                      [1, 1, 0], [1, 0, 1], [0, 1, 1]], k - 1)
-        births[glued] = (0, 0, 0, 1, 1, 1)
+        names[glued, :3] = np.array([b":0", b":1", b":2", b"0:1", b"0:2", b"1:2"]
+                                    ).view(np.uint8).reshape(6, 3)
         for j, lo in enumerate(first):
             # F_j(x) = (x + q_j)/2 sends n over 2^(k-1) to n + 2^(k-1) e_j over 2^k
-            words[lo:lo + n, 0] = j
-            words[lo:lo + n, 1:] = inner_words
-            letters[lo:lo + n] = inner_letters
             keys[lo:lo + n] = inner_keys
             keys[lo:lo + n, j] += 1 << (k - 1)
-            births[lo:lo + n] = inner_births + 1
+            names[lo:lo + n, 0] = ord("0") + j
+            names[lo:lo + n, 1:] = inner_names
 
-    if letters.size != vertex_count(m):
-        raise InvariantError(f"level-{m} graph has {letters.size} vertices, "
+    if keys.shape[0] != vertex_count(m):
+        raise InvariantError(f"level-{m} graph has {keys.shape[0]} vertices, "
                              f"not {vertex_count(m)}")
-    coords = key_coords(keys, m)
-
-    arrays = (keys, coords, cells, births, words, letters)
-    for arr in arrays:
+    for arr in (keys, cells, names):
         arr.setflags(write=False)
-    return LevelGraph(m, *arrays)
+    return LevelGraph(m, keys, cells, names)
 
 
 def build_level_graph(m: int) -> LevelGraph:

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from sglap import cli
 from sglap.decimation import SpectralEigenfunction, enumerate_dirichlet_spectrum
-from sglap.address import build_level_graph, format_address, max_level, resolve_addresses
+from sglap.address import (build_level_graph, format_address, key_coords, max_level,
+                           resolve_addresses)
 from sglap.errors import DomainError, LevelCapError, SglapError, UsageError
 
 
@@ -159,16 +160,30 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("series,")
 
 
+def _assert_exit(code, args, capsys):
+    """args exits with code, an empty stdout and a one-line message."""
+    got, out, err = run(args, capsys)
+    assert (got, out) == (code, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_two(capsys):
-    assert run(["eval", "--seed", "free:bogus:1,1,1", "--level", "2"], capsys)[0] == 2
-    assert run(["eval", "--seed", "two:1", "--level", "2"], capsys)[0] == 2
-    assert run(["special", "--fn", "psi", "--range", "1:2"], capsys)[0] == 2
+    # the limit of a 2-series line snaps onto the singular value at m0 = 1
+    two_limit = next(line.limit for line in enumerate_dirichlet_spectrum(3)
+                     if line.series == "two")
+    for seed in ["free:bogus:1,1,1", "two:1", "free:1", "free:1:1,2", "six:x:1", "six:2:1:+*",
+                 f"free:{two_limit!r}:0,0,0"]:
+        _assert_exit(2, ["eval", "--seed", seed, "--level", "2"], capsys)
+    _assert_exit(2, ["special", "--fn", "psi", "--range", "1:2"], capsys)
 
 
-def test_domain_errors_exit_three(capsys):
-    assert run(["eval", "--seed", "nope:1:1", "--level", "2"], capsys)[0] == 3
-    assert run(["spectrum", "--level", "99"], capsys)[0] == 3
-    assert run(["eval", "--seed", "six:1:2", "--level", "2"], capsys)[0] == 3
+def test_domain_errors_exit_three(monkeypatch, capsys):
+    for seed in ["nope:1:1", "six:1:2", "two:1:2", "five:1:3", "five:2:4", "six:2:4"]:
+        _assert_exit(3, ["eval", "--seed", seed, "--level", "2"], capsys)
+    _assert_exit(3, ["spectrum", "--level", "99"], capsys)
+    _assert_exit(3, ["eval", "--seed", "six:2:1", "--level", "1"], capsys)
+    monkeypatch.setenv("SG_MAX_LEVEL", "abc")
+    _assert_exit(3, ["eval", "--seed", "two:1:1", "--level", "2"], capsys)
 
 
 def test_seed_grammar_units():
@@ -243,7 +258,7 @@ def _reference_eval_blocks(args, graph, values):
     else:
         yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
     for lo, hi in cli._row_ranges(graph.size):
-        x, y = graph.coords[lo:hi].T.tolist()
+        x, y = key_coords(graph.keys[lo:hi], level).T.tolist()
         v = values[lo:hi].tolist()
         if fmt == "obj":
             yield "".join([f"v {a!r} {b!r} {c!r}\n" for a, b, c in zip(x, y, v)])
@@ -299,12 +314,13 @@ def test_eval_blocks_equal_per_row_repr(seed_level, fmt, block_rows):
 @pytest.mark.parametrize("level", range(13))
 def test_lattice_reprs_equal_the_coordinate_reprs(level):
     # every vertex of V_0..V_12 (L12 takes about 0.7 s): its lattice lines'
-    # strings are the per-row reprs of graph.coords
+    # strings are the per-row reprs of the vertices' key_coords
     graph = build_level_graph(level)
     x_table, y_table = cli._lattice_reprs(level)
     _, n1, n2 = graph.keys.T
-    assert x_table[2 * n1 + n2].tolist() == [repr(x) for x in graph.coords[:, 0].tolist()]
-    assert y_table[n2].tolist() == [repr(y) for y in graph.coords[:, 1].tolist()]
+    x, y = key_coords(graph.keys, level).T.tolist()
+    assert x_table[2 * n1 + n2].tolist() == [repr(a) for a in x]
+    assert y_table[n2].tolist() == [repr(b) for b in y]
 
 
 def _d3_vertex_map(level, p):
@@ -576,8 +592,9 @@ def test_eval_rows_match_generic_writers(fmt, capsys):
     assert code == 0
     graph = build_level_graph(level)
     values = cli.parse_seed(seed).values_on_level(level)
+    points = key_coords(graph.keys, level)
     rows = [[format_address(*resolve_addresses(tuple(key), level)[0]), level, float(x), float(y),
-             float(v)] for key, (x, y), v in zip(graph.keys.tolist(), graph.coords, values)]
+             float(v)] for key, (x, y), v in zip(graph.keys.tolist(), points, values)]
     writer = cli._write_csv if fmt == "csv" else cli._write_json
     assert out == writer(["address", "level", "x", "y", "value"], rows)
 

@@ -1,10 +1,12 @@
-"""Tooling guard: every public function, class and method in src has a
-caller elsewhere in src, or a stated reason to exist without one.
+"""Tooling guards: every public function, class and method in src has a
+caller elsewhere in src, and every dataclass field in src is read somewhere
+in src, or each has a stated reason to exist without one.
 
 A name counts as referenced when it appears anywhere in src outside its own
-definition: as a bare name, an attribute or an imported name.  Matching is
-by name, so a method shares its references with every other use of the same
-word; the guard catches definitions that nothing names at all."""
+definition: as a bare name, an attribute or an imported name.  A field
+counts as read when some `x.field` in src loads it.  Matching is by name, so
+a method or field shares its uses with every other use of the same word; the
+guards catch what nothing names at all."""
 import ast
 import pathlib
 
@@ -25,6 +27,16 @@ UNREFERENCED = {
     "oracle.sorted_pairing_gap": "oracle helper: pairs two spectra in order",
     "oracle.interval_tangent": "oracle helper: the unit-interval comparison model",
 }
+
+UNREAD_FIELDS = {
+    "tangent.TangentSeed.branch": "the paper's Dirichlet tangent seed pieces",
+    "tangent.TangentSeed.piece": "the paper's Dirichlet tangent seed pieces",
+    "tangent.TangentSeed.lambda1": "the paper's Dirichlet tangent seed pieces",
+}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def _definitions(tree):
@@ -50,7 +62,7 @@ def _names(node):
 
 
 def _unreferenced():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     everywhere = [name for tree in trees.values() for name in _names(tree)]
     found = []
     for module, tree in trees.items():
@@ -68,3 +80,35 @@ def test_every_public_definition_has_a_caller_or_a_reason():
 def test_every_allowlist_entry_is_still_unreferenced():
     assert sorted(set(UNREFERENCED) - set(_unreferenced())) == []
     assert all(UNREFERENCED.values())
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _fields(tree):
+    """(qualified name, field name) of every field of a top-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _unread_fields():
+    trees = _trees()
+    read = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    return [f"{module}.{qualname}" for module, tree in trees.items()
+            for qualname, name in _fields(tree) if name not in read]
+
+
+def test_every_dataclass_field_is_read_or_has_a_reason():
+    assert sorted(set(_unread_fields()) - set(UNREAD_FIELDS)) == []
+
+
+def test_every_unread_field_entry_is_still_unread():
+    assert sorted(set(UNREAD_FIELDS) - set(_unread_fields())) == []
+    assert all(UNREAD_FIELDS.values())

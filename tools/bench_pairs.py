@@ -4,6 +4,9 @@
         --workload mesh:12301:10 --workload spectral:12401:10 \
         --claim mesh --note "what the change does" --out BENCH_12.json
 
+Without --claim the record's claim is null: the pairs are recorded and no
+workload's wall_s is claimed.
+
 Each commit is exported with `git archive` into its own directory under
 DIR, and `perfbench/run.py --workload W --seed S --seconds 24 --trace 0`
 runs from the root of each export.  A workload given as NAME:FIRST:COUNT
@@ -84,7 +87,7 @@ def main() -> int:
     parser.add_argument("--workdir", required=True, type=Path)
     parser.add_argument("--workload", action="append", required=True,
                         help="NAME:FIRST_SEED:PAIRS")
-    parser.add_argument("--claim", required=True, help="the workload whose wall_s is claimed")
+    parser.add_argument("--claim", help="the workload whose wall_s is claimed (default: none)")
     parser.add_argument("--note", required=True, help="one line on what the change does")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
@@ -110,7 +113,8 @@ def main() -> int:
                     "numpy": importlib.metadata.version("numpy"), "OPENBLAS_NUM_THREADS": 1},
         "claim": {"workload": args.claim, "metric": "wall_s",
                   "rule": "change lower in at least 9 of 10 pairs, and the median drop "
-                          "larger than the parent's interquartile range"},
+                          "larger than the parent's interquartile range"}
+                 if args.claim else None,
         "workloads": {},
     }
     for item in args.workload:

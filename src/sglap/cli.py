@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import io
-import json
+import itertools
 import math
 import os
 import sys
@@ -36,24 +34,75 @@ EVAL_TOL = 1e-9
 TANGENT_TOL = 1e-7
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))  # shortest round-trip, numpy scalars included
-    return "" if value is None else str(value)
+BLOCK_ROWS = 1 << 12  # rows per output block
 
 
-def _write_csv(columns, rows) -> str:
+def _row_ranges(n: int):
+    """(lo, hi) bounds of the BLOCK_ROWS-row blocks of n rows."""
+    return ((lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS))
+
+
+def _csv_text(rows) -> str:
+    import csv
+
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    # csv.writer prints a float (numpy float64 included) as its repr and
+    # None as an empty field
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _write_json(columns, rows) -> str:
-    records = [dict(zip(columns, row)) for row in rows]
-    return json.dumps(records, indent=2, default=lambda o: o.item()) + "\n"
+def _table_blocks(fmt: str, columns, rows):
+    """A table as text blocks: the header, then BLOCK_ROWS rows at a time,
+    then the footer.  The blocks are mapped to text, so that neither a block
+    nor its text is held once it is yielded and one block is taken from
+    `rows` at a time.
+
+    The bytes equal what csv.writer(lineterminator="\n") and
+    json.dumps(records, indent=2) give for these rows; a JSON block after
+    the first starts with the ",\n" seam.  A cell is a str, int, float,
+    bool, None or numpy scalar."""
+    rows = iter(rows)
+    blocks = iter(lambda: list(itertools.islice(rows, BLOCK_ROWS)), [])
+    if fmt == "csv":
+        yield _csv_text([columns])
+        yield from map(_csv_text, blocks)
+        return
+    from json.encoder import encode_basestring_ascii as encode
+
+    def cell(value) -> str:
+        # the cases and order of json's encoder; numpy scalars as .item()
+        if isinstance(value, str):
+            return encode(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            if value != value:
+                return "NaN"
+            if value == math.inf:
+                return "Infinity"
+            if value == -math.inf:
+                return "-Infinity"
+            return float.__repr__(value)
+        return cell(value.item())
+
+    record = "  {\n" + ",\n".join(
+        [f"    {encode(c).replace('%', '%%')}: %s" for c in columns]) + "\n  }"
+    seam = "[\n"
+
+    def json_block(block) -> str:
+        nonlocal seam
+        out, seam = seam + ",\n".join([record % tuple(map(cell, row)) for row in block]), ",\n"
+        return out
+
+    yield from map(json_block, blocks)
+    yield "[]\n" if seam == "[\n" else "\n]\n"
 
 
 def _emit(args, blocks):
@@ -63,10 +112,10 @@ def _emit(args, blocks):
     target's directory, renamed onto the target once every block is written,
     and removed on any failure, so that a failure leaves no file behind.
     Targets that exist but are not regular files (/dev/null, a FIFO) are
-    written in place."""
+    written in place.  writelines lets go of each block once it is written,
+    before the next one is made."""
     if not args.output:
-        for block in blocks:
-            sys.stdout.write(block)
+        sys.stdout.writelines(blocks)
         return
     target = os.path.realpath(args.output)
     in_place = os.path.exists(target) and not os.path.isfile(target)
@@ -78,8 +127,7 @@ def _emit(args, blocks):
         raise UsageError(f"cannot write {args.output!r}: {exc.strerror}") from None
     try:
         with fh:
-            for block in blocks:
-                fh.write(block)
+            fh.writelines(blocks)
         if not in_place:
             os.replace(path, target)
     except OSError as exc:
@@ -113,17 +161,28 @@ def parse_verify_tol(text: str) -> float:
     return tol
 
 
-def parse_range(text: str) -> list:
-    """--range a:b:n: the n-point inclusive grid, every point finite."""
+def _grid_points(grid, lo: int, hi: int) -> list:
+    """Points lo..hi-1 of the inclusive grid (a, b, n) from parse_range."""
+    a, b, n = grid
+    return [a + (b - a) * i / (n - 1) for i in range(lo, hi)] if n > 1 else [a]
+
+
+def parse_range(text: str) -> tuple:
+    """--range a:b:n: the n-point inclusive grid as (a, b, n), every point
+    finite.  Each step of a point's expression is a correctly rounded
+    monotone operation in i, so the points lie between the two ends and the
+    ends decide finiteness (inf * 0 = nan can only happen at i = 0)."""
     try:
         a, b, n = text.split(":")
         a, b, n = float(a), float(b), int(n)
-    except ValueError as exc:
+        float(n)  # a point divides by n - 1
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"malformed range {text!r}: {exc}") from None
     if n < 1:
         raise UsageError(f"range needs at least one point, got {n}")
-    grid = [a + (b - a) * i / (n - 1) for i in range(n)] if n > 1 else [a]
-    if not all(math.isfinite(z) for z in [a, b, *grid]):
+    grid = a, b, n
+    if not all(math.isfinite(z) for z in [a, b, *_grid_points(grid, 0, 1),
+                                           *_grid_points(grid, n - 1, n)]):
         raise UsageError(f"range endpoints and grid points must be finite, got {text!r}")
     return grid
 
@@ -196,17 +255,10 @@ def cmd_spectrum(args) -> int:
             residuals.append(float(np.max(np.abs(block - line.value))) if block.size else 0.0)
             start += line.multiplicity
         columns.append("residual")
-    rows = []
-    for i, line in enumerate(lines):
-        if args.series != "all" and line.series != args.series:
-            continue
-        row = [line.series, line.m0, line.branches, line.value, line.limit,
-               line.multiplicity]
-        if residuals is not None:
-            row.append(residuals[i])
-        rows.append(row)
-    text = (_write_csv if args.format == "csv" else _write_json)(columns, rows)
-    _emit(args, [text])
+    rows = ([line.series, line.m0, line.branches, line.value, line.limit, line.multiplicity,
+             *([] if residuals is None else [residuals[i]])]
+            for i, line in enumerate(lines) if args.series in ("all", line.series))
+    _emit(args, _table_blocks(args.format, columns, rows))
     if residuals is not None and residuals and max(residuals) >= args.verify_tol:
         print(f"verification failed: worst dense residual {max(residuals):.3e} "
               f">= {args.verify_tol:.3e}", file=sys.stderr)
@@ -215,14 +267,6 @@ def cmd_spectrum(args) -> int:
 
 
 # --- eval -------------------------------------------------------------------
-
-BLOCK_ROWS = 1 << 12  # rows per eval output block
-
-
-def _row_ranges(n: int):
-    """(lo, hi) bounds of the BLOCK_ROWS-row blocks of n rows."""
-    return [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
-
 
 def _reprs(column) -> list:
     """repr of each float64 in `column`, computing each distinct one once.
@@ -285,6 +329,9 @@ def _eval_blocks(args, graph, values):
 
 def _block_values(fmt: str, block: str) -> list:
     """The vertex values that one eval output block spells."""
+    import csv
+    import json
+
     if fmt == "csv":
         return [float(r[4]) for r in csv.reader(io.StringIO(block)) if r[4] != "value"]
     if fmt == "json":
@@ -352,8 +399,7 @@ def cmd_tangent(args) -> int:
         deviation = float(np.max(np.abs(triple.as_array() - ref.as_array())))
         columns += ["oracle_t0", "oracle_t1", "oracle_t2", "deviation", "error_estimate"]
         row += [ref.t0, ref.t1, ref.t2, deviation, err]
-    text = (_write_csv if args.format == "csv" else _write_json)(columns, [row])
-    _emit(args, [text])
+    _emit(args, _table_blocks(args.format, columns, [row]))
     if deviation is not None and deviation >= args.verify_tol:
         print(f"verification failed: tangent deviates from the direct limit by "
               f"{deviation:.3e} >= {args.verify_tol:.3e}", file=sys.stderr)
@@ -363,11 +409,10 @@ def cmd_tangent(args) -> int:
 
 # --- special ----------------------------------------------------------------
 
-def cmd_special(args) -> int:
-    config = dataclasses.replace(special.DEFAULT_CONFIG, tol=args.tol)
-    z = np.array(args.range)
-    if args.fn == "psi":
-        columns = ["z", "value", "error", "functional_eq", "note"]
+def _special_block(fn: str, points: list, config) -> list:
+    """The special table's rows at these grid points."""
+    z = np.array(points)
+    if fn == "psi":
         values, errors, failures = special.psi_limit_array(z, config)
         # audit psi(Psi(z)) = Psi(5z) wherever 5z is in the domain (an
         # overflowing 5z is not); a failure there fails the row
@@ -381,17 +426,23 @@ def cmd_special(args) -> int:
         failures.update((audited[k], exc) for k, exc in five_failures.items())
         fields = [values.tolist(), errors.tolist(), audit]
     else:
-        columns = ["z", "value", "error", "note"]
         values, errors, failures = special.upsilon_with_error_array(z, config)
         fields = [values.tolist(), errors.tolist()]
-    rows = []
-    for i, (point, *row) in enumerate(zip(args.range, *fields)):
-        if i in failures:
-            rows.append([point, *[None] * len(row), str(failures[i])])
-        else:
-            rows.append([point, *row, None])
-    text = (_write_csv if args.format == "csv" else _write_json)(columns, rows)
-    _emit(args, [text])
+    return [[point, *[None] * len(row), str(failures[i])] if i in failures else
+            [point, *row, None] for i, (point, *row) in enumerate(zip(points, *fields))]
+
+
+def _special_rows(fn: str, grid, config):
+    """The special table's rows, one BLOCK_ROWS-point block of the grid at
+    a time (a value does not depend on the grid it is in)."""
+    for lo, hi in _row_ranges(grid[2]):
+        yield from _special_block(fn, _grid_points(grid, lo, hi), config)
+
+
+def cmd_special(args) -> int:
+    config = special.DEFAULT_CONFIG._replace(tol=args.tol)
+    columns = ["z", "value", "error", *["functional_eq"] * (args.fn == "psi"), "note"]
+    _emit(args, _table_blocks(args.format, columns, _special_rows(args.fn, args.range, config)))
     return 0
 
 

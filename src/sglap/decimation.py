@@ -13,6 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -471,8 +472,7 @@ def dirichlet_eigenfunction(series: str, m0: int, index: int = 1,
     return SpectralEigenfunction(seq, seed)
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
+class SpectrumLine(NamedTuple):
     """One decimation family contributing to the level spectrum."""
 
     series: str

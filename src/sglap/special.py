@@ -14,7 +14,7 @@ on one-element arrays, so a value does not depend on the grid it is in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ PSI_DOMAIN_BOUND = 100.0
 TAIL_BOUND_FACTOR = 0.1
 
 
-@dataclass(frozen=True)
-class ConvergenceConfig:
+class ConvergenceConfig(NamedTuple):
     tol: float = 1e-13
     max_iterations: int = 80
 

@@ -21,7 +21,9 @@ seed pieces reproduce them cell by cell.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +45,7 @@ def gamma_vector(lam_m: float) -> np.ndarray:
     return np.array([4.0, 4.0 - lam_m, 4.0 - lam_m])
 
 
-@dataclass(frozen=True)
-class TangentTriple:
+class TangentTriple(NamedTuple):
     """Boundary values of the tangent harmonic function."""
 
     t0: float
@@ -52,7 +53,7 @@ class TangentTriple:
     t2: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.t0, self.t1, self.t2])
+        return np.array(self)
 
     def gradient(self) -> np.ndarray:
         """Mean-subtracted triple.
@@ -89,14 +90,18 @@ def limit_action(sequence: EigenvalueSequence, m0: int, v: str) -> np.ndarray:
 
 
 def m0_matrix(sequence: EigenvalueSequence, k: int) -> np.ndarray:
-    """The closed-form tail matrix M0(lambda, k) at cut level k >= m0."""
+    """The closed-form tail matrix M0(lambda, k) at cut level k >= m0.
+
+    M0 = I + O(lambda_k), and a lambda_k below the smallest normal float has
+    too few significant bits to divide by (or has underflowed to 0), so it
+    gives the identity."""
     if k < sequence.m0:
         raise DomainError(f"cut level {k} below the sequence start {sequence.m0}")
     if sequence.lambda_m0 == 0.0:
         return np.eye(3)
     lam_k = sequence.value(k)
-    if lam_k == 0.0:
-        raise DomainError(f"M0 is undefined at lambda_k = 0 (level {k})")
+    if abs(lam_k) < sys.float_info.min:
+        return np.eye(3)
     lam = sequence.limit()
     t = special.tau(k, sequence)
     c = lam / (3.0 * 5.0**k * lam_k)

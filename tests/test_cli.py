@@ -38,6 +38,30 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+# the generic writers that cli._table_blocks replaced, kept as its reference
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))  # shortest round-trip, numpy scalars included
+    return "" if value is None else str(value)
+
+
+def reference_csv(columns, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def reference_json(columns, rows) -> str:
+    records = [dict(zip(columns, row)) for row in rows]
+    return json.dumps(records, indent=2, default=lambda o: o.item()) + "\n"
+
+
+REFERENCE_WRITERS = {"csv": reference_csv, "json": reference_json}
+
+
 def test_spectrum_level1(capsys):
     code, out, _ = run(["spectrum", "--level", "1"], capsys)
     assert code == 0
@@ -397,6 +421,10 @@ class _Sink:
     def write(self, text):
         self.size += len(text)
 
+    def writelines(self, texts):
+        # as a real stream does, holds no text once it is counted
+        self.size += sum(map(len, texts))
+
 
 def _emission_peak(fmt, level):
     seed = "five:1:2:+-+-++"
@@ -595,8 +623,7 @@ def test_eval_rows_match_generic_writers(fmt, capsys):
     points = key_coords(graph.keys, level)
     rows = [[format_address(*resolve_addresses(tuple(key), level)[0]), level, float(x), float(y),
              float(v)] for key, (x, y), v in zip(graph.keys.tolist(), points, values)]
-    writer = cli._write_csv if fmt == "csv" else cli._write_json
-    assert out == writer(["address", "level", "x", "y", "value"], rows)
+    assert out == REFERENCE_WRITERS[fmt](["address", "level", "x", "y", "value"], rows)
 
 
 def test_eval_non_finite_values_exit_three_with_empty_stdout(capsys):
@@ -680,6 +707,13 @@ def test_special_overflowing_grid_exits_two(capsys):
     code, out, err = run(["special", "--fn", "psi", "--range=-1e308:1e308:3"], capsys)
     assert code == 2 and out == ""
     assert "finite" in err and err.count("\n") == 1
+
+
+def test_special_count_past_the_float_range_exits_two(capsys):
+    # a point divides by n - 1, which no float holds; this used to be a traceback
+    code, out, err = run(["special", "--fn", "psi", "--range=1:2:" + "1" * 400], capsys)
+    assert code == 2 and out == ""
+    assert "int too large to convert to float" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
@@ -822,3 +856,130 @@ def test_tangent_grammar_fuzz(seed, word, verify):
     [record] = csv.DictReader(io.StringIO(out.getvalue()))
     assert record.pop("word") and len(record) == (12 if verify else 7)
     assert all(_finite(field) for field in record.values())
+
+
+# --- table writer -------------------------------------------------------------
+
+_text = st.text(st.one_of(st.sampled_from(list(',"\\%\r\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600 ')),
+                          st.characters()), max_size=8)
+_cells = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 1e16, 1e-5, math.inf, -math.inf, math.nan]),
+    st.integers(-10**20, 10**20), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(), st.none(), _text)
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.lists(_text, min_size=1, max_size=4, unique=True))
+    width = len(columns)
+    return columns, draw(st.lists(st.lists(_cells, min_size=width, max_size=width), max_size=9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.integers(1, 4), st.sampled_from(["csv", "json"]))
+def test_table_blocks_equal_the_reference_writers(table, block_rows, fmt):
+    columns, rows = table
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        blocks = list(cli._table_blocks(fmt, columns, iter(rows)))
+    assert "".join(blocks) == REFERENCE_WRITERS[fmt](columns, rows)
+    # one block per BLOCK_ROWS rows, and one for the csv header or json footer
+    assert len(blocks) == -(-len(rows) // block_rows) + 1
+
+
+# sha256 of `spectrum --level m` stdout, recorded from the json.dumps and
+# csv.writer-per-row writers that cli._table_blocks replaced
+SPECTRUM_LEVEL_SHA256 = {
+    (0, "csv"): "d043b44a34eda3c326e89e8497475e5f0628261e75b2a8d80b0908cd07a5833c",
+    (1, "csv"): "d203a2f49b140c76412a7c0b3805881ffbc02c852c72a73b4a4a717540441567",
+    (2, "csv"): "6c3d896ad4977890dc5b3a0f72a49542cbfdca583b3440891351e0b23e57c030",
+    (3, "csv"): "378195acf191934cd0773780956f540011fce4318d360c294a22d1ad47d69e05",
+    (4, "csv"): "235ffd28ee1184eb44abfd50a38e6af0713bae8ea3cb718f87542d97262198e8",
+    (5, "csv"): "16ad22ff615db8791529e79007fd6400f80ac75978a6c9c1437cbc8e6d4ff66b",
+    (6, "csv"): "9c660191e48e5da9fa4ee1ea9dbfcdc3e8f41a10a73fc17fdc9c0767d624c117",
+    (7, "csv"): "f5034b76518845eeda4a3aee4e7379bbcdf7a160389239f74680d82df4e61d88",
+    (8, "csv"): "6378d52420f4ac31d097d95f753fa57f649a5db6b5e8beaa1a5003ae61103e42",
+    (9, "csv"): "6f219b0b2b0341e56f7a377c0977fae5189f065e9dc3596448a5d62e8c85536a",
+    (10, "csv"): "a3e7b4352b24fa7217660b97987081846721b3886b745cc275b9c101b003c030",
+    (0, "json"): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    (1, "json"): "497335a5e9df8649eef63d49561672d08931bca40bb35ba6d9782afcf8666fbb",
+    (2, "json"): "d377cd6937b18487a13683b98618f17ac701e3c8df6a02b26972c4859c0c4242",
+    (3, "json"): "2966c65ec6c44502f428f144ad805a9ec76fa04331289696fcffd2cbc1519440",
+    (4, "json"): "230427aa1cbcf223970e46906cea06f393cbd1e1423a63e70012dc4ed3951c04",
+    (5, "json"): "746520eba6e8583a58bae7be0b24da7e3346ac0ee1ae8eed43646094c6d576c2",
+    (6, "json"): "3a3e210bcd5b8c3cb2d778f35e603b5797e6b51ec865afa354a809f4d11f9853",
+    (7, "json"): "8e3fd27b6b2f2d0053d122e02614bc349c920f18c5bbea65f1e286432c48e9cd",
+    (8, "json"): "1fa7bcea7762ed28a33d3ad1cc83bff13c062a1b4e2011cf6c6e39e6a52a5f9e",
+    (9, "json"): "6e1b37d20ca0e55785035dca53d1978adf054f6ed04d4f1753878bed78f9be04",
+    (10, "json"): "6e442571a8b49dc2dbb8dee1e75e184081f93907f8a2f3d3ad551af862a9a39f",
+}
+
+
+@pytest.mark.parametrize("level, fmt", list(SPECTRUM_LEVEL_SHA256))
+def test_spectrum_golden_bytes_at_every_level(level, fmt, capsys):
+    code, out, err = run(["spectrum", "--level", str(level), "--format", fmt], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_LEVEL_SHA256[level, fmt]
+
+
+def test_import_loads_no_csv_json_or_dataclasses():
+    # a fresh process; the formats import what they write with
+    script = "import sys, sglap.cli; print(sorted({'csv', 'json', 'dataclasses'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("fn, spec", [("psi", "-150:150"), ("upsilon", "-1e4:1e4")])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_special_blocks_equal_one_whole_grid_table(fn, spec, fmt, capsys):
+    # three full blocks and a partial one, failed rows included
+    n = 3 * cli.BLOCK_ROWS + 5
+    code, out, err = run(["special", "--fn", fn, f"--range={spec}:{n}", "--format", fmt], capsys)
+    assert code == 0 and err == ""
+    columns = ["z", "value", "error", "functional_eq", "note"] if fn == "psi" else \
+        ["z", "value", "error", "note"]
+    with mock.patch.object(cli, "BLOCK_ROWS", n):
+        rows = list(cli._special_rows(fn, cli.parse_range(f"{spec}:{n}"), cli.special.DEFAULT_CONFIG))
+    assert any(row[-1] for row in rows) and not all(row[-1] for row in rows)
+    assert out == REFERENCE_WRITERS[fmt](columns, rows)
+
+
+def _special_peak(fn, n):
+    args = cli.build_parser().parse_args(["special", "--fn", fn, f"--range=-60:60:{n}",
+                                          "--format", "json"])
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert cli.cmd_special(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > n * 40
+    return peak
+
+
+@pytest.mark.parametrize("fn", ["psi", "upsilon"])
+def test_special_memory_does_not_grow_with_the_grid(fn):
+    # 10x the points; the grid, the kernel arrays and the text are one block
+    assert _special_peak(fn, 40_000) <= 1.5 * _special_peak(fn, 4_000)
+
+
+def test_special_huge_grid_starts_without_building_the_grid():
+    # the first block of a 10^8-point grid; the rest is never computed
+    grid = cli.parse_range("1:2:100000000")
+    assert grid == (1.0, 2.0, 100_000_000)
+    blocks = cli._table_blocks("csv", ["z", "value", "error", "note"],
+                               cli._special_rows("upsilon", grid, cli.special.DEFAULT_CONFIG))
+    assert next(blocks) == "z,value,error,note\n"
+    _, rows = parse_csv("\n" + next(blocks))
+    assert [float(r[0]) for r in rows] == [1.0 + i / 99_999_999 for i in range(cli.BLOCK_ROWS)]
+
+
+@pytest.mark.parametrize("lam", ["1e-320", "1e-318", "1e-315", "-3e-322"])
+@pytest.mark.parametrize("word", [":0", "2:1", "012:1", "120012:2"])
+def test_subnormal_lambda_tangent_is_the_harmonic_tangent(lam, word, capsys):
+    harmonic = run(["tangent", "--seed", "free:0:1,2,3", "--word", word, "--verify"], capsys)
+    assert harmonic[0] == 0
+    assert run(["tangent", "--seed", f"free:{lam}:1,2,3", "--word", word, "--verify"],
+               capsys) == harmonic

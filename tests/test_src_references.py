@@ -1,6 +1,7 @@
 """Tooling guards: every public function, class and method in src has a
-caller elsewhere in src, and every dataclass field in src is read somewhere
-in src, or each has a stated reason to exist without one.
+caller elsewhere in src, and every field of a dataclass or typing.NamedTuple
+in src is read somewhere in src, or each has a stated reason to exist
+without one.
 
 A name counts as referenced when it appears anywhere in src outside its own
 definition: as a bare name, an attribute or an imported name.  A field
@@ -82,16 +83,20 @@ def test_every_allowlist_entry_is_still_unreferenced():
     assert all(UNREFERENCED.values())
 
 
-def _is_dataclass(node):
+def _is_record(node):
+    """A class decorated with @dataclass(...) or derived from NamedTuple."""
     return any(isinstance(d, ast.Name) and d.id == "dataclass"
                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-               and d.func.id == "dataclass" for d in node.decorator_list)
+               and d.func.id == "dataclass" for d in node.decorator_list) or any(
+        isinstance(b, ast.Name) and b.id == "NamedTuple"
+        or isinstance(b, ast.Attribute) and b.attr == "NamedTuple" for b in node.bases)
 
 
 def _fields(tree):
-    """(qualified name, field name) of every field of a top-level dataclass."""
+    """(qualified name, field name) of every field of a top-level dataclass
+    or NamedTuple."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+        if isinstance(node, ast.ClassDef) and _is_record(node):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     yield f"{node.name}.{item.target.id}", item.target.id
@@ -106,6 +111,7 @@ def _unread_fields():
 
 
 def test_every_dataclass_field_is_read_or_has_a_reason():
+    # NamedTuple fields included
     assert sorted(set(_unread_fields()) - set(UNREAD_FIELDS)) == []
 
 

@@ -1,6 +1,7 @@
 """Tangent triples: the closed-form tail matrix and its exact identities."""
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -85,6 +86,16 @@ def test_tail_matrix_guards():
     with pytest.raises(DomainError):
         m0_matrix(EigenvalueSequence(1, 2.0), 0)  # cut below the sequence start
     assert np.array_equal(m0_matrix(EigenvalueSequence(0, 0.0), 3), np.eye(3))
+
+
+@pytest.mark.parametrize("lam", [1e-320, 1e-318, 1e-315, -3e-322])
+def test_subnormal_lambda_k_gives_the_identity_tail_matrix(lam):
+    # M0 = I + O(lambda_k); dividing by a subnormal lambda_k (or one that has
+    # underflowed to 0) gave a matrix off by up to 2e-2, or a DomainError
+    seq = sequence_from_limit(lam)
+    assert seq.lambda_m0 != 0.0 and abs(seq.lambda_m0) < sys.float_info.min
+    for k in range(7):
+        assert np.array_equal(m0_matrix(seq, k), np.eye(3))
 
 
 def test_six_element_tangent_closed_form():

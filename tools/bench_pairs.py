@@ -2,10 +2,12 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV --workdir DIR \
         --workload mesh:12301:10 --workload spectral:12401:10 \
-        --claim mesh --note "what the change does" --out BENCH_12.json
+        --claim spectral:peak_rss_mb --note "what the change does" --out BENCH_14.json
 
+--claim WORKLOAD[:METRIC] names the workload and the end-to-end metric of
+BENCHMARK.json whose gain the change claims; the metric defaults to wall_s.
 Without --claim the record's claim is null: the pairs are recorded and no
-workload's wall_s is claimed.
+metric is claimed.
 
 Each commit is exported with `git archive` into its own directory under
 DIR, and `perfbench/run.py --workload W --seed S --seconds 24 --trace 0`
@@ -87,7 +89,9 @@ def main() -> int:
     parser.add_argument("--workdir", required=True, type=Path)
     parser.add_argument("--workload", action="append", required=True,
                         help="NAME:FIRST_SEED:PAIRS")
-    parser.add_argument("--claim", help="the workload whose wall_s is claimed (default: none)")
+    parser.add_argument("--claim", metavar="WORKLOAD[:METRIC]",
+                        help="the workload and end-to-end metric whose gain is claimed "
+                             "(metric default: wall_s; default: no claim)")
     parser.add_argument("--note", required=True, help="one line on what the change does")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
@@ -95,6 +99,19 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     specs = {m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
              for m in bench["end_to_end"]}
+    workloads = [item.split(":")[0] for item in args.workload]
+    claim = None
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        metric = metric or "wall_s"
+        if metric not in specs:
+            parser.error(f"--claim metric {metric!r} is not an end_to_end metric of "
+                         f"BENCHMARK.json ({', '.join(specs)})")
+        if workload not in workloads:
+            parser.error(f"--claim workload {workload!r} is not among the --workload runs")
+        claim = {"workload": workload, "metric": metric,
+                 "rule": "change better in at least 9 of 10 pairs, and the median gain "
+                         "larger than the parent's interquartile range"}
     trees = {side: export(rev, args.workdir / side)
              for side, rev in (("parent", args.parent), ("change", args.change))}
     record = {
@@ -111,10 +128,7 @@ def main() -> int:
         "machine": {"nproc": os.cpu_count(), "cpu_model": platform.processor() or
                     platform.machine(), "python": platform.python_version(),
                     "numpy": importlib.metadata.version("numpy"), "OPENBLAS_NUM_THREADS": 1},
-        "claim": {"workload": args.claim, "metric": "wall_s",
-                  "rule": "change lower in at least 9 of 10 pairs, and the median drop "
-                          "larger than the parent's interquartile range"}
-                 if args.claim else None,
+        "claim": claim,
         "workloads": {},
     }
     for item in args.workload:

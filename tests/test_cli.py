@@ -924,7 +924,8 @@ def test_spectrum_golden_bytes_at_every_level(level, fmt, capsys):
 
 def test_import_loads_no_csv_json_or_dataclasses():
     # a fresh process; the formats import what they write with
-    script = "import sys, sglap.cli; print(sorted({'csv', 'json', 'dataclasses'} & set(sys.modules)))"
+    script = ("import sys, sglap.cli; "
+              "print(sorted({'csv', 'json', 'dataclasses'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -936,10 +937,11 @@ def test_special_blocks_equal_one_whole_grid_table(fn, spec, fmt, capsys):
     n = 3 * cli.BLOCK_ROWS + 5
     code, out, err = run(["special", "--fn", fn, f"--range={spec}:{n}", "--format", fmt], capsys)
     assert code == 0 and err == ""
-    columns = ["z", "value", "error", "functional_eq", "note"] if fn == "psi" else \
-        ["z", "value", "error", "note"]
+    columns = ["z", "value", "error", *["functional_eq"] * (fn == "psi"), "note"]
+    # the same rows from one block of the whole grid
     with mock.patch.object(cli, "BLOCK_ROWS", n):
-        rows = list(cli._special_rows(fn, cli.parse_range(f"{spec}:{n}"), cli.special.DEFAULT_CONFIG))
+        rows = list(cli._special_rows(fn, cli.parse_range(f"{spec}:{n}"),
+                                      cli.special.DEFAULT_CONFIG))
     assert any(row[-1] for row in rows) and not all(row[-1] for row in rows)
     assert out == REFERENCE_WRITERS[fmt](columns, rows)
 

@@ -111,7 +111,6 @@ def _unread_fields():
 
 
 def test_every_dataclass_field_is_read_or_has_a_reason():
-    # NamedTuple fields included
     assert sorted(set(_unread_fields()) - set(UNREAD_FIELDS)) == []
 
 

@@ -1,9 +1,10 @@
 """Laplacian eigenfunctions and harmonic tangents on the Sierpinski gasket.
 
-Layers, bottom up: address (words, vertex keys, level graphs), harmonic
-(1-5-5 extension), decimation (eigenvalue sequences, Dirichlet series),
-special (psi/upsilon tail products), tangent (closed-form harmonic tangents
-and normal derivatives), oracle (independent brute-force checks), cli.
+Layers, bottom up: special (psi/upsilon tail products), decimation (level
+cap, eigenvalue sequences, Dirichlet spectrum; no numpy), address (words,
+vertex keys, level graphs), harmonic (1-5-5 extension and eigenfunctions),
+tangent (closed-form harmonic tangents and normal derivatives), oracle
+(independent brute-force checks), cli.
 Import names from these modules; the package itself re-exports none.
 """
 

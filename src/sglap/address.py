@@ -14,39 +14,17 @@ had one level up, and the canonical vertex order falls out of the gluing.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, LevelCapError
+from .decimation import check_level, vertex_count
+from .errors import DomainError, InvariantError
 
 Word = tuple  # letters in {0, 1, 2}
 
 DEFAULT_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-DEFAULT_LEVEL_CAP = 12
-
-
-def max_level() -> int:
-    """Refinement cap; the SG_MAX_LEVEL environment variable overrides it."""
-    raw = os.environ.get("SG_MAX_LEVEL")
-    if raw is None:
-        return DEFAULT_LEVEL_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(f"SG_MAX_LEVEL must be an integer, got {raw!r}") from exc
-
-
-def check_level(m: int) -> int:
-    """A refinement level: DomainError below 0, LevelCapError above max_level()."""
-    if m < 0:
-        raise DomainError(f"level must be nonnegative, got {m}")
-    cap = max_level()
-    if m > cap:
-        raise LevelCapError(f"level {m} exceeds cap {cap} (override with SG_MAX_LEVEL)")
-    return m
 
 
 def check_word(word) -> Word:
@@ -228,11 +206,6 @@ def key_coords(keys, level: int) -> np.ndarray:
     and sum is exact but the one rounding of n_2 * sqrt(3)/2, so x takes the
     same bits for equal 2 n_1 + n_2, and y for equal n_2."""
     return (keys @ DEFAULT_CORNERS) / float(1 << level)
-
-
-def vertex_count(m: int) -> int:
-    """|V_m| = (3^{m+1} + 3) / 2."""
-    return (3 ** (m + 1) + 3) // 2
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,8 @@ Seed mini-grammar (one line reproduces any figure):
     free:lambda:u0,u1,u2       non-Dirichlet function from boundary values
                                and the renormalized eigenvalue (0 = harmonic)
 
-Exit codes: 0 ok, 2 usage, 3 domain error, 4 verification failure.
+Exit codes: 0 ok, 2 usage (an unwritable --output or a closed stdout
+included), 3 domain error, 4 verification failure.
 """
 from __future__ import annotations
 
@@ -22,10 +23,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-# the other layers are imported by the subcommands that run them, so that a
-# process loads only what its subcommand uses
+# numpy and the other layers are imported by the functions that use them,
+# so that a process loads only what its subcommand runs
 from . import special
 from .errors import DomainError, SglapError, UsageError
 
@@ -188,8 +187,8 @@ def parse_range(text: str) -> tuple:
 
 
 def parse_seed(text: str):
-    """Resolve the seed mini-grammar to a decimation.SpectralEigenfunction."""
-    from . import decimation
+    """Resolve the seed mini-grammar to a harmonic.SpectralEigenfunction."""
+    from . import decimation, harmonic
 
     parts = text.split(":")
     if not parts or parts[0] == "":
@@ -204,13 +203,13 @@ def parse_seed(text: str):
             raise UsageError(f"malformed free seed {text!r}: {exc}") from None
         if len(triple) != 3:
             raise UsageError(f"free seed needs exactly three boundary values, got {parts[2]!r}")
-        if not np.isfinite([lam, *triple]).all():
+        if not all(map(math.isfinite, [lam, *triple])):
             raise UsageError(f"free seed values must be finite, got {text!r}")
         seq = decimation.sequence_from_limit(lam)
         if seq.m0 != 0:
             raise UsageError(f"lambda={lam!r} hits a singular level; "
                              "use a series seed for Dirichlet eigenfunctions")
-        return decimation.SpectralEigenfunction(seq, np.array(triple))
+        return harmonic.SpectralEigenfunction(seq, triple)
     if len(parts) not in (3, 4):
         raise UsageError(f"seed needs series:m0:index[:branches], got {text!r}")
     series = parts[0]
@@ -231,8 +230,8 @@ def parse_seed(text: str):
         # the basic (non-Dirichlet) 6-series element; Dirichlet gluings start at m0 = 2
         if index != 1:
             raise DomainError("the basic 6-series element is unique (index 1)")
-        return decimation.six_series_element(plus)
-    return decimation.dirichlet_eigenfunction(series, m0, index, plus)
+        return harmonic.six_series_element(plus)
+    return harmonic.dirichlet_eigenfunction(series, m0, index, plus)
 
 
 # --- spectrum ---------------------------------------------------------------
@@ -252,7 +251,7 @@ def cmd_spectrum(args) -> int:
         # both sides ascend, so multiplicity blocks pair off in order
         for line in lines:
             block = dense.eigenvalues[start:start + line.multiplicity]
-            residuals.append(float(np.max(np.abs(block - line.value))) if block.size else 0.0)
+            residuals.append(float(abs(block - line.value).max()) if block.size else 0.0)
             start += line.multiplicity
         columns.append("residual")
     rows = ([line.series, line.m0, line.branches, line.value, line.limit, line.multiplicity,
@@ -273,6 +272,8 @@ def _reprs(column) -> list:
 
     Floats are keyed by bit pattern, not by value, so 0.0 and -0.0 (equal,
     with different reprs) keep their own strings."""
+    import numpy as np
+
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     table = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
@@ -283,6 +284,8 @@ def _lattice_reprs(level: int):
     """repr of x on each lattice line 2 n_1 + n_2 = t (t = 0..2^(level+1))
     and of y on each line n_2 = t (t = 0..2^level) of V_level: key_coords of
     the points (0, 0, t), as object arrays to index with a block's keys."""
+    import numpy as np
+
     from .address import key_coords
 
     lines = key_coords(np.outer(np.arange(2 ** (level + 1) + 1), [0, 0, 1]), level)
@@ -343,14 +346,18 @@ def _block_values(fmt: str, block: str) -> list:
 def _reingest(fmt: str, blocks, parsed: list):
     """Pass the blocks through, appending each one's parsed values to
     `parsed` as soon as it has been written."""
+    import numpy as np
+
     for block in blocks:
         yield block
         parsed.append(np.array(_block_values(fmt, block)))
 
 
 def cmd_eval(args) -> int:
+    import numpy as np
+
     from .address import build_level_graph
-    from .decimation import eigen_residual
+    from .harmonic import eigen_residual
 
     u = parse_seed(args.seed)
     graph = build_level_graph(args.level)
@@ -396,7 +403,7 @@ def cmd_tangent(args) -> int:
         from . import oracle
 
         ref, err = oracle.direct_tangent_limit(u, word, 25)
-        deviation = float(np.max(np.abs(triple.as_array() - ref.as_array())))
+        deviation = float(abs(triple.as_array() - ref.as_array()).max())
         columns += ["oracle_t0", "oracle_t1", "oracle_t2", "deviation", "error_estimate"]
         row += [ref.t0, ref.t1, ref.t2, deviation, err]
     _emit(args, _table_blocks(args.format, columns, [row]))
@@ -411,6 +418,8 @@ def cmd_tangent(args) -> int:
 
 def _special_block(fn: str, points: list, config) -> list:
     """The special table's rows at these grid points."""
+    import numpy as np
+
     z = np.array(points)
     if fn == "psi":
         values, errors, failures = special.psi_limit_array(z, config)
@@ -507,7 +516,14 @@ def main(argv=None) -> int:
     try:
         # argparse and the number parsers raise UsageError from parse_args
         args = parser.parse_args(argv)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader is gone; the rest goes to devnull, so that exit flushes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"usage error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

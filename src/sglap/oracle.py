@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .address import EventuallyConstantWord, build_level_graph
-from .decimation import SpectralEigenfunction
 from .errors import ConvergenceError, DomainError
+from .harmonic import SpectralEigenfunction
 from .tangent import TangentTriple
 
 DENSE_LEVEL_CAP = 6

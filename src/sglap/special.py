@@ -10,13 +10,13 @@ tau is the same product taken along an explicit sequence.
 psi_limit_array and upsilon_with_error_array evaluate whole grids; the
 scalar psi_limit, upsilon and their _with_error forms run the same kernels
 on one-element arrays, so a value does not depend on the grid it is in.
+numpy is imported by the functions that build arrays, so that importing
+this module does not load it.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -67,6 +67,8 @@ def psi_limit_array(z, config: ConvergenceConfig = DEFAULT_CONFIG):
     array.  failures maps an index to the SglapError psi_limit raises there,
     in index order; values and increments are NaN at those indices.
     """
+    import numpy as np
+
     z = np.asarray(z, dtype=float)
     values = np.full(z.shape, np.nan)
     increments = np.full(z.shape, np.nan)
@@ -101,6 +103,8 @@ def psi_limit_array(z, config: ConvergenceConfig = DEFAULT_CONFIG):
 
 def _scalar(kernel, x, config):
     """Run an array kernel on one number; raise its failure or return floats."""
+    import numpy as np
+
     *columns, failures = kernel(np.array([float(x)]), config)
     if failures:
         raise failures[0]
@@ -129,6 +133,8 @@ def _upsilon_array(lam, config: ConvergenceConfig):
     geometric tail of ratio 1/5.  All the psi_limit arguments of the array go
     through one psi_limit_array call; the factors multiply in j order.
     """
+    import numpy as np
+
     size = np.abs(lam)
     last = config.max_iterations + 1
     # stop[i]: the first j whose tail bound passes; 0 where none does
@@ -175,6 +181,8 @@ def upsilon_with_error_array(lam, config: ConvergenceConfig = DEFAULT_CONFIG):
     failures maps an index to the SglapError upsilon_with_error raises
     there, in index order; values and errors are NaN at those indices.
     """
+    import numpy as np
+
     lam = np.asarray(lam, dtype=float)
     values, failures = _upsilon_array(lam, config)
     tight = ConvergenceConfig(config.tol / 8.0, config.max_iterations + 8)

@@ -29,9 +29,10 @@ import numpy as np
 
 from . import special
 from .address import EventuallyConstantWord
-from .decimation import Branch, EigenvalueSequence, SpectralEigenfunction, six_series_element
+from .decimation import Branch, EigenvalueSequence
 from .errors import DomainError
-from .harmonic import CORNER_SWAPS, harmonic_normal_derivative, harmonic_pullback, normal_derivative_limit
+from .harmonic import (CORNER_SWAPS, SpectralEigenfunction, harmonic_normal_derivative,
+                       harmonic_pullback, normal_derivative_limit, six_series_element)
 
 # alpha, beta and gamma_vector(lambda_m): the triple diagonalizing the tail action
 ALPHA = np.array([0.0, 1.0, 1.0])

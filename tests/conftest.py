@@ -3,8 +3,7 @@ extension helpers that only the tests use as references."""
 import numpy as np
 
 from sglap.address import check_letter, check_word
-from sglap.decimation import eigen_matrices
-from sglap.harmonic import HARMONIC_MATRICES
+from sglap.harmonic import HARMONIC_MATRICES, eigen_matrices
 
 acceptance_log = []
 

@@ -15,15 +15,10 @@ import numpy as np
 
 from conftest import acceptance_log, eigen_matrix, extend_harmonic, harmonic_matrix
 
-from sglap.decimation import (
-    EigenvalueSequence,
-    SpectralEigenfunction,
-    dirichlet_eigenfunction,
-    enumerate_dirichlet_spectrum,
-    sequence_from_limit,
-    six_series_element,
-)
-from sglap.harmonic import normal_derivative_limit
+from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
+                               sequence_from_limit)
+from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction,
+                            normal_derivative_limit, six_series_element)
 from sglap.oracle import (
     dense_dirichlet_spectrum,
     direct_tangent_limit,

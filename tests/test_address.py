@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sglap import address
+from sglap import address, decimation
 from sglap.address import (
     DEFAULT_CORNERS,
     EventuallyConstantWord,
@@ -236,4 +236,4 @@ def test_level_caps():
     with pytest.raises(DomainError):
         build_level_graph(-1)
     with pytest.raises(LevelCapError):
-        build_level_graph(address.max_level() + 1)
+        build_level_graph(decimation.max_level() + 1)

@@ -1,0 +1,45 @@
+"""tools/bench_pairs.py: the quartiles and pair counts a BENCH record holds."""
+import importlib.util
+import pathlib
+
+import pytest
+
+PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def test_summary_takes_inclusive_quartiles_and_keeps_the_runs():
+    runs = [5.0, 1.0, 4.0, 2.0, 3.0]
+    assert bench_pairs.summary(runs) == {"median": 3.0, "q1": 2.0, "q3": 4.0, "runs": runs}
+    # inclusive quartiles interpolate between order statistics
+    out = bench_pairs.summary([1.0, 2.0, 3.0, 4.0])
+    assert (out["q1"], out["median"], out["q3"]) == (1.75, 2.5, 3.25)
+
+
+def test_summary_rounds_to_five_decimals():
+    out = bench_pairs.summary([0.1234567, 0.1234567, 0.1234567])
+    assert out == {"median": 0.12346, "q1": 0.12346, "q3": 0.12346, "runs": [0.12346] * 3}
+
+
+def test_compare_reports_the_median_delta_and_the_parent_iqr():
+    spec = {"unit": "s", "better": "lower", "bound": 0.25}
+    parent = [1.0, 1.2, 1.1, 1.3, 1.4]
+    change = [0.9, 1.0, 1.0, 1.2, 1.1]
+    out = bench_pairs.compare(spec, parent, change)
+    assert {k: out[k] for k in spec} == spec
+    assert out["parent"]["median"] == 1.2 and out["change"]["median"] == 1.0
+    assert out["median_delta"] == pytest.approx(-0.2)
+    assert out["median_delta_frac"] == pytest.approx(-0.1667)
+    assert out["parent_iqr"] == pytest.approx(1.3 - 1.1)
+    assert out["change_lower_in"] == "5 of 5 pairs"
+    assert out["change_higher_in"] == "0 of 5 pairs"
+
+
+def test_compare_counts_ties_for_neither_side():
+    out = bench_pairs.compare({"unit": "s", "better": "lower"},
+                              [1.0, 2.0, 3.0, 4.0], [1.0, 1.5, 3.5, 4.0])
+    assert out["change_lower_in"] == "1 of 4 pairs"
+    assert out["change_higher_in"] == "1 of 4 pairs"
+    assert out["median_delta"] == 0.0 and out["median_delta_frac"] == 0.0

@@ -21,9 +21,9 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from sglap import cli
-from sglap.decimation import SpectralEigenfunction, enumerate_dirichlet_spectrum
-from sglap.address import (build_level_graph, format_address, key_coords, max_level,
-                           resolve_addresses)
+from sglap.address import build_level_graph, format_address, key_coords, resolve_addresses
+from sglap.decimation import enumerate_dirichlet_spectrum, max_level
+from sglap.harmonic import SpectralEigenfunction
 from sglap.errors import DomainError, LevelCapError, SglapError, UsageError
 
 
@@ -548,26 +548,37 @@ def test_spectrum_verify_golden_columns(capsys):
 
 
 def test_each_subcommand_loads_only_the_layers_it_runs():
-    # a fresh process, since this one has long loaded every layer and mpmath
+    # a fresh process, since this one has long loaded every layer, numpy and mpmath
     script = """if True:
         import contextlib, io, sys
 
         def layers():
             return {name for name in sys.modules if name.startswith("sglap.")}
 
-        def run(*argv):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert sglap.cli.main(list(argv)) == 0, argv
+        def run(*argv, code=0):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    assert sglap.cli.main(list(argv)) == code, argv
+                except SystemExit as exc:  # --help
+                    assert exc.code == code, argv
             assert "mpmath" not in sys.modules, argv
             return layers()
 
         import sglap.cli
         base = {"sglap.cli", "sglap.special", "sglap.errors"}
         assert layers() == base, layers()
-        assert run("special", "--fn", "psi", "--range=0:1:3") == base
-        assert run("special", "--fn", "upsilon", "--range=0:1:3") == base
+        assert "numpy" not in sys.modules
+        assert run("--help") == run("spectrum", "--level", "x", code=2) == base
+        assert "numpy" not in sys.modules
+        spectrum = base | {"sglap.decimation"}
+        for level in ("0", "10"):
+            for fmt in ("csv", "json"):
+                assert run("spectrum", "--level", level, "--format", fmt) == spectrum
+        assert "numpy" not in sys.modules
+        assert run("special", "--fn", "psi", "--range=0:1:3") == spectrum
+        assert run("special", "--fn", "upsilon", "--range=0:1:3") == spectrum
         checks = {"sglap.oracle", "sglap.tangent"}
-        assert not run("spectrum", "--level", "2") & checks
         assert not run("eval", "--seed", "six:2:1", "--level", "2", "--verify") & checks
         assert "sglap.oracle" in run("spectrum", "--level", "2", "--verify")
         run("tangent", "--seed", "six:1:1", "--word", ":0", "--verify")
@@ -575,6 +586,24 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["spectrum", "--level", "10"], 1),
+    (["eval", "--seed", "six:2:1", "--level", "8"], 1),
+    (["special", "--fn", "psi", "--range=1:2:100000"], 1),
+    # one row fits in the pipe whole, so its reader is gone before it is written
+    (["tangent", "--seed", "six:1:1", "--word", ":0"], 0),
+], ids=lambda a: a[0] if isinstance(a, list) else None)
+def test_closed_stdout_exits_two(argv, lines):
+    proc = subprocess.Popen([sys.executable, "-m", "sglap.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (2, "usage error: cannot write to stdout: Broken pipe\n")
 
 
 # sha256 of `special` stdout, pinned from the per-point scalar loops: a

@@ -16,21 +16,22 @@ from sglap.decimation import (
     SINGULAR_VALUES,
     Branch,
     EigenvalueSequence,
+    enumerate_dirichlet_spectrum,
+    sequence_from_limit,
+    series_multiplicity,
+)
+from sglap.errors import (ConvergenceError, DomainError, InvariantError, SglapError,
+                          SingularLevelError)
+from sglap.harmonic import (
     SpectralEigenfunction,
     dirichlet_eigenfunction,
     dirichlet_seed_values,
     eigen_matrices,
-    enumerate_dirichlet_spectrum,
+    graph_laplacian,
     rotate_six,
-    sequence_array,
-    sequence_from_limit,
-    series_multiplicity,
     six_series_element,
     supports_closed_form,
 )
-from sglap.errors import (ConvergenceError, DomainError, InvariantError, SglapError,
-                          SingularLevelError)
-from sglap.harmonic import graph_laplacian
 from sglap.special import DEFAULT_CONFIG, ConvergenceConfig
 
 CLOSED_FORM_SEEDS = [
@@ -302,7 +303,7 @@ def test_seed_shape_is_validated():
         SpectralEigenfunction(EigenvalueSequence(1, 2.0), [0.0, 1.0, 2.0])
 
 
-# The scalar recursion sequence_array replaced, kept literally as the reference.
+# The scalar recursion EigenvalueSequence once ran, kept literally as the reference.
 def reference_lambda_next(prev, plus):
     if not math.isfinite(prev):
         raise DomainError(f"no refinement of the non-finite lambda={prev!r}")
@@ -384,27 +385,18 @@ sequence_configs = st.builds(ConvergenceConfig, tol=st.floats(1e-16, 1e-3),
 
 @settings(max_examples=60, deadline=None)
 @given(rows, st.integers(0, 12), sequence_configs)
-def test_sequence_array_matches_the_scalar_recursion(rows, depth, config):
+def test_eigenvalue_sequence_matches_the_reference_recursion(rows, depth, config):
     # plus levels at or below m0 are not part of a sequence
     rows = [(m0, seed, {j for j in plus if j > m0}) for m0, seed, plus in rows]
     level = max(m0 for m0, _, _ in rows) + depth
-    width = max([j for _, _, plus in rows for j in plus], default=0) + 1
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for r, (_, _, plus) in enumerate(rows):
-        mask[r, sorted(plus)] = True
-    values, limits, value_failures, limit_failures = sequence_array(
-        [m0 for m0, _, _ in rows], [seed for _, seed, _ in rows], mask, level, config)
-    for r, (m0, seed, plus) in enumerate(rows):
+    for m0, seed, plus in rows:
         expected_value = outcome(ReferenceSequence(m0, seed, plus).value, level)
         expected_limit = outcome(ReferenceSequence(m0, seed, plus).limit, config)
-        for got, failures, expected in ((values, value_failures, expected_value),
-                                        (limits, limit_failures, expected_limit)):
-            if isinstance(expected, tuple):
-                assert (type(failures[r]), str(failures[r])) == expected
-                assert math.isnan(got[r])
-            else:
-                assert r not in failures and repr(float(got[r])) == expected
-        # the one-row wrappers, asked for levels out of order
+        # values and limits: a float's repr, or the failure's class and message
+        seq = EigenvalueSequence(m0, seed, plus)
+        assert outcome(seq.value, level) == expected_value
+        assert outcome(seq.limit, config) == expected_limit
+        # asked for levels out of order, the limit first
         seq = EigenvalueSequence(m0, seed, plus)
         assert outcome(seq.limit, config) == expected_limit
         assert outcome(seq.value, level) == expected_value
@@ -417,19 +409,63 @@ def test_sequence_array_matches_the_scalar_recursion(rows, depth, config):
                 ReferenceSequence(0, seed, plus).value, 1)
 
 
-def test_sequence_array_reports_each_failure_kind():
-    mask = np.zeros((5, 450), dtype=bool)
-    mask[1, 2] = True
-    mask[2, 2:445] = True
-    values, limits, value_failures, limit_failures = sequence_array(
-        [1, 1, 1, 1, 3], [6.0, 6.0, 2.0, 7.0, 2.0], mask, 3,
-        ConvergenceConfig(tol=1e-13, max_iterations=5))
-    assert type(value_failures[0]) is SingularLevelError  # minus root of 6 is 2
-    assert values[1] == EigenvalueSequence(1, 6.0, {2}).value(3)
-    assert str(limit_failures[2]) == "renormalized eigenvalue overflows at level 444"
-    assert "no real refinement of lambda=7.0" in str(value_failures[3])
-    assert type(limit_failures[1]) is ConvergenceError
-    assert list(value_failures) == [0, 3] and list(limit_failures) == [0, 1, 2, 3, 4]
+def test_eigenvalue_sequence_reports_each_failure_kind():
+    config = ConvergenceConfig(tol=1e-13, max_iterations=5)
+    cases = [EigenvalueSequence(1, 6.0), EigenvalueSequence(1, 6.0, {2}),
+             EigenvalueSequence(1, 2.0, range(2, 445)), EigenvalueSequence(1, 7.0),
+             EigenvalueSequence(3, 2.0)]
+    values = [outcome(seq.value, 3) for seq in cases]
+    limits = [outcome(seq.limit, config) for seq in cases]
+    assert values[0][0] is SingularLevelError  # minus root of 6 is 2
+    assert values[1] == repr(EigenvalueSequence(1, 6.0, {2}).value(3))
+    assert limits[2] == (DomainError, "renormalized eigenvalue overflows at level 444")
+    assert "no real refinement of lambda=7.0" in values[3][1]
+    assert limits[1][0] is ConvergenceError
+    assert [i for i, v in enumerate(values) if isinstance(v, tuple)] == [0, 3]
+    assert all(isinstance(limit, tuple) for limit in limits)
+    for seq, value, limit in zip(cases, values, limits):
+        ref = ReferenceSequence(seq.m0, seq.lambda_m0, seq.plus_indices)
+        assert (value, limit) == (outcome(ref.value, 3), outcome(ref.limit, config))
+
+
+def _reference_spectrum_failure(level, config):
+    """The first failure of the level's families taken one at a time in the
+    order of their plus masks counting up in binary: a value failure before
+    any limit failure."""
+    families = [("two", 1), *[("five", m0) for m0 in range(1, level + 1)],
+                *[("six", m0) for m0 in range(2, level + 1)]]
+    limit_failure = None
+    for series, m0 in families:
+        forced = {m0 + 1} if series == "six" else set()
+        free = [j for j in range(m0 + 1, level + 1) if j not in forced]
+        for r in range(1 << len(free)):
+            ref = ReferenceSequence(m0, SERIES_SEED[series],
+                                    forced | {j for k, j in enumerate(free) if r >> k & 1})
+            value, limit = outcome(ref.value, level), outcome(ref.limit, config)
+            if isinstance(value, tuple):
+                return value
+            if limit_failure is None and isinstance(limit, tuple):
+                limit_failure = limit
+    return limit_failure
+
+
+@pytest.mark.parametrize("singular, max_iterations", [
+    ((2.0, 5.0, 6.0, 3.0), 80),  # every 6-series fails at its forced plus root
+    ((2.0, 5.0, 6.0, 4.561552812808831), 80),  # the 2-series members with a plus at level 2
+    ((2.0, 5.0, 6.0), 3),  # no limit settles
+])
+@pytest.mark.parametrize("level", [3, 4])
+def test_spectrum_failures_come_in_member_order(singular, max_iterations, level, monkeypatch):
+    config = ConvergenceConfig(max_iterations=max_iterations)
+    # the reference's singular values too
+    monkeypatch.setitem(globals(), "SINGULAR_VALUES", singular)
+    monkeypatch.setattr(decimation, "SINGULAR_VALUES", singular)
+    monkeypatch.setattr(decimation.special, "DEFAULT_CONFIG", config)
+    expected = _reference_spectrum_failure(level, config)
+    assert expected is not None
+    with pytest.raises(SglapError) as info:
+        enumerate_dirichlet_spectrum(level)
+    assert (type(info.value), str(info.value)) == expected
 
 
 def test_vertex_count_check_raises(monkeypatch):

@@ -8,12 +8,13 @@ from conftest import extend_harmonic, harmonic_matrix
 
 from sglap import harmonic
 from sglap.address import build_level_graph
-from sglap.decimation import EigenvalueSequence, SpectralEigenfunction
+from sglap.decimation import EigenvalueSequence
 from sglap.errors import ConvergenceError, DomainError
 from sglap.harmonic import (
     CORNER_SWAPS,
     HARMONIC_INVERSES,
     HARMONIC_MATRICES,
+    SpectralEigenfunction,
     extend_level,
     graph_laplacian,
     harmonic_normal_derivative,

@@ -12,15 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sglap.address import EventuallyConstantWord, build_level_graph
-from sglap.decimation import (
-    SpectralEigenfunction,
-    dirichlet_eigenfunction,
-    enumerate_dirichlet_spectrum,
-    sequence_from_limit,
-    six_series_element,
-)
+from sglap.decimation import enumerate_dirichlet_spectrum, sequence_from_limit
 from sglap.errors import DomainError
-from sglap.harmonic import graph_laplacian
+from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, graph_laplacian,
+                            six_series_element)
 from sglap.oracle import (
     ORACLE_DPS,
     _mp_eigen_matrix,

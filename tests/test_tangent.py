@@ -11,15 +11,10 @@ from hypothesis import strategies as st
 from conftest import extend_harmonic
 
 from sglap.address import EventuallyConstantWord
-from sglap.decimation import (
-    EigenvalueSequence,
-    SpectralEigenfunction,
-    dirichlet_eigenfunction,
-    sequence_from_limit,
-    six_series_element,
-)
+from sglap.decimation import EigenvalueSequence, sequence_from_limit
 from sglap.errors import DomainError
-from sglap.harmonic import normal_derivative_limit
+from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction,
+                            normal_derivative_limit, six_series_element)
 from sglap.special import tau
 from sglap.tangent import (
     ALPHA,

@@ -16,7 +16,10 @@ runs seeds FIRST..FIRST+COUNT-1; one pair is one run of each commit with
 the same seed, back to back, the parent first for even seeds and the change
 first for odd ones.  The end-to-end metrics of BENCHMARK.json are recorded
 for both sides with their quartiles, the per-pair direction and the median
-delta, together with the attempted and failed counts of every run.
+delta, together with the attempted and failed counts of every run.  So are
+the median wall times of each invocation kind (`spectrum_s`,
+`spectrum_verify_s`, ...), read from the `perfbench/out/` record each run
+leaves in its tree, which show the kind a change moved.
 """
 from __future__ import annotations
 
@@ -61,7 +64,12 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n"
                          f"{proc.stdout}{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = json.loads((tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json")
+                        .read_text())
+    result["kind_median_s"] = {f"{kind}_s": row["median_s"]
+                               for kind, row in record["kinds"].items()}
+    return result
 
 
 def summary(runs: list) -> dict:
@@ -148,6 +156,10 @@ def main() -> int:
                                                  for r in results[side]]
                                                 for side in ("parent", "change")))
                         for metric, spec in specs.items()},
+            "kinds": {kind: compare({"unit": "s", "better": "lower"},
+                                    *([r["kind_median_s"][kind] for r in results[side]]
+                                      for side in ("parent", "change")))
+                      for kind in results["parent"][0]["kind_median_s"]},
             "attempted": {side: [r["attempted"] for r in runs] for side, runs in results.items()},
             "failed": {side: [r["failed"] for r in runs] for side, runs in results.items()},
         }

@@ -548,8 +548,9 @@ def test_spectrum_verify_golden_columns(capsys):
 
 
 def test_each_subcommand_loads_only_the_layers_it_runs():
-    # a fresh process, since this one has long loaded every layer, numpy and mpmath
-    script = """if True:
+    # fresh processes, since this one has long loaded every layer, numpy and
+    # mpmath; `spectrum` gets one of its own, as a `special` grid loads numpy
+    prelude = """if True:
         import contextlib, io, sys
 
         def layers():
@@ -569,23 +570,31 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
         base = {"sglap.cli", "sglap.special", "sglap.errors"}
         assert layers() == base, layers()
         assert "numpy" not in sys.modules
-        assert run("--help") == run("spectrum", "--level", "x", code=2) == base
-        assert "numpy" not in sys.modules
-        spectrum = base | {"sglap.decimation"}
+    """
+    # the scripts below go on in the prelude's `if True:` block
+    spectrum = """
         for level in ("0", "10"):
             for fmt in ("csv", "json"):
-                assert run("spectrum", "--level", level, "--format", fmt) == spectrum
+                assert run("spectrum", "--level", level, "--format", fmt) == \\
+                    base | {"sglap.decimation"}
         assert "numpy" not in sys.modules
-        assert run("special", "--fn", "psi", "--range=0:1:3") == spectrum
-        assert run("special", "--fn", "upsilon", "--range=0:1:3") == spectrum
+    """
+    others = """
+        assert run("--help") == run("spectrum", "--level", "x", code=2) == base
+        assert "numpy" not in sys.modules
+        assert run("special", "--fn", "psi", "--range=0:1:3") == base
+        assert run("special", "--fn", "upsilon", "--range=0:1:3") == base
         checks = {"sglap.oracle", "sglap.tangent"}
+        assert not run("spectrum", "--level", "2") & checks
         assert not run("eval", "--seed", "six:2:1", "--level", "2", "--verify") & checks
         assert "sglap.oracle" in run("spectrum", "--level", "2", "--verify")
         run("tangent", "--seed", "six:1:1", "--word", ":0", "--verify")
     """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == proc.stderr == ""
+    for script in (spectrum, others):
+        proc = subprocess.run([sys.executable, "-c", prelude + script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == proc.stderr == ""
 
 
 @pytest.mark.parametrize("argv, lines", [

@@ -366,9 +366,8 @@ def test_spectrum_matches_the_scalar_recursion_bit_for_bit():
                 plus.add(line.m0 + 1)  # the forced plus, past the string at m0 = level
             ref = ReferenceSequence(line.m0, SERIES_SEED[line.series], plus)
             assert line.value == ref.value(level) and line.limit == ref.limit(DEFAULT_CONFIG)
-            if level <= 7:  # the one-row kernel runs, on fewer families
-                seq = EigenvalueSequence(line.m0, SERIES_SEED[line.series], plus)
-                assert line.value == seq.value(level) and line.limit == seq.limit()
+            seq = EigenvalueSequence(line.m0, SERIES_SEED[line.series], plus)
+            assert line.value == seq.value(level) and line.limit == seq.limit()
 
 
 plus_sets = st.one_of(

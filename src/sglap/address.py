@@ -37,7 +37,7 @@ def check_word(word) -> Word:
 def check_letter(letter) -> int:
     letter = int(letter)
     if letter not in (0, 1, 2):
-        raise DomainError(f"corner letter must be 0, 1 or 2: {letter!r}")
+        raise DomainError(f"letter must be 0, 1 or 2: {letter!r}")
     return letter
 
 
@@ -140,9 +140,7 @@ class EventuallyConstantWord:
 
     def __post_init__(self):
         prefix = check_word(self.prefix)
-        tail = int(self.tail)
-        if tail not in (0, 1, 2):
-            raise DomainError(f"tail letter must be 0, 1 or 2: {self.tail!r}")
+        tail = check_letter(self.tail)
         while prefix and prefix[-1] == tail:
             prefix = prefix[:-1]
         object.__setattr__(self, "prefix", prefix)

@@ -10,14 +10,13 @@ here too, since the spectrum is counted against them.
 """
 from __future__ import annotations
 
-import enum
 import math
 import os
 import sys
 from typing import NamedTuple
 
 from . import special
-from .errors import (ConvergenceError, DomainError, InvariantError, LevelCapError, SglapError,
+from .errors import (ConvergenceError, DomainError, InvariantError, LevelCapError,
                      SingularLevelError)
 
 DEFAULT_LEVEL_CAP = 12
@@ -54,23 +53,6 @@ def check_level(m: int) -> int:
 def vertex_count(m: int) -> int:
     """|V_m| = (3^{m+1} + 3) / 2."""
     return (3 ** (m + 1) + 3) // 2
-
-
-class Branch(enum.Enum):
-    """Which root of the refinement quadratic to take going down a level."""
-
-    MINUS = "-"
-    PLUS = "+"
-
-    @classmethod
-    def parse(cls, spec) -> "Branch":
-        if isinstance(spec, cls):
-            return spec
-        if spec in ("-", "minus"):
-            return cls.MINUS
-        if spec in ("+", "plus"):
-            return cls.PLUS
-        raise DomainError(f"unknown branch {spec!r} (use '+' or '-')")
 
 
 # 1.5 * 5.0**j for every j whose 5.0**j is a float: j <= 441
@@ -268,25 +250,6 @@ def _family_rows(series: str, m0: int, level: int, config):
     return rows
 
 
-def _first_failure(families, level: int, config) -> SglapError | None:
-    """What the families raise taken one member at a time, each family's
-    free levels counting up in binary from the shallowest: the first
-    member's value failure, else the first member's limit failure."""
-    members = []
-    for series, m0 in families:
-        forced = {m0 + 1} if series == "six" else set()
-        free = [j for j in range(m0 + 1, level + 1) if j not in forced]
-        members += [EigenvalueSequence(m0, SERIES_SEED[series], forced | {
-            j for k, j in enumerate(free) if r >> k & 1}) for r in range(1 << len(free))]
-    for get in (lambda seq: seq.value(level), lambda seq: seq.limit(config)):
-        for seq in members:
-            try:
-                get(seq)
-            except SglapError as exc:
-                return exc
-    return None
-
-
 def enumerate_dirichlet_spectrum(level: int):
     """Every (series, m0, branches) family alive at the given level, sorted by
     its lambda_level; multiplicities add up to dim = (3^{level+1} - 3) / 2."""
@@ -302,11 +265,8 @@ def enumerate_dirichlet_spectrum(level: int):
     if total != dim:
         raise InvariantError(f"level-{level} multiplicities add up to {total}, not {dim}")
     config = special.DEFAULT_CONFIG
-    try:
-        rows = [(series, m0, *row) for series, m0 in families
-                for row in _family_rows(series, m0, level, config)]
-    except SglapError as exc:
-        raise (_first_failure(families, level, config) or exc) from None
+    rows = [(series, m0, *row) for series, m0 in families
+            for row in _family_rows(series, m0, level, config)]
     rows.sort(key=lambda r: (r[3], _SERIES_RANK[r[0]], r[1], r[2]))
     return [SpectrumLine(series, m0, branches, level, value, limit, mult[series, m0])
             for series, m0, branches, value, limit in rows]

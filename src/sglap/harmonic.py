@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import special
 from .address import LevelGraph, build_level_graph, check_letter, check_word
 from .decimation import SERIES_SEED, EigenvalueSequence, series_multiplicity, vertex_count
 from .errors import ConvergenceError, DomainError
@@ -177,9 +176,6 @@ class SpectralEigenfunction:
     def m0(self) -> int:
         return self.sequence.m0
 
-    def eigenvalue(self, config: special.ConvergenceConfig = special.DEFAULT_CONFIG) -> float:
-        return self.sequence.limit(config)
-
     def cell_values(self, m: int) -> np.ndarray:
         """Per-cell triples on level m, refined level by level from the seed."""
         if m < self.m0:
@@ -224,9 +220,7 @@ class SpectralEigenfunction:
 def rotate_six(corner: int) -> np.ndarray:
     """Level-1 values of the basic 6-series element with its 2 at the given
     corner: adjacent midpoints get -1, the opposite one +1, other corners 0."""
-    c = int(corner)
-    if c not in (0, 1, 2):
-        raise DomainError(f"corner must be 0, 1 or 2: {corner!r}")
+    c = check_letter(corner)
     out = np.zeros(6)
     out[c] = 2.0
     mids = {frozenset({0, 1}): 3, frozenset({0, 2}): 4, frozenset({1, 2}): 5}

@@ -11,39 +11,20 @@ where M0 collapses the entire tail of deformed extensions below level k into
 one matrix, and S_t is the corner swap moving the tail letter t to 0.  All
 coefficients reduce to the tail products tau_k, so nothing here iterates to
 convergence except the eigenvalue itself.
-
-Seed tangents for the Dirichlet series are the Figure-style local pieces:
-one cell of a 2-/5-/6-series eigenfunction re-based as an m0 = 0 function.
-Full Dirichlet tangents need no separate assembly step, because tangent_at
-accepts Dirichlet eigenfunctions directly; scaled and rotated copies of the
-seed pieces reproduce them cell by cell.
 """
 from __future__ import annotations
 
-import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import special
-from .address import EventuallyConstantWord
-from .decimation import Branch, EigenvalueSequence
+from .address import EventuallyConstantWord, check_letter
+from .decimation import EigenvalueSequence
 from .errors import DomainError
 from .harmonic import (CORNER_SWAPS, SpectralEigenfunction, harmonic_normal_derivative,
-                       harmonic_pullback, normal_derivative_limit, six_series_element)
-
-# alpha, beta and gamma_vector(lambda_m): the triple diagonalizing the tail action
-ALPHA = np.array([0.0, 1.0, 1.0])
-BETA = np.array([0.0, 1.0, -1.0])
-
-ALPHA.setflags(write=False)
-BETA.setflags(write=False)
-
-
-def gamma_vector(lam_m: float) -> np.ndarray:
-    return np.array([4.0, 4.0 - lam_m, 4.0 - lam_m])
+                       harmonic_pullback, normal_derivative_limit)
 
 
 class TangentTriple(NamedTuple):
@@ -64,30 +45,6 @@ class TangentTriple(NamedTuple):
         """
         t = self.as_array()
         return t - t.mean()
-
-
-def limit_action(sequence: EigenvalueSequence, m0: int, v: str) -> np.ndarray:
-    """Limit of A0^{-(m-m0)} A0(lambda_m) ... A0(lambda_{m0+1}) on a basis vector.
-
-    alpha and beta are eigendirections with coefficients 4 c tau_{m0} and 2 c
-    where c = lambda / (3 5^{m0} lambda_{m0}); gamma_{m0} is sent to (4,4,4)
-    for every admissible sequence.  lambda = 0 makes the whole product the
-    identity.
-    """
-    if m0 < sequence.m0:
-        raise DomainError(f"level {m0} below the sequence start {sequence.m0}")
-    if v not in ("alpha", "beta", "gamma"):
-        raise DomainError(f"basis vector must be alpha, beta or gamma: {v!r}")
-    if sequence.lambda_m0 == 0.0:
-        # harmonic sequence: every factor is A0(0) = A0, the product telescopes
-        return {"alpha": ALPHA, "beta": BETA, "gamma": gamma_vector(0.0)}[v].copy()
-    if v == "gamma":
-        return np.array([4.0, 4.0, 4.0])
-    lam = sequence.limit()
-    c = lam / (3.0 * 5.0**m0 * sequence.value(m0))
-    if v == "alpha":
-        return 4.0 * c * special.tau(m0, sequence) * ALPHA
-    return 2.0 * c * BETA
 
 
 def m0_matrix(sequence: EigenvalueSequence, k: int) -> np.ndarray:
@@ -150,67 +107,14 @@ def normal_derivative(u: SpectralEigenfunction, i: int) -> float:
     sequence.  Harmonic u reduces to the exact level-0 difference; Dirichlet
     u (m0 >= 1) falls back to the renormalized limit.
     """
-    i = int(i)
-    if i not in (0, 1, 2):
-        raise DomainError(f"corner must be 0, 1 or 2: {i!r}")
+    i = check_letter(i)
     if u.m0 == 0:
         b = u.seed_values
         if u.sequence.lambda_m0 == 0.0:
             return harmonic_normal_derivative(b, i)
         lam0 = u.sequence.value(0)
-        lam = u.eigenvalue()
+        lam = u.sequence.limit()
         factor = 2.0 * lam * special.tau(0, u.sequence) / (3.0 * lam0)
         return float(((4.0 - lam0) * b[i] - 2.0 * b[(i + 1) % 3] - 2.0 * b[(i + 2) % 3]) * factor)
     est, _ = normal_derivative_limit(u.value_at, i, levels=20)
     return est
-
-
-_SEED_CONFIGS = {
-    # boundary triple of the local piece and its level-0 value
-    "Two": (np.array([0.0, 1.0, 1.0]), 2.0),
-    "FiveMinus": (np.array([0.0, 1.0, -1.0]), 5.0),
-    "FivePlus": (np.array([0.0, 0.0, 1.0]), 5.0),
-}
-
-
-@dataclass(frozen=True, eq=False)
-class TangentSeed:
-    """One local piece of a Dirichlet tangent field: the re-based cell
-    function together with its branch data.  Its tangents are
-    tangent_at(piece, w)."""
-
-    series: str
-    branch: Branch
-    piece: SpectralEigenfunction
-    lambda1: float
-
-
-def dirichlet_tangent_seed(series: str, branch_sign, lambda1=None) -> TangentSeed:
-    """The seed piece whose scaled and rotated copies build a full Dirichlet
-    tangent field.
-
-    Two- and Five-series pieces are one level-1 cell of the eigenfunction
-    re-based to level 0, so lambda_0 is the series value and lambda_1 is the
-    chosen root of the refinement quadratic ((5 +- sqrt 17)/2 for Two,
-    (5 +- sqrt 5)/2 for Five); passing lambda1 asserts the expected root.
-    The Six piece is the basic 6-series element itself (lambda_1 = 6,
-    lambda_2 = 3, no branch freedom).
-    """
-    branch = Branch.parse(branch_sign)
-    if series == "Six":
-        if branch is not Branch.PLUS:
-            raise DomainError("the 6-series tail is forced onto the plus root")
-        piece = six_series_element()
-        lam1 = 6.0
-    elif series in _SEED_CONFIGS:
-        triple, lam0 = _SEED_CONFIGS[series]
-        plus = frozenset({1}) if branch is Branch.PLUS else frozenset()
-        seq = EigenvalueSequence(0, lam0, plus)
-        piece = SpectralEigenfunction(seq, triple)
-        lam1 = seq.value(1)
-    else:
-        raise DomainError(f"unknown seed series {series!r} "
-                          "(use Two, FivePlus, FiveMinus or Six)")
-    if lambda1 is not None and not math.isclose(lambda1, lam1, rel_tol=1e-12, abs_tol=1e-12):
-        raise DomainError(f"lambda_1 = {lambda1!r} is not the {branch.value} root {lam1!r}")
-    return TangentSeed(series, branch, piece, lam1)

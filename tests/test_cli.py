@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import threading
@@ -515,6 +516,24 @@ def test_spectrum_above_the_cap_raises_level_cap_error(capsys):
     code, out, err = run(["spectrum", "--level", str(cap + 1)], capsys)
     assert (code, out) == (3, "")
     assert err == f"error: level {cap + 1} exceeds cap {cap} (override with SG_MAX_LEVEL)\n"
+
+
+def _cap_address_space():
+    cap = 256 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_spectrum_past_level_23_exits_three():
+    # after a 22-level minus run the plus root of lambda_23 ~ 6e-16 rounds to
+    # 5.0 at level 24.  The walk's failure is the answer; the address-space
+    # cap keeps a regression that visits the 2^24 members of a family one by
+    # one from exhausting the host's memory.
+    proc = subprocess.run([sys.executable, "-m", "sglap.cli", "spectrum", "--level", "25"],
+                          env={**os.environ, "SG_MAX_LEVEL": "25"},
+                          preexec_fn=_cap_address_space, capture_output=True, text=True,
+                          timeout=5)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.count("\n") == 1 and "singular at level 24" in proc.stderr
 
 
 # sha256 of `spectrum --level 10` stdout, pinned from the per-family scalar

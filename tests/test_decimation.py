@@ -14,7 +14,6 @@ from sglap.address import build_level_graph, resolve_addresses, vertex_key
 from sglap.decimation import (
     SERIES_SEED,
     SINGULAR_VALUES,
-    Branch,
     EigenvalueSequence,
     enumerate_dirichlet_spectrum,
     sequence_from_limit,
@@ -92,14 +91,6 @@ def test_limit_overflow_is_a_domain_error():
         EigenvalueSequence(1, 2.0, range(2, 450)).limit()
 
 
-def test_branch_parse():
-    assert Branch.parse("+") is Branch.PLUS
-    assert Branch.parse("minus") is Branch.MINUS
-    assert Branch.parse(Branch.PLUS) is Branch.PLUS
-    with pytest.raises(DomainError):
-        Branch.parse("?")
-
-
 def test_minus_branch_is_cancellation_free():
     seq = EigenvalueSequence(0, 4.9)
     lam = seq.value(200)
@@ -136,7 +127,7 @@ def test_limit_round_trip(lam):
 
 def test_six_element_eigenvalue_constant():
     # frozen from a 60-digit recomputation of the renormalized limit
-    assert six_series_element().eigenvalue() == pytest.approx(135.57212699578887, rel=1e-13)
+    assert six_series_element().sequence.limit() == pytest.approx(135.57212699578887, rel=1e-13)
 
 
 def test_seed_eigen_equations_are_integer_exact():
@@ -427,44 +418,22 @@ def test_eigenvalue_sequence_reports_each_failure_kind():
         assert (value, limit) == (outcome(ref.value, 3), outcome(ref.limit, config))
 
 
-def _reference_spectrum_failure(level, config):
-    """The first failure of the level's families taken one at a time in the
-    order of their plus masks counting up in binary: a value failure before
-    any limit failure."""
-    families = [("two", 1), *[("five", m0) for m0 in range(1, level + 1)],
-                *[("six", m0) for m0 in range(2, level + 1)]]
-    limit_failure = None
-    for series, m0 in families:
-        forced = {m0 + 1} if series == "six" else set()
-        free = [j for j in range(m0 + 1, level + 1) if j not in forced]
-        for r in range(1 << len(free)):
-            ref = ReferenceSequence(m0, SERIES_SEED[series],
-                                    forced | {j for k, j in enumerate(free) if r >> k & 1})
-            value, limit = outcome(ref.value, level), outcome(ref.limit, config)
-            if isinstance(value, tuple):
-                return value
-            if limit_failure is None and isinstance(limit, tuple):
-                limit_failure = limit
-    return limit_failure
-
-
-@pytest.mark.parametrize("singular, max_iterations", [
-    ((2.0, 5.0, 6.0, 3.0), 80),  # every 6-series fails at its forced plus root
-    ((2.0, 5.0, 6.0, 4.561552812808831), 80),  # the 2-series members with a plus at level 2
-    ((2.0, 5.0, 6.0), 3),  # no limit settles
+@pytest.mark.parametrize("singular, max_iterations, error", [
+    # every 6-series fails at its forced plus root
+    ((2.0, 5.0, 6.0, 3.0), 80, SingularLevelError),
+    # the 2-series members with a plus at level 2
+    ((2.0, 5.0, 6.0, 4.561552812808831), 80, SingularLevelError),
+    ((2.0, 5.0, 6.0), 3, ConvergenceError),  # no limit settles
 ])
 @pytest.mark.parametrize("level", [3, 4])
-def test_spectrum_failures_come_in_member_order(singular, max_iterations, level, monkeypatch):
-    config = ConvergenceConfig(max_iterations=max_iterations)
-    # the reference's singular values too
-    monkeypatch.setitem(globals(), "SINGULAR_VALUES", singular)
+def test_spectrum_failures_raise_from_the_walk(singular, max_iterations, error, level,
+                                               monkeypatch):
     monkeypatch.setattr(decimation, "SINGULAR_VALUES", singular)
-    monkeypatch.setattr(decimation.special, "DEFAULT_CONFIG", config)
-    expected = _reference_spectrum_failure(level, config)
-    assert expected is not None
+    monkeypatch.setattr(decimation.special, "DEFAULT_CONFIG",
+                        ConvergenceConfig(max_iterations=max_iterations))
     with pytest.raises(SglapError) as info:
         enumerate_dirichlet_spectrum(level)
-    assert (type(info.value), str(info.value)) == expected
+    assert type(info.value) is error
 
 
 def test_vertex_count_check_raises(monkeypatch):

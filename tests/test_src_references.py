@@ -1,13 +1,14 @@
-"""Tooling guards: every public function, class and method in src has a
-caller elsewhere in src, and every field of a dataclass or typing.NamedTuple
-in src is read somewhere in src, or each has a stated reason to exist
-without one.
+"""Tooling guards: every public function, class, method and module-level
+constant in src has a caller elsewhere in src, and every field of a
+dataclass or typing.NamedTuple in src is read somewhere in src, or each has
+a stated reason to exist without one.
 
 A name counts as referenced when it appears anywhere in src outside its own
-definition: as a bare name, an attribute or an imported name.  A field
-counts as read when some `x.field` in src loads it.  Matching is by name, so
-a method or field shares its uses with every other use of the same word; the
-guards catch what nothing names at all."""
+definition: as a bare name, an attribute or an imported name.  A constant's
+module-level `NAME.setflags(write=False)` is part of its definition.  A
+field counts as read when some `x.field` in src loads it.  Matching is by
+name, so a method or field shares its uses with every other use of the same
+word; the guards catch what nothing names at all."""
 import ast
 import pathlib
 
@@ -19,9 +20,9 @@ UNREFERENCED = {
     "address.apply_ifs": "float reference for the exact vertex keys",
     "address.vertex_key": "scalar addressing reference for the level graph",
     "address.resolve_addresses": "scalar addressing reference for the level graph",
-    "tangent.limit_action": "the paper's closed form of the tail action",
+    "harmonic.HARMONIC_MATRICES": "the 1-5-5 matrices that extend_level and "
+                                  "eigen_matrices(0.0) are tested against",
     "tangent.normal_derivative": "the paper's closed-form normal derivative",
-    "tangent.dirichlet_tangent_seed": "the paper's Dirichlet tangent seed pieces",
     "special.psi_m": "the paper's psi_m approximant",
     "special.upsilon": "the paper's tail product Upsilon",
     "special.upsilon_with_error": "a layer span of perfbench/launcher.py",
@@ -29,27 +30,36 @@ UNREFERENCED = {
     "oracle.interval_tangent": "oracle helper: the unit-interval comparison model",
 }
 
-UNREAD_FIELDS = {
-    "tangent.TangentSeed.branch": "the paper's Dirichlet tangent seed pieces",
-    "tangent.TangentSeed.piece": "the paper's Dirichlet tangent seed pieces",
-    "tangent.TangentSeed.lambda1": "the paper's Dirichlet tangent seed pieces",
-}
+UNREAD_FIELDS = {}
 
 
 def _trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+def _setflags(tree, name):
+    """The module-level `name.setflags(...)` statements."""
+    return [node for node in tree.body if isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "setflags"
+            and isinstance(node.value.func.value, ast.Name) and node.value.func.value.id == name]
+
+
 def _definitions(tree):
-    """(qualified name, node) of the public top-level functions and classes
-    and of the public methods of public classes."""
+    """(qualified name, defining nodes) of the public top-level
+    functions, classes and constants and of the public methods of public
+    classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, [node]
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item
+                        yield f"{node.name}.{item.name}", [item]
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, [node, *_setflags(tree, target.id)]
 
 
 def _names(node):
@@ -67,9 +77,10 @@ def _unreferenced():
     everywhere = [name for tree in trees.values() for name in _names(tree)]
     found = []
     for module, tree in trees.items():
-        for qualname, node in _definitions(tree):
-            own = list(_names(node))
-            if everywhere.count(node.name) == own.count(node.name):
+        for qualname, nodes in _definitions(tree):
+            name = qualname.rpartition(".")[2]
+            own = [n for node in nodes for n in _names(node)]
+            if everywhere.count(name) == own.count(name):
                 found.append(f"{module}.{qualname}")
     return found
 

@@ -16,17 +16,7 @@ from sglap.errors import DomainError
 from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction,
                             normal_derivative_limit, six_series_element)
 from sglap.special import tau
-from sglap.tangent import (
-    ALPHA,
-    BETA,
-    TangentTriple,
-    dirichlet_tangent_seed,
-    gamma_vector,
-    limit_action,
-    m0_matrix,
-    normal_derivative,
-    tangent_at,
-)
+from sglap.tangent import TangentTriple, m0_matrix, normal_derivative, tangent_at
 
 SEQUENCES = [
     EigenvalueSequence(0, 1.0),
@@ -37,15 +27,9 @@ SEQUENCES = [
 ]
 
 
-def test_basis_vectors():
-    assert np.array_equal(ALPHA, [0, 1, 1])
-    assert np.array_equal(BETA, [0, 1, -1])
-    seq = EigenvalueSequence(1, 6.0, {2})
-    assert np.array_equal(gamma_vector(seq.value(2)), [4.0, 1.0, 1.0])  # lambda_2 = 3
-
-
 def test_tail_matrix_eigen_identities():
     # M0 alpha = 4 c tau alpha, M0 beta = 2 c beta, M0 gamma_k = (4,4,4)
+    alpha, beta = np.array([0.0, 1.0, 1.0]), np.array([0.0, 1.0, -1.0])
     for seq in SEQUENCES:
         # k = m0 exercises singular head values (2 and 6), which M0 allows
         for k in (seq.m0, seq.m0 + 2):
@@ -53,28 +37,10 @@ def test_tail_matrix_eigen_identities():
             lam, lam_k = seq.limit(), seq.value(k)
             c = lam / (3.0 * 5.0**k * lam_k)
             t = tau(k, seq)
-            assert np.allclose(m @ ALPHA, 4.0 * c * t * ALPHA, atol=1e-12)
-            assert np.allclose(m @ BETA, 2.0 * c * BETA, atol=1e-12)
-            assert np.allclose(m @ gamma_vector(lam_k), [4.0, 4.0, 4.0], atol=1e-10)
-
-
-def test_limit_action_matches_the_matrix_action():
-    for seq in SEQUENCES:
-        m0 = seq.m0
-        lam, lam0 = seq.limit(), seq.value(m0)
-        c = lam / (3.0 * 5.0**m0 * lam0)
-        assert np.allclose(limit_action(seq, m0, "alpha"), 4.0 * c * tau(m0, seq) * ALPHA, atol=1e-12)
-        assert np.allclose(limit_action(seq, m0, "beta"), 2.0 * c * BETA, atol=1e-12)
-        assert np.allclose(limit_action(seq, m0, "gamma"), [4.0, 4.0, 4.0], atol=1e-12)
-
-
-def test_limit_action_zero_sequence():
-    seq = EigenvalueSequence(0, 0.0)
-    assert np.array_equal(limit_action(seq, 0, "alpha"), ALPHA)
-    assert np.array_equal(limit_action(seq, 0, "beta"), BETA)
-    assert np.array_equal(limit_action(seq, 0, "gamma"), gamma_vector(0.0))
-    with pytest.raises(DomainError):
-        limit_action(seq, 0, "delta")
+            gamma = np.array([4.0, 4.0 - lam_k, 4.0 - lam_k])
+            assert np.allclose(m @ alpha, 4.0 * c * t * alpha, atol=1e-12)
+            assert np.allclose(m @ beta, 2.0 * c * beta, atol=1e-12)
+            assert np.allclose(m @ gamma, [4.0, 4.0, 4.0], atol=1e-10)
 
 
 def test_tail_matrix_guards():
@@ -95,7 +61,7 @@ def test_subnormal_lambda_k_gives_the_identity_tail_matrix(lam):
 
 def test_six_element_tangent_closed_form():
     u = six_series_element()
-    lam = u.eigenvalue()
+    lam = u.sequence.limit()
     t = tangent_at(u, ":0")
     assert isinstance(t, TangentTriple)
     assert np.allclose(t.as_array(), lam / 9.0 * np.array([0.0, 1.0, -1.0]), atol=1e-12)
@@ -206,18 +172,3 @@ def test_normal_derivative_dirichlet_uses_the_limit():
     # the two-series seed is symmetric under all corner swaps
     assert nd[0] == pytest.approx(nd[1], rel=1e-9)
     assert nd[1] == pytest.approx(nd[2], rel=1e-9)
-
-
-def test_dirichlet_tangent_seed_roots():
-    s = dirichlet_tangent_seed("Two", "+", lambda1=(5 + math.sqrt(17)) / 2)
-    assert s.lambda1 == pytest.approx((5 + math.sqrt(17)) / 2, rel=1e-15)
-    corners = [tangent_at(s.piece, EventuallyConstantWord((), t)) for t in range(3)]
-    assert all(np.isfinite(t.as_array()).all() for t in corners)
-    assert dirichlet_tangent_seed("FiveMinus", "-").lambda1 == pytest.approx((5 - math.sqrt(5)) / 2)
-    assert dirichlet_tangent_seed("Six", "+").lambda1 == 6.0
-    with pytest.raises(DomainError):
-        dirichlet_tangent_seed("Two", "-", lambda1=(5 + math.sqrt(17)) / 2)
-    with pytest.raises(DomainError):
-        dirichlet_tangent_seed("Six", "-")
-    with pytest.raises(DomainError):
-        dirichlet_tangent_seed("Five", "+")

@@ -226,11 +226,6 @@ def parse_seed(text: str):
                 plus.add(m0 + 1 + offset)
             elif ch != "-":
                 raise UsageError(f"branch string may only contain '+'/'-', got {parts[3]!r}")
-    if series == "six" and m0 == 1:
-        # the basic (non-Dirichlet) 6-series element; Dirichlet gluings start at m0 = 2
-        if index != 1:
-            raise DomainError("the basic 6-series element is unique (index 1)")
-        return harmonic.six_series_element(plus)
     return harmonic.dirichlet_eigenfunction(series, m0, index, plus)
 
 

@@ -18,8 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .address import LevelGraph, build_level_graph, check_letter, check_word
-from .decimation import SERIES_SEED, EigenvalueSequence, series_multiplicity, vertex_count
+from .address import LevelGraph, build_level_graph, check_letter, check_word, word_index
+from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_multiplicity,
+                         vertex_count)
 from .errors import ConvergenceError, DomainError
 
 # CORNER_SWAPS[i] exchanges corner 0 with corner i; conjugating the corner-0
@@ -74,13 +75,6 @@ def cell_values_to_vertex(graph: LevelGraph, cell_values, tol: float = 1e-9):
     if dev > tol * scale:
         raise DomainError(f"cell triples disagree at a junction by {dev:.3e}")
     return out
-
-
-def vertex_to_cell_values(graph: LevelGraph, values):
-    values = np.asarray(values, dtype=float)
-    if values.shape != (graph.size,):
-        raise DomainError(f"expected {graph.size} vertex values, got shape {values.shape}")
-    return values[graph.cells]
 
 
 def graph_laplacian(graph: LevelGraph, values) -> np.ndarray:
@@ -180,7 +174,7 @@ class SpectralEigenfunction:
         """Per-cell triples on level m, refined level by level from the seed."""
         if m < self.m0:
             raise DomainError(f"level {m} below seed level {self.m0}")
-        values = vertex_to_cell_values(build_level_graph(self.m0), self.seed_values)
+        values = self.seed_values[build_level_graph(self.m0).cells]
         for j in range(self.m0 + 1, m + 1):
             values = extend_level(values, eigen_matrices(self.sequence.value(j)))
         return values
@@ -189,26 +183,25 @@ class SpectralEigenfunction:
         return cell_values_to_vertex(build_level_graph(m), self.cell_values(m), tol=tol)
 
     def value_at(self, word, letter) -> float:
-        """Value at the single vertex F_word(q_letter)."""
-        word = check_word(word)
-        letter = check_letter(letter)
-        if len(word) <= self.m0:
-            # already a vertex of the seed graph
-            return float(self.seed_values[build_level_graph(self.m0).index_of(word, letter)])
-        return float(self.cell_triple(word)[letter])
+        """Value at the single vertex F_word(q_letter): corner `letter` of
+        the cell word + (letter, ..., letter) down to the seed level, since
+        F_letter fixes q_letter."""
+        word, letter = check_word(word), check_letter(letter)
+        return float(self.cell_triple(word + (letter,) * (self.m0 - len(word)))[letter])
 
     def cell_triple(self, word) -> np.ndarray:
-        """Values at the three corners of the given cell.
+        """Values at the three corners of a cell no coarser than the seed.
 
-        Walks one triple down the word instead of materializing whole levels,
-        so arbitrarily deep cells stay cheap: letter t of the word applies
-        the extension matrix at lambda_t.
+        Starts from the seed's triple on the m0-cell above it and walks that
+        one triple down the rest of the word instead of materializing whole
+        levels, so arbitrarily deep cells stay cheap: letter t of the word
+        applies the extension matrix at lambda_t.
         """
         word = check_word(word)
         m0 = self.m0
-        if len(word) <= m0:
-            return np.array([self.value_at(word, c) for c in range(3)])
-        out = self.cell_triple(word[:m0])
+        if len(word) < m0:
+            raise DomainError(f"word of length {len(word)} is shorter than seed level {m0}")
+        out = self.seed_values[build_level_graph(m0).cells[word_index(word[:m0])]]
         for t in range(m0 + 1, len(word) + 1):
             out = eigen_matrices(self.sequence.value(t))[word[t - 1]] @ out
         return out
@@ -234,95 +227,55 @@ def rotate_six(corner: int) -> np.ndarray:
 _LEVEL1_CHILDREN = np.array([0, 1, 2, 0, 0, 1])
 _LEVEL1_CORNERS = np.array([0, 1, 2, 1, 2, 2])
 
-
-def six_series_element(plus_indices=None) -> SpectralEigenfunction:
-    """The basic 6-series seed: lambda_1 = 6 with the forced plus root 3.
-
-    plus_indices defaults to {2}; any set given must contain level 2.
-    """
-    plus_indices = frozenset({2}) if plus_indices is None else frozenset(plus_indices)
-    if 2 not in plus_indices:
-        raise DomainError("the 6-series must take the plus root at level m0 + 1")
-    seq = EigenvalueSequence(1, 6.0, plus_indices)
-    return SpectralEigenfunction(seq, rotate_six(2))
-
-
-def _two_seed_values(index: int) -> np.ndarray:
-    if index != 1:
-        raise DomainError("the 2-series has a single seed (index 1)")
-    return np.array([0.0, 0, 0, 1, 1, 1])
+# the 2- and 5-series seeds with closed forms, one {(word, corner): value}
+# chain per index; every vertex a chain does not name is 0.  The 5-series
+# past m0 = 2 would need the cycles around every hole of V_{m0-1}.
+_SEED_CHAINS = {
+    ("two", 1): ({((0,), 1): 1.0, ((0,), 2): 1.0, ((1,), 2): 1.0},),
+    ("five", 1): ({((0,), 1): 1.0, ((0,), 2): -1.0}, {((0,), 1): 1.0, ((1,), 2): -1.0}),
+    ("five", 2): (
+        {((0, 0), 1): -1.0, ((0, 1), 2): 1.0, ((2, 0), 1): -1.0, ((2, 1), 2): 1.0},
+        {((0, 0), 1): 1.0, ((0, 0), 2): -1.0, ((2, 2), 0): 1.0, ((2, 2), 1): -1.0,
+         ((1, 1), 2): 1.0, ((1, 1), 0): -1.0},
+        {((1, 0), 2): 1.0, ((2, 0), 1): -1.0, ((2, 0), 2): 1.0, ((1, 1), 0): -1.0},
+    ),
+}
 
 
-def _five_level1_seed_values(index: int) -> np.ndarray:
-    if index == 1:
-        return np.array([0.0, 0, 0, 1, -1, 0])
-    if index == 2:
-        return np.array([0.0, 0, 0, 1, 0, -1])
-    raise DomainError("the level-1 5-series has two seeds (index 1 or 2)")
+def dirichlet_seed_values(series: str, m0: int, index: int = 1) -> np.ndarray:
+    """Values on V_{m0} of seed `index` of the series born at level m0.
 
-
-_FIVE_LEVEL2_CHAINS = (
-    {((0, 0), 1): -1.0, ((0, 1), 2): 1.0, ((2, 0), 1): -1.0, ((2, 1), 2): 1.0},
-    {((0, 0), 1): 1.0, ((0, 0), 2): -1.0, ((2, 2), 0): 1.0, ((2, 2), 1): -1.0,
-     ((1, 1), 2): 1.0, ((1, 1), 0): -1.0},
-    {((1, 0), 2): 1.0, ((2, 0), 1): -1.0, ((2, 0), 2): 1.0, ((1, 1), 0): -1.0},
-)
-
-
-def _five_level2_seed_values(index: int) -> np.ndarray:
-    if not 1 <= index <= 3:
-        raise DomainError("the level-2 5-series has three seeds (index 1..3)")
-    graph = build_level_graph(2)
-    out = np.zeros(graph.size)
-    for (word, letter), v in _FIVE_LEVEL2_CHAINS[index - 1].items():
-        out[graph.index_of(word, letter)] = v
-    return out
-
-
-def _six_seed_values(m0: int, index: int) -> np.ndarray:
-    coarse = build_level_graph(m0 - 1)
-    n_interior = coarse.size - 3
-    if not 1 <= index <= n_interior:
-        raise DomainError(f"6-series index must be in 1..{n_interior} at m0={m0}")
+    A 2- or 5-series seed is a row of _SEED_CHAINS.  A 6-series seed sits
+    at a junction of V_{m0-1}, and each (m0-1)-cell meeting there gets
+    rotate_six with its 2 at the junction on its three child cells.  The
+    junctions are the last `count` vertices of V_{m0-1}: its interior ones,
+    or at m0 = 1 the corner q2, which gives the basic element (not
+    Dirichlet).  The level cap is checked before 3^m0 is formed; a low m0
+    is reported by series_multiplicity."""
+    check_level(max(m0, 0))
+    count = 1 if (series, m0) == ("six", 1) else series_multiplicity(series, m0)
+    if series != "six" and (series, m0) not in _SEED_CHAINS:
+        raise DomainError(f"no closed-form seeds for the {series}-series at m0={m0} "
+                          f"(multiplicity {count} is still counted in the spectrum)")
+    if not 1 <= index <= count:
+        raise DomainError(f"seed index must be in 1..{count} for the {series}-series "
+                          f"at m0={m0}, got {index}")
     graph = build_level_graph(m0)
     out = np.zeros(graph.size)
-    # the junction is a corner of two (m0-1)-cells; each gets the basic
-    # 6-series element with its 2 there, on its three child cells
-    for cell, corner in np.argwhere(coarse.cells == 2 + index).tolist():
+    if series != "six":
+        for (word, corner), v in _SEED_CHAINS[series, m0][index - 1].items():
+            out[graph.index_of(word, corner)] = v
+        return out
+    coarse = build_level_graph(m0 - 1)
+    for cell, corner in np.argwhere(coarse.cells == coarse.size - count + index - 1).tolist():
         out[graph.cells[3 * cell + _LEVEL1_CHILDREN, _LEVEL1_CORNERS]] = rotate_six(corner)
     return out
 
 
-def supports_closed_form(series: str, m0: int) -> bool:
-    """Whether seed eigenvectors (not just multiplicities) are constructible.
-
-    The 5-series chain constructions are wired for m0 <= 2; deeper levels
-    would need the cycle combinatorics around every hole of V_{m0-1}.
-    """
-    if series == "two":
-        return m0 == 1
-    if series == "five":
-        return 1 <= m0 <= 2
-    if series == "six":
-        return m0 >= 2
-    return False
-
-
-def dirichlet_seed_values(series: str, m0: int, index: int = 1) -> np.ndarray:
-    mult = series_multiplicity(series, m0)
-    if not supports_closed_form(series, m0):
-        raise DomainError(f"no closed-form seeds for the {series}-series at m0={m0} "
-                          f"(multiplicity {mult} is still counted in the spectrum)")
-    if series == "two":
-        return _two_seed_values(index)
-    if series == "five":
-        return _five_level1_seed_values(index) if m0 == 1 else _five_level2_seed_values(index)
-    return _six_seed_values(m0, index)
-
-
 def dirichlet_eigenfunction(series: str, m0: int, index: int = 1,
                             plus_indices=None) -> SpectralEigenfunction:
-    """Seed eigenfunction of a named series with chosen branch levels."""
+    """Seed eigenfunction of a named series with chosen branch levels; the
+    6-series at m0 = 1 is the basic element, which is not Dirichlet."""
     if series not in SERIES_SEED:
         raise DomainError(f"unknown series {series!r}")
     if plus_indices is None:

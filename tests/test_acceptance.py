@@ -18,7 +18,7 @@ from conftest import acceptance_log, eigen_matrix, extend_harmonic, harmonic_mat
 from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
                                sequence_from_limit)
 from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction,
-                            normal_derivative_limit, six_series_element)
+                            normal_derivative_limit)
 from sglap.oracle import (
     dense_dirichlet_spectrum,
     direct_tangent_limit,
@@ -80,7 +80,7 @@ def test_criterion_03_eigen_equation_residuals():
         dirichlet_eigenfunction("six", 2, 1),
         dirichlet_eigenfunction("six", 2, 2, plus_indices={3, 4}),
         dirichlet_eigenfunction("six", 3, 1),
-        six_series_element(),
+        dirichlet_eigenfunction("six", 1),
     ]
     worst = 0.0
     slowest = 0.0
@@ -161,7 +161,7 @@ def test_criterion_04_limit_action_closed_forms():
 
 def test_criterion_05_tangents_against_direct_limits():
     funcs = [
-        six_series_element(),
+        dirichlet_eigenfunction("six", 1),
         dirichlet_eigenfunction("two", 1, plus_indices={2}),
         dirichlet_eigenfunction("five", 1, 2),
         dirichlet_eigenfunction("six", 2, 1),
@@ -184,7 +184,7 @@ def test_criterion_05_tangents_against_direct_limits():
 
 
 def test_criterion_06_six_series_worked_tangent():
-    u = six_series_element()
+    u = dirichlet_eigenfunction("six", 1)
     want = u.sequence.limit() / 9.0 * np.array([0.0, 1.0, -1.0])
     closed = tangent_at(u, ":0").as_array()
     brute, _ = direct_tangent_limit(u, ":0", 25)

@@ -186,10 +186,12 @@ def test_output_file(tmp_path, capsys):
 
 
 def _assert_exit(code, args, capsys):
-    """args exits with code, an empty stdout and a one-line message."""
+    """args exits with code, an empty stdout and a one-line message, which
+    is returned."""
     got, out, err = run(args, capsys)
     assert (got, out) == (code, "")
     assert err.endswith("\n") and err.count("\n") == 1
+    return err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -202,13 +204,51 @@ def test_usage_errors_exit_two(capsys):
     _assert_exit(2, ["special", "--fn", "psi", "--range", "1:2"], capsys)
 
 
+SEED_ERROR_LINES = {
+    "nope:1:1": "unknown series 'nope'",
+    "six:1:2": "seed index must be in 1..1 for the six-series at m0=1, got 2",
+    "two:1:2": "seed index must be in 1..1 for the two-series at m0=1, got 2",
+    "five:1:3": "seed index must be in 1..2 for the five-series at m0=1, got 3",
+    "five:2:4": "seed index must be in 1..3 for the five-series at m0=2, got 4",
+    "six:2:4": "seed index must be in 1..3 for the six-series at m0=2, got 4",
+    "six:1:0": "seed index must be in 1..1 for the six-series at m0=1, got 0",
+    "two:1:0": "seed index must be in 1..1 for the two-series at m0=1, got 0",
+    "five:3:1": "no closed-form seeds for the five-series at m0=3 "
+                "(multiplicity 6 is still counted in the spectrum)",
+    "six:0:1": "the 6-series needs m0 >= 2",
+    "six:-1:1": "the 6-series needs m0 >= 2",
+    "six:1:1:-": "the 6-series must take the plus root at level m0 + 1",
+}
+
+
 def test_domain_errors_exit_three(monkeypatch, capsys):
-    for seed in ["nope:1:1", "six:1:2", "two:1:2", "five:1:3", "five:2:4", "six:2:4"]:
-        _assert_exit(3, ["eval", "--seed", seed, "--level", "2"], capsys)
-    _assert_exit(3, ["spectrum", "--level", "99"], capsys)
-    _assert_exit(3, ["eval", "--seed", "six:2:1", "--level", "1"], capsys)
+    monkeypatch.delenv("SG_MAX_LEVEL", raising=False)
+    for seed, line in SEED_ERROR_LINES.items():
+        err = _assert_exit(3, ["eval", "--seed", seed, "--level", "2"], capsys)
+        assert err == f"error: {line}\n", seed
+    assert _assert_exit(3, ["spectrum", "--level", "99"], capsys) == (
+        "error: level 99 exceeds cap 12 (override with SG_MAX_LEVEL)\n")
+    assert _assert_exit(3, ["eval", "--seed", "six:2:1", "--level", "1"], capsys) == (
+        "error: level 1 below seed level 2\n")
     monkeypatch.setenv("SG_MAX_LEVEL", "abc")
-    _assert_exit(3, ["eval", "--seed", "two:1:1", "--level", "2"], capsys)
+    assert _assert_exit(3, ["eval", "--seed", "two:1:1", "--level", "2"], capsys) == (
+        "error: SG_MAX_LEVEL must be an integer, got 'abc'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--seed", "five:9100:1", "--level", "2"],
+    ["eval", "--seed", "five:9000:1", "--level", "2"],
+    ["tangent", "--seed", "six:99999999999999999999:1", "--word", ":0"],
+])
+def test_seed_past_the_level_cap_exits_three(argv):
+    # the cap is checked before 3^m0 is formed: formatting it overran
+    # int-to-str limits, and computing it for a 20-digit m0 never ended
+    env = {k: v for k, v in os.environ.items() if k != "SG_MAX_LEVEL"}
+    proc = subprocess.run([sys.executable, "-m", "sglap.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=5)
+    m0 = argv[2].split(":")[1]
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: level {m0} exceeds cap 12 (override with SG_MAX_LEVEL)\n"
 
 
 def test_seed_grammar_units():

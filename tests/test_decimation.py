@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import eigen_matrix, harmonic_matrix
@@ -28,8 +28,6 @@ from sglap.harmonic import (
     eigen_matrices,
     graph_laplacian,
     rotate_six,
-    six_series_element,
-    supports_closed_form,
 )
 from sglap.special import DEFAULT_CONFIG, ConvergenceConfig
 
@@ -127,7 +125,8 @@ def test_limit_round_trip(lam):
 
 def test_six_element_eigenvalue_constant():
     # frozen from a 60-digit recomputation of the renormalized limit
-    assert six_series_element().sequence.limit() == pytest.approx(135.57212699578887, rel=1e-13)
+    assert dirichlet_eigenfunction("six", 1).sequence.limit() == pytest.approx(
+        135.57212699578887, rel=1e-13)
 
 
 def test_seed_eigen_equations_are_integer_exact():
@@ -179,7 +178,7 @@ def test_residuals_stay_tiny_under_refinement():
         dirichlet_eigenfunction("two", 1),
         dirichlet_eigenfunction("five", 1, 2),
         dirichlet_eigenfunction("six", 2, 1),
-        six_series_element(),
+        dirichlet_eigenfunction("six", 1),
     ]
     for u in funcs:
         for m in range(u.m0, 7):
@@ -209,6 +208,42 @@ def test_cell_triple_matches_bulk_values():
     assert np.allclose(u.cell_triple(word), expect, atol=1e-12)
 
 
+@st.composite
+def walk_cases(draw):
+    """(eigenfunction, level m <= 5, word of length 0..m, letter): a series
+    seed, the basic 6-series element included, with random branches, or a
+    free seed."""
+    if draw(st.booleans()):
+        series, m0, index = draw(st.sampled_from([*CLOSED_FORM_SEEDS, ("six", 1, 1)]))
+        plus = {m0 + 1 + t for t, ch in enumerate(draw(st.text("+-", max_size=5))) if ch == "+"}
+        if series == "six":
+            plus.add(m0 + 1)
+        u = dirichlet_eigenfunction(series, m0, index, plus)
+    else:
+        seq = sequence_from_limit(draw(st.floats(-60, 60)))
+        assume(seq.m0 == 0)
+        u = SpectralEigenfunction(seq, draw(st.lists(st.floats(-2, 2), min_size=3, max_size=3)))
+    m = draw(st.integers(u.m0, 5))
+    word = tuple(draw(st.lists(st.integers(0, 2), max_size=m)))
+    return u, m, word, draw(st.integers(0, 2))
+
+
+@settings(deadline=None)
+@given(walk_cases())
+def test_single_walk_matches_bulk_values(case):
+    u, m, word, letter = case
+    g = build_level_graph(m)
+    vals = u.values_on_level(m)
+    atol = 1e-12 * max(1.0, float(np.abs(vals).max()))
+    assert u.value_at(word, letter) == pytest.approx(vals[g.index_of(word, letter)], abs=atol)
+    if len(word) >= u.m0:
+        expect = [vals[g.index_of(word, c)] for c in range(3)]
+        assert np.allclose(u.cell_triple(word), expect, rtol=0.0, atol=atol)
+    else:
+        with pytest.raises(DomainError):
+            u.cell_triple(word)
+
+
 def test_enumeration_dimension_and_order():
     for m in (1, 2, 3):
         lines = enumerate_dirichlet_spectrum(m)
@@ -233,7 +268,7 @@ def test_level1_spectrum_is_two_five_five():
 
 
 def test_six_element_is_interior_eigen_but_not_dirichlet():
-    u = six_series_element()
+    u = dirichlet_eigenfunction("six", 1)
     assert u.seed_values[2] == 2.0  # nonzero on a boundary corner
     assert u.residual(5) < 1e-12
 
@@ -248,13 +283,8 @@ def test_rotate_six_permutes_the_seed():
 
 
 def test_closed_form_support_flags():
-    assert supports_closed_form("two", 1)
-    assert supports_closed_form("five", 2)
-    assert not supports_closed_form("five", 3)
     with pytest.raises(DomainError):
         dirichlet_eigenfunction("five", 3)
-    with pytest.raises(DomainError):
-        dirichlet_eigenfunction("six", 1)
     with pytest.raises(DomainError):
         dirichlet_eigenfunction("six", 2, plus_indices=frozenset())
     with pytest.raises(DomainError):
@@ -270,12 +300,12 @@ def test_dirichlet_seed_names_a_basis_function():
 
 
 def test_six_element_branches():
-    assert six_series_element().sequence.plus_indices == frozenset({2})
-    u = six_series_element({2, 4})
+    assert dirichlet_eigenfunction("six", 1).sequence.plus_indices == frozenset({2})
+    u = dirichlet_eigenfunction("six", 1, 1, {2, 4})
     assert u.sequence.plus_indices == frozenset({2, 4})
     assert u.residual(5) < 1e-12
     with pytest.raises(DomainError):
-        six_series_element({3})  # level 2 must take the plus root
+        dirichlet_eigenfunction("six", 1, 1, {3})  # level 2 must take the plus root
 
 
 def test_eigen_matrix_degenerates_to_harmonic():

@@ -85,7 +85,7 @@ def test_extensions_are_nested_across_levels():
 def test_cell_vertex_round_trip():
     g = build_level_graph(3)
     vals = SpectralEigenfunction(HARMONIC, (0.3, 1.0, -2.0)).values_on_level(3, tol=1e-12)
-    cv = harmonic.vertex_to_cell_values(g, vals)
+    cv = vals[g.cells]
     assert np.array_equal(harmonic.cell_values_to_vertex(g, cv), vals)
 
 

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from sglap.address import EventuallyConstantWord, build_level_graph
 from sglap.decimation import enumerate_dirichlet_spectrum, sequence_from_limit
 from sglap.errors import DomainError
-from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, graph_laplacian,
-                            six_series_element)
+from sglap.harmonic import SpectralEigenfunction, dirichlet_eigenfunction, graph_laplacian
 from sglap.oracle import (
     ORACLE_DPS,
     _mp_eigen_matrix,
@@ -149,7 +148,7 @@ def test_random_seeds_solve_the_dense_problem(seed):
 
 
 def test_direct_limit_matches_the_closed_tangent():
-    u = six_series_element()
+    u = dirichlet_eigenfunction("six", 1)
     for w in (":0", "0:1", "20:1"):
         triple, err = direct_tangent_limit(u, w, 25)
         assert np.abs(triple.as_array() - tangent_at(u, w).as_array()).max() < 1e-9
@@ -157,7 +156,7 @@ def test_direct_limit_matches_the_closed_tangent():
 
 
 def test_direct_limit_error_contracts_by_three():
-    u = six_series_element()
+    u = dirichlet_eigenfunction("six", 1)
     errs = [direct_tangent_limit(u, "0:1", m)[1] for m in (14, 17, 20)]
     assert errs[0] > errs[1] > errs[2] > 0.0
     # the per-level Cauchy ratio tends to 3 from below
@@ -216,7 +215,7 @@ def oracle_seeds(draw):
         branches = draw(st.text("+-", max_size=ORACLE_DEPTH_CAP - m0))
         plus = {m0 + 1 + t for t, ch in enumerate(branches) if ch == "+"}
         if series == "six" and draw(st.booleans()):
-            return six_series_element(plus | {2})  # the basic element, m0 = 1
+            return dirichlet_eigenfunction("six", 1, 1, plus | {2})  # the basic element
         if series == "six":
             plus.add(m0 + 1)
         return dirichlet_eigenfunction(series, m0, index, plus)

@@ -14,7 +14,7 @@ from sglap.address import EventuallyConstantWord
 from sglap.decimation import EigenvalueSequence, sequence_from_limit
 from sglap.errors import DomainError
 from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction,
-                            normal_derivative_limit, six_series_element)
+                            normal_derivative_limit)
 from sglap.special import tau
 from sglap.tangent import TangentTriple, m0_matrix, normal_derivative, tangent_at
 
@@ -60,7 +60,7 @@ def test_subnormal_lambda_k_gives_the_identity_tail_matrix(lam):
 
 
 def test_six_element_tangent_closed_form():
-    u = six_series_element()
+    u = dirichlet_eigenfunction("six", 1)
     lam = u.sequence.limit()
     t = tangent_at(u, ":0")
     assert isinstance(t, TangentTriple)
@@ -87,7 +87,7 @@ def test_cut_independence():
 def test_six_mirror_symmetry_at_the_center_junction():
     # the element is invariant under the q0 <-> q1 swap, which exchanges the
     # two one-sided tangents at the shared midpoint and permutes their triples
-    u = six_series_element()
+    u = dirichlet_eigenfunction("six", 1)
     a = tangent_at(u, "0:1").as_array()
     b = tangent_at(u, "1:0").as_array()
     assert np.allclose(a, b[[1, 0, 2]], atol=1e-10)
@@ -101,7 +101,7 @@ def test_junction_sides_differ_for_an_asymmetric_function():
 
 
 def test_gradient_is_mean_free():
-    u = six_series_element()
+    u = dirichlet_eigenfunction("six", 1)
     triple = tangent_at(u, "010:2")
     g = triple.gradient()
     assert g.sum() == pytest.approx(0.0, abs=1e-12)
@@ -139,7 +139,7 @@ def test_free_seed_tangents_are_d3_equivariant(lam, b, prefix, tail):
 def test_tangent_osculates_the_function():
     # harmonically extending the tangent triple down the address reproduces
     # u's cell triples with an error that dies out at the point
-    u = six_series_element()
+    u = dirichlet_eigenfunction("six", 1)
     w = EventuallyConstantWord((0, 1), 2)
     t = tangent_at(u, w).as_array()
     gaps = []

@@ -4,8 +4,8 @@ The gasket is the attractor of F_i(x) = (x + q_i)/2 for the three corners
 q_0, q_1, q_2 of a triangle; a word w = w_1...w_m addresses the cell
 F_w = F_{w_1} o ... o F_{w_m}.  Every vertex of the level-m graph is
 F_w(q_i) for some |w| = m and carries exact barycentric coordinates
-(n_0, n_1, n_2) with n_0 + n_1 + n_2 = 2^m; the scalar junction resolution
-and canonical addressing run on these -- floats never enter.
+(n_0, n_1, n_2) with n_0 + n_1 + n_2 = 2^m; canonical addressing runs on
+these -- floats never enter.
 
 The level-m graph is the union of its three images F_j V_{m-1}, glued at
 the level-1 junctions, so it is built one level at a time from V_0: each
@@ -60,66 +60,6 @@ def word_index(word) -> int:
     for c in word:
         i = 3 * i + c
     return i
-
-
-def apply_ifs(word, point, corners=DEFAULT_CORNERS):
-    """Image of a planar point under F_w (first letter applied last)."""
-    p = np.asarray(point, dtype=float)
-    for c in reversed(check_word(word)):
-        p = (p + corners[c]) / 2.0
-    return p
-
-
-def vertex_key(word, letter: int, level: int):
-    """Exact coordinates of F_w(q_letter) at the given level (|word| <= level)."""
-    word = check_word(word)
-    m = len(word)
-    letter = check_letter(letter)
-    if level < m:
-        raise DomainError(f"level {level} below word length {m}")
-    n = [0, 0, 0]
-    for t, c in enumerate(word, start=1):
-        n[c] += 1 << (m - t)
-    n[letter] += 1
-    shift = level - m
-    return (n[0] << shift, n[1] << shift, n[2] << shift)
-
-
-def _birth_key(key, level):
-    n0, n1, n2 = key
-    b = level
-    while b > 0 and (n0 | n1 | n2) & 1 == 0:
-        n0 >>= 1
-        n1 >>= 1
-        n2 >>= 1
-        b -= 1
-    return (n0, n1, n2), b
-
-
-def _descend_prefix(key, b):
-    # Unique path of subcells containing the point down to level 1; greedy
-    # smallest-letter choice yields the lexicographically smallest word.
-    cur = list(key)
-    word = []
-    for t in range(b, 1, -1):
-        half = 1 << (t - 1)
-        letter = min(c for c in range(3) if cur[c] >= half)
-        word.append(letter)
-        cur[letter] -= half
-    return word, cur
-
-
-def resolve_addresses(key, level):
-    """All (word, letter) addresses of a vertex at its birth level: one for a
-    boundary corner, exactly two for a junction point.  The scalar reference
-    that the level graph's addresses are tested against."""
-    key, b = _birth_key(key, level)
-    if b == 0:
-        return [((), key.index(1))]
-    word, cur = _descend_prefix(key, b)
-    a, c = (i for i in range(3) if cur[i] == 1)
-    base = tuple(word)
-    return sorted([(base + (a,), c), (base + (c,), a)])
 
 
 def format_address(word, letter) -> str:
@@ -214,7 +154,7 @@ def _build_level_graph(m: int) -> LevelGraph:
     # copy 0's interior, (1):2, copy 1's interior, copy 2's interior.  Built
     # in a loop, not by recursion, so no coarser graph stays cached.
     cells = np.array([[0, 1, 2]], dtype=np.int32)
-    keys = np.eye(3, dtype=np.int64)  # keys[v] is vertex_key of v's canonical address
+    keys = np.eye(3, dtype=np.int64)  # keys[v]: v's exact barycentric numerators
     names = np.array([b":0", b":1", b":2"]).view(np.uint8).reshape(3, 2)
     for k in range(1, m + 1):
         n = keys.shape[0] - 3  # interior vertices of V_{k-1}

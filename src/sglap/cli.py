@@ -11,7 +11,7 @@ Seed mini-grammar (one line reproduces any figure):
                                and the renormalized eigenvalue (0 = harmonic)
 
 Exit codes: 0 ok, 2 usage (an unwritable --output or a closed stdout
-included), 3 domain error, 4 verification failure.
+included), 3 domain error or out of memory, 4 verification failure.
 """
 from __future__ import annotations
 
@@ -524,6 +524,9 @@ def main(argv=None) -> int:
         return 2
     except SglapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

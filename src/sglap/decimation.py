@@ -30,14 +30,18 @@ _SERIES_RANK = {"two": 0, "five": 1, "six": 2}
 
 
 def max_level() -> int:
-    """Refinement cap; the SG_MAX_LEVEL environment variable overrides it."""
+    """Refinement cap; the SG_MAX_LEVEL environment variable overrides it with
+    an integer in 0..441, past which 1.5 * 5^j and every limit overflow."""
     raw = os.environ.get("SG_MAX_LEVEL")
     if raw is None:
         return DEFAULT_LEVEL_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise DomainError(f"SG_MAX_LEVEL must be an integer, got {raw!r}") from exc
+    if not 0 <= cap < len(_RENORMALIZERS):
+        raise DomainError(f"SG_MAX_LEVEL must be in 0..{len(_RENORMALIZERS) - 1}, got {raw!r}")
+    return cap
 
 
 def check_level(m: int) -> int:
@@ -168,7 +172,7 @@ def sequence_from_limit(
         lam, config: special.ConvergenceConfig = special.DEFAULT_CONFIG) -> EigenvalueSequence:
     """Invert the renormalized limit back to a sequence.
 
-    psi_limit(5^-j lam) recovers lambda_j for every j, plus branches
+    Psi(5^-j lam) recovers lambda_j for every j, plus branches
     included.  Entries within SNAP_TOL of a singular value are snapped to it
     and the deepest such level becomes m0; the plus set is read off from
     which entries exceed 5/2 (the two roots are separated by that line).
@@ -180,7 +184,10 @@ def sequence_from_limit(
     while abs(lam) / 5.0**J > 2.0:
         J += 1
     vals = [0.0] * (J + 1)
-    vals[J] = special.psi_limit(lam / 5.0**J, config)
+    values, _, failures = special.psi_limit_array([lam / 5.0**J], config)
+    if failures:
+        raise failures[0]
+    vals[J] = float(values[0])
     for j in range(J - 1, -1, -1):
         vals[j] = special.psi(vals[j + 1])
         if not math.isfinite(vals[j]):

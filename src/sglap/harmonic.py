@@ -27,16 +27,11 @@ from .errors import ConvergenceError, DomainError
 # extension matrix by it yields the corner-i one.
 CORNER_SWAPS = np.stack([np.eye(3), np.eye(3)[[1, 0, 2]], np.eye(3)[[2, 1, 0]]])
 
-HARMONIC_MATRICES = np.stack(
-    [s @ (np.array([[5.0, 0, 0], [2, 2, 1], [2, 1, 2]]) / 5.0) @ s for s in CORNER_SWAPS]
-)
-
 # (1/3) * integer matrix, exact inverse of the 1-5-5 step
 HARMONIC_INVERSES = np.stack(
     [s @ (np.array([[3.0, 0, 0], [-2, 10, -5], [-2, -5, 10]]) / 3.0) @ s for s in CORNER_SWAPS]
 )
 
-HARMONIC_MATRICES.setflags(write=False)
 HARMONIC_INVERSES.setflags(write=False)
 
 
@@ -205,9 +200,6 @@ class SpectralEigenfunction:
         for t in range(m0 + 1, len(word) + 1):
             out = eigen_matrices(self.sequence.value(t))[word[t - 1]] @ out
         return out
-
-    def residual(self, m: int) -> float:
-        return eigen_residual(build_level_graph(m), self.values_on_level(m), self.sequence.value(m))
 
 
 def rotate_six(corner: int) -> np.ndarray:

@@ -1,14 +1,12 @@
 """Independent brute-force verifiers for the closed forms elsewhere.
 
 Nothing here reuses a formula it is meant to check: spectra come from a
-dense symmetric eigensolve of the graph Laplacian, tangents from literally
-iterating pulled-back cell triples (in high precision, since each pullback
-level multiplies roundoff in the antisymmetric component by 5), and the
-unit-interval tangent from fitting the explicit sine solution.
+dense symmetric eigensolve of the graph Laplacian, and tangents from
+literally iterating pulled-back cell triples (in high precision, since each
+pullback level multiplies roundoff in the antisymmetric component by 5).
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -71,17 +69,6 @@ def dense_dirichlet_spectrum(m: int) -> DenseSpectrum:
     if res >= 1e-9:
         raise ConvergenceError(f"dense eigensolve residual {res:.3e} at level {m}")
     return spec
-
-
-def sorted_pairing_gap(a, b) -> float:
-    """Worst gap when two spectra are paired in ascending order."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise DomainError(f"multiset sizes differ: {a.shape[0]} vs {b.shape[0]}")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))
 
 
 # --- high-precision tangent iteration -------------------------------------
@@ -155,35 +142,3 @@ def direct_tangent_limit(u: SpectralEigenfunction, w, m: int):
         out = TangentTriple(*(float(x) for x in cur))
         err = math.inf if prev is None else float(max(abs(a - b) for a, b in zip(cur, prev)))
     return out, err
-
-
-# --- unit-interval comparison model ----------------------------------------
-
-def interval_tangent(lam: float, x0: float, f0: float, f1: float) -> np.ndarray:
-    """Endpoint values of the tangent line at x0 to the solution of
-    -u'' = lam u on [0,1] with u(0)=f0, u(1)=f1.
-
-    Written out from the sine/cosine solution; resonant lam = (pi k)^2 has no
-    such interpolant.  Negative lam rides the same formulas with imaginary
-    frequency, so everything stays real.
-    """
-    lam = float(lam)
-    x0 = float(x0)
-    if not 0.0 <= x0 <= 1.0:
-        raise DomainError(f"x0 must lie in [0, 1], got {x0}")
-    if lam == 0.0:
-        return np.array([float(f0), float(f1)])
-    r = cmath.sqrt(lam)
-    if lam > 0:
-        k = round(r.real / math.pi)
-        if k >= 1 and abs(r.real - k * math.pi) < 1e-9:
-            raise DomainError(f"lam={lam} is resonant ((pi k)^2 with k={k})")
-    s = cmath.sin(r)
-    a = cmath.sin((1.0 - x0) * r)
-    atil = cmath.cos((1.0 - x0) * r)
-    s0 = cmath.sin(x0 * r)
-    c0 = cmath.cos(x0 * r)
-    b = x0 * r * atil
-    left = (f0 * (a + b) + f1 * (s0 - x0 * r * c0)) / s
-    right = (f0 * (a - (1.0 - x0) * r * atil) + f1 * (s0 + (1.0 - x0) * r * c0)) / s
-    return np.array([left.real, right.real])

@@ -1,15 +1,14 @@
 """Special functions built from the quadratic map psi(z) = z(5 - z).
 
-psi_limit is the decreasing-argument limit of the psi_m approximants; it
-converts a renormalized eigenvalue back into the level-j entries of its
+Psi is the decreasing-argument limit of the approximants psi^m((2/3) 5^-m z);
+it converts a renormalized eigenvalue back into the level-j entries of its
 generating sequence (argument divided by 5 per level, plus branches included
 for free since both quadratic roots satisfy the same forward relation).
-upsilon is the tail product scaling tangent and normal-derivative limits;
+Upsilon is the tail product scaling tangent and normal-derivative limits;
 tau is the same product taken along an explicit sequence.
 
-psi_limit_array and upsilon_with_error_array evaluate whole grids; the
-scalar psi_limit, upsilon and their _with_error forms run the same kernels
-on one-element arrays, so a value does not depend on the grid it is in.
+psi_limit_array and upsilon_with_error_array evaluate grids; a single value
+is a one-element grid, since a value does not depend on the grid it is in.
 numpy is imported by the functions that build arrays, so that importing
 this module does not load it.
 """
@@ -38,20 +37,8 @@ def psi(z):
     return z * (5.0 - z)
 
 
-def psi_m(z, m: int) -> float:
-    """m-th approximant: psi composed m times on (2/3) 5^-m z."""
-    if m < 0:
-        raise DomainError(f"composition count must be nonnegative, got {m}")
-    x = (2.0 / 3.0) * float(z) / 5.0**m
-    for _ in range(m):
-        x = x * (5.0 - x)
-    if not math.isfinite(x):
-        raise DomainError(f"psi iteration overflowed for z={z!r} at m={m}")
-    return x
-
-
 def _approximants(z, m: int):
-    """psi_m over an array, with the same operations as psi_m."""
+    """The m-th approximants psi^m((2/3) 5^-m z) over an array."""
     x = (2.0 / 3.0) * z / 5.0**m
     for _ in range(m):
         x *= 5.0 - x
@@ -59,13 +46,14 @@ def _approximants(z, m: int):
 
 
 def psi_limit_array(z, config: ConvergenceConfig = DEFAULT_CONFIG):
-    """psi_limit over a 1-D array: (values, increments, failures).
+    """Psi over a 1-D array: (values, increments, failures).
 
-    Each element takes the same steps as the scalar definition (psi_m for
-    m = 0, 1, ... until the increment passes the tolerance) and drops out
-    once it has converged, so its value does not depend on the rest of the
-    array.  failures maps an index to the SglapError psi_limit raises there,
-    in index order; values and increments are NaN at those indices.
+    Each element takes the approximants for m = 0, 1, ... until the
+    increment passes the tolerance, and drops out once it has converged, so
+    its value does not depend on the rest of the array.  The increments
+    shrink 5x per step, so the last one bounds the truncation error left.
+    failures maps an index to its element's SglapError, in index order;
+    values and increments are NaN at those indices.
     """
     import numpy as np
 
@@ -101,36 +89,13 @@ def psi_limit_array(z, config: ConvergenceConfig = DEFAULT_CONFIG):
     return values, increments, dict(sorted(failures.items()))
 
 
-def _scalar(kernel, x, config):
-    """Run an array kernel on one number; raise its failure or return floats."""
-    import numpy as np
-
-    *columns, failures = kernel(np.array([float(x)]), config)
-    if failures:
-        raise failures[0]
-    return tuple(float(c[0]) for c in columns)
-
-
-def psi_limit_with_error(z, config: ConvergenceConfig = DEFAULT_CONFIG):
-    """Limit of the approximants together with the last increment.
-
-    The increments shrink by a factor 5 per step (seed error ~ 5^-m z^2), so
-    the returned increment bounds the remaining truncation error.
-    """
-    return _scalar(psi_limit_array, z, config)
-
-
-def psi_limit(z, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
-    return psi_limit_with_error(z, config)[0]
-
-
 def _upsilon_array(lam, config: ConvergenceConfig):
     """(values, failures) of the tail product over a 1-D array.
 
-    The product for lambda is 1/(2 - psi_limit(lambda/5)) times the factors
-    1 - psi_limit(lambda/5^j)/3 for j = 2, 3, ..., up to the first j whose
+    The product for lambda is 1/(2 - Psi(lambda/5)) times the factors
+    1 - Psi(lambda/5^j)/3 for j = 2, 3, ..., up to the first j whose
     remaining factors are bounded via |lambda_j| <= 5^-j |lambda|, a
-    geometric tail of ratio 1/5.  All the psi_limit arguments of the array go
+    geometric tail of ratio 1/5.  All the Psi arguments of the array go
     through one psi_limit_array call; the factors multiply in j order.
     """
     import numpy as np
@@ -167,19 +132,16 @@ def _upsilon_array(lam, config: ConvergenceConfig):
     return prod, dict(sorted(failures.items()))
 
 
-def upsilon(lam, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
-    """1 / (2 - psi_limit(lam/5)) times prod_{j>=2} (1 - psi_limit(5^-j lam)/3)."""
-    return _scalar(_upsilon_array, lam, config)[0]
-
-
 _EPS = math.ulp(1.0)
 
 
 def upsilon_with_error_array(lam, config: ConvergenceConfig = DEFAULT_CONFIG):
-    """upsilon_with_error over a 1-D array: (values, errors, failures).
+    """Upsilon over a 1-D array: (values, errors, failures).
 
-    failures maps an index to the SglapError upsilon_with_error raises
-    there, in index order; values and errors are NaN at those indices.
+    An error is the distance to an 8x tighter evaluation, with a
+    floating-point floor so that it stays positive.  failures maps an index
+    to the SglapError of its element, in index order; values and errors are
+    NaN at those indices.
     """
     import numpy as np
 
@@ -194,16 +156,10 @@ def upsilon_with_error_array(lam, config: ConvergenceConfig = DEFAULT_CONFIG):
     return values, errors, failures
 
 
-def upsilon_with_error(lam, config: ConvergenceConfig = DEFAULT_CONFIG):
-    """Value plus an error proxy: distance to an 8x tighter evaluation, with
-    a floating-point floor so the estimate stays positive."""
-    return _scalar(upsilon_with_error_array, lam, config)
-
-
 def tau(k: int, sequence, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
     """Tail product of an explicit eigenvalue sequence, anchored at level k.
 
-    Equals upsilon(5^-k lambda) for the sequence's renormalized limit; taking
+    Equals Upsilon(5^-k lambda) for the sequence's renormalized limit; taking
     the sequence's own entries keeps it exact through plus branches near the
     anchor.  Needs k >= m0 so that lambda_{k+1} is defined.
     """

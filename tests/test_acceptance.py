@@ -13,19 +13,16 @@ import time
 import mpmath as mp
 import numpy as np
 
-from conftest import acceptance_log, eigen_matrix, extend_harmonic, harmonic_matrix
+from conftest import (acceptance_log, eigen_matrix, extend_harmonic, harmonic_matrix,
+                      interval_tangent, one_point, sorted_pairing_gap)
 
+from sglap.address import build_level_graph
 from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
                                sequence_from_limit)
-from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction,
+from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, eigen_residual,
                             normal_derivative_limit)
-from sglap.oracle import (
-    dense_dirichlet_spectrum,
-    direct_tangent_limit,
-    interval_tangent,
-    sorted_pairing_gap,
-)
-from sglap.special import psi_limit, tau, upsilon
+from sglap.oracle import dense_dirichlet_spectrum, direct_tangent_limit
+from sglap.special import psi_limit_array, tau, upsilon_with_error_array
 from sglap.tangent import m0_matrix, normal_derivative, tangent_at
 
 
@@ -86,7 +83,8 @@ def test_criterion_03_eigen_equation_residuals():
     slowest = 0.0
     for u in funcs:
         t0 = time.perf_counter()
-        worst = max(worst, max(u.residual(m) for m in range(u.m0, 9)))
+        worst = max(worst, max(eigen_residual(build_level_graph(m), u.values_on_level(m),
+                                              u.sequence.value(m)) for m in range(u.m0, 9)))
         slowest = max(slowest, time.perf_counter() - t0)
     _report(
         3,
@@ -219,6 +217,9 @@ def test_criterion_07_normal_derivative_corollary():
 
 
 def test_criterion_08_special_functions():
+    def psi_limit(z):
+        return one_point(psi_limit_array, z)[0]
+
     ok = psi_limit(0.0) == 0.0
     h = 1e-6
     slope = (psi_limit(h) - psi_limit(-h)) / (2 * h)
@@ -230,7 +231,8 @@ def test_criterion_08_special_functions():
     ok = ok and worst_feq < 1e-10
     seq = sequence_from_limit(4.7)
     lam = seq.limit()
-    worst_tau = max(abs(tau(k, seq) - upsilon(lam / 5.0**k)) for k in range(1, 7))
+    worst_tau = max(abs(tau(k, seq) - one_point(upsilon_with_error_array, lam / 5.0**k)[0])
+                    for k in range(1, 7))
     ok = ok and worst_tau < 1e-12
     _report(
         8,

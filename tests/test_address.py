@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import apply_ifs, resolve_addresses, vertex_key
+
 from sglap import address, decimation
 from sglap.address import (
     DEFAULT_CORNERS,
     EventuallyConstantWord,
-    apply_ifs,
     build_level_graph,
     format_address,
-    resolve_addresses,
-    vertex_key,
     word_from_string,
     word_index,
 )

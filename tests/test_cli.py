@@ -21,8 +21,10 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from conftest import resolve_addresses
+
 from sglap import cli
-from sglap.address import build_level_graph, format_address, key_coords, resolve_addresses
+from sglap.address import build_level_graph, format_address, key_coords
 from sglap.decimation import enumerate_dirichlet_spectrum, max_level
 from sglap.harmonic import SpectralEigenfunction
 from sglap.errors import DomainError, LevelCapError, SglapError, UsageError
@@ -233,6 +235,22 @@ def test_domain_errors_exit_three(monkeypatch, capsys):
     monkeypatch.setenv("SG_MAX_LEVEL", "abc")
     assert _assert_exit(3, ["eval", "--seed", "two:1:1", "--level", "2"], capsys) == (
         "error: SG_MAX_LEVEL must be an integer, got 'abc'\n")
+
+
+def test_max_level_outside_its_range_exits_three(monkeypatch, capsys):
+    # 441 is the deepest level whose 1.5 * 5^j is a float; a larger cap let
+    # `five:9100:1` overrun int-to-str limits in its seed line (exit 1)
+    argv = ["eval", "--seed", "five:9100:1", "--level", "2"]
+    for raw in ["99999", "442", "-1"]:
+        monkeypatch.setenv("SG_MAX_LEVEL", raw)
+        assert _assert_exit(3, argv, capsys) == (
+            f"error: SG_MAX_LEVEL must be in 0..441, got '{raw}'\n")
+    monkeypatch.setenv("SG_MAX_LEVEL", "441")
+    assert max_level() == 441
+    assert _assert_exit(3, argv, capsys) == (
+        "error: level 9100 exceeds cap 441 (override with SG_MAX_LEVEL)\n")
+    err = _assert_exit(3, ["eval", "--seed", "five:441:1", "--level", "2"], capsys)
+    assert err.startswith("error: no closed-form seeds") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -574,6 +592,21 @@ def test_spectrum_past_level_23_exits_three():
                           timeout=5)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.count("\n") == 1 and "singular at level 24" in proc.stderr
+
+
+@pytest.mark.parametrize("cap, argv", [
+    ("16", ["eval", "--seed", "two:1:1", "--level", "16"]),
+    ("14", ["tangent", "--seed", "six:14:1", "--word", ":0"]),
+], ids=["eval", "tangent"])
+def test_out_of_memory_exits_three(cap, argv):
+    # the level graph no longer fits in the capped address space; numpy's
+    # MemoryError ended in a traceback and exit 1
+    proc = subprocess.run([sys.executable, "-m", "sglap.cli", *argv],
+                          env={**os.environ, "SG_MAX_LEVEL": cap},
+                          preexec_fn=_cap_address_space, capture_output=True, text=True,
+                          timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
 
 
 # sha256 of `spectrum --level 10` stdout, pinned from the per-family scalar

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import eigen_matrix, harmonic_matrix
+from conftest import eigen_matrix, harmonic_matrix, resolve_addresses, vertex_key
 
 from sglap import address, decimation
-from sglap.address import build_level_graph, resolve_addresses, vertex_key
+from sglap.address import build_level_graph
 from sglap.decimation import (
     SERIES_SEED,
     SINGULAR_VALUES,
@@ -26,6 +26,7 @@ from sglap.harmonic import (
     dirichlet_eigenfunction,
     dirichlet_seed_values,
     eigen_matrices,
+    eigen_residual,
     graph_laplacian,
     rotate_six,
 )
@@ -182,7 +183,8 @@ def test_residuals_stay_tiny_under_refinement():
     ]
     for u in funcs:
         for m in range(u.m0, 7):
-            assert u.residual(m) < 1e-11
+            assert eigen_residual(build_level_graph(m), u.values_on_level(m),
+                                  u.sequence.value(m)) < 1e-11
 
 
 def test_junction_values_agree_from_both_addresses():
@@ -270,7 +272,8 @@ def test_level1_spectrum_is_two_five_five():
 def test_six_element_is_interior_eigen_but_not_dirichlet():
     u = dirichlet_eigenfunction("six", 1)
     assert u.seed_values[2] == 2.0  # nonzero on a boundary corner
-    assert u.residual(5) < 1e-12
+    assert eigen_residual(build_level_graph(5), u.values_on_level(5),
+                          u.sequence.value(5)) < 1e-12
 
 
 def test_rotate_six_permutes_the_seed():
@@ -303,7 +306,8 @@ def test_six_element_branches():
     assert dirichlet_eigenfunction("six", 1).sequence.plus_indices == frozenset({2})
     u = dirichlet_eigenfunction("six", 1, 1, {2, 4})
     assert u.sequence.plus_indices == frozenset({2, 4})
-    assert u.residual(5) < 1e-12
+    assert eigen_residual(build_level_graph(5), u.values_on_level(5),
+                          u.sequence.value(5)) < 1e-12
     with pytest.raises(DomainError):
         dirichlet_eigenfunction("six", 1, 1, {3})  # level 2 must take the plus root
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import extend_harmonic, harmonic_matrix
+from conftest import HARMONIC_MATRICES, extend_harmonic, harmonic_matrix
 
 from sglap import harmonic
 from sglap.address import build_level_graph
@@ -13,7 +13,6 @@ from sglap.errors import ConvergenceError, DomainError
 from sglap.harmonic import (
     CORNER_SWAPS,
     HARMONIC_INVERSES,
-    HARMONIC_MATRICES,
     SpectralEigenfunction,
     extend_level,
     graph_laplacian,

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import interval_tangent, sorted_pairing_gap
+
 from sglap.address import EventuallyConstantWord, build_level_graph
 from sglap.decimation import enumerate_dirichlet_spectrum, sequence_from_limit
 from sglap.errors import DomainError
@@ -24,8 +26,6 @@ from sglap.oracle import (
     dense_dirichlet_spectrum,
     dense_interior_matrix,
     direct_tangent_limit,
-    interval_tangent,
-    sorted_pairing_gap,
 )
 from sglap.tangent import TangentTriple, tangent_at
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_point, psi_m
+
 from sglap.decimation import EigenvalueSequence, sequence_from_limit
 from sglap.errors import ConvergenceError, DomainError, SglapError
 from sglap.special import (
@@ -13,13 +15,8 @@ from sglap.special import (
     TAIL_BOUND_FACTOR,
     ConvergenceConfig,
     psi,
-    psi_limit,
     psi_limit_array,
-    psi_limit_with_error,
-    psi_m,
     tau,
-    upsilon,
-    upsilon_with_error,
     upsilon_with_error_array,
 )
 
@@ -44,25 +41,25 @@ def test_psi_m_guards():
 
 
 def test_limit_values():
-    assert psi_limit(0.0) == 0.0
-    _, err = psi_limit_with_error(1.0)
+    assert one_point(psi_limit_array, 0.0)[0] == 0.0
+    _, err = one_point(psi_limit_array, 1.0)
     assert 0 <= err < 1e-12
     h = 1e-6
-    slope = (psi_limit(h) - psi_limit(-h)) / (2 * h)
+    slope = (one_point(psi_limit_array, h)[0] - one_point(psi_limit_array, -h)[0]) / (2 * h)
     assert slope == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
 @given(st.floats(-10, 10))
 def test_functional_equation(z):
-    v = psi_limit(z)
-    assert v * (5.0 - v) == pytest.approx(psi_limit(5.0 * z), abs=1e-10)
+    v = one_point(psi_limit_array, z)[0]
+    assert v * (5.0 - v) == pytest.approx(one_point(psi_limit_array, 5.0 * z)[0], abs=1e-10)
 
 
 def test_domain_guard():
     with pytest.raises(DomainError):
-        psi_limit(PSI_DOMAIN_BOUND * 1.01)
-    psi_limit(PSI_DOMAIN_BOUND)  # the boundary itself converges
-    psi_limit(-PSI_DOMAIN_BOUND)
+        one_point(psi_limit_array, PSI_DOMAIN_BOUND * 1.01)
+    one_point(psi_limit_array, PSI_DOMAIN_BOUND)  # the boundary itself converges
+    one_point(psi_limit_array, -PSI_DOMAIN_BOUND)
 
 
 def test_config_is_frozen_and_hashable():
@@ -73,9 +70,8 @@ def test_config_is_frozen_and_hashable():
 
 
 def test_upsilon_at_zero():
-    assert upsilon(0.0) == pytest.approx(0.5, abs=1e-14)
-    val, err = upsilon_with_error(3.7)
-    assert val == pytest.approx(upsilon(3.7))
+    assert one_point(upsilon_with_error_array, 0.0)[0] == pytest.approx(0.5, abs=1e-14)
+    val, err = one_point(upsilon_with_error_array, 3.7)
     assert 0 < err < 1e-11
 
 
@@ -84,14 +80,16 @@ def test_tau_equals_upsilon_of_scaled_argument(lam):
     seq = sequence_from_limit(lam)
     lim = seq.limit()
     for k in range(seq.m0 + 1, seq.m0 + 4):
-        assert tau(k, seq) == pytest.approx(upsilon(lim / 5.0**k), abs=1e-12)
+        upsilon = one_point(upsilon_with_error_array, lim / 5.0**k)[0]
+        assert tau(k, seq) == pytest.approx(upsilon, abs=1e-12)
 
 
 def test_tau_through_plus_branches():
     seq = EigenvalueSequence(1, 6.0, plus_indices={2})  # the 6-series head
     lam = seq.limit()
     for k in range(2, 7):
-        assert tau(k, seq) == pytest.approx(upsilon(lam / 5.0**k), abs=1e-12)
+        upsilon = one_point(upsilon_with_error_array, lam / 5.0**k)[0]
+        assert tau(k, seq) == pytest.approx(upsilon, abs=1e-12)
 
 
 def test_tau_pole():
@@ -165,17 +163,10 @@ def test_upsilon_array_matches_the_scalar_loop(points, config):
                              points, config)
 
 
-def test_scalar_forms_return_python_floats_and_raise_the_failure():
-    values = [psi_limit(1.5), *psi_limit_with_error(1.5), upsilon(3.0), *upsilon_with_error(3.0)]
-    assert all(type(v) is float for v in values)
-    with pytest.raises(DomainError, match=r"psi iteration overflowed for z=nan at m=0"):
-        psi_limit(math.nan)
-    with pytest.raises(ConvergenceError, match=r"did not settle for z=3\.0"):
-        psi_limit(3.0, ConvergenceConfig(tol=1e-15, max_iterations=2))
-    with pytest.raises(ConvergenceError, match=r"tail product did not converge for lambda=0\.0001"):
-        upsilon(1e-4, ConvergenceConfig(max_iterations=12))
-    with pytest.raises(DomainError, match=r"argument 200\.0 outside"):
-        upsilon_with_error(1000.0)
+def test_sequence_from_limit_raises_the_kernel_failure():
+    # the one runtime Psi of a single value, a one-element grid
+    with pytest.raises(ConvergenceError, match=r"^psi approximants did not settle for z=0\.6$"):
+        sequence_from_limit(3.0, ConvergenceConfig(tol=1e-15, max_iterations=2))
 
 
 def test_empty_grids():

@@ -8,26 +8,24 @@ definition: as a bare name, an attribute or an imported name.  A constant's
 module-level `NAME.setflags(write=False)` is part of its definition.  A
 field counts as read when some `x.field` in src loads it.  Matching is by
 name, so a method or field shares its uses with every other use of the same
-word; the guards catch what nothing names at all."""
+word; the guards catch what nothing names at all.
+
+A third guard runs the CLI and checks that every public function and
+method of src ran, matched by code object, so that a name shared with
+another definition hides nothing."""
 import ast
+import json
 import pathlib
+import subprocess
+import sys
 
 import sglap
 
 SRC = pathlib.Path(sglap.__file__).parent
 
 UNREFERENCED = {
-    "address.apply_ifs": "float reference for the exact vertex keys",
-    "address.vertex_key": "scalar addressing reference for the level graph",
-    "address.resolve_addresses": "scalar addressing reference for the level graph",
-    "harmonic.HARMONIC_MATRICES": "the 1-5-5 matrices that extend_level and "
-                                  "eigen_matrices(0.0) are tested against",
-    "tangent.normal_derivative": "the paper's closed-form normal derivative",
-    "special.psi_m": "the paper's psi_m approximant",
-    "special.upsilon": "the paper's tail product Upsilon",
-    "special.upsilon_with_error": "a layer span of perfbench/launcher.py",
-    "oracle.sorted_pairing_gap": "oracle helper: pairs two spectra in order",
-    "oracle.interval_tangent": "oracle helper: the unit-interval comparison model",
+    "tangent.normal_derivative": "the paper's closed-form normal derivative; its runtime "
+                                 "caller is the planned `sglap normal` subcommand",
 }
 
 UNREAD_FIELDS = {}
@@ -128,3 +126,74 @@ def test_every_dataclass_field_is_read_or_has_a_reason():
 def test_every_unread_field_entry_is_still_unread():
     assert sorted(set(UNREAD_FIELDS) - set(_unread_fields())) == []
     assert all(UNREAD_FIELDS.values())
+
+
+# small invocations that together reach every subcommand, format and
+# option that changes what runs, with a free:, a series and a six: seed
+REACH_INVOCATIONS = [
+    ["spectrum", "--level", "3", "--format", "json", "--verify", "--verify-tol", "1e-8"],
+    ["spectrum", "--level", "2", "--series", "five"],
+    ["eval", "--seed", "free:7.3:1,-2,3", "--level", "3", "--verify"],
+    ["eval", "--seed", "six:2:1:+-", "--level", "3", "--format", "json", "--verify",
+     "--verify-tol", "1e-8"],
+    ["eval", "--seed", "five:2:1", "--level", "2", "--format", "obj"],
+    ["tangent", "--seed", "two:1:1", "--word", "01:2", "--verify"],
+    ["tangent", "--seed", "free:7.3:1,-2,3", "--word", ":0", "--format", "json"],
+    ["special", "--fn", "psi", "--range=-2:2:5", "--tol", "1e-12"],
+    ["special", "--fn", "upsilon", "--range", "0:3:4", "--format", "json"],
+]
+
+UNRUN = {
+    "tangent.normal_derivative": "no subcommand prints normal derivatives yet",
+    "harmonic.normal_derivative_limit": "called by tangent.normal_derivative only",
+    "harmonic.harmonic_normal_derivative": "called by tangent.normal_derivative only",
+    "harmonic.SpectralEigenfunction.value_at": "called by tangent.normal_derivative only",
+}
+
+# run in a fresh process, so that no cache an earlier test filled hides a call
+_REACH_SCRIPT = """if True:
+    import contextlib, importlib, inspect, io, json, pkgutil, sys
+
+    import sglap
+    from sglap import cli
+
+    public = {}  # code object -> module.qualified name
+    for info in pkgutil.iter_modules(sglap.__path__):
+        module = importlib.import_module(f"sglap.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, member in members:
+                if attr.startswith("_"):
+                    continue
+                # a property's getter, a classmethod's function, an lru_cache's target
+                member = inspect.unwrap(getattr(member, "fget", None)
+                                        or getattr(member, "__func__", member))
+                if inspect.isfunction(member):
+                    public[member.__code__] = ".".join(filter(None, [info.name, name, attr]))
+
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    codes = []
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            sys.setprofile(profile)
+            codes.append(cli.main(argv))
+            sys.setprofile(None)
+        assert codes[-1] == 0, (argv, err.getvalue())
+    print(json.dumps(sorted(name for code, name in public.items() if code not in ran)))
+"""
+
+
+def test_every_public_function_runs_in_a_cli_invocation():
+    proc = subprocess.run([sys.executable, "-c", _REACH_SCRIPT, json.dumps(REACH_INVOCATIONS)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == sorted(UNRUN)
+    assert all(UNRUN.values())

@@ -7,6 +7,11 @@ F_w(q_i) for some |w| = m and carries exact barycentric coordinates
 (n_0, n_1, n_2) with n_0 + n_1 + n_2 = 2^m; canonical addressing runs on
 these -- floats never enter.
 
+One vertex is looked up without a graph: vertex_index runs the glue rule
+below for a single vertex, level by level, and vertex_cells runs it
+backwards.  numpy is imported by the functions that build whole levels, so
+that a single-point computation does not load it.
+
 The level-m graph is the union of its three images F_j V_{m-1}, glued at
 the level-1 junctions, so it is built one level at a time from V_0: each
 vertex's canonical address is its copy's letter prepended to the address it
@@ -14,17 +19,16 @@ had one level up, and the canonical vertex order falls out of the gluing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .decimation import check_level, vertex_count
 from .errors import DomainError, InvariantError
 
 Word = tuple  # letters in {0, 1, 2}
 
-DEFAULT_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
+DEFAULT_CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
 
 
 def check_word(word) -> Word:
@@ -52,14 +56,6 @@ def word_from_string(text: str) -> Word:
     if not _is_ascii_digits(text):
         raise DomainError(f"malformed word {text!r}")
     return check_word(text)
-
-
-def word_index(word) -> int:
-    """Base-3 rank of a word among words of its length (cell index)."""
-    i = 0
-    for c in word:
-        i = 3 * i + c
-    return i
 
 
 def format_address(word, letter) -> str:
@@ -108,9 +104,9 @@ class EventuallyConstantWord:
 
 @dataclass(frozen=True, eq=False)
 class LevelGraph:
-    """The graph on V_m as its cells: cells[word_index(w), i] is the vertex
-    F_w(q_i) for |w| = m.  Every edge lies in exactly one m-cell, so the cell
-    triples are the whole graph; index_of is the vertex lookup.  Vertices are
+    """The graph on V_m as its cells: cells[c, i] is the vertex F_w(q_i) for
+    the word w of length m whose base-3 digits spell c.  Every edge lies in exactly one m-cell, so the cell
+    triples are the whole graph; vertex_index is the vertex lookup.  Vertices are
     in canonical address order (the three boundary corners are always 0, 1,
     2, everything after them is interior) and carry their exact keys and the
     text of their canonical addresses."""
@@ -124,17 +120,10 @@ class LevelGraph:
     def size(self) -> int:
         return self.keys.shape[0]
 
-    def index_of(self, word, letter) -> int:
-        """Index of F_word(q_letter): corner `letter` of the level cell
-        word + (letter, ..., letter)."""
-        word = check_word(word)
-        letter = check_letter(letter)
-        if self.level < len(word):
-            raise DomainError(f"level {self.level} below word length {len(word)}")
-        return int(self.cells[word_index(word + (letter,) * (self.level - len(word))), letter])
-
     def addresses(self, lo: int = 0, hi: int | None = None) -> list:
         """format_address of vertices lo..hi-1 (by default all), in vertex order."""
+        import numpy as np
+
         # trailing NULs drop off numpy unicode strings
         return self.names[lo:hi].astype(np.uint32).view(f"U{self.level + 2}").ravel().tolist()
 
@@ -143,7 +132,50 @@ def key_coords(keys, level: int) -> np.ndarray:
     """Planar points of barycentric numerators over 2**level.  Every product
     and sum is exact but the one rounding of n_2 * sqrt(3)/2, so x takes the
     same bits for equal 2 n_1 + n_2, and y for equal n_2."""
-    return (keys @ DEFAULT_CORNERS) / float(1 << level)
+    import numpy as np
+
+    return (keys @ np.array(DEFAULT_CORNERS)) / float(1 << level)
+
+
+def _glue(n: int):
+    """The glue rule from V_{k-1}, with n interior vertices, to V_k:
+    corners[j][i] is F_j(q_i) in V_k, and the interior of copy j (F_j of
+    V_{k-1}'s interior, in its order) starts at first[j]."""
+    return ((0, 3, 4), (3, 1, 5 + n), (4, 5 + n, 2)), (5, 6 + n, 6 + 2 * n)
+
+
+def vertex_index(word, letter, level: int) -> int:
+    """Position of F_word(q_letter) in V_level: corner `letter` of the level
+    cell word + (letter, ..., letter), since F_letter fixes q_letter.  The
+    glue rule applied to one vertex, from the deepest letter up, so that no
+    level graph is built."""
+    word, letter = check_word(word), check_letter(letter)
+    if level < len(word):
+        raise DomainError(f"level {level} below word length {len(word)}")
+    v, n = letter, 0
+    for j in reversed(word + (letter,) * (level - len(word))):
+        corners, first = _glue(n)
+        v = corners[j][v] if v < 3 else first[j] + v - 3
+        n = 3 * n + 3
+    return v
+
+
+def vertex_cells(v: int, level: int) -> list:
+    """The (word, corner) pairs, |word| = level, whose cell has vertex v of
+    V_level at that corner, in cell order: one pair for a corner of V_0, two
+    for any other vertex.  The glue rule run backwards, from the top level
+    down, until v is a corner of the copy it lies in."""
+    if not 0 <= v < vertex_count(level):
+        raise DomainError(f"V_{level} has no vertex {v}")
+    word, n = (), vertex_count(level - 1) - 3 if level else 0
+    for k in range(level, 0, -1):
+        corners, first = _glue(n)
+        pairs = [(j, i) for j in range(3) for i in range(3) if corners[j][i] == v]
+        if pairs:  # corner i of copy j, which stays corner i of every cell below
+            return [(word + (j,) + (i,) * (k - 1), i) for j, i in pairs]
+        j = 2 if v >= first[2] else 1 if v >= first[1] else 0
+        word, v, n = word + (j,), 3 + v - first[j], (n - 3) // 3
+    return [(word, v)]
 
 
 @lru_cache(maxsize=None)
@@ -153,15 +185,17 @@ def _build_level_graph(m: int) -> LevelGraph:
     # it canonical, so canonical order on V_k is: the corners, (0):1, (0):2,
     # copy 0's interior, (1):2, copy 1's interior, copy 2's interior.  Built
     # in a loop, not by recursion, so no coarser graph stays cached.
+    import numpy as np
+
     cells = np.array([[0, 1, 2]], dtype=np.int32)
     keys = np.eye(3, dtype=np.int64)  # keys[v]: v's exact barycentric numerators
     names = np.array([b":0", b":1", b":2"]).view(np.uint8).reshape(3, 2)
     for k in range(1, m + 1):
         n = keys.shape[0] - 3  # interior vertices of V_{k-1}
-        first = (5, 6 + n, 6 + 2 * n)  # where copy j's interior starts
+        corners, first = _glue(n)
         # maps[j] sends V_{k-1} into V_k under F_j; column i < 3 is F_j(q_i)
         maps = np.empty((3, n + 3), dtype=np.int32)
-        maps[:, :3] = [[0, 3, 4], [3, 1, 5 + n], [4, 5 + n, 2]]
+        maps[:, :3] = corners
         maps[:, 3:] = np.add.outer(first, np.arange(n))
         cells = maps[:, cells].reshape(-1, 3)  # cell j + w is F_j of cell w
 

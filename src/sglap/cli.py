@@ -389,20 +389,22 @@ def cmd_tangent(args) -> int:
         raise UsageError(str(exc)) from None
     triple = tangent.tangent_at(u, word)
     grad = triple.gradient()
+    if not all(map(math.isfinite, [*triple, *grad])):
+        raise SglapError(f"seed {args.seed!r} gives a non-finite tangent at {word}")
     k = max(len(word.prefix), u.m0)
     columns = ["word", "k", "t0", "t1", "t2", "g0", "g1", "g2"]
-    row = [str(word), k, triple.t0, triple.t1, triple.t2,
-           float(grad[0]), float(grad[1]), float(grad[2])]
+    row = [str(word), k, *triple, *grad]
     deviation = None
     if args.verify:
         from . import oracle
 
         ref, err = oracle.direct_tangent_limit(u, word, 25)
-        deviation = float(abs(triple.as_array() - ref.as_array()).max())
+        deviation = max(abs(a - b) for a, b in zip(triple, ref))
         columns += ["oracle_t0", "oracle_t1", "oracle_t2", "deviation", "error_estimate"]
-        row += [ref.t0, ref.t1, ref.t2, deviation, err]
+        row += [*ref, deviation, err]
     _emit(args, _table_blocks(args.format, columns, [row]))
-    if deviation is not None and deviation >= args.verify_tol:
+    # written so that a NaN deviation fails too
+    if deviation is not None and not deviation < args.verify_tol:
         print(f"verification failed: tangent deviates from the direct limit by "
               f"{deviation:.3e} >= {args.verify_tol:.3e}", file=sys.stderr)
         return 4

@@ -184,10 +184,7 @@ def sequence_from_limit(
     while abs(lam) / 5.0**J > 2.0:
         J += 1
     vals = [0.0] * (J + 1)
-    values, _, failures = special.psi_limit_array([lam / 5.0**J], config)
-    if failures:
-        raise failures[0]
-    vals[J] = float(values[0])
+    vals[J] = special.psi_limit(lam / 5.0**J, config)
     for j in range(J - 1, -1, -1):
         vals[j] = special.psi(vals[j + 1])
         if not math.isfinite(vals[j]):

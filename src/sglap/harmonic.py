@@ -9,6 +9,11 @@ refinement step of `extend_level`.  An eigenfunction refines the same way
 with the extension matrices deformed by lambda_m of its decimation
 sequence; they degenerate to the harmonic 1-5-5 rule at lambda = 0 and blow
 up at lambda in {2, 5}.
+
+The matrices are nested tuples of floats, and a single cell triple is
+walked with the 3x3 products matvec and matmul on Python floats.  numpy is
+imported by the functions that handle whole levels, so that a tangent,
+which walks one triple, does not load it.
 """
 from __future__ import annotations
 
@@ -16,37 +21,59 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .address import LevelGraph, build_level_graph, check_letter, check_word, word_index
+from .address import LevelGraph, build_level_graph, check_letter, check_word, vertex_cells, vertex_index
 from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_multiplicity,
                          vertex_count)
 from .errors import ConvergenceError, DomainError
 
+
+def matvec(m, v) -> tuple:
+    """m v for a 3x3 matrix and a 3-vector of floats or Decimals.  Each entry
+    is summed left to right from 0, as the BLAS kernels sum, so that no -0.0
+    arises from a sum of zeros."""
+    return tuple(0 + m[a][0] * v[0] + m[a][1] * v[1] + m[a][2] * v[2] for a in range(3))
+
+
+def matmul(m, n) -> tuple:
+    """m n for 3x3 matrices, summed as in matvec."""
+    return tuple(tuple(0 + m[a][0] * n[0][b] + m[a][1] * n[1][b] + m[a][2] * n[2][b]
+                       for b in range(3)) for a in range(3))
+
+
+IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
 # CORNER_SWAPS[i] exchanges corner 0 with corner i; conjugating the corner-0
 # extension matrix by it yields the corner-i one.
-CORNER_SWAPS = np.stack([np.eye(3), np.eye(3)[[1, 0, 2]], np.eye(3)[[2, 1, 0]]])
+CORNER_SWAPS = (IDENTITY, ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+                ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)))
+
+
+def _conjugates(a0) -> tuple:
+    """The three corner conjugates S_i a0 S_i of a corner-0 matrix."""
+    return tuple(matmul(matmul(s, a0), s) for s in CORNER_SWAPS)
+
 
 # (1/3) * integer matrix, exact inverse of the 1-5-5 step
-HARMONIC_INVERSES = np.stack(
-    [s @ (np.array([[3.0, 0, 0], [-2, 10, -5], [-2, -5, 10]]) / 3.0) @ s for s in CORNER_SWAPS]
-)
-
-HARMONIC_INVERSES.setflags(write=False)
+HARMONIC_INVERSES = _conjugates(tuple(tuple(x / 3.0 for x in row)
+                                      for row in ((3.0, 0.0, 0.0), (-2.0, 10.0, -5.0),
+                                                  (-2.0, -5.0, 10.0))))
 
 
-def harmonic_pullback(word) -> np.ndarray:
+def harmonic_pullback(word) -> tuple:
     """Inverse of A_w, i.e. A_{w_1}^{-1} ... A_{w_m}^{-1}, built from the
     exact-rational inverses; used to pull cell data back to boundary data."""
-    m = np.eye(3)
+    m = IDENTITY
     for c in check_word(word):
-        m = m @ HARMONIC_INVERSES[c]
+        m = matmul(m, HARMONIC_INVERSES[c])
     return m
 
 
-def extend_level(cell_values, mats) -> np.ndarray:
+def extend_level(cell_values, mats):
     """One refinement step: child cell 3*c + letter gets mats[letter] @ cell c."""
+    import numpy as np
+
     values = np.ascontiguousarray(cell_values, dtype=float).reshape(-1, 3)
+    mats = np.asarray(mats, dtype=float)
     out = np.empty((3 * values.shape[0], 3))
     for letter in range(3):
         out[letter::3] = values @ mats[letter].T
@@ -59,6 +86,8 @@ def cell_values_to_vertex(graph: LevelGraph, cell_values, tol: float = 1e-9):
     Junction vertices appear in two cells; their copies must agree to `tol`
     (relative to the value scale) or the triples do not describe a function.
     """
+    import numpy as np
+
     cv = np.asarray(cell_values, dtype=float)
     if cv.shape != graph.cells.shape:
         raise DomainError(f"expected cell array of shape {graph.cells.shape}, got {cv.shape}")
@@ -72,12 +101,14 @@ def cell_values_to_vertex(graph: LevelGraph, cell_values, tol: float = 1e-9):
     return out
 
 
-def graph_laplacian(graph: LevelGraph, values) -> np.ndarray:
+def graph_laplacian(graph: LevelGraph, values):
     """sum_{y~x} (u(y) - u(x)) at every vertex, boundary included.
 
     Every edge lies in exactly one cell, so this is the sum over cells of the
     cell Laplacian (u_0 + u_1 + u_2) - 3 u_i at each corner i.
     """
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     if values.shape != (graph.size,):
         raise DomainError(f"expected {graph.size} vertex values, got shape {values.shape}")
@@ -92,9 +123,11 @@ def harmonic_normal_derivative(boundary_values, corner: int) -> float:
     For harmonic h the renormalized limit (5/3)^M (2u(q_i) - two neighbor
     values) is constant in M, so the level-0 expression is already exact.
     """
-    b = np.asarray(boundary_values, dtype=float).reshape(3)
+    b = [float(x) for x in boundary_values]
+    if len(b) != 3:
+        raise DomainError(f"need three boundary values, got {len(b)}")
     i = check_letter(corner)
-    return float(2.0 * b[i] - b[(i + 1) % 3] - b[(i + 2) % 3])
+    return 2.0 * b[i] - b[(i + 1) % 3] - b[(i + 2) % 3]
 
 
 def normal_derivative_limit(value_at, corner: int, levels: int = 20):
@@ -125,22 +158,22 @@ def normal_derivative_limit(value_at, corner: int, levels: int = 20):
 
 
 @lru_cache(maxsize=4096)
-def eigen_matrices(lam: float) -> np.ndarray:
-    """The three lambda-deformed extension matrices, stacked (letter, 3, 3)."""
+def eigen_matrices(lam: float) -> tuple:
+    """The three lambda-deformed extension matrices, one per letter."""
     if not math.isfinite(lam):
         raise DomainError(f"extension matrices need a finite lambda, got {lam!r}")
     den = (5.0 - lam) * (2.0 - lam)
     if den == 0.0:
         raise DomainError(f"extension matrices are singular at lambda={lam!r}")
-    a0 = np.array([[den, 0.0, 0.0], [4.0 - lam, 4.0 - lam, 2.0], [4.0 - lam, 2.0, 4.0 - lam]]) / den
-    out = np.stack([s @ a0 @ s for s in CORNER_SWAPS])
-    out.setflags(write=False)
-    return out
+    return _conjugates(tuple(tuple(x / den for x in row) for row in (
+        (den, 0.0, 0.0), (4.0 - lam, 4.0 - lam, 2.0), (4.0 - lam, 2.0, 4.0 - lam))))
 
 
 def eigen_residual(graph: LevelGraph, values, lam_level: float) -> float:
     """Max interior defect of the level eigen-equation, relative to the sup
     norm; 0.0 on V_0, which has no interior vertex."""
+    import numpy as np
+
     r = graph_laplacian(graph, values) + float(lam_level) * np.asarray(values, dtype=float)
     scale = max(1.0, float(np.max(np.abs(values))))
     return float(np.max(np.abs(r[3:]), initial=0.0)) / scale
@@ -148,33 +181,49 @@ def eigen_residual(graph: LevelGraph, values, lam_level: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpectralEigenfunction:
-    """Seed values on V_{m0} together with the sequence that refines them."""
+    """Seed values on V_{m0} together with the sequence that refines them.
+
+    The seed is held as a {vertex: value} map over V_{m0} (a vertex it does
+    not name is 0), so that looking up one cell of a deep seed costs no more
+    than a shallow one; a dense sequence of |V_{m0}| values is taken too."""
 
     sequence: EigenvalueSequence
-    seed_values: np.ndarray
+    seed_values: dict
 
     def __post_init__(self):
-        seed = np.array(self.seed_values, dtype=float)
-        expected = vertex_count(self.m0)
-        if seed.shape != (expected,):
-            raise DomainError(f"need {expected} vertex values at level {self.m0}, got {seed.shape}")
-        seed.setflags(write=False)
+        seed, size = self.seed_values, vertex_count(self.m0)
+        if isinstance(seed, dict):
+            seed = {int(v): float(x) for v, x in seed.items()}
+            if not all(0 <= v < size for v in seed):
+                raise DomainError(f"seed names a vertex outside V_{self.m0}")
+        else:
+            seed = dict(enumerate(float(x) for x in seed))
+            if len(seed) != size:
+                raise DomainError(f"need {size} vertex values at level {self.m0}, got {len(seed)}")
         object.__setattr__(self, "seed_values", seed)
 
     @property
     def m0(self) -> int:
         return self.sequence.m0
 
-    def cell_values(self, m: int) -> np.ndarray:
+    def seed_array(self):
+        """The seed as a dense array over V_{m0}, in vertex order."""
+        import numpy as np
+
+        out = np.zeros(vertex_count(self.m0))
+        out[list(self.seed_values)] = list(self.seed_values.values())
+        return out
+
+    def cell_values(self, m: int):
         """Per-cell triples on level m, refined level by level from the seed."""
         if m < self.m0:
             raise DomainError(f"level {m} below seed level {self.m0}")
-        values = self.seed_values[build_level_graph(self.m0).cells]
+        values = self.seed_array()[build_level_graph(self.m0).cells]
         for j in range(self.m0 + 1, m + 1):
             values = extend_level(values, eigen_matrices(self.sequence.value(j)))
         return values
 
-    def values_on_level(self, m: int, tol: float = 1e-9) -> np.ndarray:
+    def values_on_level(self, m: int, tol: float = 1e-9):
         return cell_values_to_vertex(build_level_graph(m), self.cell_values(m), tol=tol)
 
     def value_at(self, word, letter) -> float:
@@ -182,9 +231,9 @@ class SpectralEigenfunction:
         the cell word + (letter, ..., letter) down to the seed level, since
         F_letter fixes q_letter."""
         word, letter = check_word(word), check_letter(letter)
-        return float(self.cell_triple(word + (letter,) * (self.m0 - len(word)))[letter])
+        return self.cell_triple(word + (letter,) * (self.m0 - len(word)))[letter]
 
-    def cell_triple(self, word) -> np.ndarray:
+    def cell_triple(self, word) -> tuple:
         """Values at the three corners of a cell no coarser than the seed.
 
         Starts from the seed's triple on the m0-cell above it and walks that
@@ -196,28 +245,23 @@ class SpectralEigenfunction:
         m0 = self.m0
         if len(word) < m0:
             raise DomainError(f"word of length {len(word)} is shorter than seed level {m0}")
-        out = self.seed_values[build_level_graph(m0).cells[word_index(word[:m0])]]
+        out = tuple(self.seed_values.get(vertex_index(word[:m0], i, m0), 0.0) for i in range(3))
         for t in range(m0 + 1, len(word) + 1):
-            out = eigen_matrices(self.sequence.value(t))[word[t - 1]] @ out
+            out = matvec(eigen_matrices(self.sequence.value(t))[word[t - 1]], out)
         return out
 
 
-def rotate_six(corner: int) -> np.ndarray:
+def rotate_six(corner: int) -> tuple:
     """Level-1 values of the basic 6-series element with its 2 at the given
-    corner: adjacent midpoints get -1, the opposite one +1, other corners 0."""
+    corner, in the order q0, q1, q2, (0):1, (0):2, (1):2: adjacent midpoints
+    get -1, the opposite one +1, other corners 0."""
     c = check_letter(corner)
-    out = np.zeros(6)
-    out[c] = 2.0
-    mids = {frozenset({0, 1}): 3, frozenset({0, 2}): 4, frozenset({1, 2}): 5}
-    for pair, pos in mids.items():
-        out[pos] = -1.0 if c in pair else 1.0
-    return out
+    return (*(2.0 if i == c else 0.0 for i in range(3)),
+            *(-1.0 if c in pair else 1.0 for pair in ((0, 1), (0, 2), (1, 2))))
 
 
-# the level-1 vertices q0, q1, q2, (0):1, (0):2, (1):2 of rotate_six's order
-# as (child cell letter, corner) pairs
-_LEVEL1_CHILDREN = np.array([0, 1, 2, 0, 0, 1])
-_LEVEL1_CORNERS = np.array([0, 1, 2, 1, 2, 2])
+# the level-1 vertices of rotate_six's order as (child cell letter, corner)
+_LEVEL1_VERTICES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 # the 2- and 5-series seeds with closed forms, one {(word, corner): value}
 # chain per index; every vertex a chain does not name is 0.  The 5-series
@@ -234,16 +278,18 @@ _SEED_CHAINS = {
 }
 
 
-def dirichlet_seed_values(series: str, m0: int, index: int = 1) -> np.ndarray:
-    """Values on V_{m0} of seed `index` of the series born at level m0.
+def dirichlet_seed_values(series: str, m0: int, index: int = 1) -> dict:
+    """The {vertex: value} map on V_{m0} of seed `index` of the series born
+    at level m0.
 
     A 2- or 5-series seed is a row of _SEED_CHAINS.  A 6-series seed sits
     at a junction of V_{m0-1}, and each (m0-1)-cell meeting there gets
     rotate_six with its 2 at the junction on its three child cells.  The
     junctions are the last `count` vertices of V_{m0-1}: its interior ones,
     or at m0 = 1 the corner q2, which gives the basic element (not
-    Dirichlet).  The level cap is checked before 3^m0 is formed; a low m0
-    is reported by series_multiplicity."""
+    Dirichlet).  Vertices are looked up one at a time, so no level graph is
+    built.  The level cap is checked before 3^m0 is formed; a low m0 is
+    reported by series_multiplicity."""
     check_level(max(m0, 0))
     count = 1 if (series, m0) == ("six", 1) else series_multiplicity(series, m0)
     if series != "six" and (series, m0) not in _SEED_CHAINS:
@@ -252,15 +298,13 @@ def dirichlet_seed_values(series: str, m0: int, index: int = 1) -> np.ndarray:
     if not 1 <= index <= count:
         raise DomainError(f"seed index must be in 1..{count} for the {series}-series "
                           f"at m0={m0}, got {index}")
-    graph = build_level_graph(m0)
-    out = np.zeros(graph.size)
     if series != "six":
-        for (word, corner), v in _SEED_CHAINS[series, m0][index - 1].items():
-            out[graph.index_of(word, corner)] = v
-        return out
-    coarse = build_level_graph(m0 - 1)
-    for cell, corner in np.argwhere(coarse.cells == coarse.size - count + index - 1).tolist():
-        out[graph.cells[3 * cell + _LEVEL1_CHILDREN, _LEVEL1_CORNERS]] = rotate_six(corner)
+        return {vertex_index(word, corner, m0): v
+                for (word, corner), v in _SEED_CHAINS[series, m0][index - 1].items()}
+    out = {}
+    for word, corner in vertex_cells(vertex_count(m0 - 1) - count + index - 1, m0 - 1):
+        for (child, child_corner), v in zip(_LEVEL1_VERTICES, rotate_six(corner)):
+            out[vertex_index(word + (child,), child_corner, m0)] = v
     return out
 
 

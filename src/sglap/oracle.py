@@ -4,17 +4,17 @@ Nothing here reuses a formula it is meant to check: spectra come from a
 dense symmetric eigensolve of the graph Laplacian, and tangents from
 literally iterating pulled-back cell triples (in high precision, since each
 pullback level multiplies roundoff in the antisymmetric component by 5).
+numpy is imported by the dense solve alone, so that a tangent check does
+not load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .address import EventuallyConstantWord, build_level_graph
 from .errors import ConvergenceError, DomainError
-from .harmonic import SpectralEigenfunction
+from .harmonic import SpectralEigenfunction, matmul, matvec
 from .tangent import TangentTriple
 
 DENSE_LEVEL_CAP = 6
@@ -35,6 +35,8 @@ class DenseSpectrum:
         return self.eigenvalues.shape[0]
 
     def residual(self) -> float:
+        import numpy as np
+
         if self.count == 0:
             return 0.0
         defect = self.matrix @ self.eigenvectors - self.eigenvectors * self.eigenvalues
@@ -47,6 +49,8 @@ def dense_interior_matrix(level: int):
     Built from the cell edges (each edge lies in exactly one cell), not from
     the cell-Laplacian sum that graph_laplacian uses.
     """
+    import numpy as np
+
     graph = build_level_graph(level)
     cells, n = graph.cells, graph.size
     a = np.zeros((n, n))
@@ -62,6 +66,8 @@ def dense_dirichlet_spectrum(m: int) -> DenseSpectrum:
         raise DomainError(f"level must be nonnegative, got {m}")
     if m > DENSE_LEVEL_CAP:
         raise DomainError(f"dense solves are capped at level {DENSE_LEVEL_CAP}, got {m}")
+    import numpy as np
+
     a = dense_interior_matrix(m)
     w, v = np.linalg.eigh(a)
     spec = DenseSpectrum(m, w, v, a)
@@ -77,14 +83,6 @@ def _mp_swap(i):
     s = [0, 1, 2]
     s[0], s[i] = s[i], s[0]
     return s
-
-
-def _mp_matvec(m, v):
-    return [sum(m[a][b] * v[b] for b in range(3)) for a in range(3)]
-
-
-def _mp_matmul(m, n):
-    return [[sum(m[a][t] * n[t][b] for t in range(3)) for b in range(3)] for a in range(3)]
 
 
 def _mp_eigen_matrix(i, lam):
@@ -111,7 +109,8 @@ def direct_tangent_limit(u: SpectralEigenfunction, w, m: int):
     closed-form shortcuts; the reported error is the distance to the m-1
     iterate.  Runs in ORACLE_DPS significant decimal digits because the
     pullback amplifies the antisymmetric roundoff component five-fold per
-    level.
+    level.  The products are harmonic's matvec and matmul, which take
+    Decimals as they take floats.
     """
     if isinstance(w, str):
         w = EventuallyConstantWord.parse(w)
@@ -127,18 +126,18 @@ def direct_tangent_limit(u: SpectralEigenfunction, w, m: int):
         lam = Decimal(u.sequence.lambda_m0)
         pull = [[Decimal(1 if a == b else 0) for b in range(3)] for a in range(3)]
         for c in w.truncation(m0):
-            pull = _mp_matmul(pull, _mp_harmonic_inverse(c, third))
-        triple = [Decimal(float(x)) for x in u.cell_triple(w.truncation(m0))]
+            pull = matmul(pull, _mp_harmonic_inverse(c, third))
+        triple = [Decimal(x) for x in u.cell_triple(w.truncation(m0))]
         prev = None
-        cur = _mp_matvec(pull, triple)
+        cur = matvec(pull, triple)
         for t in range(m0 + 1, m + 1):
             root = (25 - 4 * lam).sqrt()
             lam = (5 + root) / 2 if t in u.sequence.plus_indices else 2 * lam / (5 + root)
             letter = w.letter(t)
-            triple = _mp_matvec(_mp_eigen_matrix(letter, lam), triple)
-            pull = _mp_matmul(pull, _mp_harmonic_inverse(letter, third))
+            triple = matvec(_mp_eigen_matrix(letter, lam), triple)
+            pull = matmul(pull, _mp_harmonic_inverse(letter, third))
             prev = cur
-            cur = _mp_matvec(pull, triple)
+            cur = matvec(pull, triple)
         out = TangentTriple(*(float(x) for x in cur))
         err = math.inf if prev is None else float(max(abs(a - b) for a, b in zip(cur, prev)))
     return out, err

@@ -9,8 +9,10 @@ tau is the same product taken along an explicit sequence.
 
 psi_limit_array and upsilon_with_error_array evaluate grids; a single value
 is a one-element grid, since a value does not depend on the grid it is in.
-numpy is imported by the functions that build arrays, so that importing
-this module does not load it.
+psi_limit is the one exception: it runs psi_limit_array's operations for one
+value on Python floats, so that a `free:` seed does not load numpy.  numpy
+is imported by the functions that build arrays, so that importing this
+module does not load it.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ def psi(z):
 
 
 def _approximants(z, m: int):
-    """The m-th approximants psi^m((2/3) 5^-m z) over an array."""
+    """The m-th approximants psi^m((2/3) 5^-m z) over an array or of a float."""
     x = (2.0 / 3.0) * z / 5.0**m
     for _ in range(m):
         x *= 5.0 - x
@@ -87,6 +89,26 @@ def psi_limit_array(z, config: ConvergenceConfig = DEFAULT_CONFIG):
     for i in live.tolist():
         failures[i] = ConvergenceError(f"psi approximants did not settle for z={float(z[i])!r}")
     return values, increments, dict(sorted(failures.items()))
+
+
+def psi_limit(z: float, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
+    """Psi at one point: psi_limit_array's operations for one element, in
+    its order, so that both give the same bits and raise the same failure.
+
+    A test pins the two against each other bit for bit."""
+    z = float(z)
+    if abs(z) > PSI_DOMAIN_BOUND:
+        raise DomainError(f"argument {z!r} outside the validated region "
+                          f"|z| <= {PSI_DOMAIN_BOUND:g}")
+    prev = None
+    for m in range(config.max_iterations + 1):
+        cur = _approximants(z, m)
+        if not math.isfinite(cur):
+            raise DomainError(f"psi iteration overflowed for z={z!r} at m={m}")
+        if m and abs(cur - prev) <= config.tol * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise ConvergenceError(f"psi approximants did not settle for z={z!r}")
 
 
 def _upsilon_array(lam, config: ConvergenceConfig):

@@ -10,21 +10,20 @@ cell triples exists in closed form: with the cut k = max(|prefix|, m0),
 where M0 collapses the entire tail of deformed extensions below level k into
 one matrix, and S_t is the corner swap moving the tail letter t to 0.  All
 coefficients reduce to the tail products tau_k, so nothing here iterates to
-convergence except the eigenvalue itself.
+convergence except the eigenvalue itself.  The 3x3 products run on Python
+floats, so a tangent does not load numpy.
 """
 from __future__ import annotations
 
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from . import special
 from .address import EventuallyConstantWord, check_letter
 from .decimation import EigenvalueSequence
 from .errors import DomainError
-from .harmonic import (CORNER_SWAPS, SpectralEigenfunction, harmonic_normal_derivative,
-                       harmonic_pullback, normal_derivative_limit)
+from .harmonic import (CORNER_SWAPS, IDENTITY, SpectralEigenfunction, harmonic_normal_derivative,
+                       harmonic_pullback, matmul, matvec, normal_derivative_limit)
 
 
 class TangentTriple(NamedTuple):
@@ -34,20 +33,17 @@ class TangentTriple(NamedTuple):
     t1: float
     t2: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self)
-
-    def gradient(self) -> np.ndarray:
+    def gradient(self) -> tuple:
         """Mean-subtracted triple.
 
         The average-zero projection is taken coordinatewise (plain mean
         subtraction); tangent-level identities do not depend on this choice.
         """
-        t = self.as_array()
-        return t - t.mean()
+        mean = (self.t0 + self.t1 + self.t2) / 3.0
+        return (self.t0 - mean, self.t1 - mean, self.t2 - mean)
 
 
-def m0_matrix(sequence: EigenvalueSequence, k: int) -> np.ndarray:
+def m0_matrix(sequence: EigenvalueSequence, k: int) -> tuple:
     """The closed-form tail matrix M0(lambda, k) at cut level k >= m0.
 
     M0 = I + O(lambda_k), and a lambda_k below the smallest normal float has
@@ -56,19 +52,23 @@ def m0_matrix(sequence: EigenvalueSequence, k: int) -> np.ndarray:
     if k < sequence.m0:
         raise DomainError(f"cut level {k} below the sequence start {sequence.m0}")
     if sequence.lambda_m0 == 0.0:
-        return np.eye(3)
+        return IDENTITY
     lam_k = sequence.value(k)
     if abs(lam_k) < sys.float_info.min:
-        return np.eye(3)
+        return IDENTITY
+    try:
+        scale = 3.0 * 5.0**k
+    except OverflowError:
+        raise DomainError(f"cut level {k} is past the float range of 5^k") from None
     lam = sequence.limit()
     t = special.tau(k, sequence)
-    c = lam / (3.0 * 5.0**k * lam_k)
+    c = lam / (scale * lam_k)
     off = 1.0 - (4.0 - lam_k) * t * c
-    return np.array([
-        [1.0, 0.0, 0.0],
-        [off, c * (2.0 * t + 1.0), c * (2.0 * t - 1.0)],
-        [off, c * (2.0 * t - 1.0), c * (2.0 * t + 1.0)],
-    ])
+    return (
+        (1.0, 0.0, 0.0),
+        (off, c * (2.0 * t + 1.0), c * (2.0 * t - 1.0)),
+        (off, c * (2.0 * t - 1.0), c * (2.0 * t + 1.0)),
+    )
 
 
 def _as_word(w) -> EventuallyConstantWord:
@@ -93,9 +93,8 @@ def tangent_at(u: SpectralEigenfunction, w, cut=None) -> TangentTriple:
         k = int(cut)
     word = w.truncation(k)
     s = CORNER_SWAPS[w.tail]
-    tail_matrix = s @ m0_matrix(u.sequence, k) @ s
-    triple = harmonic_pullback(word) @ tail_matrix @ u.cell_triple(word)
-    return TangentTriple(*(float(x) for x in triple))
+    tail_matrix = matmul(matmul(s, m0_matrix(u.sequence, k)), s)
+    return TangentTriple(*matvec(matmul(harmonic_pullback(word), tail_matrix), u.cell_triple(word)))
 
 
 def normal_derivative(u: SpectralEigenfunction, i: int) -> float:
@@ -109,12 +108,12 @@ def normal_derivative(u: SpectralEigenfunction, i: int) -> float:
     """
     i = check_letter(i)
     if u.m0 == 0:
-        b = u.seed_values
+        b = u.cell_triple(())
         if u.sequence.lambda_m0 == 0.0:
             return harmonic_normal_derivative(b, i)
         lam0 = u.sequence.value(0)
         lam = u.sequence.limit()
         factor = 2.0 * lam * special.tau(0, u.sequence) / (3.0 * lam0)
-        return float(((4.0 - lam0) * b[i] - 2.0 * b[(i + 1) % 3] - 2.0 * b[(i + 2) % 3]) * factor)
+        return ((4.0 - lam0) * b[i] - 2.0 * b[(i + 1) % 3] - 2.0 * b[(i + 2) % 3]) * factor
     est, _ = normal_derivative_limit(u.value_at, i, levels=20)
     return est

@@ -1,16 +1,19 @@
 """Shared pytest wiring: the acceptance report block, and the references
-that only the tests use: the one-letter extension helpers, the scalar
-addressing, the psi_m approximant, a one-point run of a special grid
-kernel, and the oracles' spectrum pairing and unit-interval model."""
+that only the tests use: the one-letter extension helpers, the closed-form
+tangent as it ran on numpy, the scalar addressing, the psi_m approximant, a
+one-point run of a special grid kernel, and the oracles' spectrum pairing
+and unit-interval model."""
 import cmath
 import math
 
 import numpy as np
 
-from sglap.address import DEFAULT_CORNERS, check_letter, check_word
+from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, build_level_graph,
+                           check_letter, check_word)
 from sglap.errors import DomainError
-from sglap.harmonic import CORNER_SWAPS, eigen_matrices
+from sglap.harmonic import CORNER_SWAPS, HARMONIC_INVERSES, eigen_matrices, matvec
 from sglap.special import DEFAULT_CONFIG
+from sglap.tangent import m0_matrix
 
 acceptance_log = []
 
@@ -38,11 +41,12 @@ def harmonic_matrix(i) -> np.ndarray:
 
 
 def extend_harmonic(b, word) -> np.ndarray:
-    """A_w b: the triple of the harmonic function with data b on cell w."""
+    """A_w b: the triple of the harmonic function with data b on cell w,
+    multiplied as SpectralEigenfunction.cell_triple multiplies."""
     out = np.asarray(b, dtype=float).reshape(3)
     for c in check_word(word):
-        out = HARMONIC_MATRICES[c] @ out
-    return out
+        out = matvec(HARMONIC_MATRICES[c], out)
+    return np.array(out)
 
 
 def eigen_matrix(i, lam: float) -> np.ndarray:
@@ -51,7 +55,34 @@ def eigen_matrix(i, lam: float) -> np.ndarray:
     return eigen_matrices(float(lam))[check_letter(i)]
 
 
+def numpy_tangent(u, w) -> np.ndarray:
+    """tangent.tangent_at as it ran on numpy, kept as the reference of the
+    scalar closed form: the seed triple read off the level graph, and every
+    3x3 product a numpy `@` (BLAS, with its fused multiply-adds)."""
+    w = EventuallyConstantWord.parse(w) if isinstance(w, str) else w
+    k = max(len(w.prefix), u.m0)
+    word = w.truncation(k)
+    s = np.array(CORNER_SWAPS[w.tail])
+    tail_matrix = s @ np.array(m0_matrix(u.sequence, k)) @ s
+    pullback = np.eye(3)
+    for c in word:
+        pullback = pullback @ np.array(HARMONIC_INVERSES[c])
+    triple = u.seed_array()[build_level_graph(u.m0).cells[word_index(word[:u.m0])]]
+    for t in range(u.m0 + 1, k + 1):
+        triple = np.array(eigen_matrices(u.sequence.value(t)))[word[t - 1]] @ triple
+    return pullback @ tail_matrix @ triple
+
+
 # --- scalar addressing -----------------------------------------------------
+
+def word_index(word) -> int:
+    """Base-3 rank of a word among words of its length: the row of its cell
+    in a level graph's cells."""
+    i = 0
+    for c in word:
+        i = 3 * i + c
+    return i
+
 
 def apply_ifs(word, point, corners=DEFAULT_CORNERS):
     """Image of a planar point under F_w (first letter applied last)."""

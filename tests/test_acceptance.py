@@ -171,8 +171,8 @@ def test_criterion_05_tangents_against_direct_limits():
     for u in funcs:
         for w in words:
             brute, _ = direct_tangent_limit(u, w, 25)
-            closed = tangent_at(u, w).as_array()
-            worst = max(worst, float(np.abs(brute.as_array() - closed).max()))
+            closed = np.array(tangent_at(u, w))
+            worst = max(worst, float(np.abs(np.array(brute) - closed).max()))
             pairs += 1
     _report(
         5,
@@ -184,10 +184,10 @@ def test_criterion_05_tangents_against_direct_limits():
 def test_criterion_06_six_series_worked_tangent():
     u = dirichlet_eigenfunction("six", 1)
     want = u.sequence.limit() / 9.0 * np.array([0.0, 1.0, -1.0])
-    closed = tangent_at(u, ":0").as_array()
+    closed = np.array(tangent_at(u, ":0"))
     brute, _ = direct_tangent_limit(u, ":0", 25)
     gap_closed = float(np.abs(closed - want).max())
-    gap_brute = float(np.abs(brute.as_array() - want).max())
+    gap_brute = float(np.abs(np.array(brute) - want).max())
     _report(
         6,
         gap_closed < 1e-7 and gap_brute < 1e-7,
@@ -257,7 +257,7 @@ def test_criterion_09_harmonic_degeneration():
         ok = ok and devs[lam] < 1e-6
     ok = ok and 5.0 < devs[1e-5] / devs[1e-6] < 20.0  # deviation vanishes linearly
     worst_t = max(
-        float(np.abs(tangent_at(u, w).as_array() - b).max()) for w in (":1", "012:0", "2101:2")
+        float(np.abs(np.array(tangent_at(u, w)) - b).max()) for w in (":1", "012:0", "2101:2")
     )
     ok = ok and worst_t < 1e-12
     _report(

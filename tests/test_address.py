@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import apply_ifs, resolve_addresses, vertex_key
+from conftest import apply_ifs, resolve_addresses, vertex_key, word_index
 
 from sglap import address, decimation
 from sglap.address import (
@@ -16,8 +16,9 @@ from sglap.address import (
     EventuallyConstantWord,
     build_level_graph,
     format_address,
+    vertex_cells,
+    vertex_index,
     word_from_string,
-    word_index,
 )
 from sglap.errors import DomainError, LevelCapError
 
@@ -51,7 +52,7 @@ def test_boundary_is_first_three():
     assert counts[:3].tolist() == [1, 1, 1]
     assert (counts[3:] == 2).all()
     for i in range(3):
-        assert g.index_of((), i) == i
+        assert vertex_index((), i, 3) == i
 
 
 @given(words, letters)
@@ -84,21 +85,35 @@ def test_junctions_have_exactly_two_addresses():
         assert len(resolve_addresses(key, 3)) == (1 if i < 3 else 2)
 
 
-def test_index_of_finds_every_address():
+def test_vertex_index_finds_every_address():
     for m in range(5):
         g = build_level_graph(m)
         for n in range(m + 1):
             for word in itertools.product((0, 1, 2), repeat=n):
                 for letter in range(3):
-                    i = g.index_of(word, letter)
+                    i = vertex_index(word, letter, m)
                     assert tuple(g.keys[i]) == vertex_key(word, letter, m)
-    g = build_level_graph(2)
     with pytest.raises(DomainError):
-        g.index_of((0, 1, 2), 0)  # word longer than the level
+        vertex_index((0, 1, 2), 0, 2)  # word longer than the level
     with pytest.raises(DomainError):
-        g.index_of((0,), 3)
+        vertex_index((0,), 3, 2)
     with pytest.raises(DomainError):
-        g.index_of((0, 5), 1)
+        vertex_index((0, 5), 1, 2)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_scalar_lookups_match_the_level_graph(m):
+    # vertex_index runs the glue rule for one vertex and vertex_cells runs it
+    # backwards; the level graph glues whole copies
+    g = build_level_graph(m)
+    cells = [[vertex_index(word, i, m) for i in range(3)]
+             for word in itertools.product((0, 1, 2), repeat=m)]
+    assert cells == g.cells.tolist()
+    for v in range(g.size):
+        found = [[word_index(word), corner] for word, corner in vertex_cells(v, m)]
+        assert found == np.argwhere(g.cells == v).tolist(), v
+    with pytest.raises(DomainError):
+        vertex_cells(g.size, m)
 
 
 def test_array_addressing_matches_scalar():
@@ -183,7 +198,7 @@ def test_cells_are_in_word_order():
     g = build_level_graph(2)
     for word in itertools.product((0, 1, 2), repeat=2):
         row = g.cells[word_index(word)]
-        assert [g.index_of(word, i) for i in range(3)] == list(row)
+        assert [vertex_index(word, i, 2) for i in range(3)] == list(row)
 
 
 def test_eventually_constant_word_parse_and_canonical_form():

@@ -43,3 +43,16 @@ def test_compare_counts_ties_for_neither_side():
     assert out["change_lower_in"] == "1 of 4 pairs"
     assert out["change_higher_in"] == "1 of 4 pairs"
     assert out["median_delta"] == 0.0 and out["median_delta_frac"] == 0.0
+
+
+def test_kind_metrics_reads_the_median_and_the_peak_rss_of_each_kind():
+    record = {"kinds": {
+        "tangent_verify": {"n": 42, "median_s": 0.2045, "failed": 1, "peak_rss_mb": 34.9},
+        "special_upsilon": {"n": 7, "median_s": 0.8596, "failed": 0, "peak_rss_mb": 60.1},
+    }}
+    metrics = bench_pairs.kind_metrics(record)
+    assert metrics == {"tangent_verify_s": 0.2045, "tangent_verify_peak_rss_mb": 34.9,
+                       "special_upsilon_s": 0.8596, "special_upsilon_peak_rss_mb": 60.1}
+    assert {name: bench_pairs.kind_unit(name) for name in metrics} == {
+        "tangent_verify_s": "s", "tangent_verify_peak_rss_mb": "MB",
+        "special_upsilon_s": "s", "special_upsilon_peak_rss_mb": "MB"}

@@ -445,7 +445,7 @@ def test_eval_values_are_d3_equivariant(seed, level):
     values = u.values_on_level(level)
     scale = max(1.0, float(np.abs(values).max()))
     for p in itertools.permutations(range(3)):
-        moved = SpectralEigenfunction(u.sequence, u.seed_values[_d3_vertex_map(u.m0, p)])
+        moved = SpectralEigenfunction(u.sequence, u.seed_array()[_d3_vertex_map(u.m0, p)])
         gap = float(np.abs(moved.values_on_level(level) - values[_d3_vertex_map(level, p)]).max())
         assert gap <= D3_EVAL_TOL * scale, (p, gap / scale)
 
@@ -596,8 +596,7 @@ def test_spectrum_past_level_23_exits_three():
 
 @pytest.mark.parametrize("cap, argv", [
     ("16", ["eval", "--seed", "two:1:1", "--level", "16"]),
-    ("14", ["tangent", "--seed", "six:14:1", "--word", ":0"]),
-], ids=["eval", "tangent"])
+], ids=["eval"])
 def test_out_of_memory_exits_three(cap, argv):
     # the level graph no longer fits in the capped address space; numpy's
     # MemoryError ended in a traceback and exit 1
@@ -607,6 +606,21 @@ def test_out_of_memory_exits_three(cap, argv):
                           timeout=10)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("word", [":0", "0" + "1" * 13 + ":0"])
+def test_deep_six_seed_tangent_runs_under_the_memory_cap(word):
+    # a seed is looked up one vertex at a time, so a tangent at m0 = 14 no
+    # longer builds V_13, which ran out of the capped address space; the
+    # second word lies in the seed's support
+    proc = subprocess.run([sys.executable, "-m", "sglap.cli", "tangent", "--seed", "six:14:1",
+                           "--word", word],
+                          env={**os.environ, "SG_MAX_LEVEL": "14"},
+                          preexec_fn=_cap_address_space, capture_output=True, text=True,
+                          timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    [record] = csv.DictReader(io.StringIO(proc.stdout))
+    assert record.pop("word") == word and all(_finite(field) for field in record.values())
 
 
 # sha256 of `spectrum --level 10` stdout, pinned from the per-family scalar
@@ -641,7 +655,8 @@ def test_spectrum_verify_golden_columns(capsys):
 
 def test_each_subcommand_loads_only_the_layers_it_runs():
     # fresh processes, since this one has long loaded every layer, numpy and
-    # mpmath; `spectrum` gets one of its own, as a `special` grid loads numpy
+    # mpmath; `spectrum` and `tangent` get one each, as a `special` grid loads
+    # numpy
     prelude = """if True:
         import contextlib, io, sys
 
@@ -682,10 +697,30 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
         assert "sglap.oracle" in run("spectrum", "--level", "2", "--verify")
         run("tangent", "--seed", "six:1:1", "--word", ":0", "--verify")
     """
-    for script in (spectrum, others):
-        proc = subprocess.run([sys.executable, "-c", prelude + script],
+    tangent = """
+        closed_form = base | {"sglap.decimation", "sglap.address", "sglap.harmonic",
+                              "sglap.tangent"}
+        seeds = ("free:7.3:1,-2,3", "six:3:1", "six:3:12:+-+")
+        for verify, loaded in (((), closed_form), (("--verify",), closed_form | {"sglap.oracle"})):
+            for seed in seeds:
+                for word in (":0", "0121:2"):
+                    assert run("tangent", "--seed", seed, "--word", word, *verify) == loaded
+        assert "numpy" not in sys.modules
+    """
+    # every other subcommand that computes values still loads numpy
+    loads_numpy = """
+        run(*sys.argv[1:])
+        assert "numpy" in sys.modules
+    """
+    for script, argv in [(spectrum, []), (tangent, []), (others, []),
+                         *[(loads_numpy, argv) for argv in (
+                             ["eval", "--seed", "free:7.3:1,-2,3", "--level", "1"],
+                             ["special", "--fn", "psi", "--range=0:1:3"],
+                             ["special", "--fn", "upsilon", "--range=0:1:3"],
+                             ["spectrum", "--level", "1", "--verify"])]]:
+        proc = subprocess.run([sys.executable, "-c", prelude + script, *argv],
                               capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 0, (script, argv, proc.stderr)
         assert proc.stdout == proc.stderr == ""
 
 
@@ -965,9 +1000,13 @@ _free_seeds = st.builds(
               st.floats(-50.0, 50.0).map(repr)),
     st.sampled_from(["1,2,3", "0,0,1", "0.5,-1,2"]))
 _word_letters = st.sampled_from(list("012" * 4 + "3") + ["\u00b2", "\uff11", "\u0661"])
+# long prefixes overflow the closed form's pullback, which must exit 3 and
+# not print NaN
+_long_prefixes = st.lists(st.sampled_from("012"), min_size=100, max_size=500)
 _words = st.builds(
     lambda prefix, tail: "".join(prefix) + ":" + tail,
-    st.lists(_word_letters, max_size=4),
+    st.one_of(st.lists(_word_letters, max_size=4), st.lists(_word_letters, max_size=4),
+              _long_prefixes),
     st.one_of(st.sampled_from(list("012") * 3), st.just(""),
               st.text(st.sampled_from(list("012") + ["\u00b2", "x"]), min_size=2, max_size=2)))
 

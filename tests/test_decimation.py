@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import eigen_matrix, harmonic_matrix, resolve_addresses, vertex_key
+from conftest import eigen_matrix, harmonic_matrix, resolve_addresses, vertex_key, word_index
 
 from sglap import address, decimation
 from sglap.address import build_level_graph
@@ -135,18 +135,19 @@ def test_seed_eigen_equations_are_integer_exact():
     for series, m0, index in CLOSED_FORM_SEEDS:
         u = dirichlet_eigenfunction(series, m0, index)
         g = build_level_graph(m0)
-        defect = graph_laplacian(g, u.seed_values) + u.sequence.lambda_m0 * u.seed_values
+        seed = u.seed_array()
+        defect = graph_laplacian(g, seed) + u.sequence.lambda_m0 * seed
         assert np.array_equal(defect[3:], np.zeros(g.size - 3)), (
             series,
             m0,
             index,
         )
-        assert np.array_equal(u.seed_values[:3], np.zeros(3))  # Dirichlet
+        assert np.array_equal(seed[:3], np.zeros(3))  # Dirichlet
 
 
-# sha256 of the seed vectors, computed by the key-dict/scalar-address
-# construction these ones replaced: per m0 over every 6-series seed in index
-# order, and per index for the three level-2 5-series seeds
+# sha256 of the dense seed vectors, computed by the key-dict/scalar-address
+# construction that the level-graph one replaced: per m0 over every 6-series
+# seed in index order, and per index for the three level-2 5-series seeds
 SIX_SEEDS_SHA256 = {
     2: "bef8ef564e8ead32efb6f4738351cf113ef06948b625f1706de8fcbeae2d1a88",
     3: "c337d479599812f3fd1dadf488101d2090665cd87b6626810990787fc1df5c13",
@@ -164,14 +165,37 @@ FIVE_LEVEL2_SEEDS_SHA256 = {
 def test_six_seeds_are_pinned(m0):
     digest = hashlib.sha256()
     for index in range(1, series_multiplicity("six", m0) + 1):
-        digest.update(dirichlet_seed_values("six", m0, index).tobytes())
+        digest.update(dirichlet_eigenfunction("six", m0, index).seed_array().tobytes())
     assert digest.hexdigest() == SIX_SEEDS_SHA256[m0]
 
 
 @pytest.mark.parametrize("index", sorted(FIVE_LEVEL2_SEEDS_SHA256))
 def test_five_level2_seeds_are_pinned(index):
-    seed = dirichlet_seed_values("five", 2, index)
+    seed = dirichlet_eigenfunction("five", 2, index).seed_array()
     assert hashlib.sha256(seed.tobytes()).hexdigest() == FIVE_LEVEL2_SEEDS_SHA256[index]
+
+
+# sha256 over every dense seed vector of the families above in index order,
+# computed from the level graph (build_level_graph(m0).cells and np.argwhere)
+# before the seeds were looked up one vertex at a time
+OTHER_SEEDS_SHA256 = {
+    ("two", 1): "a070a6f84e2bcf6e28084c9a6abb90a2981689b8417e9ab6b1b0bcb1e99d4bf4",
+    ("five", 1): "4b1679a4a62baa5634b15cee488d6ee5ccdd00e1b37b86dbef0666f376a367eb",
+    ("five", 2): "24e37d9f168d1c714a9441b990af5e75ec34a0da0c68b1b650db66b099e5791d",
+    ("six", 1): "95f93d715d83d1b577530f703047b4e907c234e0243f816e78f41fc2b301962c",
+}
+
+
+@pytest.mark.parametrize("family", sorted(OTHER_SEEDS_SHA256), ids=lambda f: f"{f[0]}:{f[1]}")
+def test_other_seed_families_are_pinned(family):
+    series, m0 = family
+    digest = hashlib.sha256()
+    for index in range(1, (1 if family == ("six", 1) else series_multiplicity(*family)) + 1):
+        seed = dirichlet_seed_values(series, m0, index)
+        dense = dirichlet_eigenfunction(series, m0, index).seed_array()
+        assert dense[list(seed)].tolist() == list(seed.values())  # the map is the seed
+        digest.update(dense.tobytes())
+    assert digest.hexdigest() == OTHER_SEEDS_SHA256[family]
 
 
 def test_residuals_stay_tiny_under_refinement():
@@ -201,12 +225,18 @@ def test_values_on_level_shape_and_boundary():
     assert np.array_equal(v[:3], np.zeros(3))
 
 
+def graph_index(g, word, letter) -> int:
+    """The level graph's own lookup of F_word(q_letter): corner `letter` of
+    its cell word + (letter, ..., letter)."""
+    return int(g.cells[word_index(tuple(word) + (letter,) * (g.level - len(word))), letter])
+
+
 def test_cell_triple_matches_bulk_values():
     u = dirichlet_eigenfunction("five", 1, 2, plus_indices={3})
     g = build_level_graph(3)
     vals = u.values_on_level(3)
     word = (0, 2, 1)
-    expect = [vals[g.index_of(word, c)] for c in range(3)]
+    expect = [vals[graph_index(g, word, c)] for c in range(3)]
     assert np.allclose(u.cell_triple(word), expect, atol=1e-12)
 
 
@@ -237,9 +267,9 @@ def test_single_walk_matches_bulk_values(case):
     g = build_level_graph(m)
     vals = u.values_on_level(m)
     atol = 1e-12 * max(1.0, float(np.abs(vals).max()))
-    assert u.value_at(word, letter) == pytest.approx(vals[g.index_of(word, letter)], abs=atol)
+    assert u.value_at(word, letter) == pytest.approx(vals[graph_index(g, word, letter)], abs=atol)
     if len(word) >= u.m0:
-        expect = [vals[g.index_of(word, c)] for c in range(3)]
+        expect = [vals[graph_index(g, word, c)] for c in range(3)]
         assert np.allclose(u.cell_triple(word), expect, rtol=0.0, atol=atol)
     else:
         with pytest.raises(DomainError):

@@ -1,7 +1,7 @@
 """Harmonic extension: the 1/5-2/5 matrices, pullbacks, normal derivatives."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import HARMONIC_MATRICES, extend_harmonic, harmonic_matrix
@@ -14,6 +14,7 @@ from sglap.harmonic import (
     CORNER_SWAPS,
     HARMONIC_INVERSES,
     SpectralEigenfunction,
+    eigen_matrices,
     extend_level,
     graph_laplacian,
     harmonic_normal_derivative,
@@ -37,6 +38,24 @@ def test_matrices_are_corner_conjugates():
         assert np.array_equal(harmonic_matrix(i), s @ harmonic_matrix(0) @ s)
     with pytest.raises(DomainError):
         harmonic_matrix(3)
+
+
+def _numpy_conjugates(a0):
+    """The corner conjugates as numpy built them, s @ a0 @ s through BLAS."""
+    return np.stack([s @ a0 @ s for s in np.array(CORNER_SWAPS)])
+
+
+@given(st.one_of(st.floats(-60.0, 6.25), st.floats(2.0, 5.0),
+                 st.sampled_from([0.0, -0.0, 3.0, 4.0, 4.5, 1e-320])))
+def test_matrix_tuples_equal_the_numpy_stacks_bit_for_bit(lam):
+    # zero signs included: for 2 < lam < 5 the corner-0 matrix has -0.0
+    # entries, which the BLAS sums turn into 0.0, and so do matmul's
+    assume(lam not in (2.0, 5.0))
+    den = (5.0 - lam) * (2.0 - lam)
+    a0 = np.array([[den, 0.0, 0.0], [4.0 - lam, 4.0 - lam, 2.0], [4.0 - lam, 2.0, 4.0 - lam]])
+    assert np.array(eigen_matrices(lam)).tobytes() == _numpy_conjugates(a0 / den).tobytes()
+    inverse = np.array([[3.0, 0, 0], [-2, 10, -5], [-2, -5, 10]]) / 3.0
+    assert np.array(HARMONIC_INVERSES).tobytes() == _numpy_conjugates(inverse).tobytes()
 
 
 def test_rows_sum_to_one():

@@ -15,6 +15,7 @@ from sglap.special import (
     TAIL_BOUND_FACTOR,
     ConvergenceConfig,
     psi,
+    psi_limit,
     psi_limit_array,
     tau,
     upsilon_with_error_array,
@@ -163,8 +164,23 @@ def test_upsilon_array_matches_the_scalar_loop(points, config):
                              points, config)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-100.0, 100.0), st.floats(-120.0, 120.0),
+                 st.sampled_from([math.nan, math.inf, 100.0, -100.0, 1e-320, -0.0])), configs)
+def test_psi_limit_is_the_one_element_grid_bit_for_bit(z, config):
+    # the one scalar twin of a grid kernel: the same bits, or the same
+    # failure (out of domain, overflowed, did not settle) with its message
+    values, _, failures = psi_limit_array(np.array([z]), config)
+    try:
+        value = psi_limit(z, config)
+    except SglapError as exc:
+        assert type(failures[0]) is type(exc) and str(failures[0]) == str(exc)
+        return
+    assert not failures and value.hex() == float(values[0]).hex()
+
+
 def test_sequence_from_limit_raises_the_kernel_failure():
-    # the one runtime Psi of a single value, a one-element grid
+    # the one runtime Psi of a single value, psi_limit
     with pytest.raises(ConvergenceError, match=r"^psi approximants did not settle for z=0\.6$"):
         sequence_from_limit(3.0, ConvergenceConfig(tol=1e-15, max_iterations=2))
 

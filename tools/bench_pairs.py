@@ -17,9 +17,11 @@ the same seed, back to back, the parent first for even seeds and the change
 first for odd ones.  The end-to-end metrics of BENCHMARK.json are recorded
 for both sides with their quartiles, the per-pair direction and the median
 delta, together with the attempted and failed counts of every run.  So are
-the median wall times of each invocation kind (`spectrum_s`,
-`spectrum_verify_s`, ...), read from the `perfbench/out/` record each run
-leaves in its tree, which show the kind a change moved.
+the median wall time and the largest peak RSS of each invocation kind
+(`spectrum_s`, `spectrum_peak_rss_mb`, ...), read from the `kinds` block of
+the `perfbench/out/` record each run leaves in its tree, which show the kind
+a change moved: a workload's peak_rss_mb is the largest of its kinds' and
+hides a drop in any other kind.
 """
 from __future__ import annotations
 
@@ -36,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 24
+# a field of a perfbench kind row -> (the suffix of its name here, its unit)
+KIND_FIELDS = {"median_s": ("_s", "s"), "peak_rss_mb": ("_peak_rss_mb", "MB")}
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -67,9 +71,20 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = json.loads((tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json")
                         .read_text())
-    result["kind_median_s"] = {f"{kind}_s": row["median_s"]
-                               for kind, row in record["kinds"].items()}
+    result["kind_metrics"] = kind_metrics(record)
     return result
+
+
+def kind_metrics(record: dict) -> dict:
+    """Each invocation kind's median wall time and peak RSS in a perfbench
+    record, as `<kind>_s` and `<kind>_peak_rss_mb`."""
+    return {f"{kind}{suffix}": row[field] for kind, row in record["kinds"].items()
+            for field, (suffix, _) in KIND_FIELDS.items()}
+
+
+def kind_unit(name: str) -> str:
+    """The unit of a kind_metrics name."""
+    return next(unit for suffix, unit in KIND_FIELDS.values() if name.endswith(suffix))
 
 
 def summary(runs: list) -> dict:
@@ -156,10 +171,10 @@ def main() -> int:
                                                  for r in results[side]]
                                                 for side in ("parent", "change")))
                         for metric, spec in specs.items()},
-            "kinds": {kind: compare({"unit": "s", "better": "lower"},
-                                    *([r["kind_median_s"][kind] for r in results[side]]
+            "kinds": {name: compare({"unit": kind_unit(name), "better": "lower"},
+                                    *([r["kind_metrics"][name] for r in results[side]]
                                       for side in ("parent", "change")))
-                      for kind in results["parent"][0]["kind_median_s"]},
+                      for name in results["parent"][0]["kind_metrics"]},
             "attempted": {side: [r["attempted"] for r in runs] for side, runs in results.items()},
             "failed": {side: [r["failed"] for r in runs] for side, runs in results.items()},
         }

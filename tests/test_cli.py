@@ -854,6 +854,22 @@ def test_overflowing_free_seed_tangent_exits_three(seed, capsys):
     assert "no finite generating sequence" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("seed, word, error", [
+    # the pullback overflows: NaN in t1, t2, g* and deviation, which passed
+    # --verify since nan >= tol is False
+    ("two:1:1", "0" * 450 + "1:2", "gives a non-finite tangent"),
+    ("free:7.3:1,2,3", "0" * 450 + "1:2", "gives a non-finite tangent"),
+    # 5.0**446 raised OverflowError from m0_matrix
+    ("free:1e6:1,2,3", "0" * 445 + "1:2", "cut level 446 is past the float range of 5^k"),
+], ids=["two-nan", "free-nan", "free-overflow"])
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+def test_tangent_past_the_float_range_exits_three_with_empty_stdout(seed, word, error, verify,
+                                                                    capsys):
+    code, out, err = run(["tangent", "--seed", seed, "--word", word, *verify], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and error in err and err.count("\n") == 1
+
+
 def test_special_nan_range_endpoint_exits_two(capsys):
     code, out, err = run(["special", "--fn", "psi", "--range=nan:1:3"], capsys)
     assert code == 2 and out == ""
@@ -1000,9 +1016,12 @@ _free_seeds = st.builds(
               st.floats(-50.0, 50.0).map(repr)),
     st.sampled_from(["1,2,3", "0,0,1", "0.5,-1,2"]))
 _word_letters = st.sampled_from(list("012" * 4 + "3") + ["\u00b2", "\uff11", "\u0661"])
-# long prefixes overflow the closed form's pullback, which must exit 3 and
-# not print NaN
-_long_prefixes = st.lists(st.sampled_from("012"), min_size=100, max_size=500)
+# long prefixes, random or a run of one letter, overflow the closed form's
+# pullback, which must exit 3 and not print NaN
+_long_prefixes = st.one_of(
+    st.lists(st.sampled_from("012"), min_size=100, max_size=500),
+    st.builds(lambda letter, n, rest: letter * n + "".join(rest), st.sampled_from("012"),
+              st.integers(100, 500), st.lists(st.sampled_from("012"), max_size=4)))
 _words = st.builds(
     lambda prefix, tail: "".join(prefix) + ":" + tail,
     st.one_of(st.lists(_word_letters, max_size=4), st.lists(_word_letters, max_size=4),
@@ -1011,7 +1030,7 @@ _words = st.builds(
               st.text(st.sampled_from(list("012") + ["\u00b2", "x"]), min_size=2, max_size=2)))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.one_of(_series_seeds, _free_seeds, _free_seeds), _words, st.booleans())
 def test_tangent_grammar_fuzz(seed, word, verify):
     out, err = io.StringIO(), io.StringIO()

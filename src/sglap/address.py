@@ -105,10 +105,11 @@ class EventuallyConstantWord:
 @dataclass(frozen=True, eq=False)
 class LevelGraph:
     """The graph on V_m as its cells: cells[c, i] is the vertex F_w(q_i) for
-    the word w of length m whose base-3 digits spell c.  Every edge lies in exactly one m-cell, so the cell
-    triples are the whole graph; vertex_index is the vertex lookup.  Vertices are
-    in canonical address order (the three boundary corners are always 0, 1,
-    2, everything after them is interior) and carry their exact keys and the
+    the word w of length m whose base-3 digits spell c.  Every edge lies in
+    exactly one m-cell, so the cell triples are the whole graph;
+    vertex_index looks up one vertex without them.  Vertices are in
+    canonical address order (the three boundary corners are always 0, 1, 2,
+    everything after them is interior) and carry their exact keys and the
     text of their canonical addresses."""
 
     level: int

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .address import LevelGraph, build_level_graph, check_letter, check_word, vertex_cells, vertex_index
+from .address import (LevelGraph, build_level_graph, check_letter, check_word, vertex_cells,
+                      vertex_index)
 from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_multiplicity,
                          vertex_count)
 from .errors import ConvergenceError, DomainError

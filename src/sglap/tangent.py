@@ -94,7 +94,8 @@ def tangent_at(u: SpectralEigenfunction, w, cut=None) -> TangentTriple:
     word = w.truncation(k)
     s = CORNER_SWAPS[w.tail]
     tail_matrix = matmul(matmul(s, m0_matrix(u.sequence, k)), s)
-    return TangentTriple(*matvec(matmul(harmonic_pullback(word), tail_matrix), u.cell_triple(word)))
+    to_tangent = matmul(harmonic_pullback(word), tail_matrix)
+    return TangentTriple(*matvec(to_tangent, u.cell_triple(word)))
 
 
 def normal_derivative(u: SpectralEigenfunction, i: int) -> float:

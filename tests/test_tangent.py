@@ -172,8 +172,8 @@ def test_scalar_closed_form_matches_the_numpy_formula(case):
     t = np.array(tangent_at(u, w))
     k = max(len(w.prefix), u.m0)
     word, s = w.truncation(k), CORNER_SWAPS[w.tail]
-    terms = (np.abs(harmonic_pullback(word)) @ np.abs(matmul(matmul(s, m0_matrix(u.sequence, k)), s))
-             @ np.abs(u.cell_triple(word)))
+    tail_matrix = matmul(matmul(s, m0_matrix(u.sequence, k)), s)
+    terms = np.abs(harmonic_pullback(word)) @ np.abs(tail_matrix) @ np.abs(u.cell_triple(word))
     assert float(np.abs(t - numpy_tangent(u, w)).max()) <= SCALAR_TOL * float(terms.max())
 
 

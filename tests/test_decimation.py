@@ -175,9 +175,10 @@ def test_five_level2_seeds_are_pinned(index):
     assert hashlib.sha256(seed.tobytes()).hexdigest() == FIVE_LEVEL2_SEEDS_SHA256[index]
 
 
-# sha256 over every dense seed vector of the families above in index order,
-# computed from the level graph (build_level_graph(m0).cells and np.argwhere)
-# before the seeds were looked up one vertex at a time
+# sha256 over every dense seed vector of each remaining family up to m0 = 5,
+# in index order, computed by the level-graph construction
+# (build_level_graph(m0).cells and np.argwhere) that the one-vertex lookups
+# replaced
 OTHER_SEEDS_SHA256 = {
     ("two", 1): "a070a6f84e2bcf6e28084c9a6abb90a2981689b8417e9ab6b1b0bcb1e99d4bf4",
     ("five", 1): "4b1679a4a62baa5634b15cee488d6ee5ccdd00e1b37b86dbef0666f376a367eb",

@@ -14,7 +14,7 @@ from sglap.address import EventuallyConstantWord
 from sglap.decimation import EigenvalueSequence, sequence_from_limit, series_multiplicity
 from sglap.errors import DomainError
 from sglap.harmonic import (CORNER_SWAPS, SpectralEigenfunction, dirichlet_eigenfunction,
-                            harmonic_pullback, matmul, normal_derivative_limit)
+                            eigen_matrices, harmonic_pullback, matmul, normal_derivative_limit)
 from sglap.special import tau
 from sglap.tangent import TangentTriple, m0_matrix, normal_derivative, tangent_at
 
@@ -157,11 +157,15 @@ def tangent_cases(draw):
 
 
 # The scalar products round each product and sum where numpy's BLAS fuses a
-# multiply-add, so the last bits move.  Worst gap measured, relative to the
-# size of the terms the products add (|P| |S M0 S| |u|, P the pullback):
-# 3.7e-15 over 28000 random cases with prefixes of up to 6 letters.  Relative
+# multiply-add, so the last bits move, by a few roundings of the terms each
+# product adds.  The scale of those terms is the walk and the pullback run on
+# absolute values, |P| |S M0 S| |E_k| ... |E_{m0+1}| |u|, with P the pullback
+# and E_t the extension matrices; a plus branch below the cut makes the walk
+# cancel, so max |t| alone is no scale.  Worst gap measured against it:
+# 4.5e-16 over 32000 random cases with prefixes of up to 6 letters; relative
 # to max |t| it was 3.6e-12 for the seeds the benchmark draws, and 1.1e-10
-# where many plus branches make the entries of M0 cancel.
+# with deep plus branches.  Each side rounds about 20 times for prefixes this
+# short, which allows 4.4e-15.
 SCALAR_TOL = 1e-14
 
 
@@ -172,8 +176,11 @@ def test_scalar_closed_form_matches_the_numpy_formula(case):
     t = np.array(tangent_at(u, w))
     k = max(len(w.prefix), u.m0)
     word, s = w.truncation(k), CORNER_SWAPS[w.tail]
+    walk = np.abs(u.cell_triple(word[:u.m0]))
+    for j in range(u.m0 + 1, k + 1):
+        walk = np.abs(eigen_matrices(u.sequence.value(j))[word[j - 1]]) @ walk
     tail_matrix = matmul(matmul(s, m0_matrix(u.sequence, k)), s)
-    terms = np.abs(harmonic_pullback(word)) @ np.abs(tail_matrix) @ np.abs(u.cell_triple(word))
+    terms = np.abs(harmonic_pullback(word)) @ np.abs(tail_matrix) @ walk
     assert float(np.abs(t - numpy_tangent(u, w)).max()) <= SCALAR_TOL * float(terms.max())
 
 

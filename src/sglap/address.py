@@ -20,7 +20,6 @@ had one level up, and the canonical vertex order falls out of the gluing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .decimation import check_level, vertex_count
@@ -62,25 +61,56 @@ def format_address(word, letter) -> str:
     return "".join(str(c) for c in word) + ":" + str(letter)
 
 
-@dataclass(frozen=True)
-class EventuallyConstantWord:
+class Frozen:
+    """Base of the record classes: plain __slots__ classes, not dataclasses,
+    so that no subcommand imports dataclasses.  The fields are set once, in
+    __slots__ order, by __init__; assigning or deleting one afterwards
+    raises AttributeError, as it does on a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through __init__
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class EventuallyConstantWord(Frozen):
     """Infinite word prefix . tail tail tail ... addressing a single point.
 
     Canonical form strips tail letters off the end of the prefix, so the
     prefix never ends with the tail letter.  Junction points have exactly two
-    such addresses; boundary q_i is (), i.
+    such addresses; boundary q_i is (), i.  Words are equal, and hash alike,
+    when their canonical forms are.
     """
 
-    prefix: Word
-    tail: int
+    __slots__ = ("prefix", "tail")
 
-    def __post_init__(self):
-        prefix = check_word(self.prefix)
-        tail = check_letter(self.tail)
+    def __init__(self, prefix, tail):
+        prefix, tail = check_word(prefix), check_letter(tail)
         while prefix and prefix[-1] == tail:
             prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", tail)
+        super().__init__(prefix, tail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.prefix, self.tail) == (other.prefix, other.tail)
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.tail))
+
+    def __repr__(self) -> str:
+        return f"EventuallyConstantWord(prefix={self.prefix!r}, tail={self.tail!r})"
 
     @classmethod
     def parse(cls, text: str) -> "EventuallyConstantWord":
@@ -102,20 +132,21 @@ class EventuallyConstantWord:
         return format_address(self.prefix, self.tail)
 
 
-@dataclass(frozen=True, eq=False)
-class LevelGraph:
+class LevelGraph(Frozen):
     """The graph on V_m as its cells: cells[c, i] is the vertex F_w(q_i) for
     the word w of length m whose base-3 digits spell c.  Every edge lies in
     exactly one m-cell, so the cell triples are the whole graph;
     vertex_index looks up one vertex without them.  Vertices are in
     canonical address order (the three boundary corners are always 0, 1, 2,
     everything after them is interior) and carry their exact keys and the
-    text of their canonical addresses."""
+    text of their canonical addresses:
 
-    level: int
-    keys: np.ndarray  # (N, 3) int64 numerators, denominator 2**level
-    cells: np.ndarray  # (3**level, 3) int32
-    names: np.ndarray  # (N, level + 2) uint8 ASCII of format_address, NUL-padded
+        keys   (N, 3) int64 numerators, denominator 2**level
+        cells  (3**level, 3) int32
+        names  (N, level + 2) uint8 ASCII of format_address, NUL-padded
+    """
+
+    __slots__ = ("level", "keys", "cells", "names")
 
     @property
     def size(self) -> int:

@@ -234,7 +234,10 @@ def parse_seed(text: str):
 def cmd_spectrum(args) -> int:
     from . import decimation
 
-    lines = decimation.enumerate_dirichlet_spectrum(args.level)
+    # --verify pairs every line in order with the dense eigenvalues, so it
+    # walks the whole spectrum and prints the series' rows of it
+    lines = decimation.enumerate_dirichlet_spectrum(
+        args.level, "all" if args.verify else args.series)
     columns = ["series", "m0", "branches", "lambda_m", "lambda", "multiplicity"]
     residuals = None
     if args.verify:

@@ -254,23 +254,29 @@ def _family_rows(series: str, m0: int, level: int, config):
     return rows
 
 
-def enumerate_dirichlet_spectrum(level: int):
+def enumerate_dirichlet_spectrum(level: int, series: str = "all"):
     """Every (series, m0, branches) family alive at the given level, sorted by
-    its lambda_level; multiplicities add up to dim = (3^{level+1} - 3) / 2."""
+    its lambda_level; multiplicities add up to dim = (3^{level+1} - 3) / 2.
+
+    A `series` other than "all" keeps the families of that series: only
+    their branch trees are walked, and the rows are those of the whole
+    spectrum that name it, in the same order.  The multiplicities are still
+    counted over every family."""
+    if series != "all" and series not in SERIES_SEED:
+        raise DomainError(f"unknown series {series!r}")
     if check_level(level) == 0:
         return []  # no interior vertices, empty operator, empty spectrum
     families = [("two", 1), *[("five", m0) for m0 in range(1, level + 1)],
                 *[("six", m0) for m0 in range(2, level + 1)]]
     mult = {family: series_multiplicity(*family) for family in families}
     # a family has a member per branch set on its free levels m0+1..level
-    total = sum(mult[series, m0] << (level - m0 - (series == "six" and m0 < level))
-                for series, m0 in families)
+    total = sum(mult[s, m0] << (level - m0 - (s == "six" and m0 < level)) for s, m0 in families)
     dim = vertex_count(level) - 3
     if total != dim:
         raise InvariantError(f"level-{level} multiplicities add up to {total}, not {dim}")
     config = special.DEFAULT_CONFIG
-    rows = [(series, m0, *row) for series, m0 in families
-            for row in _family_rows(series, m0, level, config)]
+    rows = [(s, m0, *row) for s, m0 in families if series in ("all", s)
+            for row in _family_rows(s, m0, level, config)]
     rows.sort(key=lambda r: (r[3], _SERIES_RANK[r[0]], r[1], r[2]))
-    return [SpectrumLine(series, m0, branches, level, value, limit, mult[series, m0])
-            for series, m0, branches, value, limit in rows]
+    return [SpectrumLine(s, m0, branches, level, value, limit, mult[s, m0])
+            for s, m0, branches, value, limit in rows]

@@ -18,11 +18,10 @@ which walks one triple, does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .address import (LevelGraph, build_level_graph, check_letter, check_word, vertex_cells,
-                      vertex_index)
+from .address import (Frozen, LevelGraph, build_level_graph, check_letter, check_word,
+                      vertex_cells, vertex_index)
 from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_multiplicity,
                          vertex_count)
 from .errors import ConvergenceError, DomainError
@@ -180,28 +179,27 @@ def eigen_residual(graph: LevelGraph, values, lam_level: float) -> float:
     return float(np.max(np.abs(r[3:]), initial=0.0)) / scale
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralEigenfunction:
+class SpectralEigenfunction(Frozen):
     """Seed values on V_{m0} together with the sequence that refines them.
 
     The seed is held as a {vertex: value} map over V_{m0} (a vertex it does
     not name is 0), so that looking up one cell of a deep seed costs no more
     than a shallow one; a dense sequence of |V_{m0}| values is taken too."""
 
-    sequence: EigenvalueSequence
-    seed_values: dict
+    __slots__ = ("sequence", "seed_values")
 
-    def __post_init__(self):
-        seed, size = self.seed_values, vertex_count(self.m0)
+    def __init__(self, sequence: EigenvalueSequence, seed_values):
+        seed, size = seed_values, vertex_count(sequence.m0)
         if isinstance(seed, dict):
             seed = {int(v): float(x) for v, x in seed.items()}
             if not all(0 <= v < size for v in seed):
-                raise DomainError(f"seed names a vertex outside V_{self.m0}")
+                raise DomainError(f"seed names a vertex outside V_{sequence.m0}")
         else:
             seed = dict(enumerate(float(x) for x in seed))
             if len(seed) != size:
-                raise DomainError(f"need {size} vertex values at level {self.m0}, got {len(seed)}")
-        object.__setattr__(self, "seed_values", seed)
+                raise DomainError(f"need {size} vertex values at level {sequence.m0}, "
+                                  f"got {len(seed)}")
+        super().__init__(sequence, seed)
 
     @property
     def m0(self) -> int:

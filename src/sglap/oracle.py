@@ -5,30 +5,25 @@ dense symmetric eigensolve of the graph Laplacian, and tangents from
 literally iterating pulled-back cell triples (in high precision, since each
 pullback level multiplies roundoff in the antisymmetric component by 5).
 numpy is imported by the dense solve alone, so that a tangent check does
-not load it.
+not load it, and the tangent layers by the tangent check alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .address import EventuallyConstantWord, build_level_graph
+from .address import EventuallyConstantWord, Frozen, build_level_graph
 from .errors import ConvergenceError, DomainError
-from .harmonic import SpectralEigenfunction, matmul, matvec
-from .tangent import TangentTriple
 
 DENSE_LEVEL_CAP = 6
 ORACLE_DPS = 50  # significant digits (stdlib decimal): headroom for 5^25 noise amplification
 
 
-@dataclass(frozen=True, eq=False)
-class DenseSpectrum:
-    """Eigendecomposition of -Delta_m on interior vertices (Dirichlet)."""
+class DenseSpectrum(Frozen):
+    """Eigendecomposition of -Delta_m on interior vertices (Dirichlet): the
+    eigenvalues ascend, one per interior vertex, and eigenvector column c
+    goes with eigenvalue c (its row r is vertex 3 + r) of the dense matrix."""
 
-    level: int
-    eigenvalues: np.ndarray  # ascending, one per interior vertex
-    eigenvectors: np.ndarray  # columns, matching order; row r is vertex 3 + r
-    matrix: np.ndarray = field(repr=False, default=None)
+    __slots__ = ("level", "eigenvalues", "eigenvectors", "matrix")
 
     @property
     def count(self) -> int:
@@ -102,8 +97,9 @@ def _mp_harmonic_inverse(i, third):
     return [[a0inv[s[a]][s[b]] for b in range(3)] for a in range(3)]
 
 
-def direct_tangent_limit(u: SpectralEigenfunction, w, m: int):
-    """The pulled-back cell triple A_{w_1}^{-1}...A_{w_m}^{-1} u|cell([w]_m).
+def direct_tangent_limit(u, w, m: int):
+    """The pulled-back cell triple A_{w_1}^{-1}...A_{w_m}^{-1} u|cell([w]_m)
+    of a harmonic.SpectralEigenfunction u.
 
     This is the defining sequence of the harmonic tangent, iterated with no
     closed-form shortcuts; the reported error is the distance to the m-1
@@ -117,8 +113,12 @@ def direct_tangent_limit(u: SpectralEigenfunction, w, m: int):
     m0 = u.m0
     if m < m0:
         raise DomainError(f"need m >= m0 = {m0}, got {m}")
-    # decimal is imported here, so that only a tangent check pays for it
+    # decimal and the tangent layers are imported here, so that a spectrum
+    # check loads neither
     from decimal import Context, Decimal, localcontext
+
+    from .harmonic import matmul, matvec
+    from .tangent import TangentTriple
 
     # a local context: the caller's decimal context is left as it was
     with localcontext(Context(prec=ORACLE_DPS)):

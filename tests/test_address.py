@@ -1,6 +1,8 @@
 """Exact-arithmetic addressing: IFS words, barycentric keys, level graphs."""
+import copy
 import hashlib
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -208,6 +210,21 @@ def test_eventually_constant_word_parse_and_canonical_form():
     # tail repeats get stripped off the prefix
     assert EventuallyConstantWord((1, 2, 2), 2) == EventuallyConstantWord((1,), 2)
     assert str(EventuallyConstantWord.parse(":0")) == ":0"
+
+
+def test_eventually_constant_word_is_an_immutable_hashable_value():
+    w, same = EventuallyConstantWord((1, 2, 2), 2), EventuallyConstantWord((1,), 2)
+    assert hash(w) == hash(same) and len({w, same, EventuallyConstantWord.parse("1:2")}) == 1
+    assert w != EventuallyConstantWord((1,), 0) and w != ((1,), 2)
+    assert repr(w) == "EventuallyConstantWord(prefix=(1,), tail=2)"
+    assert repr(EventuallyConstantWord.parse(":0")) == "EventuallyConstantWord(prefix=(), tail=0)"
+    for field, value in (("prefix", (0,)), ("tail", 1)):
+        with pytest.raises(AttributeError):
+            setattr(w, field, value)
+        with pytest.raises(AttributeError):
+            delattr(w, field)
+    assert (w.prefix, w.tail) == ((1,), 2)
+    assert copy.deepcopy(w) == pickle.loads(pickle.dumps(w)) == w
 
 
 def test_eventually_constant_word_letters_and_point():

@@ -56,3 +56,15 @@ def test_kind_metrics_reads_the_median_and_the_peak_rss_of_each_kind():
     assert {name: bench_pairs.kind_unit(name) for name in metrics} == {
         "tangent_verify_s": "s", "tangent_verify_peak_rss_mb": "MB",
         "special_upsilon_s": "s", "special_upsilon_peak_rss_mb": "MB"}
+
+
+def test_setup_metrics_reads_the_raw_setup_median_and_the_probe_lower_quartile():
+    record = {"setup_samples_s": [0.081, 0.079, 0.2, 0.078],
+              "probe_samples_s": [0.13, 0.11, 0.12, 0.5, 0.1, 0.14, 0.12, 0.16, 0.3]}
+    # median of four takes the mean of the middle two; the lower quartile is
+    # the order statistic perfbench scales by, sorted(probes)[len // 4]
+    assert bench_pairs.setup_metrics(record) == {"setup_raw_s": pytest.approx(0.08),
+                                                 "probe_q1_s": 0.12}
+    # two probes, as a short mesh run takes: the quartile is the faster one
+    record["probe_samples_s"] = [0.2, 0.1]
+    assert bench_pairs.setup_metrics(record)["probe_q1_s"] == 0.1

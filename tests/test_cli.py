@@ -631,6 +631,13 @@ SPECTRUM_GOLDEN_SHA256 = {
     ("--series", "five"): "bd5e0f19ab904e483f80d920067905cd7cc09db196f1e336918caab16e0bb5f0",
     ("--series", "six"): "88404f1d83fa4e17f991d2e10f5c78687434d25103f8c981ef3498a16e361a7c",
     ("--format", "json"): "6e442571a8b49dc2dbb8dee1e75e184081f93907f8a2f3d3ad551af862a9a39f",
+    # recorded from the enumeration that walked every series and dropped rows
+    ("--series", "two", "--format", "json"):
+        "6d6720dbd19e1dc67d1978fc4910b1da6ba02c66c41a2ccc60f5b5edff14746b",
+    ("--series", "five", "--format", "json"):
+        "9e9f8e6f69e9d12105b19124adf582111e9a650a9d8655736b64a70d95835c19",
+    ("--series", "six", "--format", "json"):
+        "46910fea989a644d351d7c2606292c342e0bf7c3bbd85592e09a1e501708eb60",
 }
 
 
@@ -653,10 +660,21 @@ def test_spectrum_verify_golden_columns(capsys):
         "235ffd28ee1184eb44abfd50a38e6af0713bae8ea3cb718f87542d97262198e8"
 
 
+@pytest.mark.parametrize("series", ["two", "five", "six"])
+def test_spectrum_verify_prints_the_series_rows_of_the_whole_table(series, capsys):
+    # --verify pairs the whole spectrum with the dense one, then filters rows
+    code, out, _ = run(["spectrum", "--level", "4", "--verify"], capsys)
+    assert code == 0
+    header, *rows = out.splitlines(keepends=True)
+    code, picked, _ = run(["spectrum", "--level", "4", "--verify", "--series", series], capsys)
+    assert code == 0
+    assert picked == header + "".join(row for row in rows if row.startswith(series + ","))
+
+
 def test_each_subcommand_loads_only_the_layers_it_runs():
     # fresh processes, since this one has long loaded every layer, numpy and
-    # mpmath; `spectrum` and `tangent` get one each, as a `special` grid loads
-    # numpy
+    # mpmath; `spectrum`, `tangent` and `spectrum --verify` get one each, as a
+    # `special` grid loads numpy and a tangent check the tangent layers
     prelude = """if True:
         import contextlib, io, sys
 
@@ -694,8 +712,13 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
         checks = {"sglap.oracle", "sglap.tangent"}
         assert not run("spectrum", "--level", "2") & checks
         assert not run("eval", "--seed", "six:2:1", "--level", "2", "--verify") & checks
-        assert "sglap.oracle" in run("spectrum", "--level", "2", "--verify")
         run("tangent", "--seed", "six:1:1", "--word", ":0", "--verify")
+    """
+    # the dense check runs without the tangent layers or dataclasses
+    spectrum_verify = """
+        assert run("spectrum", "--level", "2", "--verify") == \\
+            base | {"sglap.decimation", "sglap.address", "sglap.oracle"}
+        assert "dataclasses" not in sys.modules
     """
     tangent = """
         closed_form = base | {"sglap.decimation", "sglap.address", "sglap.harmonic",
@@ -705,14 +728,14 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
             for seed in seeds:
                 for word in (":0", "0121:2"):
                     assert run("tangent", "--seed", seed, "--word", word, *verify) == loaded
-        assert "numpy" not in sys.modules
+        assert "numpy" not in sys.modules and "dataclasses" not in sys.modules
     """
     # every other subcommand that computes values still loads numpy
     loads_numpy = """
         run(*sys.argv[1:])
         assert "numpy" in sys.modules
     """
-    for script, argv in [(spectrum, []), (tangent, []), (others, []),
+    for script, argv in [(spectrum, []), (tangent, []), (spectrum_verify, []), (others, []),
                          *[(loads_numpy, argv) for argv in (
                              ["eval", "--seed", "free:7.3:1,-2,3", "--level", "1"],
                              ["special", "--fn", "psi", "--range=0:1:3"],

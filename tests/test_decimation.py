@@ -294,6 +294,28 @@ def test_enumeration_dimension_and_order():
         enumerate_dirichlet_spectrum(-1)
 
 
+def _bits(line):
+    """A spectrum line with its floats as repr, so that equal lines carry
+    the same bits."""
+    return (*line[:4], repr(line.value), repr(line.limit), line.multiplicity)
+
+
+@pytest.mark.parametrize("series", ["two", "five", "six"])
+def test_series_filter_keeps_the_matching_rows_of_the_whole_spectrum(series):
+    for level in range(11):
+        whole = [_bits(line) for line in enumerate_dirichlet_spectrum(level)
+                 if line.series == series]
+        assert [_bits(line) for line in enumerate_dirichlet_spectrum(level, series)] == whole
+        assert enumerate_dirichlet_spectrum(level, "all") == enumerate_dirichlet_spectrum(level)
+
+
+@pytest.mark.parametrize("series", ["seven", "All", "", "2"])
+def test_unknown_series_is_a_domain_error(series):
+    for level in (0, 3):
+        with pytest.raises(DomainError, match="unknown series"):
+            enumerate_dirichlet_spectrum(level, series)
+
+
 def test_level1_spectrum_is_two_five_five():
     lines = enumerate_dirichlet_spectrum(1)
     flat = sorted(x for line in lines for x in [line.value] * line.multiplicity)
@@ -511,5 +533,7 @@ def test_multiplicity_check_raises(monkeypatch):
     count = decimation.series_multiplicity
     monkeypatch.setattr(decimation, "series_multiplicity",
                         lambda series, m0: count(series, m0) + (series == "six"))
-    with pytest.raises(InvariantError, match="level-3 multiplicities add up to 41, not 39"):
-        enumerate_dirichlet_spectrum(3)
+    # the count runs over every family, whichever series is walked
+    for series in ("all", "two", "five", "six"):
+        with pytest.raises(InvariantError, match="level-3 multiplicities add up to 41, not 39"):
+            enumerate_dirichlet_spectrum(3, series)

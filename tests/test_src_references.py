@@ -1,7 +1,7 @@
 """Tooling guards: every public function, class, method and module-level
 constant in src has a caller elsewhere in src, and every field of a
-dataclass or typing.NamedTuple in src is read somewhere in src, or each has
-a stated reason to exist without one.
+dataclass, typing.NamedTuple or __slots__ class in src is read somewhere in
+src, or each has a stated reason to exist without one.
 
 A name counts as referenced when it appears anywhere in src outside its own
 definition: as a bare name, an attribute or an imported name.  A constant's
@@ -14,6 +14,7 @@ A third guard runs the CLI and checks that every public function and
 method of src ran, matched by code object, so that a name shared with
 another definition hides nothing."""
 import ast
+import importlib
 import json
 import pathlib
 import subprocess
@@ -101,14 +102,30 @@ def _is_record(node):
         or isinstance(b, ast.Attribute) and b.attr == "NamedTuple" for b in node.bases)
 
 
+def _slots(node):
+    """The names a class body assigns to __slots__, a string or a tuple or
+    list of strings."""
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+            value = item.value
+            return [e.value for e in (value.elts if isinstance(value, (ast.Tuple, ast.List))
+                                      else [value])]
+    return []
+
+
 def _fields(tree):
-    """(qualified name, field name) of every field of a top-level dataclass
-    or NamedTuple."""
+    """(qualified name, field name) of every field of a top-level
+    dataclass or NamedTuple (its annotated names) and of every slot of a
+    top-level __slots__ class."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and _is_record(node):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield f"{node.name}.{item.target.id}", item.target.id
+        if isinstance(node, ast.ClassDef):
+            if _is_record(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{node.name}.{item.target.id}", item.target.id
+            for name in _slots(node):
+                yield f"{node.name}.{name}", name
 
 
 def _unread_fields():
@@ -126,6 +143,21 @@ def test_every_dataclass_field_is_read_or_has_a_reason():
 def test_every_unread_field_entry_is_still_unread():
     assert sorted(set(UNREAD_FIELDS) - set(_unread_fields())) == []
     assert all(UNREAD_FIELDS.values())
+
+
+def test_the_field_guard_reads_every_slot_of_every_class():
+    # the classes as the interpreter sees them, against what _fields parses
+    found = {f"{module}.{qualname}" for module, tree in _trees().items()
+             for qualname, _ in _fields(tree)}
+    slots = set()
+    for module in _trees():
+        for name, obj in vars(importlib.import_module(f"sglap.{module}")).items():
+            if isinstance(obj, type) and obj.__module__ == f"sglap.{module}":
+                slots.update(f"{module}.{name}.{slot}" for slot in vars(obj).get("__slots__", ()))
+    assert slots and slots <= found
+    assert {"address.EventuallyConstantWord.prefix", "address.LevelGraph.names",
+            "decimation.EigenvalueSequence._limits", "harmonic.SpectralEigenfunction.seed_values",
+            "oracle.DenseSpectrum.matrix"} <= slots
 
 
 # small invocations that together reach every subcommand, format and

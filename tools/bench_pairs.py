@@ -21,7 +21,10 @@ the median wall time and the largest peak RSS of each invocation kind
 (`spectrum_s`, `spectrum_peak_rss_mb`, ...), read from the `kinds` block of
 the `perfbench/out/` record each run leaves in its tree, which show the kind
 a change moved: a workload's peak_rss_mb is the largest of its kinds' and
-hides a drop in any other kind.
+hides a drop in any other kind.  Beside the scaled setup_s, the record
+holds each run's two raw factors of it: the median unscaled `import
+sglap.cli` time (`setup_raw_s`) and the probe's lower quartile
+(`probe_q1_s`), so that a set-up change tells apart from probe noise.
 """
 from __future__ import annotations
 
@@ -72,6 +75,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     record = json.loads((tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json")
                         .read_text())
     result["kind_metrics"] = kind_metrics(record)
+    result["setup_metrics"] = setup_metrics(record)
     return result
 
 
@@ -80,6 +84,16 @@ def kind_metrics(record: dict) -> dict:
     record, as `<kind>_s` and `<kind>_peak_rss_mb`."""
     return {f"{kind}{suffix}": row[field] for kind, row in record["kinds"].items()
             for field, (suffix, _) in KIND_FIELDS.items()}
+
+
+def setup_metrics(record: dict) -> dict:
+    """The raw factors of a perfbench record's setup_s, which scales the
+    first by the probe's reference time over the second: the median of its
+    unscaled set-up samples and the lower quartile of its probe samples,
+    taken as perfbench takes it."""
+    probes = sorted(record["probe_samples_s"])
+    return {"setup_raw_s": statistics.median(record["setup_samples_s"]),
+            "probe_q1_s": probes[len(probes) // 4]}
 
 
 def kind_unit(name: str) -> str:
@@ -175,6 +189,10 @@ def main() -> int:
                                     *([r["kind_metrics"][name] for r in results[side]]
                                       for side in ("parent", "change")))
                       for name in results["parent"][0]["kind_metrics"]},
+            "setup": {name: compare({"unit": "s", "better": "lower"},
+                                    *([r["setup_metrics"][name] for r in results[side]]
+                                      for side in ("parent", "change")))
+                      for name in results["parent"][0]["setup_metrics"]},
             "attempted": {side: [r["attempted"] for r in runs] for side, runs in results.items()},
             "failed": {side: [r["failed"] for r in runs] for side, runs in results.items()},
         }

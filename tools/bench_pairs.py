@@ -24,7 +24,8 @@ a change moved: a workload's peak_rss_mb is the largest of its kinds' and
 hides a drop in any other kind.  Beside the scaled setup_s, the record
 holds each run's two raw factors of it: the median unscaled `import
 sglap.cli` time (`setup_raw_s`) and the probe's lower quartile
-(`probe_q1_s`), so that a set-up change tells apart from probe noise.
+(`probe_q1_s`), so that a change in set-up can be told apart from probe
+noise.
 """
 from __future__ import annotations
 

@@ -10,10 +10,10 @@ with the extension matrices deformed by lambda_m of its decimation
 sequence; they degenerate to the harmonic 1-5-5 rule at lambda = 0 and blow
 up at lambda in {2, 5}.
 
-The matrices are nested tuples of floats, and a single cell triple is
-walked with the 3x3 products matvec and matmul on Python floats.  numpy is
-imported by the functions that handle whole levels, so that a tangent,
-which walks one triple, does not load it.
+The matrices are nested tuples with integer-coefficient formulas, so that the
+Decimal oracle runs them too, and a single cell triple is walked with the 3x3
+products matvec and matmul on Python floats.  numpy is imported by the
+functions that handle whole levels, so that a tangent does not load it.
 """
 from __future__ import annotations
 
@@ -40,23 +40,25 @@ def matmul(m, n) -> tuple:
                        for b in range(3)) for a in range(3))
 
 
-IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-# CORNER_SWAPS[i] exchanges corner 0 with corner i; conjugating the corner-0
-# extension matrix by it yields the corner-i one.
-CORNER_SWAPS = (IDENTITY, ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
-                ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)))
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _conjugates(a0) -> tuple:
-    """The three corner conjugates S_i a0 S_i of a corner-0 matrix."""
-    return tuple(matmul(matmul(s, a0), s) for s in CORNER_SWAPS)
+def conjugate(m, i: int) -> tuple:
+    """S_i m S_i, S_i swapping corners 0 and i: the corner-i matrix of a
+    corner-0 one.  0 + each entry turns a -0.0 into 0.0, as the products
+    with the swap matrices did."""
+    a, b, c = ((0, 1, 2), (1, 0, 2), (2, 1, 0))[i]
+    return tuple([(0 + m[x][a], 0 + m[x][b], 0 + m[x][c]) for x in (a, b, c)])
 
 
-# (1/3) * integer matrix, exact inverse of the 1-5-5 step
-HARMONIC_INVERSES = _conjugates(tuple(tuple(x / 3.0 for x in row)
-                                      for row in ((3.0, 0.0, 0.0), (-2.0, 10.0, -5.0),
-                                                  (-2.0, -5.0, 10.0))))
+def harmonic_inverses(three) -> tuple:
+    """The inverses of the 1-5-5 extension matrices, one per letter: a third
+    of an integer matrix, divided in the type of `three` (3.0 or Decimal(3))."""
+    a0 = [[x / three for x in row] for row in ((3, 0, 0), (-2, 10, -5), (-2, -5, 10))]
+    return tuple([conjugate(a0, i) for i in range(3)])
+
+
+HARMONIC_INVERSES = harmonic_inverses(3.0)
 
 
 def harmonic_pullback(word) -> tuple:
@@ -159,14 +161,17 @@ def normal_derivative_limit(value_at, corner: int, levels: int = 20):
 
 @lru_cache(maxsize=4096)
 def eigen_matrices(lam: float) -> tuple:
-    """The three lambda-deformed extension matrices, one per letter."""
+    """The three lambda-deformed extension matrices, one per letter.  Pass a
+    Decimal to the uncached __wrapped__: its matrices depend on the context
+    precision, and Decimal("0.5") would hit the cached entry of 0.5."""
     if not math.isfinite(lam):
         raise DomainError(f"extension matrices need a finite lambda, got {lam!r}")
-    den = (5.0 - lam) * (2.0 - lam)
-    if den == 0.0:
+    den = (5 - lam) * (2 - lam)
+    if den == 0:
         raise DomainError(f"extension matrices are singular at lambda={lam!r}")
-    return _conjugates(tuple(tuple(x / den for x in row) for row in (
-        (den, 0.0, 0.0), (4.0 - lam, 4.0 - lam, 2.0), (4.0 - lam, 2.0, 4.0 - lam))))
+    a0 = [[x / den for x in row]
+          for row in ((den, 0, 0), (4 - lam, 4 - lam, 2), (4 - lam, 2, 4 - lam))]
+    return tuple([conjugate(a0, i) for i in range(3)])
 
 
 def eigen_residual(graph: LevelGraph, values, lam_level: float) -> float:

@@ -1,9 +1,11 @@
 """Independent brute-force verifiers for the closed forms elsewhere.
 
-Nothing here reuses a formula it is meant to check: spectra come from a
-dense symmetric eigensolve of the graph Laplacian, and tangents from
-literally iterating pulled-back cell triples (in high precision, since each
+Spectra come from a dense symmetric eigensolve of the graph Laplacian, and
+tangents from literally iterating pulled-back cell triples in Decimals (each
 pullback level multiplies roundoff in the antisymmetric component by 5).
+That iteration shares harmonic's matrices, conjugate, matvec and matmul, but
+not the closed form: no M0, no tau, and its own lambda step.  The shared
+matrices are checked by an mpmath transcription and by graph residuals.
 numpy is imported by the dense solve alone, so that a tangent check does
 not load it, and the tangent layers by the tangent check alone.
 """
@@ -74,29 +76,6 @@ def dense_dirichlet_spectrum(m: int) -> DenseSpectrum:
 
 # --- high-precision tangent iteration -------------------------------------
 
-def _mp_swap(i):
-    s = [0, 1, 2]
-    s[0], s[i] = s[i], s[0]
-    return s
-
-
-def _mp_eigen_matrix(i, lam):
-    den = (5 - lam) * (2 - lam)
-    a0 = [[1, 0, 0],
-          [(4 - lam) / den, (4 - lam) / den, 2 / den],
-          [(4 - lam) / den, 2 / den, (4 - lam) / den]]
-    s = _mp_swap(i)
-    return [[a0[s[a]][s[b]] for b in range(3)] for a in range(3)]
-
-
-def _mp_harmonic_inverse(i, third):
-    a0inv = [[1, 0, 0],
-             [-2 * third, 10 * third, -5 * third],
-             [-2 * third, -5 * third, 10 * third]]
-    s = _mp_swap(i)
-    return [[a0inv[s[a]][s[b]] for b in range(3)] for a in range(3)]
-
-
 def direct_tangent_limit(u, w, m: int):
     """The pulled-back cell triple A_{w_1}^{-1}...A_{w_m}^{-1} u|cell([w]_m)
     of a harmonic.SpectralEigenfunction u.
@@ -105,8 +84,7 @@ def direct_tangent_limit(u, w, m: int):
     closed-form shortcuts; the reported error is the distance to the m-1
     iterate.  Runs in ORACLE_DPS significant decimal digits because the
     pullback amplifies the antisymmetric roundoff component five-fold per
-    level.  The products are harmonic's matvec and matmul, which take
-    Decimals as they take floats.
+    level.  The matrices and products are harmonic's, run on Decimals.
     """
     if isinstance(w, str):
         w = EventuallyConstantWord.parse(w)
@@ -117,16 +95,16 @@ def direct_tangent_limit(u, w, m: int):
     # check loads neither
     from decimal import Context, Decimal, localcontext
 
-    from .harmonic import matmul, matvec
+    from .harmonic import IDENTITY, eigen_matrices, harmonic_inverses, matmul, matvec
     from .tangent import TangentTriple
 
     # a local context: the caller's decimal context is left as it was
     with localcontext(Context(prec=ORACLE_DPS)):
-        third = Decimal(1) / 3
+        inverses = harmonic_inverses(Decimal(3))
         lam = Decimal(u.sequence.lambda_m0)
-        pull = [[Decimal(1 if a == b else 0) for b in range(3)] for a in range(3)]
+        pull = IDENTITY
         for c in w.truncation(m0):
-            pull = matmul(pull, _mp_harmonic_inverse(c, third))
+            pull = matmul(pull, inverses[c])
         triple = [Decimal(x) for x in u.cell_triple(w.truncation(m0))]
         prev = None
         cur = matvec(pull, triple)
@@ -134,8 +112,8 @@ def direct_tangent_limit(u, w, m: int):
             root = (25 - 4 * lam).sqrt()
             lam = (5 + root) / 2 if t in u.sequence.plus_indices else 2 * lam / (5 + root)
             letter = w.letter(t)
-            triple = matvec(_mp_eigen_matrix(letter, lam), triple)
-            pull = matmul(pull, _mp_harmonic_inverse(letter, third))
+            triple = matvec(eigen_matrices.__wrapped__(lam)[letter], triple)
+            pull = matmul(pull, inverses[letter])
             prev = cur
             cur = matvec(pull, triple)
         out = TangentTriple(*(float(x) for x in cur))

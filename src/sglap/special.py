@@ -182,16 +182,18 @@ def tau(k: int, sequence, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
     """Tail product of an explicit eigenvalue sequence, anchored at level k.
 
     Equals Upsilon(5^-k lambda) for the sequence's renormalized limit; taking
-    the sequence's own entries keeps it exact through plus branches near the
-    anchor.  Needs k >= m0 so that lambda_{k+1} is defined.
+    the sequence's own entries keeps it exact through its plus branches, as
+    it runs at least down to the last plus level: after a minus run a factor
+    can pass the tolerance above it.  Needs k >= m0 (lambda_{k+1} defined).
     """
     lam1 = sequence.value(k + 1)
     if lam1 == 2.0:
         raise DomainError(f"tail product undefined at k={k}: lambda_{k + 1} = 2")
+    last_plus = max(sequence.plus_indices, default=0)
     prod = 1.0 / (2.0 - lam1)
-    for j in range(2, config.max_iterations + 2):
+    for j in range(2, config.max_iterations + 2 + max(0, last_plus - k)):
         term = sequence.value(k + j)
         prod *= 1.0 - term / 3.0
-        if abs(term) / 3.0 < config.tol * TAIL_BOUND_FACTOR:
+        if k + j >= last_plus and abs(term) / 3.0 < config.tol * TAIL_BOUND_FACTOR:
             return prod
     raise ConvergenceError(f"tail product did not converge at k={k}")

@@ -22,7 +22,7 @@ from . import special
 from .address import EventuallyConstantWord, check_letter
 from .decimation import EigenvalueSequence
 from .errors import DomainError
-from .harmonic import (CORNER_SWAPS, IDENTITY, SpectralEigenfunction, harmonic_normal_derivative,
+from .harmonic import (IDENTITY, SpectralEigenfunction, conjugate, harmonic_normal_derivative,
                        harmonic_pullback, matmul, matvec, normal_derivative_limit)
 
 
@@ -92,8 +92,7 @@ def tangent_at(u: SpectralEigenfunction, w, cut=None) -> TangentTriple:
             raise DomainError(f"cut {cut} below the canonical level {k}")
         k = int(cut)
     word = w.truncation(k)
-    s = CORNER_SWAPS[w.tail]
-    tail_matrix = matmul(matmul(s, m0_matrix(u.sequence, k)), s)
+    tail_matrix = conjugate(m0_matrix(u.sequence, k), w.tail)
     to_tangent = matmul(harmonic_pullback(word), tail_matrix)
     return TangentTriple(*matvec(to_tangent, u.cell_triple(word)))
 

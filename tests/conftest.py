@@ -11,7 +11,7 @@ import numpy as np
 from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, build_level_graph,
                            check_letter, check_word)
 from sglap.errors import DomainError
-from sglap.harmonic import CORNER_SWAPS, HARMONIC_INVERSES, eigen_matrices, matvec
+from sglap.harmonic import HARMONIC_INVERSES, eigen_matrices, matvec
 from sglap.special import DEFAULT_CONFIG
 from sglap.tangent import m0_matrix
 
@@ -28,6 +28,12 @@ def pytest_terminal_summary(terminalreporter):
 
 
 # --- extension matrices ----------------------------------------------------
+
+# CORNER_SWAPS[i] exchanges corner 0 with corner i, as float matrices:
+# harmonic.conjugate permutes indices, and the numpy references multiply
+CORNER_SWAPS = (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+                ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+                ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)))
 
 HARMONIC_MATRICES = np.stack(
     [s @ (np.array([[5.0, 0, 0], [2, 2, 1], [2, 1, 2]]) / 5.0) @ s for s in CORNER_SWAPS]

@@ -702,7 +702,7 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
             for fmt in ("csv", "json"):
                 assert run("spectrum", "--level", level, "--format", fmt) == \\
                     base | {"sglap.decimation"}
-        assert "numpy" not in sys.modules
+        assert "numpy" not in sys.modules and "decimal" not in sys.modules
     """
     others = """
         assert run("--help") == run("spectrum", "--level", "x", code=2) == base
@@ -712,13 +712,15 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
         checks = {"sglap.oracle", "sglap.tangent"}
         assert not run("spectrum", "--level", "2") & checks
         assert not run("eval", "--seed", "six:2:1", "--level", "2", "--verify") & checks
+        assert "decimal" not in sys.modules
         run("tangent", "--seed", "six:1:1", "--word", ":0", "--verify")
+        assert "decimal" in sys.modules
     """
-    # the dense check runs without the tangent layers or dataclasses
+    # the dense check runs without the tangent layers, dataclasses or decimal
     spectrum_verify = """
         assert run("spectrum", "--level", "2", "--verify") == \\
             base | {"sglap.decimation", "sglap.address", "sglap.oracle"}
-        assert "dataclasses" not in sys.modules
+        assert "dataclasses" not in sys.modules and "decimal" not in sys.modules
     """
     tangent = """
         closed_form = base | {"sglap.decimation", "sglap.address", "sglap.harmonic",
@@ -728,12 +730,14 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
             for seed in seeds:
                 for word in (":0", "0121:2"):
                     assert run("tangent", "--seed", seed, "--word", word, *verify) == loaded
+                    # only the direct limit loads decimal
+                    assert ("decimal" in sys.modules) == bool(verify)
         assert "numpy" not in sys.modules and "dataclasses" not in sys.modules
     """
     # every other subcommand that computes values still loads numpy
     loads_numpy = """
         run(*sys.argv[1:])
-        assert "numpy" in sys.modules
+        assert "numpy" in sys.modules and "decimal" not in sys.modules
     """
     for script, argv in [(spectrum, []), (tangent, []), (spectrum_verify, []), (others, []),
                          *[(loads_numpy, argv) for argv in (

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import HARMONIC_MATRICES, extend_harmonic, harmonic_matrix
+from conftest import CORNER_SWAPS, HARMONIC_MATRICES, extend_harmonic, harmonic_matrix
 
 from sglap import harmonic
 from sglap.address import build_level_graph
 from sglap.decimation import EigenvalueSequence
 from sglap.errors import ConvergenceError, DomainError
 from sglap.harmonic import (
-    CORNER_SWAPS,
     HARMONIC_INVERSES,
     SpectralEigenfunction,
     eigen_matrices,

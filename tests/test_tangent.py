@@ -13,8 +13,8 @@ from conftest import extend_harmonic, numpy_tangent
 from sglap.address import EventuallyConstantWord
 from sglap.decimation import EigenvalueSequence, sequence_from_limit, series_multiplicity
 from sglap.errors import DomainError
-from sglap.harmonic import (CORNER_SWAPS, SpectralEigenfunction, dirichlet_eigenfunction,
-                            eigen_matrices, harmonic_pullback, matmul, normal_derivative_limit)
+from sglap.harmonic import (SpectralEigenfunction, conjugate, dirichlet_eigenfunction,
+                            eigen_matrices, harmonic_pullback, normal_derivative_limit)
 from sglap.special import tau
 from sglap.tangent import TangentTriple, m0_matrix, normal_derivative, tangent_at
 
@@ -175,11 +175,11 @@ def test_scalar_closed_form_matches_the_numpy_formula(case):
     u, w = case
     t = np.array(tangent_at(u, w))
     k = max(len(w.prefix), u.m0)
-    word, s = w.truncation(k), CORNER_SWAPS[w.tail]
+    word = w.truncation(k)
     walk = np.abs(u.cell_triple(word[:u.m0]))
     for j in range(u.m0 + 1, k + 1):
         walk = np.abs(eigen_matrices(u.sequence.value(j))[word[j - 1]]) @ walk
-    tail_matrix = matmul(matmul(s, m0_matrix(u.sequence, k)), s)
+    tail_matrix = conjugate(m0_matrix(u.sequence, k), w.tail)
     terms = np.abs(harmonic_pullback(word)) @ np.abs(tail_matrix) @ walk
     assert float(np.abs(t - numpy_tangent(u, w)).max()) <= SCALAR_TOL * float(terms.max())
 

@@ -218,6 +218,10 @@ def test_decimal_matrices_match_the_mpmath_transcription(lam):
             ref = _mp_eigen_matrix(i, mpmath.mpf(lam))
             assert max(abs(mpmath.mpf(str(got[i][a][b])) - ref[a][b])
                        for a in range(3) for b in range(3)) < 1e-45
+
+
+def test_decimal_inverses_invert_the_decimal_harmonic_matrices():
+    with decimal.localcontext(decimal.Context(prec=ORACLE_DPS)):
         harmonic = eigen_matrices.__wrapped__(decimal.Decimal(0))
         for inverse, matrix in zip(harmonic_inverses(decimal.Decimal(3)), harmonic):
             product = matmul(inverse, matrix)

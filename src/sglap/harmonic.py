@@ -94,7 +94,8 @@ def cell_values_to_vertex(graph: LevelGraph, cell_values, tol: float = 1e-9):
     if cv.shape != graph.cells.shape:
         raise DomainError(f"expected cell array of shape {graph.cells.shape}, got {cv.shape}")
     out = np.bincount(graph.cells.reshape(-1), weights=cv.reshape(-1), minlength=graph.size)
-    out /= np.bincount(graph.cells.reshape(-1), minlength=graph.size)
+    # the three corners lie in one cell each, every other vertex in two
+    out[3:] /= 2.0
     scale = max(1.0, float(np.max(np.abs(cv))))
     # one corner column at a time, so that the gaps take a third of cv's memory
     dev = float(np.max([np.abs(cv[:, i] - out[graph.cells[:, i]]).max() for i in range(3)]))

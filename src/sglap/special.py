@@ -25,6 +25,8 @@ from .errors import ConvergenceError, DomainError
 PSI_DOMAIN_BOUND = 100.0
 # a tail product stops once its next factor is within tol * this of 1
 TAIL_BOUND_FACTOR = 0.1
+# Psi arguments per psi_limit_array call of the Upsilon tail walk: one grid block
+TAIL_BLOCK = 4096
 
 
 class ConvergenceConfig(NamedTuple):
@@ -117,8 +119,14 @@ def _upsilon_array(lam, config: ConvergenceConfig):
     The product for lambda is 1/(2 - Psi(lambda/5)) times the factors
     1 - Psi(lambda/5^j)/3 for j = 2, 3, ..., up to the first j whose
     remaining factors are bounded via |lambda_j| <= 5^-j |lambda|, a
-    geometric tail of ratio 1/5.  All the Psi arguments of the array go
-    through one psi_limit_array call; the factors multiply in j order.
+    geometric tail of ratio 1/5.  The elements walk down the levels
+    j = 1, 2, ...: each step sends the Psi arguments of as many consecutive
+    levels as fit in TAIL_BLOCK (at least one level), for the elements that
+    still need them, through one psi_limit_array call, and multiplies the
+    factors into a running product in j order.  An element leaves the walk
+    at its first failure (its head's Psi, then a pole, then the tail factors
+    in j order), which is the failure it reports; one whose tail bound never
+    passes walks every level and did not converge.
     """
     import numpy as np
 
@@ -129,27 +137,39 @@ def _upsilon_array(lam, config: ConvergenceConfig):
     for j in range(last, 1, -1):
         stop[size / 5.0**j / 3.0 < config.tol * TAIL_BOUND_FACTOR] = j
     depth = np.where(stop > 0, stop, last)
-    rows = np.arange(1, depth.max(initial=1) + 1)
-    needed = rows[:, None] <= depth
-    args = lam / np.array([5.0**j for j in rows.tolist()])[:, None]
-    vals, _, psi_failures = psi_limit_array(args[needed], config)
-    factors = np.full(needed.shape, np.nan)
-    factors[needed] = vals
-    failures = {i: ConvergenceError(f"tail product did not converge for lambda={float(lam[i])!r}")
-                for i in np.flatnonzero(stop == 0).tolist()}
-    # the first failing factor in j order wins: the row-major order of
-    # `needed` ascends in j, so the earliest is written last
-    element = np.nonzero(needed)[1]
-    for k in reversed(psi_failures):
-        failures[int(element[k])] = psi_failures[k]
-    head = 2.0 - factors[0]
-    # a failed head leaves a NaN head, so a pole never hides a psi failure
-    for i in np.flatnonzero(head == 0.0).tolist():
-        failures[i] = DomainError(f"tail product has a pole at lambda={float(lam[i])!r}")
+    prod = np.full(lam.shape, np.nan)
+    failed = np.zeros(lam.size, dtype=bool)
+    failures = {}
+    live, j = np.arange(lam.size), 1
     with np.errstate(divide="ignore", over="ignore"):
-        prod = 1.0 / head
-        for j in rows[1:].tolist():
-            prod = np.where(j <= depth, prod * (1.0 - factors[j - 1] / 3.0), prod)
+        while live.size:
+            levels = range(j, min(j + max(1, TAIL_BLOCK // live.size), depth[live].max() + 1))
+            rows = [live[depth[live] >= k] for k in levels]
+            vals, _, psi_failures = psi_limit_array(
+                np.concatenate([lam[r] / 5.0**k for r, k in zip(rows, levels)]), config)
+            start = 0
+            for k, r in zip(levels, rows):
+                factor, start = vals[start:start + r.size], start + r.size
+                if k > 1:
+                    prod[r] *= 1.0 - factor / 3.0
+                    continue
+                head = 2.0 - factor
+                # a failed head is NaN, so a pole never hides its psi failure
+                for i in r[head == 0.0].tolist():
+                    failures[i] = DomainError(
+                        f"tail product has a pole at lambda={float(lam[i])!r}")
+                    failed[i] = True
+                prod[r] = 1.0 / head
+            # psi_failures ascend in j, so an element keeps its first failure
+            element = np.concatenate(rows)
+            for k, exc in psi_failures.items():
+                failures.setdefault(int(element[k]), exc)
+            failed[element[list(psi_failures)]] = True
+            j = levels.stop
+            live = live[(depth[live] >= j) & ~failed[live]]
+    for i in np.flatnonzero(stop == 0).tolist():
+        failures.setdefault(i, ConvergenceError(
+            f"tail product did not converge for lambda={float(lam[i])!r}"))
     prod[list(failures)] = np.nan
     return prod, dict(sorted(failures.items()))
 

@@ -196,6 +196,13 @@ def test_level_graph_build_peak_memory():
     assert peak < 7e6
 
 
+@pytest.mark.parametrize("level", range(9))
+def test_corners_lie_in_one_cell_and_every_other_vertex_in_two(level):
+    # harmonic.cell_values_to_vertex halves every vertex after the corners
+    counts = np.bincount(build_level_graph(level).cells.ravel())
+    assert counts.tolist() == [1, 1, 1] + [2] * (counts.size - 3)
+
+
 def test_cells_are_in_word_order():
     g = build_level_graph(2)
     for word in itertools.product((0, 1, 2), repeat=2):

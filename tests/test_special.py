@@ -1,5 +1,6 @@
 """The quadratic-iteration limit function and the tail product."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import one_point, psi_m
 
+from sglap import special
 from sglap.decimation import EigenvalueSequence, sequence_from_limit
 from sglap.errors import ConvergenceError, DomainError, SglapError
 from sglap.special import (
     PSI_DOMAIN_BOUND,
+    TAIL_BLOCK,
     TAIL_BOUND_FACTOR,
     ConvergenceConfig,
     psi,
@@ -131,10 +134,12 @@ def reference_upsilon_with_error(lam, config):
     return val, abs(val - reference_upsilon(lam, tight)) + 8.0 * math.ulp(1.0) * (1.0 + abs(val))
 
 
-def assert_matches_reference(kernel, reference, points, config):
-    """Bit-equal columns where the reference returns, the same exception where it raises."""
+def assert_matches_reference(kernel, reference, points, config, indices=None):
+    """Bit-equal columns where the reference returns, the same exception where
+    it raises: at every point, or at the given indices."""
     *columns, failures = kernel(np.array(points), config)
-    for i, x in enumerate(points):
+    for i in range(len(points)) if indices is None else indices:
+        x = points[i]
         try:
             expected = reference(x, config)
         except SglapError as exc:
@@ -189,3 +194,94 @@ def test_empty_grids():
     for kernel in (psi_limit_array, upsilon_with_error_array):
         *columns, failures = kernel(np.array([]))
         assert [c.shape for c in columns] == [(0,), (0,)] and failures == {}
+
+
+def counting_psi_calls(monkeypatch):
+    """The argument count of every psi_limit_array call made from here on."""
+    sizes = []
+
+    def counting(z, config):
+        sizes.append(len(z))
+        return psi_limit_array(z, config)
+
+    monkeypatch.setattr(special, "psi_limit_array", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("grid, bound", [((-30.3, 45.2, 2000), 1.5e6),
+                                         ((-1e20, 1e20, 4096), 6e6)])
+def test_upsilon_working_memory(grid, bound):
+    # the tail walk holds one TAIL_BLOCK of Psi arguments at a time; one
+    # (levels x points) psi_limit_array call traced 3.9 MB and 57 MB here
+    lam = np.linspace(*grid)
+    tracemalloc.start()
+    try:
+        upsilon_with_error_array(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_upsilon_stops_at_the_first_failure(monkeypatch):
+    # every element of this grid fails at its head, so each of the two
+    # evaluations reads one level; all levels would be 396,910 arguments
+    sizes = counting_psi_calls(monkeypatch)
+    lam = np.linspace(-1e20, 1e20, 4096)
+    *_, failures = upsilon_with_error_array(lam)
+    assert len(failures) == lam.size
+    assert sum(sizes) <= 2 * (2 * lam.size) and max(sizes) <= TAIL_BLOCK
+
+
+def failure_class(lam, exc):
+    """Where an Upsilon element failed, or "converged"."""
+    if exc is None:
+        return "converged"
+    text = str(exc)
+    if text.startswith("psi approximants"):
+        return "head psi" if text.endswith(f"z={lam / 5.0!r}") else "tail psi"
+    # "argument" (head outside the domain), "psi" (a NaN head), "tail" (no convergence)
+    return text.split(" ")[0]
+
+
+@pytest.mark.parametrize("n", [1500, 2500])
+def test_upsilon_first_failure_across_level_groups(n, monkeypatch):
+    # 1500 points send two levels per psi_limit_array call, so a tail factor
+    # shares its head's call; 2500 send the head alone, so a tail failure
+    # comes from a later call.  The sample takes 7 elements of each class.
+    rng = np.random.default_rng(n)
+    k = n // 100
+    lam = np.concatenate([rng.uniform(-8.0, 8.0, 47 * k), rng.uniform(-120.0, 120.0, 33 * k),
+                          rng.uniform(500.0, 1e4, 13 * k) * rng.choice([-1.0, 1.0], 13 * k),
+                          rng.uniform(-1e-3, 1e-3, 6 * k), np.full(k, math.nan)])
+    rng.shuffle(lam)
+    points, config = lam.tolist(), ConvergenceConfig(tol=1e-9, max_iterations=12)
+    sizes = counting_psi_calls(monkeypatch)
+    *_, failures = upsilon_with_error_array(lam, config)
+    assert len(sizes) > 2 and max(sizes) <= TAIL_BLOCK
+    classes = {}
+    for i, x in enumerate(points):
+        classes.setdefault(failure_class(x, failures.get(i)), []).append(i)
+    assert set(classes) == {"converged", "head psi", "tail psi", "argument", "psi", "tail"}
+    sample = [i for members in classes.values() for i in members[:7]]
+    assert_matches_reference(upsilon_with_error_array, reference_upsilon_with_error,
+                             points, config, sample)
+
+
+def test_upsilon_pole_hides_a_later_failure_of_the_same_call(monkeypatch):
+    # no float lambda has Psi(lambda/5) == 2 exactly, so a stand-in Psi makes
+    # one: 16 gets a pole at its head and a failing factor at j = 2, which
+    # share a call in a 1500-point grid; the pole is its first failure
+    def stand_in(z, config):
+        values, increments, failures = psi_limit_array(z, config)
+        values[z == 16.0 / 5.0] = 2.0
+        for k in np.flatnonzero(z == 16.0 / 25.0).tolist():
+            values[k], failures[k] = np.nan, DomainError("stand-in")
+        return values, increments, dict(sorted(failures.items()))
+
+    monkeypatch.setattr(special, "psi_limit_array", stand_in)
+    lam = np.linspace(-8.0, 8.0, 1500)
+    lam[700] = 16.0
+    values, _, failures = upsilon_with_error_array(lam)
+    assert list(failures) == [700] and math.isnan(values[700])
+    assert str(failures[700]) == "tail product has a pole at lambda=16.0"

@@ -13,9 +13,10 @@ backwards.  numpy is imported by the functions that build whole levels, so
 that a single-point computation does not load it.
 
 The level-m graph is the union of its three images F_j V_{m-1}, glued at
-the level-1 junctions, so it is built one level at a time from V_0: each
-vertex's canonical address is its copy's letter prepended to the address it
-had one level up, and the canonical vertex order falls out of the gluing.
+the level-1 junctions, so its cells are built one level at a time from V_0:
+each vertex's canonical address is its copy's letter prepended to the
+address it had one level up, and the canonical vertex order falls out of
+the gluing.  A deep level's keys and addresses are glued a block at a time.
 """
 from __future__ import annotations
 
@@ -138,26 +139,33 @@ class LevelGraph(Frozen):
     exactly one m-cell, so the cell triples are the whole graph;
     vertex_index looks up one vertex without them.  Vertices are in
     canonical address order (the three boundary corners are always 0, 1, 2,
-    everything after them is interior) and carry their exact keys and the
-    text of their canonical addresses:
+    everything after them is interior); vertices(lo, hi) glues the exact
+    keys and the text of the canonical addresses of a range of them:
 
-        keys   (N, 3) int64 numerators, denominator 2**level
         cells  (3**level, 3) int32
-        names  (N, level + 2) uint8 ASCII of format_address, NUL-padded
+        keys   (hi - lo, 3) int64 numerators, denominator 2**level
+        names  (hi - lo, level + 2) uint8 ASCII of format_address, NUL-padded
     """
 
-    __slots__ = ("level", "keys", "cells", "names")
+    __slots__ = ("level", "cells")
 
     @property
     def size(self) -> int:
-        return self.keys.shape[0]
+        return vertex_count(self.level)
 
-    def addresses(self, lo: int = 0, hi: int | None = None) -> list:
-        """format_address of vertices lo..hi-1 (by default all), in vertex order."""
-        import numpy as np
+    def vertices(self, lo: int = 0, hi: int | None = None):
+        """(keys, names) of vertices lo..hi-1 (by default all), in vertex
+        order; lo and hi are taken as a slice takes them."""
+        lo, hi, _ = slice(lo, hi).indices(self.size)
+        return _glue_range(self.level, lo, max(lo, hi))
 
-        # trailing NULs drop off numpy unicode strings
-        return self.names[lo:hi].astype(np.uint32).view(f"U{self.level + 2}").ravel().tolist()
+
+def addresses(names) -> list:
+    """format_address of each row of address bytes from LevelGraph.vertices."""
+    import numpy as np
+
+    # trailing NULs drop off numpy unicode strings
+    return names.astype(np.uint32).view(f"U{names.shape[1]}").ravel().tolist()
 
 
 def key_coords(keys, level: int) -> np.ndarray:
@@ -210,48 +218,77 @@ def vertex_cells(v: int, level: int) -> list:
     return [(word, v)]
 
 
+_BLOCK_ROWS = 1 << 12  # cli.BLOCK_ROWS: a level this small is kept whole
+
+
+@lru_cache(maxsize=None)
+def _whole_level(k: int):
+    keys, names = _glue_range(k, 0, vertex_count(k))
+    keys.setflags(write=False)
+    names.setflags(write=False)
+    return keys, names
+
+
+def _glue_range(m: int, lo: int, hi: int):
+    import numpy as np
+
+    keys, names = np.zeros((hi - lo, 3), np.int64), np.zeros((hi - lo, m + 2), np.uint8)
+    _put(keys, names, m, lo)
+    return keys, names
+
+
+def _put(keys, names, k: int, lo: int) -> None:
+    """Write the vertices lo.. of V_k into zeroed keys and names.  Prepending
+    letter j to an address of V_{k-1} keeps it canonical, so after the
+    corners come copy j = 0, 1, 2's vertices from V_{k-1}'s position j + 1 on
+    (its earlier corners are V_k's or an earlier copy's): (0):1, (0):2 and
+    copy 0's interior, (1):2 and copy 1's, then copy 2's.  A copy of a level
+    kept whole is copied, a deeper one followed down (at most two a level)."""
+    hi = lo + len(keys)
+    for p in range(lo, min(hi, 3)):
+        keys[p - lo, p] = 1 << k
+        names[p - lo, :2] = (ord(":"), ord("0") + p)
+    if hi <= 3:
+        return
+    n = vertex_count(k - 1) - 3
+    for j, first in enumerate(_glue(n)[1]):
+        start = first - 2 + j
+        a, b = max(lo, start), min(hi, start + n + 2 - j)
+        if a >= b:
+            continue
+        rows, sub = slice(a - lo, b - lo), a - start + j + 1
+        if vertex_count(k - 1) > _BLOCK_ROWS:
+            _put(keys[rows], names[rows, 1:], k - 1, sub)
+        else:
+            whole_keys, whole_names = _whole_level(k - 1)
+            keys[rows], names[rows, 1:] = whole_keys[sub:sub + b - a], whole_names[sub:sub + b - a]
+        # F_j(x) = (x + q_j)/2 sends n over 2^(k-1) to n + 2^(k-1) e_j over 2^k
+        keys[rows, j] += 1 << (k - 1)
+        names[rows, 0] = ord("0") + j
+
+
 @lru_cache(maxsize=None)
 def _build_level_graph(m: int) -> LevelGraph:
     # V_k = F_0 V_{k-1} u F_1 V_{k-1} u F_2 V_{k-1}, glued at the level-1
-    # junctions.  Prepending letter j to an interior address of V_{k-1} keeps
-    # it canonical, so canonical order on V_k is: the corners, (0):1, (0):2,
-    # copy 0's interior, (1):2, copy 1's interior, copy 2's interior.  Built
-    # in a loop, not by recursion, so no coarser graph stays cached.
+    # junctions.  Built in a loop, not by recursion, so no coarser graph
+    # stays cached.
     import numpy as np
 
-    cells = np.array([[0, 1, 2]], dtype=np.int32)
-    keys = np.eye(3, dtype=np.int64)  # keys[v]: v's exact barycentric numerators
-    names = np.array([b":0", b":1", b":2"]).view(np.uint8).reshape(3, 2)
-    for k in range(1, m + 1):
-        n = keys.shape[0] - 3  # interior vertices of V_{k-1}
+    cells, size = np.array([[0, 1, 2]], dtype=np.int32), 3
+    for _ in range(m):
+        n = size - 3  # interior vertices of V_{k-1}
         corners, first = _glue(n)
         # maps[j] sends V_{k-1} into V_k under F_j; column i < 3 is F_j(q_i)
         maps = np.empty((3, n + 3), dtype=np.int32)
         maps[:, :3] = corners
         maps[:, 3:] = np.add.outer(first, np.arange(n))
         cells = maps[:, cells].reshape(-1, 3)  # cell j + w is F_j of cell w
+        size = 6 + 3 * n
 
-        inner_keys, inner_names = keys[3:], names[3:]
-        keys = np.empty((6 + 3 * n, 3), dtype=np.int64)
-        names = np.zeros((6 + 3 * n, k + 2), dtype=np.uint8)
-        glued = [0, 1, 2, 3, 4, 5 + n]  # the corners and the level-1 junctions
-        keys[glued] = np.left_shift([[2, 0, 0], [0, 2, 0], [0, 0, 2],
-                                     [1, 1, 0], [1, 0, 1], [0, 1, 1]], k - 1)
-        names[glued, :3] = np.array([b":0", b":1", b":2", b"0:1", b"0:2", b"1:2"]
-                                    ).view(np.uint8).reshape(6, 3)
-        for j, lo in enumerate(first):
-            # F_j(x) = (x + q_j)/2 sends n over 2^(k-1) to n + 2^(k-1) e_j over 2^k
-            keys[lo:lo + n] = inner_keys
-            keys[lo:lo + n, j] += 1 << (k - 1)
-            names[lo:lo + n, 0] = ord("0") + j
-            names[lo:lo + n, 1:] = inner_names
-
-    if keys.shape[0] != vertex_count(m):
-        raise InvariantError(f"level-{m} graph has {keys.shape[0]} vertices, "
-                             f"not {vertex_count(m)}")
-    for arr in (keys, cells, names):
-        arr.setflags(write=False)
-    return LevelGraph(m, keys, cells, names)
+    if size != vertex_count(m):
+        raise InvariantError(f"level-{m} graph has {size} vertices, not {vertex_count(m)}")
+    cells.setflags(write=False)
+    return LevelGraph(m, cells)
 
 
 def build_level_graph(m: int) -> LevelGraph:

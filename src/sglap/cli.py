@@ -301,6 +301,8 @@ def _eval_blocks(args, graph, values):
     x and y depend on a vertex's key only through its lattice lines, so they
     are looked up in the level's _lattice_reprs; the values repeat by
     symmetry, so each block formats every distinct value once (_reprs)."""
+    from .address import addresses
+
     level, fmt = args.level, args.format
     x_table, y_table = _lattice_reprs(level)
     if fmt == "obj":
@@ -308,19 +310,20 @@ def _eval_blocks(args, graph, values):
     else:
         yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
     for lo, hi in _row_ranges(graph.size):
-        _, n1, n2 = graph.keys[lo:hi].T
+        keys, names = graph.vertices(lo, hi)
+        _, n1, n2 = keys.T
         x, y = x_table[2 * n1 + n2].tolist(), y_table[n2].tolist()
         v = _reprs(values[lo:hi])
         if fmt == "obj":
             yield "".join([f"v {a} {b} {c}\n" for a, b, c in zip(x, y, v)])
         elif fmt == "csv":
             yield "".join([f"{s},{level},{a},{b},{c}\n"
-                           for s, a, b, c in zip(graph.addresses(lo, hi), x, y, v)])
+                           for s, a, b, c in zip(addresses(names), x, y, v)])
         else:
             yield ("" if lo == 0 else ",\n") + ",\n".join(
                 [f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a},\n'
                  f'    "y": {b},\n    "value": {c}\n  }}'
-                 for s, a, b, c in zip(graph.addresses(lo, hi), x, y, v)])
+                 for s, a, b, c in zip(addresses(names), x, y, v)])
     if fmt == "obj":
         for lo, hi in _row_ranges(len(graph.cells)):
             yield ("f %d %d %d\n" * (hi - lo)) % tuple((graph.cells[lo:hi] + 1).ravel().tolist())

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_ifs, resolve_addresses, vertex_key, word_index
@@ -16,6 +16,7 @@ from sglap import address, decimation
 from sglap.address import (
     DEFAULT_CORNERS,
     EventuallyConstantWord,
+    addresses,
     build_level_graph,
     format_address,
     vertex_cells,
@@ -83,18 +84,18 @@ def test_canonical_address_round_trip(word, letter):
 
 def test_junctions_have_exactly_two_addresses():
     g = build_level_graph(3)
-    for i, key in enumerate(map(tuple, g.keys)):
+    for i, key in enumerate(map(tuple, g.vertices()[0])):
         assert len(resolve_addresses(key, 3)) == (1 if i < 3 else 2)
 
 
 def test_vertex_index_finds_every_address():
     for m in range(5):
-        g = build_level_graph(m)
+        keys = build_level_graph(m).vertices()[0]
         for n in range(m + 1):
             for word in itertools.product((0, 1, 2), repeat=n):
                 for letter in range(3):
                     i = vertex_index(word, letter, m)
-                    assert tuple(g.keys[i]) == vertex_key(word, letter, m)
+                    assert tuple(keys[i]) == vertex_key(word, letter, m)
     with pytest.raises(DomainError):
         vertex_index((0, 1, 2), 0, 2)  # word longer than the level
     with pytest.raises(DomainError):
@@ -120,12 +121,12 @@ def test_scalar_lookups_match_the_level_graph(m):
 
 def test_array_addressing_matches_scalar():
     for m in range(9):
-        g = build_level_graph(m)
-        keys = g.keys.tolist()
+        keys, names = build_level_graph(m).vertices()
+        keys = keys.tolist()
         scalar = [resolve_addresses(tuple(k), m)[0] for k in keys]
         # vertex order is the scalar canonical order, and the graph carries it
         assert keys == sorted(keys, key=lambda k: resolve_addresses(tuple(k), m)[0])
-        assert g.addresses() == [format_address(w, c) for w, c in scalar]
+        assert addresses(names) == [format_address(w, c) for w, c in scalar]
         assert [list(vertex_key(w, c, m)) for w, c in scalar] == keys
 
 
@@ -151,15 +152,17 @@ LEVEL_GRAPH_SHA256 = {
 
 
 def _pinned_arrays(g):
-    """The six pinned arrays, rebuilt from keys, cells and the address bytes:
-    the birth level is the column of ':', the word the digits before it (-1
-    past it) and the corner letter the digit after it."""
+    """The six pinned arrays, rebuilt from the cells and the keys and address
+    bytes that vertices() glues: the birth level is the column of ':', the
+    word the digits before it (-1 past it) and the corner letter the digit
+    after it."""
+    keys, names = g.vertices()
     rows = np.arange(g.size)
-    births = (g.names == ord(":")).argmax(axis=1)
-    digits = g.names.astype(np.int8) - ord("0")
+    births = (names == ord(":")).argmax(axis=1)
+    digits = names.astype(np.int8) - ord("0")
     words = np.where(np.arange(g.level) < births[:, None], digits[:, :g.level], -1)
     letters = digits[rows, births + 1]
-    return {"keys": g.keys, "coords": address.key_coords(g.keys, g.level), "cells": g.cells,
+    return {"keys": keys, "coords": address.key_coords(keys, g.level), "cells": g.cells,
             "births": births.astype(np.int64), "words": words.astype(np.int8),
             "letters": letters}
 
@@ -176,17 +179,18 @@ def test_level_graph_is_pinned(m):
 def test_address_ranges_match_scalar_across_blocks():
     m = 6
     g = build_level_graph(m)
-    scalar = [format_address(*resolve_addresses(tuple(k), m)[0]) for k in g.keys.tolist()]
+    scalar = [format_address(*resolve_addresses(tuple(k), m)[0])
+              for k in g.vertices()[0].tolist()]
     n = g.size
     for lo, hi in [(0, 0), (0, 1), (0, 3), (2, 4), (3, 100), (99, 101), (100, 1000),
                    (n - 1, n), (0, n), (n, n)]:
-        assert g.addresses(lo, hi) == scalar[lo:hi]
-    assert sum((g.addresses(lo, lo + 97) for lo in range(0, n, 97)), []) == scalar
+        assert addresses(g.vertices(lo, hi)[1]) == scalar[lo:hi]
+    assert sum((addresses(g.vertices(lo, lo + 97)[1]) for lo in range(0, n, 97)), []) == scalar
 
 
 def test_level_graph_build_peak_memory():
-    # the L10 build peaks at 5.3 MB under tracemalloc (numpy 2.4); the
-    # largest arrays are the last step's keys and address bytes
+    # the L10 build peaks at 2.0 MB under tracemalloc (numpy 2.4); the
+    # largest arrays are the last step's cells and their index copy
     tracemalloc.start()
     try:
         address._build_level_graph.__wrapped__(10)
@@ -194,6 +198,68 @@ def test_level_graph_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 7e6
+
+
+def test_level_graph_keeps_only_its_cells():
+    # the L10 build peaks at 2.0 MB under tracemalloc (numpy 2.4) and holds
+    # its 0.71 MB of cells; with every vertex's keys and address bytes it
+    # peaked at 5.3 MB and held 1.77 MB
+    tracemalloc.start()
+    try:
+        g = address._build_level_graph.__wrapped__(10)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert address.LevelGraph.__slots__ == ("level", "cells")
+    assert held < g.cells.nbytes + 4096
+    assert peak < 2.6e6
+
+
+def _glue_positions(m, depth=3):
+    """The positions 3, 4, 5 + n, 6 + n and 6 + 2n where V_m glues its copies
+    of V_{m-1}, and where each copy of the next depth - 1 levels glues its
+    own, as positions of V_m.  Copy j of V_k lists V_{k-1}'s vertices from
+    position j + 1 on, starting at 3, 5 + n and 6 + 2n."""
+    found, copies = set(), [(m, 0)]  # (k, the V_m position of V_k's position 0)
+    for _ in range(depth):
+        below = []
+        for k, base in copies:
+            n = decimation.vertex_count(k - 1) - 3
+            found.update(base + p for p in (3, 4, 5 + n, 6 + n, 6 + 2 * n))
+            below += [(k - 1, base + start - j - 1)
+                      for j, start in enumerate((3, 5 + n, 6 + 2 * n))]
+        copies = below
+    return sorted(found)
+
+
+@pytest.mark.parametrize("m", [8, 9, 10])
+def test_vertex_ranges_equal_slices_of_the_whole(m):
+    g = build_level_graph(m)
+    keys, names = g.vertices()
+    n = decimation.vertex_count(m - 1) - 3
+    assert addresses(names[[3, 4, 5 + n]]) == ["0:1", "0:2", "1:2"]
+    edges = sorted({*_glue_positions(m), *range(0, g.size, 4096), g.size})
+    for e in edges:
+        for lo, hi in ((e, e + 1), (e - 1, e + 1), (e, e + 4096), (e - 4096, e), (e - 97, e + 5)):
+            lo, hi = max(lo, 0), min(hi, g.size)
+            part_keys, part_names = g.vertices(lo, hi)
+            assert np.array_equal(part_keys, keys[lo:hi]), (lo, hi)
+            assert np.array_equal(part_names, names[lo:hi]), (lo, hi)
+            assert part_names.shape == (hi - lo, m + 2)
+
+
+@settings(deadline=None)
+@given(st.integers(7, 10).flatmap(lambda m: st.tuples(
+    st.just(m), *[st.one_of(st.none(), st.integers(-decimation.vertex_count(m) - 5,
+                                                    decimation.vertex_count(m) + 5))] * 2)))
+def test_vertex_ranges_are_taken_as_slices(range_):
+    # V_7 is kept whole and V_8..V_10 are glued by range; both slice alike
+    m, lo, hi = range_
+    g = build_level_graph(m)
+    keys, names = g.vertices()
+    part_keys, part_names = g.vertices(lo, hi)
+    assert np.array_equal(part_keys, keys[lo:hi]) and np.array_equal(part_names, names[lo:hi])
+    assert addresses(part_names) == addresses(names)[lo:hi]
 
 
 @pytest.mark.parametrize("level", range(9))

@@ -68,3 +68,16 @@ def test_setup_metrics_reads_the_raw_setup_median_and_the_probe_lower_quartile()
     # two probes, as a short mesh run takes: the quartile is the faster one
     record["probe_samples_s"] = [0.2, 0.1]
     assert bench_pairs.setup_metrics(record)["probe_q1_s"] == 0.1
+
+
+def test_wall_raw_s_weights_each_kind_median_by_its_count_in_one_pass():
+    # two passes of two csv and one json invocation; a traced one is not counted
+    kinds = ["eval_csv", "eval_csv", "eval_json"] * 2
+    record = {
+        "kinds": {"eval_csv": {"n": 4, "median_s": 0.25, "failed": 0, "peak_rss_mb": 35.0},
+                  "eval_json": {"n": 2, "median_s": 0.5, "failed": 0, "peak_rss_mb": 35.2}},
+        "invocations": [{"kind": kind, "pass": i // 3, "traced": False, "wall_s": 9.0}
+                        for i, kind in enumerate(kinds)]
+                       + [{"kind": "eval_json", "pass": 1, "traced": True, "wall_s": 9.0}],
+    }
+    assert bench_pairs.wall_raw_s(record) == pytest.approx(2 * 0.25 + 1 * 0.5)

@@ -93,8 +93,8 @@ def test_extensions_are_nested_across_levels():
     u = SpectralEigenfunction(HARMONIC, b)
     v2, v3 = u.values_on_level(2, tol=1e-12), u.values_on_level(3, tol=1e-12)
     g2, g3 = build_level_graph(2), build_level_graph(3)
-    index3 = {tuple(key): j for j, key in enumerate(g3.keys.tolist())}
-    for i, key in enumerate(g2.keys.tolist()):
+    index3 = {tuple(key): j for j, key in enumerate(g3.vertices()[0].tolist())}
+    for i, key in enumerate(g2.vertices()[0].tolist()):
         j = index3[tuple(2 * n for n in key)]
         assert v3[j] == pytest.approx(v2[i], abs=1e-13)
 

@@ -155,7 +155,7 @@ def test_the_field_guard_reads_every_slot_of_every_class():
             if isinstance(obj, type) and obj.__module__ == f"sglap.{module}":
                 slots.update(f"{module}.{name}.{slot}" for slot in vars(obj).get("__slots__", ()))
     assert slots and slots <= found
-    assert {"address.EventuallyConstantWord.prefix", "address.LevelGraph.names",
+    assert {"address.EventuallyConstantWord.prefix", "address.LevelGraph.cells",
             "decimation.EigenvalueSequence._limits", "harmonic.SpectralEigenfunction.seed_values",
             "oracle.DenseSpectrum.matrix"} <= slots
 

@@ -25,7 +25,9 @@ hides a drop in any other kind.  Beside the scaled setup_s, the record
 holds each run's two raw factors of it: the median unscaled `import
 sglap.cli` time (`setup_raw_s`) and the probe's lower quartile
 (`probe_q1_s`), so that a change in set-up can be told apart from probe
-noise.
+noise.  Beside the scaled wall_s, the record holds each run's unscaled
+`wall_raw_s`: one pass's invocations of each kind times the kind's raw
+median wall time, summed, which the probe scaling does not move.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ import platform
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +80,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
                         .read_text())
     result["kind_metrics"] = kind_metrics(record)
     result["setup_metrics"] = setup_metrics(record)
+    result["wall_raw_s"] = wall_raw_s(record)
     return result
 
 
@@ -95,6 +99,16 @@ def setup_metrics(record: dict) -> dict:
     probes = sorted(record["probe_samples_s"])
     return {"setup_raw_s": statistics.median(record["setup_samples_s"]),
             "probe_q1_s": probes[len(probes) // 4]}
+
+
+def wall_raw_s(record: dict) -> float:
+    """A perfbench record's wall_s before the probe scales it: each kind's
+    invocations in one pass, counted from the untraced invocations' `pass`
+    fields, times the kind's median_s, summed over the kinds."""
+    plain = [r for r in record["invocations"] if not r["traced"]]
+    passes = len({r["pass"] for r in plain})
+    counts = Counter(r["kind"] for r in plain)
+    return sum(counts[kind] / passes * row["median_s"] for kind, row in record["kinds"].items())
 
 
 def kind_unit(name: str) -> str:
@@ -190,6 +204,9 @@ def main() -> int:
                                     *([r["kind_metrics"][name] for r in results[side]]
                                       for side in ("parent", "change")))
                       for name in results["parent"][0]["kind_metrics"]},
+            "wall_raw_s": compare({"unit": "s", "better": "lower"},
+                                  *([r["wall_raw_s"] for r in results[side]]
+                                    for side in ("parent", "change"))),
             "setup": {name: compare({"unit": "s", "better": "lower"},
                                     *([r["setup_metrics"][name] for r in results[side]]
                                       for side in ("parent", "change")))

@@ -189,8 +189,8 @@ def test_address_ranges_match_scalar_across_blocks():
 
 
 def test_level_graph_build_peak_memory():
-    # the L10 build peaks at 2.0 MB under tracemalloc (numpy 2.4); the
-    # largest arrays are the last step's cells and their index copy
+    # the L10 build peaks at 2.0 MB under tracemalloc (numpy 2.4), since it
+    # glues cells only
     tracemalloc.start()
     try:
         address._build_level_graph.__wrapped__(10)
@@ -253,7 +253,8 @@ def test_vertex_ranges_equal_slices_of_the_whole(m):
     st.just(m), *[st.one_of(st.none(), st.integers(-decimation.vertex_count(m) - 5,
                                                     decimation.vertex_count(m) + 5))] * 2)))
 def test_vertex_ranges_are_taken_as_slices(range_):
-    # V_7 is kept whole and V_8..V_10 are glued by range; both slice alike
+    # V_7 is glued from a kept V_6, deeper levels follow copies down past
+    # V_7; each takes lo and hi, None or out of range, as a slice does
     m, lo, hi = range_
     g = build_level_graph(m)
     keys, names = g.vertices()

@@ -124,7 +124,7 @@ class EigenvalueSequence:
     A plain class, not a dataclass, so that `spectrum` need not import
     dataclasses."""
 
-    __slots__ = ("m0", "lambda_m0", "plus_indices", "_values", "_limits")
+    __slots__ = ("m0", "lambda_m0", "plus_indices", "_values", "_limit")
 
     def __init__(self, m0: int, lambda_m0: float, plus_indices=frozenset()):
         if m0 < 0:
@@ -134,7 +134,7 @@ class EigenvalueSequence:
         if any(j <= m0 for j in self.plus_indices):
             raise DomainError("plus branches start at level m0 + 1")
         self.lambda_m0 = float(lambda_m0)
-        self._values, self._limits = {m0: self.lambda_m0}, {}
+        self._values, self._limit = {m0: self.lambda_m0}, None
 
     def __repr__(self) -> str:
         return (f"EigenvalueSequence(m0={self.m0!r}, lambda_m0={self.lambda_m0!r}, "
@@ -154,18 +154,17 @@ class EigenvalueSequence:
             vals[j] = lam
         return vals[j]
 
-    def limit(self, config: special.ConvergenceConfig = special.DEFAULT_CONFIG) -> float:
+    def limit(self) -> float:
         """Renormalized eigenvalue (3/2) lim 5^j lambda_j, taken from the last
-        plus level on."""
-        if config not in self._limits:
+        plus level on under the default convergence settings."""
+        if self._limit is None:
             start = max(self.plus_indices, default=self.m0)
             if start >= len(_RENORMALIZERS):
                 raise _overflow(start)
-            limit = _minus_run(start, self.value(start), start, config)[1]
-            if limit is None:
+            self._limit = _minus_run(start, self.value(start), start, special.DEFAULT_CONFIG)[1]
+            if self._limit is None:
                 raise ConvergenceError(f"renormalized eigenvalue did not settle for {self!r}")
-            self._limits[config] = limit
-        return self._limits[config]
+        return self._limit
 
 
 def sequence_from_limit(

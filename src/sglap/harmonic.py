@@ -24,7 +24,7 @@ from .address import (Frozen, LevelGraph, build_level_graph, check_letter, check
                       vertex_cells, vertex_index)
 from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_multiplicity,
                          vertex_count)
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 
 def matvec(m, v) -> tuple:
@@ -120,46 +120,6 @@ def graph_laplacian(graph: LevelGraph, values):
     return np.bincount(graph.cells.ravel(), weights=cv.ravel(), minlength=graph.size)
 
 
-def harmonic_normal_derivative(boundary_values, corner: int) -> float:
-    """Normal derivative of a harmonic function at q_corner.
-
-    For harmonic h the renormalized limit (5/3)^M (2u(q_i) - two neighbor
-    values) is constant in M, so the level-0 expression is already exact.
-    """
-    b = [float(x) for x in boundary_values]
-    if len(b) != 3:
-        raise DomainError(f"need three boundary values, got {len(b)}")
-    i = check_letter(corner)
-    return 2.0 * b[i] - b[(i + 1) % 3] - b[(i + 2) % 3]
-
-
-def normal_derivative_limit(value_at, corner: int, levels: int = 20):
-    """Renormalized boundary difference quotient of an arbitrary function.
-
-    `value_at(word, letter)` must return the value at F_word(q_letter).
-    Returns the level-`levels` estimate
-        (5/3)^M (2 f(q_i) - f(F_i^M q_{i+1}) - f(F_i^M q_{i+2}))
-    and the gap to the previous estimate as an error proxy.  Raises if the
-    estimates start moving apart instead of settling.
-    """
-    i = check_letter(corner)
-    if levels < 2:
-        raise DomainError(f"need at least 2 refinement levels, got {levels}")
-    base = 2.0 * value_at((), i)
-    estimates = []
-    for m in range(max(2, levels - 2), levels + 1):
-        word = (i,) * m
-        est = (5.0 / 3.0) ** m * (base - value_at(word, (i + 1) % 3) - value_at(word, (i + 2) % 3))
-        estimates.append(est)
-    gaps = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
-    scale = max(1.0, abs(estimates[-1]))
-    if len(gaps) >= 2 and gaps[-1] > gaps[-2] and gaps[-1] > 1e-9 * scale:
-        raise ConvergenceError(
-            f"normal-derivative estimates diverge at corner {i}: gaps {gaps[-2:]}"
-        )
-    return estimates[-1], gaps[-1]
-
-
 @lru_cache(maxsize=4096)
 def eigen_matrices(lam: float) -> tuple:
     """The three lambda-deformed extension matrices, one per letter.  Pass a
@@ -230,13 +190,6 @@ class SpectralEigenfunction(Frozen):
 
     def values_on_level(self, m: int, tol: float = 1e-9):
         return cell_values_to_vertex(build_level_graph(m), self.cell_values(m), tol=tol)
-
-    def value_at(self, word, letter) -> float:
-        """Value at the single vertex F_word(q_letter): corner `letter` of
-        the cell word + (letter, ..., letter) down to the seed level, since
-        F_letter fixes q_letter."""
-        word, letter = check_word(word), check_letter(letter)
-        return self.cell_triple(word + (letter,) * (self.m0 - len(word)))[letter]
 
     def cell_triple(self, word) -> tuple:
         """Values at the three corners of a cell no coarser than the seed.

@@ -11,7 +11,8 @@ where M0 collapses the entire tail of deformed extensions below level k into
 one matrix, and S_t is the corner swap moving the tail letter t to 0.  All
 coefficients reduce to the tail products tau_k, so nothing here iterates to
 convergence except the eigenvalue itself.  The 3x3 products run on Python
-floats, so a tangent does not load numpy.
+floats, so a tangent does not load numpy.  The normal derivative at a corner
+is the tangent's: with t = T_{:i} u, d_n u(q_i) = 2 t_i - t_{i+1} - t_{i+2}.
 """
 from __future__ import annotations
 
@@ -19,11 +20,11 @@ import sys
 from typing import NamedTuple
 
 from . import special
-from .address import EventuallyConstantWord, check_letter
+from .address import EventuallyConstantWord
 from .decimation import EigenvalueSequence
 from .errors import DomainError
-from .harmonic import (IDENTITY, SpectralEigenfunction, conjugate, harmonic_normal_derivative,
-                       harmonic_pullback, matmul, matvec, normal_derivative_limit)
+from .harmonic import (IDENTITY, SpectralEigenfunction, conjugate, harmonic_pullback, matmul,
+                       matvec)
 
 
 class TangentTriple(NamedTuple):
@@ -96,24 +97,3 @@ def tangent_at(u: SpectralEigenfunction, w, cut=None) -> TangentTriple:
     to_tangent = matmul(harmonic_pullback(word), tail_matrix)
     return TangentTriple(*matvec(to_tangent, u.cell_triple(word)))
 
-
-def normal_derivative(u: SpectralEigenfunction, i: int) -> float:
-    """Normal derivative of u at the corner q_i.
-
-    Non-Dirichlet eigenfunctions (m0 = 0) use the closed form
-    ((4 - lambda_0) u(q_i) - 2 u(q_{i+1}) - 2 u(q_{i+2})) * 2 lambda tau_0 /
-    (3 lambda_0), where tau_0 is Upsilon(lambda) evaluated along the
-    sequence.  Harmonic u reduces to the exact level-0 difference; Dirichlet
-    u (m0 >= 1) falls back to the renormalized limit.
-    """
-    i = check_letter(i)
-    if u.m0 == 0:
-        b = u.cell_triple(())
-        if u.sequence.lambda_m0 == 0.0:
-            return harmonic_normal_derivative(b, i)
-        lam0 = u.sequence.value(0)
-        lam = u.sequence.limit()
-        factor = 2.0 * lam * special.tau(0, u.sequence) / (3.0 * lam0)
-        return ((4.0 - lam0) * b[i] - 2.0 * b[(i + 1) % 3] - 2.0 * b[(i + 2) % 3]) * factor
-    est, _ = normal_derivative_limit(u.value_at, i, levels=20)
-    return est

@@ -1,8 +1,8 @@
 """Shared pytest wiring: the acceptance report block, and the references
 that only the tests use: the one-letter extension helpers, the closed-form
-tangent as it ran on numpy, the scalar addressing, the psi_m approximant, a
-one-point run of a special grid kernel, and the oracles' spectrum pairing
-and unit-interval model."""
+tangent as it ran on numpy, the renormalized normal-derivative limit, the
+scalar addressing, the psi_m approximant, a one-point run of a special grid
+kernel, and the oracles' spectrum pairing and unit-interval model."""
 import cmath
 import math
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, build_level_graph,
                            check_letter, check_word)
-from sglap.errors import DomainError
+from sglap.errors import ConvergenceError, DomainError
 from sglap.harmonic import HARMONIC_INVERSES, eigen_matrices, matvec
 from sglap.special import DEFAULT_CONFIG
 from sglap.tangent import m0_matrix
@@ -77,6 +77,51 @@ def numpy_tangent(u, w) -> np.ndarray:
     for t in range(u.m0 + 1, k + 1):
         triple = np.array(eigen_matrices(u.sequence.value(t)))[word[t - 1]] @ triple
     return pullback @ tail_matrix @ triple
+
+
+# --- normal derivatives ----------------------------------------------------
+
+def harmonic_normal_derivative(b, i) -> float:
+    """2 b_i - b_{i+1} - b_{i+2}: the normal derivative at q_i of the
+    harmonic function with boundary triple b.  Of a tangent t = T_{:i} u it
+    is the normal derivative of u at q_i."""
+    i = check_letter(i)
+    return 2.0 * b[i] - b[(i + 1) % 3] - b[(i + 2) % 3]
+
+
+def value_at(u, word, letter) -> float:
+    """Value of the eigenfunction u at the single vertex F_word(q_letter):
+    corner `letter` of the cell word + (letter, ..., letter) down to the seed
+    level, since F_letter fixes q_letter."""
+    word, letter = check_word(word), check_letter(letter)
+    return u.cell_triple(word + (letter,) * (u.m0 - len(word)))[letter]
+
+
+def normal_derivative_limit(value_at, corner: int, levels: int = 20):
+    """Renormalized boundary difference quotient of an arbitrary function.
+
+    `value_at(word, letter)` must return the value at F_word(q_letter).
+    Returns the level-`levels` estimate
+        (5/3)^M (2 f(q_i) - f(F_i^M q_{i+1}) - f(F_i^M q_{i+2}))
+    and the gap to the previous estimate as an error proxy.  Raises if the
+    estimates start moving apart instead of settling.
+    """
+    i = check_letter(corner)
+    if levels < 2:
+        raise DomainError(f"need at least 2 refinement levels, got {levels}")
+    base = 2.0 * value_at((), i)
+    estimates = []
+    for m in range(max(2, levels - 2), levels + 1):
+        word = (i,) * m
+        est = (5.0 / 3.0) ** m * (base - value_at(word, (i + 1) % 3) - value_at(word, (i + 2) % 3))
+        estimates.append(est)
+    gaps = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
+    scale = max(1.0, abs(estimates[-1]))
+    if len(gaps) >= 2 and gaps[-1] > gaps[-2] and gaps[-1] > 1e-9 * scale:
+        raise ConvergenceError(
+            f"normal-derivative estimates diverge at corner {i}: gaps {gaps[-2:]}"
+        )
+    return estimates[-1], gaps[-1]
 
 
 # --- scalar addressing -----------------------------------------------------

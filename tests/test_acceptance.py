@@ -9,21 +9,22 @@ import cmath
 import subprocess
 import sys
 import time
+from functools import partial
 
 import mpmath as mp
 import numpy as np
 
 from conftest import (acceptance_log, eigen_matrix, extend_harmonic, harmonic_matrix,
-                      interval_tangent, one_point, sorted_pairing_gap)
+                      harmonic_normal_derivative, interval_tangent, normal_derivative_limit,
+                      one_point, sorted_pairing_gap, value_at)
 
 from sglap.address import build_level_graph
 from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
                                sequence_from_limit)
-from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, eigen_residual,
-                            normal_derivative_limit)
+from sglap.harmonic import SpectralEigenfunction, dirichlet_eigenfunction, eigen_residual
 from sglap.oracle import dense_dirichlet_spectrum, direct_tangent_limit
 from sglap.special import psi_limit_array, tau, upsilon_with_error_array
-from sglap.tangent import m0_matrix, normal_derivative, tangent_at
+from sglap.tangent import m0_matrix, tangent_at
 
 
 def _report(num, ok, detail):
@@ -206,8 +207,10 @@ def test_criterion_07_normal_derivative_corollary():
         for b in triples:
             u = SpectralEigenfunction(seq, np.array(b))
             for i in range(3):
-                est, _ = normal_derivative_limit(u.value_at, i, levels=20)
-                worst = max(worst, abs(normal_derivative(u, i) - est))
+                # the closed form is the tangent's: 2 t_i - t_{i+1} - t_{i+2} of t = T_{:i} u
+                closed = harmonic_normal_derivative(tangent_at(u, f":{i}"), i)
+                est, _ = normal_derivative_limit(partial(value_at, u), i, levels=20)
+                worst = max(worst, abs(closed - est))
     _report(
         7,
         worst < 1e-6,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import eigen_matrix, harmonic_matrix, resolve_addresses, vertex_key, word_index
+from conftest import (eigen_matrix, harmonic_matrix, resolve_addresses, value_at, vertex_key,
+                      word_index)
 
 from sglap import address, decimation
 from sglap.address import build_level_graph
@@ -216,7 +217,7 @@ def test_junction_values_agree_from_both_addresses():
     u = dirichlet_eigenfunction("five", 2, 1, plus_indices={3})
     key = vertex_key((0, 1, 2), 1, 3)
     (w1, l1), (w2, l2) = resolve_addresses(key, 3)
-    assert u.value_at(w1, l1) == pytest.approx(u.value_at(w2, l2), abs=1e-12)
+    assert value_at(u, w1, l1) == pytest.approx(value_at(u, w2, l2), abs=1e-12)
 
 
 def test_values_on_level_shape_and_boundary():
@@ -268,7 +269,8 @@ def test_single_walk_matches_bulk_values(case):
     g = build_level_graph(m)
     vals = u.values_on_level(m)
     atol = 1e-12 * max(1.0, float(np.abs(vals).max()))
-    assert u.value_at(word, letter) == pytest.approx(vals[graph_index(g, word, letter)], abs=atol)
+    assert value_at(u, word, letter) == pytest.approx(vals[graph_index(g, word, letter)],
+                                                      abs=atol)
     if len(word) >= u.m0:
         expect = [vals[graph_index(g, word, c)] for c in range(3)]
         assert np.allclose(u.cell_triple(word), expect, rtol=0.0, atol=atol)
@@ -427,6 +429,14 @@ class ReferenceSequence:
         raise ConvergenceError(f"renormalized eigenvalue did not settle for {self.seq!r}")
 
 
+def limit_under(seq, config):
+    """seq.limit() with `config` as the package's default convergence
+    settings, which limit() reads when its cache is empty."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decimation.special, "DEFAULT_CONFIG", config)
+        return seq.limit()
+
+
 def outcome(fn, *args):
     """The value's repr (equal NaNs compare equal, and 0.0 differs from -0.0),
     or the exception's class and message."""
@@ -472,10 +482,10 @@ def test_eigenvalue_sequence_matches_the_reference_recursion(rows, depth, config
         # values and limits: a float's repr, or the failure's class and message
         seq = EigenvalueSequence(m0, seed, plus)
         assert outcome(seq.value, level) == expected_value
-        assert outcome(seq.limit, config) == expected_limit
+        assert outcome(limit_under, seq, config) == expected_limit
         # asked for levels out of order, the limit first
         seq = EigenvalueSequence(m0, seed, plus)
-        assert outcome(seq.limit, config) == expected_limit
+        assert outcome(limit_under, seq, config) == expected_limit
         assert outcome(seq.value, level) == expected_value
         assert outcome(seq.value, max(m0, level - 3)) == outcome(
             ReferenceSequence(m0, seed, plus).value, max(m0, level - 3))
@@ -492,7 +502,7 @@ def test_eigenvalue_sequence_reports_each_failure_kind():
              EigenvalueSequence(1, 2.0, range(2, 445)), EigenvalueSequence(1, 7.0),
              EigenvalueSequence(3, 2.0)]
     values = [outcome(seq.value, 3) for seq in cases]
-    limits = [outcome(seq.limit, config) for seq in cases]
+    limits = [outcome(limit_under, seq, config) for seq in cases]
     assert values[0][0] is SingularLevelError  # minus root of 6 is 2
     assert values[1] == repr(EigenvalueSequence(1, 6.0, {2}).value(3))
     assert limits[2] == (DomainError, "renormalized eigenvalue overflows at level 444")

@@ -1,10 +1,12 @@
-"""Harmonic extension: the 1/5-2/5 matrices, pullbacks, normal derivatives."""
+"""Harmonic extension: the 1/5-2/5 matrices, pullbacks, and the normal-derivative
+limit that the tests keep as a reference."""
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import CORNER_SWAPS, HARMONIC_MATRICES, extend_harmonic, harmonic_matrix
+from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, extend_harmonic, harmonic_matrix,
+                      harmonic_normal_derivative, normal_derivative_limit)
 
 from sglap import harmonic
 from sglap.address import build_level_graph
@@ -16,9 +18,7 @@ from sglap.harmonic import (
     eigen_matrices,
     extend_level,
     graph_laplacian,
-    harmonic_normal_derivative,
     harmonic_pullback,
-    normal_derivative_limit,
 )
 
 triples = st.tuples(*[st.floats(-5, 5, allow_nan=False) for _ in range(3)])

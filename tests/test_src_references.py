@@ -24,10 +24,7 @@ import sglap
 
 SRC = pathlib.Path(sglap.__file__).parent
 
-UNREFERENCED = {
-    "tangent.normal_derivative": "the paper's closed-form normal derivative; its runtime "
-                                 "caller is the planned `sglap normal` subcommand",
-}
+UNREFERENCED = {}
 
 UNREAD_FIELDS = {}
 
@@ -156,7 +153,7 @@ def test_the_field_guard_reads_every_slot_of_every_class():
                 slots.update(f"{module}.{name}.{slot}" for slot in vars(obj).get("__slots__", ()))
     assert slots and slots <= found
     assert {"address.EventuallyConstantWord.prefix", "address.LevelGraph.cells",
-            "decimation.EigenvalueSequence._limits", "harmonic.SpectralEigenfunction.seed_values",
+            "decimation.EigenvalueSequence._limit", "harmonic.SpectralEigenfunction.seed_values",
             "oracle.DenseSpectrum.matrix"} <= slots
 
 
@@ -175,12 +172,7 @@ REACH_INVOCATIONS = [
     ["special", "--fn", "upsilon", "--range", "0:3:4", "--format", "json"],
 ]
 
-UNRUN = {
-    "tangent.normal_derivative": "no subcommand prints normal derivatives yet",
-    "harmonic.normal_derivative_limit": "called by tangent.normal_derivative only",
-    "harmonic.harmonic_normal_derivative": "called by tangent.normal_derivative only",
-    "harmonic.SpectralEigenfunction.value_at": "called by tangent.normal_derivative only",
-}
+UNRUN = {}
 
 # run in a fresh process, so that no cache an earlier test filled hides a call
 _REACH_SCRIPT = """if True:

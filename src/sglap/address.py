@@ -16,7 +16,9 @@ The level-m graph is the union of its three images F_j V_{m-1}, glued at
 the level-1 junctions, so its cells are built one level at a time from V_0:
 each vertex's canonical address is its copy's letter prepended to the
 address it had one level up, and the canonical vertex order falls out of
-the gluing.  A deep level's keys and addresses are glued a block at a time.
+the gluing.  A deep level's keys and addresses are glued a block at a time,
+and its cells can be taken one subtree at a time (SubtreeWalk), without the
+level's graph.
 """
 from __future__ import annotations
 
@@ -133,21 +135,17 @@ class EventuallyConstantWord(Frozen):
         return format_address(self.prefix, self.tail)
 
 
-class LevelGraph(Frozen):
-    """The graph on V_m as its cells: cells[c, i] is the vertex F_w(q_i) for
-    the word w of length m whose base-3 digits spell c.  Every edge lies in
-    exactly one m-cell, so the cell triples are the whole graph;
-    vertex_index looks up one vertex without them.  Vertices are in
-    canonical address order (the three boundary corners are always 0, 1, 2,
-    everything after them is interior); vertices(lo, hi) glues the exact
-    keys and the text of the canonical addresses of a range of them:
+class _Level(Frozen):
+    """V_level's vertices, in canonical address order (the three boundary
+    corners are always 0, 1, 2, everything after them is interior);
+    vertices(lo, hi) glues the exact keys and the text of the canonical
+    addresses of a range of them:
 
-        cells  (3**level, 3) int32
         keys   (hi - lo, 3) int64 numerators, denominator 2**level
         names  (hi - lo, level + 2) uint8 ASCII of format_address, NUL-padded
     """
 
-    __slots__ = ("level", "cells")
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -158,6 +156,52 @@ class LevelGraph(Frozen):
         order; lo and hi are taken as a slice takes them."""
         lo, hi, _ = slice(lo, hi).indices(self.size)
         return _glue_range(self.level, lo, max(lo, hi))
+
+
+class LevelGraph(_Level):
+    """The graph on V_m as its cells: cells[c, i] is the vertex F_w(q_i) for
+    the word w of length m whose base-3 digits spell c.  Every edge lies in
+    exactly one m-cell, so the cell triples are the whole graph;
+    vertex_index looks up one vertex without them.
+
+        cells  (3**level, 3) int32
+    """
+
+    __slots__ = ("level", "cells")
+
+
+class SubtreeWalk(_Level):
+    """V_level as its 3**depth subtrees F_w V_{level-depth}, one per
+    depth-cell w in cell order, which meet only at the vertices of V_depth.
+    The vertices a subtree adds beyond its three corners lie in it alone and
+    take one contiguous range of V_level, in V_{level-depth}'s order, so
+    that the level's cells, and anything summed over them, can be taken one
+    subtree at a time without the level's graph:
+
+        top     the LevelGraph of V_depth, one cell per subtree
+        local   the LevelGraph of V_{level-depth}, every subtree's shape
+        layout  (3**depth, 4) int64: the positions in V_level of F_w(q_0),
+                F_w(q_1), F_w(q_2) and of the first vertex subtree w adds
+    """
+
+    __slots__ = ("level", "top", "local", "layout")
+
+    def positions(self):
+        """Each subtree's V_level positions of the vertices of
+        V_{level-depth}, in its order, one subtree at a time."""
+        import numpy as np
+
+        added = np.arange(-3, self.local.size - 3)
+        for row in self.layout.tolist():
+            out = added + row[3]
+            out[:3] = row[:3]
+            yield out
+
+    def faces(self):
+        """The level's cells, LevelGraph.cells in its order, one subtree's
+        3**(level - depth) rows at a time."""
+        for positions in self.positions():
+            yield positions[self.local.cells]
 
 
 def addresses(names) -> list:
@@ -218,7 +262,7 @@ def vertex_cells(v: int, level: int) -> list:
     return [(word, v)]
 
 
-_BLOCK_ROWS = 1 << 12  # cli.BLOCK_ROWS: a level this small is kept whole
+_BLOCK_ROWS = 1 << 10  # cli.BLOCK_ROWS: a level this small is kept whole
 
 
 @lru_cache(maxsize=None)
@@ -293,3 +337,32 @@ def _build_level_graph(m: int) -> LevelGraph:
 
 def build_level_graph(m: int) -> LevelGraph:
     return _build_level_graph(check_level(m))
+
+
+# The levels a subtree of subtree_walk spans.  Fewer take more Python steps,
+# more hold more triples: values_on_level(12) took 72, 38 and 35 ms at 6, 7
+# and 9 levels and peaked at 6.6, 6.7 and 8.3 MB traced, 6.4 MB of it the
+# vertex values (2-CPU host, numpy 2.4).
+SUBTREE_LEVELS = 7
+
+
+@lru_cache(maxsize=None)
+def _subtree_walk(m: int, depth: int) -> SubtreeWalk:
+    import numpy as np
+
+    # a subtree of V_{m-depth} is its corners and the vertices after them;
+    # glued into V_k, copy j + w of a subtree is F_j of subtree w, as in
+    # _build_level_graph
+    layout = np.array([[0, 1, 2, 3]], dtype=np.int64)
+    for k in range(m - depth + 1, m + 1):
+        corners, first = _glue(vertex_count(k - 1) - 3)
+        layout = np.where(layout < 3, np.array(corners)[:, np.minimum(layout, 2)],
+                          layout + np.array(first)[:, None, None] - 3).reshape(-1, 4)
+    layout.setflags(write=False)
+    return SubtreeWalk(m, build_level_graph(depth), build_level_graph(m - depth), layout)
+
+
+def subtree_walk(m: int) -> SubtreeWalk:
+    """V_m's walk by subtrees of SUBTREE_LEVELS levels (one subtree below
+    level SUBTREE_LEVELS)."""
+    return _subtree_walk(check_level(m), max(0, m - SUBTREE_LEVELS))

@@ -33,7 +33,7 @@ EVAL_TOL = 1e-9
 TANGENT_TOL = 1e-7
 
 
-BLOCK_ROWS = 1 << 12  # rows per output block
+BLOCK_ROWS = 1 << 10  # rows per output block
 
 
 def _row_ranges(n: int):
@@ -291,9 +291,10 @@ def _lattice_reprs(level: int):
             np.array([repr(y) for y in lines[:2 ** level + 1, 1].tolist()], dtype=object))
 
 
-def _eval_blocks(args, graph, values):
+def _eval_blocks(args, walk, values):
     """The eval output as text blocks: a header, then BLOCK_ROWS rows at a
-    time, so that no more than one block of rows is ever held as text.
+    time, so that no more than one block of rows is ever held as text; the
+    obj faces follow one subtree of the SubtreeWalk at a time.
 
     The bytes equal what csv.writer and json.dumps(indent=2) give for these
     rows (addresses need no quoting or escaping, and finite floats print as
@@ -309,8 +310,8 @@ def _eval_blocks(args, graph, values):
         yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
         yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
-    for lo, hi in _row_ranges(graph.size):
-        keys, names = graph.vertices(lo, hi)
+    for lo, hi in _row_ranges(walk.size):
+        keys, names = walk.vertices(lo, hi)
         _, n1, n2 = keys.T
         x, y = x_table[2 * n1 + n2].tolist(), y_table[n2].tolist()
         v = _reprs(values[lo:hi])
@@ -325,8 +326,8 @@ def _eval_blocks(args, graph, values):
                  f'    "y": {b},\n    "value": {c}\n  }}'
                  for s, a, b, c in zip(addresses(names), x, y, v)])
     if fmt == "obj":
-        for lo, hi in _row_ranges(len(graph.cells)):
-            yield ("f %d %d %d\n" * (hi - lo)) % tuple((graph.cells[lo:hi] + 1).ravel().tolist())
+        for faces in walk.faces():
+            yield ("f %d %d %d\n" * len(faces)) % tuple((faces + 1).ravel().tolist())
     elif fmt == "json":
         yield "\n]\n"
 
@@ -357,24 +358,24 @@ def _reingest(fmt: str, blocks, parsed: list):
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .address import build_level_graph
+    from .address import subtree_walk
     from .harmonic import eigen_residual
 
     u = parse_seed(args.seed)
-    graph = build_level_graph(args.level)
-    values = u.values_on_level(args.level)
+    # the walk that values_on_level refined by gives the faces and the residual
+    values, walk = u.values_on_level(args.level), subtree_walk(args.level)
     if not np.isfinite(values).all():
         raise SglapError(f"seed {args.seed!r} gives non-finite values on V_{args.level}")
-    blocks = _eval_blocks(args, graph, values)
+    blocks = _eval_blocks(args, walk, values)
     if not args.verify:
         _emit(args, blocks)
         return 0
     parsed = []
     _emit(args, _reingest(args.format, blocks, parsed))
     back = np.concatenate(parsed)
-    if back.size != graph.size:
-        raise SglapError(f"re-ingested {back.size} values, expected {graph.size}")
-    residual = eigen_residual(graph, back, u.sequence.value(args.level))
+    if back.size != walk.size:
+        raise SglapError(f"re-ingested {back.size} values, expected {walk.size}")
+    residual = eigen_residual(walk, back, u.sequence.value(args.level))
     if not residual < args.verify_tol:
         print(f"verification failed: round-trip residual {residual:.3e} "
               f">= {args.verify_tol:.3e}", file=sys.stderr)

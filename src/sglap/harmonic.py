@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .address import (Frozen, LevelGraph, build_level_graph, check_letter, check_word,
-                      vertex_cells, vertex_index)
+from .address import (Frozen, LevelGraph, SubtreeWalk, build_level_graph, check_letter,
+                      check_word, subtree_walk, vertex_cells, vertex_index)
 from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_multiplicity,
                          vertex_count)
 from .errors import DomainError
@@ -71,37 +71,37 @@ def harmonic_pullback(word) -> tuple:
 
 
 def extend_level(cell_values, mats):
-    """One refinement step: child cell 3*c + letter gets mats[letter] @ cell c."""
+    """One refinement step: child cell 3*c + letter gets mats[letter] @ cell c,
+    each entry summed as matvec sums it, not by a BLAS product, whose
+    rounding depends on how many rows it is given: so a cell's children take
+    the same bits however many cells are refined with it."""
     import numpy as np
 
-    values = np.ascontiguousarray(cell_values, dtype=float).reshape(-1, 3)
+    values = np.asarray(cell_values, dtype=float).reshape(-1, 1, 1, 3)
     mats = np.asarray(mats, dtype=float)
-    out = np.empty((3 * values.shape[0], 3))
-    for letter in range(3):
-        out[letter::3] = values @ mats[letter].T
-    return out
+    out = np.zeros((len(values), 3, 3))
+    for k in range(3):
+        out += values[..., k] * mats[..., k]
+    return out.reshape(-1, 3)
 
 
-def cell_values_to_vertex(graph: LevelGraph, cell_values, tol: float = 1e-9):
-    """Collapse per-cell triples to one value per vertex.
+def cell_values_to_vertex(graph: LevelGraph, cell_values) -> tuple:
+    """Collapse per-cell triples to one value per vertex: (values, gap, scale).
 
-    Junction vertices appear in two cells; their copies must agree to `tol`
-    (relative to the value scale) or the triples do not describe a function.
-    """
+    The three corners lie in one cell each and every other vertex in two, so
+    a vertex's value is its one copy or the mean of its two.  gap is the
+    largest distance of a copy from its vertex's value and scale is
+    max(1, max |copy|): the triples describe a function when the gap is
+    within a tolerance relative to the scale, which the caller checks."""
     import numpy as np
 
     cv = np.asarray(cell_values, dtype=float)
     if cv.shape != graph.cells.shape:
         raise DomainError(f"expected cell array of shape {graph.cells.shape}, got {cv.shape}")
     out = np.bincount(graph.cells.reshape(-1), weights=cv.reshape(-1), minlength=graph.size)
-    # the three corners lie in one cell each, every other vertex in two
     out[3:] /= 2.0
-    scale = max(1.0, float(np.max(np.abs(cv))))
-    # one corner column at a time, so that the gaps take a third of cv's memory
-    dev = float(np.max([np.abs(cv[:, i] - out[graph.cells[:, i]]).max() for i in range(3)]))
-    if dev > tol * scale:
-        raise DomainError(f"cell triples disagree at a junction by {dev:.3e}")
-    return out
+    gap = float(np.abs(cv - out[graph.cells]).max())
+    return out, gap, max(1.0, float(cv.max()), float(-cv.min()))
 
 
 def graph_laplacian(graph: LevelGraph, values):
@@ -135,14 +135,29 @@ def eigen_matrices(lam: float) -> tuple:
     return tuple([conjugate(a0, i) for i in range(3)])
 
 
-def eigen_residual(graph: LevelGraph, values, lam_level: float) -> float:
+def eigen_residual(walk: SubtreeWalk, values, lam_level: float) -> float:
     """Max interior defect of the level eigen-equation, relative to the sup
-    norm; 0.0 on V_0, which has no interior vertex."""
+    norm; 0.0 on V_0, which has no interior vertex.
+
+    The Laplacian is summed one subtree at a time: every edge at a vertex
+    that a subtree adds lies in that subtree, and a vertex of V_depth adds
+    up its subtrees' sums in cell order, as one sum over the level's cells
+    adds up its cells', so the residual takes the same bits."""
     import numpy as np
 
-    r = graph_laplacian(graph, values) + float(lam_level) * np.asarray(values, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    return float(np.max(np.abs(r[3:]), initial=0.0)) / scale
+    values = np.asarray(values, dtype=float)
+    if values.shape != (walk.size,):
+        raise DomainError(f"expected {walk.size} vertex values, got shape {values.shape}")
+    lam, top = float(lam_level), walk.top.cells
+    sums, worst = np.zeros(walk.top.size), [0.0]
+    for cell, positions in zip(top, walk.positions()):
+        v = values[positions]
+        lap = graph_laplacian(walk.local, v)
+        sums[cell] += lap[:3]
+        worst.append(float(np.max(np.abs(lap[3:] + lam * v[3:]), initial=0.0)))
+    r = sums[top] + lam * values[walk.layout[:, :3]]
+    worst.append(float(np.max(np.abs(r[top >= 3]), initial=0.0)))
+    return float(np.max(worst)) / max(1.0, float(values.max()), float(-values.min()))
 
 
 class SpectralEigenfunction(Frozen):
@@ -189,7 +204,46 @@ class SpectralEigenfunction(Frozen):
         return values
 
     def values_on_level(self, m: int, tol: float = 1e-9):
-        return cell_values_to_vertex(build_level_graph(m), self.cell_values(m), tol=tol)
+        """Vertex values on V_m, refined one subtree of subtree_walk(m) at a
+        time.  The cells are refined whole only to level r = max(m0, depth);
+        each subtree, in cell order, refines its r-cells on to level m,
+        collapses them and writes the vertices it adds.  The V_depth values
+        and the junction check between subtrees come from the subtrees'
+        corner triples, which refinement keeps.  The gap and the scale are
+        gathered over every subtree and checked once, as one collapse of the
+        level checks them: copies that differ by more than tol relative to
+        the scale raise DomainError.  A value past the float range makes the
+        gap NaN and the values non-finite, for the caller to reject."""
+        import numpy as np
+
+        if m < self.m0:
+            raise DomainError(f"level {m} below seed level {self.m0}")
+        walk = subtree_walk(m)
+        depth = walk.top.level
+        r = max(self.m0, depth)
+        values, n = np.empty(walk.size), walk.local.size - 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells, span = self.cell_values(r), 3 ** (r - depth)  # r-cells per subtree
+            mats = [np.array(eigen_matrices(self.sequence.value(j))) for j in range(r + 1, m + 1)]
+            # corner i of subtree c is corner i of its r-cell c i...i, the row
+            # c * span + i * (span - 1) / 2
+            i = np.arange(3)
+            out, gap, scale = cell_values_to_vertex(
+                walk.top, cells[np.arange(0, len(cells), span)[:, None] + i * (span // 2), i])
+            values[walk.layout[:, :3]] = out[walk.top.cells]
+            gaps, scales = [gap], [scale]
+            for lo, start in zip(range(0, len(cells), span), walk.layout[:, 3].tolist()):
+                cv = cells[lo:lo + span]
+                for mat in mats:
+                    cv = extend_level(cv, mat)
+                out, gap, scale = cell_values_to_vertex(walk.local, cv)
+                values[start:start + n] = out[3:]
+                gaps.append(gap)
+                scales.append(scale)
+        gap, scale = float(np.max(gaps)), max(scales)  # a NaN gap stays NaN
+        if gap > tol * scale:
+            raise DomainError(f"cell triples disagree at a junction by {gap:.3e}")
+        return values
 
     def cell_triple(self, word) -> tuple:
         """Values at the three corners of a cell no coarser than the seed.

@@ -1,17 +1,20 @@
 """Shared pytest wiring: the acceptance report block, and the references
 that only the tests use: the one-letter extension helpers, the closed-form
 tangent as it ran on numpy, the renormalized normal-derivative limit, the
-scalar addressing, the psi_m approximant, a one-point run of a special grid
-kernel, and the oracles' spectrum pairing and unit-interval model."""
+whole-level residual and per-cell vertex values, the scalar addressing, the
+psi_m approximant, a one-point run of a special grid kernel, and the
+oracles' spectrum pairing and unit-interval model."""
 import cmath
+import itertools
 import math
 
 import numpy as np
 
 from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, build_level_graph,
-                           check_letter, check_word)
+                           check_letter, check_word, vertex_cells)
+from sglap.decimation import vertex_count
 from sglap.errors import ConvergenceError, DomainError
-from sglap.harmonic import HARMONIC_INVERSES, eigen_matrices, matvec
+from sglap.harmonic import HARMONIC_INVERSES, eigen_matrices, graph_laplacian, matvec
 from sglap.special import DEFAULT_CONFIG
 from sglap.tangent import m0_matrix
 
@@ -122,6 +125,29 @@ def normal_derivative_limit(value_at, corner: int, levels: int = 20):
             f"normal-derivative estimates diverge at corner {i}: gaps {gaps[-2:]}"
         )
     return estimates[-1], gaps[-1]
+
+
+# --- whole-level references ------------------------------------------------
+
+def whole_level_residual(graph, values, lam_level: float) -> float:
+    """harmonic.eigen_residual as it ran on the whole level graph: the max
+    interior defect of the eigen-equation relative to the sup norm."""
+    r = graph_laplacian(graph, values) + float(lam_level) * np.asarray(values, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    return float(np.max(np.abs(r[3:]), initial=0.0)) / scale
+
+
+def vertex_value_walks(u, m: int) -> np.ndarray:
+    """u on V_m from one cell_triple walk per m-cell: a vertex's value is
+    (0 + its copies, in cell order) / 2, a corner's 0 + its one copy."""
+    triples = {word: u.cell_triple(word) for word in itertools.product((0, 1, 2), repeat=m)}
+    out = []
+    for v in range(vertex_count(m)):
+        total = 0.0
+        for word, corner in vertex_cells(v, m):
+            total += triples[word][corner]
+        out.append(total if v < 3 else total / 2)
+    return np.array(out)
 
 
 # --- scalar addressing -----------------------------------------------------

@@ -18,7 +18,7 @@ from conftest import (acceptance_log, eigen_matrix, extend_harmonic, harmonic_ma
                       harmonic_normal_derivative, interval_tangent, normal_derivative_limit,
                       one_point, sorted_pairing_gap, value_at)
 
-from sglap.address import build_level_graph
+from sglap.address import subtree_walk
 from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
                                sequence_from_limit)
 from sglap.harmonic import SpectralEigenfunction, dirichlet_eigenfunction, eigen_residual
@@ -84,7 +84,7 @@ def test_criterion_03_eigen_equation_residuals():
     slowest = 0.0
     for u in funcs:
         t0 = time.perf_counter()
-        worst = max(worst, max(eigen_residual(build_level_graph(m), u.values_on_level(m),
+        worst = max(worst, max(eigen_residual(subtree_walk(m), u.values_on_level(m),
                                               u.sequence.value(m)) for m in range(u.m0, 9)))
         slowest = max(slowest, time.perf_counter() - t0)
     _report(

@@ -21,12 +21,13 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import resolve_addresses
+from conftest import resolve_addresses, vertex_value_walks, whole_level_residual
 
-from sglap import address, cli
-from sglap.address import addresses, build_level_graph, format_address, key_coords
+from sglap import address, cli, harmonic
+from sglap.address import (addresses, build_level_graph, format_address, key_coords,
+                           subtree_walk)
 from sglap.decimation import enumerate_dirichlet_spectrum, max_level
-from sglap.harmonic import SpectralEigenfunction
+from sglap.harmonic import SpectralEigenfunction, eigen_residual
 from sglap.errors import DomainError, LevelCapError, SglapError, UsageError
 
 
@@ -281,11 +282,14 @@ def test_seed_grammar_units():
 
 
 # sha256 of `eval --seed five:2:3:+-+ --level 7` stdout, pinned from the
-# per-vertex canonical_address implementation with csv.writer/json.dumps rows
+# per-vertex canonical_address implementation with csv.writer/json.dumps rows,
+# and re-pinned when refinement left BLAS for matvec's fixed summation order
+# (only values moved: within 2.8e-16 of a 50-digit Decimal refinement,
+# relative to max(1, max |u|))
 EVAL_GOLDEN_SHA256 = {
-    "csv": "e68e0011c0f9f9034e4c416d9339442e7f23025d8d895bf0d5e6f9f31ded07b1",
-    "json": "c98f0ee1dc8e2afcdb6e54c20cc60e4c8752b6bcb252e2a1eef20d185953f586",
-    "obj": "bcc6076028b69aac9902dca86990a2ecc64d20b10c259a412e77e41f7740078b",
+    "csv": "2ea937e73ed01cbd37d9a107bc495e021f9e4510f427f2f553671fac9fc014a1",
+    "json": "c1ae2018adde74b91de34e17b7d951e38e94b939c263e89e75e202920f665695",
+    "obj": "9d3ff0f1d1ee1d72c6c7da8729d1daba5726ce7284d35709ed7fd1d1ea800f31",
 }
 
 
@@ -299,7 +303,9 @@ def test_eval_golden_bytes(fmt, capsys):
 @pytest.mark.parametrize("block_rows", [1, 1000])
 @pytest.mark.parametrize("fmt", sorted(EVAL_GOLDEN_SHA256))
 def test_eval_golden_bytes_across_block_seams(fmt, block_rows, monkeypatch, capsys):
-    # the 3282 rows of the golden run fit in one default block
+    # the 3282 rows of the golden run take four default blocks of 1024; a
+    # block of 1 row puts a seam after every row, and 1000 rows one seam
+    # inside each default block
     monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
     code, out, _ = run(["eval", "--seed", "five:2:3:+-+", "--level", "7", "--format", fmt,
                         "--verify"], capsys)
@@ -308,11 +314,12 @@ def test_eval_golden_bytes_across_block_seams(fmt, block_rows, monkeypatch, caps
 
 
 # sha256 of `eval --seed six:3:5:+-+- --level 9` stdout, pinned from the
-# per-row repr formatting: 29526 rows, so 8 default blocks, mostly zeros
+# per-row repr formatting: 29526 rows, so 29 default blocks, mostly zeros;
+# re-pinned as above (values within 7.4e-16 of the Decimal refinement)
 EVAL_L9_GOLDEN_SHA256 = {
-    "csv": "b90190558b3fbb43586f53688114c54d1ab50aa1b4c4319d8d63958f9f4b298c",
-    "json": "0de8c7f12f0029d9f18c947e6647aa5c42e8ca030bbb9db6ef1fd1cd5294290b",
-    "obj": "cb97e5cc24b477cd30ef592f4079ceb624d4b9b3bafff5ccfeac7917fc8fbd98",
+    "csv": "f8640cec28c5d5e3959f06be2babbc5f99413373071753fdb48a0c68277952aa",
+    "json": "15afe59c9c6d68f75f1f170b56718eface0bcfa49cea4d8b8d107abeeae19029",
+    "obj": "6462c4efc92df6cf989054f27787eea457c5668f76ff1a4313f3ae0c2862349b",
 }
 
 
@@ -391,7 +398,7 @@ def test_eval_blocks_equal_per_row_repr(seed_level, fmt, block_rows):
     values = cli.parse_seed(seed).values_on_level(level)
     args = argparse.Namespace(seed=seed, level=level, format=fmt)
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
-        assert "".join(cli._eval_blocks(args, graph, values)) == \
+        assert "".join(cli._eval_blocks(args, subtree_walk(level), values)) == \
             "".join(_reference_eval_blocks(args, graph, values))
 
 
@@ -452,14 +459,118 @@ def test_eval_values_are_d3_equivariant(seed, level):
         assert gap <= D3_EVAL_TOL * scale, (p, gap / scale)
 
 
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _parse_eval_seed(seed, level):
+    try:
+        u = cli.parse_seed(seed)
+    except SglapError:
+        assume(False)  # a free: lambda that hits a singular level
+    assume(level >= u.m0)
+    return u
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_eval_seeds.map(lambda seed: seed[0]), _free_seeds), st.integers(0, 8))
+def test_eval_values_equal_the_cell_walks_bitwise(seed, level):
+    # refined one subtree at a time in matvec's order, a vertex takes the
+    # bits of the cell_triple walks of its cells, at every subtree size
+    u = _parse_eval_seed(seed, level)
+    values = u.values_on_level(level)
+    assert np.array_equal(_bits(values), _bits(vertex_value_walks(u, level)))
+    for levels in [1, 2, level, level + 3]:
+        with mock.patch.object(address, "SUBTREE_LEVELS", levels):
+            assert np.array_equal(_bits(u.values_on_level(level)), _bits(values)), levels
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_eval_seeds.map(lambda seed: seed[0]), _free_seeds), st.integers(0, 8),
+       st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_eval_residual_by_subtrees_equals_the_whole_level_bitwise(seed, level, levels, noise):
+    # what eval --verify reads back: the eigenfunction, and the same with
+    # noise, whose residual is far from 0
+    u = _parse_eval_seed(seed, level)
+    lam = u.sequence.value(level)
+    values = u.values_on_level(level)
+    noisy = values + np.random.default_rng(noise).standard_normal(values.size)
+    graph = build_level_graph(level)
+    with mock.patch.object(address, "SUBTREE_LEVELS", levels):
+        walk = subtree_walk(level)
+        for back in [values, noisy]:
+            assert eigen_residual(walk, back, lam) == whole_level_residual(graph, back, lam)
+
+
+@pytest.mark.parametrize("level", range(11))
+def test_subtree_faces_are_the_level_cells(level):
+    cells = np.concatenate(list(subtree_walk(level).faces()))
+    assert np.array_equal(cells, build_level_graph(level).cells)
+
+
+def _tampered_eval(monkeypatch, tmp_path, capsys, tamper):
+    """eval --level 6 --output with subtrees of V_5, one per 1-cell, where
+    tamper(out, count) may change the count-th 243-row (level-6) triples of
+    a subtree: exit 3, an empty stdout and no file."""
+    count = itertools.count()
+
+    def extend_level(cell_values, mats):
+        out = original(cell_values, mats)
+        if len(out) == 243:
+            tamper(out, next(count))
+        return out
+
+    original = harmonic.extend_level
+    monkeypatch.setattr(address, "SUBTREE_LEVELS", 5)
+    monkeypatch.setattr(harmonic, "extend_level", extend_level)
+    err = _assert_exit(3, ["eval", "--seed", "free:7.3:1,-2,3", "--level", "6",
+                           "--output", str(tmp_path / "out.csv")], capsys)
+    assert os.listdir(tmp_path) == []
+    return err
+
+
+def test_eval_junction_gap_inside_a_subtree_fails_before_the_first_byte(
+        monkeypatch, tmp_path, capsys):
+    # corner 1 of the second subtree's first cell is a vertex it adds
+    def tamper(out, count):
+        if count == 1:
+            out[0, 1] += 1e-3
+
+    err = _tampered_eval(monkeypatch, tmp_path, capsys, tamper)
+    assert err.startswith("error: cell triples disagree at a junction by 5.0")
+
+
+def test_eval_junction_gap_between_subtrees_fails_before_the_first_byte(
+        monkeypatch, tmp_path, capsys):
+    # corner 1 of subtree 0 is the V_1 vertex (0):1, corner 0 of subtree 1
+    def cell_values(self, m):
+        out = original(self, m)
+        out[0, 1] += 1e-3
+        return out
+
+    original = SpectralEigenfunction.cell_values
+    monkeypatch.setattr(SpectralEigenfunction, "cell_values", cell_values)
+    err = _tampered_eval(monkeypatch, tmp_path, capsys, lambda out, count: None)
+    assert err.startswith("error: cell triples disagree at a junction by 5.0")
+
+
+def test_eval_non_finite_subtree_fails_before_the_first_byte(monkeypatch, tmp_path, capsys):
+    def tamper(out, count):
+        if count == 2:
+            out[5, 2] = math.inf
+
+    err = _tampered_eval(monkeypatch, tmp_path, capsys, tamper)
+    assert err == "error: seed 'free:7.3:1,-2,3' gives non-finite values on V_6\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
 def test_eval_verify_reads_back_the_written_blocks(fmt, monkeypatch, capsys):
     # the first row is the corner q_0, where six:1:1 is 0.0; writing 1.0
     # there fails the check on the values read back, not the computed ones
     spelling = {"csv": ",{}\n", "json": '"value": {}\n', "obj": " {}\n"}[fmt]
 
-    def blocks(args, graph, values):
-        for i, block in enumerate(original(args, graph, values)):
+    def blocks(args, walk, values):
+        for i, block in enumerate(original(args, walk, values)):
             if i == 1:
                 corrupted = block.replace(spelling.format(0.0), spelling.format(1.0), 1)
                 assert corrupted != block
@@ -489,18 +600,18 @@ class _Sink:
 
 def _emission_peak(fmt, level):
     seed = "five:1:2:+-+-++"
-    graph = build_level_graph(level)
+    walk = subtree_walk(level)
     values = cli.parse_seed(seed).values_on_level(level)
     args = argparse.Namespace(seed=seed, level=level, format=fmt, output=None)
     sink = _Sink()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            cli._emit(args, cli._eval_blocks(args, graph, values))
+            cli._emit(args, cli._eval_blocks(args, walk, values))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.size > graph.size * 20
+    assert sink.size > walk.size * 20
     return peak
 
 
@@ -511,27 +622,45 @@ def test_eval_output_memory_does_not_grow_with_the_level(fmt):
 
 
 def test_eval_pipeline_peak_memory():
-    # eval --level 10 as cmd_eval runs it, from cold level caches: the graph,
-    # the values and every csv block.  It peaks at 4.3 MB under tracemalloc
-    # (numpy 2.4), and at 7.5 MB when the graph held every vertex's keys and
-    # address bytes
+    # eval --level 10 as cmd_eval runs it, from cold level caches: the
+    # subtree walk, the values and every csv block.  It peaks at 1.4 MB under
+    # tracemalloc (numpy 2.4); 4.3 MB when the level's graph and every cell
+    # triple were held, and 7.5 MB when the graph also held every vertex's
+    # keys and address bytes
     seed, level = "six:2:1:+-+", 10
     address._build_level_graph.cache_clear()
     address._whole_level.cache_clear()
+    address._subtree_walk.cache_clear()
     args = argparse.Namespace(seed=seed, level=level, format="csv")
     tracemalloc.start()
     try:
-        graph = build_level_graph(level)
-        values = cli.parse_seed(seed).values_on_level(level)
-        rows = sum(block.count("\n") for block in cli._eval_blocks(args, graph, values))
+        values, walk = cli.parse_seed(seed).values_on_level(level), subtree_walk(level)
+        rows = sum(block.count("\n") for block in cli._eval_blocks(args, walk, values))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows == graph.size + 1
-    assert peak < 5.5e6
+    assert rows == walk.size + 1
+    assert peak < 2e6
     # the levels whose keys and names the address layer keeps whole are
     # those that fit one output block
     assert address._BLOCK_ROWS == cli.BLOCK_ROWS
+
+
+def test_eval_refinement_peak_memory_at_level_12():
+    # values_on_level(12) holds the 6.4 MB vertex array and one subtree's
+    # triples at a time: it peaks at 6.7 MB under tracemalloc (numpy 2.4),
+    # and at 38 MB when it held every level-12 cell triple and collapsed them
+    # on the level's graph
+    u = cli.parse_seed("six:2:1:+-+")
+    subtree_walk(12)
+    tracemalloc.start()
+    try:
+        values = u.values_on_level(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.nbytes == 8 * subtree_walk(12).size
+    assert peak < 8e6
 
 
 def test_failed_emission_leaves_the_target_unchanged(tmp_path, monkeypatch, capsys):
@@ -853,9 +982,9 @@ def test_eval_non_finite_values_exit_three_with_empty_stdout(capsys):
 
 def test_eval_non_finite_guard_exits_three_with_empty_stdout(monkeypatch, capsys):
     # no known seed reaches the guard (free: lambdas this large stop in
-    # sequence_from_limit), so hand it a NaN
+    # sequence_from_limit), so the refinement that cmd_eval calls hands it a NaN
     def values_on_level(self, m, tol=1e-9):
-        values = np.zeros(build_level_graph(m).size)
+        values = np.zeros(subtree_walk(m).size)
         values[-1] = math.nan
         return values
 

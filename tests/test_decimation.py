@@ -11,7 +11,7 @@ from conftest import (eigen_matrix, harmonic_matrix, resolve_addresses, value_at
                       word_index)
 
 from sglap import address, decimation
-from sglap.address import build_level_graph
+from sglap.address import build_level_graph, subtree_walk
 from sglap.decimation import (
     SERIES_SEED,
     SINGULAR_VALUES,
@@ -209,7 +209,7 @@ def test_residuals_stay_tiny_under_refinement():
     ]
     for u in funcs:
         for m in range(u.m0, 7):
-            assert eigen_residual(build_level_graph(m), u.values_on_level(m),
+            assert eigen_residual(subtree_walk(m), u.values_on_level(m),
                                   u.sequence.value(m)) < 1e-11
 
 
@@ -327,7 +327,7 @@ def test_level1_spectrum_is_two_five_five():
 def test_six_element_is_interior_eigen_but_not_dirichlet():
     u = dirichlet_eigenfunction("six", 1)
     assert u.seed_values[2] == 2.0  # nonzero on a boundary corner
-    assert eigen_residual(build_level_graph(5), u.values_on_level(5),
+    assert eigen_residual(subtree_walk(5), u.values_on_level(5),
                           u.sequence.value(5)) < 1e-12
 
 
@@ -361,7 +361,7 @@ def test_six_element_branches():
     assert dirichlet_eigenfunction("six", 1).sequence.plus_indices == frozenset({2})
     u = dirichlet_eigenfunction("six", 1, 1, {2, 4})
     assert u.sequence.plus_indices == frozenset({2, 4})
-    assert eigen_residual(build_level_graph(5), u.values_on_level(5),
+    assert eigen_residual(subtree_walk(5), u.values_on_level(5),
                           u.sequence.value(5)) < 1e-12
     with pytest.raises(DomainError):
         dirichlet_eigenfunction("six", 1, 1, {3})  # level 2 must take the plus root

@@ -103,15 +103,28 @@ def test_cell_vertex_round_trip():
     g = build_level_graph(3)
     vals = SpectralEigenfunction(HARMONIC, (0.3, 1.0, -2.0)).values_on_level(3, tol=1e-12)
     cv = vals[g.cells]
-    assert np.array_equal(harmonic.cell_values_to_vertex(g, cv), vals)
+    out, gap, scale = harmonic.cell_values_to_vertex(g, cv)
+    assert np.array_equal(out, vals) and gap == 0.0
+    assert scale == max(1.0, float(np.abs(vals).max()))
 
 
-def test_junction_mismatch_is_rejected():
-    g = build_level_graph(1)
-    cv = SpectralEigenfunction(HARMONIC, (1.0, 0.0, 0.0)).cell_values(1)
+def test_junction_mismatch_is_rejected(monkeypatch):
+    # the collapse measures the gap, and values_on_level raises on it
+    u = SpectralEigenfunction(HARMONIC, (1.0, 0.0, 0.0))
+    cv = u.cell_values(1)
     cv[0, 1] += 1e-3
-    with pytest.raises(DomainError):
-        harmonic.cell_values_to_vertex(g, cv)
+    _, gap, scale = harmonic.cell_values_to_vertex(build_level_graph(1), cv)
+    assert gap == pytest.approx(5e-4, rel=1e-9) and scale == 1.0
+
+    def extend_level(cell_values, mats):
+        out = original(cell_values, mats)
+        out[0, 1] += 1e-3
+        return out
+
+    original = harmonic.extend_level
+    monkeypatch.setattr(harmonic, "extend_level", extend_level)
+    with pytest.raises(DomainError, match="disagree at a junction by 5.000e-04"):
+        u.values_on_level(1)
 
 
 def test_extend_cells_matches_vertex_extension():
@@ -121,7 +134,8 @@ def test_extend_cells_matches_vertex_extension():
     cv = b[None, :]
     for _ in range(3):
         cv = extend_level(cv, HARMONIC_MATRICES)
-    vals = harmonic.cell_values_to_vertex(build_level_graph(3), cv, tol=1e-12)
+    vals, gap, _ = harmonic.cell_values_to_vertex(build_level_graph(3), cv)
+    assert gap <= 1e-12
     assert np.array_equal(vals, SpectralEigenfunction(HARMONIC, b).values_on_level(3, tol=1e-12))
 
 

@@ -16,9 +16,9 @@ The level-m graph is the union of its three images F_j V_{m-1}, glued at
 the level-1 junctions, so its cells are built one level at a time from V_0:
 each vertex's canonical address is its copy's letter prepended to the
 address it had one level up, and the canonical vertex order falls out of
-the gluing.  A deep level's keys and addresses are glued a block at a time,
-and its cells can be taken one subtree at a time (SubtreeWalk), without the
-level's graph.
+the gluing.  A deep level is taken one subtree at a time (SubtreeWalk),
+without the level's graph: its cells, and its vertices' keys and addresses,
+which each subtree takes from three copies of one small level's.
 """
 from __future__ import annotations
 
@@ -136,26 +136,13 @@ class EventuallyConstantWord(Frozen):
 
 
 class _Level(Frozen):
-    """V_level's vertices, in canonical address order (the three boundary
-    corners are always 0, 1, 2, everything after them is interior);
-    vertices(lo, hi) glues the exact keys and the text of the canonical
-    addresses of a range of them:
-
-        keys   (hi - lo, 3) int64 numerators, denominator 2**level
-        names  (hi - lo, level + 2) uint8 ASCII of format_address, NUL-padded
-    """
+    """V_level's vertices in canonical address order: corners 0, 1, 2 first."""
 
     __slots__ = ()
 
     @property
     def size(self) -> int:
         return vertex_count(self.level)
-
-    def vertices(self, lo: int = 0, hi: int | None = None):
-        """(keys, names) of vertices lo..hi-1 (by default all), in vertex
-        order; lo and hi are taken as a slice takes them."""
-        lo, hi, _ = slice(lo, hi).indices(self.size)
-        return _glue_range(self.level, lo, max(lo, hi))
 
 
 class LevelGraph(_Level):
@@ -175,8 +162,8 @@ class SubtreeWalk(_Level):
     depth-cell w in cell order, which meet only at the vertices of V_depth.
     The vertices a subtree adds beyond its three corners lie in it alone and
     take one contiguous range of V_level, in V_{level-depth}'s order, so
-    that the level's cells, and anything summed over them, can be taken one
-    subtree at a time without the level's graph:
+    that the level's cells and vertices, and anything summed over them, can
+    be taken one subtree at a time without the level's graph:
 
         top     the LevelGraph of V_depth, one cell per subtree
         local   the LevelGraph of V_{level-depth}, every subtree's shape
@@ -203,9 +190,43 @@ class SubtreeWalk(_Level):
         for positions in self.positions():
             yield positions[self.local.cells]
 
+    def segments(self):
+        """V_level's vertices as (lo, keys, names) runs of rows lo.., in
+        vertex order and in the form of _vertex_table: the vertices of
+        V_depth between the subtrees, with their V_depth keys scaled by
+        2^(level-depth) and their V_depth addresses, and the three copies of
+        V_{level-depth-1} that each subtree w adds (_copy), moved by F_w."""
+        import numpy as np
+
+        depth, shift = self.top.level, self.level - self.top.level
+        top_keys, top_names = _vertex_table(depth)
+        if not shift:
+            yield 0, top_keys, top_names
+            return
+        keys, names = _vertex_table(shift - 1)
+        # V_depth's vertices in the order of their V_level positions
+        at = np.empty(self.top.size, dtype=np.int64)
+        at[self.top.cells] = self.layout[:, :3]
+        order = np.argsort(at)
+        corner_keys = top_keys[order] << shift
+        corner_names = np.pad(top_names[order], ((0, 0), (0, shift)))
+        # w's base-3 digits, and F_w's offset: the key of F_w(q_0) - q_0 / 2^depth
+        words = np.arange(3 ** depth)[:, None] // 3 ** np.arange(depth - 1, -1, -1) % 3
+        offsets = (top_keys[self.top.cells[:, 0]] - [1, 0, 0]) << shift
+        lo, done = 0, 0  # rows and V_depth vertices given so far
+        for word, offset, start in zip(words, offsets, self.layout[:, 3].tolist()):
+            if start > lo:
+                yield lo, corner_keys[done:done + start - lo], corner_names[done:done + start - lo]
+                done, lo = done + start - lo, start
+            for j in range(3):
+                part_keys, part_names = _copy(keys, names, j, ord("0") + word, offset)
+                if len(part_keys):  # V_0's copy 2 adds nothing to V_1
+                    yield lo, part_keys, part_names
+                    lo += len(part_keys)
+
 
 def addresses(names) -> list:
-    """format_address of each row of address bytes from LevelGraph.vertices."""
+    """format_address of each row of address bytes from SubtreeWalk.segments."""
     import numpy as np
 
     # trailing NULs drop off numpy unicode strings
@@ -262,53 +283,38 @@ def vertex_cells(v: int, level: int) -> list:
     return [(word, v)]
 
 
-_BLOCK_ROWS = 1 << 10  # cli.BLOCK_ROWS: a level this small is kept whole
-
-
-@lru_cache(maxsize=None)
-def _whole_level(k: int):
-    keys, names = _glue_range(k, 0, vertex_count(k))
-    keys.setflags(write=False)
-    names.setflags(write=False)
-    return keys, names
-
-
-def _glue_range(m: int, lo: int, hi: int):
+def _copy(keys, names, j: int, head, offset):
+    """Copy j of V_{k-1}'s rows (keys, names) in V_k, moved on by F_w: its
+    rows from position j + 1 on (the earlier ones are V_k's corners or an
+    earlier copy's).  F_j(x) = (x + q_j)/2 adds 2^(k-1) e_j to a key, F_w
+    adds offset, and each puts its letters (head) before an address, which
+    keeps it canonical."""
     import numpy as np
 
-    keys, names = np.zeros((hi - lo, 3), np.int64), np.zeros((hi - lo, m + 2), np.uint8)
-    _put(keys, names, m, lo)
+    out = np.empty((len(names) - j - 1, len(head) + 1 + names.shape[1]), dtype=np.uint8)
+    out[:, :len(head)], out[:, len(head)] = head, ord("0") + j
+    out[:, len(head) + 1:] = names[j + 1:]
+    return keys[j + 1:] + keys[j] + offset, out
+
+
+def _vertex_table(m: int):
+    """The exact keys and the canonical addresses of V_m's vertices, glued
+    one level at a time as _build_level_graph glues cells: the corners, then
+    copies 0, 1, 2 of V_{m-1} (_copy), that is (0):1, (0):2 and copy 0's
+    interior, (1):2 and copy 1's, then copy 2's.
+
+        keys   (|V_m|, 3) int64 numerators, denominator 2**m
+        names  (|V_m|, m + 2) uint8 ASCII of format_address, NUL-padded
+    """
+    import numpy as np
+
+    keys = np.eye(3, dtype=np.int64)
+    names = np.array([[ord(":"), ord("0") + i] for i in range(3)], dtype=np.uint8)
+    for _ in range(m):
+        parts = [(2 * keys[:3], np.pad(names[:3], ((0, 0), (0, 1)))),
+                 *[_copy(keys, names, j, [], 0) for j in range(3)]]
+        keys, names = (np.concatenate(column) for column in zip(*parts))
     return keys, names
-
-
-def _put(keys, names, k: int, lo: int) -> None:
-    """Write the vertices lo.. of V_k into zeroed keys and names.  Prepending
-    letter j to an address of V_{k-1} keeps it canonical, so after the
-    corners come copy j = 0, 1, 2's vertices from V_{k-1}'s position j + 1 on
-    (its earlier corners are V_k's or an earlier copy's): (0):1, (0):2 and
-    copy 0's interior, (1):2 and copy 1's, then copy 2's.  A copy of a level
-    kept whole is copied, a deeper one followed down (at most two a level)."""
-    hi = lo + len(keys)
-    for p in range(lo, min(hi, 3)):
-        keys[p - lo, p] = 1 << k
-        names[p - lo, :2] = (ord(":"), ord("0") + p)
-    if hi <= 3:
-        return
-    n = vertex_count(k - 1) - 3
-    for j, first in enumerate(_glue(n)[1]):
-        start = first - 2 + j
-        a, b = max(lo, start), min(hi, start + n + 2 - j)
-        if a >= b:
-            continue
-        rows, sub = slice(a - lo, b - lo), a - start + j + 1
-        if vertex_count(k - 1) > _BLOCK_ROWS:
-            _put(keys[rows], names[rows, 1:], k - 1, sub)
-        else:
-            whole_keys, whole_names = _whole_level(k - 1)
-            keys[rows], names[rows, 1:] = whole_keys[sub:sub + b - a], whole_names[sub:sub + b - a]
-        # F_j(x) = (x + q_j)/2 sends n over 2^(k-1) to n + 2^(k-1) e_j over 2^k
-        keys[rows, j] += 1 << (k - 1)
-        names[rows, 0] = ord("0") + j
 
 
 @lru_cache(maxsize=None)

@@ -292,9 +292,10 @@ def _lattice_reprs(level: int):
 
 
 def _eval_blocks(args, walk, values):
-    """The eval output as text blocks: a header, then BLOCK_ROWS rows at a
-    time, so that no more than one block of rows is ever held as text; the
-    obj faces follow one subtree of the SubtreeWalk at a time.
+    """The eval output as text blocks: a header, then each segment of the
+    SubtreeWalk in blocks of at most BLOCK_ROWS rows, so that no more than
+    one block of rows is held as text; then the obj faces, one subtree at a
+    time.
 
     The bytes equal what csv.writer and json.dumps(indent=2) give for these
     rows (addresses need no quoting or escaping, and finite floats print as
@@ -310,21 +311,23 @@ def _eval_blocks(args, walk, values):
         yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
         yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
-    for lo, hi in _row_ranges(walk.size):
-        keys, names = walk.vertices(lo, hi)
-        _, n1, n2 = keys.T
-        x, y = x_table[2 * n1 + n2].tolist(), y_table[n2].tolist()
-        v = _reprs(values[lo:hi])
-        if fmt == "obj":
-            yield "".join([f"v {a} {b} {c}\n" for a, b, c in zip(x, y, v)])
-        elif fmt == "csv":
-            yield "".join([f"{s},{level},{a},{b},{c}\n"
-                           for s, a, b, c in zip(addresses(names), x, y, v)])
-        else:
-            yield ("" if lo == 0 else ",\n") + ",\n".join(
-                [f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a},\n'
-                 f'    "y": {b},\n    "value": {c}\n  }}'
-                 for s, a, b, c in zip(addresses(names), x, y, v)])
+    for start, run_keys, run_names in walk.segments():
+        for i, j in _row_ranges(len(run_keys)):
+            lo, keys, names = start + i, run_keys[i:j], run_names[i:j]
+            _, n1, n2 = keys.T
+            x, y = x_table[2 * n1 + n2].tolist(), y_table[n2].tolist()
+            v = _reprs(values[lo:start + j])
+            if fmt == "obj":
+                yield "v " + "\nv ".join(map(" ".join, zip(x, y, v))) + "\n"
+            elif fmt == "csv":
+                yield "\n".join(map(",".join, zip(addresses(names), itertools.repeat(str(level)),
+                                                   x, y, v))) + "\n"
+            else:
+                # a leading "" puts the seam before every block but the first
+                yield ",\n".join([""] * (lo > 0) + [
+                    f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a},\n'
+                    f'    "y": {b},\n    "value": {c}\n  }}'
+                    for s, a, b, c in zip(addresses(names), x, y, v)])
     if fmt == "obj":
         for faces in walk.faces():
             yield ("f %d %d %d\n" * len(faces)) % tuple((faces + 1).ravel().tolist())
@@ -345,16 +348,6 @@ def _block_values(fmt: str, block: str) -> list:
     return [float(line.split()[3]) for line in block.splitlines() if line.startswith("v ")]
 
 
-def _reingest(fmt: str, blocks, parsed: list):
-    """Pass the blocks through, appending each one's parsed values to
-    `parsed` as soon as it has been written."""
-    import numpy as np
-
-    for block in blocks:
-        yield block
-        parsed.append(np.array(_block_values(fmt, block)))
-
-
 def cmd_eval(args) -> int:
     import numpy as np
 
@@ -370,11 +363,20 @@ def cmd_eval(args) -> int:
     if not args.verify:
         _emit(args, blocks)
         return 0
-    parsed = []
-    _emit(args, _reingest(args.format, blocks, parsed))
-    back = np.concatenate(parsed)
-    if back.size != walk.size:
-        raise SglapError(f"re-ingested {back.size} values, expected {walk.size}")
+    back, count = np.empty(walk.size), 0
+
+    def reingest():
+        nonlocal count  # of the values read back, past the end of back too
+        for block in blocks:
+            yield block
+            parsed = _block_values(args.format, block)
+            if count + len(parsed) <= walk.size:
+                back[count:count + len(parsed)] = parsed
+            count += len(parsed)
+
+    _emit(args, reingest())
+    if count != walk.size:
+        raise SglapError(f"re-ingested {count} values, expected {walk.size}")
     residual = eigen_residual(walk, back, u.sequence.value(args.level))
     if not residual < args.verify_tol:
         print(f"verification failed: round-trip residual {residual:.3e} "

@@ -17,10 +17,11 @@ functions that handle whole levels, so that a tangent does not load it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
-from .address import (Frozen, LevelGraph, SubtreeWalk, build_level_graph, check_letter,
+from .address import (Frozen, LevelGraph, SubtreeWalk, _subtree_walk, check_letter,
                       check_word, subtree_walk, vertex_cells, vertex_index)
 from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_multiplicity,
                          vertex_count)
@@ -186,34 +187,18 @@ class SpectralEigenfunction(Frozen):
     def m0(self) -> int:
         return self.sequence.m0
 
-    def seed_array(self):
-        """The seed as a dense array over V_{m0}, in vertex order."""
-        import numpy as np
-
-        out = np.zeros(vertex_count(self.m0))
-        out[list(self.seed_values)] = list(self.seed_values.values())
-        return out
-
-    def cell_values(self, m: int):
-        """Per-cell triples on level m, refined level by level from the seed."""
-        if m < self.m0:
-            raise DomainError(f"level {m} below seed level {self.m0}")
-        values = self.seed_array()[build_level_graph(self.m0).cells]
-        for j in range(self.m0 + 1, m + 1):
-            values = extend_level(values, eigen_matrices(self.sequence.value(j)))
-        return values
-
     def values_on_level(self, m: int, tol: float = 1e-9):
         """Vertex values on V_m, refined one subtree of subtree_walk(m) at a
-        time.  The cells are refined whole only to level r = max(m0, depth);
-        each subtree, in cell order, refines its r-cells on to level m,
-        collapses them and writes the vertices it adds.  The V_depth values
-        and the junction check between subtrees come from the subtrees'
-        corner triples, which refinement keeps.  The gap and the scale are
-        gathered over every subtree and checked once, as one collapse of the
-        level checks them: copies that differ by more than tol relative to
-        the scale raise DomainError.  A value past the float range makes the
-        gap NaN and the values non-finite, for the caller to reject."""
+        time.  Each subtree, in cell order, takes its cells on level r =
+        max(m0, depth) from the seed (its cell_triple, or the seed at its
+        r-cells), refines them on to level m, collapses them and writes the
+        vertices it adds.  The V_depth values and the junction check between
+        subtrees come from the subtrees' corner triples, which refinement
+        keeps.  The gap and the scale are gathered over every subtree and
+        checked once, as one collapse of the level checks them: copies that
+        differ by more than tol relative to the scale raise DomainError.  A
+        value past the float range makes the gap NaN and the values
+        non-finite, for the caller to reject."""
         import numpy as np
 
         if m < self.m0:
@@ -223,17 +208,22 @@ class SpectralEigenfunction(Frozen):
         r = max(self.m0, depth)
         values, n = np.empty(walk.size), walk.local.size - 3
         with np.errstate(over="ignore", invalid="ignore"):
-            cells, span = self.cell_values(r), 3 ** (r - depth)  # r-cells per subtree
+            if self.m0 <= depth:  # one depth-cell per subtree
+                words = itertools.product(range(3), repeat=depth)
+                corners = np.array([self.cell_triple(w) for w in words])
+                triples = corners[:, None]
+            else:
+                # the seed at each subtree's V_m0 vertices: no level is held whole
+                seed, on_m0 = self.seed_values.get, _subtree_walk(self.m0, depth)
+                corners = np.array([[seed(v, 0.0) for v in corner]
+                                    for corner in on_m0.layout[:, :3].tolist()])
+                triples = (np.array([seed(v, 0.0) for v in p.tolist()])[on_m0.local.cells]
+                           for p in on_m0.positions())
             mats = [np.array(eigen_matrices(self.sequence.value(j))) for j in range(r + 1, m + 1)]
-            # corner i of subtree c is corner i of its r-cell c i...i, the row
-            # c * span + i * (span - 1) / 2
-            i = np.arange(3)
-            out, gap, scale = cell_values_to_vertex(
-                walk.top, cells[np.arange(0, len(cells), span)[:, None] + i * (span // 2), i])
+            out, gap, scale = cell_values_to_vertex(walk.top, corners)
             values[walk.layout[:, :3]] = out[walk.top.cells]
             gaps, scales = [gap], [scale]
-            for lo, start in zip(range(0, len(cells), span), walk.layout[:, 3].tolist()):
-                cv = cells[lo:lo + span]
+            for cv, start in zip(triples, walk.layout[:, 3].tolist()):
                 for mat in mats:
                     cv = extend_level(cv, mat)
                 out, gap, scale = cell_values_to_vertex(walk.local, cv)

@@ -1,7 +1,8 @@
 """Shared pytest wiring: the acceptance report block, and the references
 that only the tests use: the one-letter extension helpers, the closed-form
 tangent as it ran on numpy, the renormalized normal-derivative limit, the
-whole-level residual and per-cell vertex values, the scalar addressing, the
+whole-level residual, the dense seed and whole-level cell triples, per-cell
+vertex values, the whole-level vertex table and the scalar addressing, the
 psi_m approximant, a one-point run of a special grid kernel, and the
 oracles' spectrum pairing and unit-interval model."""
 import cmath
@@ -10,11 +11,13 @@ import math
 
 import numpy as np
 
-from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, build_level_graph,
-                           check_letter, check_word, vertex_cells)
+from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, _subtree_walk,
+                           build_level_graph, check_letter, check_word, subtree_walk,
+                           vertex_cells)
 from sglap.decimation import vertex_count
 from sglap.errors import ConvergenceError, DomainError
-from sglap.harmonic import HARMONIC_INVERSES, eigen_matrices, graph_laplacian, matvec
+from sglap.harmonic import (HARMONIC_INVERSES, eigen_matrices, extend_level, graph_laplacian,
+                            matvec)
 from sglap.special import DEFAULT_CONFIG
 from sglap.tangent import m0_matrix
 
@@ -76,7 +79,7 @@ def numpy_tangent(u, w) -> np.ndarray:
     pullback = np.eye(3)
     for c in word:
         pullback = pullback @ np.array(HARMONIC_INVERSES[c])
-    triple = u.seed_array()[build_level_graph(u.m0).cells[word_index(word[:u.m0])]]
+    triple = seed_array(u)[build_level_graph(u.m0).cells[word_index(word[:u.m0])]]
     for t in range(u.m0 + 1, k + 1):
         triple = np.array(eigen_matrices(u.sequence.value(t)))[word[t - 1]] @ triple
     return pullback @ tail_matrix @ triple
@@ -137,6 +140,22 @@ def whole_level_residual(graph, values, lam_level: float) -> float:
     return float(np.max(np.abs(r[3:]), initial=0.0)) / scale
 
 
+def seed_array(u) -> np.ndarray:
+    """u's seed as a dense array over V_m0, in vertex order."""
+    out = np.zeros(vertex_count(u.m0))
+    out[list(u.seed_values)] = list(u.seed_values.values())
+    return out
+
+
+def cell_values(u, m: int) -> np.ndarray:
+    """u's triples on every m-cell, in cell order: the seed on the m0-cells,
+    refined whole, one level at a time."""
+    values = seed_array(u)[build_level_graph(u.m0).cells]
+    for j in range(u.m0 + 1, m + 1):
+        values = extend_level(values, eigen_matrices(u.sequence.value(j)))
+    return values
+
+
 def vertex_value_walks(u, m: int) -> np.ndarray:
     """u on V_m from one cell_triple walk per m-cell: a vertex's value is
     (0 + its copies, in cell order) / 2, a corner's 0 + its one copy."""
@@ -151,6 +170,22 @@ def vertex_value_walks(u, m: int) -> np.ndarray:
 
 
 # --- scalar addressing -----------------------------------------------------
+
+def level_vertices(level: int, depth=None):
+    """(keys, names) of every vertex of V_level: the segments of its subtree
+    walk (subtree_walk's, or the one of this depth) written into one array.
+    The segments must tile the level in order."""
+    walk = subtree_walk(level) if depth is None else _subtree_walk(level, depth)
+    keys = np.empty((walk.size, 3), dtype=np.int64)
+    names = np.empty((walk.size, level + 2), dtype=np.uint8)
+    end = 0
+    for lo, part_keys, part_names in walk.segments():
+        assert lo == end and len(part_keys) == len(part_names) > 0, (lo, end)
+        end = lo + len(part_keys)
+        keys[lo:end], names[lo:end] = part_keys, part_names
+    assert end == walk.size
+    return keys, names
+
 
 def word_index(word) -> int:
     """Base-3 rank of a word among words of its length: the row of its cell

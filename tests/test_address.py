@@ -4,15 +4,16 @@ import hashlib
 import itertools
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_ifs, resolve_addresses, vertex_key, word_index
+from conftest import apply_ifs, level_vertices, resolve_addresses, vertex_key, word_index
 
-from sglap import address, decimation
+from sglap import address, cli, decimation
 from sglap.address import (
     DEFAULT_CORNERS,
     EventuallyConstantWord,
@@ -83,14 +84,13 @@ def test_canonical_address_round_trip(word, letter):
 
 
 def test_junctions_have_exactly_two_addresses():
-    g = build_level_graph(3)
-    for i, key in enumerate(map(tuple, g.vertices()[0])):
+    for i, key in enumerate(map(tuple, level_vertices(3)[0])):
         assert len(resolve_addresses(key, 3)) == (1 if i < 3 else 2)
 
 
 def test_vertex_index_finds_every_address():
     for m in range(5):
-        keys = build_level_graph(m).vertices()[0]
+        keys = level_vertices(m)[0]
         for n in range(m + 1):
             for word in itertools.product((0, 1, 2), repeat=n):
                 for letter in range(3):
@@ -121,13 +121,28 @@ def test_scalar_lookups_match_the_level_graph(m):
 
 def test_array_addressing_matches_scalar():
     for m in range(9):
-        keys, names = build_level_graph(m).vertices()
+        keys, names = level_vertices(m)
         keys = keys.tolist()
         scalar = [resolve_addresses(tuple(k), m)[0] for k in keys]
         # vertex order is the scalar canonical order, and the graph carries it
         assert keys == sorted(keys, key=lambda k: resolve_addresses(tuple(k), m)[0])
         assert addresses(names) == [format_address(w, c) for w, c in scalar]
         assert [list(vertex_key(w, c, m)) for w, c in scalar] == keys
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_segments_at_every_depth_match_the_table_and_scalar(m):
+    # the table glues whole levels; a walk of any depth composes its rows
+    # from a smaller table's, each subtree's word in front, with the
+    # vertices of V_depth between the subtrees
+    keys, names = address._vertex_table(m)
+    scalar = [resolve_addresses(tuple(k), m)[0] for k in keys.tolist()]
+    assert [list(vertex_key(w, c, m)) for w, c in scalar] == keys.tolist()
+    assert addresses(names) == [format_address(w, c) for w, c in scalar]
+    for depth in range(m + 1):
+        composed_keys, composed_names = level_vertices(m, depth)
+        assert np.array_equal(composed_keys, keys), depth
+        assert np.array_equal(composed_names, names), depth
 
 
 # sha256 over name, dtype, shape and bytes of the six arrays a LevelGraph once
@@ -153,10 +168,10 @@ LEVEL_GRAPH_SHA256 = {
 
 def _pinned_arrays(g):
     """The six pinned arrays, rebuilt from the cells and the keys and address
-    bytes that vertices() glues: the birth level is the column of ':', the
-    word the digits before it (-1 past it) and the corner letter the digit
-    after it."""
-    keys, names = g.vertices()
+    bytes that the level's subtree walk composes: the birth level is the
+    column of ':', the word the digits before it (-1 past it) and the corner
+    letter the digit after it."""
+    keys, names = level_vertices(g.level)
     rows = np.arange(g.size)
     births = (names == ord(":")).argmax(axis=1)
     digits = names.astype(np.int8) - ord("0")
@@ -177,15 +192,17 @@ def test_level_graph_is_pinned(m):
 
 
 def test_address_ranges_match_scalar_across_blocks():
+    # every segment of a walk of any depth, and every 97-row piece of one,
+    # spells the scalar addresses of its rows
     m = 6
-    g = build_level_graph(m)
     scalar = [format_address(*resolve_addresses(tuple(k), m)[0])
-              for k in g.vertices()[0].tolist()]
-    n = g.size
-    for lo, hi in [(0, 0), (0, 1), (0, 3), (2, 4), (3, 100), (99, 101), (100, 1000),
-                   (n - 1, n), (0, n), (n, n)]:
-        assert addresses(g.vertices(lo, hi)[1]) == scalar[lo:hi]
-    assert sum((addresses(g.vertices(lo, lo + 97)[1]) for lo in range(0, n, 97)), []) == scalar
+              for k in address._vertex_table(m)[0].tolist()]
+    for depth in range(m + 1):
+        rows = []
+        for lo, _, names in address._subtree_walk(m, depth).segments():
+            assert addresses(names) == scalar[lo:lo + len(names)], (depth, lo)
+            rows += sum((addresses(names[a:a + 97]) for a in range(0, len(names), 97)), [])
+        assert rows == scalar, depth
 
 
 def test_level_graph_build_peak_memory():
@@ -215,52 +232,45 @@ def test_level_graph_keeps_only_its_cells():
     assert peak < 2.6e6
 
 
-def _glue_positions(m, depth=3):
-    """The positions 3, 4, 5 + n, 6 + n and 6 + 2n where V_m glues its copies
-    of V_{m-1}, and where each copy of the next depth - 1 levels glues its
-    own, as positions of V_m.  Copy j of V_k lists V_{k-1}'s vertices from
-    position j + 1 on, starting at 3, 5 + n and 6 + 2n."""
-    found, copies = set(), [(m, 0)]  # (k, the V_m position of V_k's position 0)
-    for _ in range(depth):
-        below = []
-        for k, base in copies:
-            n = decimation.vertex_count(k - 1) - 3
-            found.update(base + p for p in (3, 4, 5 + n, 6 + n, 6 + 2 * n))
-            below += [(k - 1, base + start - j - 1)
-                      for j, start in enumerate((3, 5 + n, 6 + 2 * n))]
-        copies = below
-    return sorted(found)
-
-
 @pytest.mark.parametrize("m", [8, 9, 10])
 def test_vertex_ranges_equal_slices_of_the_whole(m):
-    g = build_level_graph(m)
-    keys, names = g.vertices()
+    # each segment of the walks of depth 0 to 3 is the slice of the whole
+    # table where it starts; a subtree's vertices come in three segments,
+    # and the ones between the subtrees are the vertices of V_depth, scaled
+    keys, names = address._vertex_table(m)
     n = decimation.vertex_count(m - 1) - 3
     assert addresses(names[[3, 4, 5 + n]]) == ["0:1", "0:2", "1:2"]
-    edges = sorted({*_glue_positions(m), *range(0, g.size, 4096), g.size})
-    for e in edges:
-        for lo, hi in ((e, e + 1), (e - 1, e + 1), (e, e + 4096), (e - 4096, e), (e - 97, e + 5)):
-            lo, hi = max(lo, 0), min(hi, g.size)
-            part_keys, part_names = g.vertices(lo, hi)
-            assert np.array_equal(part_keys, keys[lo:hi]), (lo, hi)
-            assert np.array_equal(part_names, names[lo:hi]), (lo, hi)
+    for depth in range(4):
+        walk = address._subtree_walk(m, depth)
+        subtrees = [(start, start + walk.local.size - 3) for start in walk.layout[:, 3].tolist()]
+        parts, top = [], []
+        for lo, part_keys, part_names in walk.segments():
+            hi = lo + len(part_keys)
+            assert np.array_equal(part_keys, keys[lo:hi]), (depth, lo)
+            assert np.array_equal(part_names, names[lo:hi]), (depth, lo)
             assert part_names.shape == (hi - lo, m + 2)
+            inside = [i for i, (a, b) in enumerate(subtrees) if a <= lo and hi <= b]
+            if inside:
+                parts += inside
+            else:
+                top += part_keys.tolist()
+        assert parts == sorted(3 * list(range(len(subtrees))))
+        assert sorted(top) == sorted((level_vertices(depth)[0] << (m - depth)).tolist())
 
 
-@settings(deadline=None)
-@given(st.integers(7, 10).flatmap(lambda m: st.tuples(
-    st.just(m), *[st.one_of(st.none(), st.integers(-decimation.vertex_count(m) - 5,
-                                                    decimation.vertex_count(m) + 5))] * 2)))
-def test_vertex_ranges_are_taken_as_slices(range_):
-    # V_7 is glued from a kept V_6, deeper levels follow copies down past
-    # V_7; each takes lo and hi, None or out of range, as a slice does
-    m, lo, hi = range_
-    g = build_level_graph(m)
-    keys, names = g.vertices()
-    part_keys, part_names = g.vertices(lo, hi)
-    assert np.array_equal(part_keys, keys[lo:hi]) and np.array_equal(part_names, names[lo:hi])
-    assert addresses(part_names) == addresses(names)[lo:hi]
+@settings(max_examples=25, deadline=None)
+@given(st.integers(7, 10).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 6))),
+       st.sampled_from([97, 1024, 4096]))
+def test_vertex_ranges_are_taken_as_slices(walk, block_rows):
+    # eval cuts each segment into blocks of at most BLOCK_ROWS rows: every
+    # block's rows are the slice of the whole level where it lies
+    m, depth = walk
+    keys, names = address._vertex_table(m)
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        for lo, part_keys, part_names in address._subtree_walk(m, depth).segments():
+            for a, b in cli._row_ranges(len(part_keys)):
+                assert np.array_equal(part_keys[a:b], keys[lo + a:lo + b])
+                assert addresses(part_names[a:b]) == addresses(names[lo + a:lo + b])
 
 
 @pytest.mark.parametrize("level", range(9))

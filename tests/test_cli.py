@@ -21,7 +21,8 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import resolve_addresses, vertex_value_walks, whole_level_residual
+from conftest import (level_vertices, resolve_addresses, seed_array, vertex_value_walks,
+                      whole_level_residual)
 
 from sglap import address, cli, harmonic
 from sglap.address import (addresses, build_level_graph, format_address, key_coords,
@@ -303,9 +304,10 @@ def test_eval_golden_bytes(fmt, capsys):
 @pytest.mark.parametrize("block_rows", [1, 1000])
 @pytest.mark.parametrize("fmt", sorted(EVAL_GOLDEN_SHA256))
 def test_eval_golden_bytes_across_block_seams(fmt, block_rows, monkeypatch, capsys):
-    # the 3282 rows of the golden run take four default blocks of 1024; a
-    # block of 1 row puts a seam after every row, and 1000 rows one seam
-    # inside each default block
+    # the 3282 rows of the golden run take seven default blocks: the three
+    # corners, then 1024 rows and the rest of each of the three copies of
+    # V_6 after them; a block of 1 row puts a seam after every row, and 1000
+    # rows move every seam inside a copy
     monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
     code, out, _ = run(["eval", "--seed", "five:2:3:+-+", "--level", "7", "--format", fmt,
                         "--verify"], capsys)
@@ -347,8 +349,9 @@ def _reference_eval_blocks(args, graph, values):
         yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
         yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
+    level_keys, level_names = level_vertices(level)
     for lo, hi in cli._row_ranges(graph.size):
-        keys, names = graph.vertices(lo, hi)
+        keys, names = level_keys[lo:hi], level_names[lo:hi]
         x, y = key_coords(keys, level).T.tolist()
         v = values[lo:hi].tolist()
         if fmt == "obj":
@@ -390,15 +393,18 @@ _eval_seeds = st.builds(_eval_seed, st.one_of(st.sampled_from(_EVAL_SERIES),
 
 
 @settings(max_examples=30, deadline=None)
-@given(_eval_seeds.flatmap(lambda seed: st.tuples(st.just(seed[0]), st.integers(seed[1], 6))),
+@given(_eval_seeds.flatmap(lambda seed: st.tuples(st.just(seed[0]), st.integers(seed[1], 6))
+                           .flatmap(lambda sl: st.tuples(st.just(sl), st.integers(0, sl[1])))),
        st.sampled_from(["csv", "json", "obj"]), st.sampled_from([1, 7, 4096]))
-def test_eval_blocks_equal_per_row_repr(seed_level, fmt, block_rows):
-    seed, level = seed_level
+def test_eval_blocks_equal_per_row_repr(seed_level_depth, fmt, block_rows):
+    # the rows come from a walk of any depth, so that the seams between
+    # subtrees and the rows of V_depth between them show below level 8
+    (seed, level), depth = seed_level_depth
     graph = build_level_graph(level)
     values = cli.parse_seed(seed).values_on_level(level)
     args = argparse.Namespace(seed=seed, level=level, format=fmt)
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
-        assert "".join(cli._eval_blocks(args, subtree_walk(level), values)) == \
+        assert "".join(cli._eval_blocks(args, address._subtree_walk(level, depth), values)) == \
             "".join(_reference_eval_blocks(args, graph, values))
 
 
@@ -406,9 +412,8 @@ def test_eval_blocks_equal_per_row_repr(seed_level, fmt, block_rows):
 def test_lattice_reprs_equal_the_coordinate_reprs(level):
     # every vertex of V_0..V_12 (L12 takes about 0.7 s): its lattice lines'
     # strings are the per-row reprs of the vertices' key_coords
-    graph = build_level_graph(level)
     x_table, y_table = cli._lattice_reprs(level)
-    keys, _ = graph.vertices()
+    keys, _ = level_vertices(level)
     _, n1, n2 = keys.T
     x, y = key_coords(keys, level).T.tolist()
     assert x_table[2 * n1 + n2].tolist() == [repr(a) for a in x]
@@ -454,7 +459,7 @@ def test_eval_values_are_d3_equivariant(seed, level):
     values = u.values_on_level(level)
     scale = max(1.0, float(np.abs(values).max()))
     for p in itertools.permutations(range(3)):
-        moved = SpectralEigenfunction(u.sequence, u.seed_array()[_d3_vertex_map(u.m0, p)])
+        moved = SpectralEigenfunction(u.sequence, seed_array(u)[_d3_vertex_map(u.m0, p)])
         gap = float(np.abs(moved.values_on_level(level) - values[_d3_vertex_map(level, p)]).max())
         assert gap <= D3_EVAL_TOL * scale, (p, gap / scale)
 
@@ -543,13 +548,12 @@ def test_eval_junction_gap_inside_a_subtree_fails_before_the_first_byte(
 def test_eval_junction_gap_between_subtrees_fails_before_the_first_byte(
         monkeypatch, tmp_path, capsys):
     # corner 1 of subtree 0 is the V_1 vertex (0):1, corner 0 of subtree 1
-    def cell_values(self, m):
-        out = original(self, m)
-        out[0, 1] += 1e-3
-        return out
+    def cell_triple(self, word):
+        out = original(self, word)
+        return (out[0], out[1] + 1e-3, out[2]) if word == (0,) else out
 
-    original = SpectralEigenfunction.cell_values
-    monkeypatch.setattr(SpectralEigenfunction, "cell_values", cell_values)
+    original = SpectralEigenfunction.cell_triple
+    monkeypatch.setattr(SpectralEigenfunction, "cell_triple", cell_triple)
     err = _tampered_eval(monkeypatch, tmp_path, capsys, lambda out, count: None)
     assert err.startswith("error: cell triples disagree at a junction by 5.0")
 
@@ -623,13 +627,14 @@ def test_eval_output_memory_does_not_grow_with_the_level(fmt):
 
 def test_eval_pipeline_peak_memory():
     # eval --level 10 as cmd_eval runs it, from cold level caches: the
-    # subtree walk, the values and every csv block.  It peaks at 1.4 MB under
-    # tracemalloc (numpy 2.4); 4.3 MB when the level's graph and every cell
-    # triple were held, and 7.5 MB when the graph also held every vertex's
-    # keys and address bytes
+    # subtree walk, the values and every csv block.  It peaks at 1.35 MB
+    # under tracemalloc (numpy 2.4), taking the rows from V_6's and V_3's
+    # keys and address bytes one copy of V_6 at a time; 1.38 MB when it glued
+    # 1024-row blocks from cached levels of at most 1024 vertices, 4.3 MB
+    # when the level's graph and every cell triple were held, and 7.5 MB
+    # when the graph also held every vertex's keys and address bytes
     seed, level = "six:2:1:+-+", 10
     address._build_level_graph.cache_clear()
-    address._whole_level.cache_clear()
     address._subtree_walk.cache_clear()
     args = argparse.Namespace(seed=seed, level=level, format="csv")
     tracemalloc.start()
@@ -641,9 +646,55 @@ def test_eval_pipeline_peak_memory():
         tracemalloc.stop()
     assert rows == walk.size + 1
     assert peak < 2e6
-    # the levels whose keys and names the address layer keeps whole are
-    # those that fit one output block
-    assert address._BLOCK_ROWS == cli.BLOCK_ROWS
+
+
+def test_eval_verify_holds_two_value_arrays():
+    # eval --level 10 --verify from cold level caches parses each block into
+    # one preallocated array: the values and that array are held when the
+    # residual starts, 1.49-1.50 MB under tracemalloc (numpy 2.4), against
+    # 2.23 MB when the parsed blocks were kept in a list and then
+    # concatenated.  The whole run peaks at 2.26-2.52 MB (2.57 MB then),
+    # while a block is parsed, json the highest
+    held = []
+
+    def residual(walk, values, lam):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return eigen_residual(walk, values, lam)
+
+    for fmt in ["csv", "json", "obj"]:
+        address._build_level_graph.cache_clear()
+        address._subtree_walk.cache_clear()
+        tracemalloc.start()
+        try:
+            with mock.patch.object(harmonic, "eigen_residual", residual):
+                code = cli.main(["eval", "--seed", "six:2:1:+-+", "--level", "10", "--format", fmt,
+                                 "--verify", "--output", os.devnull])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert held[-1] < 2 * 8 * subtree_walk(10).size + 0.4e6, fmt
+        assert peak < 2.8e6, fmt
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_eval_verify_counts_the_values_read_back(fmt, change, monkeypatch, capsys):
+    # a block that reads back one value too few or too many fails the run
+    def block_values(fmt, block):
+        parsed = original(fmt, block)
+        if parsed and not changed:
+            changed.append(block)
+            return parsed[:change] if change < 0 else parsed + parsed[:change]
+        return parsed
+
+    original, changed = cli._block_values, []
+    monkeypatch.setattr(cli, "_block_values", block_values)
+    code, _, err = run(["eval", "--seed", "two:1:1", "--level", "3", "--format", fmt,
+                        "--verify"], capsys)
+    rows = subtree_walk(3).size
+    assert code == 3
+    assert err == f"error: re-ingested {rows + change} values, expected {rows}\n"
 
 
 def test_eval_refinement_peak_memory_at_level_12():
@@ -661,6 +712,36 @@ def test_eval_refinement_peak_memory_at_level_12():
         tracemalloc.stop()
     assert values.nbytes == 8 * subtree_walk(12).size
     assert peak < 8e6
+
+
+def test_a_seed_born_deep_is_refined_by_subtrees():
+    # a seed born below the walk's depth gives each subtree its cells from
+    # the sparse seed: values_on_level(12) of six:12:1 peaks at 6.8 MB under
+    # tracemalloc (numpy 2.4), as a shallow seed does, and at 32 MB when it
+    # refined from the whole seed level, a dense seed array indexed by the
+    # level's cells
+    u = cli.parse_seed("six:12:1")
+    subtree_walk(12)
+    tracemalloc.start()
+    try:
+        values = u.values_on_level(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.nbytes == 8 * subtree_walk(12).size
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("seed", ["six:5:3", "six:6:2:+-", "five:2:2", "two:1:1:+"])
+def test_a_seed_born_deep_takes_the_cell_walk_bits(seed):
+    # at every depth below the seed level and above it, the values take the
+    # bits of the cell_triple walks of their cells
+    u = cli.parse_seed(seed)
+    level = u.m0 + 1
+    walks = _bits(vertex_value_walks(u, level))
+    for levels in range(1, level + 1):
+        with mock.patch.object(address, "SUBTREE_LEVELS", levels):
+            assert np.array_equal(_bits(u.values_on_level(level)), walks), levels
 
 
 def test_failed_emission_leaves_the_target_unchanged(tmp_path, monkeypatch, capsys):
@@ -965,9 +1046,8 @@ def test_eval_rows_match_generic_writers(fmt, capsys):
     seed, level = "free:-7.25:0.1,-2,1e-05", 4
     code, out, _ = run(["eval", "--seed", seed, "--level", str(level), "--format", fmt], capsys)
     assert code == 0
-    graph = build_level_graph(level)
     values = cli.parse_seed(seed).values_on_level(level)
-    keys, _ = graph.vertices()
+    keys, _ = level_vertices(level)
     points = key_coords(keys, level)
     rows = [[format_address(*resolve_addresses(tuple(key), level)[0]), level, float(x), float(y),
              float(v)] for key, (x, y), v in zip(keys.tolist(), points, values)]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, extend_harmonic, harmonic_matrix,
-                      harmonic_normal_derivative, normal_derivative_limit)
+from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, cell_values, extend_harmonic,
+                      harmonic_matrix, harmonic_normal_derivative, level_vertices,
+                      normal_derivative_limit)
 
 from sglap import harmonic
 from sglap.address import build_level_graph
@@ -92,9 +93,8 @@ def test_extensions_are_nested_across_levels():
     b = (1.0, -0.5, 2.0)
     u = SpectralEigenfunction(HARMONIC, b)
     v2, v3 = u.values_on_level(2, tol=1e-12), u.values_on_level(3, tol=1e-12)
-    g2, g3 = build_level_graph(2), build_level_graph(3)
-    index3 = {tuple(key): j for j, key in enumerate(g3.vertices()[0].tolist())}
-    for i, key in enumerate(g2.vertices()[0].tolist()):
+    index3 = {tuple(key): j for j, key in enumerate(level_vertices(3)[0].tolist())}
+    for i, key in enumerate(level_vertices(2)[0].tolist()):
         j = index3[tuple(2 * n for n in key)]
         assert v3[j] == pytest.approx(v2[i], abs=1e-13)
 
@@ -111,7 +111,7 @@ def test_cell_vertex_round_trip():
 def test_junction_mismatch_is_rejected(monkeypatch):
     # the collapse measures the gap, and values_on_level raises on it
     u = SpectralEigenfunction(HARMONIC, (1.0, 0.0, 0.0))
-    cv = u.cell_values(1)
+    cv = cell_values(u, 1)
     cv[0, 1] += 1e-3
     _, gap, scale = harmonic.cell_values_to_vertex(build_level_graph(1), cv)
     assert gap == pytest.approx(5e-4, rel=1e-9) and scale == 1.0

@@ -166,6 +166,8 @@ REACH_INVOCATIONS = [
     ["eval", "--seed", "six:2:1:+-", "--level", "3", "--format", "json", "--verify",
      "--verify-tol", "1e-8"],
     ["eval", "--seed", "five:2:1", "--level", "2", "--format", "obj"],
+    # level 8 walks V_8 as 3 subtrees of V_7 and the V_1 vertices between them
+    ["eval", "--seed", "two:1:1", "--level", "8"],
     ["tangent", "--seed", "two:1:1", "--word", "01:2", "--verify"],
     ["tangent", "--seed", "free:7.3:1,-2,3", "--word", ":0", "--format", "json"],
     ["special", "--fn", "psi", "--range=-2:2:5", "--tol", "1e-12"],

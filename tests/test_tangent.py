@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (extend_harmonic, harmonic_normal_derivative, normal_derivative_limit,
-                      numpy_tangent, value_at)
+from conftest import (cell_values, extend_harmonic, harmonic_normal_derivative,
+                      normal_derivative_limit, numpy_tangent, value_at)
 
 from sglap.address import EventuallyConstantWord
 from sglap.cli import parse_seed
@@ -330,7 +330,7 @@ GAUSS_GREEN_FLOOR = 32 * sys.float_info.epsilon
 @example(parse_seed("six:1:1"))
 def test_gauss_green_for_the_corner_normal_derivatives(u):
     m = max(8, max(u.sequence.plus_indices, default=u.m0) + 6)
-    coarse, fine = u.cell_values(m), u.cell_values(m + 1)
+    coarse, fine = cell_values(u, m), cell_values(u, m + 1)
     integral = (5.0 * fine.mean() - coarse.mean()) / 4.0
     nd = [harmonic_normal_derivative(tangent_at(u, f":{i}"), i) for i in range(3)]
     lam, size = u.sequence.limit(), float(np.abs(fine).mean())

@@ -190,12 +190,25 @@ class SubtreeWalk(_Level):
         for positions in self.positions():
             yield positions[self.local.cells]
 
+    def corners_between(self) -> list:
+        """The vertices of V_depth in V_level order, cut where the subtrees'
+        ranges start: for each subtree, in cell order, the (possibly empty)
+        array of the V_depth vertices between the previous subtree's range
+        and its own.  None comes after the last subtree's range."""
+        import numpy as np
+
+        at = np.empty(self.top.size, dtype=np.int64)
+        at[self.top.cells] = self.layout[:, :3]
+        order = np.argsort(at)
+        return np.split(order, np.searchsorted(at[order], self.layout[:, 3]))[:-1]
+
     def segments(self):
         """V_level's vertices as (lo, keys, names) runs of rows lo.., in
         vertex order and in the form of _vertex_table: the vertices of
-        V_depth between the subtrees, with their V_depth keys scaled by
-        2^(level-depth) and their V_depth addresses, and the three copies of
-        V_{level-depth-1} that each subtree w adds (_copy), moved by F_w."""
+        V_depth between the subtrees (corners_between), with their V_depth
+        keys scaled by 2^(level-depth) and their V_depth addresses, and the
+        three copies of V_{level-depth-1} that each subtree w adds (_copy),
+        moved by F_w."""
         import numpy as np
 
         depth, shift = self.top.level, self.level - self.top.level
@@ -204,20 +217,16 @@ class SubtreeWalk(_Level):
             yield 0, top_keys, top_names
             return
         keys, names = _vertex_table(shift - 1)
-        # V_depth's vertices in the order of their V_level positions
-        at = np.empty(self.top.size, dtype=np.int64)
-        at[self.top.cells] = self.layout[:, :3]
-        order = np.argsort(at)
-        corner_keys = top_keys[order] << shift
-        corner_names = np.pad(top_names[order], ((0, 0), (0, shift)))
+        corner_keys = top_keys << shift
+        corner_names = np.pad(top_names, ((0, 0), (0, shift)))
         # w's base-3 digits, and F_w's offset: the key of F_w(q_0) - q_0 / 2^depth
         words = np.arange(3 ** depth)[:, None] // 3 ** np.arange(depth - 1, -1, -1) % 3
         offsets = (top_keys[self.top.cells[:, 0]] - [1, 0, 0]) << shift
-        lo, done = 0, 0  # rows and V_depth vertices given so far
-        for word, offset, start in zip(words, offsets, self.layout[:, 3].tolist()):
-            if start > lo:
-                yield lo, corner_keys[done:done + start - lo], corner_names[done:done + start - lo]
-                done, lo = done + start - lo, start
+        lo = 0  # rows given so far
+        for word, offset, between in zip(words, offsets, self.corners_between()):
+            if len(between):
+                yield lo, corner_keys[between], corner_names[between]
+                lo += len(between)
             for j in range(3):
                 part_keys, part_names = _copy(keys, names, j, ord("0") + word, offset)
                 if len(part_keys):  # V_0's copy 2 adds nothing to V_1
@@ -234,12 +243,16 @@ def addresses(names) -> list:
 
 
 def key_coords(keys, level: int) -> np.ndarray:
-    """Planar points of barycentric numerators over 2**level.  Every product
-    and sum is exact but the one rounding of n_2 * sqrt(3)/2, so x takes the
-    same bits for equal 2 n_1 + n_2, and y for equal n_2."""
+    """Planar points of barycentric numerators over 2**level: x = n_1 + n_2/2
+    and y = n_2 sqrt(3)/2, both over 2**level.  Every step is exact but the
+    one rounding of n_2 * sqrt(3)/2, so x takes the same bits for equal
+    2 n_1 + n_2, and y for equal n_2; written elementwise, with no BLAS
+    product."""
     import numpy as np
 
-    return (keys @ np.array(DEFAULT_CORNERS)) / float(1 << level)
+    _, n1, n2 = np.asarray(keys).T
+    scale = float(1 << level)
+    return np.stack([(n1 + n2 / 2) / scale, n2 * DEFAULT_CORNERS[2][1] / scale], axis=1)
 
 
 def _glue(n: int):
@@ -346,9 +359,10 @@ def build_level_graph(m: int) -> LevelGraph:
 
 
 # The levels a subtree of subtree_walk spans.  Fewer take more Python steps,
-# more hold more triples: values_on_level(12) took 72, 38 and 35 ms at 6, 7
-# and 9 levels and peaked at 6.6, 6.7 and 8.3 MB traced, 6.4 MB of it the
-# vertex values (2-CPU host, numpy 2.4).
+# more hold more triples: at level 12, each of eval's two passes
+# (SpectralEigenfunction.check_values and level_values) took 135, 71 and
+# 43 ms at 6, 7 and 9 levels, and the two peaked at 0.22, 0.30 and 1.90 MB
+# traced, one subtree's triples and values (2-CPU host, numpy 2.4).
 SUBTREE_LEVELS = 7
 
 

@@ -26,7 +26,7 @@ import sys
 # numpy and the other layers are imported by the functions that use them,
 # so that a process loads only what its subcommand runs
 from . import special
-from .errors import DomainError, SglapError, UsageError
+from .errors import DomainError, InvariantError, SglapError, UsageError
 
 SPECTRUM_TOL = 1e-9
 EVAL_TOL = 1e-9
@@ -34,6 +34,7 @@ TANGENT_TOL = 1e-7
 
 
 BLOCK_ROWS = 1 << 10  # rows per output block
+CSV_HEADER = "address,level,x,y,value"  # of eval
 
 
 def _row_ranges(n: int):
@@ -295,7 +296,9 @@ def _eval_blocks(args, walk, values):
     """The eval output as text blocks: a header, then each segment of the
     SubtreeWalk in blocks of at most BLOCK_ROWS rows, so that no more than
     one block of rows is held as text; then the obj faces, one subtree at a
-    time.
+    time.  `values` is an iterable of arrays that hold V_level's values in
+    vertex order (SpectralEigenfunction.level_values), read in step with
+    the segments: no segment may span two of them.
 
     The bytes equal what csv.writer and json.dumps(indent=2) give for these
     rows (addresses need no quoting or escaping, and finite floats print as
@@ -310,13 +313,21 @@ def _eval_blocks(args, walk, values):
     if fmt == "obj":
         yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
-        yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
+        yield CSV_HEADER + "\n" if fmt == "csv" else "[\n"
+    values, held = iter(values), ()
     for start, run_keys, run_names in walk.segments():
+        while not len(held):
+            held = next(values, None)
+            if held is None:
+                raise InvariantError(f"the values of V_{level} end before row {start}")
+        run_values, held = held[:len(run_keys)], held[len(run_keys):]
+        if len(run_values) != len(run_keys):
+            raise InvariantError(f"the rows from {start} span two arrays of values")
         for i, j in _row_ranges(len(run_keys)):
             lo, keys, names = start + i, run_keys[i:j], run_names[i:j]
             _, n1, n2 = keys.T
             x, y = x_table[2 * n1 + n2].tolist(), y_table[n2].tolist()
-            v = _reprs(values[lo:start + j])
+            v = _reprs(run_values[i:j])
             if fmt == "obj":
                 yield "v " + "\nv ".join(map(" ".join, zip(x, y, v))) + "\n"
             elif fmt == "csv":
@@ -337,11 +348,12 @@ def _eval_blocks(args, walk, values):
 
 def _block_values(fmt: str, block: str) -> list:
     """The vertex values that one eval output block spells."""
-    import csv
     import json
 
     if fmt == "csv":
-        return [float(r[4]) for r in csv.reader(io.StringIO(block)) if r[4] != "value"]
+        # no field is quoted, so a row's value is the text after its last comma
+        return [float(row.rpartition(",")[2]) for row in block.splitlines()
+                if row != CSV_HEADER]
     if fmt == "json":
         # a block is whole records between the list's brackets and seams
         return [float(rec["value"]) for rec in json.loads("[" + block.strip("[],\n") + "]")]
@@ -355,11 +367,13 @@ def cmd_eval(args) -> int:
     from .harmonic import eigen_residual
 
     u = parse_seed(args.seed)
-    # the walk that values_on_level refined by gives the faces and the residual
-    values, walk = u.values_on_level(args.level), subtree_walk(args.level)
-    if not np.isfinite(values).all():
+    # every value is checked in a first pass, before the first byte, and
+    # refined again to be written
+    if not u.check_values(args.level):
         raise SglapError(f"seed {args.seed!r} gives non-finite values on V_{args.level}")
-    blocks = _eval_blocks(args, walk, values)
+    # the walk that the values are refined by gives the faces and the residual
+    walk = subtree_walk(args.level)
+    blocks = _eval_blocks(args, walk, u.level_values(args.level))
     if not args.verify:
         _emit(args, blocks)
         return 0

@@ -27,6 +27,10 @@ from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_mu
                          vertex_count)
 from .errors import DomainError
 
+# copies of one vertex that differ by more than this, relative to the scale
+# of the values, describe no function: the junction check of check_values
+JUNCTION_TOL = 1e-9
+
 
 def matvec(m, v) -> tuple:
     """m v for a 3x3 matrix and a 3-vector of floats or Decimals.  Each entry
@@ -166,7 +170,10 @@ class SpectralEigenfunction(Frozen):
 
     The seed is held as a {vertex: value} map over V_{m0} (a vertex it does
     not name is 0), so that looking up one cell of a deep seed costs no more
-    than a shallow one; a dense sequence of |V_{m0}| values is taken too."""
+    than a shallow one; a dense sequence of |V_{m0}| values is taken too.
+    Its values on V_m are refined one subtree at a time in two passes, and
+    never held as one array: check_values checks them all, then
+    level_values hands them on in vertex order."""
 
     __slots__ = ("sequence", "seed_values")
 
@@ -187,18 +194,50 @@ class SpectralEigenfunction(Frozen):
     def m0(self) -> int:
         return self.sequence.m0
 
-    def values_on_level(self, m: int, tol: float = 1e-9):
-        """Vertex values on V_m, refined one subtree of subtree_walk(m) at a
-        time.  Each subtree, in cell order, takes its cells on level r =
+    def check_values(self, m: int) -> bool:
+        """The first of eval's two passes over V_m: refine and collapse every
+        subtree of subtree_walk(m) as level_values does, keeping only the
+        junction gap, the scale and whether the values are finite.  The gap
+        and the scale are gathered over every subtree and checked once, as
+        one collapse of the level checks them: copies that differ by more
+        than JUNCTION_TOL relative to the scale raise DomainError.  Returns
+        whether every value is finite; a value past the float range makes
+        the gap NaN and the values non-finite, for the caller to reject."""
+        import numpy as np
+
+        gaps, scales, finite = [], [], True
+        for values, gap, scale in self._collapses(m):
+            gaps.append(gap)
+            scales.append(scale)
+            finite = finite and bool(np.isfinite(values).all())
+        gap, scale = float(np.max(gaps)), max(scales)  # a NaN gap stays NaN
+        if gap > JUNCTION_TOL * scale:
+            raise DomainError(f"cell triples disagree at a junction by {gap:.3e}")
+        return finite
+
+    def level_values(self, m: int):
+        """The second pass: V_m's values in vertex order, refined again one
+        subtree of subtree_walk(m) at a time, so that no array of the whole
+        level is made.  Yields, for each subtree in cell order, the values
+        of the V_depth vertices before its range (corners_between), then
+        those of the vertices it adds; the V_depth values, a few, come from
+        the collapse of the subtrees' corner triples and are held apart.
+        The values are not checked: check_values checks them first."""
+        collapses = self._collapses(m)
+        top = next(collapses)[0]
+        for between, (values, _, _) in zip(subtree_walk(m).corners_between(), collapses):
+            if len(between):
+                yield top[between]
+            yield values
+
+    def _collapses(self, m: int):
+        """The subtrees of subtree_walk(m) refined and collapsed one at a
+        time: (values, gap, scale) of cell_values_to_vertex, first for V_depth,
+        collapsed from the subtrees' corner triples, which refinement keeps,
+        then for each subtree in cell order, with the values of the
+        vertices it adds.  A subtree takes its cells on level r =
         max(m0, depth) from the seed (its cell_triple, or the seed at its
-        r-cells), refines them on to level m, collapses them and writes the
-        vertices it adds.  The V_depth values and the junction check between
-        subtrees come from the subtrees' corner triples, which refinement
-        keeps.  The gap and the scale are gathered over every subtree and
-        checked once, as one collapse of the level checks them: copies that
-        differ by more than tol relative to the scale raise DomainError.  A
-        value past the float range makes the gap NaN and the values
-        non-finite, for the caller to reject."""
+        r-cells) and refines them on to level m."""
         import numpy as np
 
         if m < self.m0:
@@ -206,7 +245,6 @@ class SpectralEigenfunction(Frozen):
         walk = subtree_walk(m)
         depth = walk.top.level
         r = max(self.m0, depth)
-        values, n = np.empty(walk.size), walk.local.size - 3
         with np.errstate(over="ignore", invalid="ignore"):
             if self.m0 <= depth:  # one depth-cell per subtree
                 words = itertools.product(range(3), repeat=depth)
@@ -220,20 +258,14 @@ class SpectralEigenfunction(Frozen):
                 triples = (np.array([seed(v, 0.0) for v in p.tolist()])[on_m0.local.cells]
                            for p in on_m0.positions())
             mats = [np.array(eigen_matrices(self.sequence.value(j))) for j in range(r + 1, m + 1)]
-            out, gap, scale = cell_values_to_vertex(walk.top, corners)
-            values[walk.layout[:, :3]] = out[walk.top.cells]
-            gaps, scales = [gap], [scale]
-            for cv, start in zip(triples, walk.layout[:, 3].tolist()):
+            collapsed = cell_values_to_vertex(walk.top, corners)
+        yield collapsed
+        for cv in triples:
+            with np.errstate(over="ignore", invalid="ignore"):
                 for mat in mats:
                     cv = extend_level(cv, mat)
                 out, gap, scale = cell_values_to_vertex(walk.local, cv)
-                values[start:start + n] = out[3:]
-                gaps.append(gap)
-                scales.append(scale)
-        gap, scale = float(np.max(gaps)), max(scales)  # a NaN gap stays NaN
-        if gap > tol * scale:
-            raise DomainError(f"cell triples disagree at a junction by {gap:.3e}")
-        return values
+            yield out[3:], gap, scale
 
     def cell_triple(self, word) -> tuple:
         """Values at the three corners of a cell no coarser than the seed.

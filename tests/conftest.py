@@ -1,23 +1,25 @@
 """Shared pytest wiring: the acceptance report block, and the references
 that only the tests use: the one-letter extension helpers, the closed-form
 tangent as it ran on numpy, the renormalized normal-derivative limit, the
-whole-level residual, the dense seed and whole-level cell triples, per-cell
-vertex values, the whole-level vertex table and the scalar addressing, the
-psi_m approximant, a one-point run of a special grid kernel, and the
-oracles' spectrum pairing and unit-interval model."""
+whole-level residual, the dense seed, whole-level cell triples and vertex
+values, per-cell vertex values, the whole-level vertex table and the
+scalar addressing, the psi_m approximant, a one-point run of a special grid
+kernel, and the oracles' spectrum pairing and unit-interval model."""
 import cmath
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 
+from sglap import harmonic
 from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, _subtree_walk,
                            build_level_graph, check_letter, check_word, subtree_walk,
                            vertex_cells)
 from sglap.decimation import vertex_count
 from sglap.errors import ConvergenceError, DomainError
-from sglap.harmonic import (HARMONIC_INVERSES, eigen_matrices, extend_level, graph_laplacian,
-                            matvec)
+from sglap.harmonic import (HARMONIC_INVERSES, JUNCTION_TOL, eigen_matrices, extend_level,
+                            graph_laplacian, matvec)
 from sglap.special import DEFAULT_CONFIG
 from sglap.tangent import m0_matrix
 
@@ -145,6 +147,18 @@ def seed_array(u) -> np.ndarray:
     out = np.zeros(vertex_count(u.m0))
     out[list(u.seed_values)] = list(u.seed_values.values())
     return out
+
+
+def values_on_level(u, m: int, tol: float = JUNCTION_TOL) -> np.ndarray:
+    """u on V_m as one array, the dense reference of eval's two passes:
+    check_values with its junction check at tol, then the level_values
+    stream written into one array in vertex order.  Non-finite values are
+    returned, for the caller to reject, as eval rejects them."""
+    with mock.patch.object(harmonic, "JUNCTION_TOL", tol):
+        u.check_values(m)
+    values = np.concatenate(list(u.level_values(m)))
+    assert values.shape == (vertex_count(m),)
+    return values
 
 
 def cell_values(u, m: int) -> np.ndarray:

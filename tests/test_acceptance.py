@@ -16,7 +16,7 @@ import numpy as np
 
 from conftest import (acceptance_log, eigen_matrix, extend_harmonic, harmonic_matrix,
                       harmonic_normal_derivative, interval_tangent, normal_derivative_limit,
-                      one_point, sorted_pairing_gap, value_at)
+                      one_point, sorted_pairing_gap, value_at, values_on_level)
 
 from sglap.address import subtree_walk
 from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
@@ -84,7 +84,7 @@ def test_criterion_03_eigen_equation_residuals():
     slowest = 0.0
     for u in funcs:
         t0 = time.perf_counter()
-        worst = max(worst, max(eigen_residual(subtree_walk(m), u.values_on_level(m),
+        worst = max(worst, max(eigen_residual(subtree_walk(m), values_on_level(u, m),
                                               u.sequence.value(m)) for m in range(u.m0, 9)))
         slowest = max(slowest, time.perf_counter() - t0)
     _report(

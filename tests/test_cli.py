@@ -21,8 +21,8 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import (level_vertices, resolve_addresses, seed_array, vertex_value_walks,
-                      whole_level_residual)
+from conftest import (level_vertices, resolve_addresses, seed_array, values_on_level,
+                      vertex_value_walks, whole_level_residual)
 
 from sglap import address, cli, harmonic
 from sglap.address import (addresses, build_level_graph, format_address, key_coords,
@@ -401,10 +401,10 @@ def test_eval_blocks_equal_per_row_repr(seed_level_depth, fmt, block_rows):
     # subtrees and the rows of V_depth between them show below level 8
     (seed, level), depth = seed_level_depth
     graph = build_level_graph(level)
-    values = cli.parse_seed(seed).values_on_level(level)
+    values = values_on_level(cli.parse_seed(seed), level)
     args = argparse.Namespace(seed=seed, level=level, format=fmt)
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
-        assert "".join(cli._eval_blocks(args, address._subtree_walk(level, depth), values)) == \
+        assert "".join(cli._eval_blocks(args, address._subtree_walk(level, depth), [values])) == \
             "".join(_reference_eval_blocks(args, graph, values))
 
 
@@ -456,11 +456,11 @@ def test_eval_values_are_d3_equivariant(seed, level):
     except SglapError:
         assume(False)  # a free: lambda that hits a singular level
     assume(level >= u.m0)
-    values = u.values_on_level(level)
+    values = values_on_level(u, level)
     scale = max(1.0, float(np.abs(values).max()))
     for p in itertools.permutations(range(3)):
         moved = SpectralEigenfunction(u.sequence, seed_array(u)[_d3_vertex_map(u.m0, p)])
-        gap = float(np.abs(moved.values_on_level(level) - values[_d3_vertex_map(level, p)]).max())
+        gap = float(np.abs(values_on_level(moved, level) - values[_d3_vertex_map(level, p)]).max())
         assert gap <= D3_EVAL_TOL * scale, (p, gap / scale)
 
 
@@ -483,11 +483,11 @@ def test_eval_values_equal_the_cell_walks_bitwise(seed, level):
     # refined one subtree at a time in matvec's order, a vertex takes the
     # bits of the cell_triple walks of its cells, at every subtree size
     u = _parse_eval_seed(seed, level)
-    values = u.values_on_level(level)
+    values = values_on_level(u, level)
     assert np.array_equal(_bits(values), _bits(vertex_value_walks(u, level)))
     for levels in [1, 2, level, level + 3]:
         with mock.patch.object(address, "SUBTREE_LEVELS", levels):
-            assert np.array_equal(_bits(u.values_on_level(level)), _bits(values)), levels
+            assert np.array_equal(_bits(values_on_level(u, level)), _bits(values)), levels
 
 
 @settings(max_examples=30, deadline=None)
@@ -498,7 +498,7 @@ def test_eval_residual_by_subtrees_equals_the_whole_level_bitwise(seed, level, l
     # noise, whose residual is far from 0
     u = _parse_eval_seed(seed, level)
     lam = u.sequence.value(level)
-    values = u.values_on_level(level)
+    values = values_on_level(u, level)
     noisy = values + np.random.default_rng(noise).standard_normal(values.size)
     graph = build_level_graph(level)
     with mock.patch.object(address, "SUBTREE_LEVELS", levels):
@@ -567,6 +567,47 @@ def test_eval_non_finite_subtree_fails_before_the_first_byte(monkeypatch, tmp_pa
     assert err == "error: seed 'free:7.3:1,-2,3' gives non-finite values on V_6\n"
 
 
+def _tampered_last_subtree(monkeypatch, tmp_path, capsys, tamper):
+    """eval --level 9, walked as 9 subtrees of V_7, where tamper(out)
+    changes the level-9 triples of the last subtree that the first pass
+    refines; run to stdout and to --output, each exits 3 with an empty
+    stdout and leaves no file.  A writer that checked each subtree as it
+    wrote it would have written the other eight first.  Returns the two
+    messages."""
+    original = harmonic.extend_level
+    assert len(subtree_walk(9).layout) == 9
+    errs = []
+    for output in [[], ["--output", str(tmp_path / "out.csv")]]:
+        def extend_level(cell_values, mats, count=itertools.count()):
+            out = original(cell_values, mats)
+            if len(out) == 3 ** 7 and next(count) == 8:
+                tamper(out)
+            return out
+
+        monkeypatch.setattr(harmonic, "extend_level", extend_level)
+        errs.append(_assert_exit(3, ["eval", "--seed", "free:7.3:1,-2,3", "--level", "9",
+                                     *output], capsys))
+        assert os.listdir(tmp_path) == []
+    return errs
+
+
+def test_eval_junction_gap_in_the_last_subtree_fails_before_the_first_byte(
+        monkeypatch, tmp_path, capsys):
+    def tamper(out):
+        out[0, 1] += 1e-3
+
+    for err in _tampered_last_subtree(monkeypatch, tmp_path, capsys, tamper):
+        assert err.startswith("error: cell triples disagree at a junction by 5.0")
+
+
+def test_eval_non_finite_last_subtree_fails_before_the_first_byte(monkeypatch, tmp_path, capsys):
+    def tamper(out):
+        out[5, 2] = math.inf
+
+    for err in _tampered_last_subtree(monkeypatch, tmp_path, capsys, tamper):
+        assert err == "error: seed 'free:7.3:1,-2,3' gives non-finite values on V_9\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
 def test_eval_verify_reads_back_the_written_blocks(fmt, monkeypatch, capsys):
     # the first row is the corner q_0, where six:1:1 is 0.0; writing 1.0
@@ -605,13 +646,13 @@ class _Sink:
 def _emission_peak(fmt, level):
     seed = "five:1:2:+-+-++"
     walk = subtree_walk(level)
-    values = cli.parse_seed(seed).values_on_level(level)
+    values = values_on_level(cli.parse_seed(seed), level)
     args = argparse.Namespace(seed=seed, level=level, format=fmt, output=None)
     sink = _Sink()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            cli._emit(args, cli._eval_blocks(args, walk, values))
+            cli._emit(args, cli._eval_blocks(args, walk, [values]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -627,34 +668,36 @@ def test_eval_output_memory_does_not_grow_with_the_level(fmt):
 
 def test_eval_pipeline_peak_memory():
     # eval --level 10 as cmd_eval runs it, from cold level caches: the
-    # subtree walk, the values and every csv block.  It peaks at 1.35 MB
-    # under tracemalloc (numpy 2.4), taking the rows from V_6's and V_3's
-    # keys and address bytes one copy of V_6 at a time; 1.38 MB when it glued
-    # 1024-row blocks from cached levels of at most 1024 vertices, 4.3 MB
-    # when the level's graph and every cell triple were held, and 7.5 MB
-    # when the graph also held every vertex's keys and address bytes
+    # subtree walk, both passes of the refinement and every csv block.  It
+    # peaks at 0.73 MB under tracemalloc (numpy 2.4), holding one subtree's
+    # values at a time; 1.35 MB when it held the level's values,
+    # 4.3 MB when the level's graph and every cell triple were held, and
+    # 7.5 MB when the graph also held every vertex's keys and address bytes
     seed, level = "six:2:1:+-+", 10
     address._build_level_graph.cache_clear()
     address._subtree_walk.cache_clear()
     args = argparse.Namespace(seed=seed, level=level, format="csv")
     tracemalloc.start()
     try:
-        values, walk = cli.parse_seed(seed).values_on_level(level), subtree_walk(level)
-        rows = sum(block.count("\n") for block in cli._eval_blocks(args, walk, values))
+        u = cli.parse_seed(seed)
+        assert u.check_values(level)
+        walk = subtree_walk(level)
+        rows = sum(block.count("\n")
+                   for block in cli._eval_blocks(args, walk, u.level_values(level)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rows == walk.size + 1
-    assert peak < 2e6
+    assert peak < 1e6
 
 
-def test_eval_verify_holds_two_value_arrays():
+def test_eval_verify_holds_one_value_array():
     # eval --level 10 --verify from cold level caches parses each block into
-    # one preallocated array: the values and that array are held when the
-    # residual starts, 1.49-1.50 MB under tracemalloc (numpy 2.4), against
-    # 2.23 MB when the parsed blocks were kept in a list and then
-    # concatenated.  The whole run peaks at 2.26-2.52 MB (2.57 MB then),
-    # while a block is parsed, json the highest
+    # one preallocated array, the only array of the level's values: what is
+    # held when the residual starts takes 0.78-0.79 MB under tracemalloc
+    # (numpy 2.4), against 1.49-1.50 MB when the computed values were held
+    # too.  The whole run peaks at 1.50-1.89 MB (2.25-2.52 MB then), while a
+    # block is parsed, json the highest
     held = []
 
     def residual(walk, values, lam):
@@ -673,8 +716,8 @@ def test_eval_verify_holds_two_value_arrays():
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert held[-1] < 2 * 8 * subtree_walk(10).size + 0.4e6, fmt
-        assert peak < 2.8e6, fmt
+        assert held[-1] < 8 * subtree_walk(10).size + 0.4e6, fmt
+        assert peak < 2.2e6, fmt
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
@@ -697,39 +740,50 @@ def test_eval_verify_counts_the_values_read_back(fmt, change, monkeypatch, capsy
     assert err == f"error: re-ingested {rows + change} values, expected {rows}\n"
 
 
-def test_eval_refinement_peak_memory_at_level_12():
-    # values_on_level(12) holds the 6.4 MB vertex array and one subtree's
-    # triples at a time: it peaks at 6.7 MB under tracemalloc (numpy 2.4),
-    # and at 38 MB when it held every level-12 cell triple and collapsed them
-    # on the level's graph
-    u = cli.parse_seed("six:2:1:+-+")
-    subtree_walk(12)
+def _eval_peak(level):
+    """The tracemalloc peak of eval --level <level> --output /dev/null, run
+    through cli.main from cold level caches."""
+    address._build_level_graph.cache_clear()
+    address._subtree_walk.cache_clear()
     tracemalloc.start()
     try:
-        values = u.values_on_level(12)
+        code = cli.main(["eval", "--seed", "six:2:1:+-+", "--level", str(level),
+                         "--output", os.devnull])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert values.nbytes == 8 * subtree_walk(12).size
-    assert peak < 8e6
+    assert code == 0
+    return peak
+
+
+def test_eval_peak_memory_at_level_12_stays_near_level_10():
+    # V_12 has 9x the vertices of V_10, but eval holds one subtree's values
+    # and one block at a time: the L12 run peaks at 1.60-1.80 MB under
+    # tracemalloc (numpy 2.4), 2.1-2.3 times the L10 run's 0.77-0.79 MB,
+    # most of the difference being the lattice tables, which grow as
+    # 2^level; it peaked at 7.9 MB, 5.6 times the L10 run, when the level's
+    # values were held.  A small run first loads what eval imports.
+    assert cli.main(["eval", "--seed", "six:2:1:+-+", "--level", "2", "--output", os.devnull]) == 0
+    assert _eval_peak(12) <= 3 * _eval_peak(10)
 
 
 def test_a_seed_born_deep_is_refined_by_subtrees():
     # a seed born below the walk's depth gives each subtree its cells from
-    # the sparse seed: values_on_level(12) of six:12:1 peaks at 6.8 MB under
-    # tracemalloc (numpy 2.4), as a shallow seed does, and at 32 MB when it
-    # refined from the whole seed level, a dense seed array indexed by the
-    # level's cells
+    # the sparse seed: both passes over V_12 of six:12:1 peak at 0.39 MB
+    # under tracemalloc (numpy 2.4), 6.75 MB when the level's values were
+    # held, and 32 MB when it refined from the whole seed level, a dense
+    # seed array indexed by the level's cells
     u = cli.parse_seed("six:12:1")
     subtree_walk(12)
     tracemalloc.start()
     try:
-        values = u.values_on_level(12)
+        assert u.check_values(12)
+        count = sum(map(len, u.level_values(12)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert values.nbytes == 8 * subtree_walk(12).size
-    assert peak < 8e6
+    assert count == subtree_walk(12).size
+    assert peak < 0.6e6
 
 
 @pytest.mark.parametrize("seed", ["six:5:3", "six:6:2:+-", "five:2:2", "two:1:1:+"])
@@ -741,7 +795,7 @@ def test_a_seed_born_deep_takes_the_cell_walk_bits(seed):
     walks = _bits(vertex_value_walks(u, level))
     for levels in range(1, level + 1):
         with mock.patch.object(address, "SUBTREE_LEVELS", levels):
-            assert np.array_equal(_bits(u.values_on_level(level)), walks), levels
+            assert np.array_equal(_bits(values_on_level(u, level)), walks), levels
 
 
 def test_failed_emission_leaves_the_target_unchanged(tmp_path, monkeypatch, capsys):
@@ -831,11 +885,13 @@ def test_spectrum_past_level_23_exits_three():
 
 
 @pytest.mark.parametrize("cap, argv", [
-    ("16", ["eval", "--seed", "two:1:1", "--level", "16"]),
+    ("22", ["eval", "--seed", "two:1:1", "--level", "22"]),
 ], ids=["eval"])
 def test_out_of_memory_exits_three(cap, argv):
-    # the level graph no longer fits in the capped address space; numpy's
-    # MemoryError ended in a traceback and exit 1
+    # the subtree walk's layout, 3^15 rows of 32 bytes at level 22, does not
+    # fit in the capped address space; numpy's MemoryError ended in a
+    # traceback and exit 1.  eval holds no array of a whole level's values,
+    # so at level 16, where that array took 516 MB, it no longer runs out
     proc = subprocess.run([sys.executable, "-m", "sglap.cli", *argv],
                           env={**os.environ, "SG_MAX_LEVEL": cap},
                           preexec_fn=_cap_address_space, capture_output=True, text=True,
@@ -1046,7 +1102,7 @@ def test_eval_rows_match_generic_writers(fmt, capsys):
     seed, level = "free:-7.25:0.1,-2,1e-05", 4
     code, out, _ = run(["eval", "--seed", seed, "--level", str(level), "--format", fmt], capsys)
     assert code == 0
-    values = cli.parse_seed(seed).values_on_level(level)
+    values = values_on_level(cli.parse_seed(seed), level)
     keys, _ = level_vertices(level)
     points = key_coords(keys, level)
     rows = [[format_address(*resolve_addresses(tuple(key), level)[0]), level, float(x), float(y),
@@ -1062,13 +1118,16 @@ def test_eval_non_finite_values_exit_three_with_empty_stdout(capsys):
 
 def test_eval_non_finite_guard_exits_three_with_empty_stdout(monkeypatch, capsys):
     # no known seed reaches the guard (free: lambdas this large stop in
-    # sequence_from_limit), so the refinement that cmd_eval calls hands it a NaN
-    def values_on_level(self, m, tol=1e-9):
-        values = np.zeros(subtree_walk(m).size)
-        values[-1] = math.nan
-        return values
+    # sequence_from_limit), so the collapse of the one V_3 subtree hands it
+    # a NaN, in the last vertex and after its junction gap is taken
+    def cell_values_to_vertex(graph, cell_values):
+        out, gap, scale = original(graph, cell_values)
+        if graph.level == 3:
+            out[-1] = math.nan
+        return out, gap, scale
 
-    monkeypatch.setattr(SpectralEigenfunction, "values_on_level", values_on_level)
+    original = harmonic.cell_values_to_vertex
+    monkeypatch.setattr(harmonic, "cell_values_to_vertex", cell_values_to_vertex)
     code, out, err = run(["eval", "--seed", "two:1:1", "--level", "3"], capsys)
     assert code == 3 and out == ""
     assert err == "error: seed 'two:1:1' gives non-finite values on V_3\n"

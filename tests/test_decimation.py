@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (eigen_matrix, harmonic_matrix, resolve_addresses, seed_array, value_at,
-                      vertex_key, word_index)
+                      values_on_level, vertex_key, word_index)
 
 from sglap import address, decimation
 from sglap.address import build_level_graph, subtree_walk
@@ -209,7 +209,7 @@ def test_residuals_stay_tiny_under_refinement():
     ]
     for u in funcs:
         for m in range(u.m0, 7):
-            assert eigen_residual(subtree_walk(m), u.values_on_level(m),
+            assert eigen_residual(subtree_walk(m), values_on_level(u, m),
                                   u.sequence.value(m)) < 1e-11
 
 
@@ -222,7 +222,7 @@ def test_junction_values_agree_from_both_addresses():
 
 def test_values_on_level_shape_and_boundary():
     u = dirichlet_eigenfunction("two", 1, plus_indices={2})
-    v = u.values_on_level(4, tol=1e-10)
+    v = values_on_level(u, 4, tol=1e-10)
     assert v.shape == (build_level_graph(4).size,)
     assert np.array_equal(v[:3], np.zeros(3))
 
@@ -236,7 +236,7 @@ def graph_index(g, word, letter) -> int:
 def test_cell_triple_matches_bulk_values():
     u = dirichlet_eigenfunction("five", 1, 2, plus_indices={3})
     g = build_level_graph(3)
-    vals = u.values_on_level(3)
+    vals = values_on_level(u, 3)
     word = (0, 2, 1)
     expect = [vals[graph_index(g, word, c)] for c in range(3)]
     assert np.allclose(u.cell_triple(word), expect, atol=1e-12)
@@ -267,7 +267,7 @@ def walk_cases(draw):
 def test_single_walk_matches_bulk_values(case):
     u, m, word, letter = case
     g = build_level_graph(m)
-    vals = u.values_on_level(m)
+    vals = values_on_level(u, m)
     atol = 1e-12 * max(1.0, float(np.abs(vals).max()))
     assert value_at(u, word, letter) == pytest.approx(vals[graph_index(g, word, letter)],
                                                       abs=atol)
@@ -327,7 +327,7 @@ def test_level1_spectrum_is_two_five_five():
 def test_six_element_is_interior_eigen_but_not_dirichlet():
     u = dirichlet_eigenfunction("six", 1)
     assert u.seed_values[2] == 2.0  # nonzero on a boundary corner
-    assert eigen_residual(subtree_walk(5), u.values_on_level(5),
+    assert eigen_residual(subtree_walk(5), values_on_level(u, 5),
                           u.sequence.value(5)) < 1e-12
 
 
@@ -361,7 +361,7 @@ def test_six_element_branches():
     assert dirichlet_eigenfunction("six", 1).sequence.plus_indices == frozenset({2})
     u = dirichlet_eigenfunction("six", 1, 1, {2, 4})
     assert u.sequence.plus_indices == frozenset({2, 4})
-    assert eigen_residual(subtree_walk(5), u.values_on_level(5),
+    assert eigen_residual(subtree_walk(5), values_on_level(u, 5),
                           u.sequence.value(5)) < 1e-12
     with pytest.raises(DomainError):
         dirichlet_eigenfunction("six", 1, 1, {3})  # level 2 must take the plus root

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, cell_values, extend_harmonic,
                       harmonic_matrix, harmonic_normal_derivative, level_vertices,
-                      normal_derivative_limit)
+                      normal_derivative_limit, values_on_level)
 
 from sglap import harmonic
 from sglap.address import build_level_graph
@@ -77,14 +77,14 @@ def test_pullback_inverts_extension(b, word):
 
 @given(triples)
 def test_extension_is_discrete_harmonic(b):
-    vals = SpectralEigenfunction(HARMONIC, b).values_on_level(3, tol=1e-12)
+    vals = values_on_level(SpectralEigenfunction(HARMONIC, b), 3, tol=1e-12)
     defect = graph_laplacian(build_level_graph(3), vals)[3:]
     assert float(np.abs(defect).max()) < 1e-12 * max(1.0, float(np.abs(vals).max()))
 
 
 @given(triples)
 def test_maximum_principle(b):
-    vals = SpectralEigenfunction(HARMONIC, b).values_on_level(4, tol=1e-12)
+    vals = values_on_level(SpectralEigenfunction(HARMONIC, b), 4, tol=1e-12)
     assert vals.min() >= min(b) - 1e-12
     assert vals.max() <= max(b) + 1e-12
 
@@ -92,7 +92,7 @@ def test_maximum_principle(b):
 def test_extensions_are_nested_across_levels():
     b = (1.0, -0.5, 2.0)
     u = SpectralEigenfunction(HARMONIC, b)
-    v2, v3 = u.values_on_level(2, tol=1e-12), u.values_on_level(3, tol=1e-12)
+    v2, v3 = values_on_level(u, 2, tol=1e-12), values_on_level(u, 3, tol=1e-12)
     index3 = {tuple(key): j for j, key in enumerate(level_vertices(3)[0].tolist())}
     for i, key in enumerate(level_vertices(2)[0].tolist()):
         j = index3[tuple(2 * n for n in key)]
@@ -101,7 +101,7 @@ def test_extensions_are_nested_across_levels():
 
 def test_cell_vertex_round_trip():
     g = build_level_graph(3)
-    vals = SpectralEigenfunction(HARMONIC, (0.3, 1.0, -2.0)).values_on_level(3, tol=1e-12)
+    vals = values_on_level(SpectralEigenfunction(HARMONIC, (0.3, 1.0, -2.0)), 3, tol=1e-12)
     cv = vals[g.cells]
     out, gap, scale = harmonic.cell_values_to_vertex(g, cv)
     assert np.array_equal(out, vals) and gap == 0.0
@@ -109,7 +109,7 @@ def test_cell_vertex_round_trip():
 
 
 def test_junction_mismatch_is_rejected(monkeypatch):
-    # the collapse measures the gap, and values_on_level raises on it
+    # the collapse measures the gap, and check_values raises on it
     u = SpectralEigenfunction(HARMONIC, (1.0, 0.0, 0.0))
     cv = cell_values(u, 1)
     cv[0, 1] += 1e-3
@@ -124,7 +124,7 @@ def test_junction_mismatch_is_rejected(monkeypatch):
     original = harmonic.extend_level
     monkeypatch.setattr(harmonic, "extend_level", extend_level)
     with pytest.raises(DomainError, match="disagree at a junction by 5.000e-04"):
-        u.values_on_level(1)
+        values_on_level(u, 1)
 
 
 def test_extend_cells_matches_vertex_extension():
@@ -136,7 +136,7 @@ def test_extend_cells_matches_vertex_extension():
         cv = extend_level(cv, HARMONIC_MATRICES)
     vals, gap, _ = harmonic.cell_values_to_vertex(build_level_graph(3), cv)
     assert gap <= 1e-12
-    assert np.array_equal(vals, SpectralEigenfunction(HARMONIC, b).values_on_level(3, tol=1e-12))
+    assert np.array_equal(vals, values_on_level(SpectralEigenfunction(HARMONIC, b), 3, tol=1e-12))
 
 
 def test_extend_level_splits_cells():

@@ -190,52 +190,59 @@ class SubtreeWalk(_Level):
         for positions in self.positions():
             yield positions[self.local.cells]
 
-    def corners_between(self) -> list:
-        """The vertices of V_depth in V_level order, cut where the subtrees'
-        ranges start: for each subtree, in cell order, the (possibly empty)
-        array of the V_depth vertices between the previous subtree's range
-        and its own.  None comes after the last subtree's range."""
+    def rows(self, values):
+        """V_level's vertices as (lo, keys, names, values) runs of rows lo..,
+        in vertex order and in the form of _vertex_table, with their values.
+        `values` is the stream of SpectralEigenfunction.level_values: the
+        values of V_depth in its order, then, for each subtree in cell order,
+        those of the vertices it adds.  A run is either the vertices of
+        V_depth between two subtrees' ranges, with their V_depth keys scaled
+        by 2^(level-depth) and their V_depth addresses, or one of the three
+        copies of V_{level-depth-1} that subtree w adds (_copy), moved by
+        F_w.  A stream with too few arrays, too many, or one of the wrong
+        length raises InvariantError."""
         import numpy as np
 
-        at = np.empty(self.top.size, dtype=np.int64)
-        at[self.top.cells] = self.layout[:, :3]
-        order = np.argsort(at)
-        return np.split(order, np.searchsorted(at[order], self.layout[:, 3]))[:-1]
-
-    def segments(self):
-        """V_level's vertices as (lo, keys, names) runs of rows lo.., in
-        vertex order and in the form of _vertex_table: the vertices of
-        V_depth between the subtrees (corners_between), with their V_depth
-        keys scaled by 2^(level-depth) and their V_depth addresses, and the
-        three copies of V_{level-depth-1} that each subtree w adds (_copy),
-        moved by F_w."""
-        import numpy as np
-
+        values = iter(values)
         depth, shift = self.top.level, self.level - self.top.level
         top_keys, top_names = _vertex_table(depth)
-        if not shift:
-            yield 0, top_keys, top_names
-            return
-        keys, names = _vertex_table(shift - 1)
+        top_values = _take(values, self.top.size, self.level)
+        keys, names = _vertex_table(max(0, shift - 1))
         corner_keys = top_keys << shift
         corner_names = np.pad(top_names, ((0, 0), (0, shift)))
+        at = np.empty(self.top.size, dtype=np.int64)
+        at[self.top.cells] = self.layout[:, :3]
+        order = np.argsort(at)  # V_depth's vertices in V_level order
         # w's base-3 digits, and F_w's offset: the key of F_w(q_0) - q_0 / 2^depth
         words = np.arange(3 ** depth)[:, None] // 3 ** np.arange(depth - 1, -1, -1) % 3
         offsets = (top_keys[self.top.cells[:, 0]] - [1, 0, 0]) << shift
-        lo = 0  # rows given so far
-        for word, offset, between in zip(words, offsets, self.corners_between()):
+        n, lo = self.local.size - 3, 0  # rows each subtree adds, rows given so far
+        for w, (word, offset, first) in enumerate(zip(words, offsets, self.layout[:, 3].tolist())):
+            # the vertices of V_depth between the previous subtree's range and w's
+            between = order[lo - w * n:first - w * n]
             if len(between):
-                yield lo, corner_keys[between], corner_names[between]
-                lo += len(between)
-            for j in range(3):
+                yield lo, corner_keys[between], corner_names[between], top_values[between]
+            added, lo = _take(values, n, self.level), first
+            for j in range(3 if shift else 0):  # at shift 0 a subtree adds nothing
                 part_keys, part_names = _copy(keys, names, j, ord("0") + word, offset)
                 if len(part_keys):  # V_0's copy 2 adds nothing to V_1
-                    yield lo, part_keys, part_names
-                    lo += len(part_keys)
+                    yield lo, part_keys, part_names, added[:len(part_keys)]
+                    lo, added = lo + len(part_keys), added[len(part_keys):]
+        if next(values, None) is not None:
+            raise InvariantError(f"the values of V_{self.level} run past its last vertex")
+
+
+def _take(values, size: int, level: int):
+    """The next array of a SubtreeWalk.rows values stream, of this size."""
+    part = next(values, None)
+    if part is None or len(part) != size:
+        raise InvariantError(f"the values of V_{level} end early or come in an array of "
+                             f"the wrong length")
+    return part
 
 
 def addresses(names) -> list:
-    """format_address of each row of address bytes from SubtreeWalk.segments."""
+    """format_address of each row of address bytes from SubtreeWalk.rows."""
     import numpy as np
 
     # trailing NULs drop off numpy unicode strings

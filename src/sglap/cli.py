@@ -26,7 +26,7 @@ import sys
 # numpy and the other layers are imported by the functions that use them,
 # so that a process loads only what its subcommand runs
 from . import special
-from .errors import DomainError, InvariantError, SglapError, UsageError
+from .errors import DomainError, SglapError, UsageError
 
 SPECTRUM_TOL = 1e-9
 EVAL_TOL = 1e-9
@@ -293,12 +293,11 @@ def _lattice_reprs(level: int):
 
 
 def _eval_blocks(args, walk, values):
-    """The eval output as text blocks: a header, then each segment of the
-    SubtreeWalk in blocks of at most BLOCK_ROWS rows, so that no more than
-    one block of rows is held as text; then the obj faces, one subtree at a
-    time.  `values` is an iterable of arrays that hold V_level's values in
-    vertex order (SpectralEigenfunction.level_values), read in step with
-    the segments: no segment may span two of them.
+    """The eval output as text blocks: a header, then each run of the
+    SubtreeWalk's rows in blocks of at most BLOCK_ROWS rows, so that no more
+    than one block of rows is held as text; then the obj faces, one subtree
+    at a time.  `values` is the stream of V_level's values that walk.rows
+    puts in vertex order (SpectralEigenfunction.level_values).
 
     The bytes equal what csv.writer and json.dumps(indent=2) give for these
     rows (addresses need no quoting or escaping, and finite floats print as
@@ -314,15 +313,7 @@ def _eval_blocks(args, walk, values):
         yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
         yield CSV_HEADER + "\n" if fmt == "csv" else "[\n"
-    values, held = iter(values), ()
-    for start, run_keys, run_names in walk.segments():
-        while not len(held):
-            held = next(values, None)
-            if held is None:
-                raise InvariantError(f"the values of V_{level} end before row {start}")
-        run_values, held = held[:len(run_keys)], held[len(run_keys):]
-        if len(run_values) != len(run_keys):
-            raise InvariantError(f"the rows from {start} span two arrays of values")
+    for start, run_keys, run_names, run_values in walk.rows(values):
         for i, j in _row_ranges(len(run_keys)):
             lo, keys, names = start + i, run_keys[i:j], run_names[i:j]
             _, n1, n2 = keys.T

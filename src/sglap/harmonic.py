@@ -216,18 +216,13 @@ class SpectralEigenfunction(Frozen):
         return finite
 
     def level_values(self, m: int):
-        """The second pass: V_m's values in vertex order, refined again one
-        subtree of subtree_walk(m) at a time, so that no array of the whole
-        level is made.  Yields, for each subtree in cell order, the values
-        of the V_depth vertices before its range (corners_between), then
-        those of the vertices it adds; the V_depth values, a few, come from
-        the collapse of the subtrees' corner triples and are held apart.
-        The values are not checked: check_values checks them first."""
-        collapses = self._collapses(m)
-        top = next(collapses)[0]
-        for between, (values, _, _) in zip(subtree_walk(m).corners_between(), collapses):
-            if len(between):
-                yield top[between]
+        """The second pass: V_m's values refined again one subtree of
+        subtree_walk(m) at a time, so that no array of the whole level is
+        made, as the stream that SubtreeWalk.rows puts in vertex order: the
+        values of V_depth, collapsed from the subtrees' corner triples, then
+        those of the vertices each subtree adds, in cell order.  The values
+        are not checked: check_values checks them first."""
+        for values, _, _ in self._collapses(m):
             yield values
 
     def _collapses(self, m: int):
@@ -251,12 +246,20 @@ class SpectralEigenfunction(Frozen):
                 corners = np.array([self.cell_triple(w) for w in words])
                 triples = corners[:, None]
             else:
-                # the seed at each subtree's V_m0 vertices: no level is held whole
-                seed, on_m0 = self.seed_values.get, _subtree_walk(self.m0, depth)
-                corners = np.array([[seed(v, 0.0) for v in corner]
-                                    for corner in on_m0.layout[:, :3].tolist()])
-                triples = (np.array([seed(v, 0.0) for v in p.tolist()])[on_m0.local.cells]
-                           for p in on_m0.positions())
+                # the seed at each subtree's V_m0 vertices, no level held whole:
+                # a search among the vertices it names, sorted, and after them
+                # V_m0's size, which stands for every vertex it leaves at 0
+                named = sorted(self.seed_values)
+                vertices = np.array([*named, vertex_count(self.m0)])
+                seed = np.array([*map(self.seed_values.get, named), 0.0])
+
+                def seed_at(positions):
+                    i = np.searchsorted(vertices, positions)
+                    return np.where(vertices[i] == positions, seed[i], 0.0)
+
+                on_m0 = _subtree_walk(self.m0, depth)
+                corners = seed_at(on_m0.layout[:, :3])
+                triples = (seed_at(p)[on_m0.local.cells] for p in on_m0.positions())
             mats = [np.array(eigen_matrices(self.sequence.value(j))) for j in range(r + 1, m + 1)]
             collapsed = cell_values_to_vertex(walk.top, corners)
         yield collapsed

@@ -25,8 +25,6 @@ from .errors import ConvergenceError, DomainError
 PSI_DOMAIN_BOUND = 100.0
 # a tail product stops once its next factor is within tol * this of 1
 TAIL_BOUND_FACTOR = 0.1
-# Psi arguments per psi_limit_array call of the Upsilon tail walk: one grid block
-TAIL_BLOCK = 4096
 
 
 class ConvergenceConfig(NamedTuple):
@@ -120,9 +118,8 @@ def _upsilon_array(lam, config: ConvergenceConfig):
     1 - Psi(lambda/5^j)/3 for j = 2, 3, ..., up to the first j whose
     remaining factors are bounded via |lambda_j| <= 5^-j |lambda|, a
     geometric tail of ratio 1/5.  The elements walk down the levels
-    j = 1, 2, ...: each step sends the Psi arguments of as many consecutive
-    levels as fit in TAIL_BLOCK (at least one level), for the elements that
-    still need them, through one psi_limit_array call, and multiplies the
+    j = 1, 2, ...: each level sends the Psi arguments of the elements that
+    still need it through one psi_limit_array call, and multiplies the
     factors into a running product in j order.  An element leaves the walk
     at its first failure (its head's Psi, then a pole, then the tail factors
     in j order), which is the failure it reports; one whose tail bound never
@@ -143,29 +140,21 @@ def _upsilon_array(lam, config: ConvergenceConfig):
     live, j = np.arange(lam.size), 1
     with np.errstate(divide="ignore", over="ignore"):
         while live.size:
-            levels = range(j, min(j + max(1, TAIL_BLOCK // live.size), depth[live].max() + 1))
-            rows = [live[depth[live] >= k] for k in levels]
-            vals, _, psi_failures = psi_limit_array(
-                np.concatenate([lam[r] / 5.0**k for r, k in zip(rows, levels)]), config)
-            start = 0
-            for k, r in zip(levels, rows):
-                factor, start = vals[start:start + r.size], start + r.size
-                if k > 1:
-                    prod[r] *= 1.0 - factor / 3.0
-                    continue
+            factor, _, psi_failures = psi_limit_array(lam[live] / 5.0**j, config)
+            if j > 1:
+                prod[live] *= 1.0 - factor / 3.0
+            else:
                 head = 2.0 - factor
                 # a failed head is NaN, so a pole never hides its psi failure
-                for i in r[head == 0.0].tolist():
+                for i in live[head == 0.0].tolist():
                     failures[i] = DomainError(
                         f"tail product has a pole at lambda={float(lam[i])!r}")
                     failed[i] = True
-                prod[r] = 1.0 / head
-            # psi_failures ascend in j, so an element keeps its first failure
-            element = np.concatenate(rows)
-            for k, exc in psi_failures.items():
-                failures.setdefault(int(element[k]), exc)
-            failed[element[list(psi_failures)]] = True
-            j = levels.stop
+                prod[live] = 1.0 / head
+            # an element that failed before has left the walk
+            failures.update((int(live[k]), exc) for k, exc in psi_failures.items())
+            failed[live[list(psi_failures)]] = True
+            j += 1
             live = live[(depth[live] >= j) & ~failed[live]]
     for i in np.flatnonzero(stop == 0).tolist():
         failures.setdefault(i, ConvergenceError(

@@ -80,20 +80,13 @@ def _as_word(w) -> EventuallyConstantWord:
     raise DomainError(f"expected an eventually constant word, got {w!r}")
 
 
-def tangent_at(u: SpectralEigenfunction, w, cut=None) -> TangentTriple:
-    """Harmonic tangent of u at the point addressed by w.
-
-    `cut` overrides the factorization level (for consistency checks); any
-    value >= max(|prefix|, m0) gives the same triple up to roundoff.
-    """
+def tangent_at(u: SpectralEigenfunction, w) -> TangentTriple:
+    """Harmonic tangent of u at the point addressed by w, factored at the
+    cut k = max(|prefix|, m0); any cut past it gives the same triple up to
+    roundoff."""
     w = _as_word(w)
     k = max(len(w.prefix), u.m0)
-    if cut is not None:
-        if cut < k:
-            raise DomainError(f"cut {cut} below the canonical level {k}")
-        k = int(cut)
     word = w.truncation(k)
     tail_matrix = conjugate(m0_matrix(u.sequence, k), w.tail)
     to_tangent = matmul(harmonic_pullback(word), tail_matrix)
     return TangentTriple(*matvec(to_tangent, u.cell_triple(word)))
-

@@ -2,9 +2,10 @@
 that only the tests use: the one-letter extension helpers, the closed-form
 tangent as it ran on numpy, the renormalized normal-derivative limit, the
 whole-level residual, the dense seed, whole-level cell triples and vertex
-values, per-cell vertex values, the whole-level vertex table and the
-scalar addressing, the psi_m approximant, a one-point run of a special grid
-kernel, and the oracles' spectrum pairing and unit-interval model."""
+values, a subtree walk's values stream, per-cell vertex values, the
+whole-level vertex table and the scalar addressing, the psi_m approximant,
+a one-point run of a special grid kernel, and the oracles' spectrum pairing
+and unit-interval model."""
 import cmath
 import itertools
 import math
@@ -152,13 +153,31 @@ def seed_array(u) -> np.ndarray:
 def values_on_level(u, m: int, tol: float = JUNCTION_TOL) -> np.ndarray:
     """u on V_m as one array, the dense reference of eval's two passes:
     check_values with its junction check at tol, then the level_values
-    stream written into one array in vertex order.  Non-finite values are
-    returned, for the caller to reject, as eval rejects them."""
+    stream written into one array at its stream_positions.  Non-finite
+    values are returned, for the caller to reject, as eval rejects them."""
     with mock.patch.object(harmonic, "JUNCTION_TOL", tol):
         u.check_values(m)
-    values = np.concatenate(list(u.level_values(m)))
-    assert values.shape == (vertex_count(m),)
+    values = np.full(vertex_count(m), np.nan)
+    for positions, part in zip(stream_positions(subtree_walk(m)), u.level_values(m),
+                               strict=True):
+        values[positions] = part
     return values
+
+
+def stream_positions(walk) -> list:
+    """The V_level positions of the values stream that walk.rows reads, as
+    SpectralEigenfunction.level_values gives it: V_depth's vertices in their
+    order, then the vertices each subtree adds, in cell order."""
+    top = np.empty(walk.top.size, dtype=np.int64)
+    top[walk.top.cells] = walk.layout[:, :3]
+    added = np.arange(walk.local.size - 3)
+    return [top, *(added + first for first in walk.layout[:, 3].tolist())]
+
+
+def walk_stream(walk, values) -> list:
+    """The values stream that walk.rows reads, taken from V_level's values
+    as one array in vertex order."""
+    return [values[positions] for positions in stream_positions(walk)]
 
 
 def cell_values(u, m: int) -> np.ndarray:
@@ -186,16 +205,18 @@ def vertex_value_walks(u, m: int) -> np.ndarray:
 # --- scalar addressing -----------------------------------------------------
 
 def level_vertices(level: int, depth=None):
-    """(keys, names) of every vertex of V_level: the segments of its subtree
+    """(keys, names) of every vertex of V_level: the rows of its subtree
     walk (subtree_walk's, or the one of this depth) written into one array.
-    The segments must tile the level in order."""
+    The rows must tile the level in order, each with its values: the walk
+    reads the stream of its vertices' positions, and gives each row its own."""
     walk = subtree_walk(level) if depth is None else _subtree_walk(level, depth)
     keys = np.empty((walk.size, 3), dtype=np.int64)
     names = np.empty((walk.size, level + 2), dtype=np.uint8)
     end = 0
-    for lo, part_keys, part_names in walk.segments():
+    for lo, part_keys, part_names, part_values in walk.rows(stream_positions(walk)):
         assert lo == end and len(part_keys) == len(part_names) > 0, (lo, end)
         end = lo + len(part_keys)
+        assert np.array_equal(part_values, np.arange(lo, end)), lo
         keys[lo:end], names[lo:end] = part_keys, part_names
     assert end == walk.size
     return keys, names

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_ifs, level_vertices, resolve_addresses, vertex_key, word_index
+from conftest import (apply_ifs, level_vertices, resolve_addresses, stream_positions, vertex_key,
+                      word_index)
 
 from sglap import address, cli, decimation
 from sglap.address import (
@@ -192,14 +193,14 @@ def test_level_graph_is_pinned(m):
 
 
 def test_address_ranges_match_scalar_across_blocks():
-    # every segment of a walk of any depth, and every 97-row piece of one,
+    # every run of a walk of any depth, and every 97-row piece of one,
     # spells the scalar addresses of its rows
     m = 6
     scalar = [format_address(*resolve_addresses(tuple(k), m)[0])
               for k in address._vertex_table(m)[0].tolist()]
     for depth in range(m + 1):
-        rows = []
-        for lo, _, names in address._subtree_walk(m, depth).segments():
+        rows, walk = [], address._subtree_walk(m, depth)
+        for lo, _, names, _ in walk.rows(stream_positions(walk)):
             assert addresses(names) == scalar[lo:lo + len(names)], (depth, lo)
             rows += sum((addresses(names[a:a + 97]) for a in range(0, len(names), 97)), [])
         assert rows == scalar, depth
@@ -234,8 +235,8 @@ def test_level_graph_keeps_only_its_cells():
 
 @pytest.mark.parametrize("m", [8, 9, 10])
 def test_vertex_ranges_equal_slices_of_the_whole(m):
-    # each segment of the walks of depth 0 to 3 is the slice of the whole
-    # table where it starts; a subtree's vertices come in three segments,
+    # each run of the walks of depth 0 to 3 is the slice of the whole
+    # table where it starts; a subtree's vertices come in three runs,
     # and the ones between the subtrees are the vertices of V_depth, scaled
     keys, names = address._vertex_table(m)
     n = decimation.vertex_count(m - 1) - 3
@@ -244,7 +245,7 @@ def test_vertex_ranges_equal_slices_of_the_whole(m):
         walk = address._subtree_walk(m, depth)
         subtrees = [(start, start + walk.local.size - 3) for start in walk.layout[:, 3].tolist()]
         parts, top = [], []
-        for lo, part_keys, part_names in walk.segments():
+        for lo, part_keys, part_names, _ in walk.rows(stream_positions(walk)):
             hi = lo + len(part_keys)
             assert np.array_equal(part_keys, keys[lo:hi]), (depth, lo)
             assert np.array_equal(part_names, names[lo:hi]), (depth, lo)
@@ -262,12 +263,13 @@ def test_vertex_ranges_equal_slices_of_the_whole(m):
 @given(st.integers(7, 10).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 6))),
        st.sampled_from([97, 1024, 4096]))
 def test_vertex_ranges_are_taken_as_slices(walk, block_rows):
-    # eval cuts each segment into blocks of at most BLOCK_ROWS rows: every
+    # eval cuts each run into blocks of at most BLOCK_ROWS rows: every
     # block's rows are the slice of the whole level where it lies
     m, depth = walk
     keys, names = address._vertex_table(m)
+    walk = address._subtree_walk(m, depth)
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
-        for lo, part_keys, part_names in address._subtree_walk(m, depth).segments():
+        for lo, part_keys, part_names, _ in walk.rows(stream_positions(walk)):
             for a, b in cli._row_ranges(len(part_keys)):
                 assert np.array_equal(part_keys[a:b], keys[lo + a:lo + b])
                 assert addresses(part_names[a:b]) == addresses(names[lo + a:lo + b])

@@ -22,7 +22,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (level_vertices, resolve_addresses, seed_array, values_on_level,
-                      vertex_value_walks, whole_level_residual)
+                      vertex_value_walks, walk_stream, whole_level_residual)
 
 from sglap import address, cli, harmonic
 from sglap.address import (addresses, build_level_graph, format_address, key_coords,
@@ -403,8 +403,9 @@ def test_eval_blocks_equal_per_row_repr(seed_level_depth, fmt, block_rows):
     graph = build_level_graph(level)
     values = values_on_level(cli.parse_seed(seed), level)
     args = argparse.Namespace(seed=seed, level=level, format=fmt)
+    walk = address._subtree_walk(level, depth)
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
-        assert "".join(cli._eval_blocks(args, address._subtree_walk(level, depth), [values])) == \
+        assert "".join(cli._eval_blocks(args, walk, walk_stream(walk, values))) == \
             "".join(_reference_eval_blocks(args, graph, values))
 
 
@@ -647,12 +648,13 @@ def _emission_peak(fmt, level):
     seed = "five:1:2:+-+-++"
     walk = subtree_walk(level)
     values = values_on_level(cli.parse_seed(seed), level)
+    stream = walk_stream(walk, values)
     args = argparse.Namespace(seed=seed, level=level, format=fmt, output=None)
     sink = _Sink()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            cli._emit(args, cli._eval_blocks(args, walk, [values]))
+            cli._emit(args, cli._eval_blocks(args, walk, stream))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -812,6 +814,31 @@ def test_failed_emission_leaves_the_target_unchanged(tmp_path, monkeypatch, caps
     assert (code, out, err) == (3, "", "error: stopped mid-stream\n")
     assert target.read_text() == "earlier output\n"
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+# a values stream cut wrong: one array short, one too many, one value too many
+_BROKEN_STREAMS = {
+    "too few": lambda parts: parts[:-1],
+    "too many": lambda parts: [*parts, parts[-1]],
+    "wrong length": lambda parts: [*parts[:-1], np.append(parts[-1], 0.0)],
+}
+
+
+@pytest.mark.parametrize("level", [0, 8])
+@pytest.mark.parametrize("broken", sorted(_BROKEN_STREAMS))
+def test_rows_reject_a_values_stream_cut_wrong(broken, level, monkeypatch, capsys):
+    # SubtreeWalk.rows takes one array per part of the level, each of its
+    # part's length: V_0 has one subtree that adds nothing, V_8 has three
+    original = harmonic.SpectralEigenfunction.level_values
+
+    def level_values(self, m):
+        return iter(_BROKEN_STREAMS[broken](list(original(self, m))))
+
+    monkeypatch.setattr(harmonic.SpectralEigenfunction, "level_values", level_values)
+    code, _, err = run(["eval", "--seed", "free:-7.25:0.1,-2,1e-05", "--level", str(level),
+                        "--output", os.devnull], capsys)
+    assert code == 3 and err.startswith(f"error: the values of V_{level} ")
+    assert err.count("\n") == 1, err
 
 
 def test_emit_removes_its_file_on_any_exception(tmp_path):

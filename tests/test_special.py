@@ -14,7 +14,6 @@ from sglap.decimation import EigenvalueSequence, sequence_from_limit
 from sglap.errors import ConvergenceError, DomainError, SglapError
 from sglap.special import (
     PSI_DOMAIN_BOUND,
-    TAIL_BLOCK,
     TAIL_BOUND_FACTOR,
     ConvergenceConfig,
     psi,
@@ -211,7 +210,7 @@ def counting_psi_calls(monkeypatch):
 @pytest.mark.parametrize("grid, bound", [((-30.3, 45.2, 2000), 1.5e6),
                                          ((-1e20, 1e20, 4096), 6e6)])
 def test_upsilon_working_memory(grid, bound):
-    # the tail walk holds one TAIL_BLOCK of Psi arguments at a time; one
+    # the tail walk holds one level's Psi arguments at a time; one
     # (levels x points) psi_limit_array call traced 3.9 MB and 57 MB here
     lam = np.linspace(*grid)
     tracemalloc.start()
@@ -225,12 +224,13 @@ def test_upsilon_working_memory(grid, bound):
 
 def test_upsilon_stops_at_the_first_failure(monkeypatch):
     # every element of this grid fails at its head, so each of the two
-    # evaluations reads one level; all levels would be 396,910 arguments
+    # evaluations reads one level, in one call; all levels would be 396,910
+    # arguments
     sizes = counting_psi_calls(monkeypatch)
     lam = np.linspace(-1e20, 1e20, 4096)
     *_, failures = upsilon_with_error_array(lam)
     assert len(failures) == lam.size
-    assert sum(sizes) <= 2 * (2 * lam.size) and max(sizes) <= TAIL_BLOCK
+    assert sizes == [lam.size, lam.size]
 
 
 def failure_class(lam, exc):
@@ -246,9 +246,10 @@ def failure_class(lam, exc):
 
 @pytest.mark.parametrize("n", [1500, 2500])
 def test_upsilon_first_failure_across_level_groups(n, monkeypatch):
-    # 1500 points send two levels per psi_limit_array call, so a tail factor
-    # shares its head's call; 2500 send the head alone, so a tail failure
-    # comes from a later call.  The sample takes 7 elements of each class.
+    # each evaluation makes one psi_limit_array call per level, over the
+    # elements still live, so a tail failure comes from a later call than
+    # its head's; elements that never converge walk every level.  The
+    # sample takes 7 elements of each class.
     rng = np.random.default_rng(n)
     k = n // 100
     lam = np.concatenate([rng.uniform(-8.0, 8.0, 47 * k), rng.uniform(-120.0, 120.0, 33 * k),
@@ -258,7 +259,13 @@ def test_upsilon_first_failure_across_level_groups(n, monkeypatch):
     points, config = lam.tolist(), ConvergenceConfig(tol=1e-9, max_iterations=12)
     sizes = counting_psi_calls(monkeypatch)
     *_, failures = upsilon_with_error_array(lam, config)
-    assert len(sizes) > 2 and max(sizes) <= TAIL_BLOCK
+    # the two evaluations' calls: each starts at the whole grid and shrinks,
+    # and the configured one, whose "tail" elements never converge, walks
+    # every level
+    starts = [i for i in range(len(sizes)) if i == 0 or sizes[i] > sizes[i - 1]]
+    runs = [sizes[a:b] for a, b in zip(starts, starts[1:] + [len(sizes)])]
+    assert len(runs) == 2 and len(runs[0]) == config.max_iterations + 1
+    assert all(run[0] == n and run == sorted(run, reverse=True) for run in runs)
     classes = {}
     for i, x in enumerate(points):
         classes.setdefault(failure_class(x, failures.get(i)), []).append(i)

@@ -18,7 +18,7 @@ from sglap.cli import parse_seed
 from sglap.decimation import EigenvalueSequence, sequence_from_limit, series_multiplicity
 from sglap.errors import DomainError
 from sglap.harmonic import (SpectralEigenfunction, conjugate, dirichlet_eigenfunction,
-                            eigen_matrices, harmonic_pullback)
+                            eigen_matrices, harmonic_pullback, matmul, matvec)
 from sglap.oracle import direct_tangent_limit
 from sglap.special import tau
 from sglap.tangent import TangentTriple, m0_matrix, tangent_at
@@ -83,10 +83,13 @@ def test_cut_independence():
     w = EventuallyConstantWord((0, 1), 2)
     base = np.array(tangent_at(u, w))
     assert np.abs(base).max() > 1e-3  # in the support, so the check is not vacuous
+    # the factorization at cuts past max(|prefix|, m0) = 2, as tangent_at
+    # makes it at that cut
     for cut in (3, 5, 8):
-        assert np.allclose(np.array(tangent_at(u, w, cut=cut)), base, atol=1e-9)
-    with pytest.raises(DomainError):
-        tangent_at(u, w, cut=1)
+        word = w.truncation(cut)
+        tail_matrix = conjugate(m0_matrix(u.sequence, cut), w.tail)
+        triple = matvec(matmul(harmonic_pullback(word), tail_matrix), u.cell_triple(word))
+        assert np.allclose(np.array(triple), base, atol=1e-9)
 
 
 def test_six_mirror_symmetry_at_the_center_junction():

@@ -21,6 +21,7 @@ import io
 import itertools
 import math
 import os
+import re
 import sys
 
 # numpy and the other layers are imported by the functions that use them,
@@ -34,7 +35,6 @@ TANGENT_TOL = 1e-7
 
 
 BLOCK_ROWS = 1 << 10  # rows per output block
-CSV_HEADER = "address,level,x,y,value"  # of eval
 
 
 def _row_ranges(n: int):
@@ -154,7 +154,8 @@ def parse_tol(text: str) -> float:
 
 
 def parse_verify_tol(text: str) -> float:
-    """--verify-tol: any number but NaN (0 makes every check fail)."""
+    """--verify-tol: any number but NaN.  _verdict passes a check only when
+    its figure is below the tolerance, so 0 or less makes every check fail."""
     tol = _float(text, "verify tolerance")
     if math.isnan(tol):
         raise UsageError(f"verify tolerance must not be NaN, got {text!r}")
@@ -230,6 +231,16 @@ def parse_seed(text: str):
     return harmonic.dirichlet_eigenfunction(series, m0, index, plus)
 
 
+def _verdict(what: str, worst: float, tol: float) -> int:
+    """The exit code of a --verify check: 0 when its worst figure is below
+    the tolerance, else 4 with one stderr line.  Written so that a NaN
+    figure fails too."""
+    if worst < tol:
+        return 0
+    print(f"verification failed: {what} {worst:.3e} >= {tol:.3e}", file=sys.stderr)
+    return 4
+
+
 # --- spectrum ---------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
@@ -249,19 +260,17 @@ def cmd_spectrum(args) -> int:
         start = 0
         # both sides ascend, so multiplicity blocks pair off in order
         for line in lines:
-            block = dense.eigenvalues[start:start + line.multiplicity]
-            residuals.append(float(abs(block - line.value).max()) if block.size else 0.0)
+            block = dense[start:start + line.multiplicity]
+            residuals.append(float(abs(block - line.value).max()))
             start += line.multiplicity
         columns.append("residual")
     rows = ([line.series, line.m0, line.branches, line.value, line.limit, line.multiplicity,
              *([] if residuals is None else [residuals[i]])]
             for i, line in enumerate(lines) if args.series in ("all", line.series))
     _emit(args, _table_blocks(args.format, columns, rows))
-    if residuals is not None and residuals and max(residuals) >= args.verify_tol:
-        print(f"verification failed: worst dense residual {max(residuals):.3e} "
-              f">= {args.verify_tol:.3e}", file=sys.stderr)
-        return 4
-    return 0
+    if residuals is None:
+        return 0
+    return _verdict("worst dense residual", max(residuals, default=0.0), args.verify_tol)
 
 
 # --- eval -------------------------------------------------------------------
@@ -312,7 +321,7 @@ def _eval_blocks(args, walk, values):
     if fmt == "obj":
         yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
-        yield CSV_HEADER + "\n" if fmt == "csv" else "[\n"
+        yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
     for start, run_keys, run_names, run_values in walk.rows(values):
         for i, j in _row_ranges(len(run_keys)):
             lo, keys, names = start + i, run_keys[i:j], run_names[i:j]
@@ -337,18 +346,18 @@ def _eval_blocks(args, walk, values):
         yield "\n]\n"
 
 
-def _block_values(fmt: str, block: str) -> list:
-    """The vertex values that one eval output block spells."""
-    import json
+# the text of each value in an eval block: the last field of a csv row (an
+# address starts with a digit or ":", the header with a letter, and no field
+# is quoted), the rest of a json "value" line, the last field of an obj vertex
+_VALUE_PATTERNS = {"csv": r"^[0-9:].*,(.*)$", "json": r'"value": (.*)', "obj": r"^v .* (.*)$"}
 
-    if fmt == "csv":
-        # no field is quoted, so a row's value is the text after its last comma
-        return [float(row.rpartition(",")[2]) for row in block.splitlines()
-                if row != CSV_HEADER]
-    if fmt == "json":
-        # a block is whole records between the list's brackets and seams
-        return [float(rec["value"]) for rec in json.loads("[" + block.strip("[],\n") + "]")]
-    return [float(line.split()[3]) for line in block.splitlines() if line.startswith("v ")]
+
+def _block_values(fmt: str, block: str) -> list:
+    """The vertex values that one eval output block spells, read by one
+    multiline pattern per format, so that no row is split or parsed whole
+    in Python.  re compiles each pattern on first use and caches it, so
+    that a process that writes no eval block compiles none."""
+    return list(map(float, re.findall(_VALUE_PATTERNS[fmt], block, re.MULTILINE)))
 
 
 def cmd_eval(args) -> int:
@@ -383,11 +392,7 @@ def cmd_eval(args) -> int:
     if count != walk.size:
         raise SglapError(f"re-ingested {count} values, expected {walk.size}")
     residual = eigen_residual(walk, back, u.sequence.value(args.level))
-    if not residual < args.verify_tol:
-        print(f"verification failed: round-trip residual {residual:.3e} "
-              f">= {args.verify_tol:.3e}", file=sys.stderr)
-        return 4
-    return 0
+    return _verdict("round-trip residual", residual, args.verify_tol)
 
 
 # --- tangent ----------------------------------------------------------------
@@ -417,12 +422,9 @@ def cmd_tangent(args) -> int:
         columns += ["oracle_t0", "oracle_t1", "oracle_t2", "deviation", "error_estimate"]
         row += [*ref, deviation, err]
     _emit(args, _table_blocks(args.format, columns, [row]))
-    # written so that a NaN deviation fails too
-    if deviation is not None and not deviation < args.verify_tol:
-        print(f"verification failed: tangent deviates from the direct limit by "
-              f"{deviation:.3e} >= {args.verify_tol:.3e}", file=sys.stderr)
-        return 4
-    return 0
+    if deviation is None:
+        return 0
+    return _verdict("tangent deviates from the direct limit by", deviation, args.verify_tol)
 
 
 # --- special ----------------------------------------------------------------

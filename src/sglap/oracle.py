@@ -1,43 +1,24 @@
-"""Independent brute-force verifiers for the closed forms elsewhere.
+"""Independent brute-force verifiers for the closed forms elsewhere; each
+hands back plain numbers for the CLI to judge.
 
 Spectra come from a dense symmetric eigensolve of the graph Laplacian, and
 tangents from literally iterating pulled-back cell triples in Decimals (each
 pullback level multiplies roundoff in the antisymmetric component by 5).
 That iteration shares harmonic's matrices, conjugate, matvec and matmul, but
-not the closed form: no M0, no tau, and its own lambda step.  The shared
-matrices are checked by an mpmath transcription and by graph residuals.
-numpy is imported by the dense solve alone, so that a tangent check does
-not load it, and the tangent layers by the tangent check alone.
+not the closed form: nothing of tangent, no M0, no tau, its own lambda step.
+The shared matrices are checked by an mpmath transcription and by graph
+residuals.  numpy is imported by the dense solve alone, so that a tangent
+check does not load it, and harmonic by the tangent check alone.
 """
 from __future__ import annotations
 
 import math
 
-from .address import EventuallyConstantWord, Frozen, build_level_graph
+from .address import EventuallyConstantWord, build_level_graph
 from .errors import ConvergenceError, DomainError
 
 DENSE_LEVEL_CAP = 6
 ORACLE_DPS = 50  # significant digits (stdlib decimal): headroom for 5^25 noise amplification
-
-
-class DenseSpectrum(Frozen):
-    """Eigendecomposition of -Delta_m on interior vertices (Dirichlet): the
-    eigenvalues ascend, one per interior vertex, and eigenvector column c
-    goes with eigenvalue c (its row r is vertex 3 + r) of the dense matrix."""
-
-    __slots__ = ("level", "eigenvalues", "eigenvectors", "matrix")
-
-    @property
-    def count(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def residual(self) -> float:
-        import numpy as np
-
-        if self.count == 0:
-            return 0.0
-        defect = self.matrix @ self.eigenvectors - self.eigenvectors * self.eigenvalues
-        return float(np.max(np.abs(defect)))
 
 
 def dense_interior_matrix(level: int):
@@ -57,8 +38,10 @@ def dense_interior_matrix(level: int):
     return a[3:, 3:]
 
 
-def dense_dirichlet_spectrum(m: int) -> DenseSpectrum:
-    """Full Dirichlet spectrum of -Delta_m by LAPACK's symmetric eigensolver."""
+def dense_dirichlet_spectrum(m: int):
+    """The Dirichlet spectrum of -Delta_m by LAPACK's symmetric eigensolver:
+    one eigenvalue per interior vertex, ascending.  The eigenvectors are
+    used only to check max|A v - v w| and are not returned."""
     if m < 0:
         raise DomainError(f"level must be nonnegative, got {m}")
     if m > DENSE_LEVEL_CAP:
@@ -67,18 +50,19 @@ def dense_dirichlet_spectrum(m: int) -> DenseSpectrum:
 
     a = dense_interior_matrix(m)
     w, v = np.linalg.eigh(a)
-    spec = DenseSpectrum(m, w, v, a)
-    res = spec.residual()
-    if res >= 1e-9:
+    res = float(np.max(np.abs(a @ v - v * w), initial=0.0))
+    # written so that a NaN residual raises too
+    if not res < 1e-9:
         raise ConvergenceError(f"dense eigensolve residual {res:.3e} at level {m}")
-    return spec
+    return w
 
 
 # --- high-precision tangent iteration -------------------------------------
 
 def direct_tangent_limit(u, w, m: int):
-    """The pulled-back cell triple A_{w_1}^{-1}...A_{w_m}^{-1} u|cell([w]_m)
-    of a harmonic.SpectralEigenfunction u.
+    """(triple, error): the pulled-back cell triple
+    A_{w_1}^{-1}...A_{w_m}^{-1} u|cell([w]_m) of a
+    harmonic.SpectralEigenfunction u, as a tuple of three floats.
 
     This is the defining sequence of the harmonic tangent, iterated with no
     closed-form shortcuts; the reported error is the distance to the m-1
@@ -91,12 +75,11 @@ def direct_tangent_limit(u, w, m: int):
     m0 = u.m0
     if m < m0:
         raise DomainError(f"need m >= m0 = {m0}, got {m}")
-    # decimal and the tangent layers are imported here, so that a spectrum
-    # check loads neither
+    # decimal and harmonic are imported here, so that a spectrum check
+    # loads neither
     from decimal import Context, Decimal, localcontext
 
     from .harmonic import IDENTITY, eigen_matrices, harmonic_inverses, matmul, matvec
-    from .tangent import TangentTriple
 
     # a local context: the caller's decimal context is left as it was
     with localcontext(Context(prec=ORACLE_DPS)):
@@ -116,6 +99,6 @@ def direct_tangent_limit(u, w, m: int):
             pull = matmul(pull, inverses[letter])
             prev = cur
             cur = matvec(pull, triple)
-        out = TangentTriple(*(float(x) for x in cur))
+        out = tuple(float(x) for x in cur)
         err = math.inf if prev is None else float(max(abs(a - b) for a, b in zip(cur, prev)))
     return out, err

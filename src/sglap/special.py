@@ -121,44 +121,39 @@ def _upsilon_array(lam, config: ConvergenceConfig):
     j = 1, 2, ...: each level sends the Psi arguments of the elements that
     still need it through one psi_limit_array call, and multiplies the
     factors into a running product in j order.  An element leaves the walk
-    at its first failure (its head's Psi, then a pole, then the tail factors
-    in j order), which is the failure it reports; one whose tail bound never
-    passes walks every level and did not converge.
+    once its tail bound passes, or at its first failure (its head's Psi,
+    then a pole, then the tail factors in j order), which is the failure it
+    reports; one still walking after level max_iterations + 1 did not
+    converge.
     """
     import numpy as np
 
     size = np.abs(lam)
-    last = config.max_iterations + 1
-    # stop[i]: the first j whose tail bound passes; 0 where none does
-    stop = np.zeros(lam.size, dtype=int)
-    for j in range(last, 1, -1):
-        stop[size / 5.0**j / 3.0 < config.tol * TAIL_BOUND_FACTOR] = j
-    depth = np.where(stop > 0, stop, last)
     prod = np.full(lam.shape, np.nan)
-    failed = np.zeros(lam.size, dtype=bool)
     failures = {}
-    live, j = np.arange(lam.size), 1
+    live = np.arange(lam.size)
     with np.errstate(divide="ignore", over="ignore"):
-        while live.size:
+        for j in range(1, config.max_iterations + 2):
+            if not live.size:
+                break
             factor, _, psi_failures = psi_limit_array(lam[live] / 5.0**j, config)
             if j > 1:
                 prod[live] *= 1.0 - factor / 3.0
+                leave = size[live] / 5.0**j / 3.0 < config.tol * TAIL_BOUND_FACTOR
             else:
                 head = 2.0 - factor
                 # a failed head is NaN, so a pole never hides its psi failure
-                for i in live[head == 0.0].tolist():
+                leave = head == 0.0
+                for i in live[leave].tolist():
                     failures[i] = DomainError(
                         f"tail product has a pole at lambda={float(lam[i])!r}")
-                    failed[i] = True
                 prod[live] = 1.0 / head
-            # an element that failed before has left the walk
             failures.update((int(live[k]), exc) for k, exc in psi_failures.items())
-            failed[live[list(psi_failures)]] = True
-            j += 1
-            live = live[(depth[live] >= j) & ~failed[live]]
-    for i in np.flatnonzero(stop == 0).tolist():
-        failures.setdefault(i, ConvergenceError(
-            f"tail product did not converge for lambda={float(lam[i])!r}"))
+            leave[list(psi_failures)] = True
+            live = live[~leave]
+    for i in live.tolist():
+        failures[i] = ConvergenceError(
+            f"tail product did not converge for lambda={float(lam[i])!r}")
     prod[list(failures)] = np.nan
     return prod, dict(sorted(failures.items()))
 

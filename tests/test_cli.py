@@ -10,10 +10,12 @@ import math
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -147,14 +149,6 @@ def test_tangent_verify_reports_its_oracle(capsys):
     header, rows = parse_csv(out)
     assert "deviation" in header and "error_estimate" in header
     assert float(rows[0][header.index("deviation")]) < 1e-7
-
-
-def test_tangent_verify_tol_zero_fails(capsys):
-    code, _, err = run(
-        ["tangent", "--seed", "six:1:1", "--word", ":0", "--verify", "--verify-tol", "0"], capsys
-    )
-    assert code == 4
-    assert "verification failed" in err
 
 
 def test_free_seed_harmonic_tangent(capsys):
@@ -1264,9 +1258,18 @@ def test_nan_verify_tol_exits_two(command, capsys):
     assert "NaN" in err and err.count("\n") == 1
 
 
-def test_spectrum_verify_tol_zero_fails(capsys):
-    code, _, err = run(["spectrum", "--level", "2", "--verify", "--verify-tol", "0"], capsys)
-    assert code == 4 and err.startswith("verification failed")
+@pytest.mark.parametrize("command", [
+    # level 0 has no interior vertex, so its worst residual is 0.0, not below 0
+    ["spectrum", "--level", "0", "--verify"],
+    ["spectrum", "--level", "2", "--verify"],
+    ["eval", "--seed", "free:3.1:1,2,3", "--level", "0", "--verify"],
+    ["tangent", "--seed", "six:1:1", "--word", ":0", "--verify"],
+], ids=["spectrum-L0", "spectrum-L2", "eval-L0", "tangent"])
+def test_verify_tol_zero_fails(command, capsys):
+    # every check passes only below its tolerance, and no figure is below 0
+    code, _, err = run(command + ["--verify-tol", "0"], capsys)
+    assert code == 4
+    assert err.startswith("verification failed: ") and err.count("\n") == 1
 
 
 def test_spectrum_verify_at_the_dense_cap():
@@ -1290,6 +1293,19 @@ def test_argparse_errors_are_one_line(command, capsys):
     code, out, err = run(command, capsys)
     assert code == 2 and out == ""
     assert err.startswith("usage error: argument ") and err.count("\n") == 1
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # the sh block under README's "## CLI", run in tmp_path, where its
+    # --output file lands
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sglap ")]
+    assert len(examples) >= 5
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert run(argv, capsys)[::2] == (0, ""), argv
 
 
 def test_help_still_prints_and_exits_zero(capsys):

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import interval_tangent, sorted_pairing_gap, values_on_level
 
+from sglap import cli
 from sglap.address import EventuallyConstantWord, build_level_graph
 from sglap.decimation import enumerate_dirichlet_spectrum, sequence_from_limit
-from sglap.errors import DomainError, SingularLevelError
+from sglap.errors import ConvergenceError, DomainError, SingularLevelError
 from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, eigen_matrices,
                             graph_laplacian, harmonic_inverses, matmul)
 from sglap.oracle import (
@@ -28,17 +29,37 @@ from sglap.tangent import TangentTriple, tangent_at
 
 
 def test_level1_dense_spectrum():
-    sp = dense_dirichlet_spectrum(1)
-    assert np.allclose(sp.eigenvalues, [2.0, 5.0, 5.0], atol=1e-12)
+    assert np.allclose(dense_dirichlet_spectrum(1), [2.0, 5.0, 5.0], atol=1e-12)
 
 
 def test_dense_residual_and_orthogonality():
-    sp = dense_dirichlet_spectrum(3)
-    assert sp.count == (3**4 - 3) // 2
-    assert np.all(np.diff(sp.eigenvalues) >= 0)  # spectrum --verify pairs blocks in order
-    assert sp.residual() < 1e-10
-    v = sp.eigenvectors
-    assert np.allclose(v.T @ v, np.eye(sp.count), atol=1e-9)
+    w = dense_dirichlet_spectrum(3)
+    assert w.shape == ((3**4 - 3) // 2,)
+    assert np.all(np.diff(w) >= 0)  # spectrum --verify pairs blocks in order
+    # the solve that dense_dirichlet_spectrum checks and keeps only the values of
+    a = dense_interior_matrix(3)
+    values, v = np.linalg.eigh(a)
+    assert np.array_equal(values, w)
+    assert np.abs(a @ v - v * values).max() < 1e-10
+    assert np.allclose(v.T @ v, np.eye(w.size), atol=1e-9)
+
+
+def test_dense_spectrum_checks_its_own_residual(monkeypatch, capsys):
+    eigh = np.linalg.eigh
+
+    def off_by_a_millionth(a):
+        # scaling the vectors instead would scale the residual A v - v w
+        # with them and leave it at roundoff
+        w, v = eigh(a)
+        return w * (1.0 + 1e-6), v
+
+    monkeypatch.setattr(np.linalg, "eigh", off_by_a_millionth)
+    with pytest.raises(ConvergenceError, match="dense eigensolve residual"):
+        dense_dirichlet_spectrum(2)
+    assert cli.main(["spectrum", "--level", "2", "--verify"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: dense eigensolve residual")
+    assert err.count("\n") == 1
 
 
 def test_dense_level_caps():
@@ -54,7 +75,7 @@ def test_enumeration_matches_dense():
         listed = np.sort(
             np.repeat([line.value for line in lines], [line.multiplicity for line in lines])
         )
-        assert sorted_pairing_gap(listed, dense_dirichlet_spectrum(m).eigenvalues) < 1e-9
+        assert sorted_pairing_gap(listed, dense_dirichlet_spectrum(m)) < 1e-9
 
 
 def test_pairing_gap_shape_guard():
@@ -108,6 +129,7 @@ def test_decimated_functions_solve_the_dense_problem():
 
 
 _dense = lru_cache(maxsize=None)(dense_dirichlet_spectrum)
+_dense_matrix = lru_cache(maxsize=None)(dense_interior_matrix)
 
 
 @st.composite
@@ -135,13 +157,12 @@ def test_random_seeds_solve_the_dense_problem(seed):
     if series == "six":
         plus.add(m0 + 1)  # the 6-series always takes the plus root there
     u = dirichlet_eigenfunction(series, m0, index, plus)
-    dense = _dense(m)
     lam = u.sequence.value(m)
     v = values_on_level(u, m)[3:]
     scale = np.abs(v).max()
     assert scale > 0.0
-    assert np.abs(dense.matrix @ v - lam * v).max() < 1e-9 * max(1.0, scale)
-    assert np.abs(dense.eigenvalues - lam).min() < 1e-9
+    assert np.abs(_dense_matrix(m) @ v - lam * v).max() < 1e-9 * max(1.0, scale)
+    assert np.abs(_dense(m) - lam).min() < 1e-9
 
 
 def test_direct_limit_matches_the_closed_tangent():

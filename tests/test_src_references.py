@@ -154,7 +154,7 @@ def test_the_field_guard_reads_every_slot_of_every_class():
     assert slots and slots <= found
     assert {"address.EventuallyConstantWord.prefix", "address.LevelGraph.cells",
             "decimation.EigenvalueSequence._limit", "harmonic.SpectralEigenfunction.seed_values",
-            "oracle.DenseSpectrum.matrix"} <= slots
+            "address.SubtreeWalk.layout"} <= slots
 
 
 # small invocations that together reach every subcommand, format and

@@ -446,7 +446,7 @@ def _special_block(fn: str, points: list, config) -> list:
         for i, gap in zip(audited, np.abs(special.psi(values[audited]) - five).tolist()):
             audit[i] = gap
         failures.update((audited[k], exc) for k, exc in five_failures.items())
-        fields = [values.tolist(), errors.tolist(), audit]
+        fields = [values.tolist(), np.abs(errors).tolist(), audit]
     else:
         values, errors, failures = special.upsilon_with_error_array(z, config)
         fields = [values.tolist(), errors.tolist()]

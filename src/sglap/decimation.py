@@ -180,7 +180,7 @@ def sequence_from_limit(
     if not math.isfinite(lam):
         raise DomainError(f"renormalized eigenvalue must be finite, got {lam!r}")
     J = 1
-    while abs(lam) / 5.0**J > 2.0:
+    while abs(lam) / 5.0**J > special.ANCHOR_BOUND:
         J += 1
     vals = [0.0] * (J + 1)
     vals[J] = special.psi_limit(lam / 5.0**J, config)

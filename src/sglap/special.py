@@ -4,8 +4,8 @@ Psi is the decreasing-argument limit of the approximants psi^m((2/3) 5^-m z);
 it converts a renormalized eigenvalue back into the level-j entries of its
 generating sequence (argument divided by 5 per level, plus branches included
 for free since both quadratic roots satisfy the same forward relation).
-Upsilon is the tail product scaling tangent and normal-derivative limits;
-tau is the same product taken along an explicit sequence.
+Upsilon, the tail product scaling tangent and normal-derivative limits, is
+tau, the same product along an explicit sequence, taken along its own.
 
 psi_limit_array and upsilon_with_error_array evaluate grids; a single value
 is a one-element grid, since a value does not depend on the grid it is in.
@@ -25,6 +25,8 @@ from .errors import ConvergenceError, DomainError
 PSI_DOMAIN_BOUND = 100.0
 # a tail product stops once its next factor is within tol * this of 1
 TAIL_BOUND_FACTOR = 0.1
+# a sequence anchors its Psi at the first level J >= 1 with |lambda|/5^J <= this
+ANCHOR_BOUND = 2.0
 
 
 class ConvergenceConfig(NamedTuple):
@@ -52,10 +54,10 @@ def psi_limit_array(z, config: ConvergenceConfig = DEFAULT_CONFIG):
 
     Each element takes the approximants for m = 0, 1, ... until the
     increment passes the tolerance, and drops out once it has converged, so
-    its value does not depend on the rest of the array.  The increments
-    shrink 5x per step, so the last one bounds the truncation error left.
-    failures maps an index to its element's SglapError, in index order;
-    values and increments are NaN at those indices.
+    its value does not depend on the rest of the array.  An increment is the
+    last step, signed; they shrink 5x per step, so it bounds the truncation
+    error left.  failures maps an index to its element's SglapError, in
+    index order; values and increments are NaN at those indices.
     """
     import numpy as np
 
@@ -80,10 +82,10 @@ def psi_limit_array(z, config: ConvergenceConfig = DEFAULT_CONFIG):
                 failures[i] = DomainError(
                     f"psi iteration overflowed for z={float(z[i])!r} at m={m}")
             if m:
-                err = np.abs(cur - prev)
-                done = ~drop & (err <= config.tol * np.maximum(1.0, np.abs(cur)))
+                step = cur - prev
+                done = ~drop & (np.abs(step) <= config.tol * np.maximum(1.0, np.abs(cur)))
                 values[live[done]] = cur[done]
-                increments[live[done]] = err[done]
+                increments[live[done]] = step[done]
                 drop |= done
             live, prev = live[~drop], cur[~drop]
     for i in live.tolist():
@@ -112,50 +114,47 @@ def psi_limit(z: float, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
 
 
 def _upsilon_array(lam, config: ConvergenceConfig):
-    """(values, failures) of the tail product over a 1-D array.
-
-    The product for lambda is 1/(2 - Psi(lambda/5)) times the factors
-    1 - Psi(lambda/5^j)/3 for j = 2, 3, ..., up to the first j whose
-    remaining factors are bounded via |lambda_j| <= 5^-j |lambda|, a
-    geometric tail of ratio 1/5.  The elements walk down the levels
-    j = 1, 2, ...: each level sends the Psi arguments of the elements that
-    still need it through one psi_limit_array call, and multiplies the
-    factors into a running product in j order.  An element leaves the walk
-    once its tail bound passes, or at its first failure (its head's Psi,
-    then a pole, then the tail factors in j order), which is the failure it
-    reports; one still walking after level max_iterations + 1 did not
-    converge.
-    """
+    """(values, failures) of Upsilon over a 1-D array: tau along lambda's
+    own sequence lambda_j = Psi(lambda/5^j).  Psi calls give lambda_1 and
+    lambda_J, J the first level >= 1 with |lambda|/5^J <= ANCHOR_BOUND, each
+    plus a quarter of its last increment (its truncation error's geometric
+    tail); exact psi steps give lambda_2 .. lambda_{J-1}, minus roots every
+    entry below J, and the product stops at or below J by tau's rule.  The
+    first failure counts: the head's Psi, a pole, the anchor's Psi, then a
+    tail still open after level max_iterations + 1."""
     import numpy as np
 
-    size = np.abs(lam)
-    prod = np.full(lam.shape, np.nan)
-    failures = {}
-    live = np.arange(lam.size)
-    with np.errstate(divide="ignore", over="ignore"):
-        for j in range(1, config.max_iterations + 2):
-            if not live.size:
-                break
-            factor, _, psi_failures = psi_limit_array(lam[live] / 5.0**j, config)
-            if j > 1:
-                prod[live] *= 1.0 - factor / 3.0
-                leave = size[live] / 5.0**j / 3.0 < config.tol * TAIL_BOUND_FACTOR
-            else:
-                head = 2.0 - factor
-                # a failed head is NaN, so a pole never hides its psi failure
-                leave = head == 0.0
-                for i in live[leave].tolist():
-                    failures[i] = DomainError(
-                        f"tail product has a pole at lambda={float(lam[i])!r}")
-                prod[live] = 1.0 / head
-            failures.update((int(live[k]), exc) for k, exc in psi_failures.items())
-            leave[list(psi_failures)] = True
-            live = live[~leave]
-    for i in live.tolist():
-        failures[i] = ConvergenceError(
-            f"tail product did not converge for lambda={float(lam[i])!r}")
-    prod[list(failures)] = np.nan
-    return prod, dict(sorted(failures.items()))
+    lam_1, step, failures = psi_limit_array(lam / 5.0, config)
+    lam_1 += step / 4.0
+    head = 2.0 - lam_1
+    # a failed head is NaN, so a pole never hides its psi failure
+    for i in np.flatnonzero(head == 0.0).tolist():
+        failures[i] = DomainError(f"tail product has a pole at lambda={float(lam[i])!r}")
+    live = np.flatnonzero(~np.isnan(head) & (head != 0.0))
+    J, scale = np.ones(live.shape, dtype=int), np.full(live.shape, 5.0)  # 5^J, by products
+    while (deeper := np.abs(lam[live]) / scale > ANCHOR_BOUND).any():
+        J += deeper
+        scale[deeper] *= 5.0
+    x, deep = lam_1[live], np.flatnonzero(J > 1)
+    anchors, step, anchor_failures = psi_limit_array(lam[live[deep]] / scale[deep], config)
+    x[deep] = anchors + step / 4.0
+    failures.update((int(live[deep[k]]), exc) for k, exc in anchor_failures.items())
+    rising, up = {}, x  # rising[j] is lambda_j wherever j <= J
+    for j in range(int(J.max(initial=1)), 1, -1):
+        up = rising[j] = np.where(J == j, x, psi(up))
+    prod, done = 1.0 / head[live], np.zeros(live.shape, dtype=bool)
+    for j in range(2, config.max_iterations + 2):
+        if done.all():
+            break
+        x = np.where(J < j, 2.0 * x / (5.0 + np.sqrt(25.0 - 4.0 * x)), rising.get(j, x))
+        prod = np.where(done, prod, prod * (1.0 - x / 3.0))
+        done |= (J <= j) & (np.abs(x) / 3.0 < config.tol * TAIL_BOUND_FACTOR)
+    values = np.full(lam.shape, np.nan)
+    values[live[done]] = prod[done]
+    for i in live[~done].tolist():
+        failures.setdefault(i, ConvergenceError(
+            f"tail product did not converge for lambda={float(lam[i])!r}"))
+    return values, dict(sorted(failures.items()))
 
 
 _EPS = math.ulp(1.0)

@@ -151,6 +151,31 @@ def test_tangent_verify_reports_its_oracle(capsys):
     assert float(rows[0][header.index("deviation")]) < 1e-7
 
 
+@pytest.mark.parametrize("offset, code", [(2e-7, 4), (5e-8, 0)])
+def test_tangent_verify_default_tolerance(offset, code, monkeypatch, capsys):
+    # the default --verify-tol, cli.TANGENT_TOL = 1e-7, lies between an
+    # oracle 2e-7 away from the closed form (fails) and one 5e-8 away (passes)
+    from sglap import oracle, tangent
+
+    def stand_in(u, w, m):
+        return tuple(t + offset for t in tangent.tangent_at(u, w)), 0.0
+
+    monkeypatch.setattr(oracle, "direct_tangent_limit", stand_in)
+    result, _, err = run(["tangent", "--seed", "six:1:1", "--word", "0:1", "--verify"], capsys)
+    assert result == code
+    assert err.startswith("verification failed: tangent deviates") == (code == 4)
+
+
+@pytest.mark.parametrize("residual, code", [(2e-9, 4), (5e-10, 0)])
+def test_eval_verify_default_tolerance(residual, code, monkeypatch, capsys):
+    # the default --verify-tol, cli.EVAL_TOL = 1e-9, lies between a
+    # round-trip residual of 2e-9 (fails) and one of 5e-10 (passes)
+    monkeypatch.setattr(harmonic, "eigen_residual", lambda walk, values, lam: residual)
+    result, _, err = run(["eval", "--seed", "six:1:1", "--level", "2", "--verify"], capsys)
+    assert result == code
+    assert err.startswith("verification failed: round-trip residual") == (code == 4)
+
+
 def test_free_seed_harmonic_tangent(capsys):
     code, out, _ = run(
         ["tangent", "--seed", "free:0:0.3,-1.2,2", "--word", "21:0", "--format", "json"], capsys
@@ -1084,20 +1109,24 @@ def test_closed_stdout_exits_two(argv, lines):
 
 # sha256 of `special` stdout, pinned from the per-point scalar loops: a
 # workload-sized grid in both formats, out-of-domain rows, out-of-domain
-# tail factors, and a tolerance that only an exact zero increment meets
+# tail factors, and a tolerance that only an exact zero increment meets.
+# The Upsilon entries were re-pinned when Upsilon became tau along its own
+# sequence; against a 50-digit mpmath Upsilon their worst relative error
+# went 1.1e-13 -> 7.2e-15 (-12.3:14.2:2000) and 5.1e-14 -> 4.0e-15
+# (-1e4:1e4:101)
 SPECIAL_GOLDEN_SHA256 = {
     ("--fn", "psi", "--range=-12.3:14.2:2000", "--format", "csv"):
         "a3010d0523c6095e6d76216d1e3abcb514074cfee3d551d1217cd12e24358e3d",
     ("--fn", "psi", "--range=-12.3:14.2:2000", "--format", "json"):
         "137e4fd2dd1e5114d8c0f06eece81e3c5dab8de34fbab09fdfc6e64b7d2cdc5c",
     ("--fn", "upsilon", "--range=-12.3:14.2:2000", "--format", "csv"):
-        "2ba2c8077065dee55bb3a68eb715a63c48284bdaae46acd0ac1e11f0094be5de",
+        "4aecfad02a721404c6ffe6611431f6fa5cf40219107921b20922d76e6dd72d8a",
     ("--fn", "upsilon", "--range=-12.3:14.2:2000", "--format", "json"):
-        "24a296a5f94939cd435f7f4ac48e5bce3345712cbdf9ee7b84814a6dee88a8c4",
+        "b6115052206305706d430fd16d0f33921ea206604bf70bf01a12c5aab528f012",
     ("--fn", "psi", "--range=-150:150:601"):
         "2b6a6c5502a71dc59f8d51797a49e6f3a68412d649aefb68f0fb2785cb346222",
     ("--fn", "upsilon", "--range=-1e4:1e4:101"):
-        "173f2981f6cb0fb51545fa54e7c23b7588f012f21aca4846a2d56f4a0c65e07f",
+        "2c1208d0d59aad65819d89951f3182140b641ebb15de558e59adcba0eb566be2",
     ("--fn", "psi", "--range=1:2:5", "--tol=1e-300"):
         "05ef9bde260c27dc32c2b39cb77d7611e986b3a213317e5d11bbbd4c4fbdea36",
 }

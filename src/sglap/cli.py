@@ -429,36 +429,28 @@ def cmd_tangent(args) -> int:
 
 # --- special ----------------------------------------------------------------
 
-def _special_block(fn: str, points: list, config) -> list:
-    """The special table's rows at these grid points."""
-    import numpy as np
-
-    z = np.array(points)
-    if fn == "psi":
-        values, errors, failures = special.psi_limit_array(z, config)
+def _special_row(fn: str, z: float, config) -> list:
+    """The special table's row at grid point z; a failure fills its note."""
+    try:
+        if fn == "upsilon":
+            return [z, *special.upsilon_with_error(z, config), None]
+        value, step = special.psi_limit_with_error(z, config)
         # audit psi(Psi(z)) = Psi(5z) wherever 5z is in the domain (an
         # overflowing 5z is not); a failure there fails the row
-        with np.errstate(over="ignore"):
-            in_domain = np.abs(5.0 * z) <= special.PSI_DOMAIN_BOUND
-        audited = [i for i in np.flatnonzero(in_domain).tolist() if i not in failures]
-        five, _, five_failures = special.psi_limit_array(5.0 * z[audited], config)
-        audit = [None] * z.size
-        for i, gap in zip(audited, np.abs(special.psi(values[audited]) - five).tolist()):
-            audit[i] = gap
-        failures.update((audited[k], exc) for k, exc in five_failures.items())
-        fields = [values.tolist(), np.abs(errors).tolist(), audit]
-    else:
-        values, errors, failures = special.upsilon_with_error_array(z, config)
-        fields = [values.tolist(), errors.tolist()]
-    return [[point, *[None] * len(row), str(failures[i])] if i in failures else
-            [point, *row, None] for i, (point, *row) in enumerate(zip(points, *fields))]
+        audit = None
+        if abs(5.0 * z) <= special.PSI_DOMAIN_BOUND:
+            audit = abs(special.psi(value) - special.psi_limit_with_error(5.0 * z, config)[0])
+        return [z, value, abs(step), audit, None]
+    except SglapError as exc:
+        return [z, None, None, *[None] * (fn == "psi"), str(exc)]
 
 
 def _special_rows(fn: str, grid, config):
     """The special table's rows, one BLOCK_ROWS-point block of the grid at
-    a time (a value does not depend on the grid it is in)."""
+    a time, so that no grid is held."""
     for lo, hi in _row_ranges(grid[2]):
-        yield from _special_block(fn, _grid_points(grid, lo, hi), config)
+        for z in _grid_points(grid, lo, hi):
+            yield _special_row(fn, z, config)
 
 
 def cmd_special(args) -> int:

@@ -179,11 +179,9 @@ def sequence_from_limit(
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError(f"renormalized eigenvalue must be finite, got {lam!r}")
-    J = 1
-    while abs(lam) / 5.0**J > special.ANCHOR_BOUND:
-        J += 1
+    J = special.anchor_level(lam)
     vals = [0.0] * (J + 1)
-    vals[J] = special.psi_limit(lam / 5.0**J, config)
+    vals[J] = special.psi_limit_with_error(lam / 5.0**J, config)[0]
     for j in range(J - 1, -1, -1):
         vals[j] = special.psi(vals[j + 1])
         if not math.isfinite(vals[j]):

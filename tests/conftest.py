@@ -4,8 +4,7 @@ tangent as it ran on numpy, the renormalized normal-derivative limit, the
 whole-level residual, the dense seed, whole-level cell triples and vertex
 values, a subtree walk's values stream, per-cell vertex values, the
 whole-level vertex table and the scalar addressing, the psi_m approximant,
-a one-point run of a special grid kernel, and the oracles' spectrum pairing
-and unit-interval model."""
+and the oracles' spectrum pairing and unit-interval model."""
 import cmath
 import itertools
 import math
@@ -21,7 +20,6 @@ from sglap.decimation import vertex_count
 from sglap.errors import ConvergenceError, DomainError
 from sglap.harmonic import (HARMONIC_INVERSES, JUNCTION_TOL, eigen_matrices, extend_level,
                             graph_laplacian, matvec)
-from sglap.special import DEFAULT_CONFIG
 from sglap.tangent import m0_matrix
 
 acceptance_log = []
@@ -303,17 +301,6 @@ def psi_m(z, m: int) -> float:
     if not math.isfinite(x):
         raise DomainError(f"psi iteration overflowed for z={z!r} at m={m}")
     return x
-
-
-def one_point(kernel, x, config=DEFAULT_CONFIG) -> tuple:
-    """A special grid kernel on the one-point grid [x]: its columns as
-    Python floats, or its failure raised.  one_point(psi_limit_array, z)[0]
-    is Psi(z) and one_point(upsilon_with_error_array, lam)[0] is
-    Upsilon(lam), bit for bit."""
-    *columns, failures = kernel(np.array([float(x)]), config)
-    if failures:
-        raise failures[0]
-    return tuple(float(c[0]) for c in columns)
 
 
 # --- oracle helpers --------------------------------------------------------

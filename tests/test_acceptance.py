@@ -16,14 +16,14 @@ import numpy as np
 
 from conftest import (acceptance_log, eigen_matrix, extend_harmonic, harmonic_matrix,
                       harmonic_normal_derivative, interval_tangent, normal_derivative_limit,
-                      one_point, sorted_pairing_gap, value_at, values_on_level)
+                      sorted_pairing_gap, value_at, values_on_level)
 
 from sglap.address import subtree_walk
 from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
                                sequence_from_limit)
 from sglap.harmonic import SpectralEigenfunction, dirichlet_eigenfunction, eigen_residual
 from sglap.oracle import dense_dirichlet_spectrum, direct_tangent_limit
-from sglap.special import psi_limit_array, tau, upsilon_with_error_array
+from sglap.special import psi_limit_with_error, tau, upsilon_with_error
 from sglap.tangent import m0_matrix, tangent_at
 
 
@@ -221,7 +221,7 @@ def test_criterion_07_normal_derivative_corollary():
 
 def test_criterion_08_special_functions():
     def psi_limit(z):
-        return one_point(psi_limit_array, z)[0]
+        return psi_limit_with_error(z)[0]
 
     ok = psi_limit(0.0) == 0.0
     h = 1e-6
@@ -234,7 +234,7 @@ def test_criterion_08_special_functions():
     ok = ok and worst_feq < 1e-10
     seq = sequence_from_limit(4.7)
     lam = seq.limit()
-    worst_tau = max(abs(tau(k, seq) - one_point(upsilon_with_error_array, lam / 5.0**k)[0])
+    worst_tau = max(abs(tau(k, seq) - upsilon_with_error(lam / 5.0**k)[0])
                     for k in range(1, 7))
     ok = ok and worst_tau < 1e-12
     _report(

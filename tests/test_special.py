@@ -1,13 +1,12 @@
 """The quadratic-iteration limit function and the tail product."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import one_point, psi_m
+from conftest import psi_m
 
 from sglap import special
 from sglap.decimation import EigenvalueSequence, sequence_from_limit
@@ -18,10 +17,9 @@ from sglap.special import (
     TAIL_BOUND_FACTOR,
     ConvergenceConfig,
     psi,
-    psi_limit,
-    psi_limit_array,
+    psi_limit_with_error,
     tau,
-    upsilon_with_error_array,
+    upsilon_with_error,
 )
 
 
@@ -45,26 +43,26 @@ def test_psi_m_guards():
 
 
 def test_limit_values():
-    assert one_point(psi_limit_array, 0.0)[0] == 0.0
+    assert psi_limit_with_error(0.0)[0] == 0.0
     # the increment is the last step with its sign; the reference pins it
-    _, step = one_point(psi_limit_array, 1.0)
+    _, step = psi_limit_with_error(1.0)
     assert abs(step) < 1e-12
     h = 1e-6
-    slope = (one_point(psi_limit_array, h)[0] - one_point(psi_limit_array, -h)[0]) / (2 * h)
+    slope = (psi_limit_with_error(h)[0] - psi_limit_with_error(-h)[0]) / (2 * h)
     assert slope == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
 @given(st.floats(-10, 10))
 def test_functional_equation(z):
-    v = one_point(psi_limit_array, z)[0]
-    assert v * (5.0 - v) == pytest.approx(one_point(psi_limit_array, 5.0 * z)[0], abs=1e-10)
+    v = psi_limit_with_error(z)[0]
+    assert v * (5.0 - v) == pytest.approx(psi_limit_with_error(5.0 * z)[0], abs=1e-10)
 
 
 def test_domain_guard():
     with pytest.raises(DomainError):
-        one_point(psi_limit_array, PSI_DOMAIN_BOUND * 1.01)
-    one_point(psi_limit_array, PSI_DOMAIN_BOUND)  # the boundary itself converges
-    one_point(psi_limit_array, -PSI_DOMAIN_BOUND)
+        psi_limit_with_error(PSI_DOMAIN_BOUND * 1.01)
+    psi_limit_with_error(PSI_DOMAIN_BOUND)  # the boundary itself converges
+    psi_limit_with_error(-PSI_DOMAIN_BOUND)
 
 
 def test_config_is_frozen_and_hashable():
@@ -75,8 +73,8 @@ def test_config_is_frozen_and_hashable():
 
 
 def test_upsilon_at_zero():
-    assert one_point(upsilon_with_error_array, 0.0)[0] == pytest.approx(0.5, abs=1e-14)
-    val, err = one_point(upsilon_with_error_array, 3.7)
+    assert upsilon_with_error(0.0)[0] == pytest.approx(0.5, abs=1e-14)
+    val, err = upsilon_with_error(3.7)
     assert 0 < err < 1e-11
 
 
@@ -85,7 +83,7 @@ def test_tau_equals_upsilon_of_scaled_argument(lam):
     seq = sequence_from_limit(lam)
     lim = seq.limit()
     for k in range(seq.m0 + 1, seq.m0 + 4):
-        upsilon = one_point(upsilon_with_error_array, lim / 5.0**k)[0]
+        upsilon = upsilon_with_error(lim / 5.0**k)[0]
         assert tau(k, seq) == pytest.approx(upsilon, abs=1e-12)
 
 
@@ -93,7 +91,7 @@ def test_tau_through_plus_branches():
     seq = EigenvalueSequence(1, 6.0, plus_indices={2})  # the 6-series head
     lam = seq.limit()
     for k in range(2, 7):
-        upsilon = one_point(upsilon_with_error_array, lam / 5.0**k)[0]
+        upsilon = upsilon_with_error(lam / 5.0**k)[0]
         assert tau(k, seq) == pytest.approx(upsilon, abs=1e-12)
 
 
@@ -103,7 +101,8 @@ def test_tau_pole():
         tau(0, EigenvalueSequence(1, 2.0))
 
 
-# The scalar forms of the array kernels, kept as their reference.
+# Independent transcriptions of the definitions, kept as the references:
+# one psi_m call per approximant, and one whole pass of Upsilon per config.
 def reference_psi_limit(z, config):
     if abs(z) > PSI_DOMAIN_BOUND:
         raise DomainError(f"argument {z!r} outside the validated region |z| <= {PSI_DOMAIN_BOUND:g}")
@@ -151,98 +150,63 @@ def reference_upsilon_with_error(lam, config):
     return val, abs(val - reference_upsilon(lam, tight)) + 8.0 * math.ulp(1.0) * (1.0 + abs(val))
 
 
-def assert_matches_reference(kernel, reference, points, config, indices=None):
-    """Bit-equal columns where the reference returns, the same exception where
-    it raises: at every point, or at the given indices."""
-    *columns, failures = kernel(np.array(points), config)
-    for i in range(len(points)) if indices is None else indices:
-        x = points[i]
-        try:
-            expected = reference(x, config)
-        except SglapError as exc:
-            assert type(failures[i]) is type(exc) and str(failures[i]) == str(exc)
-            assert all(math.isnan(c[i]) for c in columns)
-            continue
-        assert i not in failures
-        assert tuple(float(c[i]) for c in columns) == expected
+def assert_matches_reference(function, reference, x, config):
+    """The function's floats bit for bit where the reference returns, and the
+    same failure class and message where it raises."""
+    try:
+        expected = reference(x, config)
+    except SglapError as exc:
+        with pytest.raises(SglapError) as raised:
+            function(x, config)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    assert [v.hex() for v in function(x, config)] == [v.hex() for v in expected]
 
 
-grid_points = st.lists(st.one_of(st.floats(-120.0, 120.0), st.just(math.nan)),
-                       min_size=1, max_size=6)
+# the failures and edges a point can take besides the ranges: NaN, the
+# infinities (outside the domain), the domain's ends, a subnormal, -0.0
+EDGES = [math.nan, math.inf, -math.inf, 100.0, -100.0, 1e-320, -0.0]
+points = st.one_of(st.floats(-120.0, 120.0), st.sampled_from(EDGES))
 configs = st.builds(ConvergenceConfig, tol=st.floats(1e-15, 1e-6),
                     max_iterations=st.sampled_from([80, 80, 30, 12, 3]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(grid_points, configs)
-def test_psi_limit_array_matches_the_scalar_loop(points, config):
-    assert_matches_reference(psi_limit_array, reference_psi_limit, points, config)
-
-
-@settings(max_examples=30, deadline=None)
-@given(grid_points, configs)
-def test_upsilon_array_matches_the_scalar_loop(points, config):
-    assert_matches_reference(upsilon_with_error_array, reference_upsilon_with_error,
-                             points, config)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.floats(-100.0, 100.0), st.floats(-120.0, 120.0),
-                 st.sampled_from([math.nan, math.inf, 100.0, -100.0, 1e-320, -0.0])), configs)
-def test_psi_limit_is_the_one_element_grid_bit_for_bit(z, config):
-    # the one scalar twin of a grid kernel: the same bits, or the same
-    # failure (out of domain, overflowed, did not settle) with its message
-    values, _, failures = psi_limit_array(np.array([z]), config)
-    try:
-        value = psi_limit(z, config)
-    except SglapError as exc:
-        assert type(failures[0]) is type(exc) and str(failures[0]) == str(exc)
-        return
-    assert not failures and value.hex() == float(values[0]).hex()
+@given(points, configs)
+def test_psi_limit_matches_the_reference(z, config):
+    assert_matches_reference(psi_limit_with_error, reference_psi_limit, z, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(points, st.floats(-600.0, 600.0)), configs)
+@example(108.55, ConvergenceConfig(1e-9, 10))  # the anchor's Psi fails, the head's settles
+def test_upsilon_matches_two_reference_passes(lam, config):
+    # the reference walks every Psi argument once per config; one shared
+    # walk gives each config's stop the same bits, failures included.  Past
+    # |lambda| = 250 the anchor is at J = 4, past 500 the head is outside
+    assert_matches_reference(upsilon_with_error, reference_upsilon_with_error, lam, config)
 
 
 def test_sequence_from_limit_raises_the_kernel_failure():
-    # the one runtime Psi of a single value, psi_limit
+    # the one Psi of a generating sequence, psi_limit_with_error
     with pytest.raises(ConvergenceError, match=r"^psi approximants did not settle for z=0\.6$"):
         sequence_from_limit(3.0, ConvergenceConfig(tol=1e-15, max_iterations=2))
 
 
-def test_empty_grids():
-    for kernel in (psi_limit_array, upsilon_with_error_array):
-        *columns, failures = kernel(np.array([]))
-        assert [c.shape for c in columns] == [(0,), (0,)] and failures == {}
+def counting_walks(monkeypatch):
+    """The argument of every approximant walk started from here on."""
+    arguments, walk = [], special._approximants
 
+    def counting(z):
+        arguments.append(z)
+        return walk(z)
 
-def counting_psi_calls(monkeypatch):
-    """The argument count of every psi_limit_array call made from here on."""
-    sizes = []
-
-    def counting(z, config):
-        sizes.append(len(z))
-        return psi_limit_array(z, config)
-
-    monkeypatch.setattr(special, "psi_limit_array", counting)
-    return sizes
-
-
-@pytest.mark.parametrize("grid, bound", [((-30.3, 45.2, 2000), 1.5e6),
-                                         ((-1e20, 1e20, 4096), 6e6)])
-def test_upsilon_working_memory(grid, bound):
-    # each evaluation holds two Psi calls' arguments and a few columns per
-    # tail level; one (levels x points) psi_limit_array call traced 3.9 MB
-    # and 57 MB here
-    lam = np.linspace(*grid)
-    tracemalloc.start()
-    try:
-        upsilon_with_error_array(lam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    monkeypatch.setattr(special, "_approximants", counting)
+    return arguments
 
 
 def failure_class(lam, exc):
-    """Where an Upsilon element failed, or "converged"."""
+    """Where an Upsilon evaluation failed, or "converged"."""
     if exc is None:
         return "converged"
     text = str(exc)
@@ -271,45 +235,51 @@ MIXED_CLASSES = {"converged", "head psi", "argument", "psi", "tail"}
     pytest.param(mixed_grid(2500), 12, MIXED_CLASSES, id="2500"),
     pytest.param(np.linspace(108.5, 108.6, 21), 10, {"head psi", "tail psi"}, id="anchor")])
 def test_upsilon_two_psi_calls_per_evaluation(lam, max_iterations, classes, monkeypatch):
-    # an evaluation makes the head's Psi call and the anchors' Psi call,
-    # whatever the grid: every point of the wide grid fails at its head, the
-    # mixed grids hold every other class, and near 108.55 the anchor's Psi
-    # (at lambda/125) fails where the head's settles.  A sample of 7
-    # elements of each class matches the reference
-    points, config = lam.tolist(), ConvergenceConfig(tol=1e-9, max_iterations=max_iterations)
-    sizes = counting_psi_calls(monkeypatch)
-    special._upsilon_array(lam, config)
-    assert len(sizes) <= 2 and sum(sizes) <= 2 * lam.size
-    sizes.clear()
-    *_, failures = upsilon_with_error_array(lam, config)
-    assert len(sizes) <= 4 and sum(sizes) <= 4 * lam.size
-    members = {}
-    for i, x in enumerate(points):
-        members.setdefault(failure_class(x, failures.get(i)), []).append(i)
+    # an evaluation and its 8x tighter twin share one approximant walk of
+    # the head's argument lambda/5 and at most one of the anchor's, however
+    # it ends: every point of the wide grid fails at its head, the mixed
+    # grids hold every other class, and near 108.55 the anchor's Psi (at
+    # lambda/125) fails where the head's settles.  A sample of 7 points of
+    # each class matches the reference
+    config = ConvergenceConfig(tol=1e-9, max_iterations=max_iterations)
+    walks, members = counting_walks(monkeypatch), {}
+    for x in lam.tolist():
+        walks.clear()
+        try:
+            upsilon_with_error(x, config)
+            exc = None
+        except SglapError as failure:
+            exc = failure
+        assert len(walks) <= 2 and len({z.hex() for z in walks}) == len(walks)
+        assert [z.hex() for z in walks[:1]] == [(x / 5.0).hex()] * bool(walks)
+        members.setdefault(failure_class(x, exc), []).append(x)
     assert set(members) == classes
-    sample = [i for indices in members.values() for i in indices[:7]]
-    assert_matches_reference(upsilon_with_error_array, reference_upsilon_with_error,
-                             points, config, sample)
+    monkeypatch.undo()
+    for sample in members.values():
+        for x in sample[:7]:
+            assert_matches_reference(upsilon_with_error, reference_upsilon_with_error, x, config)
 
 
 def test_upsilon_pole_hides_a_later_failure_of_the_same_call(monkeypatch):
-    # no float lambda has Psi(lambda/5) == 2 exactly, so a stand-in Psi makes
-    # one: 16 gets a pole at its head and a failing Psi at its anchor
-    # argument 16/5^2 (J = 2); the pole is its first failure
-    def stand_in(z, config):
-        values, increments, failures = psi_limit_array(z, config)
-        pole = z == 16.0 / 5.0
-        values[pole], increments[pole] = 2.0, 0.0
-        for k in np.flatnonzero(z == 16.0 / 5.0**2).tolist():
-            values[k], failures[k] = np.nan, DomainError("stand-in")
-        return values, increments, dict(sorted(failures.items()))
+    # no float lambda has Psi(lambda/5) == 2 exactly, so a stand-in walk
+    # makes one: 16 gets a pole at its head and a failing Psi at its anchor
+    # argument 16/5^2 (J = 2); the pole is its first failure, and without
+    # the pole the anchor's failure shows
+    walk, pole = special._psi_walk, [True]
 
-    monkeypatch.setattr(special, "psi_limit_array", stand_in)
-    lam = np.linspace(-8.0, 8.0, 1500)
-    lam[700] = 16.0
-    values, _, failures = upsilon_with_error_array(lam)
-    assert list(failures) == [700] and math.isnan(values[700])
-    assert str(failures[700]) == "tail product has a pole at lambda=16.0"
+    def stand_in(z, configs):
+        if z == 16.0 / 5.0 and pole[0]:
+            return [(2.0, 0.0)] * len(configs)
+        if z == 16.0 / 5.0**2:
+            return [DomainError("stand-in")] * len(configs)
+        return walk(z, configs)
+
+    monkeypatch.setattr(special, "_psi_walk", stand_in)
+    with pytest.raises(DomainError, match=r"^tail product has a pole at lambda=16\.0$"):
+        upsilon_with_error(16.0)
+    pole[0] = False
+    with pytest.raises(DomainError, match=r"^stand-in$"):
+        upsilon_with_error(16.0)
 
 
 def mp_upsilon(lam, dps=50):
@@ -351,7 +321,22 @@ def test_upsilon_accuracy_against_mpmath():
     rng = np.random.default_rng(31)
     lam = np.concatenate([rng.uniform(-60.0, 60.0, 36), rng.uniform(16.766, 16.866, 9),
                           rng.uniform(-480.0, 480.0, 15)])
-    values, _, failures = upsilon_with_error_array(lam)
-    assert not failures
-    errors = [float(abs(value / mp_upsilon(x) - 1)) for x, value in zip(lam.tolist(), values.tolist())]
+    errors = [float(abs(upsilon_with_error(x)[0] / mp_upsilon(x) - 1)) for x in lam.tolist()]
     assert np.median(errors) < 5e-15 and max(errors) < 5e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: next to a pole the 8x tighter "
+                   "evaluation extrapolates the same head, so the error column misses the "
+                   "head's roundoff times 1/(2 - lambda_1) (CHANGES.md FOUND line on the "
+                   "extrapolated head)")
+def test_upsilon_error_bounds_the_true_error_next_to_the_pole():
+    # 30 seeded draws within 0.05 of the pole at 16.81599889.  Over item 13's
+    # 200-draw mix the reported error fell short in 11 draws, all of them here
+    from mpmath import mp, mpf
+
+    rng = np.random.default_rng(13)
+    for x in rng.uniform(16.766, 16.866, 30).tolist():
+        value, error = upsilon_with_error(x)
+        with mp.workdps(50):
+            true = float(abs(mpf(value) - mp_upsilon(x)))
+        assert error >= true, (x, error, true)

@@ -434,13 +434,13 @@ def _special_row(fn: str, z: float, config) -> list:
     try:
         if fn == "upsilon":
             return [z, *special.upsilon_with_error(z, config), None]
-        value, step = special.psi_limit_with_error(z, config)
+        value, error = special.psi_limit_with_error(z, config)
         # audit psi(Psi(z)) = Psi(5z) wherever 5z is in the domain (an
         # overflowing 5z is not); a failure there fails the row
         audit = None
         if abs(5.0 * z) <= special.PSI_DOMAIN_BOUND:
             audit = abs(special.psi(value) - special.psi_limit_with_error(5.0 * z, config)[0])
-        return [z, value, abs(step), audit, None]
+        return [z, value, error, audit, None]
     except SglapError as exc:
         return [z, None, None, *[None] * (fn == "psi"), str(exc)]
 

@@ -9,9 +9,8 @@ tau, the same product along an explicit sequence, taken along its own.
 
 Every function takes one point on Python floats: a point's value does not
 depend on any other, and a `special` grid is its points one at a time, so
-this module imports no numpy.  One walk over a Psi argument's approximants
-serves every stop asked of it, which is how Upsilon's error estimate, a
-second and tighter evaluation, costs no second walk.
+this module imports no numpy.  Psi and Upsilon each bound their error from
+the one evaluation that gives their value.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, SglapError
+from .errors import ConvergenceError, DomainError
 
 # validated stability region for the limit iteration
 PSI_DOMAIN_BOUND = 100.0
@@ -60,64 +59,66 @@ def _approximants(z: float):
         yield w
 
 
-def _psi_walk(z: float, configs) -> list:
-    """Psi at z under each config, from one walk over the approximants:
-    per config, (value, signed last increment) at the first m >= 1 whose
-    increment passes its tolerance, or the SglapError it fails with.  The
-    approximants do not depend on the config, so each is computed once,
-    however many stops are asked of it.  The increments shrink 5x per step,
-    so the last one bounds the truncation error left."""
+_EPS = math.ulp(1.0)  # twice the unit roundoff
+
+
+def _psi_steps(x: float, e: float, n: int) -> tuple:
+    """x after n psi steps and a bound on its error given e on x, since
+    psi(x+d) - psi(x) = (5-2x)d - d^2 and x(5 - x) rounds by <= _EPS |psi(x)|."""
+    eps = _EPS
+    for _ in range(n):
+        e = (abs(5.0 - 2.0 * x) + e) * e
+        x *= 5.0 - x
+        e += eps * abs(x)
+    return x, e
+
+
+def _psi_walk(z: float, config: ConvergenceConfig) -> tuple:
+    """Psi at z: (value, signed last increment, error bound) at the first
+    m >= 1 whose increment passes config.tol, or its failure raised: out of
+    the validated domain, an overflowing approximant, or approximants that
+    do not settle within config.max_iterations.
+
+    The bound holds however early the walk stops: Psi(z) = psi^m(g(w)) for
+    w = (2/3) z / 5^m, where g(w) = lim psi^n(w/5^n) = w - w^2/20 + ... is
+    within w^2 (1 + |w|/50) / 20 of w for |w| <= 20; that and w's rounding
+    (three from z, a fourth from lambda/5^j) go through the m psi steps."""
     if abs(z) > PSI_DOMAIN_BOUND:
-        return [DomainError(f"argument {z!r} outside the validated region "
-                            f"|z| <= {PSI_DOMAIN_BOUND:g}")] * len(configs)
-    outcomes, prev = [None] * len(configs), None
-    loosest = max(config.tol for config in configs)
-    for m, x in zip(range(max(config.max_iterations for config in configs) + 1),
-                    _approximants(z)):
+        raise DomainError(f"argument {z!r} outside the validated region "
+                          f"|z| <= {PSI_DOMAIN_BOUND:g}")
+    prev, tol = None, config.tol
+    for m, x in zip(range(config.max_iterations + 1), _approximants(z)):
         if m:
-            # nearly every step fails the loosest tolerance, and so every one:
-            # that is told without a call (abs and max(1, .) written out); a
-            # step beside a NaN or infinite x is not told so
+            # nearly every step fails the tolerance, told without a call (abs,
+            # max(1, .) written out); a step beside a NaN or inf x is not told so
             step, size = x - prev, x if x > 0.0 else -x
             scale = size if size > 1.0 else 1.0
-            if step > loosest * scale or step < -loosest * scale:
+            if step > tol * scale or step < -tol * scale:
                 prev = x
                 continue
         if not math.isfinite(x):
-            overflow = DomainError(f"psi iteration overflowed for z={z!r} at m={m}")
-            outcomes = [overflow if outcome is None and m <= config.max_iterations else outcome
-                        for outcome, config in zip(outcomes, configs)]
-            break
+            raise DomainError(f"psi iteration overflowed for z={z!r} at m={m}")
         if m:
-            for k, config in enumerate(configs):
-                if outcomes[k] is None and m <= config.max_iterations \
-                        and abs(step) <= config.tol * scale:
-                    outcomes[k] = (x, step)
-            if None not in outcomes:
-                return outcomes
+            w = (2.0 / 3.0) * z / 5.0**m
+            e = w * w * (50.0 + abs(w)) / 1000.0 + 3.0 * _EPS * abs(w)
+            return x, step, _psi_steps(w, e, m)[1]
         prev = x
-    failure = ConvergenceError(f"psi approximants did not settle for z={z!r}")
-    return [failure if outcome is None else outcome for outcome in outcomes]
+    raise ConvergenceError(f"psi approximants did not settle for z={z!r}")
 
 
 def psi_limit_with_error(z: float, config: ConvergenceConfig = DEFAULT_CONFIG) -> tuple:
-    """Psi at z and its signed last increment, or its failure raised: out
-    of the validated domain, an overflowing approximant, or approximants
-    that do not settle within config.max_iterations."""
-    outcome, = _psi_walk(z, (config,))
-    if isinstance(outcome, SglapError):
-        raise outcome
-    return outcome
+    """Psi at z and a bound on its error, or its failure raised: the walk's
+    bound plus the last increment's size, some 4x the truncation error left."""
+    x, step, e = _psi_walk(z, config)
+    return x, abs(step) + e
 
 
-def _extrapolated(outcome) -> float:
-    """A Psi walk's value plus a quarter of its last increment (the
-    geometric tail of the increments left after the stop), or its failure
-    raised."""
-    if isinstance(outcome, SglapError):
-        raise outcome
-    value, step = outcome
-    return value + step / 4.0
+def _extrapolated(z: float, config: ConvergenceConfig) -> tuple:
+    """Psi at z plus a quarter of its last increment (the geometric tail of
+    the increments left after the stop), and a bound on its error."""
+    x, step, e = _psi_walk(z, config)
+    value = x + step / 4.0
+    return value, e + abs(step) / 4.0 + _EPS * abs(value)
 
 
 def anchor_level(lam: float) -> int:
@@ -129,50 +130,48 @@ def anchor_level(lam: float) -> int:
     return J
 
 
-def _tail(lam: float, head: float, J: int, x: float, config: ConvergenceConfig) -> float:
-    """tau's product 1/head * prod_{j >= 2} (1 - lambda_j/3) from lambda_J = x:
-    exact psi steps give lambda_{J-1} .. lambda_2 and minus roots every entry
-    below J, and the product stops at or below J by tau's rule."""
-    rising = [x]  # lambda_J, lambda_{J-1}, ..., lambda_2
-    for _ in range(J - 2):
-        rising.append(psi(rising[-1]))
-    prod, bound = 1.0 / head, config.tol * TAIL_BOUND_FACTOR
-    for j in range(2, config.max_iterations + 2):
-        x = rising[J - j] if j <= J else 2.0 * x / (5.0 + math.sqrt(25.0 - 4.0 * x))
-        prod *= 1.0 - x / 3.0
-        if j >= J and abs(x) / 3.0 < bound:
-            return prod
-    raise ConvergenceError(f"tail product did not converge for lambda={lam!r}")
-
-
-_EPS = math.ulp(1.0)
+def _rel(e: float, size: float) -> float:
+    """A bound on the relative error of s and of 1/s, for an s of this size
+    that is off by at most e: e / (size - e), infinite once e reaches it."""
+    return e / (size - e) if e < size else math.inf
 
 
 def upsilon_with_error(lam: float, config: ConvergenceConfig = DEFAULT_CONFIG) -> tuple:
-    """Upsilon at lam and an error estimate, or its failure raised.
+    """Upsilon at lam and a bound on its error, or its failure raised: its
+    head's Psi, a pole, its anchor's Psi, then a tail still open after level
+    max_iterations + 1.
 
     Upsilon is tau along lam's own sequence lambda_j = Psi(lam/5^j): the
-    head lambda_1 and the anchor lambda_J (J = anchor_level(lam), its walk
-    taken only when J >= 2) are Psi values, each extrapolated.  The error is
-    the distance to an 8x tighter evaluation, with a floating-point floor so
-    that it stays positive; the two evaluations share one Psi walk per
-    argument.  The configured evaluation's first failure is raised: its
-    head's Psi, a pole, its anchor's Psi, then a tail still open after level
-    max_iterations + 1; only then the tighter evaluation's.
-    """
-    configs = (config, ConvergenceConfig(config.tol / 8.0, config.max_iterations + 8))
-    heads, anchors, values = _psi_walk(lam / 5.0, configs), None, []
-    for k, each in enumerate(configs):
-        lam_1 = _extrapolated(heads[k])
-        if lam_1 == 2.0:
-            raise DomainError(f"tail product has a pole at lambda={lam!r}")
-        if anchors is None:
-            J = anchor_level(lam)
-            anchors = _psi_walk(lam / 5.0**J, configs) if J > 1 else ()
-        x = _extrapolated(anchors[k]) if J > 1 else lam_1
-        values.append(_tail(lam, 2.0 - lam_1, J, x, each))
-    value, tight = values
-    return value, abs(value - tight) + 8.0 * _EPS * (1.0 + abs(value))
+    head lambda_1 and the anchor lambda_J (J = anchor_level(lam), walked
+    only when J >= 2) are extrapolated Psi values, psi steps give lambda_{J-1}
+    .. lambda_2 and minus roots the entries below J.  The bound runs with the
+    product (Higham 2002, section 3.3): each entry's error relative to
+    2 - lambda_1 or 3 - lambda_j (inf once it reaches it), _EPS of rounding
+    per factor, and expm1(|lambda_j|/9) for the factors left after the stop,
+    whose entries shrink 4x per level."""
+    lam_1, d = _extrapolated(lam / 5.0, config)
+    if lam_1 == 2.0:
+        raise DomainError(f"tail product has a pole at lambda={lam!r}")
+    J = anchor_level(lam)
+    x, e = _extrapolated(lam / 5.0**J, config) if J > 1 else (lam_1, d)
+    rising = [(x, e)]  # lambda_J, lambda_{J-1}, ..., lambda_2, each with its bound
+    for _ in range(J - 2):
+        rising.append(_psi_steps(*rising[-1], 1))
+    prod, rel = 1.0 / (2.0 - lam_1), _rel(d, abs(2.0 - lam_1)) + _EPS
+    for j in range(2, config.max_iterations + 2):
+        if j <= J:
+            x, e = rising[J - j]
+        else:
+            # the minus root (5 - r)/2, r = sqrt(25 - 4x), has slope at most
+            # 1/(r - 4e/r) within e of x; it is under x/4, with four roundings
+            root = math.sqrt(25.0 - 4.0 * x)
+            x, e = 2.0 * x / (5.0 + root), root / 4.0 * _rel(4.0 * e / root, root) + _EPS * abs(x)
+        prod *= 1.0 - x / 3.0
+        rel += (_rel(e + _EPS * abs(x), abs(3.0 - x)) + _EPS) * (1.0 + rel)
+        if j >= J and abs(x) / 3.0 < config.tol * TAIL_BOUND_FACTOR:
+            rel += math.expm1((abs(x) + e) / 9.0) * (1.0 + rel)
+            return prod, abs(prod) * rel if rel < math.inf else math.inf
+    raise ConvergenceError(f"tail product did not converge for lambda={lam!r}")
 
 
 def tau(k: int, sequence, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:

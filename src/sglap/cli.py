@@ -162,10 +162,10 @@ def parse_verify_tol(text: str) -> float:
     return tol
 
 
-def _grid_points(grid, lo: int, hi: int) -> list:
-    """Points lo..hi-1 of the inclusive grid (a, b, n) from parse_range."""
+def _grid_point(grid, i: int) -> float:
+    """Point i of the inclusive grid (a, b, n) from parse_range."""
     a, b, n = grid
-    return [a + (b - a) * i / (n - 1) for i in range(lo, hi)] if n > 1 else [a]
+    return a + (b - a) * i / (n - 1) if n > 1 else a
 
 
 def parse_range(text: str) -> tuple:
@@ -182,8 +182,7 @@ def parse_range(text: str) -> tuple:
     if n < 1:
         raise UsageError(f"range needs at least one point, got {n}")
     grid = a, b, n
-    if not all(math.isfinite(z) for z in [a, b, *_grid_points(grid, 0, 1),
-                                           *_grid_points(grid, n - 1, n)]):
+    if not all(math.isfinite(z) for z in [a, b, _grid_point(grid, 0), _grid_point(grid, n - 1)]):
         raise UsageError(f"range endpoints and grid points must be finite, got {text!r}")
     return grid
 
@@ -429,34 +428,32 @@ def cmd_tangent(args) -> int:
 
 # --- special ----------------------------------------------------------------
 
-def _special_row(fn: str, z: float, config) -> list:
+def _special_row(fn: str, z: float, tol: float) -> list:
     """The special table's row at grid point z; a failure fills its note."""
     try:
         if fn == "upsilon":
-            return [z, *special.upsilon_with_error(z, config), None]
-        value, error = special.psi_limit_with_error(z, config)
+            return [z, *special.upsilon_with_error(z, tol), None]
+        value, error = special.psi_limit_with_error(z, tol)
         # audit psi(Psi(z)) = Psi(5z) wherever 5z is in the domain (an
         # overflowing 5z is not); a failure there fails the row
         audit = None
         if abs(5.0 * z) <= special.PSI_DOMAIN_BOUND:
-            audit = abs(special.psi(value) - special.psi_limit_with_error(5.0 * z, config)[0])
+            audit = abs(special.psi(value) - special.psi_limit_with_error(5.0 * z, tol)[0])
         return [z, value, error, audit, None]
     except SglapError as exc:
         return [z, None, None, *[None] * (fn == "psi"), str(exc)]
 
 
-def _special_rows(fn: str, grid, config):
-    """The special table's rows, one BLOCK_ROWS-point block of the grid at
-    a time, so that no grid is held."""
-    for lo, hi in _row_ranges(grid[2]):
-        for z in _grid_points(grid, lo, hi):
-            yield _special_row(fn, z, config)
+def _special_rows(fn: str, grid, tol: float):
+    """The special table's rows, one grid point at a time, so that no grid
+    is held."""
+    for i in range(grid[2]):
+        yield _special_row(fn, _grid_point(grid, i), tol)
 
 
 def cmd_special(args) -> int:
-    config = special.DEFAULT_CONFIG._replace(tol=args.tol)
     columns = ["z", "value", "error", *["functional_eq"] * (args.fn == "psi"), "note"]
-    _emit(args, _table_blocks(args.format, columns, _special_rows(args.fn, args.range, config)))
+    _emit(args, _table_blocks(args.format, columns, _special_rows(args.fn, args.range, args.tol)))
     return 0
 
 
@@ -508,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     spc.add_argument("--fn", choices=["psi", "upsilon"], required=True)
     spc.add_argument("--range", type=parse_range, required=True,
                      help="a:b:n inclusive grid (write --range=-2:2:5 for negative a)")
-    spc.add_argument("--tol", type=parse_tol, default=special.DEFAULT_CONFIG.tol)
+    spc.add_argument("--tol", type=parse_tol, default=special.TOL)
     spc.add_argument("--format", choices=["csv", "json"], default="csv")
     spc.add_argument("--output")
     spc.set_defaults(run=cmd_special)

@@ -85,20 +85,20 @@ def _root(lam: float, plus: bool, t: int) -> float:
     return lam
 
 
-def _minus_run(t: int, lam: float, level: int, config: special.ConvergenceConfig):
+def _minus_run(t: int, lam: float, level: int):
     """Follow the minus root down from lambda_t = lam: (values, limit).
 
     values are lambda_t .. lambda_level.  From level t on, the renormalized
     1.5 * 5.0**j * lambda_j is taken until it moves by at most
-    config.tol * max(1, |1.5 * 5.0**j * lambda_j|) in one level, which the
+    special.TOL * max(1, |1.5 * 5.0**j * lambda_j|) in one level, which the
     run goes on past `level` for; limit is None if that does not happen
-    within config.max_iterations levels.  A failed step raises, and so does
+    within special.MAX_ITERATIONS levels.  A failed step raises, and so does
     a 5.0**j past the float range while the limit is open."""
-    scales, tol = _RENORMALIZERS, config.tol
+    scales, tol = _RENORMALIZERS, special.TOL
     if t >= len(scales):
         raise _overflow(t)
     values = [lam]
-    prev, limit, last = scales[t] * lam, None, t + config.max_iterations
+    prev, limit, last = scales[t] * lam, None, t + special.MAX_ITERATIONS
     while limit is None and t < last:
         t += 1
         if t == len(scales):
@@ -156,19 +156,18 @@ class EigenvalueSequence:
 
     def limit(self) -> float:
         """Renormalized eigenvalue (3/2) lim 5^j lambda_j, taken from the last
-        plus level on under the default convergence settings."""
+        plus level on."""
         if self._limit is None:
             start = max(self.plus_indices, default=self.m0)
             if start >= len(_RENORMALIZERS):
                 raise _overflow(start)
-            self._limit = _minus_run(start, self.value(start), start, special.DEFAULT_CONFIG)[1]
+            self._limit = _minus_run(start, self.value(start), start)[1]
             if self._limit is None:
                 raise ConvergenceError(f"renormalized eigenvalue did not settle for {self!r}")
         return self._limit
 
 
-def sequence_from_limit(
-        lam, config: special.ConvergenceConfig = special.DEFAULT_CONFIG) -> EigenvalueSequence:
+def sequence_from_limit(lam) -> EigenvalueSequence:
     """Invert the renormalized limit back to a sequence.
 
     Psi(5^-j lam) recovers lambda_j for every j, plus branches
@@ -181,7 +180,7 @@ def sequence_from_limit(
         raise DomainError(f"renormalized eigenvalue must be finite, got {lam!r}")
     J = special.anchor_level(lam)
     vals = [0.0] * (J + 1)
-    vals[J] = special.psi_limit_with_error(lam / 5.0**J, config)[0]
+    vals[J] = special.psi_limit_with_error(lam / 5.0**J)[0]
     for j in range(J - 1, -1, -1):
         vals[j] = special.psi(vals[j + 1])
         if not math.isfinite(vals[j]):
@@ -226,7 +225,7 @@ class SpectrumLine(NamedTuple):
     multiplicity: int
 
 
-def _family_rows(series: str, m0: int, level: int, config):
+def _family_rows(series: str, m0: int, level: int):
     """(branches, lambda_level, limit) of every branch set of one family.
 
     The branch tree is walked depth first: each plus root starts a minus
@@ -239,7 +238,7 @@ def _family_rows(series: str, m0: int, level: int, config):
     rows = []
     while runs:
         t, lam, head = runs.pop()
-        values, limit = _minus_run(t, lam, level, config)
+        values, limit = _minus_run(t, lam, level)
         if limit is None:
             raise ConvergenceError(f"renormalized eigenvalue did not settle below level {t}")
         if t > level:  # a 6-series born at the level: its plus root lies past it
@@ -271,9 +270,8 @@ def enumerate_dirichlet_spectrum(level: int, series: str = "all"):
     dim = vertex_count(level) - 3
     if total != dim:
         raise InvariantError(f"level-{level} multiplicities add up to {total}, not {dim}")
-    config = special.DEFAULT_CONFIG
     rows = [(s, m0, *row) for s, m0 in families if series in ("all", s)
-            for row in _family_rows(s, m0, level, config)]
+            for row in _family_rows(s, m0, level)]
     rows.sort(key=lambda r: (r[3], _SERIES_RANK[r[0]], r[1], r[2]))
     return [SpectrumLine(s, m0, branches, level, value, limit, mult[s, m0])
             for s, m0, branches, value, limit in rows]

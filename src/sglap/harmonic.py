@@ -17,12 +17,10 @@ functions that handle whole levels, so that a tangent does not load it.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from functools import lru_cache
 
-from .address import (Frozen, LevelGraph, SubtreeWalk, _subtree_walk, check_letter,
-                      check_word, subtree_walk, vertex_cells, vertex_index)
+from .address import (Frozen, LevelGraph, SubtreeWalk, _subtree_walk, build_level_graph,
+                      check_letter, check_word, subtree_walk, vertex_cells, vertex_index)
 from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_multiplicity,
                          vertex_count)
 from .errors import DomainError
@@ -125,11 +123,9 @@ def graph_laplacian(graph: LevelGraph, values):
     return np.bincount(graph.cells.ravel(), weights=cv.ravel(), minlength=graph.size)
 
 
-@lru_cache(maxsize=4096)
 def eigen_matrices(lam: float) -> tuple:
-    """The three lambda-deformed extension matrices, one per letter.  Pass a
-    Decimal to the uncached __wrapped__: its matrices depend on the context
-    precision, and Decimal("0.5") would hit the cached entry of 0.5."""
+    """The three lambda-deformed extension matrices, one per letter, in the
+    type of lam: a float, or a Decimal in the context's precision."""
     if not math.isfinite(lam):
         raise DomainError(f"extension matrices need a finite lambda, got {lam!r}")
     den = (5 - lam) * (2 - lam)
@@ -230,37 +226,40 @@ class SpectralEigenfunction(Frozen):
         time: (values, gap, scale) of cell_values_to_vertex, first for V_depth,
         collapsed from the subtrees' corner triples, which refinement keeps,
         then for each subtree in cell order, with the values of the
-        vertices it adds.  A subtree takes its cells on level r =
-        max(m0, depth) from the seed (its cell_triple, or the seed at its
-        r-cells) and refines them on to level m."""
+        vertices it adds.  The seed is read at the vertices of the m0-cells:
+        when m0 <= depth, of every m0-cell, refined on to the depth-cells,
+        one per subtree; else of each subtree's m0-cells.  A subtree's cells
+        are refined on to level m."""
         import numpy as np
 
-        if m < self.m0:
-            raise DomainError(f"level {m} below seed level {self.m0}")
+        m0 = self.m0
+        if m < m0:
+            raise DomainError(f"level {m} below seed level {m0}")
         walk = subtree_walk(m)
         depth = walk.top.level
-        r = max(self.m0, depth)
+        # the seed at V_m0 vertices, no level held whole: a search among the
+        # vertices it names, sorted, and after them V_m0's size, which
+        # stands for every vertex it leaves at 0
+        named = sorted(self.seed_values)
+        vertices = np.array([*named, vertex_count(m0)])
+        seed = np.array([*map(self.seed_values.get, named), 0.0])
+
+        def seed_at(positions):
+            i = np.searchsorted(vertices, positions)
+            return np.where(vertices[i] == positions, seed[i], 0.0)
+
+        mats = [np.array(eigen_matrices(self.sequence.value(j))) for j in range(m0 + 1, m + 1)]
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.m0 <= depth:  # one depth-cell per subtree
-                words = itertools.product(range(3), repeat=depth)
-                corners = np.array([self.cell_triple(w) for w in words])
+            if m0 <= depth:
+                corners = seed_at(build_level_graph(m0).cells)
+                for mat in mats[:depth - m0]:
+                    corners = extend_level(corners, mat)
+                mats = mats[depth - m0:]
                 triples = corners[:, None]
             else:
-                # the seed at each subtree's V_m0 vertices, no level held whole:
-                # a search among the vertices it names, sorted, and after them
-                # V_m0's size, which stands for every vertex it leaves at 0
-                named = sorted(self.seed_values)
-                vertices = np.array([*named, vertex_count(self.m0)])
-                seed = np.array([*map(self.seed_values.get, named), 0.0])
-
-                def seed_at(positions):
-                    i = np.searchsorted(vertices, positions)
-                    return np.where(vertices[i] == positions, seed[i], 0.0)
-
-                on_m0 = _subtree_walk(self.m0, depth)
+                on_m0 = _subtree_walk(m0, depth)
                 corners = seed_at(on_m0.layout[:, :3])
                 triples = (seed_at(p)[on_m0.local.cells] for p in on_m0.positions())
-            mats = [np.array(eigen_matrices(self.sequence.value(j))) for j in range(r + 1, m + 1)]
             collapsed = cell_values_to_vertex(walk.top, corners)
         yield collapsed
         for cv in triples:

@@ -4,8 +4,9 @@ hands back plain numbers for the CLI to judge.
 Spectra come from a dense symmetric eigensolve of the graph Laplacian, and
 tangents from literally iterating pulled-back cell triples in Decimals (each
 pullback level multiplies roundoff in the antisymmetric component by 5).
-That iteration shares harmonic's matrices, conjugate, matvec and matmul, but
-not the closed form: nothing of tangent, no M0, no tau, its own lambda step.
+That iteration shares harmonic's matrices, called on its Decimals, and
+conjugate, matvec and matmul, but not the closed form: nothing of tangent,
+no M0, no tau, its own lambda step.
 The shared matrices are checked by an mpmath transcription and by graph
 residuals.  numpy is imported by the dense solve alone, so that a tangent
 check does not load it, and harmonic by the tangent check alone.
@@ -95,7 +96,7 @@ def direct_tangent_limit(u, w, m: int):
             root = (25 - 4 * lam).sqrt()
             lam = (5 + root) / 2 if t in u.sequence.plus_indices else 2 * lam / (5 + root)
             letter = w.letter(t)
-            triple = matvec(eigen_matrices.__wrapped__(lam)[letter], triple)
+            triple = matvec(eigen_matrices(lam)[letter], triple)
             pull = matmul(pull, inverses[letter])
             prev = cur
             cur = matvec(pull, triple)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
@@ -26,14 +25,9 @@ PSI_DOMAIN_BOUND = 100.0
 TAIL_BOUND_FACTOR = 0.1
 # a sequence anchors its Psi at the first level J >= 1 with |lambda|/5^J <= this
 ANCHOR_BOUND = 2.0
-
-
-class ConvergenceConfig(NamedTuple):
-    tol: float = 1e-13
-    max_iterations: int = 80
-
-
-DEFAULT_CONFIG = ConvergenceConfig()
+# the tolerance every limit in sglap stops by, and the iterations it fails past
+TOL = 1e-13
+MAX_ITERATIONS = 80
 
 
 def psi(z):
@@ -73,11 +67,11 @@ def _psi_steps(x: float, e: float, n: int) -> tuple:
     return x, e
 
 
-def _psi_walk(z: float, config: ConvergenceConfig) -> tuple:
+def _psi_walk(z: float, tol: float) -> tuple:
     """Psi at z: (value, signed last increment, error bound) at the first
-    m >= 1 whose increment passes config.tol, or its failure raised: out of
-    the validated domain, an overflowing approximant, or approximants that
-    do not settle within config.max_iterations.
+    m >= 1 whose increment passes tol, or its failure raised: out of the
+    validated domain, an overflowing approximant, or approximants that do
+    not settle within MAX_ITERATIONS.
 
     The bound holds however early the walk stops: Psi(z) = psi^m(g(w)) for
     w = (2/3) z / 5^m, where g(w) = lim psi^n(w/5^n) = w - w^2/20 + ... is
@@ -86,8 +80,8 @@ def _psi_walk(z: float, config: ConvergenceConfig) -> tuple:
     if abs(z) > PSI_DOMAIN_BOUND:
         raise DomainError(f"argument {z!r} outside the validated region "
                           f"|z| <= {PSI_DOMAIN_BOUND:g}")
-    prev, tol = None, config.tol
-    for m, x in zip(range(config.max_iterations + 1), _approximants(z)):
+    prev = None
+    for m, x in zip(range(MAX_ITERATIONS + 1), _approximants(z)):
         if m:
             # nearly every step fails the tolerance, told without a call (abs,
             # max(1, .) written out); a step beside a NaN or inf x is not told so
@@ -106,17 +100,17 @@ def _psi_walk(z: float, config: ConvergenceConfig) -> tuple:
     raise ConvergenceError(f"psi approximants did not settle for z={z!r}")
 
 
-def psi_limit_with_error(z: float, config: ConvergenceConfig = DEFAULT_CONFIG) -> tuple:
+def psi_limit_with_error(z: float, tol: float = TOL) -> tuple:
     """Psi at z and a bound on its error, or its failure raised: the walk's
     bound plus the last increment's size, some 4x the truncation error left."""
-    x, step, e = _psi_walk(z, config)
+    x, step, e = _psi_walk(z, tol)
     return x, abs(step) + e
 
 
-def _extrapolated(z: float, config: ConvergenceConfig) -> tuple:
+def _extrapolated(z: float, tol: float) -> tuple:
     """Psi at z plus a quarter of its last increment (the geometric tail of
     the increments left after the stop), and a bound on its error."""
-    x, step, e = _psi_walk(z, config)
+    x, step, e = _psi_walk(z, tol)
     value = x + step / 4.0
     return value, e + abs(step) / 4.0 + _EPS * abs(value)
 
@@ -136,10 +130,10 @@ def _rel(e: float, size: float) -> float:
     return e / (size - e) if e < size else math.inf
 
 
-def upsilon_with_error(lam: float, config: ConvergenceConfig = DEFAULT_CONFIG) -> tuple:
+def upsilon_with_error(lam: float, tol: float = TOL) -> tuple:
     """Upsilon at lam and a bound on its error, or its failure raised: its
     head's Psi, a pole, its anchor's Psi, then a tail still open after level
-    max_iterations + 1.
+    MAX_ITERATIONS + 1.
 
     Upsilon is tau along lam's own sequence lambda_j = Psi(lam/5^j): the
     head lambda_1 and the anchor lambda_J (J = anchor_level(lam), walked
@@ -149,16 +143,16 @@ def upsilon_with_error(lam: float, config: ConvergenceConfig = DEFAULT_CONFIG) -
     2 - lambda_1 or 3 - lambda_j (inf once it reaches it), _EPS of rounding
     per factor, and expm1(|lambda_j|/9) for the factors left after the stop,
     whose entries shrink 4x per level."""
-    lam_1, d = _extrapolated(lam / 5.0, config)
+    lam_1, d = _extrapolated(lam / 5.0, tol)
     if lam_1 == 2.0:
         raise DomainError(f"tail product has a pole at lambda={lam!r}")
     J = anchor_level(lam)
-    x, e = _extrapolated(lam / 5.0**J, config) if J > 1 else (lam_1, d)
+    x, e = _extrapolated(lam / 5.0**J, tol) if J > 1 else (lam_1, d)
     rising = [(x, e)]  # lambda_J, lambda_{J-1}, ..., lambda_2, each with its bound
     for _ in range(J - 2):
         rising.append(_psi_steps(*rising[-1], 1))
     prod, rel = 1.0 / (2.0 - lam_1), _rel(d, abs(2.0 - lam_1)) + _EPS
-    for j in range(2, config.max_iterations + 2):
+    for j in range(2, MAX_ITERATIONS + 2):
         if j <= J:
             x, e = rising[J - j]
         else:
@@ -168,13 +162,13 @@ def upsilon_with_error(lam: float, config: ConvergenceConfig = DEFAULT_CONFIG) -
             x, e = 2.0 * x / (5.0 + root), root / 4.0 * _rel(4.0 * e / root, root) + _EPS * abs(x)
         prod *= 1.0 - x / 3.0
         rel += (_rel(e + _EPS * abs(x), abs(3.0 - x)) + _EPS) * (1.0 + rel)
-        if j >= J and abs(x) / 3.0 < config.tol * TAIL_BOUND_FACTOR:
+        if j >= J and abs(x) / 3.0 < tol * TAIL_BOUND_FACTOR:
             rel += math.expm1((abs(x) + e) / 9.0) * (1.0 + rel)
             return prod, abs(prod) * rel if rel < math.inf else math.inf
     raise ConvergenceError(f"tail product did not converge for lambda={lam!r}")
 
 
-def tau(k: int, sequence, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
+def tau(k: int, sequence) -> float:
     """Tail product of an explicit eigenvalue sequence, anchored at level k.
 
     Equals Upsilon(5^-k lambda) for the sequence's renormalized limit; taking
@@ -187,9 +181,9 @@ def tau(k: int, sequence, config: ConvergenceConfig = DEFAULT_CONFIG) -> float:
         raise DomainError(f"tail product undefined at k={k}: lambda_{k + 1} = 2")
     last_plus = max(sequence.plus_indices, default=0)
     prod = 1.0 / (2.0 - lam1)
-    for j in range(2, config.max_iterations + 2 + max(0, last_plus - k)):
+    for j in range(2, MAX_ITERATIONS + 2 + max(0, last_plus - k)):
         term = sequence.value(k + j)
         prod *= 1.0 - term / 3.0
-        if k + j >= last_plus and abs(term) / 3.0 < config.tol * TAIL_BOUND_FACTOR:
+        if k + j >= last_plus and abs(term) / 3.0 < TOL * TAIL_BOUND_FACTOR:
             return prod
     raise ConvergenceError(f"tail product did not converge at k={k}")

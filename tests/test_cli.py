@@ -567,13 +567,20 @@ def test_eval_junction_gap_inside_a_subtree_fails_before_the_first_byte(
 
 def test_eval_junction_gap_between_subtrees_fails_before_the_first_byte(
         monkeypatch, tmp_path, capsys):
-    # corner 1 of subtree 0 is the V_1 vertex (0):1, corner 0 of subtree 1
-    def cell_triple(self, word):
-        out = original(self, word)
-        return (out[0], out[1] + 1e-3, out[2]) if word == (0,) else out
+    # the first refinement is the top one, from the seed's 0-cell to the
+    # three depth-cells, one per subtree: corner 1 of depth-cell 0 is the V_1
+    # vertex (0):1, corner 0 of subtree 1
+    calls = itertools.count()
 
-    original = SpectralEigenfunction.cell_triple
-    monkeypatch.setattr(SpectralEigenfunction, "cell_triple", cell_triple)
+    def extend_level(cell_values, mats):
+        out = original(cell_values, mats)
+        if next(calls) == 0:
+            assert len(cell_values) == 1 and len(out) == 3
+            out[0, 1] += 1e-3
+        return out
+
+    original = harmonic.extend_level
+    monkeypatch.setattr(harmonic, "extend_level", extend_level)
     err = _tampered_eval(monkeypatch, tmp_path, capsys, lambda out, count: None)
     assert err.startswith("error: cell triples disagree at a junction by 5.0")
 
@@ -817,6 +824,29 @@ def test_a_seed_born_deep_takes_the_cell_walk_bits(seed):
     for levels in range(1, level + 1):
         with mock.patch.object(address, "SUBTREE_LEVELS", levels):
             assert np.array_equal(_bits(values_on_level(u, level)), walks), levels
+
+
+# branch strings with a long minus run between two plus roots
+_minus_runs = st.integers(0, 11).map(lambda k: "+" + "-" * k + "+")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.builds(_eval_seed, st.sampled_from(_EVAL_SERIES), st.integers(0, 11),
+                           st.one_of(st.text("+-", max_size=6), _minus_runs))
+                 .map(lambda seed: seed[0]), _free_seeds),
+       st.integers(8, 12))
+def test_eval_and_tangent_read_the_same_top_level_triples(seed, level):
+    # eval refines the seed on its m0-cells to the depth-cells as one stack,
+    # tangent walks one cell's triple down its word (cell_triple): the
+    # V_depth values that eval collapses first take the bits of the walks
+    u = _parse_eval_seed(seed, level)
+    depth = subtree_walk(level).top.level
+    assume(u.m0 <= depth)
+    values, gap, scale = next(u._collapses(level))
+    triples = [u.cell_triple(w) for w in itertools.product(range(3), repeat=depth)]
+    walks, walk_gap, walk_scale = harmonic.cell_values_to_vertex(build_level_graph(depth), triples)
+    assert np.array_equal(_bits(values), _bits(walks))
+    assert (gap, scale) == (walk_gap, walk_scale)
 
 
 def test_failed_emission_leaves_the_target_unchanged(tmp_path, monkeypatch, capsys):
@@ -1558,10 +1588,8 @@ def test_special_blocks_equal_one_whole_grid_table(fn, spec, fmt, capsys):
     code, out, err = run(["special", "--fn", fn, f"--range={spec}:{n}", "--format", fmt], capsys)
     assert code == 0 and err == ""
     columns = ["z", "value", "error", *["functional_eq"] * (fn == "psi"), "note"]
-    # the same rows from one block of the whole grid
-    with mock.patch.object(cli, "BLOCK_ROWS", n):
-        rows = list(cli._special_rows(fn, cli.parse_range(f"{spec}:{n}"),
-                                      cli.special.DEFAULT_CONFIG))
+    # the same rows written as one whole table
+    rows = list(cli._special_rows(fn, cli.parse_range(f"{spec}:{n}"), cli.special.TOL))
     assert any(row[-1] for row in rows) and not all(row[-1] for row in rows)
     assert out == REFERENCE_WRITERS[fmt](columns, rows)
 
@@ -1601,7 +1629,7 @@ def test_special_huge_grid_starts_without_building_the_grid():
     grid = cli.parse_range("1:2:100000000")
     assert grid == (1.0, 2.0, 100_000_000)
     blocks = cli._table_blocks("csv", ["z", "value", "error", "note"],
-                               cli._special_rows("upsilon", grid, cli.special.DEFAULT_CONFIG))
+                               cli._special_rows("upsilon", grid, cli.special.TOL))
     assert next(blocks) == "z,value,error,note\n"
     _, rows = parse_csv("\n" + next(blocks))
     assert [float(r[0]) for r in rows] == [1.0 + i / 99_999_999 for i in range(cli.BLOCK_ROWS)]

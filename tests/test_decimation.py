@@ -31,7 +31,7 @@ from sglap.harmonic import (
     graph_laplacian,
     rotate_six,
 )
-from sglap.special import DEFAULT_CONFIG, ConvergenceConfig
+from sglap.special import MAX_ITERATIONS, TOL
 
 CLOSED_FORM_SEEDS = [
     ("two", 1, 1),
@@ -414,14 +414,14 @@ class ReferenceSequence:
                 vals[t] = cur
         return vals[j]
 
-    def limit(self, config):
+    def limit(self, tol, max_iterations):
         j = max([self.m0, *self.plus_indices])
         try:
             prev = 1.5 * 5.0**j * self.value(j)
-            for _ in range(config.max_iterations):
+            for _ in range(max_iterations):
                 j += 1
                 cur = 1.5 * 5.0**j * self.value(j)
-                if abs(cur - prev) <= config.tol * max(1.0, abs(cur)):
+                if abs(cur - prev) <= tol * max(1.0, abs(cur)):
                     return cur
                 prev = cur
         except OverflowError:
@@ -429,11 +429,12 @@ class ReferenceSequence:
         raise ConvergenceError(f"renormalized eigenvalue did not settle for {self.seq!r}")
 
 
-def limit_under(seq, config):
-    """seq.limit() with `config` as the package's default convergence
-    settings, which limit() reads when its cache is empty."""
+def limit_under(seq, tol, max_iterations):
+    """seq.limit() with special.TOL and special.MAX_ITERATIONS set to tol and
+    max_iterations, which limit() reads when its cache is empty."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(decimation.special, "DEFAULT_CONFIG", config)
+        patch.setattr(decimation.special, "TOL", tol)
+        patch.setattr(decimation.special, "MAX_ITERATIONS", max_iterations)
         return seq.limit()
 
 
@@ -453,7 +454,7 @@ def test_spectrum_matches_the_scalar_recursion_bit_for_bit():
             if line.series == "six":
                 plus.add(line.m0 + 1)  # the forced plus, past the string at m0 = level
             ref = ReferenceSequence(line.m0, SERIES_SEED[line.series], plus)
-            assert line.value == ref.value(level) and line.limit == ref.limit(DEFAULT_CONFIG)
+            assert line.value == ref.value(level) and line.limit == ref.limit(TOL, MAX_ITERATIONS)
             seq = EigenvalueSequence(line.m0, SERIES_SEED[line.series], plus)
             assert line.value == seq.value(level) and line.limit == seq.limit()
 
@@ -466,26 +467,26 @@ plus_sets = st.one_of(
 seeds = st.one_of(st.sampled_from([2.0, 5.0, 6.0, 0.0, 6.25, 7.0, -1e308, math.nan, math.inf]),
                   st.floats(-50.0, 6.5))
 rows = st.lists(st.tuples(st.integers(0, 4), seeds, plus_sets), min_size=1, max_size=5)
-sequence_configs = st.builds(ConvergenceConfig, tol=st.floats(1e-16, 1e-3),
-                             max_iterations=st.sampled_from([80, 80, 30, 5, 1, 0]))
+# (tol, max_iterations)
+sequence_budgets = st.tuples(st.floats(1e-16, 1e-3), st.sampled_from([80, 80, 30, 5, 1, 0]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows, st.integers(0, 12), sequence_configs)
-def test_eigenvalue_sequence_matches_the_reference_recursion(rows, depth, config):
+@given(rows, st.integers(0, 12), sequence_budgets)
+def test_eigenvalue_sequence_matches_the_reference_recursion(rows, depth, budget):
     # plus levels at or below m0 are not part of a sequence
     rows = [(m0, seed, {j for j in plus if j > m0}) for m0, seed, plus in rows]
     level = max(m0 for m0, _, _ in rows) + depth
     for m0, seed, plus in rows:
         expected_value = outcome(ReferenceSequence(m0, seed, plus).value, level)
-        expected_limit = outcome(ReferenceSequence(m0, seed, plus).limit, config)
+        expected_limit = outcome(ReferenceSequence(m0, seed, plus).limit, *budget)
         # values and limits: a float's repr, or the failure's class and message
         seq = EigenvalueSequence(m0, seed, plus)
         assert outcome(seq.value, level) == expected_value
-        assert outcome(limit_under, seq, config) == expected_limit
+        assert outcome(limit_under, seq, *budget) == expected_limit
         # asked for levels out of order, the limit first
         seq = EigenvalueSequence(m0, seed, plus)
-        assert outcome(limit_under, seq, config) == expected_limit
+        assert outcome(limit_under, seq, *budget) == expected_limit
         assert outcome(seq.value, level) == expected_value
         assert outcome(seq.value, max(m0, level - 3)) == outcome(
             ReferenceSequence(m0, seed, plus).value, max(m0, level - 3))
@@ -497,12 +498,12 @@ def test_eigenvalue_sequence_matches_the_reference_recursion(rows, depth, config
 
 
 def test_eigenvalue_sequence_reports_each_failure_kind():
-    config = ConvergenceConfig(tol=1e-13, max_iterations=5)
+    budget = 1e-13, 5
     cases = [EigenvalueSequence(1, 6.0), EigenvalueSequence(1, 6.0, {2}),
              EigenvalueSequence(1, 2.0, range(2, 445)), EigenvalueSequence(1, 7.0),
              EigenvalueSequence(3, 2.0)]
     values = [outcome(seq.value, 3) for seq in cases]
-    limits = [outcome(limit_under, seq, config) for seq in cases]
+    limits = [outcome(limit_under, seq, *budget) for seq in cases]
     assert values[0][0] is SingularLevelError  # minus root of 6 is 2
     assert values[1] == repr(EigenvalueSequence(1, 6.0, {2}).value(3))
     assert limits[2] == (DomainError, "renormalized eigenvalue overflows at level 444")
@@ -512,7 +513,7 @@ def test_eigenvalue_sequence_reports_each_failure_kind():
     assert all(isinstance(limit, tuple) for limit in limits)
     for seq, value, limit in zip(cases, values, limits):
         ref = ReferenceSequence(seq.m0, seq.lambda_m0, seq.plus_indices)
-        assert (value, limit) == (outcome(ref.value, 3), outcome(ref.limit, config))
+        assert (value, limit) == (outcome(ref.value, 3), outcome(ref.limit, *budget))
 
 
 @pytest.mark.parametrize("singular, max_iterations, error", [
@@ -526,8 +527,7 @@ def test_eigenvalue_sequence_reports_each_failure_kind():
 def test_spectrum_failures_raise_from_the_walk(singular, max_iterations, error, level,
                                                monkeypatch):
     monkeypatch.setattr(decimation, "SINGULAR_VALUES", singular)
-    monkeypatch.setattr(decimation.special, "DEFAULT_CONFIG",
-                        ConvergenceConfig(max_iterations=max_iterations))
+    monkeypatch.setattr(decimation.special, "MAX_ITERATIONS", max_iterations)
     with pytest.raises(SglapError) as info:
         enumerate_dirichlet_spectrum(level)
     assert type(info.value) is error

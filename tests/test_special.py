@@ -15,7 +15,6 @@ from sglap.special import (
     ANCHOR_BOUND,
     PSI_DOMAIN_BOUND,
     TAIL_BOUND_FACTOR,
-    ConvergenceConfig,
     psi,
     psi_limit_with_error,
     tau,
@@ -66,13 +65,6 @@ def test_domain_guard():
     psi_limit_with_error(-PSI_DOMAIN_BOUND)
 
 
-def test_config_is_frozen_and_hashable():
-    cfg = ConvergenceConfig(tol=1e-10)
-    assert {cfg: 1}[cfg] == 1
-    with pytest.raises(AttributeError):
-        cfg.tol = 1.0
-
-
 def test_upsilon_at_zero():
     assert upsilon_with_error(0.0)[0] == pytest.approx(0.5, abs=1e-14)
     val, err = upsilon_with_error(3.7)
@@ -105,17 +97,19 @@ def test_tau_pole():
 # Independent transcriptions of the definitions, kept as the references: one
 # psi_m call per approximant, each error bound term by term as its docstring
 # in sglap.special states it, and Upsilon's sequence taken whole before its
-# product, each entry with its bound.
+# product, each entry with its bound.  Each takes a point and a tolerance,
+# and reads the iteration budget from special.MAX_ITERATIONS, which
+# assert_matches_reference sets for both sides.
 EPS = math.ulp(1.0)
 
 
-def reference_psi_walk(z, config):
+def reference_psi_walk(z, tol):
     if abs(z) > PSI_DOMAIN_BOUND:
         raise DomainError(f"argument {z!r} outside the validated region |z| <= {PSI_DOMAIN_BOUND:g}")
     prev = psi_m(z, 0)
-    for m in range(1, config.max_iterations + 1):
+    for m in range(1, special.MAX_ITERATIONS + 1):
         cur = psi_m(z, m)
-        if abs(cur - prev) <= config.tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
             return cur, cur - prev, m
         prev = cur
     raise ConvergenceError(f"psi approximants did not settle for z={z!r}")
@@ -139,13 +133,13 @@ def reference_approximant_error(z, m):
     return e
 
 
-def reference_psi_limit(z, config):
-    cur, step, m = reference_psi_walk(z, config)
+def reference_psi_limit(z, tol):
+    cur, step, m = reference_psi_walk(z, tol)
     return cur, abs(step) + reference_approximant_error(z, m)
 
 
-def reference_psi_extrapolated(z, config):
-    cur, step, m = reference_psi_walk(z, config)
+def reference_psi_extrapolated(z, tol):
+    cur, step, m = reference_psi_walk(z, tol)
     value = cur + step / 4.0
     return value, reference_approximant_error(z, m) + abs(step) / 4.0 + EPS * abs(value)
 
@@ -154,12 +148,12 @@ def reference_relative(e, size):
     return e / (size - e) if e < size else math.inf
 
 
-def reference_upsilon_with_error(lam, config):
+def reference_upsilon_with_error(lam, tol):
     """tau along lambda's own sequence: the head's Psi, the anchor's Psi at
     the first level J >= 1 with |lambda|/5^J <= ANCHOR_BOUND, exact psi steps
     up to lambda_2, minus roots below J, and tau's stopping rule; each entry
     carries its error bound, and the product a relative one."""
-    lam_1, d = reference_psi_extrapolated(lam / 5.0, config)
+    lam_1, d = reference_psi_extrapolated(lam / 5.0, tol)
     head = 2.0 - lam_1
     if head == 0.0:
         raise DomainError(f"tail product has a pole at lambda={lam!r}")
@@ -168,67 +162,72 @@ def reference_upsilon_with_error(lam, config):
         J += 1
     entries = []  # lambda_2, lambda_3, ..., each with its bound
     if J > 1:
-        entries.append(reference_psi_extrapolated(lam / 5.0**J, config))
+        entries.append(reference_psi_extrapolated(lam / 5.0**J, tol))
         for _ in range(J - 2):
             entries.append(reference_psi_step(*entries[-1]))
         entries.reverse()
     x, e = entries[-1] if entries else (lam_1, d)  # lambda_J
-    while len(entries) < config.max_iterations:
+    while len(entries) < special.MAX_ITERATIONS:
         root = math.sqrt(25.0 - 4.0 * x)
         x, e = 2.0 * x / (5.0 + root), root / 4.0 * reference_relative(4.0 * e / root, root) \
             + EPS * abs(x)
         entries.append((x, e))
     prod, rel = 1.0 / head, reference_relative(d, abs(head)) + EPS
-    for j, (x, e) in zip(range(2, config.max_iterations + 2), entries):
+    for j, (x, e) in zip(range(2, special.MAX_ITERATIONS + 2), entries):
         prod *= 1.0 - x / 3.0
         rel += (reference_relative(e + EPS * abs(x), abs(3.0 - x)) + EPS) * (1.0 + rel)
-        if j >= J and abs(x) / 3.0 < config.tol * TAIL_BOUND_FACTOR:
+        if j >= J and abs(x) / 3.0 < tol * TAIL_BOUND_FACTOR:
             rel += math.expm1((abs(x) + e) / 9.0) * (1.0 + rel)
             return prod, abs(prod) * rel if rel < math.inf else math.inf
     raise ConvergenceError(f"tail product did not converge for lambda={lam!r}")
 
 
-def assert_matches_reference(function, reference, x, config):
-    """The function's floats bit for bit where the reference returns, and the
-    same failure class and message where it raises."""
-    try:
-        expected = reference(x, config)
-    except SglapError as exc:
-        with pytest.raises(SglapError) as raised:
-            function(x, config)
-        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
-        return
-    assert [v.hex() for v in function(x, config)] == [v.hex() for v in expected]
+def assert_matches_reference(function, reference, x, tol, max_iterations):
+    """With special.MAX_ITERATIONS set to max_iterations, the function's
+    floats bit for bit where the reference returns, and the same failure
+    class and message where it raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(special, "MAX_ITERATIONS", max_iterations)
+        try:
+            expected = reference(x, tol)
+        except SglapError as exc:
+            with pytest.raises(SglapError) as raised:
+                function(x, tol)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            return
+        assert [v.hex() for v in function(x, tol)] == [v.hex() for v in expected]
 
 
 # the failures and edges a point can take besides the ranges: NaN, the
 # infinities (outside the domain), the domain's ends, a subnormal, -0.0
 EDGES = [math.nan, math.inf, -math.inf, 100.0, -100.0, 1e-320, -0.0]
 points = st.one_of(st.floats(-120.0, 120.0), st.sampled_from(EDGES))
-configs = st.builds(ConvergenceConfig, tol=st.floats(1e-15, 1e-6),
-                    max_iterations=st.sampled_from([80, 80, 30, 12, 3]))
+tols = st.floats(1e-15, 1e-6)
+budgets = st.sampled_from([80, 80, 30, 12, 3])
 
 
 @settings(max_examples=300, deadline=None)
-@given(points, configs)
-def test_psi_limit_matches_the_reference(z, config):
-    assert_matches_reference(psi_limit_with_error, reference_psi_limit, z, config)
+@given(points, tols, budgets)
+def test_psi_limit_matches_the_reference(z, tol, max_iterations):
+    assert_matches_reference(psi_limit_with_error, reference_psi_limit, z, tol, max_iterations)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(points, st.floats(-600.0, 600.0)), configs)
-@example(108.55, ConvergenceConfig(1e-9, 10))  # the anchor's Psi fails, the head's settles
-@example(16.85, ConvergenceConfig(0.9, 80))  # the head's error reaches 2 - lambda_1: inf
-def test_upsilon_matches_the_reference(lam, config):
+@given(st.one_of(points, st.floats(-600.0, 600.0)), tols, budgets)
+@example(108.55, 1e-9, 10)  # the anchor's Psi fails, the head's settles
+@example(16.85, 0.9, 80)  # the head's error reaches 2 - lambda_1: inf
+def test_upsilon_matches_the_reference(lam, tol, max_iterations):
     # value and bound bit for bit, failures included.  Past |lambda| = 250
     # the anchor is at J = 4, past 500 the head is outside the domain
-    assert_matches_reference(upsilon_with_error, reference_upsilon_with_error, lam, config)
+    assert_matches_reference(upsilon_with_error, reference_upsilon_with_error, lam, tol,
+                             max_iterations)
 
 
-def test_sequence_from_limit_raises_the_kernel_failure():
+def test_sequence_from_limit_raises_the_kernel_failure(monkeypatch):
     # the one Psi of a generating sequence, psi_limit_with_error
+    monkeypatch.setattr(special, "MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceError, match=r"^psi approximants did not settle for z=0\.6$"):
-        sequence_from_limit(3.0, ConvergenceConfig(tol=1e-15, max_iterations=2))
+        sequence_from_limit(3.0)
 
 
 def counting_walks(monkeypatch):
@@ -279,12 +278,12 @@ def test_upsilon_one_walk_per_psi_argument(lam, max_iterations, classes, monkeyp
     # class, and near 108.55 the anchor's Psi (at lambda/125) fails where the
     # head's settles.  A sample of 7 points of each class matches the
     # reference
-    config = ConvergenceConfig(tol=1e-9, max_iterations=max_iterations)
+    monkeypatch.setattr(special, "MAX_ITERATIONS", max_iterations)
     walks, members = counting_walks(monkeypatch), {}
     for x in lam.tolist():
         walks.clear()
         try:
-            upsilon_with_error(x, config)
+            upsilon_with_error(x, 1e-9)
             exc = None
         except SglapError as failure:
             exc = failure
@@ -295,7 +294,8 @@ def test_upsilon_one_walk_per_psi_argument(lam, max_iterations, classes, monkeyp
     monkeypatch.undo()
     for sample in members.values():
         for x in sample[:7]:
-            assert_matches_reference(upsilon_with_error, reference_upsilon_with_error, x, config)
+            assert_matches_reference(upsilon_with_error, reference_upsilon_with_error, x, 1e-9,
+                                     max_iterations)
 
 
 def test_upsilon_pole_hides_a_later_failure_of_the_same_call(monkeypatch):
@@ -305,12 +305,12 @@ def test_upsilon_pole_hides_a_later_failure_of_the_same_call(monkeypatch):
     # the pole the anchor's failure shows
     walk, pole = special._psi_walk, [True]
 
-    def stand_in(z, config):
+    def stand_in(z, tol):
         if z == 16.0 / 5.0 and pole[0]:
             return 2.0, 0.0, 0.0
         if z == 16.0 / 5.0**2:
             raise DomainError("stand-in")
-        return walk(z, config)
+        return walk(z, tol)
 
     monkeypatch.setattr(special, "_psi_walk", stand_in)
     with pytest.raises(DomainError, match=r"^tail product has a pole at lambda=16\.0$"):
@@ -365,7 +365,7 @@ def test_upsilon_error_bounds_the_true_error(lam, tol):
     # short on by up to 4.3x: Psi arguments near 20 whose walks stop at m = 2
     # or 3, before the increments settle to 5x
     try:
-        value, error = upsilon_with_error(lam, ConvergenceConfig(tol))
+        value, error = upsilon_with_error(lam, tol)
     except SglapError:
         return
     assert error >= true_error(value, mp_upsilon(lam))
@@ -382,5 +382,5 @@ def test_psi_error_bounds_the_true_error(z, tol):
     # the second stops before the increments settle, and the increment alone
     # fell short 2.6x.  Measured over 20,000 draws of this mix: no miss,
     # reported over true error median 5.0, worst 1.05 (z 98.94, tol 1.4e-3)
-    value, error = psi_limit_with_error(z, ConvergenceConfig(tol))
+    value, error = psi_limit_with_error(z, tol)
     assert error >= true_error(value, mp_psi(z))

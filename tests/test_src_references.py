@@ -10,12 +10,18 @@ field counts as read when some `x.field` in src loads it.  Matching is by
 name, so a method or field shares its uses with every other use of the same
 word; the guards catch what nothing names at all.
 
-A third guard runs the CLI and checks that every public function and
+A third guard checks that every parameter with a default in src is passed
+at some call in src of its function's name, by position or by keyword (a
+class's name for its __init__), or has a stated reason not to be: a default
+that no call overrides is a setting that nothing sets.
+
+A fourth guard runs the CLI and checks that every public function and
 method of src ran, matched by code object, so that a name shared with
 another definition hides nothing."""
 import ast
 import importlib
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -155,6 +161,69 @@ def test_the_field_guard_reads_every_slot_of_every_class():
     assert {"address.EventuallyConstantWord.prefix", "address.LevelGraph.cells",
             "decimation.EigenvalueSequence._limit", "harmonic.SpectralEigenfunction.seed_values",
             "address.SubtreeWalk.layout"} <= slots
+
+
+UNPASSED_DEFAULTS = {
+    "cli.main.argv": "the console script and `python -m sglap.cli` call main() to read "
+                     "sys.argv; the tests pass argv",
+}
+
+
+def _defaults(tree):
+    """(qualified name, call name, position, parameter) of every parameter
+    with a default of a function or method in the tree, nested ones
+    included.  position counts the arguments a call passes, so a method's
+    self or cls is not counted; it is None for a keyword-only parameter."""
+    def visit(node, prefix, owner):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                yield from visit(item, f"{prefix}{item.name}.", item.name)
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{prefix}{item.name}"
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                skip = owner is not None and not static
+                args = item.args
+                positional = args.posonlyargs + args.args
+                call = owner if owner is not None and item.name == "__init__" else item.name
+                for index in range(len(positional) - len(args.defaults), len(positional)):
+                    yield qualname, call, index - skip, positional[index].arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield qualname, call, None, arg.arg
+                yield from visit(item, f"{qualname}.", None)
+            else:
+                yield from visit(item, prefix, owner)
+
+    yield from visit(tree, "", None)
+
+
+def _unpassed_defaults():
+    trees = _trees()
+    calls = {}  # call name -> [(positional count, keyword names)]
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args), keywords))
+    return [f"{module}.{qualname}.{param}" for module, tree in trees.items()
+            for qualname, call, position, param in _defaults(tree)
+            if not any(None in keywords or param in keywords
+                       or position is not None and count > position
+                       for count, keywords in calls.get(call, []))]
+
+
+def test_every_default_is_passed_somewhere_or_has_a_reason():
+    assert sorted(set(_unpassed_defaults()) - set(UNPASSED_DEFAULTS)) == []
+
+
+def test_every_unpassed_default_entry_is_still_unpassed():
+    assert sorted(set(UNPASSED_DEFAULTS) - set(_unpassed_defaults())) == []
+    assert all(UNPASSED_DEFAULTS.values())
 
 
 # small invocations that together reach every subcommand, format and

@@ -9,16 +9,16 @@ these -- floats never enter.
 
 One vertex is looked up without a graph: vertex_index runs the glue rule
 below for a single vertex, level by level, and vertex_cells runs it
-backwards.  numpy is imported by the functions that build whole levels, so
-that a single-point computation does not load it.
+backwards.  numpy is imported by the one function that builds a whole level
+graph, the dense oracle's, so that no other computation loads it.
 
 The level-m graph is the union of its three images F_j V_{m-1}, glued at
 the level-1 junctions, so its cells are built one level at a time from V_0:
 each vertex's canonical address is its copy's letter prepended to the
 address it had one level up, and the canonical vertex order falls out of
-the gluing.  A deep level is taken one subtree at a time (SubtreeWalk),
-without the level's graph: its cells, and its vertices' keys and addresses,
-which each subtree takes from three copies of one small level's.
+the gluing.  eval walks a level by the same rule without its graph, one
+cell at a time (mesh.walk), and takes its
+vertices' coordinates from lattice_lines.
 """
 from __future__ import annotations
 
@@ -135,131 +135,34 @@ class EventuallyConstantWord(Frozen):
         return format_address(self.prefix, self.tail)
 
 
-class _Level(Frozen):
-    """V_level's vertices in canonical address order: corners 0, 1, 2 first."""
-
-    __slots__ = ()
-
-    @property
-    def size(self) -> int:
-        return vertex_count(self.level)
-
-
-class LevelGraph(_Level):
+class LevelGraph(Frozen):
     """The graph on V_m as its cells: cells[c, i] is the vertex F_w(q_i) for
     the word w of length m whose base-3 digits spell c.  Every edge lies in
     exactly one m-cell, so the cell triples are the whole graph;
-    vertex_index looks up one vertex without them.
+    vertex_index looks up one vertex without them.  Vertices are numbered in
+    canonical address order, corners 0, 1, 2 first.
 
         cells  (3**level, 3) int32
     """
 
     __slots__ = ("level", "cells")
 
-
-class SubtreeWalk(_Level):
-    """V_level as its 3**depth subtrees F_w V_{level-depth}, one per
-    depth-cell w in cell order, which meet only at the vertices of V_depth.
-    The vertices a subtree adds beyond its three corners lie in it alone and
-    take one contiguous range of V_level, in V_{level-depth}'s order, so
-    that the level's cells and vertices, and anything summed over them, can
-    be taken one subtree at a time without the level's graph:
-
-        top     the LevelGraph of V_depth, one cell per subtree
-        local   the LevelGraph of V_{level-depth}, every subtree's shape
-        layout  (3**depth, 4) int64: the positions in V_level of F_w(q_0),
-                F_w(q_1), F_w(q_2) and of the first vertex subtree w adds
-    """
-
-    __slots__ = ("level", "top", "local", "layout")
-
-    def positions(self):
-        """Each subtree's V_level positions of the vertices of
-        V_{level-depth}, in its order, one subtree at a time."""
-        import numpy as np
-
-        added = np.arange(-3, self.local.size - 3)
-        for row in self.layout.tolist():
-            out = added + row[3]
-            out[:3] = row[:3]
-            yield out
-
-    def faces(self):
-        """The level's cells, LevelGraph.cells in its order, one subtree's
-        3**(level - depth) rows at a time."""
-        for positions in self.positions():
-            yield positions[self.local.cells]
-
-    def rows(self, values):
-        """V_level's vertices as (lo, keys, names, values) runs of rows lo..,
-        in vertex order and in the form of _vertex_table, with their values.
-        `values` is the stream of SpectralEigenfunction.level_values: the
-        values of V_depth in its order, then, for each subtree in cell order,
-        those of the vertices it adds.  A run is either the vertices of
-        V_depth between two subtrees' ranges, with their V_depth keys scaled
-        by 2^(level-depth) and their V_depth addresses, or one of the three
-        copies of V_{level-depth-1} that subtree w adds (_copy), moved by
-        F_w.  A stream with too few arrays, too many, or one of the wrong
-        length raises InvariantError."""
-        import numpy as np
-
-        values = iter(values)
-        depth, shift = self.top.level, self.level - self.top.level
-        top_keys, top_names = _vertex_table(depth)
-        top_values = _take(values, self.top.size, self.level)
-        keys, names = _vertex_table(max(0, shift - 1))
-        corner_keys = top_keys << shift
-        corner_names = np.pad(top_names, ((0, 0), (0, shift)))
-        at = np.empty(self.top.size, dtype=np.int64)
-        at[self.top.cells] = self.layout[:, :3]
-        order = np.argsort(at)  # V_depth's vertices in V_level order
-        # w's base-3 digits, and F_w's offset: the key of F_w(q_0) - q_0 / 2^depth
-        words = np.arange(3 ** depth)[:, None] // 3 ** np.arange(depth - 1, -1, -1) % 3
-        offsets = (top_keys[self.top.cells[:, 0]] - [1, 0, 0]) << shift
-        n, lo = self.local.size - 3, 0  # rows each subtree adds, rows given so far
-        for w, (word, offset, first) in enumerate(zip(words, offsets, self.layout[:, 3].tolist())):
-            # the vertices of V_depth between the previous subtree's range and w's
-            between = order[lo - w * n:first - w * n]
-            if len(between):
-                yield lo, corner_keys[between], corner_names[between], top_values[between]
-            added, lo = _take(values, n, self.level), first
-            for j in range(3 if shift else 0):  # at shift 0 a subtree adds nothing
-                part_keys, part_names = _copy(keys, names, j, ord("0") + word, offset)
-                if len(part_keys):  # V_0's copy 2 adds nothing to V_1
-                    yield lo, part_keys, part_names, added[:len(part_keys)]
-                    lo, added = lo + len(part_keys), added[len(part_keys):]
-        if next(values, None) is not None:
-            raise InvariantError(f"the values of V_{self.level} run past its last vertex")
+    @property
+    def size(self) -> int:
+        return vertex_count(self.level)
 
 
-def _take(values, size: int, level: int):
-    """The next array of a SubtreeWalk.rows values stream, of this size."""
-    part = next(values, None)
-    if part is None or len(part) != size:
-        raise InvariantError(f"the values of V_{level} end early or come in an array of "
-                             f"the wrong length")
-    return part
-
-
-def addresses(names) -> list:
-    """format_address of each row of address bytes from SubtreeWalk.rows."""
-    import numpy as np
-
-    # trailing NULs drop off numpy unicode strings
-    return names.astype(np.uint32).view(f"U{names.shape[1]}").ravel().tolist()
-
-
-def key_coords(keys, level: int) -> np.ndarray:
-    """Planar points of barycentric numerators over 2**level: x = n_1 + n_2/2
-    and y = n_2 sqrt(3)/2, both over 2**level.  Every step is exact but the
-    one rounding of n_2 * sqrt(3)/2, so x takes the same bits for equal
-    2 n_1 + n_2, and y for equal n_2; written elementwise, with no BLAS
-    product."""
-    import numpy as np
-
-    _, n1, n2 = np.asarray(keys).T
-    scale = float(1 << level)
-    return np.stack([(n1 + n2 / 2) / scale, n2 * DEFAULT_CORNERS[2][1] / scale], axis=1)
+def lattice_lines(level: int) -> tuple:
+    """The planar coordinates of V_level's lattice lines: x of each line
+    2 n_1 + n_2 = t (t = 0..2^(level+1)) and y of each line n_2 = t
+    (t = 0..2^level), for barycentric numerators (n_0, n_1, n_2) over
+    2^level, as x = (n_1 + n_2/2) / 2^level and y = n_2 (sqrt(3)/2) / 2^level.
+    Every step is exact but the one rounding of n_2 sqrt(3)/2, so a vertex
+    takes the bits of its two lines' entries.  Two lists of O(2^level)
+    floats."""
+    scale = float(1 << check_level(level))
+    return ([t / 2 / scale for t in range(2 ** (level + 1) + 1)],
+            [t * DEFAULT_CORNERS[2][1] / scale for t in range(2 ** level + 1)])
 
 
 def _glue(n: int):
@@ -303,40 +206,6 @@ def vertex_cells(v: int, level: int) -> list:
     return [(word, v)]
 
 
-def _copy(keys, names, j: int, head, offset):
-    """Copy j of V_{k-1}'s rows (keys, names) in V_k, moved on by F_w: its
-    rows from position j + 1 on (the earlier ones are V_k's corners or an
-    earlier copy's).  F_j(x) = (x + q_j)/2 adds 2^(k-1) e_j to a key, F_w
-    adds offset, and each puts its letters (head) before an address, which
-    keeps it canonical."""
-    import numpy as np
-
-    out = np.empty((len(names) - j - 1, len(head) + 1 + names.shape[1]), dtype=np.uint8)
-    out[:, :len(head)], out[:, len(head)] = head, ord("0") + j
-    out[:, len(head) + 1:] = names[j + 1:]
-    return keys[j + 1:] + keys[j] + offset, out
-
-
-def _vertex_table(m: int):
-    """The exact keys and the canonical addresses of V_m's vertices, glued
-    one level at a time as _build_level_graph glues cells: the corners, then
-    copies 0, 1, 2 of V_{m-1} (_copy), that is (0):1, (0):2 and copy 0's
-    interior, (1):2 and copy 1's, then copy 2's.
-
-        keys   (|V_m|, 3) int64 numerators, denominator 2**m
-        names  (|V_m|, m + 2) uint8 ASCII of format_address, NUL-padded
-    """
-    import numpy as np
-
-    keys = np.eye(3, dtype=np.int64)
-    names = np.array([[ord(":"), ord("0") + i] for i in range(3)], dtype=np.uint8)
-    for _ in range(m):
-        parts = [(2 * keys[:3], np.pad(names[:3], ((0, 0), (0, 1)))),
-                 *[_copy(keys, names, j, [], 0) for j in range(3)]]
-        keys, names = (np.concatenate(column) for column in zip(*parts))
-    return keys, names
-
-
 @lru_cache(maxsize=None)
 def _build_level_graph(m: int) -> LevelGraph:
     # V_k = F_0 V_{k-1} u F_1 V_{k-1} u F_2 V_{k-1}, glued at the level-1
@@ -363,33 +232,3 @@ def _build_level_graph(m: int) -> LevelGraph:
 
 def build_level_graph(m: int) -> LevelGraph:
     return _build_level_graph(check_level(m))
-
-
-# The levels a subtree of subtree_walk spans.  Fewer take more Python steps,
-# more hold more triples: at level 12, each of eval's two passes
-# (SpectralEigenfunction.check_values and level_values) took 135, 71 and
-# 43 ms at 6, 7 and 9 levels, and the two peaked at 0.22, 0.30 and 1.90 MB
-# traced, one subtree's triples and values (2-CPU host, numpy 2.4).
-SUBTREE_LEVELS = 7
-
-
-@lru_cache(maxsize=None)
-def _subtree_walk(m: int, depth: int) -> SubtreeWalk:
-    import numpy as np
-
-    # a subtree of V_{m-depth} is its corners and the vertices after them;
-    # glued into V_k, copy j + w of a subtree is F_j of subtree w, as in
-    # _build_level_graph
-    layout = np.array([[0, 1, 2, 3]], dtype=np.int64)
-    for k in range(m - depth + 1, m + 1):
-        corners, first = _glue(vertex_count(k - 1) - 3)
-        layout = np.where(layout < 3, np.array(corners)[:, np.minimum(layout, 2)],
-                          layout + np.array(first)[:, None, None] - 3).reshape(-1, 4)
-    layout.setflags(write=False)
-    return SubtreeWalk(m, build_level_graph(depth), build_level_graph(m - depth), layout)
-
-
-def subtree_walk(m: int) -> SubtreeWalk:
-    """V_m's walk by subtrees of SUBTREE_LEVELS levels (one subtree below
-    level SUBTREE_LEVELS)."""
-    return _subtree_walk(check_level(m), max(0, m - SUBTREE_LEVELS))

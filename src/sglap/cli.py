@@ -27,7 +27,7 @@ import sys
 # numpy and the other layers are imported by the functions that use them,
 # so that a process loads only what its subcommand runs
 from . import special
-from .errors import DomainError, SglapError, UsageError
+from .errors import DomainError, InvariantError, SglapError, UsageError
 
 SPECTRUM_TOL = 1e-9
 EVAL_TOL = 1e-9
@@ -46,8 +46,7 @@ def _csv_text(rows) -> str:
     import csv
 
     buf = io.StringIO()
-    # csv.writer prints a float (numpy float64 included) as its repr and
-    # None as an empty field
+    # csv.writer prints a float as its repr and None as an empty field
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
@@ -61,7 +60,7 @@ def _table_blocks(fmt: str, columns, rows):
     The bytes equal what csv.writer(lineterminator="\n") and
     json.dumps(records, indent=2) give for these rows; a JSON block after
     the first starts with the ",\n" seam.  A cell is a str, int, float,
-    bool, None or numpy scalar."""
+    bool or None; anything else raises TypeError."""
     rows = iter(rows)
     blocks = iter(lambda: list(itertools.islice(rows, BLOCK_ROWS)), [])
     if fmt == "csv":
@@ -71,7 +70,7 @@ def _table_blocks(fmt: str, columns, rows):
     from json.encoder import encode_basestring_ascii as encode
 
     def cell(value) -> str:
-        # the cases and order of json's encoder; numpy scalars as .item()
+        # the cases and order of json's encoder
         if isinstance(value, str):
             return encode(value)
         if value is None:
@@ -90,7 +89,8 @@ def _table_blocks(fmt: str, columns, rows):
             if value == -math.inf:
                 return "-Infinity"
             return float.__repr__(value)
-        return cell(value.item())
+        raise TypeError(f"a table cell must be a str, int, float, bool or None, "
+                        f"got {type(value).__name__}")
 
     record = "  {\n" + ",\n".join(
         [f"    {encode(c).replace('%', '%%')}: %s" for c in columns]) + "\n  }"
@@ -274,73 +274,51 @@ def cmd_spectrum(args) -> int:
 
 # --- eval -------------------------------------------------------------------
 
-def _reprs(column) -> list:
-    """repr of each float64 in `column`, computing each distinct one once.
-
-    Floats are keyed by bit pattern, not by value, so 0.0 and -0.0 (equal,
-    with different reprs) keep their own strings."""
-    import numpy as np
-
-    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    table = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return table[inverse].tolist()
-
-
-def _lattice_reprs(level: int):
-    """repr of x on each lattice line 2 n_1 + n_2 = t (t = 0..2^(level+1))
-    and of y on each line n_2 = t (t = 0..2^level) of V_level: key_coords of
-    the points (0, 0, t), as object arrays to index with a block's keys."""
-    import numpy as np
-
-    from .address import key_coords
-
-    lines = key_coords(np.outer(np.arange(2 ** (level + 1) + 1), [0, 0, 1]), level)
-    return (np.array([repr(x) for x in lines[:, 0].tolist()], dtype=object),
-            np.array([repr(y) for y in lines[:2 ** level + 1, 1].tolist()], dtype=object))
-
-
-def _eval_blocks(args, walk, values):
-    """The eval output as text blocks: a header, then each run of the
-    SubtreeWalk's rows in blocks of at most BLOCK_ROWS rows, so that no more
-    than one block of rows is held as text; then the obj faces, one subtree
-    at a time.  `values` is the stream of V_level's values that walk.rows
-    puts in vertex order (SpectralEigenfunction.level_values).
+def _eval_blocks(args, u, lattice):
+    """The eval output as text blocks: a header, then the rows of each Part
+    of mesh.walk in blocks of at most BLOCK_ROWS rows, so that no more than
+    one block of rows is held as text; then the obj faces, one Part at a
+    time, from a second walk.  `lattice` is the repr of each entry of
+    address.lattice_lines(level), which the walk hands on as each vertex's
+    x and y.  A part whose columns differ in length, or parts that do not
+    make |V_level| rows, raise InvariantError.
 
     The bytes equal what csv.writer and json.dumps(indent=2) give for these
     rows (addresses need no quoting or escaping, and finite floats print as
-    repr in both); a JSON block after the first starts with the ",\n" seam.
-    x and y depend on a vertex's key only through its lattice lines, so they
-    are looked up in the level's _lattice_reprs; the values repeat by
-    symmetry, so each block formats every distinct value once (_reprs)."""
-    from .address import addresses
+    repr in both); a JSON block after the first starts with the ",\n" seam."""
+    from .decimation import vertex_count
+    from .mesh import walk
 
     level, fmt = args.level, args.format
-    x_table, y_table = _lattice_reprs(level)
     if fmt == "obj":
         yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
         yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
-    for start, run_keys, run_names, run_values in walk.rows(values):
-        for i, j in _row_ranges(len(run_keys)):
-            lo, keys, names = start + i, run_keys[i:j], run_names[i:j]
-            _, n1, n2 = keys.T
-            x, y = x_table[2 * n1 + n2].tolist(), y_table[n2].tolist()
-            v = _reprs(run_values[i:j])
+    seam, rows = [], 0
+    for part in walk(u, level, lattice, False):
+        if not len(part.values) == len(part.addresses) == len(part.xs) == len(part.ys):
+            raise InvariantError(f"the values of V_{level} come in a part of the wrong length")
+        rows += len(part.values)
+        for i, j in _row_ranges(len(part.values)):
+            names, x, y = part.addresses[i:j], part.xs[i:j], part.ys[i:j]
+            v = list(map(repr, part.values[i:j]))
             if fmt == "obj":
                 yield "v " + "\nv ".join(map(" ".join, zip(x, y, v))) + "\n"
             elif fmt == "csv":
-                yield "\n".join(map(",".join, zip(addresses(names), itertools.repeat(str(level)),
+                yield "\n".join(map(",".join, zip(names, itertools.repeat(str(level)),
                                                    x, y, v))) + "\n"
             else:
                 # a leading "" puts the seam before every block but the first
-                yield ",\n".join([""] * (lo > 0) + [
+                yield ",\n".join(seam + [
                     f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a},\n'
                     f'    "y": {b},\n    "value": {c}\n  }}'
-                    for s, a, b, c in zip(addresses(names), x, y, v)])
+                    for s, a, b, c in zip(names, x, y, v)])
+                seam = [""]
+    if rows != vertex_count(level):
+        raise InvariantError(f"the values of V_{level} take {rows} rows, not {vertex_count(level)}")
     if fmt == "obj":
-        for faces in walk.faces():
-            yield ("f %d %d %d\n" * len(faces)) % tuple((faces + 1).ravel().tolist())
+        for part in walk(u, level, None, True):
+            yield ("f %d %d %d\n" * (len(part.faces) // 3)) % tuple([p + 1 for p in part.faces])
     elif fmt == "json":
         yield "\n]\n"
 
@@ -360,37 +338,39 @@ def _block_values(fmt: str, block: str) -> list:
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
-    from .address import subtree_walk
-    from .harmonic import eigen_residual
+    from .address import lattice_lines
+    from .decimation import vertex_count
+    from .mesh import eigen_residual, walk
 
     u = parse_seed(args.seed)
-    # every value is checked in a first pass, before the first byte, and
-    # refined again to be written
-    if not u.check_values(args.level):
+    # the lattice lines' strings are made first, O(2^level) of them, where
+    # a walk holds O(3^SUBTREE_LEVELS) values; the writer alone keeps them
+    blocks = _eval_blocks(args, u, [list(map(repr, column)) for column in lattice_lines(args.level)])
+    # every value is checked in a first walk, before the first byte, and
+    # walked again to be written
+    if not all(all(map(math.isfinite, part.values)) for part in walk(u, args.level, None, False)):
         raise SglapError(f"seed {args.seed!r} gives non-finite values on V_{args.level}")
-    # the walk that the values are refined by gives the faces and the residual
-    walk = subtree_walk(args.level)
-    blocks = _eval_blocks(args, walk, u.level_values(args.level))
     if not args.verify:
         _emit(args, blocks)
         return 0
-    back, count = np.empty(walk.size), 0
+    import numpy as np
+
+    size = vertex_count(args.level)
+    back, count = np.empty(size), 0
 
     def reingest():
         nonlocal count  # of the values read back, past the end of back too
         for block in blocks:
             yield block
             parsed = _block_values(args.format, block)
-            if count + len(parsed) <= walk.size:
+            if count + len(parsed) <= size:
                 back[count:count + len(parsed)] = parsed
             count += len(parsed)
 
     _emit(args, reingest())
-    if count != walk.size:
-        raise SglapError(f"re-ingested {count} values, expected {walk.size}")
-    residual = eigen_residual(walk, back, u.sequence.value(args.level))
+    if count != size:
+        raise SglapError(f"re-ingested {count} values, expected {size}")
+    residual = eigen_residual(walk(u, args.level, None, True), back, u.sequence.value(args.level))
     return _verdict("round-trip residual", residual, args.verify_tol)
 
 

@@ -90,8 +90,8 @@ def _minus_run(t: int, lam: float, level: int):
 
     values are lambda_t .. lambda_level.  From level t on, the renormalized
     1.5 * 5.0**j * lambda_j is taken until it moves by at most
-    special.TOL * max(1, |1.5 * 5.0**j * lambda_j|) in one level, which the
-    run goes on past `level` for; limit is None if that does not happen
+    special.TOL * |1.5 * 5.0**j * lambda_j| in one level, relative at every
+    size, which the run goes on past `level` for; limit is None if that does not happen
     within special.MAX_ITERATIONS levels.  A failed step raises, and so does
     a 5.0**j past the float range while the limit is open."""
     scales, tol = _RENORMALIZERS, special.TOL
@@ -107,8 +107,7 @@ def _minus_run(t: int, lam: float, level: int):
         if t <= level:
             values.append(lam)
         cur = scales[t] * lam
-        size = abs(cur)
-        if abs(cur - prev) <= tol * (size if size > 1.0 else 1.0):
+        if abs(cur - prev) <= tol * abs(cur):
             limit = cur
         prev = cur
     while t < level:

@@ -1,0 +1,218 @@
+"""V_m walked cell by cell in canonical vertex order: eval's values, rows
+and cells, and the eigen-equation residual of what it wrote.
+
+A SpectralEigenfunction's values on V_m are refined by one recursion on
+Python floats, each new vertex computed once from its cell's triple, and
+handed on one subtree at a time with the vertices' canonical addresses,
+lattice entries and the level's cells, so that no array of a whole level
+is made and no level graph is built.  numpy is imported by eigen_residual
+alone, which eval --verify runs.  The tangent layers do not load this
+module.
+"""
+from __future__ import annotations
+
+from operator import itemgetter
+from typing import NamedTuple
+
+from .decimation import check_level, vertex_count
+from .errors import DomainError
+from .harmonic import IDENTITY, eigen_matrices
+
+# the levels below a subtree root of walk: each part holds one subtree's
+# vertices, |V_6| - 3 = 1092
+SUBTREE_LEVELS = 6
+
+
+def _midpoint_rows(lam: float, level: int) -> tuple:
+    """The rows of the level's extension matrices that give a cell's three
+    midpoints (0):1, (0):2 and (1):2 from its triple, as one 9-tuple.  A
+    midpoint is a corner of two subcells, and a subcell's own corner keeps
+    its cell's value, so walk computes each vertex once only if the two
+    matrices give every midpoint by the identical row and each matrix gives
+    its corner by the unit row; anything else raises DomainError."""
+    a = eigen_matrices(lam)
+    if (a[0][1], a[0][2], a[1][2]) != (a[1][0], a[2][0], a[2][1]) or \
+            any(a[i][i] != IDENTITY[i] for i in range(3)):
+        raise DomainError(f"the extension matrices of level {level} give a vertex two values")
+    return (*a[0][1], *a[0][2], *a[1][2])
+
+
+def eigen_residual(parts, values, lam_level: float) -> float:
+    """Max interior defect of the level eigen-equation, relative to the sup
+    norm; 0.0 on V_0, which has no interior vertex.  `parts` are the walk's
+    Parts, whose faces are the level's cells in cell order.
+
+    The Laplacian sum_{y~x} (u(y) - u(x)) is summed over the cells one part
+    at a time: each cell adds its cell Laplacian (u_0 + u_1 + u_2) - 3 u_i
+    at each corner i, every edge lying in exactly one cell.  A vertex after
+    the corners lies in two cells, both in one part but for a corner of the
+    subtrees, whose part sum waits for its other part's.  A vertex adds up
+    its cells' terms in cell order, as one sum over the level's cells does,
+    so the residual takes the same bits, and no array but `values` takes a
+    whole level."""
+    import numpy as np
+
+    values = np.asarray(values, dtype=float)
+    lam, worst, waiting = float(lam_level), [0.0], {}
+    for part in parts:
+        cells = np.array(part.faces).reshape(-1, 3)
+        vertices, at = np.unique(cells, return_inverse=True)
+        cv = values[cells]
+        lap = np.bincount(at.ravel(), weights=(cv.sum(axis=1, keepdims=True) - 3.0 * cv).ravel())
+        whole = np.bincount(at.ravel()) == 2
+        for v, term in zip(vertices[~whole].tolist(), lap[~whole].tolist()):
+            if v in waiting:
+                lap[vertices == v], whole[vertices == v] = waiting.pop(v) + term, True
+            elif v >= 3:
+                waiting[v] = term
+        whole &= vertices >= 3
+        r = lap[whole] + lam * values[vertices[whole]]
+        worst.append(np.max(np.abs(r), initial=0.0))
+    return float(np.max(worst)) / max(1.0, float(values.max()), float(-values.min()))
+
+
+# the addresses and lattice lines of the 12 vertices that a cell spanning two
+# levels adds, from its word and its corner 0's lines
+_LEAF_ADDRESSES = ("0:1", "0:2", "00:1", "00:2", "01:2", "1:2",
+                   "10:1", "10:2", "11:2", "20:1", "20:2", "21:2")
+_LEAF_XS = itemgetter(3, 1, 1, 0, 2, 5, 5, 4, 6, 3, 2, 4)  # from the line t + 1 on
+_LEAF_YS = itemgetter(0, 2, 0, 1, 1, 2, 0, 1, 1, 2, 3, 3)  # from the line n on
+
+
+class Part(NamedTuple):
+    """One subtree's share of walk, in vertex order: the values, and given
+    a lattice the canonical addresses and the x and y entries of the
+    vertices; given faces, the subtree's cells as a flat list of vertex
+    triples, in cell order."""
+
+    values: list
+    addresses: list
+    xs: list
+    ys: list
+    faces: list
+
+
+def walk(u, m: int, lattice, faces: bool):
+    """V_m's vertices in canonical order with u's values, as Parts:
+    one per subtree F_w V_(m-d), d = max(0, m - SUBTREE_LEVELS), in cell
+    order, each holding the vertices of V_d that come before the
+    subtree's, then the ones the subtree adds.  Given a lattice
+    (address.lattice_lines, or two sequences indexed alike), each vertex's
+    canonical address and the entries of its two lines, its x and y, are
+    filled in; given faces, the subtree's cells.
+
+    One recursion runs V_m's glue rule (address._glue): V_k is its three
+    corners, then copy 0 of V_(k-1) from its row 1, copy 1 from row 2
+    and copy 2 from row 3.  So the vertices a cell adds are its
+    midpoints (0):1 and (0):2, then those subcell 0 adds, its midpoint
+    (1):2, then those subcells 1 and 2 add.  A cell carries its corners'
+    values, positions and lattice lines and its word, and computes each
+    midpoint once from its triple, by the row of _midpoint_rows in
+    matvec's order, or reads it from the seed down to level m0: so a
+    vertex takes the bits of the cell_triple walk of each of its cells,
+    and no value is -0.0, since each is a sum from 0.  The walk first
+    runs down to the subtree roots, keeping the vertices of V_d, then
+    runs each subtree in turn: one subtree's lists are held at a time.
+    A cell spanning two levels adds its 12 vertices inline, which saves
+    two thirds of the calls.  The matrices of every level are checked
+    before the first Part."""
+    m0, get = u.m0, u.seed_values.get
+    if check_level(m) < m0:
+        raise DomainError(f"level {m} below seed level {m0}")
+    # by the levels k a cell spans: its midpoints' rows (None down to
+    # the seed level, whose values are read), the offsets of its
+    # midpoint (1):2 and of subcells 1 and 2 from the first vertex it
+    # adds, in V_m and in V_m0, 2 + n, 3 + n and 3 + 2n by the glue rule
+    # (address._glue) when each subcell adds n, and half its side on the
+    # lattice
+    levels = [None]
+    for k in range(1, m + 1):
+        j = m - k + 1  # the midpoints' level
+        n, n0 = vertex_count(k - 1) - 3, vertex_count(max(m0 - j, 0)) - 3
+        levels.append((_midpoint_rows(u.sequence.value(j), j) if j > m0 else None,
+                       2 + n, 3 + n, 3 + 2 * n, 2 + n0, 3 + n0, 3 + 2 * n0, 1 << (k - 1)))
+    leaf = levels[1][0] if m else None
+    values, names, xs, ys, cells = [], [], [], [], []
+    cut, subtrees = (SUBTREE_LEVELS if m > SUBTREE_LEVELS else None), []
+
+    def fill(k, a, b, c, pa, pb, pc, f, f0, t, n, word):
+        # the cell spanning k levels with the corner values a, b, c at
+        # positions pa, pb, pc, which adds the vertices from position f
+        # on (from f0 on in V_m0), its corner 0 on the lattice lines t, n
+        if k == cut:
+            subtrees.append((len(values), (k, a, b, c, pa, pb, pc, f, f0, t, n, word)))
+            return
+        r, d12, d1, d2, e12, e1, e2, h = levels[k]
+        if r is None:
+            a01, a02, a12 = 0.0 + get(f0, 0.0), 0.0 + get(f0 + 1, 0.0), 0.0 + get(f0 + e12, 0.0)
+        else:
+            x0, x1, x2, y0, y1, y2, z0, z1, z2 = r
+            a01 = 0 + x0 * a + x1 * b + x2 * c
+            a02 = 0 + y0 * a + y1 * b + y2 * c
+            a12 = 0 + z0 * a + z1 * b + z2 * c
+        p12 = f + d12
+        if k == 1:  # the subcells add nothing
+            values.extend((a01, a02, a12))
+            if lattice:
+                names.extend((word + "0:1", word + "0:2", word + "1:2"))
+                xs.extend((x_line[t + 2], x_line[t + 1], x_line[t + 3]))
+                ys.extend((y_line[n], y_line[n + 1], y_line[n + 1]))
+            if faces:
+                cells.extend((pa, f, f + 1, f, pb, p12, f + 1, p12, pc))
+            return
+        if k == 2 and leaf is not None:  # the subcells' midpoints, inline
+            x0, x1, x2, y0, y1, y2, z0, z1, z2 = leaf
+            values.extend((
+                a01, a02,
+                0 + x0 * a + x1 * a01 + x2 * a02, 0 + y0 * a + y1 * a01 + y2 * a02,
+                0 + z0 * a + z1 * a01 + z2 * a02,
+                a12,
+                0 + x0 * a01 + x1 * b + x2 * a12, 0 + y0 * a01 + y1 * b + y2 * a12,
+                0 + z0 * a01 + z1 * b + z2 * a12,
+                0 + x0 * a02 + x1 * a12 + x2 * c, 0 + y0 * a02 + y1 * a12 + y2 * c,
+                0 + z0 * a02 + z1 * a12 + z2 * c))
+            if lattice:
+                names.extend(map(word.__add__, _LEAF_ADDRESSES))
+                xs.extend(_LEAF_XS(x_line[t + 1:t + 8]))
+                ys.extend(_LEAF_YS(y_line[n:n + 4]))
+            if faces:
+                cells.extend((pa, f + 2, f + 3, f + 2, f, f + 4, f + 3, f + 4, f + 1,
+                              f, f + 6, f + 7, f + 6, pb, f + 8, f + 7, f + 8, f + 5,
+                              f + 1, f + 9, f + 10, f + 9, f + 5, f + 11, f + 10, f + 11, pc))
+            return
+        values.extend((a01, a02))
+        if lattice:
+            names.extend((word + "0:1", word + "0:2"))
+            xs.extend((x_line[t + 2 * h], x_line[t + h]))
+            ys.extend((y_line[n], y_line[n + h]))
+        fill(k - 1, a, a01, a02, pa, f, f + 1, f + 2, f0 + 2, t, n, word + "0")
+        values.append(a12)
+        if lattice:
+            names.append(word + "1:2")
+            xs.append(x_line[t + 3 * h])
+            ys.append(y_line[n + h])
+        fill(k - 1, a01, b, a12, f, pb, p12, f + d1, f0 + e1, t + 2 * h, n, word + "1")
+        fill(k - 1, a02, a12, c, f + 1, p12, pc, f + d2, f0 + e2, t + h, n + h, word + "2")
+
+    values += [0.0 + get(i, 0.0) for i in range(3)]
+    if lattice:
+        x_line, y_line = lattice
+        names += [":0", ":1", ":2"]
+        xs += [x_line[0], x_line[2 << m], x_line[1 << m]]
+        ys += [y_line[0], y_line[0], y_line[1 << m]]
+    try:
+        if m:
+            fill(m, *values, 0, 1, 2, 3, 3, 0, 0, "")
+        elif faces:
+            cells += [0, 1, 2]
+        if not subtrees:
+            yield Part(values, names, xs, ys, cells)
+            return
+        top, lo, cut = (values, names, xs, ys), 0, None
+        for hi, args in subtrees:
+            values, names, xs, ys = (column[lo:hi] for column in top)
+            cells, lo = [], hi
+            fill(*args)
+            yield Part(values, names, xs, ys, cells)
+    finally:
+        del fill  # which refers to itself, and so would keep its lists until a collection

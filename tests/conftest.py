@@ -1,10 +1,11 @@
 """Shared pytest wiring: the acceptance report block, and the references
 that only the tests use: the one-letter extension helpers, the closed-form
 tangent as it ran on numpy, the renormalized normal-derivative limit, the
-whole-level residual, the dense seed, whole-level cell triples and vertex
-values, a subtree walk's values stream, per-cell vertex values, the
-whole-level vertex table and the scalar addressing, the psi_m approximant
-and 50-digit Psi and Upsilon, and the oracles' spectrum pairing and
+whole-level Laplacian and residual, the dense seed, the whole-level numpy
+refinement and collapse that eval ran on before its walk, a level's walk
+joined into whole columns, per-cell vertex values, the whole-level vertex
+keys and coordinates and the scalar addressing, the psi_m approximant and
+50-digit Psi and Upsilon, and the oracles' spectrum pairing and
 unit-interval model."""
 import cmath
 import itertools
@@ -14,13 +15,12 @@ from unittest import mock
 import numpy as np
 
 from sglap import harmonic
-from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, _subtree_walk,
-                           build_level_graph, check_letter, check_word, subtree_walk,
-                           vertex_cells)
-from sglap.decimation import vertex_count
+from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, build_level_graph,
+                           check_letter, check_word, lattice_lines, vertex_cells)
+from sglap.decimation import EigenvalueSequence, vertex_count
 from sglap.errors import ConvergenceError, DomainError
-from sglap.harmonic import (HARMONIC_INVERSES, JUNCTION_TOL, eigen_matrices, extend_level,
-                            graph_laplacian, matvec)
+from sglap.harmonic import HARMONIC_INVERSES, SpectralEigenfunction, eigen_matrices, matvec
+from sglap.mesh import Part, walk
 from sglap.tangent import m0_matrix
 
 acceptance_log = []
@@ -134,8 +134,18 @@ def normal_derivative_limit(value_at, corner: int, levels: int = 20):
 
 # --- whole-level references ------------------------------------------------
 
+def graph_laplacian(graph, values):
+    """sum_{y~x} (u(y) - u(x)) at every vertex, boundary included: the sum
+    over the level's cells of the cell Laplacian (u_0 + u_1 + u_2) - 3 u_i
+    at each corner i, every edge lying in exactly one cell."""
+    values = np.asarray(values, dtype=float)
+    cv = values[graph.cells]
+    cv = cv.sum(axis=1, keepdims=True) - 3.0 * cv
+    return np.bincount(graph.cells.ravel(), weights=cv.ravel(), minlength=graph.size)
+
+
 def whole_level_residual(graph, values, lam_level: float) -> float:
-    """harmonic.eigen_residual as it ran on the whole level graph: the max
+    """mesh.eigen_residual as it ran on the whole level graph: the max
     interior defect of the eigen-equation relative to the sup norm."""
     r = graph_laplacian(graph, values) + float(lam_level) * np.asarray(values, dtype=float)
     scale = max(1.0, float(np.max(np.abs(values))))
@@ -149,34 +159,29 @@ def seed_array(u) -> np.ndarray:
     return out
 
 
-def values_on_level(u, m: int, tol: float = JUNCTION_TOL) -> np.ndarray:
-    """u on V_m as one array, the dense reference of eval's two passes:
-    check_values with its junction check at tol, then the level_values
-    stream written into one array at its stream_positions.  Non-finite
-    values are returned, for the caller to reject, as eval rejects them."""
-    with mock.patch.object(harmonic, "JUNCTION_TOL", tol):
-        u.check_values(m)
-    values = np.full(vertex_count(m), np.nan)
-    for positions, part in zip(stream_positions(subtree_walk(m)), u.level_values(m),
-                               strict=True):
-        values[positions] = part
-    return values
+def extend_level(cell_values, mats):
+    """One refinement step of a whole level, as eval ran it on numpy: child
+    cell 3*c + letter gets mats[letter] @ cell c, each entry summed from 0
+    in matvec's order."""
+    values = np.asarray(cell_values, dtype=float).reshape(-1, 1, 1, 3)
+    mats = np.asarray(mats, dtype=float)
+    out = np.zeros((len(values), 3, 3))
+    for k in range(3):
+        out += values[..., k] * mats[..., k]
+    return out.reshape(-1, 3)
 
 
-def stream_positions(walk) -> list:
-    """The V_level positions of the values stream that walk.rows reads, as
-    SpectralEigenfunction.level_values gives it: V_depth's vertices in their
-    order, then the vertices each subtree adds, in cell order."""
-    top = np.empty(walk.top.size, dtype=np.int64)
-    top[walk.top.cells] = walk.layout[:, :3]
-    added = np.arange(walk.local.size - 3)
-    return [top, *(added + first for first in walk.layout[:, 3].tolist())]
-
-
-def walk_stream(walk, values) -> list:
-    """The values stream that walk.rows reads, taken from V_level's values
-    as one array in vertex order."""
-    return [values[positions] for positions in stream_positions(walk)]
+def cell_values_to_vertex(graph, cell_values) -> tuple:
+    """Collapse per-cell triples to one value per vertex, as eval ran it on
+    numpy: (values, gap, scale).  A corner of V_0 is 0 + its one copy and
+    any other vertex (0 + its two copies, in cell order) / 2; gap is the
+    largest distance of a copy from its vertex's value and scale
+    max(1, max |copy|)."""
+    cv = np.asarray(cell_values, dtype=float)
+    out = np.bincount(graph.cells.reshape(-1), weights=cv.reshape(-1), minlength=graph.size)
+    out[3:] /= 2.0
+    gap = float(np.abs(cv - out[graph.cells]).max())
+    return out, gap, max(1.0, float(cv.max()), float(-cv.min()))
 
 
 def cell_values(u, m: int) -> np.ndarray:
@@ -186,6 +191,32 @@ def cell_values(u, m: int) -> np.ndarray:
     for j in range(u.m0 + 1, m + 1):
         values = extend_level(values, eigen_matrices(u.sequence.value(j)))
     return values
+
+
+def dense_values(u, m: int) -> np.ndarray:
+    """u on V_m as eval computed it before its walk: the whole level's cell
+    triples refined on numpy and collapsed; non-finite values are returned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cell_values_to_vertex(build_level_graph(m), cell_values(u, m))[0]
+
+
+# a function whose walk gives a level's addresses, lattice entries and cells
+ZERO = SpectralEigenfunction(EigenvalueSequence(0, 0.0), (0.0, 0.0, 0.0))
+
+
+def walk_columns(u, m: int, lattice=None, faces: bool = False) -> tuple:
+    """walk(u, m, lattice, faces) joined into whole columns: (values,
+    addresses, xs, ys, faces), each a list in vertex (or cell) order."""
+    columns = tuple([] for _ in Part._fields)
+    for part in walk(u, m, lattice, faces):
+        for column, entries in zip(columns, part):
+            column += entries
+    return columns
+
+
+def values_on_level(u, m: int) -> np.ndarray:
+    """u on V_m as one array in vertex order, as eval's walk gives it."""
+    return np.array(walk_columns(u, m)[0])
 
 
 def vertex_value_walks(u, m: int) -> np.ndarray:
@@ -203,22 +234,33 @@ def vertex_value_walks(u, m: int) -> np.ndarray:
 
 # --- scalar addressing -----------------------------------------------------
 
-def level_vertices(level: int, depth=None):
-    """(keys, names) of every vertex of V_level: the rows of its subtree
-    walk (subtree_walk's, or the one of this depth) written into one array.
-    The rows must tile the level in order, each with its values: the walk
-    reads the stream of its vertices' positions, and gives each row its own."""
-    walk = subtree_walk(level) if depth is None else _subtree_walk(level, depth)
-    keys = np.empty((walk.size, 3), dtype=np.int64)
-    names = np.empty((walk.size, level + 2), dtype=np.uint8)
-    end = 0
-    for lo, part_keys, part_names, part_values in walk.rows(stream_positions(walk)):
-        assert lo == end and len(part_keys) == len(part_names) > 0, (lo, end)
-        end = lo + len(part_keys)
-        assert np.array_equal(part_values, np.arange(lo, end)), lo
-        keys[lo:end], names[lo:end] = part_keys, part_names
-    assert end == walk.size
-    return keys, names
+def level_keys(level: int) -> np.ndarray:
+    """The exact keys of V_level's vertices in vertex order: vertex_key of
+    corner i of each level cell, placed by the level graph's cells."""
+    graph = build_level_graph(level)
+    cells = np.arange(3 ** level)
+    base = np.zeros((cells.size, 3), dtype=np.int64)
+    for t in range(level):  # letter t + 1 of the word adds 2^(level - 1 - t) e_letter
+        base[cells, cells // 3 ** (level - 1 - t) % 3] += 1 << (level - 1 - t)
+    keys = np.empty((graph.size, 3), dtype=np.int64)
+    for i in range(3):
+        keys[graph.cells[:, i]] = base + np.eye(3, dtype=np.int64)[i]
+    return keys
+
+
+def level_vertices(level: int):
+    """(keys, addresses) of every vertex of V_level: level_keys, and the
+    canonical addresses as the walk spells them."""
+    return level_keys(level), walk_columns(ZERO, level, lattice_lines(level))[1]
+
+
+def key_coords(keys, level: int) -> np.ndarray:
+    """Planar points of barycentric numerators over 2**level, as eval
+    computed them before its lattice lines: x = (n_1 + n_2/2) / 2**level and
+    y = n_2 (sqrt(3)/2) / 2**level, elementwise."""
+    _, n1, n2 = np.asarray(keys).T
+    scale = float(1 << level)
+    return np.stack([(n1 + n2 / 2) / scale, n2 * DEFAULT_CORNERS[2][1] / scale], axis=1)
 
 
 def word_index(word) -> int:

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (apply_ifs, level_vertices, resolve_addresses, stream_positions, vertex_key,
-                      word_index)
+from conftest import (ZERO, apply_ifs, key_coords, level_keys, level_vertices, resolve_addresses,
+                      vertex_key, walk_columns, word_index)
 
-from sglap import address, cli, decimation
+from sglap import address, cli, decimation, mesh
 from sglap.address import (
     DEFAULT_CORNERS,
     EventuallyConstantWord,
-    addresses,
     build_level_graph,
+    lattice_lines,
     format_address,
     vertex_cells,
     vertex_index,
@@ -127,23 +127,30 @@ def test_array_addressing_matches_scalar():
         scalar = [resolve_addresses(tuple(k), m)[0] for k in keys]
         # vertex order is the scalar canonical order, and the graph carries it
         assert keys == sorted(keys, key=lambda k: resolve_addresses(tuple(k), m)[0])
-        assert addresses(names) == [format_address(w, c) for w, c in scalar]
+        assert names == [format_address(w, c) for w, c in scalar]
         assert [list(vertex_key(w, c, m)) for w, c in scalar] == keys
+
+
+def _lines(keys) -> tuple:
+    """The lattice lines 2 n_1 + n_2 and n_2 of each key."""
+    _, n1, n2 = np.asarray(keys).T
+    return (2 * n1 + n2).tolist(), n2.tolist()
 
 
 @pytest.mark.parametrize("m", range(9))
 def test_segments_at_every_depth_match_the_table_and_scalar(m):
-    # the table glues whole levels; a walk of any depth composes its rows
-    # from a smaller table's, each subtree's word in front, with the
-    # vertices of V_depth between the subtrees
-    keys, names = address._vertex_table(m)
+    # the walk's rows, at every subtree size, spell the scalar addresses of
+    # the level's keys and their lattice lines, and its faces are the cells
+    keys = level_keys(m)
     scalar = [resolve_addresses(tuple(k), m)[0] for k in keys.tolist()]
     assert [list(vertex_key(w, c, m)) for w, c in scalar] == keys.tolist()
-    assert addresses(names) == [format_address(w, c) for w, c in scalar]
-    for depth in range(m + 1):
-        composed_keys, composed_names = level_vertices(m, depth)
-        assert np.array_equal(composed_keys, keys), depth
-        assert np.array_equal(composed_names, names), depth
+    lines = [list(range(2 ** (m + 1) + 1)), list(range(2 ** m + 1))]
+    for levels in range(1, m + 2):
+        with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
+            _, names, xs, ys, faces = walk_columns(ZERO, m, lines, True)
+        assert names == [format_address(w, c) for w, c in scalar], levels
+        assert (xs, ys) == _lines(keys), levels
+        assert faces == build_level_graph(m).cells.ravel().tolist(), levels
 
 
 # sha256 over name, dtype, shape and bytes of the six arrays a LevelGraph once
@@ -168,19 +175,18 @@ LEVEL_GRAPH_SHA256 = {
 
 
 def _pinned_arrays(g):
-    """The six pinned arrays, rebuilt from the cells and the keys and address
-    bytes that the level's subtree walk composes: the birth level is the
-    column of ':', the word the digits before it (-1 past it) and the corner
+    """The six pinned arrays, rebuilt from the cells, the keys and the
+    addresses that the level's walk spells: the birth level is the position
+    of ':', the word the digits before it (-1 past it) and the corner
     letter the digit after it."""
     keys, names = level_vertices(g.level)
-    rows = np.arange(g.size)
-    births = (names == ord(":")).argmax(axis=1)
-    digits = names.astype(np.int8) - ord("0")
-    words = np.where(np.arange(g.level) < births[:, None], digits[:, :g.level], -1)
-    letters = digits[rows, births + 1]
-    return {"keys": keys, "coords": address.key_coords(keys, g.level), "cells": g.cells,
-            "births": births.astype(np.int64), "words": words.astype(np.int8),
-            "letters": letters}
+    births = np.array([name.index(":") for name in names], dtype=np.int64)
+    words = np.full((g.size, g.level), -1, dtype=np.int8)
+    for row, name in enumerate(names):
+        words[row, :births[row]] = [int(c) for c in name[:births[row]]]
+    letters = np.array([int(name[-1]) for name in names], dtype=np.int8)
+    return {"keys": keys, "coords": key_coords(keys, g.level), "cells": g.cells,
+            "births": births, "words": words, "letters": letters}
 
 
 @pytest.mark.parametrize("m", sorted(LEVEL_GRAPH_SHA256))
@@ -193,17 +199,20 @@ def test_level_graph_is_pinned(m):
 
 
 def test_address_ranges_match_scalar_across_blocks():
-    # every run of a walk of any depth, and every 97-row piece of one,
-    # spells the scalar addresses of its rows
+    # every part of a walk of any subtree size, and every 97-row piece of
+    # one, spells the scalar addresses of its rows
     m = 6
-    scalar = [format_address(*resolve_addresses(tuple(k), m)[0])
-              for k in address._vertex_table(m)[0].tolist()]
-    for depth in range(m + 1):
-        rows, walk = [], address._subtree_walk(m, depth)
-        for lo, _, names, _ in walk.rows(stream_positions(walk)):
-            assert addresses(names) == scalar[lo:lo + len(names)], (depth, lo)
-            rows += sum((addresses(names[a:a + 97]) for a in range(0, len(names), 97)), [])
-        assert rows == scalar, depth
+    scalar = [format_address(*resolve_addresses(tuple(k), m)[0]) for k in level_keys(m).tolist()]
+    lattice = lattice_lines(m)
+    for levels in range(1, m + 2):
+        rows, lo = [], 0
+        with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
+            for part in mesh.walk(ZERO, m, lattice, False):
+                assert part.addresses == scalar[lo:lo + len(part.addresses)], (levels, lo)
+                lo += len(part.addresses)
+                rows += sum((part.addresses[a:a + 97]
+                             for a in range(0, len(part.addresses), 97)), [])
+        assert rows == scalar, levels
 
 
 def test_level_graph_build_peak_memory():
@@ -235,49 +244,54 @@ def test_level_graph_keeps_only_its_cells():
 
 @pytest.mark.parametrize("m", [8, 9, 10])
 def test_vertex_ranges_equal_slices_of_the_whole(m):
-    # each run of the walks of depth 0 to 3 is the slice of the whole
-    # table where it starts; a subtree's vertices come in three runs,
-    # and the ones between the subtrees are the vertices of V_depth, scaled
-    keys, names = address._vertex_table(m)
+    # each part of the walks with subtrees of 8 to 5 levels is the slice of
+    # the whole level where it starts: the vertices of V_depth before a
+    # subtree's, their V_depth keys scaled, then the |V_S| - 3 the subtree adds
+    keys = level_keys(m)
+    names = [format_address(*resolve_addresses(tuple(k), m)[0]) for k in keys.tolist()]
     n = decimation.vertex_count(m - 1) - 3
-    assert addresses(names[[3, 4, 5 + n]]) == ["0:1", "0:2", "1:2"]
-    for depth in range(4):
-        walk = address._subtree_walk(m, depth)
-        subtrees = [(start, start + walk.local.size - 3) for start in walk.layout[:, 3].tolist()]
-        parts, top = [], []
-        for lo, part_keys, part_names, _ in walk.rows(stream_positions(walk)):
-            hi = lo + len(part_keys)
-            assert np.array_equal(part_keys, keys[lo:hi]), (depth, lo)
-            assert np.array_equal(part_names, names[lo:hi]), (depth, lo)
-            assert part_names.shape == (hi - lo, m + 2)
-            inside = [i for i, (a, b) in enumerate(subtrees) if a <= lo and hi <= b]
-            if inside:
-                parts += inside
-            else:
-                top += part_keys.tolist()
-        assert parts == sorted(3 * list(range(len(subtrees))))
-        assert sorted(top) == sorted((level_vertices(depth)[0] << (m - depth)).tolist())
+    assert [names[i] for i in (3, 4, 5 + n)] == ["0:1", "0:2", "1:2"]
+    lines = [list(range(2 ** (m + 1) + 1)), list(range(2 ** m + 1))]
+    for levels in range(5, 9):
+        depth, added = m - levels, decimation.vertex_count(levels) - 3
+        parts, lo, top = [], 0, []
+        with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
+            for part in mesh.walk(ZERO, m, lines, False):
+                hi = lo + len(part.addresses)
+                assert part.addresses == names[lo:hi], (levels, lo)
+                assert (part.xs, part.ys) == _lines(keys[lo:hi]), (levels, lo)
+                assert len(part.values) == hi - lo >= added
+                top += keys[lo:hi - added].tolist()
+                parts.append(hi - lo)
+                lo = hi
+        assert lo == keys.shape[0] and len(parts) == 3 ** depth
+        assert sorted(top) == sorted((level_keys(depth) << levels).tolist())
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(7, 10).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 6))),
+@given(st.integers(7, 10).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m + 1))),
        st.sampled_from([97, 1024, 4096]))
 def test_vertex_ranges_are_taken_as_slices(walk, block_rows):
-    # eval cuts each run into blocks of at most BLOCK_ROWS rows: every
+    # eval cuts each part into blocks of at most BLOCK_ROWS rows: every
     # block's rows are the slice of the whole level where it lies
-    m, depth = walk
-    keys, names = address._vertex_table(m)
-    walk = address._subtree_walk(m, depth)
-    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
-        for lo, part_keys, part_names, _ in walk.rows(stream_positions(walk)):
-            for a, b in cli._row_ranges(len(part_keys)):
-                assert np.array_equal(part_keys[a:b], keys[lo + a:lo + b])
-                assert addresses(part_names[a:b]) == addresses(names[lo + a:lo + b])
+    m, levels = walk
+    keys, names = level_vertices(m)
+    lines = [list(range(2 ** (m + 1) + 1)), list(range(2 ** m + 1))]
+    lo = 0
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows), \
+            mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
+        for part in mesh.walk(ZERO, m, lines, False):
+            for a, b in cli._row_ranges(len(part.addresses)):
+                assert part.addresses[a:b] == names[lo + a:lo + b]
+                assert (part.xs[a:b], part.ys[a:b]) == _lines(keys[lo + a:lo + b])
+            lo += len(part.addresses)
+    assert lo == len(names)
 
 
 @pytest.mark.parametrize("level", range(9))
 def test_corners_lie_in_one_cell_and_every_other_vertex_in_two(level):
-    # harmonic.cell_values_to_vertex halves every vertex after the corners
+    # every vertex after the corners is a corner of two cells, which the walk
+    # gives it as one midpoint
     counts = np.bincount(build_level_graph(level).cells.ravel())
     assert counts.tolist() == [1, 1, 1] + [2] * (counts.size - 3)
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (eigen_matrix, harmonic_matrix, resolve_addresses, seed_array, value_at,
-                      values_on_level, vertex_key, word_index)
+from conftest import (eigen_matrix, graph_laplacian, harmonic_matrix, resolve_addresses,
+                      seed_array, value_at, values_on_level, vertex_key, word_index)
 
 from sglap import address, decimation
-from sglap.address import build_level_graph, subtree_walk
+from sglap.address import build_level_graph
 from sglap.decimation import (
     SERIES_SEED,
     SINGULAR_VALUES,
@@ -27,10 +27,9 @@ from sglap.harmonic import (
     dirichlet_eigenfunction,
     dirichlet_seed_values,
     eigen_matrices,
-    eigen_residual,
-    graph_laplacian,
     rotate_six,
 )
+from sglap.mesh import eigen_residual, walk
 from sglap.special import MAX_ITERATIONS, TOL
 
 CLOSED_FORM_SEEDS = [
@@ -209,7 +208,7 @@ def test_residuals_stay_tiny_under_refinement():
     ]
     for u in funcs:
         for m in range(u.m0, 7):
-            assert eigen_residual(subtree_walk(m), values_on_level(u, m),
+            assert eigen_residual(walk(u, m, None, True), values_on_level(u, m),
                                   u.sequence.value(m)) < 1e-11
 
 
@@ -222,7 +221,7 @@ def test_junction_values_agree_from_both_addresses():
 
 def test_values_on_level_shape_and_boundary():
     u = dirichlet_eigenfunction("two", 1, plus_indices={2})
-    v = values_on_level(u, 4, tol=1e-10)
+    v = values_on_level(u, 4)
     assert v.shape == (build_level_graph(4).size,)
     assert np.array_equal(v[:3], np.zeros(3))
 
@@ -327,7 +326,7 @@ def test_level1_spectrum_is_two_five_five():
 def test_six_element_is_interior_eigen_but_not_dirichlet():
     u = dirichlet_eigenfunction("six", 1)
     assert u.seed_values[2] == 2.0  # nonzero on a boundary corner
-    assert eigen_residual(subtree_walk(5), values_on_level(u, 5),
+    assert eigen_residual(walk(u, 5, None, True), values_on_level(u, 5),
                           u.sequence.value(5)) < 1e-12
 
 
@@ -361,7 +360,7 @@ def test_six_element_branches():
     assert dirichlet_eigenfunction("six", 1).sequence.plus_indices == frozenset({2})
     u = dirichlet_eigenfunction("six", 1, 1, {2, 4})
     assert u.sequence.plus_indices == frozenset({2, 4})
-    assert eigen_residual(subtree_walk(5), values_on_level(u, 5),
+    assert eigen_residual(walk(u, 5, None, True), values_on_level(u, 5),
                           u.sequence.value(5)) < 1e-12
     with pytest.raises(DomainError):
         dirichlet_eigenfunction("six", 1, 1, {3})  # level 2 must take the plus root
@@ -421,7 +420,7 @@ class ReferenceSequence:
             for _ in range(max_iterations):
                 j += 1
                 cur = 1.5 * 5.0**j * self.value(j)
-                if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+                if abs(cur - prev) <= tol * abs(cur):  # relative at every size
                     return cur
                 prev = cur
         except OverflowError:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, cell_values, extend_harmonic,
-                      harmonic_matrix, harmonic_normal_derivative, level_vertices,
-                      normal_derivative_limit, values_on_level)
+from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, cell_values_to_vertex, dense_values,
+                      extend_harmonic, extend_level, graph_laplacian, harmonic_matrix,
+                      harmonic_normal_derivative, level_vertices, normal_derivative_limit,
+                      values_on_level)
 
-from sglap import harmonic
+from sglap import harmonic, mesh
 from sglap.address import build_level_graph
 from sglap.decimation import EigenvalueSequence
 from sglap.errors import ConvergenceError, DomainError
@@ -17,8 +18,6 @@ from sglap.harmonic import (
     HARMONIC_INVERSES,
     SpectralEigenfunction,
     eigen_matrices,
-    extend_level,
-    graph_laplacian,
     harmonic_pullback,
 )
 
@@ -77,14 +76,14 @@ def test_pullback_inverts_extension(b, word):
 
 @given(triples)
 def test_extension_is_discrete_harmonic(b):
-    vals = values_on_level(SpectralEigenfunction(HARMONIC, b), 3, tol=1e-12)
+    vals = values_on_level(SpectralEigenfunction(HARMONIC, b), 3)
     defect = graph_laplacian(build_level_graph(3), vals)[3:]
     assert float(np.abs(defect).max()) < 1e-12 * max(1.0, float(np.abs(vals).max()))
 
 
 @given(triples)
 def test_maximum_principle(b):
-    vals = values_on_level(SpectralEigenfunction(HARMONIC, b), 4, tol=1e-12)
+    vals = values_on_level(SpectralEigenfunction(HARMONIC, b), 4)
     assert vals.min() >= min(b) - 1e-12
     assert vals.max() <= max(b) + 1e-12
 
@@ -92,7 +91,7 @@ def test_maximum_principle(b):
 def test_extensions_are_nested_across_levels():
     b = (1.0, -0.5, 2.0)
     u = SpectralEigenfunction(HARMONIC, b)
-    v2, v3 = values_on_level(u, 2, tol=1e-12), values_on_level(u, 3, tol=1e-12)
+    v2, v3 = values_on_level(u, 2), values_on_level(u, 3)
     index3 = {tuple(key): j for j, key in enumerate(level_vertices(3)[0].tolist())}
     for i, key in enumerate(level_vertices(2)[0].tolist()):
         j = index3[tuple(2 * n for n in key)]
@@ -101,30 +100,33 @@ def test_extensions_are_nested_across_levels():
 
 def test_cell_vertex_round_trip():
     g = build_level_graph(3)
-    vals = values_on_level(SpectralEigenfunction(HARMONIC, (0.3, 1.0, -2.0)), 3, tol=1e-12)
+    vals = values_on_level(SpectralEigenfunction(HARMONIC, (0.3, 1.0, -2.0)), 3)
     cv = vals[g.cells]
-    out, gap, scale = harmonic.cell_values_to_vertex(g, cv)
+    out, gap, scale = cell_values_to_vertex(g, cv)
     assert np.array_equal(out, vals) and gap == 0.0
     assert scale == max(1.0, float(np.abs(vals).max()))
 
 
 def test_junction_mismatch_is_rejected(monkeypatch):
-    # the collapse measures the gap, and check_values raises on it
-    u = SpectralEigenfunction(HARMONIC, (1.0, 0.0, 0.0))
-    cv = cell_values(u, 1)
-    cv[0, 1] += 1e-3
-    _, gap, scale = harmonic.cell_values_to_vertex(build_level_graph(1), cv)
-    assert gap == pytest.approx(5e-4, rel=1e-9) and scale == 1.0
+    # a midpoint is a corner of two subcells, which the walk gives one value:
+    # a level whose two matrices give it by different rows, or whose matrix
+    # moves its own corner, raises before the walk yields anything
+    original, planted = mesh.eigen_matrices, []
 
-    def extend_level(cell_values, mats):
-        out = original(cell_values, mats)
-        out[0, 1] += 1e-3
-        return out
+    def eigen_matrices(lam):
+        mats = [list(map(list, mat)) for mat in original(lam)]
+        if lam == u.sequence.value(2):
+            mats[planted[0]][planted[1]][2] += 1e-3
+        return tuple(tuple(map(tuple, mat)) for mat in mats)
 
-    original = harmonic.extend_level
-    monkeypatch.setattr(harmonic, "extend_level", extend_level)
-    with pytest.raises(DomainError, match="disagree at a junction by 5.000e-04"):
-        values_on_level(u, 1)
+    u = SpectralEigenfunction(EigenvalueSequence(0, 3.0), (1.0, 0.0, 0.0))
+    values_on_level(u, 2)
+    monkeypatch.setattr(mesh, "eigen_matrices", eigen_matrices)
+    for row in [(0, 1), (1, 0), (0, 0), (2, 1), (1, 2)]:
+        planted[:] = row
+        walk = mesh.walk(u, 2, None, False)
+        with pytest.raises(DomainError, match="matrices of level 2 give a vertex two values"):
+            next(walk)
 
 
 def test_extend_cells_matches_vertex_extension():
@@ -134,9 +136,10 @@ def test_extend_cells_matches_vertex_extension():
     cv = b[None, :]
     for _ in range(3):
         cv = extend_level(cv, HARMONIC_MATRICES)
-    vals, gap, _ = harmonic.cell_values_to_vertex(build_level_graph(3), cv)
-    assert gap <= 1e-12
-    assert np.array_equal(vals, values_on_level(SpectralEigenfunction(HARMONIC, b), 3, tol=1e-12))
+    vals, gap, _ = cell_values_to_vertex(build_level_graph(3), cv)
+    assert gap == 0.0
+    assert np.array_equal(vals, values_on_level(SpectralEigenfunction(HARMONIC, b), 3))
+    assert np.array_equal(vals, dense_values(SpectralEigenfunction(HARMONIC, b), 3))
 
 
 def test_extend_level_splits_cells():

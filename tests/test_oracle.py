@@ -11,14 +11,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_tangent, sorted_pairing_gap, values_on_level
+from conftest import graph_laplacian, interval_tangent, sorted_pairing_gap, values_on_level
 
 from sglap import cli
 from sglap.address import EventuallyConstantWord, build_level_graph
 from sglap.decimation import enumerate_dirichlet_spectrum, sequence_from_limit
 from sglap.errors import ConvergenceError, DomainError, SingularLevelError
 from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, eigen_matrices,
-                            graph_laplacian, harmonic_inverses, matmul)
+                            harmonic_inverses, matmul)
 from sglap.oracle import (
     ORACLE_DPS,
     dense_dirichlet_spectrum,

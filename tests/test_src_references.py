@@ -160,7 +160,7 @@ def test_the_field_guard_reads_every_slot_of_every_class():
     assert slots and slots <= found
     assert {"address.EventuallyConstantWord.prefix", "address.LevelGraph.cells",
             "decimation.EigenvalueSequence._limit", "harmonic.SpectralEigenfunction.seed_values",
-            "address.SubtreeWalk.layout"} <= slots
+            "harmonic.SpectralEigenfunction.sequence"} <= slots
 
 
 UNPASSED_DEFAULTS = {
@@ -235,7 +235,7 @@ REACH_INVOCATIONS = [
     ["eval", "--seed", "six:2:1:+-", "--level", "3", "--format", "json", "--verify",
      "--verify-tol", "1e-8"],
     ["eval", "--seed", "five:2:1", "--level", "2", "--format", "obj"],
-    # level 8 walks V_8 as 3 subtrees of V_7 and the V_1 vertices between them
+    # level 8 walks V_8 as 9 subtrees of V_6 and the V_2 vertices between them
     ["eval", "--seed", "two:1:1", "--level", "8"],
     ["tangent", "--seed", "two:1:1", "--word", "01:2", "--verify"],
     ["tangent", "--seed", "free:7.3:1,-2,3", "--word", ":0", "--format", "json"],

@@ -459,19 +459,18 @@ def self_similarity_cases(draw):
 # Self-similarity (ROADMAP item 8): T_{vw} u = A_v^{-1} T_w(u o F_v).  Its
 # two sides differ only in M0, taken at cut levels |v| apart along two
 # sequences, so it checks m0_matrix against itself at every cut, past plus
-# levels where the fixed-depth oracle fails.  Below |lambda'| = 1 (lambda'
-# the rebased limit, lambda/5^|v|) EigenvalueSequence.limit stops on an
-# absolute increment of tol = 1e-13, so c = lambda/(3 5^k lambda_k) carries
-# a relative error of about tol/|lambda'| and the gap grows as 1/|lambda'|
-# (CHANGES.md FOUND line on the limit's absolute tolerance): the test
-# bounds gap * min(1, |lambda'|).  Worst measured over 20,000 draws (10,000
-# of self_similarity_cases, 10,000 more with free: lambda down to 1e-12):
-# 2.8e-14, for free:-0.0025:... at |lambda'| = 5e-4, whose gap itself is
-# 5.7e-11; the largest gap itself, 8.5e-9, is at |lambda'| near 1e-6.  The
-# tolerance allows about 5 times the worst.  An error that shifts with the
-# level on both sides (c or tau taken at k + 1) cancels and is not seen; one
-# tied to a sequence's start is: M0's c taken with 5^(k - m0) for 5^k reads
-# above the tolerance on 146 of 183 series draws.
+# levels where the fixed-depth oracle fails.  Worst measured over 8,000
+# draws (4,000 of self_similarity_cases, 4,000 more with free: lambda down
+# to 1e-12): 6.9e-15, for free:-1e-12:... at |lambda'| = 2e-13.  While
+# EigenvalueSequence.limit stopped on an absolute increment below
+# |lambda'| = 1 (lambda' the rebased limit, lambda/5^|v|), c = lambda/(3 5^k
+# lambda_k) carried a relative error of about 1e-13/|lambda'|, the gap grew
+# as 1/|lambda'| (8.5e-9 near |lambda'| = 1e-6), and the test bounded
+# gap * min(1, |lambda'|).  The tolerance allows about 20 times the worst.
+# An error that shifts with the level on both sides (c or tau taken at
+# k + 1) cancels and is not seen; one tied to a sequence's start is: M0's c
+# taken with 5^(k - m0) for 5^k reads above the tolerance on 146 of 183
+# series draws.
 SELF_SIMILARITY_TOL = 1.5e-13
 
 
@@ -481,5 +480,4 @@ SELF_SIMILARITY_TOL = 1.5e-13
 @example((parse_seed("free:-1.0224270531697116e-4:2.29,-0.31,-2.01"), "2", ":2"))
 def test_self_similarity_of_the_tail_matrix(case):
     u, v, w = case
-    gap = self_similarity_gap(u, v, w)
-    assert gap * min(1.0, abs(restriction(u, v).sequence.limit())) < SELF_SIMILARITY_TOL
+    assert self_similarity_gap(u, v, w) < SELF_SIMILARITY_TOL

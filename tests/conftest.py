@@ -10,11 +10,9 @@ unit-interval model."""
 import cmath
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 
-from sglap import harmonic
 from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, build_level_graph,
                            check_letter, check_word, lattice_lines, vertex_cells)
 from sglap.decimation import EigenvalueSequence, vertex_count

@@ -28,7 +28,7 @@ from conftest import (dense_values, key_coords, level_keys, level_vertices, mp_u
                       resolve_addresses, seed_array, true_error, values_on_level,
                       vertex_value_walks, walk_columns, whole_level_residual)
 
-from sglap import address, cli, mesh
+from sglap import cli, mesh
 from sglap.address import build_level_graph, format_address, lattice_lines
 from sglap.decimation import enumerate_dirichlet_spectrum, max_level, vertex_count
 from sglap.harmonic import SpectralEigenfunction
@@ -745,7 +745,7 @@ def test_eval_output_memory_does_not_grow_with_the_level(fmt):
 
 def test_eval_pipeline_peak_memory():
     # eval --level 10 as cmd_eval runs it: the lattice strings, the check
-    # walk and every csv block.  It peaks at PIPELINE_PEAK under tracemalloc,
+    # walk and every csv block.  It peaks at 0.70-0.71 MB under tracemalloc,
     # holding one subtree's rows at a time; 0.73 MB while it walked numpy
     # subtree tables, 1.35 MB when it held the level's values, 4.3 MB when
     # the level's graph and every cell triple were held, and 7.5 MB when the
@@ -766,12 +766,13 @@ def test_eval_pipeline_peak_memory():
 
 
 def test_eval_verify_holds_one_value_array():
-    # eval --level 10 --verify from cold level caches parses each block into
-    # one preallocated array, the only array of the level's values: what is
-    # held when the residual starts takes 0.78-0.79 MB under tracemalloc
-    # (numpy 2.4), against 1.49-1.50 MB when the computed values were held
-    # too.  The whole run peaks at 1.50-1.89 MB (2.25-2.52 MB then), while a
-    # block is parsed, json the highest
+    # eval --level 10 --verify parses each block into one preallocated
+    # array, the only array of the level's values: what is held when the
+    # residual starts takes 0.75-0.76 MB under tracemalloc (0.78-0.79 MB
+    # while the walk ran on numpy), against 1.49-1.50 MB when the computed
+    # values were held too.  The whole run peaks at 1.42-1.61 MB (1.50-1.89
+    # MB on numpy, 2.25-2.52 MB then), while a block is parsed, json the
+    # highest
     held = []
 
     def residual(parts, values, lam):
@@ -827,19 +828,20 @@ def _eval_peak(level):
 
 
 def test_eval_peak_memory_at_level_12_stays_near_level_10():
-    # V_12 has 9x the vertices of V_10, but eval holds one subtree's values
-    # and one block at a time: the L12 run peaks at 1.60-1.80 MB under
-    # tracemalloc (numpy 2.4), 2.1-2.3 times the L10 run's 0.77-0.79 MB,
-    # most of the difference being the lattice tables, which grow as
-    # 2^level; it peaked at 7.9 MB, 5.6 times the L10 run, when the level's
-    # values were held.  A small run first loads what eval imports.
+    # V_12 has 9x the vertices of V_10, but eval holds one subtree's rows
+    # and one block at a time: the L12 run peaks at 1.69 MB under
+    # tracemalloc, 2.2 times the L10 run's 0.76 MB, most of the difference
+    # being the lattice strings, which grow as 2^level (1.60-1.80 MB and
+    # 0.77-0.79 MB on numpy); it peaked at 7.9 MB, 5.6 times the L10 run,
+    # when the level's values were held.  A small run first loads what eval
+    # imports.
     assert cli.main(["eval", "--seed", "six:2:1:+-+", "--level", "2", "--output", os.devnull]) == 0
     assert _eval_peak(12) <= 3 * _eval_peak(10)
 
 
 def test_a_seed_born_deep_is_refined_by_subtrees():
     # a seed born below the walk's depth is read one vertex at a time from
-    # its sparse map: both walks over V_12 of six:12:1 peak at DEEP_PEAK
+    # its sparse map: both walks over V_12 of six:12:1 peak at 0.30-0.41 MB
     # under tracemalloc, 0.39 MB while a numpy walk read each subtree's
     # seed vertices, 6.75 MB when the level's values were held, and 32 MB
     # when it refined from the whole seed level, a dense seed array indexed

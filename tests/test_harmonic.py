@@ -10,7 +10,7 @@ from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, cell_values_to_vertex, de
                       harmonic_normal_derivative, level_vertices, normal_derivative_limit,
                       values_on_level)
 
-from sglap import harmonic, mesh
+from sglap import mesh
 from sglap.address import build_level_graph
 from sglap.decimation import EigenvalueSequence
 from sglap.errors import ConvergenceError, DomainError

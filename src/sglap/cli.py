@@ -409,16 +409,18 @@ def cmd_tangent(args) -> int:
 # --- special ----------------------------------------------------------------
 
 def _special_row(fn: str, z: float, tol: float) -> list:
-    """The special table's row at grid point z; a failure fills its note."""
+    """The special table's row at grid point z; a failure fills its note.
+    tol stops Upsilon's tail product; Psi is always summed to double
+    precision."""
     try:
         if fn == "upsilon":
             return [z, *special.upsilon_with_error(z, tol), None]
-        value, error = special.psi_limit_with_error(z, tol)
+        value, error = special.psi_limit_with_error(z)
         # audit psi(Psi(z)) = Psi(5z) wherever 5z is in the domain (an
         # overflowing 5z is not); a failure there fails the row
         audit = None
         if abs(5.0 * z) <= special.PSI_DOMAIN_BOUND:
-            audit = abs(special.psi(value) - special.psi_limit_with_error(5.0 * z, tol)[0])
+            audit = abs(special.psi(value) - special.psi_limit_with_error(5.0 * z)[0])
         return [z, value, error, audit, None]
     except SglapError as exc:
         return [z, None, None, *[None] * (fn == "psi"), str(exc)]
@@ -485,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     spc.add_argument("--fn", choices=["psi", "upsilon"], required=True)
     spc.add_argument("--range", type=parse_range, required=True,
                      help="a:b:n inclusive grid (write --range=-2:2:5 for negative a)")
-    spc.add_argument("--tol", type=parse_tol, default=special.TOL)
+    spc.add_argument("--tol", type=parse_tol, default=special.TOL,
+                     help="where Upsilon's tail product stops; Psi ignores it")
     spc.add_argument("--format", choices=["csv", "json"], default="csv")
     spc.add_argument("--output")
     spc.set_defaults(run=cmd_special)

@@ -1,11 +1,16 @@
 """Special functions built from the quadratic map psi(z) = z(5 - z).
 
-Psi is the decreasing-argument limit of the approximants psi^m((2/3) 5^-m z);
-it converts a renormalized eigenvalue back into the level-j entries of its
-generating sequence (argument divided by 5 per level, plus branches included
-for free since both quadratic roots satisfy the same forward relation).
-Upsilon, the tail product scaling tangent and normal-derivative limits, is
-tau, the same product along an explicit sequence, taken along its own.
+Psi(z) = lim psi^m((2/3) 5^-m z) is g((2/3) z), where g is the Poincare
+function of psi at its fixed point 0: g(5w) = psi(g(w)), g(0) = 0, g'(0) = 1
+(Fukushima-Shima 1992; Strichartz 2006, section 3).  g is entire, and its
+Taylor coefficients a_1 = 1, (5^k - 5) a_k = -sum_{i<k} a_i a_{k-i} fall off
+faster than geometrically, so Psi is m psi steps from g summed at
+w = (2/3) z / 5^m, |w| <= 1.  It converts a renormalized eigenvalue back into
+the level-j entries of its generating sequence (argument divided by 5 per
+level, plus branches included for free since both quadratic roots satisfy
+the same forward relation).  Upsilon, the tail product scaling tangent and
+normal-derivative limits, is tau, the same product along an explicit
+sequence, taken along its own.
 
 Every function takes one point on Python floats: a point's value does not
 depend on any other, and a `special` grid is its points one at a time, so
@@ -14,46 +19,41 @@ the one evaluation that gives their value.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import ConvergenceError, DomainError
 
-# validated stability region for the limit iteration
+# the validated region of Psi's argument, where |Psi| <= 719
 PSI_DOMAIN_BOUND = 100.0
 # a tail product stops once its next factor is within tol * this of 1
 TAIL_BOUND_FACTOR = 0.1
 # a sequence anchors its Psi at the first level J >= 1 with |lambda|/5^J <= this
 ANCHOR_BOUND = 2.0
-# the tolerance every limit in sglap stops by, and the iterations it fails past
+# the tolerance every tail product and renormalized limit in sglap stops by,
+# and the iterations it fails past
 TOL = 1e-13
 MAX_ITERATIONS = 80
+
+_EPS = math.ulp(1.0)  # twice the unit roundoff
+
+# a_12, a_11, ..., a_1 of g, each the float nearest the exact rational;
+# literals, since computing them would load fractions into every command
+_G_COEFFICIENTS = (
+    -9.853082584733467e-29, 1.7715517976959303e-25, -2.588860619015629e-22,
+    3.0126756759164347e-19, -2.7232633933140207e-16, 1.854245160073889e-13,
+    -9.145468595718482e-11, 3.1017369727047145e-08, -6.720430107526882e-06,
+    0.0008333333333333334, -0.05, 1.0)
+# |g(w) - Horner's sum| / |w| for |w| <= 1, where sum |a_k| <= 1.0509 and
+# |g'| <= 1.11, u the unit roundoff (Higham 2002, sections 3.3 and 5.1):
+# Horner's rounding gamma_25 = 25u / (1 - 25u) and the coefficients' own u,
+# each times sum |a_k|; w's three roundings through g'; and the tail
+# sum_{k>12} |a_k| <= 4.6e-32
+_U = _EPS / 2.0
+_G_ERROR = (25.0 * _U / (1.0 - 25.0 * _U) + _U) * 1.0509 + 3.0 * _EPS * 1.11 + 4.6e-32
 
 
 def psi(z):
     return z * (5.0 - z)
-
-
-def _approximants(z: float):
-    """psi^m((2/3) 5^-m z) for m = 0, 1, ..., each its own m steps of
-    x *= 5 - x, taken three at a time in one loop: 2000 Upsilon and 2000 Psi
-    values took 87-93 ms in process this way, 103-104 ms one at a time."""
-    c = (2.0 / 3.0) * z
-    for m in itertools.count(0, 3):
-        x, y, w = c / 5.0**m, c / 5.0**(m + 1), c / 5.0**(m + 2)
-        for _ in range(m):
-            x *= 5.0 - x
-            y *= 5.0 - y
-            w *= 5.0 - w
-        yield x
-        y *= 5.0 - y
-        yield y
-        w *= 5.0 - w
-        w *= 5.0 - w
-        yield w
-
-
-_EPS = math.ulp(1.0)  # twice the unit roundoff
 
 
 def _psi_steps(x: float, e: float, n: int) -> tuple:
@@ -67,52 +67,24 @@ def _psi_steps(x: float, e: float, n: int) -> tuple:
     return x, e
 
 
-def _psi_walk(z: float, tol: float) -> tuple:
-    """Psi at z: (value, signed last increment, error bound) at the first
-    m >= 1 whose increment passes tol, or its failure raised: out of the
-    validated domain, an overflowing approximant, or approximants that do
-    not settle within MAX_ITERATIONS.
-
-    The bound holds however early the walk stops: Psi(z) = psi^m(g(w)) for
-    w = (2/3) z / 5^m, where g(w) = lim psi^n(w/5^n) = w - w^2/20 + ... is
-    within w^2 (1 + |w|/50) / 20 of w for |w| <= 20; that and w's rounding
-    (three from z, a fourth from lambda/5^j) go through the m psi steps."""
-    if abs(z) > PSI_DOMAIN_BOUND:
+def psi_limit_with_error(z: float) -> tuple:
+    """Psi at z and a bound on its error, or a DomainError outside the
+    validated region: g summed by Horner's rule at w = (2/3) z / 5^m, the
+    smallest m >= 0 with |w| <= 1 (m <= 3 in the region), then m psi steps.
+    Below the normal range w and the sum round absolutely, which the bound
+    covers with two subnormal spacings."""
+    if not abs(z) <= PSI_DOMAIN_BOUND:
         raise DomainError(f"argument {z!r} outside the validated region "
                           f"|z| <= {PSI_DOMAIN_BOUND:g}")
-    prev = None
-    for m, x in zip(range(MAX_ITERATIONS + 1), _approximants(z)):
-        if m:
-            # nearly every step fails the tolerance, told without a call (abs,
-            # max(1, .) written out); a step beside a NaN or inf x is not told so
-            step, size = x - prev, x if x > 0.0 else -x
-            scale = size if size > 1.0 else 1.0
-            if step > tol * scale or step < -tol * scale:
-                prev = x
-                continue
-        if not math.isfinite(x):
-            raise DomainError(f"psi iteration overflowed for z={z!r} at m={m}")
-        if m:
-            w = (2.0 / 3.0) * z / 5.0**m
-            e = w * w * (50.0 + abs(w)) / 1000.0 + 3.0 * _EPS * abs(w)
-            return x, step, _psi_steps(w, e, m)[1]
-        prev = x
-    raise ConvergenceError(f"psi approximants did not settle for z={z!r}")
-
-
-def psi_limit_with_error(z: float, tol: float = TOL) -> tuple:
-    """Psi at z and a bound on its error, or its failure raised: the walk's
-    bound plus the last increment's size, some 4x the truncation error left."""
-    x, step, e = _psi_walk(z, tol)
-    return x, abs(step) + e
-
-
-def _extrapolated(z: float, tol: float) -> tuple:
-    """Psi at z plus a quarter of its last increment (the geometric tail of
-    the increments left after the stop), and a bound on its error."""
-    x, step, e = _psi_walk(z, tol)
-    value = x + step / 4.0
-    return value, e + abs(step) / 4.0 + _EPS * abs(value)
+    m, w = 0, (2.0 / 3.0) * z
+    while abs(w) > 1.0:
+        m += 1
+        w = (2.0 / 3.0) * z / 5.0**m
+    x = 0.0
+    for a in _G_COEFFICIENTS:
+        x = x * w + a
+    e = _G_ERROR * abs(w) + (2.0 * math.ulp(0.0) if w else 0.0)
+    return _psi_steps(x * w, e, m)
 
 
 def anchor_level(lam: float) -> int:
@@ -132,22 +104,22 @@ def _rel(e: float, size: float) -> float:
 
 def upsilon_with_error(lam: float, tol: float = TOL) -> tuple:
     """Upsilon at lam and a bound on its error, or its failure raised: its
-    head's Psi, a pole, its anchor's Psi, then a tail still open after level
-    MAX_ITERATIONS + 1.
+    head's Psi outside the validated region, a pole, then a tail still open
+    after level MAX_ITERATIONS + 1.
 
     Upsilon is tau along lam's own sequence lambda_j = Psi(lam/5^j): the
-    head lambda_1 and the anchor lambda_J (J = anchor_level(lam), walked
-    only when J >= 2) are extrapolated Psi values, psi steps give lambda_{J-1}
+    head lambda_1 and the anchor lambda_J (J = anchor_level(lam), taken
+    only when J >= 2) are Psi values, psi steps give lambda_{J-1}
     .. lambda_2 and minus roots the entries below J.  The bound runs with the
     product (Higham 2002, section 3.3): each entry's error relative to
     2 - lambda_1 or 3 - lambda_j (inf once it reaches it), _EPS of rounding
     per factor, and expm1(|lambda_j|/9) for the factors left after the stop,
     whose entries shrink 4x per level."""
-    lam_1, d = _extrapolated(lam / 5.0, tol)
+    lam_1, d = psi_limit_with_error(lam / 5.0)
     if lam_1 == 2.0:
         raise DomainError(f"tail product has a pole at lambda={lam!r}")
     J = anchor_level(lam)
-    x, e = _extrapolated(lam / 5.0**J, tol) if J > 1 else (lam_1, d)
+    x, e = psi_limit_with_error(lam / 5.0**J) if J > 1 else (lam_1, d)
     rising = [(x, e)]  # lambda_J, lambda_{J-1}, ..., lambda_2, each with its bound
     for _ in range(J - 2):
         rising.append(_psi_steps(*rising[-1], 1))

@@ -765,32 +765,71 @@ def test_eval_pipeline_peak_memory():
     assert peak < 1e6
 
 
+# A child process measures a workload by its resident set: it warms up with
+# a small run of the same kind (imports, numpy where --verify loads it, re's
+# patterns), reads VmRSS, runs the workload and prints how far its RSS grew
+# past that reading, up to its high-water mark.  It takes a second or so at
+# L12, where tracemalloc, which traces every float the walk makes, took
+# 20-36 s.  The figures repeat to within 4 KB; each test failed with the
+# planted regression it names
+_RSS_PRELUDE = """if True:
+        import math, os, sys
+        import sglap.cli
+        from sglap import mesh
+
+        def status(field):
+            with open("/proc/self/status") as lines:
+                for line in lines:
+                    if line.startswith(field):
+                        return int(line.split()[1]) * 1024
+
+        def rss():
+            return status("VmRSS:")
+
+        # the high-water mark of this process's own memory map: ru_maxrss
+        # would keep the forking parent's
+        def peak():
+            return status("VmHWM:")
+
+        def run(*argv):
+            assert sglap.cli.main([*argv, "--output", os.devnull]) == 0, argv
+"""
+
+
+def _rss_growth(script: str, *argv):
+    """What the child's script prints, parsed: the script runs after
+    _RSS_PRELUDE, inside its `if True:` block."""
+    proc = subprocess.run([sys.executable, "-c", _RSS_PRELUDE + script, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_eval_verify_holds_one_value_array():
     # eval --level 10 --verify parses each block into one preallocated
-    # array, the only array of the level's values: what is held when the
-    # residual starts takes 0.75-0.76 MB under tracemalloc (0.78-0.79 MB
-    # while the walk ran on numpy), against 1.49-1.50 MB when the computed
-    # values were held too.  The whole run peaks at 1.42-1.61 MB (1.50-1.89
-    # MB on numpy, 2.25-2.52 MB then), while a block is parsed, json the
-    # highest
-    held = []
+    # array, the only array of the level's values.  Past a warm-up L2
+    # --verify, the RSS has grown by 1.91 (csv), 2.35 (json) and 2.37 MB
+    # (obj) when the residual starts, the 0.71 MB array among it, and peaks
+    # 2.37 MB above it over the three formats; a walk that also holds its
+    # values reads 8.8, 19.8 and 34 MB there and peaks 37 MB above.  Under
+    # tracemalloc the bounds were 8 V_10 + 0.4 MB held and 2.2 MB peak
+    held, grown = _rss_growth("""
+        run("eval", "--seed", "six:2:1:+-+", "--level", "2", "--verify")
+        residual, held = mesh.eigen_residual, []
 
-    def residual(parts, values, lam):
-        held.append(tracemalloc.get_traced_memory()[0])
-        return eigen_residual(parts, values, lam)
+        def recording(*args):
+            held.append(rss() - base)
+            return residual(*args)
 
-    for fmt in ["csv", "json", "obj"]:
-        tracemalloc.start()
-        try:
-            with mock.patch.object(mesh, "eigen_residual", residual):
-                code = cli.main(["eval", "--seed", "six:2:1:+-+", "--level", "10", "--format", fmt,
-                                 "--verify", "--output", os.devnull])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert held[-1] < 8 * vertex_count(10) + 0.4e6, fmt
-        assert peak < 2.2e6, fmt
+        mesh.eigen_residual = recording
+        base = rss()
+        for fmt in ("csv", "json", "obj"):
+            run("eval", "--seed", "six:2:1:+-+", "--level", "10", "--format", fmt, "--verify")
+        print([held, peak() - base])
+    """)
+    assert len(held) == 3
+    assert max(held) < 8 * vertex_count(10) + 2.4e6, held
+    assert grown < 3.2e6
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
@@ -813,49 +852,39 @@ def test_eval_verify_counts_the_values_read_back(fmt, change, monkeypatch, capsy
     assert err == f"error: re-ingested {rows + change} values, expected {rows}\n"
 
 
-def _eval_peak(level):
-    """The tracemalloc peak of eval --level <level> --output /dev/null, run
-    through cli.main."""
-    tracemalloc.start()
-    try:
-        code = cli.main(["eval", "--seed", "six:2:1:+-+", "--level", str(level),
-                         "--output", os.devnull])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    return peak
-
-
 def test_eval_peak_memory_at_level_12_stays_near_level_10():
     # V_12 has 9x the vertices of V_10, but eval holds one subtree's rows
-    # and one block at a time: the L12 run peaks at 1.69 MB under
-    # tracemalloc, 2.2 times the L10 run's 0.76 MB, most of the difference
-    # being the lattice strings, which grow as 2^level (1.60-1.80 MB and
-    # 0.77-0.79 MB on numpy); it peaked at 7.9 MB, 5.6 times the L10 run,
-    # when the level's values were held.  A small run first loads what eval
-    # imports.
-    assert cli.main(["eval", "--seed", "six:2:1:+-+", "--level", "2", "--output", os.devnull]) == 0
-    assert _eval_peak(12) <= 3 * _eval_peak(10)
+    # and one block at a time.  Past a warm-up L2 run, the RSS of an L12
+    # run peaks 2.33 MB higher and that of an L10 run 1.17 MB, half as
+    # much, most of the difference being the lattice strings, which grow as
+    # 2^level; a walk that holds the level's values peaks 66 MB higher at
+    # L12 and 7.8 MB at L10, 8.4 times.  Under tracemalloc the peaks were
+    # 1.69 and 0.76 MB, with the same bound
+    script = """
+        run("eval", "--seed", "six:2:1:+-+", "--level", "2")
+        base = rss()
+        run("eval", "--seed", "six:2:1:+-+", "--level", sys.argv[1])
+        print(peak() - base)
+    """
+    assert _rss_growth(script, "12") <= 3 * _rss_growth(script, "10")
 
 
 def test_a_seed_born_deep_is_refined_by_subtrees():
     # a seed born below the walk's depth is read one vertex at a time from
-    # its sparse map: both walks over V_12 of six:12:1 peak at 0.30-0.41 MB
-    # under tracemalloc, 0.39 MB while a numpy walk read each subtree's
-    # seed vertices, 6.75 MB when the level's values were held, and 32 MB
-    # when it refined from the whole seed level, a dense seed array indexed
-    # by the level's cells
-    u = cli.parse_seed("six:12:1")
-    tracemalloc.start()
-    try:
-        assert all(all(map(math.isfinite, part.values)) for part in walk(u, 12, None, False))
-        count = sum(len(part.values) for part in walk(u, 12, None, False))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # its sparse map: both walks over V_12 of six:12:1 peak 0.18 MB above
+    # the RSS they start from, and 64 MB above it when each walk holds the
+    # level's values.  Under tracemalloc they peaked at 0.30-0.41 MB, with
+    # the same bound; 6.75 MB when the level's values were held, and 32 MB
+    # when the walk refined from a dense seed array
+    count, grown = _rss_growth("""
+        u = sglap.cli.parse_seed("six:12:1")
+        next(iter(mesh.walk(u, 12, None, False)))
+        base = rss()
+        assert all(all(map(math.isfinite, part.values)) for part in mesh.walk(u, 12, None, False))
+        print([sum(len(part.values) for part in mesh.walk(u, 12, None, False)), peak() - base])
+    """)
     assert count == vertex_count(12)
-    assert peak < 0.6e6
+    assert grown < 0.6e6
 
 
 @pytest.mark.parametrize("seed", ["six:5:3", "six:6:2:+-", "five:2:2", "two:1:1:+"])
@@ -1212,27 +1241,30 @@ def test_closed_stdout_exits_two(argv, lines):
 
 # sha256 of `special` stdout, pinned from the per-point scalar loops: a
 # workload-sized grid in both formats, out-of-domain rows, out-of-domain
-# tail factors, and a tolerance that only an exact zero increment meets.
-# The Upsilon entries were re-pinned when Upsilon became tau along its own
+# tail factors, and a tolerance of 1e-300, which Psi does not read.  The
+# Upsilon entries were re-pinned when Upsilon became tau along its own
 # sequence; against a 50-digit mpmath Upsilon their worst relative error
 # went 1.1e-13 -> 7.2e-15 (-12.3:14.2:2000) and 5.1e-14 -> 4.0e-15
 # (-1e4:1e4:101).  Every entry was re-pinned when the error column became a
-# bound; the z, value, functional_eq and note columns kept their bytes
+# bound, and again when Psi became g's Taylor series: against a 50-digit
+# Psi the worst absolute error went 2.5e-13 -> 4.9e-15 (-12.3:14.2:2000)
+# and 1.5e-11 -> 6.0e-13 (-150:150:601), and
+# Upsilon's 2.2e-14 -> 6.9e-15 and 3.8e-16 -> 1.1e-16
 SPECIAL_GOLDEN_SHA256 = {
     ("--fn", "psi", "--range=-12.3:14.2:2000", "--format", "csv"):
-        "6c56ec7933f99a4b9afabdfc9c79324a39a13ba98d04124156f69bc8de4e9738",
+        "9de208d1318eec0ec015d3182b080fe232a432299d36e186f38ee9f9af87feed",
     ("--fn", "psi", "--range=-12.3:14.2:2000", "--format", "json"):
-        "bfb3d2b560c66df99aeca7588727b00a47e5d03c1b959658e57802266aefeccf",
+        "c72d240bb921c3ed0e96fa66abc460adba89874b7267c73ab984006c845d7551",
     ("--fn", "upsilon", "--range=-12.3:14.2:2000", "--format", "csv"):
-        "0a57ca7ec30a3525eaffc02e50203a67226942bc371e6682e37d042e7d4ab782",
+        "3b9ecfef9d736774f3f241389b21410a5d31a59f95f0c3472e7077920f8fb136",
     ("--fn", "upsilon", "--range=-12.3:14.2:2000", "--format", "json"):
-        "d5c15b5991a47bc81a91910719d0bf2fd8efb8286eaffdc2d0acd50b050df5ce",
+        "d4b24510f276b97cd0dd7e9ec4f082b31c31876509459088329c0838688fe343",
     ("--fn", "psi", "--range=-150:150:601"):
-        "48c175fc2972f94fd6871d894f0ad494bfda86e1cbe850aeab0319e2d610303b",
+        "8fd5b73d1a9752ab3cd3367d8c6d477bc577d148bf2feee03abeed6156f319f1",
     ("--fn", "upsilon", "--range=-1e4:1e4:101"):
-        "60cb77f02c38cf8e585350121f315f7dcc6d5a84a26df0dea6916066ef0f4470",
+        "63d9fed1cf8a313880754c9c406212fd6ab9e9d2c439b7b5b22c334bad23b6a8",
     ("--fn", "psi", "--range=1:2:5", "--tol=1e-300"):
-        "a0dcb1a59525000d8531adaaef7ca44c3a812fbd85f461712720e859afc0a2f0",
+        "5f5504505504a8978a8b8304ccaee2c828298b0bca331a687df6bf6c3051455a",
 }
 
 
@@ -1243,11 +1275,21 @@ def test_special_golden_bytes(args, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SPECIAL_GOLDEN_SHA256[args]
 
 
+def test_special_psi_ignores_the_tolerance(capsys):
+    # Psi is summed to double precision whatever --tol says: the 1:2:5 grid
+    # prints the bytes of its --tol=1e-300 pin at the default tolerance
+    code, out, err = run(["special", "--fn", "psi", "--range=1:2:5"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SPECIAL_GOLDEN_SHA256[("--fn", "psi", "--range=1:2:5", "--tol=1e-300")]
+
+
 def test_special_loose_tol_errors_bound_the_true_error(capsys):
-    # at --tol 0.9 the walks stop after an increment or two: the rows print
-    # 76.16, 145.06 and 1526.4 where a 50-digit Upsilon gives 489.17,
-    # -230.12 and -93.12.  Each error is at least the true one, or inf
-    # where the head's error reaches 2 - lambda_1
+    # at --tol 0.9 the tail product stops after a factor or two: the rows
+    # print 492.84, -231.85 and -93.83 where a 50-digit Upsilon gives
+    # 489.17, -230.12 and -93.12 (76.16, 145.06 and 1526.4 while the Psi
+    # walk stopped at the same tolerance).  Each error is at least the true
+    # one, or inf where the head's error reaches 2 - lambda_1
     code, out, err = run(["special", "--fn", "upsilon", "--range=16.8:16.9:3", "--tol", "0.9"],
                          capsys)
     assert code == 0 and err == ""
@@ -1494,7 +1536,7 @@ _tols = st.one_of(
 
 
 # every way a special row can fail names itself in its note
-FAILURE_NOTE = re.compile("has a pole|outside|overflowed|did not settle|did not converge")
+FAILURE_NOTE = re.compile("has a pole|outside|did not converge")
 
 
 def _finite(field) -> bool:

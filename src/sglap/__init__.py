@@ -2,7 +2,7 @@
 
 Layers, bottom up: special (Psi/Upsilon grids and tau), decimation (level
 cap, eigenvalue sequences, Dirichlet spectrum; no numpy), address (words,
-vertex keys, level graphs), harmonic (1-5-5 extension and eigenfunctions),
+vertex keys, the glue rule), harmonic (1-5-5 extension and eigenfunctions),
 mesh (a level's values, rows and cells, walked cell by cell), tangent
 (closed-form harmonic tangents and normal derivatives), oracle
 (independent brute-force checks), cli.

@@ -1,4 +1,4 @@
-"""Addresses, vertices and level graphs of the Sierpinski gasket.
+"""Addresses and vertices of the Sierpinski gasket.
 
 The gasket is the attractor of F_i(x) = (x + q_i)/2 for the three corners
 q_0, q_1, q_2 of a triangle; a word w = w_1...w_m addresses the cell
@@ -7,26 +7,22 @@ F_w(q_i) for some |w| = m and carries exact barycentric coordinates
 (n_0, n_1, n_2) with n_0 + n_1 + n_2 = 2^m; canonical addressing runs on
 these -- floats never enter.
 
-One vertex is looked up without a graph: vertex_index runs the glue rule
-below for a single vertex, level by level, and vertex_cells runs it
-backwards.  numpy is imported by the one function that builds a whole level
-graph, the dense oracle's, so that no other computation loads it.
-
 The level-m graph is the union of its three images F_j V_{m-1}, glued at
-the level-1 junctions, so its cells are built one level at a time from V_0:
-each vertex's canonical address is its copy's letter prepended to the
-address it had one level up, and the canonical vertex order falls out of
-the gluing.  eval walks a level by the same rule without its graph, one
-cell at a time (mesh.walk), and takes its
-vertices' coordinates from lattice_lines.
+the level-1 junctions (_glue): each vertex's canonical address is its
+copy's letter prepended to the address it had one level up, and the
+canonical vertex order falls out of the gluing.  One vertex is looked up
+by that rule without a graph: vertex_index runs it for a single vertex,
+level by level, and vertex_cells runs it backwards.  A whole level is
+walked by the same rule, one cell at a time, in mesh: walk for its values
+and cells for its graph, with the vertices' coordinates from lattice_lines.
+This module imports no numpy.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .decimation import check_level, vertex_count
-from .errors import DomainError, InvariantError
+from .errors import DomainError
 
 Word = tuple  # letters in {0, 1, 2}
 
@@ -135,23 +131,6 @@ class EventuallyConstantWord(Frozen):
         return format_address(self.prefix, self.tail)
 
 
-class LevelGraph(Frozen):
-    """The graph on V_m as its cells: cells[c, i] is the vertex F_w(q_i) for
-    the word w of length m whose base-3 digits spell c.  Every edge lies in
-    exactly one m-cell, so the cell triples are the whole graph;
-    vertex_index looks up one vertex without them.  Vertices are numbered in
-    canonical address order, corners 0, 1, 2 first.
-
-        cells  (3**level, 3) int32
-    """
-
-    __slots__ = ("level", "cells")
-
-    @property
-    def size(self) -> int:
-        return vertex_count(self.level)
-
-
 def lattice_lines(level: int) -> tuple:
     """The planar coordinates of V_level's lattice lines: x of each line
     2 n_1 + n_2 = t (t = 0..2^(level+1)) and y of each line n_2 = t
@@ -204,31 +183,3 @@ def vertex_cells(v: int, level: int) -> list:
         j = 2 if v >= first[2] else 1 if v >= first[1] else 0
         word, v, n = word + (j,), 3 + v - first[j], (n - 3) // 3
     return [(word, v)]
-
-
-@lru_cache(maxsize=None)
-def _build_level_graph(m: int) -> LevelGraph:
-    # V_k = F_0 V_{k-1} u F_1 V_{k-1} u F_2 V_{k-1}, glued at the level-1
-    # junctions.  Built in a loop, not by recursion, so no coarser graph
-    # stays cached.
-    import numpy as np
-
-    cells, size = np.array([[0, 1, 2]], dtype=np.int32), 3
-    for _ in range(m):
-        n = size - 3  # interior vertices of V_{k-1}
-        corners, first = _glue(n)
-        # maps[j] sends V_{k-1} into V_k under F_j; column i < 3 is F_j(q_i)
-        maps = np.empty((3, n + 3), dtype=np.int32)
-        maps[:, :3] = corners
-        maps[:, 3:] = np.add.outer(first, np.arange(n))
-        cells = maps[:, cells].reshape(-1, 3)  # cell j + w is F_j of cell w
-        size = 6 + 3 * n
-
-    if size != vertex_count(m):
-        raise InvariantError(f"level-{m} graph has {size} vertices, not {vertex_count(m)}")
-    cells.setflags(write=False)
-    return LevelGraph(m, cells)
-
-
-def build_level_graph(m: int) -> LevelGraph:
-    return _build_level_graph(check_level(m))

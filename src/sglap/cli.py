@@ -277,8 +277,8 @@ def cmd_spectrum(args) -> int:
 def _eval_blocks(args, u, lattice):
     """The eval output as text blocks: a header, then the rows of each Part
     of mesh.walk in blocks of at most BLOCK_ROWS rows, so that no more than
-    one block of rows is held as text; then the obj faces, one Part at a
-    time, from a second walk.  `lattice` is the repr of each entry of
+    one block of rows is held as text; then the obj faces, one subtree's
+    cells at a time, from mesh.cells.  `lattice` is the repr of each entry of
     address.lattice_lines(level), which the walk hands on as each vertex's
     x and y.  A part whose columns differ in length, or parts that do not
     make |V_level| rows, raise InvariantError.
@@ -287,7 +287,7 @@ def _eval_blocks(args, u, lattice):
     rows (addresses need no quoting or escaping, and finite floats print as
     repr in both); a JSON block after the first starts with the ",\n" seam."""
     from .decimation import vertex_count
-    from .mesh import walk
+    from .mesh import cells, walk
 
     level, fmt = args.level, args.format
     if fmt == "obj":
@@ -295,7 +295,7 @@ def _eval_blocks(args, u, lattice):
     else:
         yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
     seam, rows = [], 0
-    for part in walk(u, level, lattice, False):
+    for part in walk(u, level, lattice):
         if not len(part.values) == len(part.addresses) == len(part.xs) == len(part.ys):
             raise InvariantError(f"the values of V_{level} come in a part of the wrong length")
         rows += len(part.values)
@@ -317,8 +317,8 @@ def _eval_blocks(args, u, lattice):
     if rows != vertex_count(level):
         raise InvariantError(f"the values of V_{level} take {rows} rows, not {vertex_count(level)}")
     if fmt == "obj":
-        for part in walk(u, level, None, True):
-            yield ("f %d %d %d\n" * (len(part.faces) // 3)) % tuple([p + 1 for p in part.faces])
+        for part in cells(level):
+            yield ("f %d %d %d\n" * (len(part) // 3)) % tuple([p + 1 for p in part])
     elif fmt == "json":
         yield "\n]\n"
 
@@ -340,7 +340,7 @@ def _block_values(fmt: str, block: str) -> list:
 def cmd_eval(args) -> int:
     from .address import lattice_lines
     from .decimation import vertex_count
-    from .mesh import eigen_residual, walk
+    from .mesh import cells, eigen_residual, walk
 
     u = parse_seed(args.seed)
     # the lattice lines' strings are made first, O(2^level) of them, where
@@ -348,7 +348,7 @@ def cmd_eval(args) -> int:
     blocks = _eval_blocks(args, u, [list(map(repr, column)) for column in lattice_lines(args.level)])
     # every value is checked in a first walk, before the first byte, and
     # walked again to be written
-    if not all(all(map(math.isfinite, part.values)) for part in walk(u, args.level, None, False)):
+    if not all(all(map(math.isfinite, part.values)) for part in walk(u, args.level, None)):
         raise SglapError(f"seed {args.seed!r} gives non-finite values on V_{args.level}")
     if not args.verify:
         _emit(args, blocks)
@@ -370,7 +370,7 @@ def cmd_eval(args) -> int:
     _emit(args, reingest())
     if count != size:
         raise SglapError(f"re-ingested {count} values, expected {size}")
-    residual = eigen_residual(walk(u, args.level, None, True), back, u.sequence.value(args.level))
+    residual = eigen_residual(cells(args.level), back, u.sequence.value(args.level))
     return _verdict("round-trip residual", residual, args.verify_tol)
 
 

@@ -1,16 +1,18 @@
-"""V_m walked cell by cell in canonical vertex order: eval's values, rows
-and cells, and the eigen-equation residual of what it wrote.
+"""V_m walked cell by cell in canonical vertex order: eval's values and
+rows, the level's cells, and the eigen-equation residual of what eval wrote.
 
 A SpectralEigenfunction's values on V_m are refined by one recursion on
 Python floats, each new vertex computed once from its cell's triple, and
-handed on one subtree at a time with the vertices' canonical addresses,
-lattice entries and the level's cells, so that no array of a whole level
-is made and no level graph is built.  numpy is imported by eigen_residual
-alone, which eval --verify runs.  The tangent layers do not load this
-module.
+handed on one subtree at a time with the vertices' canonical addresses and
+lattice entries, so that no array of a whole level is made.  cells runs
+the same recursion on vertex positions alone: it is the one builder of a
+level's graph, which eval's obj faces, eval --verify's residual and the
+dense oracle read.  numpy is imported by eigen_residual alone, which eval
+--verify runs.  The tangent layers do not load this module.
 """
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -39,8 +41,8 @@ def _midpoint_rows(lam: float, level: int) -> tuple:
 
 def eigen_residual(parts, values, lam_level: float) -> float:
     """Max interior defect of the level eigen-equation, relative to the sup
-    norm; 0.0 on V_0, which has no interior vertex.  `parts` are the walk's
-    Parts, whose faces are the level's cells in cell order.
+    norm; 0.0 on V_0, which has no interior vertex.  `parts` are the
+    level's cells as cells(m) yields them, one flat list per subtree.
 
     The Laplacian sum_{y~x} (u(y) - u(x)) is summed over the cells one part
     at a time: each cell adds its cell Laplacian (u_0 + u_1 + u_2) - 3 u_i
@@ -49,15 +51,20 @@ def eigen_residual(parts, values, lam_level: float) -> float:
     subtrees, whose part sum waits for its other part's.  A vertex adds up
     its cells' terms in cell order, as one sum over the level's cells does,
     so the residual takes the same bits, and no array but `values` takes a
-    whole level."""
+    whole level.  Values whose sup norm passes 1 are scaled, one part at a
+    time, by the power of 2 at or above it, which is exact and leaves no
+    cell sum to overflow."""
     import numpy as np
 
     values = np.asarray(values, dtype=float)
+    sup = max(1.0, float(values.max()), float(-values.min()))
+    # 2^-e, not 1 / 2^e: 2^e overflows at e = 1024
+    scale = math.ldexp(1.0, -math.frexp(sup)[1]) if sup > 1.0 else 1.0
     lam, worst, waiting = float(lam_level), [0.0], {}
     for part in parts:
-        cells = np.array(part.faces).reshape(-1, 3)
-        vertices, at = np.unique(cells, return_inverse=True)
-        cv = values[cells]
+        triples = np.array(part).reshape(-1, 3)
+        vertices, at = np.unique(triples, return_inverse=True)
+        cv = values[triples] * scale
         lap = np.bincount(at.ravel(), weights=(cv.sum(axis=1, keepdims=True) - 3.0 * cv).ravel())
         whole = np.bincount(at.ravel()) == 2
         for v, term in zip(vertices[~whole].tolist(), lap[~whole].tolist()):
@@ -66,9 +73,9 @@ def eigen_residual(parts, values, lam_level: float) -> float:
             elif v >= 3:
                 waiting[v] = term
         whole &= vertices >= 3
-        r = lap[whole] + lam * values[vertices[whole]]
+        r = lap[whole] + lam * (values[vertices[whole]] * scale)
         worst.append(np.max(np.abs(r), initial=0.0))
-    return float(np.max(worst)) / max(1.0, float(values.max()), float(-values.min()))
+    return float(np.max(worst)) / (sup * scale)
 
 
 # the addresses and lattice lines of the 12 vertices that a cell spanning two
@@ -82,67 +89,63 @@ _LEAF_YS = itemgetter(0, 2, 0, 1, 1, 2, 0, 1, 1, 2, 3, 3)  # from the line n on
 class Part(NamedTuple):
     """One subtree's share of walk, in vertex order: the values, and given
     a lattice the canonical addresses and the x and y entries of the
-    vertices; given faces, the subtree's cells as a flat list of vertex
-    triples, in cell order."""
+    vertices."""
 
     values: list
     addresses: list
     xs: list
     ys: list
-    faces: list
 
 
-def walk(u, m: int, lattice, faces: bool):
+def walk(u, m: int, lattice):
     """V_m's vertices in canonical order with u's values, as Parts:
     one per subtree F_w V_(m-d), d = max(0, m - SUBTREE_LEVELS), in cell
     order, each holding the vertices of V_d that come before the
     subtree's, then the ones the subtree adds.  Given a lattice
     (address.lattice_lines, or two sequences indexed alike), each vertex's
     canonical address and the entries of its two lines, its x and y, are
-    filled in; given faces, the subtree's cells.
+    filled in.
 
     One recursion runs V_m's glue rule (address._glue): V_k is its three
     corners, then copy 0 of V_(k-1) from its row 1, copy 1 from row 2
     and copy 2 from row 3.  So the vertices a cell adds are its
     midpoints (0):1 and (0):2, then those subcell 0 adds, its midpoint
     (1):2, then those subcells 1 and 2 add.  A cell carries its corners'
-    values, positions and lattice lines and its word, and computes each
-    midpoint once from its triple, by the row of _midpoint_rows in
-    matvec's order, or reads it from the seed down to level m0: so a
-    vertex takes the bits of the cell_triple walk of each of its cells,
-    and no value is -0.0, since each is a sum from 0.  The walk first
-    runs down to the subtree roots, keeping the vertices of V_d, then
-    runs each subtree in turn: one subtree's lists are held at a time.
-    A cell spanning two levels adds its 12 vertices inline, which saves
-    two thirds of the calls.  The matrices of every level are checked
-    before the first Part."""
+    values and lattice lines and its word, and computes each midpoint
+    once from its triple, by the row of _midpoint_rows in matvec's order,
+    or reads it from the seed down to level m0: so a vertex takes the bits
+    of the cell_triple walk of each of its cells, and no value is -0.0,
+    since each is a sum from 0.  The walk first runs down to the subtree
+    roots, keeping the vertices of V_d, then runs each subtree in turn:
+    one subtree's lists are held at a time.  A cell spanning two levels
+    adds its 12 vertices inline, which saves two thirds of the calls, but
+    for subtrees of one level, which it leaves to be cut.  The matrices of
+    every level are checked before the first Part."""
     m0, get = u.m0, u.seed_values.get
     if check_level(m) < m0:
         raise DomainError(f"level {m} below seed level {m0}")
     # by the levels k a cell spans: its midpoints' rows (None down to
-    # the seed level, whose values are read), the offsets of its
-    # midpoint (1):2 and of subcells 1 and 2 from the first vertex it
-    # adds, in V_m and in V_m0, 2 + n, 3 + n and 3 + 2n by the glue rule
-    # (address._glue) when each subcell adds n, and half its side on the
-    # lattice
+    # the seed level, whose values are read), the offsets in V_m0 of its
+    # midpoint (1):2 and of subcells 1 and 2 from the first vertex it adds,
+    # as in cells, and half its side on the lattice
     levels = [None]
     for k in range(1, m + 1):
         j = m - k + 1  # the midpoints' level
-        n, n0 = vertex_count(k - 1) - 3, vertex_count(max(m0 - j, 0)) - 3
+        n0 = vertex_count(max(m0 - j, 0)) - 3
         levels.append((_midpoint_rows(u.sequence.value(j), j) if j > m0 else None,
-                       2 + n, 3 + n, 3 + 2 * n, 2 + n0, 3 + n0, 3 + 2 * n0, 1 << (k - 1)))
+                       2 + n0, 3 + n0, 3 + 2 * n0, 1 << (k - 1)))
     leaf = levels[1][0] if m else None
-    values, names, xs, ys, cells = [], [], [], [], []
+    values, names, xs, ys = [], [], [], []
     cut, subtrees = (SUBTREE_LEVELS if m > SUBTREE_LEVELS else None), []
 
-    def fill(k, a, b, c, pa, pb, pc, f, f0, t, n, word):
-        # the cell spanning k levels with the corner values a, b, c at
-        # positions pa, pb, pc, which adds the vertices from position f
-        # on (from f0 on in V_m0), its corner 0 on the lattice lines t, n
+    def fill(k, a, b, c, f0, t, n, word):
+        # the cell spanning k levels with the corner values a, b, c, which
+        # adds the vertices from position f0 on in V_m0, its corner 0 on
+        # the lattice lines t, n
         if k == cut:
-            subtrees.append((len(values), (k, a, b, c, pa, pb, pc, f, f0, t, n, word)))
+            subtrees.append((len(values), (k, a, b, c, f0, t, n, word)))
             return
-        r, d12, d1, d2, e12, e1, e2, h = levels[k]
+        r, e12, e1, e2, h = levels[k]
         if r is None:
             a01, a02, a12 = 0.0 + get(f0, 0.0), 0.0 + get(f0 + 1, 0.0), 0.0 + get(f0 + e12, 0.0)
         else:
@@ -150,17 +153,14 @@ def walk(u, m: int, lattice, faces: bool):
             a01 = 0 + x0 * a + x1 * b + x2 * c
             a02 = 0 + y0 * a + y1 * b + y2 * c
             a12 = 0 + z0 * a + z1 * b + z2 * c
-        p12 = f + d12
         if k == 1:  # the subcells add nothing
             values.extend((a01, a02, a12))
             if lattice:
                 names.extend((word + "0:1", word + "0:2", word + "1:2"))
                 xs.extend((x_line[t + 2], x_line[t + 1], x_line[t + 3]))
                 ys.extend((y_line[n], y_line[n + 1], y_line[n + 1]))
-            if faces:
-                cells.extend((pa, f, f + 1, f, pb, p12, f + 1, p12, pc))
             return
-        if k == 2 and leaf is not None:  # the subcells' midpoints, inline
+        if k == 2 and leaf is not None and cut != 1:  # the subcells' midpoints, inline
             x0, x1, x2, y0, y1, y2, z0, z1, z2 = leaf
             values.extend((
                 a01, a02,
@@ -175,24 +175,20 @@ def walk(u, m: int, lattice, faces: bool):
                 names.extend(map(word.__add__, _LEAF_ADDRESSES))
                 xs.extend(_LEAF_XS(x_line[t + 1:t + 8]))
                 ys.extend(_LEAF_YS(y_line[n:n + 4]))
-            if faces:
-                cells.extend((pa, f + 2, f + 3, f + 2, f, f + 4, f + 3, f + 4, f + 1,
-                              f, f + 6, f + 7, f + 6, pb, f + 8, f + 7, f + 8, f + 5,
-                              f + 1, f + 9, f + 10, f + 9, f + 5, f + 11, f + 10, f + 11, pc))
             return
         values.extend((a01, a02))
         if lattice:
             names.extend((word + "0:1", word + "0:2"))
             xs.extend((x_line[t + 2 * h], x_line[t + h]))
             ys.extend((y_line[n], y_line[n + h]))
-        fill(k - 1, a, a01, a02, pa, f, f + 1, f + 2, f0 + 2, t, n, word + "0")
+        fill(k - 1, a, a01, a02, f0 + 2, t, n, word + "0")
         values.append(a12)
         if lattice:
             names.append(word + "1:2")
             xs.append(x_line[t + 3 * h])
             ys.append(y_line[n + h])
-        fill(k - 1, a01, b, a12, f, pb, p12, f + d1, f0 + e1, t + 2 * h, n, word + "1")
-        fill(k - 1, a02, a12, c, f + 1, p12, pc, f + d2, f0 + e2, t + h, n + h, word + "2")
+        fill(k - 1, a01, b, a12, f0 + e1, t + 2 * h, n, word + "1")
+        fill(k - 1, a02, a12, c, f0 + e2, t + h, n + h, word + "2")
 
     values += [0.0 + get(i, 0.0) for i in range(3)]
     if lattice:
@@ -202,17 +198,61 @@ def walk(u, m: int, lattice, faces: bool):
         ys += [y_line[0], y_line[0], y_line[1 << m]]
     try:
         if m:
-            fill(m, *values, 0, 1, 2, 3, 3, 0, 0, "")
-        elif faces:
-            cells += [0, 1, 2]
+            fill(m, *values, 3, 0, 0, "")
         if not subtrees:
-            yield Part(values, names, xs, ys, cells)
+            yield Part(values, names, xs, ys)
             return
         top, lo, cut = (values, names, xs, ys), 0, None
         for hi, args in subtrees:
             values, names, xs, ys = (column[lo:hi] for column in top)
-            cells, lo = [], hi
+            lo = hi
             fill(*args)
-            yield Part(values, names, xs, ys, cells)
+            yield Part(values, names, xs, ys)
     finally:
         del fill  # which refers to itself, and so would keep its lists until a collection
+
+
+def cells(m: int):
+    """V_m's cells as vertex triples, in cell order: one flat list per
+    subtree of walk, the cells of F_w V_(m-d), d = max(0, m -
+    SUBTREE_LEVELS), with its vertices numbered in walk's order.  Every
+    edge lies in exactly one cell, so the triples are the level's whole
+    graph.
+
+    walk's recursion on vertex positions alone: the cell spanning k levels
+    with its corners at positions a, b, c adds its midpoints (0):1 and
+    (0):2 at f and f + 1, then subcell 0's vertices from f + 2, its
+    midpoint (1):2 at f + 2 + n and subcells 1 and 2 from f + 3 + n and
+    f + 3 + 2n, when each subcell adds n (address._glue)."""
+    # the offsets of a cell spanning k levels, by k
+    offsets = [None] + [(2 + n, 3 + n, 3 + 2 * n)
+                        for n in (vertex_count(k) - 3 for k in range(check_level(m)))]
+    out, cut, subtrees = [], (SUBTREE_LEVELS if m > SUBTREE_LEVELS else None), []
+
+    def fill(k, a, b, c, f):
+        if k == cut:
+            subtrees.append((k, a, b, c, f))
+            return
+        if k == 1:  # the subcells add nothing
+            out.extend((a, f, f + 1, f, b, f + 2, f + 1, f + 2, c))
+            return
+        d12, d1, d2 = offsets[k]
+        fill(k - 1, a, f, f + 1, f + 2)
+        fill(k - 1, f, b, f + d12, f + d1)
+        fill(k - 1, f + 1, f + d12, c, f + d2)
+
+    try:
+        if not m:
+            yield [0, 1, 2]
+            return
+        fill(m, 0, 1, 2, 3)
+        if not subtrees:
+            yield out
+            return
+        cut = None
+        for args in subtrees:
+            out = []
+            fill(*args)
+            yield out
+    finally:
+        del fill  # which refers to itself

@@ -8,14 +8,15 @@ That iteration shares harmonic's matrices, called on its Decimals, and
 conjugate, matvec and matmul, but not the closed form: nothing of tangent,
 no M0, no tau, its own lambda step.
 The shared matrices are checked by an mpmath transcription and by graph
-residuals.  numpy is imported by the dense solve alone, so that a tangent
-check does not load it, and harmonic by the tangent check alone.
+residuals.  numpy and mesh, for the level's cells, are imported by the
+dense solve alone, so that a tangent check loads neither, and decimal by the
+tangent check alone.
 """
 from __future__ import annotations
 
 import math
 
-from .address import EventuallyConstantWord, build_level_graph
+from .address import EventuallyConstantWord
 from .errors import ConvergenceError, DomainError
 
 DENSE_LEVEL_CAP = 6
@@ -25,13 +26,17 @@ ORACLE_DPS = 50  # significant digits (stdlib decimal): headroom for 5^25 noise 
 def dense_interior_matrix(level: int):
     """-Delta_m with boundary rows and columns removed: row r is vertex 3 + r.
 
-    Built from the cell edges (each edge lies in exactly one cell), not from
-    the cell-Laplacian sum that graph_laplacian uses.
+    Built edge by edge from mesh.cells (each edge lies in exactly one
+    cell), not by the cell-Laplacian sum of mesh.eigen_residual.
     """
+    # mesh before numpy: compiled after it, mesh and harmonic raised the peak
+    # RSS of `spectrum --verify` by 0.4-0.5 MB where no bytecode is cached
+    from . import mesh
+    from .decimation import vertex_count
     import numpy as np
 
-    graph = build_level_graph(level)
-    cells, n = graph.cells, graph.size
+    cells = np.array([v for part in mesh.cells(level) for v in part]).reshape(-1, 3)
+    n = vertex_count(level)
     a = np.zeros((n, n))
     for i, j in ((0, 1), (1, 2), (2, 0)):
         a[cells[:, i], cells[:, j]] = a[cells[:, j], cells[:, i]] = -1.0
@@ -47,9 +52,9 @@ def dense_dirichlet_spectrum(m: int):
         raise DomainError(f"level must be nonnegative, got {m}")
     if m > DENSE_LEVEL_CAP:
         raise DomainError(f"dense solves are capped at level {DENSE_LEVEL_CAP}, got {m}")
+    a = dense_interior_matrix(m)  # first, since it imports mesh before numpy
     import numpy as np
 
-    a = dense_interior_matrix(m)
     w, v = np.linalg.eigh(a)
     res = float(np.max(np.abs(a @ v - v * w), initial=0.0))
     # written so that a NaN residual raises too

@@ -1,24 +1,27 @@
 """Shared pytest wiring: the acceptance report block, and the references
 that only the tests use: the one-letter extension helpers, the closed-form
 tangent as it ran on numpy, the renormalized normal-derivative limit, the
-whole-level Laplacian and residual, the dense seed, the whole-level numpy
-refinement and collapse that eval ran on before its walk, a level's walk
-joined into whole columns, per-cell vertex values, the whole-level vertex
+whole-level Laplacian and residual, the numpy level-graph builder that
+mesh.cells replaced, the dense seed, the whole-level numpy refinement and
+collapse that eval ran on before its walk, a level's walk and cells joined
+into whole columns, per-cell vertex values, the whole-level vertex
 keys and coordinates and the scalar addressing, the psi_m approximant and
 50-digit Psi and Upsilon, and the oracles' spectrum pairing and
 unit-interval model."""
 import cmath
+import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, build_level_graph,
-                           check_letter, check_word, lattice_lines, vertex_cells)
-from sglap.decimation import EigenvalueSequence, vertex_count
+from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, _glue, check_letter,
+                           check_word, lattice_lines, vertex_cells)
+from sglap.decimation import EigenvalueSequence, check_level, vertex_count
 from sglap.errors import ConvergenceError, DomainError
 from sglap.harmonic import HARMONIC_INVERSES, SpectralEigenfunction, eigen_matrices, matvec
-from sglap.mesh import Part, walk
+from sglap.mesh import Part, cells, walk
 from sglap.tangent import m0_matrix
 
 acceptance_log = []
@@ -132,6 +135,42 @@ def normal_derivative_limit(value_at, corner: int, levels: int = 20):
 
 # --- whole-level references ------------------------------------------------
 
+class LevelGraph(NamedTuple):
+    """The graph on V_level as its cells: cells[c, i] is the vertex F_w(q_i)
+    for the word w of length level whose base-3 digits spell c, vertices
+    numbered in canonical address order, corners 0, 1, 2 first.
+
+        cells  (3**level, 3) int32, read-only
+    """
+
+    level: int
+    cells: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return vertex_count(self.level)
+
+
+@functools.lru_cache(maxsize=None)
+def build_level_graph(m: int) -> LevelGraph:
+    """V_m's cells as address built them on numpy before mesh.cells: V_k =
+    F_0 V_{k-1} u F_1 V_{k-1} u F_2 V_{k-1}, glued at the level-1 junctions
+    (address._glue), whole copies at a time; the reference of the scalar
+    lookups and of cells."""
+    cells, size = np.array([[0, 1, 2]], dtype=np.int32), 3
+    for _ in range(check_level(m)):
+        n = size - 3  # interior vertices of V_{k-1}
+        corners, first = _glue(n)
+        # maps[j] sends V_{k-1} into V_k under F_j; column i < 3 is F_j(q_i)
+        maps = np.empty((3, n + 3), dtype=np.int32)
+        maps[:, :3] = corners
+        maps[:, 3:] = np.add.outer(first, np.arange(n))
+        cells = maps[:, cells].reshape(-1, 3)  # cell j + w is F_j of cell w
+        size = 6 + 3 * n
+    cells.setflags(write=False)
+    return LevelGraph(m, cells)
+
+
 def graph_laplacian(graph, values):
     """sum_{y~x} (u(y) - u(x)) at every vertex, boundary included: the sum
     over the level's cells of the cell Laplacian (u_0 + u_1 + u_2) - 3 u_i
@@ -202,14 +241,20 @@ def dense_values(u, m: int) -> np.ndarray:
 ZERO = SpectralEigenfunction(EigenvalueSequence(0, 0.0), (0.0, 0.0, 0.0))
 
 
-def walk_columns(u, m: int, lattice=None, faces: bool = False) -> tuple:
-    """walk(u, m, lattice, faces) joined into whole columns: (values,
-    addresses, xs, ys, faces), each a list in vertex (or cell) order."""
+def walk_columns(u, m: int, lattice=None) -> tuple:
+    """walk(u, m, lattice) joined into whole columns: (values, addresses,
+    xs, ys), each a list in vertex order."""
     columns = tuple([] for _ in Part._fields)
-    for part in walk(u, m, lattice, faces):
+    for part in walk(u, m, lattice):
         for column, entries in zip(columns, part):
             column += entries
     return columns
+
+
+def level_cells(m: int) -> list:
+    """cells(m) joined into one flat list of vertex triples, in cell
+    order."""
+    return [v for part in cells(m) for v in part]
 
 
 def values_on_level(u, m: int) -> np.ndarray:

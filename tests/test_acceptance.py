@@ -21,7 +21,7 @@ from conftest import (acceptance_log, eigen_matrix, extend_harmonic, harmonic_ma
 from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
                                sequence_from_limit)
 from sglap.harmonic import SpectralEigenfunction, dirichlet_eigenfunction
-from sglap.mesh import eigen_residual, walk
+from sglap.mesh import cells, eigen_residual
 from sglap.oracle import dense_dirichlet_spectrum, direct_tangent_limit
 from sglap.special import psi_limit_with_error, tau, upsilon_with_error
 from sglap.tangent import m0_matrix, tangent_at
@@ -84,7 +84,7 @@ def test_criterion_03_eigen_equation_residuals():
     slowest = 0.0
     for u in funcs:
         t0 = time.perf_counter()
-        worst = max(worst, max(eigen_residual(walk(u, m, None, True), values_on_level(u, m),
+        worst = max(worst, max(eigen_residual(cells(m), values_on_level(u, m),
                                               u.sequence.value(m)) for m in range(u.m0, 9)))
         slowest = max(slowest, time.perf_counter() - t0)
     _report(

@@ -1,9 +1,8 @@
-"""Exact-arithmetic addressing: IFS words, barycentric keys, level graphs."""
+"""Exact-arithmetic addressing: IFS words, barycentric keys, level cells."""
 import copy
 import hashlib
 import itertools
 import pickle
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ZERO, apply_ifs, key_coords, level_keys, level_vertices, resolve_addresses,
-                      vertex_key, walk_columns, word_index)
+from conftest import (ZERO, apply_ifs, build_level_graph, key_coords, level_cells, level_keys,
+                      level_vertices, resolve_addresses, vertex_key, walk_columns, word_index)
 
-from sglap import address, cli, decimation, mesh
+from sglap import cli, decimation, mesh
 from sglap.address import (
     DEFAULT_CORNERS,
     EventuallyConstantWord,
-    build_level_graph,
     lattice_lines,
     format_address,
     vertex_cells,
@@ -39,21 +37,19 @@ def test_corners_are_ifs_fixed_points():
 
 def test_vertex_count_formula():
     for m in range(6):
-        assert build_level_graph(m).size == (3 ** (m + 1) + 3) // 2
+        assert len(set(level_cells(m))) == decimation.vertex_count(m) == (3 ** (m + 1) + 3) // 2
 
 
 def test_degrees():
-    g = build_level_graph(4)
     # each cell gives each of its corners two edges, and no edge is in two cells
-    degree = 2 * np.bincount(g.cells.ravel())
+    degree = 2 * np.bincount(level_cells(4))
     assert set(degree[:3]) == {2}
     assert set(degree[3:]) == {4}
 
 
 def test_boundary_is_first_three():
-    g = build_level_graph(3)
     # a boundary corner lies in one cell, every other vertex in two
-    counts = np.bincount(g.cells.ravel())
+    counts = np.bincount(level_cells(3))
     assert counts[:3].tolist() == [1, 1, 1]
     assert (counts[3:] == 2).all()
     for i in range(3):
@@ -140,23 +136,32 @@ def _lines(keys) -> tuple:
 @pytest.mark.parametrize("m", range(9))
 def test_segments_at_every_depth_match_the_table_and_scalar(m):
     # the walk's rows, at every subtree size, spell the scalar addresses of
-    # the level's keys and their lattice lines, and its faces are the cells
+    # the level's keys and their lattice lines; the parts of cells, joined,
+    # are the level graph's cells, and part i holds the cells of subtree i,
+    # whose vertices but its three corners are the ones walk's part i adds
     keys = level_keys(m)
     scalar = [resolve_addresses(tuple(k), m)[0] for k in keys.tolist()]
     assert [list(vertex_key(w, c, m)) for w, c in scalar] == keys.tolist()
     lines = [list(range(2 ** (m + 1) + 1)), list(range(2 ** m + 1))]
     for levels in range(1, m + 2):
+        added = decimation.vertex_count(min(levels, m)) - 3
         with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
-            _, names, xs, ys, faces = walk_columns(ZERO, m, lines, True)
+            _, names, xs, ys = walk_columns(ZERO, m, lines)
+            ends = list(itertools.accumulate(len(part.values) for part in mesh.walk(ZERO, m, None)))
+            parts = list(mesh.cells(m))
         assert names == [format_address(w, c) for w, c in scalar], levels
         assert (xs, ys) == _lines(keys), levels
-        assert faces == build_level_graph(m).cells.ravel().tolist(), levels
+        assert sum(parts, []) == build_level_graph(m).cells.ravel().tolist(), levels
+        assert len(parts) == len(ends), levels
+        for part, end in zip(parts, ends):
+            assert sorted(set(part))[3:] == list(range(end - added, end)), (levels, end)
 
 
-# sha256 over name, dtype, shape and bytes of the six arrays a LevelGraph once
-# stored (keys, coords, cells, births, words, letters), computed by the
-# key-packing and greedy-descent construction this one replaced (L0-L10) and
-# by this one before it glued keys and births copy by copy (L11-L12)
+# sha256 over name, dtype, shape and bytes of the six arrays a level graph
+# once stored (keys, coords, cells, births, words, letters), computed by the
+# key-packing and greedy-descent construction that the numpy glue replaced
+# (L0-L10) and by that glue before it glued keys and births copy by copy
+# (L11-L12); the cells are now those of mesh.cells
 LEVEL_GRAPH_SHA256 = {
     0: "baddbaad86eff6de2c8864fe35c91526fa80df05506852426fda2fa58d0752d0",
     1: "dc33c8953937ff549e8fca91e3d33863383825dcfe185c7b7ba997ffd98d4b4c",
@@ -174,25 +179,27 @@ LEVEL_GRAPH_SHA256 = {
 }
 
 
-def _pinned_arrays(g):
-    """The six pinned arrays, rebuilt from the cells, the keys and the
-    addresses that the level's walk spells: the birth level is the position
-    of ':', the word the digits before it (-1 past it) and the corner
-    letter the digit after it."""
-    keys, names = level_vertices(g.level)
+def _pinned_arrays(m):
+    """The six pinned arrays, rebuilt from the cells that mesh.cells yields
+    (as int32, as they were stored), the keys and the addresses that the
+    level's walk spells: the birth level is the position of ':', the word
+    the digits before it (-1 past it) and the corner letter the digit after
+    it."""
+    keys, names = level_vertices(m)
     births = np.array([name.index(":") for name in names], dtype=np.int64)
-    words = np.full((g.size, g.level), -1, dtype=np.int8)
+    words = np.full((len(names), m), -1, dtype=np.int8)
     for row, name in enumerate(names):
         words[row, :births[row]] = [int(c) for c in name[:births[row]]]
     letters = np.array([int(name[-1]) for name in names], dtype=np.int8)
-    return {"keys": keys, "coords": key_coords(keys, g.level), "cells": g.cells,
+    cells = np.array(level_cells(m), dtype=np.int32).reshape(-1, 3)
+    return {"keys": keys, "coords": key_coords(keys, m), "cells": cells,
             "births": births, "words": words, "letters": letters}
 
 
 @pytest.mark.parametrize("m", sorted(LEVEL_GRAPH_SHA256))
 def test_level_graph_is_pinned(m):
     digest = hashlib.sha256()
-    for name, arr in _pinned_arrays(build_level_graph(m)).items():
+    for name, arr in _pinned_arrays(m).items():
         digest.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest() == LEVEL_GRAPH_SHA256[m]
@@ -207,39 +214,12 @@ def test_address_ranges_match_scalar_across_blocks():
     for levels in range(1, m + 2):
         rows, lo = [], 0
         with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
-            for part in mesh.walk(ZERO, m, lattice, False):
+            for part in mesh.walk(ZERO, m, lattice):
                 assert part.addresses == scalar[lo:lo + len(part.addresses)], (levels, lo)
                 lo += len(part.addresses)
                 rows += sum((part.addresses[a:a + 97]
                              for a in range(0, len(part.addresses), 97)), [])
         assert rows == scalar, levels
-
-
-def test_level_graph_build_peak_memory():
-    # the L10 build peaks at 2.0 MB under tracemalloc (numpy 2.4), since it
-    # glues cells only
-    tracemalloc.start()
-    try:
-        address._build_level_graph.__wrapped__(10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7e6
-
-
-def test_level_graph_keeps_only_its_cells():
-    # the L10 build peaks at 2.0 MB under tracemalloc (numpy 2.4) and holds
-    # its 0.71 MB of cells; with every vertex's keys and address bytes it
-    # peaked at 5.3 MB and held 1.77 MB
-    tracemalloc.start()
-    try:
-        g = address._build_level_graph.__wrapped__(10)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert address.LevelGraph.__slots__ == ("level", "cells")
-    assert held < g.cells.nbytes + 4096
-    assert peak < 2.6e6
 
 
 @pytest.mark.parametrize("m", [8, 9, 10])
@@ -256,7 +236,7 @@ def test_vertex_ranges_equal_slices_of_the_whole(m):
         depth, added = m - levels, decimation.vertex_count(levels) - 3
         parts, lo, top = [], 0, []
         with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
-            for part in mesh.walk(ZERO, m, lines, False):
+            for part in mesh.walk(ZERO, m, lines):
                 hi = lo + len(part.addresses)
                 assert part.addresses == names[lo:hi], (levels, lo)
                 assert (part.xs, part.ys) == _lines(keys[lo:hi]), (levels, lo)
@@ -280,7 +260,7 @@ def test_vertex_ranges_are_taken_as_slices(walk, block_rows):
     lo = 0
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows), \
             mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
-        for part in mesh.walk(ZERO, m, lines, False):
+        for part in mesh.walk(ZERO, m, lines):
             for a, b in cli._row_ranges(len(part.addresses)):
                 assert part.addresses[a:b] == names[lo + a:lo + b]
                 assert (part.xs[a:b], part.ys[a:b]) == _lines(keys[lo + a:lo + b])
@@ -292,15 +272,15 @@ def test_vertex_ranges_are_taken_as_slices(walk, block_rows):
 def test_corners_lie_in_one_cell_and_every_other_vertex_in_two(level):
     # every vertex after the corners is a corner of two cells, which the walk
     # gives it as one midpoint
-    counts = np.bincount(build_level_graph(level).cells.ravel())
+    counts = np.bincount(level_cells(level))
     assert counts.tolist() == [1, 1, 1] + [2] * (counts.size - 3)
 
 
 def test_cells_are_in_word_order():
-    g = build_level_graph(2)
+    cells = level_cells(2)
     for word in itertools.product((0, 1, 2), repeat=2):
-        row = g.cells[word_index(word)]
-        assert [vertex_index(word, i, 2) for i in range(3)] == list(row)
+        i = 3 * word_index(word)
+        assert [vertex_index(word, corner, 2) for corner in range(3)] == cells[i:i + 3]
 
 
 def test_eventually_constant_word_parse_and_canonical_form():
@@ -365,6 +345,6 @@ def test_malformed_inputs():
 
 def test_level_caps():
     with pytest.raises(DomainError):
-        build_level_graph(-1)
+        next(mesh.cells(-1))
     with pytest.raises(LevelCapError):
-        build_level_graph(decimation.max_level() + 1)
+        next(mesh.cells(decimation.max_level() + 1))

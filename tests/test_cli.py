@@ -24,15 +24,15 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_values, key_coords, level_keys, level_vertices, mp_upsilon,
-                      resolve_addresses, seed_array, true_error, values_on_level,
-                      vertex_value_walks, walk_columns, whole_level_residual)
+from conftest import (build_level_graph, dense_values, key_coords, level_cells, level_keys,
+                      level_vertices, mp_upsilon, resolve_addresses, seed_array, true_error,
+                      values_on_level, vertex_value_walks, walk_columns, whole_level_residual)
 
 from sglap import cli, mesh
-from sglap.address import build_level_graph, format_address, lattice_lines
+from sglap.address import format_address, lattice_lines
 from sglap.decimation import enumerate_dirichlet_spectrum, max_level, vertex_count
 from sglap.harmonic import SpectralEigenfunction
-from sglap.mesh import eigen_residual, walk
+from sglap.mesh import cells, eigen_residual, walk
 from sglap.errors import DomainError, LevelCapError, SglapError, UsageError
 
 
@@ -517,19 +517,18 @@ def test_eval_residual_by_subtrees_equals_the_whole_level_bitwise(seed, level, l
     graph = build_level_graph(level)
     with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
         for back in [values, noisy]:
-            assert eigen_residual(walk(u, level, None, True), back, lam) == \
+            assert eigen_residual(cells(level), back, lam) == \
                 whole_level_residual(graph, back, lam)
 
 
 @functools.lru_cache(maxsize=None)
 def _level_rows(level):
-    """V_level's addresses, lattice lines and cells by the scalar references:
-    resolve_addresses and the key_coords lines of each vertex's key, and
-    the level graph's cells."""
+    """V_level's addresses and lattice lines by the scalar references:
+    resolve_addresses and the key_coords lines of each vertex's key."""
     keys = level_keys(level)
     _, n1, n2 = keys.T
     return ([format_address(*resolve_addresses(tuple(k), level)[0]) for k in keys.tolist()],
-            (2 * n1 + n2).tolist(), n2.tolist(), build_level_graph(level).cells.ravel().tolist())
+            (2 * n1 + n2).tolist(), n2.tolist())
 
 
 # boundary values that round-trip through repr, -0.0 and large ones among them
@@ -556,12 +555,12 @@ _walk_deep_seeds = st.builds(lambda m0, index, branches: f"six:{m0}:{index}:+{br
 def test_walk_equals_the_dense_reference_bitwise(seed, level, levels):
     # the walk at any subtree size against the whole-level numpy refinement
     # and collapse that eval ran before it: every value's bits, zero signs
-    # included (a -0.0 seed value prints 0.0), and the rows and cells
+    # included (a -0.0 seed value prints 0.0), and the rows
     u = _parse_eval_seed(seed, level)
     reference = dense_values(u, level)
     with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
         values, *rows = walk_columns(u, level, [list(range(2 ** (level + 1) + 1)),
-                                                list(range(2 ** level + 1))], True)
+                                                list(range(2 ** level + 1))])
     assert rows == list(_level_rows(level))
     if np.isfinite(reference).all():
         assert _bits(values).tobytes() == _bits(reference).tobytes()
@@ -575,9 +574,8 @@ def test_walk_equals_the_dense_reference_bitwise(seed, level, levels):
 
 @pytest.mark.parametrize("level", range(11))
 def test_subtree_faces_are_the_level_cells(level):
-    u = cli.parse_seed("free:7.3:1,-2,3")
-    faces = walk_columns(u, level, None, True)[4]
-    assert faces == build_level_graph(level).cells.ravel().tolist()
+    # the obj faces: the cells of each subtree, joined, are the level graph
+    assert level_cells(level) == build_level_graph(level).cells.ravel().tolist()
 
 
 def _tampered_eval(monkeypatch, tmp_path, capsys, level, tamper):
@@ -644,8 +642,8 @@ def _tampered_last_subtree(monkeypatch, tmp_path, capsys, tamper):
     other 26 first.  Returns the two messages."""
     original = mesh.walk
 
-    def walk(u, m, lattice, faces):
-        parts = list(original(u, m, lattice, faces))
+    def walk(u, m, lattice):
+        parts = list(original(u, m, lattice))
         assert len(parts) == 27
         tamper(parts[-1])
         return iter(parts)
@@ -756,7 +754,7 @@ def test_eval_pipeline_peak_memory():
     try:
         u = cli.parse_seed(seed)
         lattice = [list(map(repr, column)) for column in lattice_lines(level)]
-        assert all(all(map(math.isfinite, part.values)) for part in walk(u, level, None, False))
+        assert all(all(map(math.isfinite, part.values)) for part in walk(u, level, None))
         rows = sum(block.count("\n") for block in cli._eval_blocks(args, u, lattice))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -878,10 +876,10 @@ def test_a_seed_born_deep_is_refined_by_subtrees():
     # when the walk refined from a dense seed array
     count, grown = _rss_growth("""
         u = sglap.cli.parse_seed("six:12:1")
-        next(iter(mesh.walk(u, 12, None, False)))
+        next(iter(mesh.walk(u, 12, None)))
         base = rss()
-        assert all(all(map(math.isfinite, part.values)) for part in mesh.walk(u, 12, None, False))
-        print([sum(len(part.values) for part in mesh.walk(u, 12, None, False)), peak() - base])
+        assert all(all(map(math.isfinite, part.values)) for part in mesh.walk(u, 12, None))
+        print([sum(len(part.values) for part in mesh.walk(u, 12, None)), peak() - base])
     """)
     assert count == vertex_count(12)
     assert grown < 0.6e6
@@ -916,7 +914,7 @@ def test_eval_and_tangent_read_the_same_top_level_triples(seed, level):
     depth = level - mesh.SUBTREE_LEVELS
     assume(u.m0 <= depth)
     added = vertex_count(mesh.SUBTREE_LEVELS) - 3
-    top = [value for part in walk(u, level, None, False) for value in part.values[:-added]]
+    top = [value for part in walk(u, level, None) for value in part.values[:-added]]
     assert np.array_equal(_bits(top), _bits(vertex_value_walks(u, depth)))
 
 
@@ -951,8 +949,8 @@ def test_rows_reject_a_values_stream_cut_wrong(broken, level, monkeypatch, capsy
     # rows, and V_level's rows in all: V_0 is one part, V_8 has nine
     original = mesh.walk
 
-    def walk(u, m, lattice, faces):
-        return iter(_BROKEN_STREAMS[broken](list(original(u, m, lattice, faces))))
+    def walk(u, m, lattice):
+        return iter(_BROKEN_STREAMS[broken](list(original(u, m, lattice))))
 
     monkeypatch.setattr(mesh, "walk", walk)
     code, _, err = run(["eval", "--seed", "free:-7.25:0.1,-2,1e-05", "--level", str(level),
@@ -1178,10 +1176,11 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
         run("tangent", "--seed", "six:1:1", "--word", ":0", "--verify")
         assert "decimal" in sys.modules
     """
-    # the dense check runs without the tangent layers, dataclasses or decimal
+    # the dense check reads the level's cells from mesh, and runs without the
+    # tangent layers, dataclasses or decimal
     spectrum_verify = """
-        assert run("spectrum", "--level", "2", "--verify") == \\
-            base | {"sglap.decimation", "sglap.address", "sglap.oracle"}
+        assert run("spectrum", "--level", "2", "--verify") == base | {
+            "sglap.decimation", "sglap.address", "sglap.harmonic", "sglap.mesh", "sglap.oracle"}
         assert "dataclasses" not in sys.modules and "decimal" not in sys.modules
     """
     tangent = """
@@ -1347,8 +1346,8 @@ def test_eval_non_finite_guard_exits_three_with_empty_stdout(monkeypatch, capsys
     # sequence_from_limit), so the walk hands it a NaN, in the last vertex
     original = mesh.walk
 
-    def walk(u, m, lattice, faces):
-        for part in original(u, m, lattice, faces):
+    def walk(u, m, lattice):
+        for part in original(u, m, lattice):
             part.values[-1] = math.nan
             yield part
 
@@ -1484,6 +1483,22 @@ def test_spectrum_verify_at_the_dense_cap():
     _, rows = parse_csv(proc.stdout)
     assert sum(int(r[5]) for r in rows) == (3**7 - 3) // 2
     assert max(float(r[-1]) for r in rows) < 1e-9
+
+
+@pytest.mark.parametrize("seed, level", [("free:3:1e308,1e308,1e308", 3),
+                                         ("free:3:1e308,-1e308,1e308", 5)])
+def test_eval_verify_takes_values_near_the_float_maximum(seed, level, capsys):
+    # the residual's cell sums overflowed here: three RuntimeWarnings, a nan
+    # residual and exit 4, for values that eval writes with exit 0.  Scaled
+    # by a power of 2 first, the residual reads 8.4e-16 to 1.3e-15.  A fresh
+    # process, so that numpy warnings would reach the real stderr
+    argv = ["eval", "--seed", seed, "--level", str(level)]
+    proc = subprocess.run([sys.executable, "-m", "sglap.cli", *argv, "--verify"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(argv, capsys)[1]
+    u = cli.parse_seed(seed)
+    assert eigen_residual(cells(level), values_on_level(u, level), u.sequence.value(level)) < 1e-14
 
 
 @pytest.mark.parametrize("command", [

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (eigen_matrix, graph_laplacian, harmonic_matrix, resolve_addresses,
-                      seed_array, value_at, values_on_level, vertex_key, word_index)
+from conftest import (build_level_graph, eigen_matrix, graph_laplacian, harmonic_matrix,
+                      resolve_addresses, seed_array, value_at, values_on_level, vertex_key,
+                      word_index)
 
-from sglap import address, decimation
-from sglap.address import build_level_graph
+from sglap import decimation
 from sglap.decimation import (
     SERIES_SEED,
     SINGULAR_VALUES,
@@ -29,7 +29,7 @@ from sglap.harmonic import (
     eigen_matrices,
     rotate_six,
 )
-from sglap.mesh import eigen_residual, walk
+from sglap.mesh import cells, eigen_residual
 from sglap.special import MAX_ITERATIONS, TOL
 
 CLOSED_FORM_SEEDS = [
@@ -208,7 +208,7 @@ def test_residuals_stay_tiny_under_refinement():
     ]
     for u in funcs:
         for m in range(u.m0, 7):
-            assert eigen_residual(walk(u, m, None, True), values_on_level(u, m),
+            assert eigen_residual(cells(m), values_on_level(u, m),
                                   u.sequence.value(m)) < 1e-11
 
 
@@ -326,7 +326,7 @@ def test_level1_spectrum_is_two_five_five():
 def test_six_element_is_interior_eigen_but_not_dirichlet():
     u = dirichlet_eigenfunction("six", 1)
     assert u.seed_values[2] == 2.0  # nonzero on a boundary corner
-    assert eigen_residual(walk(u, 5, None, True), values_on_level(u, 5),
+    assert eigen_residual(cells(5), values_on_level(u, 5),
                           u.sequence.value(5)) < 1e-12
 
 
@@ -360,7 +360,7 @@ def test_six_element_branches():
     assert dirichlet_eigenfunction("six", 1).sequence.plus_indices == frozenset({2})
     u = dirichlet_eigenfunction("six", 1, 1, {2, 4})
     assert u.sequence.plus_indices == frozenset({2, 4})
-    assert eigen_residual(walk(u, 5, None, True), values_on_level(u, 5),
+    assert eigen_residual(cells(5), values_on_level(u, 5),
                           u.sequence.value(5)) < 1e-12
     with pytest.raises(DomainError):
         dirichlet_eigenfunction("six", 1, 1, {3})  # level 2 must take the plus root
@@ -530,12 +530,6 @@ def test_spectrum_failures_raise_from_the_walk(singular, max_iterations, error, 
     with pytest.raises(SglapError) as info:
         enumerate_dirichlet_spectrum(level)
     assert type(info.value) is error
-
-
-def test_vertex_count_check_raises(monkeypatch):
-    monkeypatch.setattr(address, "vertex_count", lambda m: 7)
-    with pytest.raises(InvariantError, match="level-2 graph has 15 vertices, not 7"):
-        address._build_level_graph.__wrapped__(2)
 
 
 def test_multiplicity_check_raises(monkeypatch):

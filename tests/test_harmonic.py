@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, cell_values_to_vertex, dense_values,
-                      extend_harmonic, extend_level, graph_laplacian, harmonic_matrix,
-                      harmonic_normal_derivative, level_vertices, normal_derivative_limit,
-                      values_on_level)
+from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, build_level_graph, cell_values_to_vertex,
+                      dense_values, extend_harmonic, extend_level, graph_laplacian,
+                      harmonic_matrix, harmonic_normal_derivative, level_vertices,
+                      normal_derivative_limit, values_on_level)
 
 from sglap import mesh
-from sglap.address import build_level_graph
 from sglap.decimation import EigenvalueSequence
 from sglap.errors import ConvergenceError, DomainError
 from sglap.harmonic import (
@@ -124,7 +123,7 @@ def test_junction_mismatch_is_rejected(monkeypatch):
     monkeypatch.setattr(mesh, "eigen_matrices", eigen_matrices)
     for row in [(0, 1), (1, 0), (0, 0), (2, 1), (1, 2)]:
         planted[:] = row
-        walk = mesh.walk(u, 2, None, False)
+        walk = mesh.walk(u, 2, None)
         with pytest.raises(DomainError, match="matrices of level 2 give a vertex two values"):
             next(walk)
 

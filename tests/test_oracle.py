@@ -11,10 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_laplacian, interval_tangent, sorted_pairing_gap, values_on_level
+from conftest import (build_level_graph, graph_laplacian, interval_tangent, sorted_pairing_gap,
+                      values_on_level)
 
 from sglap import cli
-from sglap.address import EventuallyConstantWord, build_level_graph
+from sglap.address import EventuallyConstantWord
 from sglap.decimation import enumerate_dirichlet_spectrum, sequence_from_limit
 from sglap.errors import ConvergenceError, DomainError, SingularLevelError
 from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, eigen_matrices,

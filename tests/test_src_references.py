@@ -17,7 +17,11 @@ that no call overrides is a setting that nothing sets.
 
 A fourth guard runs the CLI and checks that every public function and
 method of src ran, matched by code object, so that a name shared with
-another definition hides nothing."""
+another definition hides nothing.
+
+A fifth guard lists the functions of src that import numpy: no module
+imports it at its top, so that a process loads numpy only when it runs one
+of them."""
 import ast
 import importlib
 import json
@@ -158,9 +162,38 @@ def test_the_field_guard_reads_every_slot_of_every_class():
             if isinstance(obj, type) and obj.__module__ == f"sglap.{module}":
                 slots.update(f"{module}.{name}.{slot}" for slot in vars(obj).get("__slots__", ()))
     assert slots and slots <= found
-    assert {"address.EventuallyConstantWord.prefix", "address.LevelGraph.cells",
-            "decimation.EigenvalueSequence._limit", "harmonic.SpectralEigenfunction.seed_values",
+    assert {"address.EventuallyConstantWord.prefix", "decimation.EigenvalueSequence._limit", "harmonic.SpectralEigenfunction.seed_values",
             "harmonic.SpectralEigenfunction.sequence"} <= slots
+
+
+# every function of src that imports numpy, by its qualified name
+NUMPY_IMPORTERS = {"cli.cmd_eval", "mesh.eigen_residual", "oracle.dense_interior_matrix",
+                   "oracle.dense_dirichlet_spectrum"}
+
+
+def _numpy_importers():
+    """The qualified names of the functions, nested ones included, whose own
+    body imports numpy or a submodule of it, and of the modules that import
+    it outside any function."""
+    def imports_numpy(node):
+        return isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "numpy" for alias in node.names) or \
+            isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+    def visit(node, qualname):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(item, f"{qualname}.{item.name}")
+            elif imports_numpy(item):
+                yield qualname
+            else:
+                yield from visit(item, qualname)
+
+    return {name for module, tree in _trees().items() for name in visit(tree, module)}
+
+
+def test_only_the_listed_functions_import_numpy():
+    assert _numpy_importers() == NUMPY_IMPORTERS
 
 
 UNPASSED_DEFAULTS = {

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (cell_values, extend_harmonic, harmonic_normal_derivative,
-                      normal_derivative_limit, numpy_tangent, value_at)
+from conftest import (build_level_graph, cell_values, extend_harmonic,
+                      harmonic_normal_derivative, normal_derivative_limit, numpy_tangent,
+                      value_at)
 
-from sglap.address import EventuallyConstantWord, build_level_graph
+from sglap.address import EventuallyConstantWord
 from sglap.cli import parse_seed
 from sglap.decimation import EigenvalueSequence, sequence_from_limit, series_multiplicity
 from sglap.errors import DomainError, UsageError

@@ -24,8 +24,8 @@ import os
 import re
 import sys
 
-# numpy and the other layers are imported by the functions that use them,
-# so that a process loads only what its subcommand runs
+# the other layers are imported by the functions that use them, so that a
+# process loads only what its subcommand runs (numpy: the dense oracle alone)
 from . import special
 from .errors import DomainError, InvariantError, SglapError, UsageError
 
@@ -191,6 +191,9 @@ def parse_seed(text: str):
     """Resolve the seed mini-grammar to a harmonic.SpectralEigenfunction."""
     from . import decimation, harmonic
 
+    # float and int would skip whitespace around a number and read digits of any script
+    if not (text.isascii() and text.isprintable()) or " " in text:
+        raise UsageError(f"seed must be printable ASCII without whitespace, got {text!a}")
     parts = text.split(":")
     if not parts or parts[0] == "":
         raise UsageError(f"empty seed spec {text!r}")
@@ -353,23 +356,18 @@ def cmd_eval(args) -> int:
     if not args.verify:
         _emit(args, blocks)
         return 0
-    import numpy as np
+    from array import array
 
-    size = vertex_count(args.level)
-    back, count = np.empty(size), 0
+    back = array("d")
 
     def reingest():
-        nonlocal count  # of the values read back, past the end of back too
         for block in blocks:
             yield block
-            parsed = _block_values(args.format, block)
-            if count + len(parsed) <= size:
-                back[count:count + len(parsed)] = parsed
-            count += len(parsed)
+            back.extend(_block_values(args.format, block))
 
     _emit(args, reingest())
-    if count != size:
-        raise SglapError(f"re-ingested {count} values, expected {size}")
+    if len(back) != vertex_count(args.level):
+        raise SglapError(f"re-ingested {len(back)} values, expected {vertex_count(args.level)}")
     residual = eigen_residual(cells(args.level), back, u.sequence.value(args.level))
     return _verdict("round-trip residual", residual, args.verify_tol)
 

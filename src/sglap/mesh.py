@@ -7,8 +7,7 @@ handed on one subtree at a time with the vertices' canonical addresses and
 lattice entries, so that no array of a whole level is made.  cells runs
 the same recursion on vertex positions alone: it is the one builder of a
 level's graph, which eval's obj faces, eval --verify's residual and the
-dense oracle read.  numpy is imported by eigen_residual alone, which eval
---verify runs.  The tangent layers do not load this module.
+dense oracle read; it imports no numpy, and no tangent layer loads it.
 """
 from __future__ import annotations
 
@@ -44,38 +43,41 @@ def eigen_residual(parts, values, lam_level: float) -> float:
     norm; 0.0 on V_0, which has no interior vertex.  `parts` are the
     level's cells as cells(m) yields them, one flat list per subtree.
 
-    The Laplacian sum_{y~x} (u(y) - u(x)) is summed over the cells one part
-    at a time: each cell adds its cell Laplacian (u_0 + u_1 + u_2) - 3 u_i
-    at each corner i, every edge lying in exactly one cell.  A vertex after
-    the corners lies in two cells, both in one part but for a corner of the
-    subtrees, whose part sum waits for its other part's.  A vertex adds up
-    its cells' terms in cell order, as one sum over the level's cells does,
-    so the residual takes the same bits, and no array but `values` takes a
-    whole level.  Values whose sup norm passes 1 are scaled, one part at a
-    time, by the power of 2 at or above it, which is exact and leaves no
-    cell sum to overflow."""
-    import numpy as np
-
-    values = np.asarray(values, dtype=float)
-    sup = max(1.0, float(values.max()), float(-values.min()))
+    Each cell adds its cell Laplacian (u_0 + u_1 + u_2) - 3 u_i at each
+    corner i, every edge lying in exactly one cell.  A vertex other than
+    q0, q1 and q2 lies in exactly two cells: its first term waits in
+    `pending` for its second, and its defect is |first + second + lam u|,
+    the bits of one sum over the level's cells.  The corners are written
+    out: a loop over them takes a third longer.  Values whose sup norm
+    passes 1 are scaled by the power of 2 at or above it, so that no cell
+    sum overflows: exactly, but for values below 2^(e - 1022), which lose
+    bits and move the relative residual by at most a few 2^-1074."""
+    sup = max(1.0, max(values), -min(values))
     # 2^-e, not 1 / 2^e: 2^e overflows at e = 1024
     scale = math.ldexp(1.0, -math.frexp(sup)[1]) if sup > 1.0 else 1.0
-    lam, worst, waiting = float(lam_level), [0.0], {}
+    lam, worst, pending = float(lam_level), 0.0, {}
+    pop = pending.pop
     for part in parts:
-        triples = np.array(part).reshape(-1, 3)
-        vertices, at = np.unique(triples, return_inverse=True)
-        cv = values[triples] * scale
-        lap = np.bincount(at.ravel(), weights=(cv.sum(axis=1, keepdims=True) - 3.0 * cv).ravel())
-        whole = np.bincount(at.ravel()) == 2
-        for v, term in zip(vertices[~whole].tolist(), lap[~whole].tolist()):
-            if v in waiting:
-                lap[vertices == v], whole[vertices == v] = waiting.pop(v) + term, True
-            elif v >= 3:
-                waiting[v] = term
-        whole &= vertices >= 3
-        r = lap[whole] + lam * (values[vertices[whole]] * scale)
-        worst.append(np.max(np.abs(r), initial=0.0))
-    return float(np.max(worst)) / (sup * scale)
+        corners = iter(part)
+        for a, b, c in zip(corners, corners, corners):
+            x, y, z = values[a] * scale, values[b] * scale, values[c] * scale
+            s = x + y + z
+            if a in pending:
+                r = abs(pop(a) + (s - 3.0 * x) + lam * x)
+                worst = r if r > worst else worst
+            else:
+                pending[a] = s - 3.0 * x
+            if b in pending:
+                r = abs(pop(b) + (s - 3.0 * y) + lam * y)
+                worst = r if r > worst else worst
+            else:
+                pending[b] = s - 3.0 * y
+            if c in pending:
+                r = abs(pop(c) + (s - 3.0 * z) + lam * z)
+                worst = r if r > worst else worst
+            else:
+                pending[c] = s - 3.0 * z
+    return worst / (sup * scale)
 
 
 # the addresses and lattice lines of the 12 vertices that a cell spanning two

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -517,8 +518,10 @@ def test_eval_residual_by_subtrees_equals_the_whole_level_bitwise(seed, level, l
     graph = build_level_graph(level)
     with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
         for back in [values, noisy]:
-            assert eigen_residual(cells(level), back, lam) == \
-                whole_level_residual(graph, back, lam)
+            expected = whole_level_residual(graph, back, lam)
+            # eval passes an array('d')
+            for given in [back, array("d", back)]:
+                assert eigen_residual(cells(level), given, lam) == expected
 
 
 @functools.lru_cache(maxsize=None)
@@ -764,12 +767,12 @@ def test_eval_pipeline_peak_memory():
 
 
 # A child process measures a workload by its resident set: it warms up with
-# a small run of the same kind (imports, numpy where --verify loads it, re's
-# patterns), reads VmRSS, runs the workload and prints how far its RSS grew
-# past that reading, up to its high-water mark.  It takes a second or so at
-# L12, where tracemalloc, which traces every float the walk makes, took
-# 20-36 s.  The figures repeat to within 4 KB; each test failed with the
-# planted regression it names
+# a small run of the same kind (imports, re's patterns), reads VmRSS, runs
+# the workload and prints how far its RSS grew past that reading, up to its
+# high-water mark.  It takes a second or so at L12, where tracemalloc,
+# which traces every float the walk makes, took 20-36 s.  The figures
+# repeat to within 4 KB; each test failed with the planted regression it
+# names
 _RSS_PRELUDE = """if True:
         import math, os, sys
         import sglap.cli
@@ -804,13 +807,14 @@ def _rss_growth(script: str, *argv):
 
 
 def test_eval_verify_holds_one_value_array():
-    # eval --level 10 --verify parses each block into one preallocated
-    # array, the only array of the level's values.  Past a warm-up L2
-    # --verify, the RSS has grown by 1.91 (csv), 2.35 (json) and 2.37 MB
-    # (obj) when the residual starts, the 0.71 MB array among it, and peaks
-    # 2.37 MB above it over the three formats; a walk that also holds its
-    # values reads 8.8, 19.8 and 34 MB there and peaks 37 MB above.  Under
-    # tracemalloc the bounds were 8 V_10 + 0.4 MB held and 2.2 MB peak
+    # eval --level 10 --verify reads each block back into one array('d'),
+    # the only array of the level's values.  Past a warm-up L2 --verify,
+    # the RSS has grown by 1.53 (csv), 1.70 (json) and 1.43 MB (obj) when
+    # the residual starts, the 0.71 MB array among it, and peaks 1.50-1.56
+    # MB above it over the three formats; a walk that also holds its values
+    # reads 8.5, 15.7 and 22.5 MB there and peaks 22.5 MB above, and a list
+    # of floats read back in place of the array('d') 4.2-4.3 MB and 4.2 MB.
+    # Under tracemalloc the bounds were 8 V_10 + 0.4 MB held and 2.2 MB peak
     held, grown = _rss_growth("""
         run("eval", "--seed", "six:2:1:+-+", "--level", "2", "--verify")
         residual, held = mesh.eigen_residual, []
@@ -1031,17 +1035,19 @@ def test_spectrum_past_level_23_exits_three():
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
 def test_eval_runs_in_a_64_mb_address_space(fmt):
-    # eval runs on Python floats and holds one subtree's rows at a time, so
-    # level 10 runs under an address-space cap below what importing numpy
-    # alone takes; its stdout is the uncapped run's
+    # eval runs on Python floats and holds one subtree's rows at a time, and
+    # --verify reads the values back into one array('d'), so level 10 runs
+    # under an address-space cap below what importing numpy alone takes,
+    # with and without --verify; its stdout is the uncapped run's
     def cap_64_mb():
         resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
 
-    argv = [sys.executable, "-m", "sglap.cli", "eval", "--seed", "six:2:1:+-+", "--level", "10",
-            "--format", fmt]
-    capped = subprocess.run(argv, preexec_fn=cap_64_mb, capture_output=True, timeout=30)
-    assert (capped.returncode, capped.stderr) == (0, b"")
-    assert capped.stdout == subprocess.run(argv, capture_output=True, timeout=30).stdout
+    for verify in [], ["--verify"]:
+        argv = [sys.executable, "-m", "sglap.cli", "eval", "--seed", "six:2:1:+-+", "--level",
+                "10", "--format", fmt, *verify]
+        capped = subprocess.run(argv, preexec_fn=cap_64_mb, capture_output=True, timeout=30)
+        assert (capped.returncode, capped.stderr) == (0, b""), verify
+        assert capped.stdout == subprocess.run(argv, capture_output=True, timeout=30).stdout
     numpy = subprocess.run([sys.executable, "-c", "import numpy"], preexec_fn=cap_64_mb,
                            capture_output=True, timeout=30)
     assert numpy.returncode != 0
@@ -1131,8 +1137,8 @@ def test_spectrum_verify_prints_the_series_rows_of_the_whole_table(series, capsy
 def test_each_subcommand_loads_only_the_layers_it_runs():
     # fresh processes, since this one has long loaded every layer, numpy and
     # mpmath; `spectrum`, `tangent`, `eval` and `spectrum --verify` get one
-    # each, as `eval --verify` loads numpy and a tangent check the tangent
-    # layers
+    # each, as `spectrum --verify` loads numpy and a tangent check the
+    # tangent layers
     prelude = """if True:
         import contextlib, io, sys
 
@@ -1195,28 +1201,27 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
                     assert ("decimal" in sys.modules) == bool(verify)
         assert "numpy" not in sys.modules and "dataclasses" not in sys.modules
     """
-    # eval runs on Python floats, point by point, and walks no level graph
+    # eval runs on Python floats, point by point, and walks no level graph;
+    # --verify reads its values back and sums its residual on them too
     evaluate = """
-        for fmt in ("csv", "json", "obj"):
-            for seed in ("free:7.3:1,-2,3", "six:3:12:+-+", "six:8:1"):
-                assert run("eval", "--seed", seed, "--level", "8", "--format", fmt) == \
-                    base | {"sglap.decimation", "sglap.address", "sglap.harmonic", "sglap.mesh"}
+        for verify in ((), ("--verify",)):
+            for fmt in ("csv", "json", "obj"):
+                for seed in ("free:7.3:1,-2,3", "six:3:12:+-+", "six:8:1"):
+                    assert run("eval", "--seed", seed, "--level", "8", "--format", fmt,
+                               *verify) == base | {"sglap.decimation", "sglap.address",
+                                                   "sglap.harmonic", "sglap.mesh"}
         assert "numpy" not in sys.modules and "decimal" not in sys.modules
         assert "dataclasses" not in sys.modules
     """
-    # eval --verify's residual and the dense check load numpy
+    # the dense check loads numpy
     loads_numpy = """
-        run(*sys.argv[1:])
+        run("spectrum", "--level", "1", "--verify")
         assert "numpy" in sys.modules and "decimal" not in sys.modules
     """
-    for script, argv in [(spectrum, []), (tangent, []), (spectrum_verify, []), (others, []),
-                         (evaluate, []),
-                         *[(loads_numpy, argv) for argv in (
-                             ["eval", "--seed", "free:7.3:1,-2,3", "--level", "1", "--verify"],
-                             ["spectrum", "--level", "1", "--verify"])]]:
-        proc = subprocess.run([sys.executable, "-c", prelude + script, *argv],
+    for script in [spectrum, tangent, spectrum_verify, others, evaluate, loads_numpy]:
+        proc = subprocess.run([sys.executable, "-c", prelude + script],
                               capture_output=True, text=True)
-        assert proc.returncode == 0, (script, argv, proc.stderr)
+        assert proc.returncode == 0, (script, proc.stderr)
         assert proc.stdout == proc.stderr == ""
 
 
@@ -1391,6 +1396,20 @@ def test_non_ascii_digit_words_exit_two(word, capsys):
     code, out, err = run(["tangent", "--seed", "two:1:1", "--word", word], capsys)
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+# float and int skip whitespace around a number and read digits of any
+# script: the first seed broke the obj header over two lines, the second
+# ended in a UnicodeEncodeError on an ASCII stdout, the third read m0 = 2
+@pytest.mark.parametrize("seed", ["free:3\n:1,1,1", "free:٣:1,1,1", "six:٢:1"])
+def test_seeds_outside_printable_ascii_exit_two(seed):
+    proc = subprocess.run([sys.executable, "-m", "sglap.cli", "eval", "--seed", seed,
+                           "--level", "1", "--format", "obj", "--verify"],
+                          env={**os.environ, "PYTHONIOENCODING": "ascii"},
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage error: seed must be printable ASCII")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("seed", ["free:1e300:1,2,3", "free:1e15:1,2,3"])

@@ -167,8 +167,7 @@ def test_the_field_guard_reads_every_slot_of_every_class():
 
 
 # every function of src that imports numpy, by its qualified name
-NUMPY_IMPORTERS = {"cli.cmd_eval", "mesh.eigen_residual", "oracle.dense_interior_matrix",
-                   "oracle.dense_dirichlet_spectrum"}
+NUMPY_IMPORTERS = {"oracle.dense_interior_matrix", "oracle.dense_dirichlet_spectrum"}
 
 
 def _numpy_importers():

@@ -138,9 +138,17 @@ def _emit(args, blocks):
                 os.remove(path)  # already gone once renamed
 
 
+def _plain(kind, text: str):
+    """int or float of text, refusing the underscores that both read as
+    digit grouping ("1_0" is 10)."""
+    if "_" in text:
+        raise ValueError(f"invalid digit grouping in {text!r}")
+    return kind(text)
+
+
 def _float(text: str, what: str) -> float:
     try:
-        return float(text)
+        return _plain(float, text)
     except ValueError:
         raise UsageError(f"{what} must be a number, got {text!r}") from None
 
@@ -162,6 +170,14 @@ def parse_verify_tol(text: str) -> float:
     return tol
 
 
+def parse_level(text: str) -> int:
+    """--level: an int, with argparse's message for a malformed one."""
+    try:
+        return _plain(int, text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _grid_point(grid, i: int) -> float:
     """Point i of the inclusive grid (a, b, n) from parse_range."""
     a, b, n = grid
@@ -175,7 +191,7 @@ def parse_range(text: str) -> tuple:
     ends decide finiteness (inf * 0 = nan can only happen at i = 0)."""
     try:
         a, b, n = text.split(":")
-        a, b, n = float(a), float(b), int(n)
+        a, b, n = _plain(float, a), _plain(float, b), _plain(int, n)
         float(n)  # a point divides by n - 1
     except (ValueError, OverflowError) as exc:
         raise UsageError(f"malformed range {text!r}: {exc}") from None
@@ -201,8 +217,8 @@ def parse_seed(text: str):
         if len(parts) != 3:
             raise UsageError(f"free seed needs free:lambda:u0,u1,u2, got {text!r}")
         try:
-            lam = float(parts[1])
-            triple = [float(x) for x in parts[2].split(",")]
+            lam = _plain(float, parts[1])
+            triple = [_plain(float, x) for x in parts[2].split(",")]
         except ValueError as exc:
             raise UsageError(f"malformed free seed {text!r}: {exc}") from None
         if len(triple) != 3:
@@ -218,8 +234,8 @@ def parse_seed(text: str):
         raise UsageError(f"seed needs series:m0:index[:branches], got {text!r}")
     series = parts[0]
     try:
-        m0 = int(parts[1])
-        index = int(parts[2])
+        m0 = _plain(int, parts[1])
+        index = _plain(int, parts[2])
     except ValueError as exc:
         raise UsageError(f"malformed seed {text!r}: {exc}") from None
     plus = None
@@ -281,10 +297,10 @@ def _eval_blocks(args, u, lattice):
     """The eval output as text blocks: a header, then the rows of each Part
     of mesh.walk in blocks of at most BLOCK_ROWS rows, so that no more than
     one block of rows is held as text; then the obj faces, one subtree's
-    cells at a time, from mesh.cells.  `lattice` is the repr of each entry of
-    address.lattice_lines(level), which the walk hands on as each vertex's
-    x and y.  A part whose columns differ in length, or parts that do not
-    make |V_level| rows, raise InvariantError.
+    cells at a time, from mesh.cells counted from 1.  `lattice` is the repr
+    of each entry of address.lattice_lines(level), which the walk maps to
+    each vertex's x and y.  A part whose columns differ in length, or parts
+    that do not make |V_level| rows, raise InvariantError.
 
     The bytes equal what csv.writer and json.dumps(indent=2) give for these
     rows (addresses need no quoting or escaping, and finite floats print as
@@ -320,8 +336,8 @@ def _eval_blocks(args, u, lattice):
     if rows != vertex_count(level):
         raise InvariantError(f"the values of V_{level} take {rows} rows, not {vertex_count(level)}")
     if fmt == "obj":
-        for part in cells(level):
-            yield ("f %d %d %d\n" * (len(part) // 3)) % tuple([p + 1 for p in part])
+        for part in cells(level, 1):
+            yield ("f %d %d %d\n" * (len(part) // 3)) % part
     elif fmt == "json":
         yield "\n]\n"
 
@@ -346,8 +362,8 @@ def cmd_eval(args) -> int:
     from .mesh import cells, eigen_residual, walk
 
     u = parse_seed(args.seed)
-    # the lattice lines' strings are made first, O(2^level) of them, where
-    # a walk holds O(3^SUBTREE_LEVELS) values; the writer alone keeps them
+    # repr runs once per lattice line, O(2^level) of them, not per vertex:
+    # the walk takes each subtree's x and y from a slice of these strings
     blocks = _eval_blocks(args, u, [list(map(repr, column)) for column in lattice_lines(args.level)])
     # every value is checked in a first walk, before the first byte, and
     # walked again to be written
@@ -452,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="enumerate the level-m Dirichlet spectrum")
-    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("--level", type=parse_level, required=True)
     sp.add_argument("--series", choices=["two", "five", "six", "all"], default="all")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--verify", action="store_true",
@@ -463,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate an eigenfunction on V_m")
     ev.add_argument("--seed", required=True)
-    ev.add_argument("--level", type=int, required=True)
+    ev.add_argument("--level", type=parse_level, required=True)
     ev.add_argument("--format", choices=["csv", "json", "obj"], default="csv")
     ev.add_argument("--verify", action="store_true",
                     help="re-ingest the output and check the eigen-equation residual")

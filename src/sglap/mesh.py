@@ -3,14 +3,17 @@ rows, the level's cells, and the eigen-equation residual of what eval wrote.
 
 A SpectralEigenfunction's values on V_m are refined by one recursion on
 Python floats, each new vertex computed once from its cell's triple, and
-handed on one subtree at a time with the vertices' canonical addresses and
-lattice entries, so that no array of a whole level is made.  cells runs
-the same recursion on vertex positions alone: it is the one builder of a
+handed on one subtree at a time, so that no array of a whole level is made.
+The rest of V_m's layout, the vertices' canonical addresses, lattice
+entries and cells, does not depend on the values and is alike in every
+subtree: _layout lays out the top part and the subtree shape once, and
+walk and cells map them onto each subtree.  cells is the one builder of a
 level's graph, which eval's obj faces, eval --verify's residual and the
-dense oracle read; it imports no numpy, and no tangent layer loads it.
+dense oracle read; mesh imports no numpy, and no tangent layer loads it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from operator import itemgetter
 from typing import NamedTuple
@@ -41,7 +44,7 @@ def _midpoint_rows(lam: float, level: int) -> tuple:
 def eigen_residual(parts, values, lam_level: float) -> float:
     """Max interior defect of the level eigen-equation, relative to the sup
     norm; 0.0 on V_0, which has no interior vertex.  `parts` are the
-    level's cells as cells(m) yields them, one flat list per subtree.
+    level's cells as cells(m) yields them, one flat tuple per subtree.
 
     Each cell adds its cell Laplacian (u_0 + u_1 + u_2) - 3 u_i at each
     corner i, every edge lying in exactly one cell.  A vertex other than
@@ -80,14 +83,6 @@ def eigen_residual(parts, values, lam_level: float) -> float:
     return worst / (sup * scale)
 
 
-# the addresses and lattice lines of the 12 vertices that a cell spanning two
-# levels adds, from its word and its corner 0's lines
-_LEAF_ADDRESSES = ("0:1", "0:2", "00:1", "00:2", "01:2", "1:2",
-                   "10:1", "10:2", "11:2", "20:1", "20:2", "21:2")
-_LEAF_XS = itemgetter(3, 1, 1, 0, 2, 5, 5, 4, 6, 3, 2, 4)  # from the line t + 1 on
-_LEAF_YS = itemgetter(0, 2, 0, 1, 1, 2, 0, 1, 1, 2, 3, 3)  # from the line n on
-
-
 class Part(NamedTuple):
     """One subtree's share of walk, in vertex order: the values, and given
     a lattice the canonical addresses and the x and y entries of the
@@ -99,6 +94,43 @@ class Part(NamedTuple):
     ys: list
 
 
+@functools.cache
+def _layout(k: int, cut) -> tuple:
+    """A cell spanning k levels laid out once, for walk and cells to map
+    onto every cell of its shape: its vertices in walk order, its corners
+    at positions 0, 1 and 2 and the ones it adds from 3 on, as their
+    addresses after the cell's word and their x and y lattice lines from
+    its corner 0's, and its cells as one flat tuple of positions.  Subcells
+    spanning `cut` levels are left as roots (word, t, n, f, a, b, c): the
+    word, corner 0's lines, the position of the first vertex added and the
+    corners' positions.  A cell spanning 0 levels is one cell; a larger one
+    adds its midpoints (0):1 and (0):2 at f and f + 1, subcell 0's vertices
+    from f + 2, its midpoint (1):2 at f + 2 + s and subcells 1 and 2 from
+    f + 3 + s and f + 3 + 2s, each adding s (address._glue)."""
+    names, xs, ys, faces, roots = [":0", ":1", ":2"], [0, 2 << k, 1 << k], [0, 0, 1 << k], [], []
+
+    def fill(k, a, b, c, f, t, n, word):
+        if k == cut:
+            roots.append((word, t, n, f, a, b, c))
+            return
+        if not k:
+            faces.extend((a, b, c))
+            return
+        h, s = 1 << (k - 1), vertex_count(k - 1) - 3
+        names.extend((word + "0:1", word + "0:2"))
+        xs.extend((t + 2 * h, t + h))
+        ys.extend((n, n + h))
+        fill(k - 1, a, f, f + 1, f + 2, t, n, word + "0")
+        names.append(word + "1:2")
+        xs.append(t + 3 * h)
+        ys.append(n + h)
+        fill(k - 1, f, b, f + 2 + s, f + 3 + s, t + 2 * h, n, word + "1")
+        fill(k - 1, f + 1, f + 2 + s, c, f + 3 + 2 * s, t + h, n + h, word + "2")
+
+    fill(k, 0, 1, 2, 3, 0, 0, "")
+    return tuple(names), tuple(xs), tuple(ys), tuple(faces), tuple(roots)
+
+
 def walk(u, m: int, lattice):
     """V_m's vertices in canonical order with u's values, as Parts:
     one per subtree F_w V_(m-d), d = max(0, m - SUBTREE_LEVELS), in cell
@@ -106,48 +138,41 @@ def walk(u, m: int, lattice):
     subtree's, then the ones the subtree adds.  Given a lattice
     (address.lattice_lines, or two sequences indexed alike), each vertex's
     canonical address and the entries of its two lines, its x and y, are
-    filled in.
+    mapped from _layout's top part and subtree shape.
 
-    One recursion runs V_m's glue rule (address._glue): V_k is its three
-    corners, then copy 0 of V_(k-1) from its row 1, copy 1 from row 2
-    and copy 2 from row 3.  So the vertices a cell adds are its
-    midpoints (0):1 and (0):2, then those subcell 0 adds, its midpoint
-    (1):2, then those subcells 1 and 2 add.  A cell carries its corners'
-    values and lattice lines and its word, and computes each midpoint
-    once from its triple, by the row of _midpoint_rows in matvec's order,
-    or reads it from the seed down to level m0: so a vertex takes the bits
-    of the cell_triple walk of each of its cells, and no value is -0.0,
-    since each is a sum from 0.  The walk first runs down to the subtree
-    roots, keeping the vertices of V_d, then runs each subtree in turn:
-    one subtree's lists are held at a time.  A cell spanning two levels
-    adds its 12 vertices inline, which saves two thirds of the calls, but
-    for subtrees of one level, which it leaves to be cut.  The matrices of
+    The values come from one recursion in _layout's vertex order.  A cell
+    carries its corners' values and computes each midpoint once from its
+    triple, by the row of _midpoint_rows in matvec's order, or reads it
+    from the seed down to level m0: so a vertex takes the bits of the
+    cell_triple walk of each of its cells, and no value is -0.0, since each
+    is a sum from 0.  The walk first runs down to the subtree roots,
+    keeping the vertices of V_d, then runs each subtree in turn: one
+    subtree's lists are held at a time.  A cell spanning two levels adds
+    its 12 values inline, which saves two thirds of the calls, but for
+    subtrees of one level, which it leaves to be cut.  The matrices of
     every level are checked before the first Part."""
     m0, get = u.m0, u.seed_values.get
     if check_level(m) < m0:
         raise DomainError(f"level {m} below seed level {m0}")
     # by the levels k a cell spans: its midpoints' rows (None down to
-    # the seed level, whose values are read), the offsets in V_m0 of its
-    # midpoint (1):2 and of subcells 1 and 2 from the first vertex it adds,
-    # as in cells, and half its side on the lattice
+    # the seed level, whose values are read) and the offsets in V_m0 of its
+    # midpoint (1):2 and of subcells 1 and 2 from the first vertex it adds
     levels = [None]
     for k in range(1, m + 1):
         j = m - k + 1  # the midpoints' level
         n0 = vertex_count(max(m0 - j, 0)) - 3
         levels.append((_midpoint_rows(u.sequence.value(j), j) if j > m0 else None,
-                       2 + n0, 3 + n0, 3 + 2 * n0, 1 << (k - 1)))
+                       2 + n0, 3 + n0, 3 + 2 * n0))
     leaf = levels[1][0] if m else None
-    values, names, xs, ys = [], [], [], []
-    cut, subtrees = (SUBTREE_LEVELS if m > SUBTREE_LEVELS else None), []
+    values, cut, subtrees = [0.0 + get(i, 0.0) for i in range(3)], min(m, SUBTREE_LEVELS), []
 
-    def fill(k, a, b, c, f0, t, n, word):
+    def fill(k, a, b, c, f0):
         # the cell spanning k levels with the corner values a, b, c, which
-        # adds the vertices from position f0 on in V_m0, its corner 0 on
-        # the lattice lines t, n
+        # adds the vertices from position f0 on in V_m0
         if k == cut:
-            subtrees.append((len(values), (k, a, b, c, f0, t, n, word)))
+            subtrees.append((len(values), (k, a, b, c, f0)))
             return
-        r, e12, e1, e2, h = levels[k]
+        r, e12, e1, e2 = levels[k]
         if r is None:
             a01, a02, a12 = 0.0 + get(f0, 0.0), 0.0 + get(f0 + 1, 0.0), 0.0 + get(f0 + e12, 0.0)
         else:
@@ -157,10 +182,6 @@ def walk(u, m: int, lattice):
             a12 = 0 + z0 * a + z1 * b + z2 * c
         if k == 1:  # the subcells add nothing
             values.extend((a01, a02, a12))
-            if lattice:
-                names.extend((word + "0:1", word + "0:2", word + "1:2"))
-                xs.extend((x_line[t + 2], x_line[t + 1], x_line[t + 3]))
-                ys.extend((y_line[n], y_line[n + 1], y_line[n + 1]))
             return
         if k == 2 and leaf is not None and cut != 1:  # the subcells' midpoints, inline
             x0, x1, x2, y0, y1, y2, z0, z1, z2 = leaf
@@ -173,88 +194,51 @@ def walk(u, m: int, lattice):
                 0 + z0 * a01 + z1 * b + z2 * a12,
                 0 + x0 * a02 + x1 * a12 + x2 * c, 0 + y0 * a02 + y1 * a12 + y2 * c,
                 0 + z0 * a02 + z1 * a12 + z2 * c))
-            if lattice:
-                names.extend(map(word.__add__, _LEAF_ADDRESSES))
-                xs.extend(_LEAF_XS(x_line[t + 1:t + 8]))
-                ys.extend(_LEAF_YS(y_line[n:n + 4]))
             return
         values.extend((a01, a02))
-        if lattice:
-            names.extend((word + "0:1", word + "0:2"))
-            xs.extend((x_line[t + 2 * h], x_line[t + h]))
-            ys.extend((y_line[n], y_line[n + h]))
-        fill(k - 1, a, a01, a02, f0 + 2, t, n, word + "0")
+        fill(k - 1, a, a01, a02, f0 + 2)
         values.append(a12)
-        if lattice:
-            names.append(word + "1:2")
-            xs.append(x_line[t + 3 * h])
-            ys.append(y_line[n + h])
-        fill(k - 1, a01, b, a12, f0 + e1, t + 2 * h, n, word + "1")
-        fill(k - 1, a02, a12, c, f0 + e2, t + h, n + h, word + "2")
+        fill(k - 1, a01, b, a12, f0 + e1)
+        fill(k - 1, a02, a12, c, f0 + e2)
 
-    values += [0.0 + get(i, 0.0) for i in range(3)]
+    names, dx, dy, _, roots = _layout(m, cut)
     if lattice:
         x_line, y_line = lattice
-        names += [":0", ":1", ":2"]
-        xs += [x_line[0], x_line[2 << m], x_line[1 << m]]
-        ys += [y_line[0], y_line[0], y_line[1 << m]]
+        names, xs, ys = list(names), [x_line[t] for t in dx], [y_line[n] for n in dy]
+        if m:  # the subtree shape, mapped onto each subtree
+            shape, dx, dy = (column[3:] for column in _layout(cut, None)[:3])
+            dx, dy, width = itemgetter(*dx), itemgetter(*dy), 1 << cut
+    else:
+        names = xs = ys = []
     try:
         if m:
-            fill(m, *values, 3, 0, 0, "")
-        if not subtrees:
+            fill(m, *values, 3)
+        if not subtrees:  # V_0
             yield Part(values, names, xs, ys)
             return
-        top, lo, cut = (values, names, xs, ys), 0, None
-        for hi, args in subtrees:
-            values, names, xs, ys = (column[lo:hi] for column in top)
-            lo = hi
+        top, lo, cut = values, 0, None
+        for (hi, args), (word, t, n, *_) in zip(subtrees, roots):
+            values = top[lo:hi]
             fill(*args)
-            yield Part(values, names, xs, ys)
+            yield Part(values, [], [], []) if not lattice else Part(
+                values, [*names[lo:hi], *map(word.__add__, shape)],
+                [*xs[lo:hi], *dx(x_line[t:t + 2 * width + 1])],
+                [*ys[lo:hi], *dy(y_line[n:n + width + 1])])
+            lo = hi
     finally:
         del fill  # which refers to itself, and so would keep its lists until a collection
 
 
-def cells(m: int):
-    """V_m's cells as vertex triples, in cell order: one flat list per
+def cells(m: int, base: int = 0):
+    """V_m's cells as vertex triples, in cell order: one flat tuple per
     subtree of walk, the cells of F_w V_(m-d), d = max(0, m -
-    SUBTREE_LEVELS), with its vertices numbered in walk's order.  Every
-    edge lies in exactly one cell, so the triples are the level's whole
-    graph.
-
-    walk's recursion on vertex positions alone: the cell spanning k levels
-    with its corners at positions a, b, c adds its midpoints (0):1 and
-    (0):2 at f and f + 1, then subcell 0's vertices from f + 2, its
-    midpoint (1):2 at f + 2 + n and subcells 1 and 2 from f + 3 + n and
-    f + 3 + 2n, when each subcell adds n (address._glue)."""
-    # the offsets of a cell spanning k levels, by k
-    offsets = [None] + [(2 + n, 3 + n, 3 + 2 * n)
-                        for n in (vertex_count(k) - 3 for k in range(check_level(m)))]
-    out, cut, subtrees = [], (SUBTREE_LEVELS if m > SUBTREE_LEVELS else None), []
-
-    def fill(k, a, b, c, f):
-        if k == cut:
-            subtrees.append((k, a, b, c, f))
-            return
-        if k == 1:  # the subcells add nothing
-            out.extend((a, f, f + 1, f, b, f + 2, f + 1, f + 2, c))
-            return
-        d12, d1, d2 = offsets[k]
-        fill(k - 1, a, f, f + 1, f + 2)
-        fill(k - 1, f, b, f + d12, f + d1)
-        fill(k - 1, f + 1, f + d12, c, f + d2)
-
-    try:
-        if not m:
-            yield [0, 1, 2]
-            return
-        fill(m, 0, 1, 2, 3)
-        if not subtrees:
-            yield out
-            return
-        cut = None
-        for args in subtrees:
-            out = []
-            fill(*args)
-            yield out
-    finally:
-        del fill  # which refers to itself
+    SUBTREE_LEVELS), with its vertices numbered in walk's order from
+    `base` (obj's faces count from 1).  Every edge lies in exactly one
+    cell, so the triples are the level's whole graph.  Each subtree's are
+    _layout's cells of the subtree shape, mapped onto its corners and the
+    vertices it adds."""
+    cut = min(check_level(m), SUBTREE_LEVELS)
+    faces, added = itemgetter(*_layout(cut, None)[3]), vertex_count(cut) - 3
+    for _, _, _, f, a, b, c in _layout(m, cut)[4]:
+        f += base
+        yield faces((a + base, b + base, c + base, *range(f, f + added)))

@@ -81,3 +81,17 @@ def test_wall_raw_s_weights_each_kind_median_by_its_count_in_one_pass():
                        + [{"kind": "eval_json", "pass": 1, "traced": True, "wall_s": 9.0}],
     }
     assert bench_pairs.wall_raw_s(record) == pytest.approx(2 * 0.25 + 1 * 0.5)
+
+
+def test_stdout_identical_counts_the_pairs_whose_every_invocation_matches():
+    def record(*digests):
+        return {"invocations": [{"args": ["eval", "--level", str(i)], "stdout_sha256": d}
+                                for i, d in enumerate(digests)]}
+
+    parent = [bench_pairs.stdout_digests(record("a", "b")) for _ in range(3)]
+    assert parent[0] == [(["eval", "--level", "0"], "a"), (["eval", "--level", "1"], "b")]
+    # one stdout differs in the second pair, and the third ran one invocation fewer
+    change = [bench_pairs.stdout_digests(r) for r in [record("a", "b"), record("a", "c"),
+                                                      record("a")]]
+    assert bench_pairs.stdout_identical(parent, change) == "1 of 3 pairs"
+    assert bench_pairs.stdout_identical(parent, parent) == "3 of 3 pairs"

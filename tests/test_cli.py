@@ -230,6 +230,33 @@ def test_usage_errors_exit_two(capsys):
     _assert_exit(2, ["special", "--fn", "psi", "--range", "1:2"], capsys)
 
 
+# int and float read "1_0" as 10; every number on the command line is
+# refused with it, where each of these ran (exit 0) or, for the index, was
+# read as 10 (exit 3)
+@pytest.mark.parametrize("argv, line", [
+    (["eval", "--seed", "six:0_2:1", "--level", "2", "--format", "obj"],
+     "malformed seed 'six:0_2:1': invalid digit grouping in '0_2'"),
+    (["eval", "--seed", "six:2:1_0", "--level", "2"],
+     "malformed seed 'six:2:1_0': invalid digit grouping in '1_0'"),
+    (["eval", "--seed", "free:1_0:1,1,1", "--level", "1"],
+     "malformed free seed 'free:1_0:1,1,1': invalid digit grouping in '1_0'"),
+    (["tangent", "--seed", "free:1:1,1_0,1", "--word", ":0"],
+     "malformed free seed 'free:1:1,1_0,1': invalid digit grouping in '1_0'"),
+    (["spectrum", "--level", "1_0"], "argument --level: invalid int value: '1_0'"),
+    (["eval", "--seed", "two:1:1", "--level", "0_2"], "argument --level: invalid int value: '0_2'"),
+    (["special", "--fn", "psi", "--range=0:1:1_0"],
+     "malformed range '0:1:1_0': invalid digit grouping in '1_0'"),
+    (["special", "--fn", "psi", "--range=0_0:1:3"],
+     "malformed range '0_0:1:3': invalid digit grouping in '0_0'"),
+    (["special", "--fn", "upsilon", "--range=0:1:3", "--tol", "1e-1_0"],
+     "tolerance must be a number, got '1e-1_0'"),
+    (["spectrum", "--level", "2", "--verify", "--verify-tol", "1_0"],
+     "verify tolerance must be a number, got '1_0'"),
+])
+def test_underscore_digit_grouping_exits_two(argv, line, capsys):
+    assert _assert_exit(2, argv, capsys) == f"usage error: {line}\n"
+
+
 SEED_ERROR_LINES = {
     "nope:1:1": "unknown series 'nope'",
     "six:1:2": "seed index must be in 1..1 for the six-series at m0=1, got 2",
@@ -577,8 +604,14 @@ def test_walk_equals_the_dense_reference_bitwise(seed, level, levels):
 
 @pytest.mark.parametrize("level", range(11))
 def test_subtree_faces_are_the_level_cells(level):
-    # the obj faces: the cells of each subtree, joined, are the level graph
-    assert level_cells(level) == build_level_graph(level).cells.ravel().tolist()
+    # the obj faces: the cells of each subtree, joined, are the level graph,
+    # counted from 0 and from 1, at the default cut and, up to level 8, at
+    # every cut from 1 to the level
+    expected = build_level_graph(level).cells.ravel().tolist()
+    for levels in [mesh.SUBTREE_LEVELS, *(range(1, level + 1) if level <= 8 else [])]:
+        with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
+            assert level_cells(level) == expected, levels
+            assert [v - 1 for part in cells(level, 1) for v in part] == expected, levels
 
 
 def _tampered_eval(monkeypatch, tmp_path, capsys, level, tamper):

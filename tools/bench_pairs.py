@@ -27,7 +27,10 @@ sglap.cli` time (`setup_raw_s`) and the probe's lower quartile
 (`probe_q1_s`), so that a change in set-up can be told apart from probe
 noise.  Beside the scaled wall_s, the record holds each run's unscaled
 `wall_raw_s`: one pass's invocations of each kind times the kind's raw
-median wall time, summed, which the probe scaling does not move.
+median wall time, summed, which the probe scaling does not move.  A pair
+runs the same invocations on both sides, so `stdout_identical` counts the
+pairs whose two runs gave every invocation the same stdout, by the
+`stdout_sha256` of each invocation in the two records.
 """
 from __future__ import annotations
 
@@ -81,6 +84,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     result["kind_metrics"] = kind_metrics(record)
     result["setup_metrics"] = setup_metrics(record)
     result["wall_raw_s"] = wall_raw_s(record)
+    result["stdout"] = stdout_digests(record)
     return result
 
 
@@ -109,6 +113,18 @@ def wall_raw_s(record: dict) -> float:
     passes = len({r["pass"] for r in plain})
     counts = Counter(r["kind"] for r in plain)
     return sum(counts[kind] / passes * row["median_s"] for kind, row in record["kinds"].items())
+
+
+def stdout_digests(record: dict) -> list:
+    """Each invocation's arguments and stdout sha256 in a perfbench
+    record, in run order."""
+    return [(r["args"], r["stdout_sha256"]) for r in record["invocations"]]
+
+
+def stdout_identical(parent: list, change: list) -> str:
+    """How many pairs of runs, given as their stdout_digests, gave every
+    invocation the same stdout on both sides."""
+    return f"{sum(p == c for p, c in zip(parent, change))} of {len(parent)} pairs"
 
 
 def kind_unit(name: str) -> str:
@@ -213,6 +229,8 @@ def main() -> int:
                       for name in results["parent"][0]["setup_metrics"]},
             "attempted": {side: [r["attempted"] for r in runs] for side, runs in results.items()},
             "failed": {side: [r["failed"] for r in runs] for side, runs in results.items()},
+            "stdout_identical": stdout_identical(*([r["stdout"] for r in results[side]]
+                                                   for side in ("parent", "change"))),
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -10,12 +10,11 @@ these -- floats never enter.
 The level-m graph is the union of its three images F_j V_{m-1}, glued at
 the level-1 junctions (_glue): each vertex's canonical address is its
 copy's letter prepended to the address it had one level up, and the
-canonical vertex order falls out of the gluing.  One vertex is looked up
-by that rule without a graph: vertex_index runs it for a single vertex,
-level by level, and vertex_cells runs it backwards.  A whole level is
-walked by the same rule, one cell at a time, in mesh: walk for its values
-and cells for its graph, with the vertices' coordinates from lattice_lines.
-This module imports no numpy.
+canonical vertex order falls out of the gluing.  vertex_index runs that
+rule for a single vertex, level by level, and vertex_cells runs it
+backwards.  mesh lays a whole level out by the same rule, one cell at a
+time: walk gives its values, addresses its addresses, points its entries
+of lattice_lines, and cells its graph.  This module imports no numpy.
 """
 from __future__ import annotations
 

@@ -33,7 +33,6 @@ SPECTRUM_TOL = 1e-9
 EVAL_TOL = 1e-9
 TANGENT_TOL = 1e-7
 
-
 BLOCK_ROWS = 1 << 10  # rows per output block
 
 
@@ -53,13 +52,10 @@ def _csv_text(rows) -> str:
 
 def _table_blocks(fmt: str, columns, rows):
     """A table as text blocks: the header, then BLOCK_ROWS rows at a time,
-    then the footer.  The blocks are mapped to text, so that neither a block
-    nor its text is held once it is yielded and one block is taken from
-    `rows` at a time.
-
-    The bytes equal what csv.writer(lineterminator="\n") and
-    json.dumps(records, indent=2) give for these rows; a JSON block after
-    the first starts with the ",\n" seam.  A cell is a str, int, float,
+    taken from `rows` one block at a time and held no longer than their
+    text, then the footer.  The bytes equal what csv.writer(lineterminator=
+    "\n") and json.dumps(records, indent=2) give for these rows; a JSON
+    block after the first starts with ",\n".  A cell is a str, int, float,
     bool or None; anything else raises TypeError."""
     rows = iter(rows)
     blocks = iter(lambda: list(itertools.islice(rows, BLOCK_ROWS)), [])
@@ -139,10 +135,12 @@ def _emit(args, blocks):
 
 
 def _plain(kind, text: str):
-    """int or float of text, refusing the underscores that both read as
-    digit grouping ("1_0" is 10)."""
+    """int or float of text, refusing what both read besides ASCII numbers:
+    "1_0" as 10, digits of any script and whitespace around the number."""
     if "_" in text:
         raise ValueError(f"invalid digit grouping in {text!r}")
+    if not (text.isascii() and text.isprintable()) or " " in text:
+        raise ValueError(f"a number must be printable ASCII without whitespace, got {text!r}")
     return kind(text)
 
 
@@ -249,13 +247,21 @@ def parse_seed(text: str):
     return harmonic.dirichlet_eigenfunction(series, m0, index, plus)
 
 
+def _complain(line: str) -> None:
+    """One line to stderr; a closed stderr goes to devnull, as stdout does."""
+    try:
+        print(line, file=sys.stderr)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def _verdict(what: str, worst: float, tol: float) -> int:
     """The exit code of a --verify check: 0 when its worst figure is below
     the tolerance, else 4 with one stderr line.  Written so that a NaN
     figure fails too."""
     if worst < tol:
         return 0
-    print(f"verification failed: {what} {worst:.3e} >= {tol:.3e}", file=sys.stderr)
+    _complain(f"verification failed: {what} {worst:.3e} >= {tol:.3e}")
     return 4
 
 
@@ -294,45 +300,45 @@ def cmd_spectrum(args) -> int:
 # --- eval -------------------------------------------------------------------
 
 def _eval_blocks(args, u, lattice):
-    """The eval output as text blocks: a header, then the rows of each Part
-    of mesh.walk in blocks of at most BLOCK_ROWS rows, so that no more than
-    one block of rows is held as text; then the obj faces, one subtree's
-    cells at a time, from mesh.cells counted from 1.  `lattice` is the repr
-    of each entry of address.lattice_lines(level), which the walk maps to
-    each vertex's x and y.  A part whose columns differ in length, or parts
-    that do not make |V_level| rows, raise InvariantError.
-
-    The bytes equal what csv.writer and json.dumps(indent=2) give for these
-    rows (addresses need no quoting or escaping, and finite floats print as
-    repr in both); a JSON block after the first starts with the ",\n" seam."""
+    """The eval output as text blocks: a header, then each part of
+    mesh.walk zipped with its mesh.points of `lattice` (the reprs of
+    address.lattice_lines(level)) and, but for obj, its mesh.addresses, as
+    rows in blocks of at most BLOCK_ROWS, one block held as text at a time;
+    then obj's faces, one part of mesh.cells(level, 1) at a time.  Columns
+    that differ in length, or parts that do not make |V_level| rows, raise
+    InvariantError.  The bytes equal what csv.writer and json.dumps(indent=2)
+    give for these rows (addresses need no quoting, and finite floats print
+    as repr in both); a JSON block after the first starts with ",\n"."""
     from .decimation import vertex_count
-    from .mesh import cells, walk
+    from .mesh import addresses, cells, points, walk
 
     level, fmt = args.level, args.format
     if fmt == "obj":
         yield f"# sglap eval seed={args.seed} level={level}\n"
     else:
         yield "address,level,x,y,value\n" if fmt == "csv" else "[\n"
-    seam, rows = [], 0
-    for part in walk(u, level, lattice):
-        if not len(part.values) == len(part.addresses) == len(part.xs) == len(part.ys):
+    seam, rows, parts = [], 0, walk(u, level)
+    # the values come last, so that a part of them left over is counted below
+    layout = [points(level, lattice), *([] if fmt == "obj" else [addresses(level)])]
+    for (xs, ys), *names, values in zip(*layout, parts):
+        if len({len(values), len(xs), len(ys), *map(len, names)}) > 1:
             raise InvariantError(f"the values of V_{level} come in a part of the wrong length")
-        rows += len(part.values)
-        for i, j in _row_ranges(len(part.values)):
-            names, x, y = part.addresses[i:j], part.xs[i:j], part.ys[i:j]
-            v = list(map(repr, part.values[i:j]))
+        rows += len(values)
+        for i, j in _row_ranges(len(values)):
+            x, y, v = xs[i:j], ys[i:j], list(map(repr, values[i:j]))
             if fmt == "obj":
                 yield "v " + "\nv ".join(map(" ".join, zip(x, y, v))) + "\n"
             elif fmt == "csv":
-                yield "\n".join(map(",".join, zip(names, itertools.repeat(str(level)),
+                yield "\n".join(map(",".join, zip(names[0][i:j], itertools.repeat(str(level)),
                                                    x, y, v))) + "\n"
             else:
                 # a leading "" puts the seam before every block but the first
                 yield ",\n".join(seam + [
                     f'  {{\n    "address": "{s}",\n    "level": {level},\n    "x": {a},\n'
                     f'    "y": {b},\n    "value": {c}\n  }}'
-                    for s, a, b, c in zip(names, x, y, v)])
+                    for s, a, b, c in zip(names[0][i:j], x, y, v)])
                 seam = [""]
+    rows += sum(map(len, parts))
     if rows != vertex_count(level):
         raise InvariantError(f"the values of V_{level} take {rows} rows, not {vertex_count(level)}")
     if fmt == "obj":
@@ -363,11 +369,11 @@ def cmd_eval(args) -> int:
 
     u = parse_seed(args.seed)
     # repr runs once per lattice line, O(2^level) of them, not per vertex:
-    # the walk takes each subtree's x and y from a slice of these strings
+    # mesh.points takes each subtree's x and y from a slice of these strings
     blocks = _eval_blocks(args, u, [list(map(repr, column)) for column in lattice_lines(args.level)])
     # every value is checked in a first walk, before the first byte, and
     # walked again to be written
-    if not all(all(map(math.isfinite, part.values)) for part in walk(u, args.level, None)):
+    if not all(all(map(math.isfinite, part)) for part in walk(u, args.level)):
         raise SglapError(f"seed {args.seed!r} gives non-finite values on V_{args.level}")
     if not args.verify:
         _emit(args, blocks)
@@ -521,16 +527,16 @@ def main(argv=None) -> int:
     except BrokenPipeError as exc:
         # the reader is gone; the rest goes to devnull, so that exit flushes quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"usage error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        _complain(f"usage error: cannot write to stdout: {exc.strerror}")
         return 2
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _complain(f"usage error: {exc}")
         return 2
     except SglapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return 3
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        _complain(f"error: out of memory: {exc}")
         return 3
 
 

@@ -1,30 +1,26 @@
-"""V_m walked cell by cell in canonical vertex order: eval's values and
-rows, the level's cells, and the eigen-equation residual of what eval wrote.
+"""V_m walked cell by cell in canonical vertex order: eval's values, the
+vertices' addresses and lattice points, the level's cells, and the
+eigen-equation residual of what eval wrote.
 
-A SpectralEigenfunction's values on V_m are refined by one recursion on
-Python floats, each new vertex computed once from its cell's triple, and
-handed on one subtree at a time, so that no array of a whole level is made.
-The rest of V_m's layout, the vertices' canonical addresses, lattice
-entries and cells, does not depend on the values and is alike in every
-subtree: _layout lays out the top part and the subtree shape once, and
-walk and cells map them onto each subtree.  cells is the one builder of a
-level's graph, which eval's obj faces, eval --verify's residual and the
-dense oracle read; mesh imports no numpy, and no tangent layer loads it.
+walk refines a SpectralEigenfunction's values by one recursion on Python
+floats, one subtree at a time, so that no array of a whole level is made.
+The rest of V_m's layout does not depend on the values and is alike in
+every subtree: _layout lays it out once, and addresses, points and cells
+map it onto walk's parts.  cells is the one builder of a level's graph
+(eval's obj faces, eval --verify's residual, the dense oracle).  mesh
+imports no numpy; no tangent layer loads it.
 """
 from __future__ import annotations
 
 import functools
 import math
 from operator import itemgetter
-from typing import NamedTuple
 
 from .decimation import check_level, vertex_count
 from .errors import DomainError
 from .harmonic import IDENTITY, eigen_matrices
 
-# the levels below a subtree root of walk: each part holds one subtree's
-# vertices, |V_6| - 3 = 1092
-SUBTREE_LEVELS = 6
+SUBTREE_LEVELS = 6  # the levels below walk's subtree roots: a subtree adds |V_6| - 3 = 1092
 
 
 def _midpoint_rows(lam: float, level: int) -> tuple:
@@ -83,35 +79,25 @@ def eigen_residual(parts, values, lam_level: float) -> float:
     return worst / (sup * scale)
 
 
-class Part(NamedTuple):
-    """One subtree's share of walk, in vertex order: the values, and given
-    a lattice the canonical addresses and the x and y entries of the
-    vertices."""
-
-    values: list
-    addresses: list
-    xs: list
-    ys: list
-
-
 @functools.cache
 def _layout(k: int, cut) -> tuple:
-    """A cell spanning k levels laid out once, for walk and cells to map
-    onto every cell of its shape: its vertices in walk order, its corners
-    at positions 0, 1 and 2 and the ones it adds from 3 on, as their
-    addresses after the cell's word and their x and y lattice lines from
-    its corner 0's, and its cells as one flat tuple of positions.  Subcells
-    spanning `cut` levels are left as roots (word, t, n, f, a, b, c): the
-    word, corner 0's lines, the position of the first vertex added and the
-    corners' positions.  A cell spanning 0 levels is one cell; a larger one
-    adds its midpoints (0):1 and (0):2 at f and f + 1, subcell 0's vertices
-    from f + 2, its midpoint (1):2 at f + 2 + s and subcells 1 and 2 from
-    f + 3 + s and f + 3 + 2s, each adding s (address._glue)."""
+    """A cell spanning k levels laid out once, to be mapped onto every cell
+    of its shape: its vertices in walk order, its corners at positions 0,
+    1 and 2 and the ones it adds from 3 on, as their addresses after the
+    cell's word and their x and y lattice lines from its corner 0's, and
+    its cells as one flat tuple of positions.  Subcells spanning `cut`
+    levels are left as roots (lo, hi, word, t, n, f, a, b, c): the bounds
+    of the vertices laid out since the root before, the word, corner 0's
+    lines, the position of the first vertex added and the corners'
+    positions.  A cell spanning 0 levels is one cell; a larger one adds
+    its midpoints (0):1 and (0):2 at f and f + 1, subcell 0's vertices from
+    f + 2, its midpoint (1):2 at f + 2 + s and subcells 1 and 2 from f + 3
+    + s and f + 3 + 2s, each adding s (address._glue)."""
     names, xs, ys, faces, roots = [":0", ":1", ":2"], [0, 2 << k, 1 << k], [0, 0, 1 << k], [], []
 
     def fill(k, a, b, c, f, t, n, word):
         if k == cut:
-            roots.append((word, t, n, f, a, b, c))
+            roots.append((roots[-1][1] if roots else 0, len(names), word, t, n, f, a, b, c))
             return
         if not k:
             faces.extend((a, b, c))
@@ -131,26 +117,19 @@ def _layout(k: int, cut) -> tuple:
     return tuple(names), tuple(xs), tuple(ys), tuple(faces), tuple(roots)
 
 
-def walk(u, m: int, lattice):
-    """V_m's vertices in canonical order with u's values, as Parts:
+def walk(u, m: int):
+    """u's values on V_m in canonical vertex order, as lists of floats:
     one per subtree F_w V_(m-d), d = max(0, m - SUBTREE_LEVELS), in cell
-    order, each holding the vertices of V_d that come before the
-    subtree's, then the ones the subtree adds.  Given a lattice
-    (address.lattice_lines, or two sequences indexed alike), each vertex's
-    canonical address and the entries of its two lines, its x and y, are
-    mapped from _layout's top part and subtree shape.
-
-    The values come from one recursion in _layout's vertex order.  A cell
-    carries its corners' values and computes each midpoint once from its
-    triple, by the row of _midpoint_rows in matvec's order, or reads it
-    from the seed down to level m0: so a vertex takes the bits of the
-    cell_triple walk of each of its cells, and no value is -0.0, since each
-    is a sum from 0.  The walk first runs down to the subtree roots,
-    keeping the vertices of V_d, then runs each subtree in turn: one
-    subtree's lists are held at a time.  A cell spanning two levels adds
-    its 12 values inline, which saves two thirds of the calls, but for
-    subtrees of one level, which it leaves to be cut.  The matrices of
-    every level are checked before the first Part."""
+    order, each holding the vertices of V_d before the subtree's, then the
+    ones it adds.  One recursion in _layout's vertex order computes each
+    midpoint once from its cell's corner values, by the row of
+    _midpoint_rows in matvec's order, or reads it from the seed down to
+    level m0: so a vertex takes the bits of the cell_triple walk of each of
+    its cells, and no value is -0.0, since each is a sum from 0.  It runs
+    down to the subtree roots, keeping V_d, then each subtree in turn.  A
+    cell spanning two levels adds its 12 values inline, saving two thirds
+    of the calls, except in subtrees of one level, which only tests set.
+    Every level's matrices are checked before the first part."""
     m0, get = u.m0, u.seed_values.get
     if check_level(m) < m0:
         raise DomainError(f"level {m} below seed level {m0}")
@@ -201,44 +180,60 @@ def walk(u, m: int, lattice):
         fill(k - 1, a01, b, a12, f0 + e1)
         fill(k - 1, a02, a12, c, f0 + e2)
 
-    names, dx, dy, _, roots = _layout(m, cut)
-    if lattice:
-        x_line, y_line = lattice
-        names, xs, ys = list(names), [x_line[t] for t in dx], [y_line[n] for n in dy]
-        if m:  # the subtree shape, mapped onto each subtree
-            shape, dx, dy = (column[3:] for column in _layout(cut, None)[:3])
-            dx, dy, width = itemgetter(*dx), itemgetter(*dy), 1 << cut
-    else:
-        names = xs = ys = []
     try:
-        if m:
-            fill(m, *values, 3)
-        if not subtrees:  # V_0
-            yield Part(values, names, xs, ys)
+        if not m:  # V_0
+            yield values
             return
+        fill(m, *values, 3)
         top, lo, cut = values, 0, None
-        for (hi, args), (word, t, n, *_) in zip(subtrees, roots):
+        for hi, args in subtrees:
             values = top[lo:hi]
             fill(*args)
-            yield Part(values, [], [], []) if not lattice else Part(
-                values, [*names[lo:hi], *map(word.__add__, shape)],
-                [*xs[lo:hi], *dx(x_line[t:t + 2 * width + 1])],
-                [*ys[lo:hi], *dy(y_line[n:n + width + 1])])
+            yield values
             lo = hi
     finally:
         del fill  # which refers to itself, and so would keep its lists until a collection
 
 
-def cells(m: int, base: int = 0):
-    """V_m's cells as vertex triples, in cell order: one flat tuple per
-    subtree of walk, the cells of F_w V_(m-d), d = max(0, m -
-    SUBTREE_LEVELS), with its vertices numbered in walk's order from
-    `base` (obj's faces count from 1).  Every edge lies in exactly one
-    cell, so the triples are the level's whole graph.  Each subtree's are
-    _layout's cells of the subtree shape, mapped onto its corners and the
-    vertices it adds."""
+def _split(m: int) -> tuple:
+    """_layout's top part of V_m and subtree shape: walk's part at a root
+    holds top[lo:hi], then what the shape, mapped onto the root, adds."""
     cut = min(check_level(m), SUBTREE_LEVELS)
-    faces, added = itemgetter(*_layout(cut, None)[3]), vertex_count(cut) - 3
-    for _, _, _, f, a, b, c in _layout(m, cut)[4]:
+    return _layout(m, cut), _layout(cut, None)
+
+
+def addresses(m: int):
+    """V_m's canonical addresses, one list per part of walk: a subtree's
+    are its word before the shape's suffixes."""
+    top, shape = _split(m)
+    suffixes = shape[0][3:]
+    for lo, hi, word, *_ in top[4]:
+        yield [*top[0][lo:hi], *map(word.__add__, suffixes)]
+
+
+def points(m: int, lattice):
+    """V_m's x and y entries of the lattice lines (address.lattice_lines,
+    or two sequences indexed alike), as a pair of lists per part of walk;
+    a subtree's are the shape's offsets from its corner 0's lines."""
+    (x_line, y_line), (top, shape) = lattice, _split(m)
+    xs, ys = [x_line[t] for t in top[1]], [y_line[n] for n in top[2]]
+    if not m:  # V_0's corners, and a shape that adds nothing
+        yield xs, ys
+        return
+    # the shape's lines run to its corner 1's x and its corner 2's y
+    dx, dy, wx, wy = itemgetter(*shape[1][3:]), itemgetter(*shape[2][3:]), shape[1][1], shape[2][2]
+    for lo, hi, _, t, n, *_ in top[4]:
+        yield [*xs[lo:hi], *dx(x_line[t:t + wx + 1])], [*ys[lo:hi], *dy(y_line[n:n + wy + 1])]
+
+
+def cells(m: int, base: int = 0):
+    """V_m's cells as vertex triples, in cell order, one flat tuple per part
+    of walk: the shape's cells mapped onto each subtree's corners and the
+    vertices it adds, numbered in walk's order from `base` (obj's faces
+    count from 1).  Every edge lies in exactly one cell, so the triples are
+    the level's whole graph."""
+    top, shape = _split(m)
+    faces, added = itemgetter(*shape[3]), len(shape[0]) - 3
+    for *_, f, a, b, c in top[4]:
         f += base
         yield faces((a + base, b + base, c + base, *range(f, f + added)))

@@ -3,8 +3,8 @@ that only the tests use: the one-letter extension helpers, the closed-form
 tangent as it ran on numpy, the renormalized normal-derivative limit, the
 whole-level Laplacian and residual, the numpy level-graph builder that
 mesh.cells replaced, the dense seed, the whole-level numpy refinement and
-collapse that eval ran on before its walk, a level's walk and cells joined
-into whole columns, per-cell vertex values, the whole-level vertex
+collapse that eval ran on before its walk, a level's walk, addresses,
+points and cells joined into whole columns, per-cell vertex values, the whole-level vertex
 keys and coordinates and the scalar addressing, the psi_m approximant and
 50-digit Psi and Upsilon, and the oracles' spectrum pairing and
 unit-interval model."""
@@ -17,11 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, _glue, check_letter,
-                           check_word, lattice_lines, vertex_cells)
+                           check_word, vertex_cells)
 from sglap.decimation import EigenvalueSequence, check_level, vertex_count
 from sglap.errors import ConvergenceError, DomainError
 from sglap.harmonic import HARMONIC_INVERSES, SpectralEigenfunction, eigen_matrices, matvec
-from sglap.mesh import Part, cells, walk
+from sglap.mesh import addresses, cells, points, walk
 from sglap.tangent import m0_matrix
 
 acceptance_log = []
@@ -237,17 +237,17 @@ def dense_values(u, m: int) -> np.ndarray:
         return cell_values_to_vertex(build_level_graph(m), cell_values(u, m))[0]
 
 
-# a function whose walk gives a level's addresses, lattice entries and cells
+# a function whose walk gives a level's parts without computing a value
 ZERO = SpectralEigenfunction(EigenvalueSequence(0, 0.0), (0.0, 0.0, 0.0))
 
 
-def walk_columns(u, m: int, lattice=None) -> tuple:
-    """walk(u, m, lattice) joined into whole columns: (values, addresses,
-    xs, ys), each a list in vertex order."""
-    columns = tuple([] for _ in Part._fields)
-    for part in walk(u, m, lattice):
-        for column, entries in zip(columns, part):
-            column += entries
+def level_columns(m: int, lattice) -> tuple:
+    """addresses(m) and points(m, lattice) joined into whole columns:
+    (addresses, xs, ys), each a list in vertex order."""
+    columns = [v for part in addresses(m) for v in part], [], []
+    for xs, ys in points(m, lattice):
+        columns[1].extend(xs)
+        columns[2].extend(ys)
     return columns
 
 
@@ -259,7 +259,7 @@ def level_cells(m: int) -> list:
 
 def values_on_level(u, m: int) -> np.ndarray:
     """u on V_m as one array in vertex order, as eval's walk gives it."""
-    return np.array(walk_columns(u, m)[0])
+    return np.array([value for part in walk(u, m) for value in part])
 
 
 def vertex_value_walks(u, m: int) -> np.ndarray:
@@ -293,8 +293,8 @@ def level_keys(level: int) -> np.ndarray:
 
 def level_vertices(level: int):
     """(keys, addresses) of every vertex of V_level: level_keys, and the
-    canonical addresses as the walk spells them."""
-    return level_keys(level), walk_columns(ZERO, level, lattice_lines(level))[1]
+    canonical addresses as mesh.addresses spells them."""
+    return level_keys(level), [name for part in addresses(level) for name in part]
 
 
 def key_coords(keys, level: int) -> np.ndarray:

@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ZERO, apply_ifs, build_level_graph, key_coords, level_cells, level_keys,
-                      level_vertices, resolve_addresses, vertex_key, walk_columns, word_index)
+                      level_columns, level_vertices, resolve_addresses, vertex_key, word_index)
 
 from sglap import cli, decimation, mesh
 from sglap.address import (
     DEFAULT_CORNERS,
     EventuallyConstantWord,
-    lattice_lines,
     format_address,
     vertex_cells,
     vertex_index,
@@ -133,11 +132,13 @@ def _lines(keys) -> tuple:
     return (2 * n1 + n2).tolist(), n2.tolist()
 
 
-@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("m", range(10))
 def test_segments_at_every_depth_match_the_table_and_scalar(m):
-    # the walk's rows, at every subtree size, spell the scalar addresses of
-    # the level's keys and their lattice lines; the parts of cells, joined,
-    # are the level graph's cells, and part i holds the cells of subtree i,
+    # at every subtree size, walk, addresses, points and cells split the
+    # level into the same parts, and the first three alike part by part;
+    # joined, the addresses spell the scalar addresses of the level's keys
+    # and the points their lattice lines; the parts of cells, joined, are
+    # the level graph's cells, and part i holds the cells of subtree i,
     # whose vertices but its three corners are the ones walk's part i adds
     keys = level_keys(m)
     scalar = [resolve_addresses(tuple(k), m)[0] for k in keys.tolist()]
@@ -146,15 +147,18 @@ def test_segments_at_every_depth_match_the_table_and_scalar(m):
     for levels in range(1, m + 2):
         added = decimation.vertex_count(min(levels, m)) - 3
         with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
-            _, names, xs, ys = walk_columns(ZERO, m, lines)
-            ends = list(itertools.accumulate(len(part.values) for part in mesh.walk(ZERO, m, None)))
+            names, xs, ys = level_columns(m, lines)
+            sizes = [len(part) for part in mesh.walk(ZERO, m)]
+            assert [len(part) for part in mesh.addresses(m)] == sizes, levels
+            assert [tuple(map(len, part)) for part in mesh.points(m, lines)] == \
+                [(n, n) for n in sizes], levels
             parts = list(mesh.cells(m))
         assert names == [format_address(w, c) for w, c in scalar], levels
         assert (xs, ys) == _lines(keys), levels
         assert [v for part in parts for v in part] == \
             build_level_graph(m).cells.ravel().tolist(), levels
-        assert len(parts) == len(ends), levels
-        for part, end in zip(parts, ends):
+        assert len(parts) == len(sizes), levels
+        for part, end in zip(parts, itertools.accumulate(sizes)):
             assert sorted(set(part))[3:] == list(range(end - added, end)), (levels, end)
 
 
@@ -207,27 +211,26 @@ def test_level_graph_is_pinned(m):
 
 
 def test_address_ranges_match_scalar_across_blocks():
-    # every part of a walk of any subtree size, and every 97-row piece of
-    # one, spells the scalar addresses of its rows
+    # every part of addresses at any subtree size, and every 97-row piece
+    # of one, spells the scalar addresses of its rows
     m = 6
     scalar = [format_address(*resolve_addresses(tuple(k), m)[0]) for k in level_keys(m).tolist()]
-    lattice = lattice_lines(m)
     for levels in range(1, m + 2):
         rows, lo = [], 0
         with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
-            for part in mesh.walk(ZERO, m, lattice):
-                assert part.addresses == scalar[lo:lo + len(part.addresses)], (levels, lo)
-                lo += len(part.addresses)
-                rows += sum((part.addresses[a:a + 97]
-                             for a in range(0, len(part.addresses), 97)), [])
+            for part in mesh.addresses(m):
+                assert part == scalar[lo:lo + len(part)], (levels, lo)
+                lo += len(part)
+                rows += sum((part[a:a + 97] for a in range(0, len(part), 97)), [])
         assert rows == scalar, levels
 
 
 @pytest.mark.parametrize("m", [8, 9, 10])
 def test_vertex_ranges_equal_slices_of_the_whole(m):
-    # each part of the walks with subtrees of 8 to 5 levels is the slice of
-    # the whole level where it starts: the vertices of V_depth before a
-    # subtree's, their V_depth keys scaled, then the |V_S| - 3 the subtree adds
+    # each part of walk, addresses and points with subtrees of 8 to 5
+    # levels is the slice of the whole level where it starts: the vertices
+    # of V_depth before a subtree's, their V_depth keys scaled, then the
+    # |V_S| - 3 the subtree adds
     keys = level_keys(m)
     names = [format_address(*resolve_addresses(tuple(k), m)[0]) for k in keys.tolist()]
     n = decimation.vertex_count(m - 1) - 3
@@ -237,11 +240,12 @@ def test_vertex_ranges_equal_slices_of_the_whole(m):
         depth, added = m - levels, decimation.vertex_count(levels) - 3
         parts, lo, top = [], 0, []
         with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
-            for part in mesh.walk(ZERO, m, lines):
-                hi = lo + len(part.addresses)
-                assert part.addresses == names[lo:hi], (levels, lo)
-                assert (part.xs, part.ys) == _lines(keys[lo:hi]), (levels, lo)
-                assert len(part.values) == hi - lo >= added
+            for values, part, xy in zip(mesh.walk(ZERO, m), mesh.addresses(m),
+                                        mesh.points(m, lines)):
+                hi = lo + len(part)
+                assert part == names[lo:hi], (levels, lo)
+                assert xy == _lines(keys[lo:hi]), (levels, lo)
+                assert len(values) == hi - lo >= added
                 top += keys[lo:hi - added].tolist()
                 parts.append(hi - lo)
                 lo = hi
@@ -261,11 +265,11 @@ def test_vertex_ranges_are_taken_as_slices(walk, block_rows):
     lo = 0
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows), \
             mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
-        for part in mesh.walk(ZERO, m, lines):
-            for a, b in cli._row_ranges(len(part.addresses)):
-                assert part.addresses[a:b] == names[lo + a:lo + b]
-                assert (part.xs[a:b], part.ys[a:b]) == _lines(keys[lo + a:lo + b])
-            lo += len(part.addresses)
+        for part, (xs, ys) in zip(mesh.addresses(m), mesh.points(m, lines)):
+            for a, b in cli._row_ranges(len(part)):
+                assert part[a:b] == names[lo + a:lo + b]
+                assert (xs[a:b], ys[a:b]) == _lines(keys[lo + a:lo + b])
+            lo += len(part)
     assert lo == len(names)
 
 

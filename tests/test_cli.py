@@ -25,9 +25,9 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_level_graph, dense_values, key_coords, level_cells, level_keys,
-                      level_vertices, mp_upsilon, resolve_addresses, seed_array, true_error,
-                      values_on_level, vertex_value_walks, walk_columns, whole_level_residual)
+from conftest import (build_level_graph, dense_values, key_coords, level_cells, level_columns,
+                      level_keys, level_vertices, mp_upsilon, resolve_addresses, seed_array,
+                      true_error, values_on_level, vertex_value_walks, whole_level_residual)
 
 from sglap import cli, mesh
 from sglap.address import format_address, lattice_lines
@@ -257,6 +257,25 @@ def test_underscore_digit_grouping_exits_two(argv, line, capsys):
     assert _assert_exit(2, argv, capsys) == f"usage error: {line}\n"
 
 
+# int and float skip whitespace around a number and read digits of any
+# script; each of these ran (exit 0), where seeds were already refused
+@pytest.mark.parametrize("argv, line", [
+    (["spectrum", "--level", "\u0661"], "argument --level: invalid int value: '\u0661'"),
+    (["spectrum", "--level", " 1"], "argument --level: invalid int value: ' 1'"),
+    (["special", "--fn", "psi", "--range=0:1:\u0663"],
+     "malformed range '0:1:\u0663': a number must be printable ASCII without whitespace, "
+     "got '\u0663'"),
+    (["special", "--fn", "psi", "--range= 0:1:2 "],
+     "malformed range ' 0:1:2 ': a number must be printable ASCII without whitespace, got ' 0'"),
+    (["special", "--fn", "upsilon", "--range=0:1:3", "--tol", "\u0660.\u0661"],
+     "tolerance must be a number, got '\u0660.\u0661'"),
+    (["spectrum", "--level", "2", "--verify", "--verify-tol", "\u0661e-3"],
+     "verify tolerance must be a number, got '\u0661e-3'"),
+], ids=["level-digit", "level-space", "range-digit", "range-space", "tol", "verify-tol"])
+def test_other_scripts_digits_and_whitespace_exit_two(argv, line, capsys):
+    assert _assert_exit(2, argv, capsys) == f"usage error: {line}\n"
+
+
 SEED_ERROR_LINES = {
     "nope:1:1": "unknown series 'nope'",
     "six:1:2": "seed index must be in 1..1 for the six-series at m0=1, got 2",
@@ -362,6 +381,27 @@ def test_eval_golden_bytes_across_block_seams(fmt, block_rows, monkeypatch, caps
                         "--verify"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EVAL_GOLDEN_SHA256[fmt]
+
+
+# sha256 of `eval --seed six:2:1:+-+ --level 10 --format obj` stdout,
+# pinned from the walk that mapped every vertex's address, obj's included
+EVAL_OBJ_L10_SHA256 = "e4c81a86b7b6d00910b53f28081813198a20d2699772670b246a7fc7defce588"
+
+
+@pytest.mark.parametrize("seed, level, digest", [
+    ("five:2:3:+-+", "7", EVAL_GOLDEN_SHA256["obj"]),
+    ("six:2:1:+-+", "10", EVAL_OBJ_L10_SHA256),
+])
+def test_eval_obj_spells_no_address(seed, level, digest, monkeypatch, capsys):
+    # obj writes points, values and faces: it gives its bytes without
+    # asking mesh for a single address
+    def addresses(m):
+        raise AssertionError(f"obj asked for the addresses of V_{m}")
+
+    monkeypatch.setattr(mesh, "addresses", addresses)
+    code, out, _ = run(["eval", "--seed", seed, "--level", level, "--format", "obj"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 of `eval --seed six:3:5:+-+- --level 9` stdout, pinned from the
@@ -589,9 +629,9 @@ def test_walk_equals_the_dense_reference_bitwise(seed, level, levels):
     u = _parse_eval_seed(seed, level)
     reference = dense_values(u, level)
     with mock.patch.object(mesh, "SUBTREE_LEVELS", levels):
-        values, *rows = walk_columns(u, level, [list(range(2 ** (level + 1) + 1)),
-                                                list(range(2 ** level + 1))])
-    assert rows == list(_level_rows(level))
+        values = values_on_level(u, level)
+        rows = level_columns(level, [list(range(2 ** (level + 1) + 1)), list(range(2 ** level + 1))])
+    assert rows == _level_rows(level)
     if np.isfinite(reference).all():
         assert _bits(values).tobytes() == _bits(reference).tobytes()
     else:
@@ -678,8 +718,8 @@ def _tampered_last_subtree(monkeypatch, tmp_path, capsys, tamper):
     other 26 first.  Returns the two messages."""
     original = mesh.walk
 
-    def walk(u, m, lattice):
-        parts = list(original(u, m, lattice))
+    def walk(u, m):
+        parts = list(original(u, m))
         assert len(parts) == 27
         tamper(parts[-1])
         return iter(parts)
@@ -713,7 +753,7 @@ def test_eval_junction_gap_in_the_last_subtree_fails_before_the_first_byte(
 
 def test_eval_non_finite_last_subtree_fails_before_the_first_byte(monkeypatch, tmp_path, capsys):
     def tamper(part):
-        part.values[5] = math.inf
+        part[5] = math.inf
 
     for err in _tampered_last_subtree(monkeypatch, tmp_path, capsys, tamper):
         assert err == "error: seed 'free:7.3:1,-2,3' gives non-finite values on V_9\n"
@@ -790,7 +830,7 @@ def test_eval_pipeline_peak_memory():
     try:
         u = cli.parse_seed(seed)
         lattice = [list(map(repr, column)) for column in lattice_lines(level)]
-        assert all(all(map(math.isfinite, part.values)) for part in walk(u, level, None))
+        assert all(all(map(math.isfinite, part)) for part in walk(u, level))
         rows = sum(block.count("\n") for block in cli._eval_blocks(args, u, lattice))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -913,10 +953,10 @@ def test_a_seed_born_deep_is_refined_by_subtrees():
     # when the walk refined from a dense seed array
     count, grown = _rss_growth("""
         u = sglap.cli.parse_seed("six:12:1")
-        next(iter(mesh.walk(u, 12, None)))
+        next(iter(mesh.walk(u, 12)))
         base = rss()
-        assert all(all(map(math.isfinite, part.values)) for part in mesh.walk(u, 12, None))
-        print([sum(len(part.values) for part in mesh.walk(u, 12, None)), peak() - base])
+        assert all(all(map(math.isfinite, part)) for part in mesh.walk(u, 12))
+        print([sum(map(len, mesh.walk(u, 12))), peak() - base])
     """)
     assert count == vertex_count(12)
     assert grown < 0.6e6
@@ -951,7 +991,7 @@ def test_eval_and_tangent_read_the_same_top_level_triples(seed, level):
     depth = level - mesh.SUBTREE_LEVELS
     assume(u.m0 <= depth)
     added = vertex_count(mesh.SUBTREE_LEVELS) - 3
-    top = [value for part in walk(u, level, None) for value in part.values[:-added]]
+    top = [value for part in walk(u, level) for value in part[:-added]]
     assert np.array_equal(_bits(top), _bits(vertex_value_walks(u, depth)))
 
 
@@ -975,7 +1015,7 @@ def test_failed_emission_leaves_the_target_unchanged(tmp_path, monkeypatch, caps
 _BROKEN_STREAMS = {
     "too few": lambda parts: parts[:-1],
     "too many": lambda parts: [*parts, parts[-1]],
-    "wrong length": lambda parts: [*parts[:-1], parts[-1]._replace(values=parts[-1].values + [0.0])],
+    "wrong length": lambda parts: [*parts[:-1], parts[-1] + [0.0]],
 }
 
 
@@ -986,8 +1026,8 @@ def test_rows_reject_a_values_stream_cut_wrong(broken, level, monkeypatch, capsy
     # rows, and V_level's rows in all: V_0 is one part, V_8 has nine
     original = mesh.walk
 
-    def walk(u, m, lattice):
-        return iter(_BROKEN_STREAMS[broken](list(original(u, m, lattice))))
+    def walk(u, m):
+        return iter(_BROKEN_STREAMS[broken](list(original(u, m))))
 
     monkeypatch.setattr(mesh, "walk", walk)
     code, _, err = run(["eval", "--seed", "free:-7.25:0.1,-2,1e-05", "--level", str(level),
@@ -1276,6 +1316,24 @@ def test_closed_stdout_exits_two(argv, lines):
     assert (proc.wait(), err) == (2, "usage error: cannot write to stdout: Broken pipe\n")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--level", "99"], 3),
+    (["eval", "--seed", "bogus", "--level", "2"], 2),
+    (["eval", "--seed", "six:2:3", "--level", "2", "--verify", "--verify-tol", "-1"], 4),
+], ids=["domain", "usage", "verify"])
+def test_closed_stderr_keeps_the_exit_code(argv, code):
+    # the one-line message cannot be written, and the exit code is all
+    # that tells; a print that raised made every such run exit 1
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sglap.cli", *argv],
+                              stdout=subprocess.DEVNULL, stderr=write, timeout=30)
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+
+
 # sha256 of `special` stdout, pinned from the per-point scalar loops: a
 # workload-sized grid in both formats, out-of-domain rows, out-of-domain
 # tail factors, and a tolerance of 1e-300, which Psi does not read.  The
@@ -1384,9 +1442,9 @@ def test_eval_non_finite_guard_exits_three_with_empty_stdout(monkeypatch, capsys
     # sequence_from_limit), so the walk hands it a NaN, in the last vertex
     original = mesh.walk
 
-    def walk(u, m, lattice):
-        for part in original(u, m, lattice):
-            part.values[-1] = math.nan
+    def walk(u, m):
+        for part in original(u, m):
+            part[-1] = math.nan
             yield part
 
     monkeypatch.setattr(mesh, "walk", walk)

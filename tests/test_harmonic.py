@@ -123,7 +123,7 @@ def test_junction_mismatch_is_rejected(monkeypatch):
     monkeypatch.setattr(mesh, "eigen_matrices", eigen_matrices)
     for row in [(0, 1), (1, 0), (0, 0), (2, 1), (1, 2)]:
         planted[:] = row
-        walk = mesh.walk(u, 2, None)
+        walk = mesh.walk(u, 2)
         with pytest.raises(DomainError, match="matrices of level 2 give a vertex two values"):
             next(walk)
 

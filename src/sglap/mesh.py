@@ -7,8 +7,8 @@ floats, one subtree at a time, so that no array of a whole level is made.
 The rest of V_m's layout does not depend on the values and is alike in
 every subtree: _layout lays it out once, and addresses, points and cells
 map it onto walk's parts.  cells is the one builder of a level's graph
-(eval's obj faces, eval --verify's residual, the dense oracle).  mesh
-imports no numpy; no tangent layer loads it.
+(eval's obj faces, eval --verify's residual, the tests' dense oracle).
+mesh imports no numpy; no tangent layer loads it.
 """
 from __future__ import annotations
 

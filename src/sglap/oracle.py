@@ -1,69 +1,67 @@
 """Independent brute-force verifiers for the closed forms elsewhere; each
-hands back plain numbers for the CLI to judge.
-
-Spectra come from a dense symmetric eigensolve of the graph Laplacian, and
-tangents from literally iterating pulled-back cell triples in Decimals (each
-pullback level multiplies roundoff in the antisymmetric component by 5).
-That iteration shares harmonic's matrices, called on its Decimals, and
-conjugate, matvec and matmul, but not the closed form: nothing of tangent,
-no M0, no tau, its own lambda step.
-The shared matrices are checked by an mpmath transcription and by graph
-residuals.  numpy and mesh, for the level's cells, are imported by the
-dense solve alone, so that a tangent check loads neither, and decimal by the
-tangent check alone.
+hands back plain numbers for the CLI to judge: eigenvalue counts by inertia
+on the graph, with none of decimation's roots, and tangents from literally
+iterating pulled-back cell triples in Decimals (each pullback level
+multiplies roundoff in the antisymmetric component by 5).  That iteration
+shares harmonic's matrices, called on its Decimals, and conjugate, matvec
+and matmul, but not the closed form: nothing of tangent, no M0, no tau, its
+own lambda step.  The shared matrices are checked by an mpmath
+transcription and by graph residuals.
 """
 from __future__ import annotations
 
 import math
+import sys
 
-from .address import EventuallyConstantWord
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
-DENSE_LEVEL_CAP = 6
 ORACLE_DPS = 50  # significant digits (stdlib decimal): headroom for 5^25 noise amplification
 
 
-def dense_interior_matrix(level: int):
-    """-Delta_m with boundary rows and columns removed: row r is vertex 3 + r.
+def dirichlet_count(x: float, level: int) -> int:
+    """N(x): how many Dirichlet eigenvalues of -Delta_level lie below x.
 
-    Built edge by edge from mesh.cells (each edge lies in exactly one
-    cell), not by the cell-Laplacian sum of mesh.eigen_residual.
-    """
-    # mesh before numpy: compiled after it, mesh and harmonic raised the peak
-    # RSS of `spectrum --verify` by 0.4-0.5 MB where no bytecode is cached
-    from . import mesh
-    from .decimation import vertex_count
-    import numpy as np
-
-    cells = np.array([v for part in mesh.cells(level) for v in part]).reshape(-1, 3)
-    n = vertex_count(level)
-    a = np.zeros((n, n))
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        a[cells[:, i], cells[:, j]] = a[cells[:, j], cells[:, i]] = -1.0
-    a[np.diag_indices(n)] = -a.sum(axis=1)
-    return a[3:, 3:]
-
-
-def dense_dirichlet_spectrum(m: int):
-    """The Dirichlet spectrum of -Delta_m by LAPACK's symmetric eigensolver:
-    one eigenvalue per interior vertex, ascending.  The eigenvectors are
-    used only to check max|A v - v w| and are not returned."""
-    if m < 0:
-        raise DomainError(f"level must be nonnegative, got {m}")
-    if m > DENSE_LEVEL_CAP:
-        raise DomainError(f"dense solves are capped at level {DENSE_LEVEL_CAP}, got {m}")
-    a = dense_interior_matrix(m)  # first, since it imports mesh before numpy
-    import numpy as np
-
-    w, v = np.linalg.eigh(a)
-    res = float(np.max(np.abs(a @ v - v * w), initial=0.0))
-    # written so that a NaN residual raises too
-    if not res < 1e-9:
-        raise ConvergenceError(f"dense eigensolve residual {res:.3e} at level {m}")
-    return w
+    A - xI is the sum over the level's cells of a I + b (J - I), a = 2 - x/2
+    and b = -1.  Eliminating each k-cell's three midpoints, k from level - 1
+    down to 0, removes P_k = 2a I + b (J - I), with eigenvalues 2a - b
+    (twice) and 2(a + b), and leaves on the k-cell a form of the same shape,
+    the Schur complement, with eigenvalues s0 = a - b^2/(2a - b) (twice)
+    and s1 = a - 2b^2/(a + b).  By Sylvester's law of inertia and
+    Haynsworth's additivity N(x) is the sum of 3^k neg(P_k).  A shift that
+    makes some P_k singular moves down one float and is counted again."""
+    while True:
+        a, b, n = 2.0 - x / 2.0, -1.0, 0
+        try:
+            for k in range(level - 1, -1, -1):
+                p0, p1 = 2.0 * a - b, a + b
+                n += 3**k * (2 * (p0 < 0.0) + (p1 < 0.0))
+                s0, s1 = a - b * b / p0, a - 2.0 * b * b / p1
+                a, b = (2.0 * s0 + s1) / 3.0, (s1 - s0) / 3.0
+            return n
+        except ZeroDivisionError:
+            x = math.nextafter(x, -math.inf)
 
 
-# --- high-precision tangent iteration -------------------------------------
+def bracket_half_widths(level: int, lines) -> list:
+    """Per spectrum line, ascending in value, the half-width h at which
+    N(value - h) counts the multiplicities before it and N(value + h) adds
+    its own: h starts at u (|value| + |4 - value|), u = 2^-53, which the
+    count cannot resolve (value +- h rounds by u |value|, 2 - x/2 by
+    u |4 - x| in x), and doubles while below the gap to the neighbouring
+    values, else sys.float_info.max.  Last comes 0.0 if the multiplicities
+    add up to all (3^(level+1) - 3)/2 eigenvalues, else sys.float_info.max."""
+    values, widths, below = [-math.inf, *(line.value for line in lines), math.inf], [], 0
+    for line, lo, hi in zip(lines, values, values[2:]):
+        lam = line.value
+        h, gap = 2.0**-53 * (abs(lam) + abs(4.0 - lam)), min(lam - lo, hi - lam)
+        expected = below, below + line.multiplicity
+        while h < gap and (dirichlet_count(lam - h, level),
+                           dirichlet_count(lam + h, level)) != expected:
+            h *= 2.0
+        widths.append(h if h < gap else sys.float_info.max)
+        below += line.multiplicity
+    return [*widths, 0.0 if below == (3 ** (level + 1) - 3) // 2 else sys.float_info.max]
+
 
 def direct_tangent_limit(u, w, m: int):
     """(triple, error): the pulled-back cell triple
@@ -76,16 +74,18 @@ def direct_tangent_limit(u, w, m: int):
     pullback amplifies the antisymmetric roundoff component five-fold per
     level.  The matrices and products are harmonic's, run on Decimals.
     """
-    if isinstance(w, str):
-        w = EventuallyConstantWord.parse(w)
     m0 = u.m0
     if m < m0:
         raise DomainError(f"need m >= m0 = {m0}, got {m}")
-    # decimal and harmonic are imported here, so that a spectrum check
-    # loads neither
+    # address, decimal and harmonic are imported here, so that a spectrum
+    # check loads none of them
     from decimal import Context, Decimal, localcontext
 
+    from .address import EventuallyConstantWord
     from .harmonic import IDENTITY, eigen_matrices, harmonic_inverses, matmul, matvec
+
+    if isinstance(w, str):
+        w = EventuallyConstantWord.parse(w)
 
     # a local context: the caller's decimal context is left as it was
     with localcontext(Context(prec=ORACLE_DPS)):

@@ -6,8 +6,9 @@ mesh.cells replaced, the dense seed, the whole-level numpy refinement and
 collapse that eval ran on before its walk, a level's walk, addresses,
 points and cells joined into whole columns, per-cell vertex values, the whole-level vertex
 keys and coordinates and the scalar addressing, the psi_m approximant and
-50-digit Psi and Upsilon, and the oracles' spectrum pairing and
-unit-interval model."""
+50-digit Psi and Upsilon, the dense Dirichlet oracle that `spectrum
+--verify` ran before it counted eigenvalues by inertia, and the oracles'
+spectrum pairing and unit-interval model."""
 import cmath
 import functools
 import itertools
@@ -434,6 +435,56 @@ def true_error(value: float, reference) -> float:
 
     with mp.workdps(50):
         return float(abs(mpf(value) - reference))
+
+
+# --- dense oracle ----------------------------------------------------------
+
+DENSE_LEVEL_CAP = 6
+
+
+def dense_interior_matrix(level: int) -> np.ndarray:
+    """-Delta_m with boundary rows and columns removed: row r is vertex 3 + r.
+
+    Built edge by edge from mesh.cells (each edge lies in exactly one
+    cell), not by the cell-Laplacian sum of mesh.eigen_residual.
+    """
+    cells = np.array(level_cells(level)).reshape(-1, 3)
+    n = vertex_count(level)
+    a = np.zeros((n, n))
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        a[cells[:, i], cells[:, j]] = a[cells[:, j], cells[:, i]] = -1.0
+    a[np.diag_indices(n)] = -a.sum(axis=1)
+    return a[3:, 3:]
+
+
+def dense_dirichlet_spectrum(m: int) -> np.ndarray:
+    """The Dirichlet spectrum of -Delta_m by LAPACK's symmetric eigensolver:
+    one eigenvalue per interior vertex, ascending.  The eigenvectors are
+    used only to check max|A v - v w| and are not returned."""
+    if m < 0:
+        raise DomainError(f"level must be nonnegative, got {m}")
+    if m > DENSE_LEVEL_CAP:
+        raise DomainError(f"dense solves are capped at level {DENSE_LEVEL_CAP}, got {m}")
+    a = dense_interior_matrix(m)
+    w, v = np.linalg.eigh(a)
+    res = float(np.max(np.abs(a @ v - v * w), initial=0.0))
+    # written so that a NaN residual raises too
+    if not res < 1e-9:
+        raise ConvergenceError(f"dense eigensolve residual {res:.3e} at level {m}")
+    return w
+
+
+cached_dense_spectrum = functools.lru_cache(maxsize=None)(dense_dirichlet_spectrum)
+
+# the dense eigenvalues place an exact eigenvalue such as 5 up to 1.8e-14
+# to either side of it
+DENSE_TIE = 1e-9
+
+
+def dense_count(m: int, x: float) -> int:
+    """How many dense eigenvalues of level m lie below x, one within
+    DENSE_TIE of x counted as at x, not below it."""
+    return int(np.count_nonzero(cached_dense_spectrum(m) < x - DENSE_TIE))
 
 
 # --- oracle helpers --------------------------------------------------------

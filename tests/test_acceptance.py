@@ -14,15 +14,15 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 
-from conftest import (acceptance_log, eigen_matrix, extend_harmonic, harmonic_matrix,
-                      harmonic_normal_derivative, interval_tangent, normal_derivative_limit,
-                      sorted_pairing_gap, value_at, values_on_level)
+from conftest import (acceptance_log, dense_dirichlet_spectrum, eigen_matrix, extend_harmonic,
+                      harmonic_matrix, harmonic_normal_derivative, interval_tangent,
+                      normal_derivative_limit, sorted_pairing_gap, value_at, values_on_level)
 
 from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
                                sequence_from_limit)
 from sglap.harmonic import SpectralEigenfunction, dirichlet_eigenfunction
 from sglap.mesh import cells, eigen_residual
-from sglap.oracle import dense_dirichlet_spectrum, direct_tangent_limit
+from sglap.oracle import direct_tangent_limit
 from sglap.special import psi_limit_with_error, tau, upsilon_with_error
 from sglap.tangent import m0_matrix, tangent_at
 

@@ -15,6 +15,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from array import array
 from pathlib import Path
@@ -1185,8 +1186,9 @@ def test_spectrum_golden_bytes(args, capsys):
 
 
 def test_spectrum_verify_golden_columns(capsys):
-    # the residual column carries LAPACK's last bits, which follow the BLAS
-    # thread count; columns 1-6 are pinned, from the same scalar loops
+    # columns 1-6 are pinned from the scalar loops; the residual column, the
+    # bracket half-widths of the inertia counts, runs on Python floats and
+    # is pinned with them in the whole output
     code, out, _ = run(["spectrum", "--level", "4", "--verify"], capsys)
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
@@ -1194,11 +1196,13 @@ def test_spectrum_verify_golden_columns(capsys):
     cut = "".join(",".join(r[:6]) + "\n" for r in rows)
     assert hashlib.sha256(cut.encode()).hexdigest() == \
         "235ffd28ee1184eb44abfd50a38e6af0713bae8ea3cb718f87542d97262198e8"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e17bec55d16bc4cf3d65def47d915e18c0ae60ede6986b36eabaec2a7730f07c"
 
 
 @pytest.mark.parametrize("series", ["two", "five", "six"])
 def test_spectrum_verify_prints_the_series_rows_of_the_whole_table(series, capsys):
-    # --verify pairs the whole spectrum with the dense one, then filters rows
+    # --verify brackets every line of the whole spectrum, then filters rows
     code, out, _ = run(["spectrum", "--level", "4", "--verify"], capsys)
     assert code == 0
     header, *rows = out.splitlines(keepends=True)
@@ -1210,8 +1214,7 @@ def test_spectrum_verify_prints_the_series_rows_of_the_whole_table(series, capsy
 def test_each_subcommand_loads_only_the_layers_it_runs():
     # fresh processes, since this one has long loaded every layer, numpy and
     # mpmath; `spectrum`, `tangent`, `eval` and `spectrum --verify` get one
-    # each, as `spectrum --verify` loads numpy and a tangent check the
-    # tangent layers
+    # each, as a tangent check loads the tangent layers
     prelude = """if True:
         import contextlib, io, sys
 
@@ -1255,11 +1258,12 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
         run("tangent", "--seed", "six:1:1", "--word", ":0", "--verify")
         assert "decimal" in sys.modules
     """
-    # the dense check reads the level's cells from mesh, and runs without the
-    # tangent layers, dataclasses or decimal
+    # the inertia counts run on Python floats, on no cells of the level and
+    # without the tangent layers, dataclasses or decimal
     spectrum_verify = """
-        assert run("spectrum", "--level", "2", "--verify") == base | {
-            "sglap.decimation", "sglap.address", "sglap.harmonic", "sglap.mesh", "sglap.oracle"}
+        for level in ("2", "8"):
+            assert run("spectrum", "--level", level, "--verify") == base | {
+                "sglap.decimation", "sglap.oracle"}
         assert "dataclasses" not in sys.modules and "decimal" not in sys.modules
     """
     tangent = """
@@ -1286,12 +1290,15 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
         assert "numpy" not in sys.modules and "decimal" not in sys.modules
         assert "dataclasses" not in sys.modules
     """
-    # the dense check loads numpy
-    loads_numpy = """
-        run("spectrum", "--level", "1", "--verify")
-        assert "numpy" in sys.modules and "decimal" not in sys.modules
+    # no subcommand loads numpy, with or without --verify
+    no_numpy = """
+        run("spectrum", "--level", "6", "--verify", "--series", "five", "--format", "json")
+        run("eval", "--seed", "six:2:1", "--level", "3", "--format", "obj", "--verify")
+        run("tangent", "--seed", "six:1:1", "--word", "01:2", "--verify")
+        run("special", "--fn", "psi", "--range=0:1:3")
+        assert "numpy" not in sys.modules
     """
-    for script in [spectrum, tangent, spectrum_verify, others, evaluate, loads_numpy]:
+    for script in [spectrum, tangent, spectrum_verify, others, evaluate, no_numpy]:
         proc = subprocess.run([sys.executable, "-c", prelude + script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, (script, proc.stderr)
@@ -1586,13 +1593,104 @@ def test_verify_tol_zero_fails(command, capsys):
 
 
 def test_spectrum_verify_at_the_dense_cap():
-    # a fresh process, so that numpy warnings would reach the real stderr
+    # a fresh process, so that any warning would reach the real stderr
     proc = subprocess.run([sys.executable, "-m", "sglap.cli", "spectrum", "--level", "6",
                            "--verify"], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stderr == ""
     _, rows = parse_csv(proc.stdout)
     assert sum(int(r[5]) for r in rows) == (3**7 - 3) // 2
     assert max(float(r[-1]) for r in rows) < 1e-9
+
+
+def test_spectrum_verify_above_the_former_dense_cap(capsys):
+    # level 7 and up exited 3 ("dense solves are capped at level 6")
+    code, out, err = run(["spectrum", "--level", "8", "--verify"], capsys)
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert header[6] == "residual" and len(rows) == 447
+    assert max(float(r[6]) for r in rows) < 1e-9
+    assert "".join(",".join(r[:6]) + "\n" for r in [header[:6], *rows]) == \
+        run(["spectrum", "--level", "8"], capsys)[1]
+
+
+_SPECTRUM_AT_THE_CAP = """if True:
+    import sys
+    from sglap import cli
+    code = cli.main(["spectrum", "--level", "12", "--verify"])
+    sys.stdout.flush()
+    assert "numpy" not in sys.modules
+    sys.exit(code)
+"""
+
+
+def test_spectrum_verify_at_the_level_cap_in_a_fresh_process(monkeypatch):
+    monkeypatch.delenv("SG_MAX_LEVEL", raising=False)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _SPECTRUM_AT_THE_CAP],
+                          capture_output=True, text=True, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    _, rows = parse_csv(proc.stdout)
+    assert sum(int(r[5]) for r in rows) == (3**13 - 3) // 2
+    assert max(float(r[6]) for r in rows) < 1e-9
+    assert elapsed < 1.0
+
+
+def _spectrum_verify_with(monkeypatch, capsys, level, change):
+    """`spectrum --verify` at `level` on the lines that change(lines)
+    gives: (exit code, csv rows, stderr)."""
+    from sglap import decimation
+
+    enumerate_lines = decimation.enumerate_dirichlet_spectrum
+    monkeypatch.setattr(decimation, "enumerate_dirichlet_spectrum",
+                        lambda *args: change(enumerate_lines(*args)))
+    code, out, err = run(["spectrum", "--level", str(level), "--verify"], capsys)
+    return code, parse_csv(out)[1], err
+
+
+@pytest.mark.parametrize("e", [1e-8, -1e-8])
+def test_spectrum_verify_fails_a_planted_eigenvalue_error(e, monkeypatch, capsys):
+    # every line of L4 with |lambda_m| >= 1, moved by e relative
+    lines = enumerate_dirichlet_spectrum(4)
+    planted = [i for i, line in enumerate(lines) if abs(line.value) >= 1.0]
+    assert len(planted) > 10
+    for i in planted:
+        lam = lines[i].value * (1.0 + e)
+
+        def plant(got):
+            return [*got[:i], got[i]._replace(value=lam), *got[i + 1:]]
+
+        code, rows, err = _spectrum_verify_with(monkeypatch, capsys, 4, plant)
+        assert code == 4 and err.startswith("verification failed: widest eigenvalue bracket")
+        floor = 2.0**-53 * (abs(lam) + abs(4.0 - lam))
+        assert float(rows[i][6]) >= abs(e * lines[i].value) - floor, lines[i]
+
+
+@pytest.mark.parametrize("change", [
+    lambda lines: lines[:5] + lines[6:],
+    lambda lines: lines[:-1],
+    lambda lines: lines[1:],
+    lambda lines: [*lines[:3], lines[3]._replace(multiplicity=lines[3].multiplicity + 1),
+                   *lines[4:]],
+    lambda lines: [*lines[:-1], lines[-1]._replace(multiplicity=lines[-1].multiplicity - 1)],
+], ids=["dropped", "dropped-last", "dropped-first", "one-more", "one-less"])
+def test_spectrum_verify_fails_a_dropped_line_or_a_wrong_multiplicity(change, monkeypatch,
+                                                                      capsys):
+    # the figure is sys.float_info.max: no bracket below the gap to the
+    # neighbouring lines, or multiplicities that miss eigenvalues above the
+    # last line
+    from sglap import oracle
+
+    shifts, count = [], oracle.dirichlet_count
+    monkeypatch.setattr(oracle, "dirichlet_count", lambda x, level: shifts.append(x) or
+                        count(x, level))
+    code, rows, err = _spectrum_verify_with(monkeypatch, capsys, 4, change)
+    assert (code, err) == (4, "verification failed: widest eigenvalue bracket "
+                              "1.798e+308 >= 1.000e-09\n")
+    assert all(math.isfinite(float(field)) for row in rows for field in row[3:])
+    # a bracket grows no wider than the gap to a neighbouring line, which is
+    # below 6 at L4, so that a failing check stops early
+    assert shifts and max(map(abs, shifts)) < 12.0
 
 
 @pytest.mark.parametrize("seed, level", [("free:3:1e308,1e308,1e308", 3),

@@ -1,8 +1,10 @@
-"""Independent verification routes: dense spectra, brute tangent limits, 1-D calculus."""
+"""Independent verification routes: inertia counts against dense spectra, brute tangent
+limits, 1-D calculus."""
 import cmath
 import decimal
 import hashlib
 import math
+import sys
 from functools import lru_cache
 
 import mpmath
@@ -11,21 +13,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_level_graph, graph_laplacian, interval_tangent, sorted_pairing_gap,
-                      values_on_level)
+from conftest import (build_level_graph, cached_dense_spectrum, dense_count,
+                      dense_dirichlet_spectrum, dense_interior_matrix, graph_laplacian,
+                      interval_tangent, sorted_pairing_gap, values_on_level)
 
-from sglap import cli
 from sglap.address import EventuallyConstantWord
 from sglap.decimation import enumerate_dirichlet_spectrum, sequence_from_limit
 from sglap.errors import ConvergenceError, DomainError, SingularLevelError
 from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, eigen_matrices,
                             harmonic_inverses, matmul)
-from sglap.oracle import (
-    ORACLE_DPS,
-    dense_dirichlet_spectrum,
-    dense_interior_matrix,
-    direct_tangent_limit,
-)
+from sglap.oracle import ORACLE_DPS, bracket_half_widths, dirichlet_count, direct_tangent_limit
 from sglap.tangent import TangentTriple, tangent_at
 
 
@@ -45,7 +42,7 @@ def test_dense_residual_and_orthogonality():
     assert np.allclose(v.T @ v, np.eye(w.size), atol=1e-9)
 
 
-def test_dense_spectrum_checks_its_own_residual(monkeypatch, capsys):
+def test_dense_spectrum_checks_its_own_residual(monkeypatch):
     eigh = np.linalg.eigh
 
     def off_by_a_millionth(a):
@@ -57,10 +54,6 @@ def test_dense_spectrum_checks_its_own_residual(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigh", off_by_a_millionth)
     with pytest.raises(ConvergenceError, match="dense eigensolve residual"):
         dense_dirichlet_spectrum(2)
-    assert cli.main(["spectrum", "--level", "2", "--verify"]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: dense eigensolve residual")
-    assert err.count("\n") == 1
 
 
 def test_dense_level_caps():
@@ -77,6 +70,44 @@ def test_enumeration_matches_dense():
             np.repeat([line.value for line in lines], [line.multiplicity for line in lines])
         )
         assert sorted_pairing_gap(listed, dense_dirichlet_spectrum(m)) < 1e-9
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_inertia_count_equals_the_dense_count(m):
+    # random shifts over the spectrum and past both of its ends, then 2, 5
+    # and 6, at which some midpoint block is exactly singular
+    rng = np.random.default_rng(m)
+    for x in [*rng.uniform(-0.5, 6.5, 300).tolist(), 2.0, 5.0, 6.0]:
+        assert dirichlet_count(x, m) == dense_count(m, x), x
+    for line in enumerate_dirichlet_spectrum(m):
+        # a float lambda_m lies a few ulps to either side of its eigenvalue,
+        # closer than conftest.DENSE_TIE
+        gained = dirichlet_count(line.value, m) - dense_count(m, line.value)
+        assert gained in (0, line.multiplicity), line
+
+
+def test_inertia_count_between_neighbouring_lines_is_the_cumulative_multiplicity():
+    lines = enumerate_dirichlet_spectrum(8)
+    assert dirichlet_count(lines[0].value / 2, 8) == 0
+    below = 0
+    for line, above in zip(lines, lines[1:]):
+        below += line.multiplicity
+        if above.value != line.value:
+            assert dirichlet_count((line.value + above.value) / 2, 8) == below, line
+    assert dirichlet_count(8.0, 8) == (3**9 - 3) // 2
+
+
+def test_bracket_half_widths_fail_lines_out_of_order_or_of_equal_value():
+    two, five = enumerate_dirichlet_spectrum(1)
+    assert max(bracket_half_widths(1, [two, five])) < 1e-15
+    huge = sys.float_info.max
+    assert bracket_half_widths(1, [five, two]) == [huge, huge, 0.0]
+    # the 5-eigenspace as two lines of one value
+    halves = [five._replace(multiplicity=1)] * 2
+    assert bracket_half_widths(1, [two, *halves])[1:] == [huge, huge, 0.0]
+    # the last figure counts the eigenvalues above the last line
+    assert bracket_half_widths(1, [two])[1] == bracket_half_widths(1, [])[0] == huge
+    assert bracket_half_widths(0, []) == [0.0]
 
 
 def test_pairing_gap_shape_guard():
@@ -129,7 +160,6 @@ def test_decimated_functions_solve_the_dense_problem():
         assert np.abs(a @ v - lam * v).max() < 1e-9 * max(1.0, np.abs(v).max())
 
 
-_dense = lru_cache(maxsize=None)(dense_dirichlet_spectrum)
 _dense_matrix = lru_cache(maxsize=None)(dense_interior_matrix)
 
 
@@ -163,7 +193,7 @@ def test_random_seeds_solve_the_dense_problem(seed):
     scale = np.abs(v).max()
     assert scale > 0.0
     assert np.abs(_dense_matrix(m) @ v - lam * v).max() < 1e-9 * max(1.0, scale)
-    assert np.abs(_dense(m) - lam).min() < 1e-9
+    assert np.abs(cached_dense_spectrum(m) - lam).min() < 1e-9
 
 
 def test_direct_limit_matches_the_closed_tangent():

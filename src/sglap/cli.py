@@ -151,14 +151,6 @@ def _float(text: str, what: str) -> float:
         raise UsageError(f"{what} must be a number, got {text!r}") from None
 
 
-def parse_tol(text: str) -> float:
-    """--tol: a finite positive number."""
-    tol = _float(text, "tolerance")
-    if not (math.isfinite(tol) and tol > 0):
-        raise UsageError(f"tolerance must be finite and positive, got {text!r}")
-    return tol
-
-
 def parse_verify_tol(text: str) -> float:
     """--verify-tol: any number but NaN.  _verdict passes a check only when
     its figure is below the tolerance, so 0 or less makes every check fail."""
@@ -421,13 +413,11 @@ def cmd_tangent(args) -> int:
 
 # --- special ----------------------------------------------------------------
 
-def _special_row(fn: str, z: float, tol: float) -> list:
-    """The special table's row at grid point z; a failure fills its note.
-    tol stops Upsilon's tail product; Psi is always summed to double
-    precision."""
+def _special_row(fn: str, z: float) -> list:
+    """The special table's row at grid point z; a failure fills its note."""
     try:
         if fn == "upsilon":
-            return [z, *special.upsilon_with_error(z, tol), None]
+            return [z, *special.upsilon_with_error(z), None]
         value, error = special.psi_limit_with_error(z)
         # audit psi(Psi(z)) = Psi(5z) wherever 5z is in the domain (an
         # overflowing 5z is not); a failure there fails the row
@@ -439,16 +429,16 @@ def _special_row(fn: str, z: float, tol: float) -> list:
         return [z, None, None, *[None] * (fn == "psi"), str(exc)]
 
 
-def _special_rows(fn: str, grid, tol: float):
+def _special_rows(fn: str, grid):
     """The special table's rows, one grid point at a time, so that no grid
     is held."""
     for i in range(grid[2]):
-        yield _special_row(fn, _grid_point(grid, i), tol)
+        yield _special_row(fn, _grid_point(grid, i))
 
 
 def cmd_special(args) -> int:
     columns = ["z", "value", "error", *["functional_eq"] * (args.fn == "psi"), "note"]
-    _emit(args, _table_blocks(args.format, columns, _special_rows(args.fn, args.range, args.tol)))
+    _emit(args, _table_blocks(args.format, columns, _special_rows(args.fn, args.range)))
     return 0
 
 
@@ -500,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     spc.add_argument("--fn", choices=["psi", "upsilon"], required=True)
     spc.add_argument("--range", type=parse_range, required=True,
                      help="a:b:n inclusive grid (write --range=-2:2:5 for negative a)")
-    spc.add_argument("--tol", type=parse_tol, default=special.TOL,
-                     help="where Upsilon's tail product stops; Psi ignores it")
     spc.add_argument("--format", choices=["csv", "json"], default="csv")
     spc.add_argument("--output")
     spc.set_defaults(run=cmd_special)

@@ -16,8 +16,7 @@ import sys
 from typing import NamedTuple
 
 from . import special
-from .errors import (ConvergenceError, DomainError, InvariantError, LevelCapError,
-                     SingularLevelError)
+from .errors import DomainError, InvariantError, LevelCapError, SingularLevelError
 
 DEFAULT_LEVEL_CAP = 12
 
@@ -85,36 +84,28 @@ def _root(lam: float, plus: bool, t: int) -> float:
     return lam
 
 
-def _minus_run(t: int, lam: float, level: int):
-    """Follow the minus root down from lambda_t = lam: (values, limit).
-
-    values are lambda_t .. lambda_level.  From level t on, the renormalized
-    1.5 * 5.0**j * lambda_j is taken until it moves by at most
-    special.TOL * |1.5 * 5.0**j * lambda_j| in one level, relative at every
-    size, which the run goes on past `level` for; limit is None if that does not happen
-    within special.MAX_ITERATIONS levels.  A failed step raises, and so does
-    a 5.0**j past the float range while the limit is open."""
-    scales, tol = _RENORMALIZERS, special.TOL
-    if t >= len(scales):
-        raise _overflow(t)
+def _minus_run(t: int, lam: float, level: int) -> list:
+    """lambda_t = lam, lambda_{t+1}, ..., lambda_level down the minus root."""
     values = [lam]
-    prev, limit, last = scales[t] * lam, None, t + special.MAX_ITERATIONS
-    while limit is None and t < last:
-        t += 1
-        if t == len(scales):
-            raise _overflow(t)
-        lam = _root(lam, False, t)
-        if t <= level:
-            values.append(lam)
-        cur = scales[t] * lam
-        if abs(cur - prev) <= tol * abs(cur):
-            limit = cur
-        prev = cur
     while t < level:
         t += 1
         lam = _root(lam, False, t)
         values.append(lam)
-    return values, limit
+    return values
+
+
+def _renormalized_limit(t: int, lam: float) -> float:
+    """1.5 lim 5^j lambda_j of the minus run from lambda_t = lam: minus roots
+    down to the first level t with |lambda_t| <= special.PHI_BOUND, then
+    1.5 * 5^t * Phi(lambda_t), since Phi(lambda_{j-1}) = 5 Phi(lambda_j)
+    along the run.  A failed step raises, and so does a 1.5 * 5.0**t past
+    the float range (t >= 441)."""
+    while t < len(_RENORMALIZERS) - 1:
+        if abs(lam) <= special.PHI_BOUND:
+            return _RENORMALIZERS[t] * special.phi(lam)
+        t += 1
+        lam = _root(lam, False, t)
+    raise _overflow(t)
 
 
 class EigenvalueSequence:
@@ -158,11 +149,7 @@ class EigenvalueSequence:
         plus level on."""
         if self._limit is None:
             start = max(self.plus_indices, default=self.m0)
-            if start >= len(_RENORMALIZERS):
-                raise _overflow(start)
-            self._limit = _minus_run(start, self.value(start), start)[1]
-            if self._limit is None:
-                raise ConvergenceError(f"renormalized eigenvalue did not settle for {self!r}")
+            self._limit = _renormalized_limit(start, self.value(start))
         return self._limit
 
 
@@ -230,16 +217,14 @@ def _family_rows(series: str, m0: int, level: int):
     The branch tree is walked depth first: each plus root starts a minus
     run, which gives lambda_t of every node below it on the minus side and
     the limit of the one member taking no plus root after it.  A failed step
-    or an unsettled limit raises."""
+    raises."""
     seed = SERIES_SEED[series]
     # the 6-series takes the plus root at m0 + 1
     runs = [(m0 + 1, _root(seed, True, m0 + 1), "+")] if series == "six" else [(m0, seed, "")]
     rows = []
     while runs:
         t, lam, head = runs.pop()
-        values, limit = _minus_run(t, lam, level)
-        if limit is None:
-            raise ConvergenceError(f"renormalized eigenvalue did not settle below level {t}")
+        values, limit = _minus_run(t, lam, level), _renormalized_limit(t, lam)
         if t > level:  # a 6-series born at the level: its plus root lies past it
             rows.append(("", seed, limit))
             continue

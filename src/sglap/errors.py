@@ -37,9 +37,5 @@ class LevelCapError(SglapError):
     """Requested refinement level exceeds the configured cap."""
 
 
-class ConvergenceError(SglapError):
-    """An iterative limit failed to meet its tolerance within the budget."""
-
-
 class InvariantError(SglapError):
     """A count the construction guarantees came out wrong: a bug, not bad input."""

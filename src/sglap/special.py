@@ -8,9 +8,14 @@ faster than geometrically, so Psi is m psi steps from g summed at
 w = (2/3) z / 5^m, |w| <= 1.  It converts a renormalized eigenvalue back into
 the level-j entries of its generating sequence (argument divided by 5 per
 level, plus branches included for free since both quadratic roots satisfy
-the same forward relation).  Upsilon, the tail product scaling tangent and
-normal-derivative limits, is tau, the same product along an explicit
-sequence, taken along its own.
+the same forward relation).
+
+Two more series over g replace every iterated limit.  The tail product
+P(y) = prod_{i>=0} (1 - g(y/5^i)/3) is entire; Upsilon, which scales tangent
+and normal-derivative limits, is P((2/3) lam/25) / (2 - Psi(lam/5)), and tau
+the same product along an explicit sequence.  Phi = g^-1, the Koenigs
+function of the minus root (Milnor 2006, section 8), gives a renormalized
+limit as 1.5 * 5^t * Phi(lambda_t) (decimation).
 
 Every function takes one point on Python floats: a point's value does not
 depend on any other, and a `special` grid is its points one at a time, so
@@ -21,18 +26,14 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 # the validated region of Psi's argument, where |Psi| <= 719
 PSI_DOMAIN_BOUND = 100.0
-# a tail product stops once its next factor is within tol * this of 1
-TAIL_BOUND_FACTOR = 0.1
 # a sequence anchors its Psi at the first level J >= 1 with |lambda|/5^J <= this
 ANCHOR_BOUND = 2.0
-# the tolerance every tail product and renormalized limit in sglap stops by,
-# and the iterations it fails past
-TOL = 1e-13
-MAX_ITERATIONS = 80
+# Phi's series is summed on |x| <= this
+PHI_BOUND = 0.5
 
 _EPS = math.ulp(1.0)  # twice the unit roundoff
 
@@ -51,9 +52,46 @@ _G_COEFFICIENTS = (
 _U = _EPS / 2.0
 _G_ERROR = (25.0 * _U / (1.0 - 25.0 * _U) + _U) * 1.0509 + 3.0 * _EPS * 1.11 + 4.6e-32
 
+# p_11, p_10, ..., p_0 of P, each the float nearest the exact rational:
+# P(y) = (1 - g(y)/3) P(y/5) gives p_0 = 1 and
+# (1 - 5^-k) p_k = sum_{i=1..k} (-a_i/3) p_{k-i} 5^-(k-i)
+_P_COEFFICIENTS = (
+    -2.9415859821312265e-20, 9.924172396770385e-18, -2.704896988227936e-15,
+    5.827801700757254e-13, -9.66510389316142e-11, 1.1936310404129206e-08,
+    -1.0520694368717294e-06, 6.249212865102948e-05, -0.00230236957387495,
+    0.046296296296296294, -0.4166666666666667, 1.0)
+# |P(y) - Horner's sum| for |y| <= 1, where sum_{k>=1} |p_k| <= 0.4654 and
+# |P'| <= 0.5165: Horner's rounding gamma_22 and the coefficients' own u,
+# each times 1 + 0.4654; y's three roundings through P'; and the tail
+# sum_{k>11} |p_k| <= 7.2e-23 (|p_12| = 7.17e-23, and the ratios
+# |p_{k+1} / p_k| shrink).  P >= 0.62 there
+_P_ERROR = (22.0 * _U / (1.0 - 22.0 * _U) + _U) * 1.4654 + 3.0 * _EPS * 0.5165 + 7.2e-23
+
+# b_15, b_14, ..., b_1 of Phi = g^-1, each the float nearest the exact
+# rational of g's series reversion.  Every b_k is positive, and the ratios
+# b_{k+1} / b_k rise towards 1/6.25, g's critical value 6.25 being Phi's
+# nearest singularity, so on |x| <= PHI_BOUND the terms past b_15 sum to
+# at most b_16 0.5^15 |x| / (1 - 0.08) <= 4.7e-19 |x|, below 2^-53 |x|.
+# Horner's rounding and the coefficients' own u add at most
+# (gamma_29 + u) * 1.0261 |x|, where sum b_k 0.5^(k-1) <= 1.0261
+_PHI_COEFFICIENTS = (
+    9.757339570745048e-14, 6.772041114640734e-13, 4.73725492225372e-12,
+    3.344325909191821e-11, 2.3865375058030986e-10, 1.7250978175610513e-09,
+    1.2666185678263936e-08, 9.481993979753409e-08, 7.275829892084784e-07,
+    5.767685196070021e-06, 4.781844499586435e-05, 0.00042338709677419353,
+    0.004166666666666667, 0.05, 1.0)
+
 
 def psi(z):
     return z * (5.0 - z)
+
+
+def _horner(coefficients, x: float) -> float:
+    """sum c_k x^k by Horner's rule, the coefficients highest first."""
+    s = 0.0
+    for c in coefficients:
+        s = s * x + c
+    return s
 
 
 def _psi_steps(x: float, e: float, n: int) -> tuple:
@@ -80,11 +118,8 @@ def psi_limit_with_error(z: float) -> tuple:
     while abs(w) > 1.0:
         m += 1
         w = (2.0 / 3.0) * z / 5.0**m
-    x = 0.0
-    for a in _G_COEFFICIENTS:
-        x = x * w + a
     e = _G_ERROR * abs(w) + (2.0 * math.ulp(0.0) if w else 0.0)
-    return _psi_steps(x * w, e, m)
+    return _psi_steps(_horner(_G_COEFFICIENTS, w) * w, e, m)
 
 
 def anchor_level(lam: float) -> int:
@@ -102,60 +137,53 @@ def _rel(e: float, size: float) -> float:
     return e / (size - e) if e < size else math.inf
 
 
-def upsilon_with_error(lam: float, tol: float = TOL) -> tuple:
-    """Upsilon at lam and a bound on its error, or its failure raised: its
-    head's Psi outside the validated region, a pole, then a tail still open
-    after level MAX_ITERATIONS + 1.
+def phi(x: float) -> float:
+    """Phi(x) = g^-1(x) for |x| <= PHI_BOUND."""
+    return _horner(_PHI_COEFFICIENTS, x) * x
 
-    Upsilon is tau along lam's own sequence lambda_j = Psi(lam/5^j): the
-    head lambda_1 and the anchor lambda_J (J = anchor_level(lam), taken
-    only when J >= 2) are Psi values, psi steps give lambda_{J-1}
-    .. lambda_2 and minus roots the entries below J.  The bound runs with the
-    product (Higham 2002, section 3.3): each entry's error relative to
-    2 - lambda_1 or 3 - lambda_j (inf once it reaches it), _EPS of rounding
-    per factor, and expm1(|lambda_j|/9) for the factors left after the stop,
-    whose entries shrink 4x per level."""
+
+def upsilon_with_error(lam: float) -> tuple:
+    """Upsilon at lam and a bound on its error, or its failure raised: its
+    head's Psi outside the validated region, or a pole.
+
+    Upsilon is P(y) / (2 - lambda_1), lambda_j = Psi(lam/5^j), y = (2/3)
+    lam/25, and P is reduced as Psi is: while |y| > 1, its factor
+    1 - lambda_j/3 is taken and y divided by 5 (j <= 4 in the region).  The
+    bound runs with the product (Higham 2002, section 3.3): each Psi's error
+    relative to 2 - lambda_1 or 3 - lambda_j (inf once it reaches it),
+    _P_ERROR relative to P's sum, and _EPS of rounding per factor."""
     lam_1, d = psi_limit_with_error(lam / 5.0)
     if lam_1 == 2.0:
         raise DomainError(f"tail product has a pole at lambda={lam!r}")
-    J = anchor_level(lam)
-    x, e = psi_limit_with_error(lam / 5.0**J) if J > 1 else (lam_1, d)
-    rising = [(x, e)]  # lambda_J, lambda_{J-1}, ..., lambda_2, each with its bound
-    for _ in range(J - 2):
-        rising.append(_psi_steps(*rising[-1], 1))
     prod, rel = 1.0 / (2.0 - lam_1), _rel(d, abs(2.0 - lam_1)) + _EPS
-    for j in range(2, MAX_ITERATIONS + 2):
-        if j <= J:
-            x, e = rising[J - j]
-        else:
-            # the minus root (5 - r)/2, r = sqrt(25 - 4x), has slope at most
-            # 1/(r - 4e/r) within e of x; it is under x/4, with four roundings
-            root = math.sqrt(25.0 - 4.0 * x)
-            x, e = 2.0 * x / (5.0 + root), root / 4.0 * _rel(4.0 * e / root, root) + _EPS * abs(x)
+    j, y = 2, (2.0 / 3.0) * lam / 25.0
+    while abs(y) > 1.0:
+        x, e = psi_limit_with_error(lam / 5.0**j)
         prod *= 1.0 - x / 3.0
         rel += (_rel(e + _EPS * abs(x), abs(3.0 - x)) + _EPS) * (1.0 + rel)
-        if j >= J and abs(x) / 3.0 < tol * TAIL_BOUND_FACTOR:
-            rel += math.expm1((abs(x) + e) / 9.0) * (1.0 + rel)
-            return prod, abs(prod) * rel if rel < math.inf else math.inf
-    raise ConvergenceError(f"tail product did not converge for lambda={lam!r}")
+        j += 1
+        y = (2.0 / 3.0) * lam / 5.0**j
+    s = _horner(_P_COEFFICIENTS, y)
+    prod *= s
+    rel += (_rel(_P_ERROR, abs(s)) + _EPS) * (1.0 + rel)
+    return prod, abs(prod) * rel if rel < math.inf else math.inf
 
 
 def tau(k: int, sequence) -> float:
     """Tail product of an explicit eigenvalue sequence, anchored at level k.
 
     Equals Upsilon(5^-k lambda) for the sequence's renormalized limit; taking
-    the sequence's own entries keeps it exact through its plus branches, as
-    it runs at least down to the last plus level: after a minus run a factor
-    can pass the tolerance above it.  Needs k >= m0 (lambda_{k+1} defined).
+    the sequence's own entries keeps it exact through its plus branches.
+    Its factors are multiplied down to the first level
+    n >= max(k + 2, last plus level) with |lambda_n| <= PHI_BOUND, and the
+    minus run from n on is P(Phi(lambda_n)).  Needs k >= m0.
     """
     lam1 = sequence.value(k + 1)
     if lam1 == 2.0:
         raise DomainError(f"tail product undefined at k={k}: lambda_{k + 1} = 2")
     last_plus = max(sequence.plus_indices, default=0)
-    prod = 1.0 / (2.0 - lam1)
-    for j in range(2, MAX_ITERATIONS + 2 + max(0, last_plus - k)):
-        term = sequence.value(k + j)
-        prod *= 1.0 - term / 3.0
-        if k + j >= last_plus and abs(term) / 3.0 < TOL * TAIL_BOUND_FACTOR:
-            return prod
-    raise ConvergenceError(f"tail product did not converge at k={k}")
+    prod, n = 1.0 / (2.0 - lam1), k + 2
+    while n < last_plus or not abs(sequence.value(n)) <= PHI_BOUND:
+        prod *= 1.0 - sequence.value(n) / 3.0
+        n += 1
+    return prod * _horner(_P_COEFFICIENTS, phi(sequence.value(n)))

@@ -5,14 +5,16 @@ whole-level Laplacian and residual, the numpy level-graph builder that
 mesh.cells replaced, the dense seed, the whole-level numpy refinement and
 collapse that eval ran on before its walk, a level's walk, addresses,
 points and cells joined into whole columns, per-cell vertex values, the whole-level vertex
-keys and coordinates and the scalar addressing, the psi_m approximant and
-50-digit Psi and Upsilon, the dense Dirichlet oracle that `spectrum
+keys and coordinates and the scalar addressing, the coefficients of g, P
+and Phi in exact rationals, the psi_m approximant and 50-digit Psi and
+Upsilon, the dense Dirichlet oracle that `spectrum
 --verify` ran before it counted eigenvalues by inertia, and the oracles'
 spectrum pairing and unit-interval model."""
 import cmath
 import functools
 import itertools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -20,12 +22,17 @@ import numpy as np
 from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, _glue, check_letter,
                            check_word, vertex_cells)
 from sglap.decimation import EigenvalueSequence, check_level, vertex_count
-from sglap.errors import ConvergenceError, DomainError
+from sglap.errors import DomainError
 from sglap.harmonic import HARMONIC_INVERSES, SpectralEigenfunction, eigen_matrices, matvec
 from sglap.mesh import addresses, cells, points, walk
 from sglap.tangent import m0_matrix
 
 acceptance_log = []
+
+
+class ConvergenceError(Exception):
+    """A reference limit or solve that did not settle: the normal-derivative
+    estimates moving apart, or a dense eigensolve's residual."""
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -377,6 +384,60 @@ def resolve_addresses(key, level):
 
 
 # --- special functions -----------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def g_coefficients(n: int) -> tuple:
+    """a_1 .. a_n of g, g(5w) = psi(g(w)) with g(0) = 0 and g'(0) = 1, as
+    exact rationals: (5^k - 5) a_k = -sum_{i<k} a_i a_{k-i}."""
+    a = [Fraction(0), Fraction(1)]
+    for k in range(2, n + 1):
+        a.append(-sum(a[i] * a[k - i] for i in range(1, k)) / (5**k - 5))
+    return tuple(a[1:])
+
+
+@functools.lru_cache(maxsize=None)
+def tail_coefficients(n: int) -> tuple:
+    """p_0 .. p_n of the tail product P(y) = prod_{i>=0} (1 - g(y/5^i)/3),
+    as exact rationals: P(y) = (1 - g(y)/3) P(y/5) gives p_0 = 1 and
+    (1 - 5^-k) p_k = sum_{i=1..k} (-a_i/3) p_{k-i} 5^-(k-i)."""
+    a, p = (0, *g_coefficients(n)), [Fraction(1)]
+    for k in range(1, n + 1):
+        p.append(sum(-a[i] / 3 * p[k - i] / Fraction(5) ** (k - i) for i in range(1, k + 1))
+                 / (1 - Fraction(1, 5**k)))
+    return tuple(p)
+
+
+@functools.lru_cache(maxsize=None)
+def phi_coefficients(n: int) -> tuple:
+    """b_1 .. b_n of Phi = g^-1, as exact rationals: Phi(psi(x)) = 5 Phi(x)
+    with Phi'(0) = 1, where [x^k] (5x - x^2)^j = C(j, k-j) 5^(2j-k)
+    (-1)^(k-j), gives (5^k - 5) b_k = -sum_{k/2 <= j < k} C(j, k-j)
+    5^(2j-k) (-1)^(k-j) b_j."""
+    b = [Fraction(0), Fraction(1)]
+    for k in range(2, n + 1):
+        b.append(-sum(math.comb(j, k - j) * Fraction(5) ** (2 * j - k) * (-1) ** (k - j) * b[j]
+                      for j in range((k + 1) // 2, k)) / (5**k - 5))
+    return tuple(b[1:])
+
+
+def horner(coefficients, x: float) -> float:
+    """sum c_k x^k on floats, the coefficients c_0, c_1, ... rounded to
+    the nearest float and summed from the highest down."""
+    s = 0.0
+    for c in reversed(coefficients):
+        s = s * x + float(c)
+    return s
+
+
+def reference_phi(x: float) -> float:
+    """Phi(x) for |x| <= 0.5: b_1 .. b_15 summed by Horner's rule, times x."""
+    return horner(phi_coefficients(15), x) * x
+
+
+def reference_tail(y: float) -> float:
+    """P(y) for |y| <= 1: p_0 .. p_11 summed by Horner's rule."""
+    return horner(tail_coefficients(11), y)
+
 
 def psi_m(z, m: int) -> float:
     """m-th approximant: psi composed m times on (2/3) 5^-m z."""

@@ -27,8 +27,8 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (build_level_graph, dense_values, key_coords, level_cells, level_columns,
-                      level_keys, level_vertices, mp_upsilon, resolve_addresses, seed_array,
-                      true_error, values_on_level, vertex_value_walks, whole_level_residual)
+                      level_keys, level_vertices, resolve_addresses, seed_array, values_on_level,
+                      vertex_value_walks, whole_level_residual)
 
 from sglap import cli, mesh
 from sglap.address import format_address, lattice_lines
@@ -249,8 +249,8 @@ def test_usage_errors_exit_two(capsys):
      "malformed range '0:1:1_0': invalid digit grouping in '1_0'"),
     (["special", "--fn", "psi", "--range=0_0:1:3"],
      "malformed range '0_0:1:3': invalid digit grouping in '0_0'"),
-    (["special", "--fn", "upsilon", "--range=0:1:3", "--tol", "1e-1_0"],
-     "tolerance must be a number, got '1e-1_0'"),
+    (["tangent", "--seed", "six:1:1", "--word", ":0", "--verify", "--verify-tol", "1e-1_0"],
+     "verify tolerance must be a number, got '1e-1_0'"),
     (["spectrum", "--level", "2", "--verify", "--verify-tol", "1_0"],
      "verify tolerance must be a number, got '1_0'"),
 ])
@@ -268,8 +268,8 @@ def test_underscore_digit_grouping_exits_two(argv, line, capsys):
      "got '\u0663'"),
     (["special", "--fn", "psi", "--range= 0:1:2 "],
      "malformed range ' 0:1:2 ': a number must be printable ASCII without whitespace, got ' 0'"),
-    (["special", "--fn", "upsilon", "--range=0:1:3", "--tol", "\u0660.\u0661"],
-     "tolerance must be a number, got '\u0660.\u0661'"),
+    (["eval", "--seed", "two:1:1", "--level", "1", "--verify", "--verify-tol", "\u0660.\u0661"],
+     "verify tolerance must be a number, got '\u0660.\u0661'"),
     (["spectrum", "--level", "2", "--verify", "--verify-tol", "\u0661e-3"],
      "verify tolerance must be a number, got '\u0661e-3'"),
 ], ids=["level-digit", "level-space", "range-digit", "range-space", "tol", "verify-tol"])
@@ -1161,20 +1161,23 @@ def test_deep_six_seed_tangent_runs_under_the_memory_cap(word):
 
 
 # sha256 of `spectrum --level 10` stdout, pinned from the per-family scalar
-# EigenvalueSequence.value/limit loops
+# EigenvalueSequence.value/limit loops.  Re-pinned when the limit became
+# 1.5 * 5^t * Phi(lambda_t): only the lambda column moved, and against a
+# 60-digit minus run from the same lambda_t its worst relative error went
+# 2.1e-14 -> 5.1e-16
 SPECTRUM_GOLDEN_SHA256 = {
-    ("--series", "all"): "a3e7b4352b24fa7217660b97987081846721b3886b745cc275b9c101b003c030",
-    ("--series", "two"): "35f522d0819116a4f024a113b1a353b14d251e6b1c4fbae41bc54f62aebe9452",
-    ("--series", "five"): "bd5e0f19ab904e483f80d920067905cd7cc09db196f1e336918caab16e0bb5f0",
-    ("--series", "six"): "88404f1d83fa4e17f991d2e10f5c78687434d25103f8c981ef3498a16e361a7c",
-    ("--format", "json"): "6e442571a8b49dc2dbb8dee1e75e184081f93907f8a2f3d3ad551af862a9a39f",
+    ("--series", "all"): "aa29018d3725830f8cb4667310beae4e62747fa754315a0ffd31aaca8c24add2",
+    ("--series", "two"): "3e1c7b9670c917be6eeba22b62a8583d3ba4d2693fb0a25f0d8ad438830dc7da",
+    ("--series", "five"): "ecb80ef54c5e2235fd18e007ee1c1d263ef88478c090b29235e1703964fa0226",
+    ("--series", "six"): "5192f5db734b93d3f494440130cda8de3123facf80bf5c72f22636895b6406f1",
+    ("--format", "json"): "5a38d96b710d42bd540fa993f8d618a4ce438e95b8c22f5fe5d7fc1c0982f0d9",
     # recorded from the enumeration that walked every series and dropped rows
     ("--series", "two", "--format", "json"):
-        "6d6720dbd19e1dc67d1978fc4910b1da6ba02c66c41a2ccc60f5b5edff14746b",
+        "5df00ca83d366eccf4e6b31042ad79ed8bc350b8e20e74df4d46f940640042da",
     ("--series", "five", "--format", "json"):
-        "9e9f8e6f69e9d12105b19124adf582111e9a650a9d8655736b64a70d95835c19",
+        "b1b6b9d12f9caab8de0ca0aea489abd5520dc8f416f2a4b1e82c64c423732d9f",
     ("--series", "six", "--format", "json"):
-        "46910fea989a644d351d7c2606292c342e0bf7c3bbd85592e09a1e501708eb60",
+        "e0aaa6132d4232ea0e328b1fd7980a3d28b6a53aab7361b2f29d80db71bfa3b7",
 }
 
 
@@ -1186,18 +1189,18 @@ def test_spectrum_golden_bytes(args, capsys):
 
 
 def test_spectrum_verify_golden_columns(capsys):
-    # columns 1-6 are pinned from the scalar loops; the residual column, the
-    # bracket half-widths of the inertia counts, runs on Python floats and
-    # is pinned with them in the whole output
+    # columns 1-6 are pinned from the scalar loops and Phi; the residual
+    # column, the bracket half-widths of the inertia counts, runs on Python
+    # floats and is pinned with them in the whole output
     code, out, _ = run(["spectrum", "--level", "4", "--verify"], capsys)
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][6] == "residual" and all(float(r[6]) < 1e-9 for r in rows[1:])
     cut = "".join(",".join(r[:6]) + "\n" for r in rows)
     assert hashlib.sha256(cut.encode()).hexdigest() == \
-        "235ffd28ee1184eb44abfd50a38e6af0713bae8ea3cb718f87542d97262198e8"
+        "80b487e455cf9070ec0793e67782882030c75ccbc547c3e2b26d72db93c72c32"
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "e17bec55d16bc4cf3d65def47d915e18c0ae60ede6986b36eabaec2a7730f07c"
+        "198897c1c8700f5d4e16cbfb2e54dc50c595623ef043c9acdeaff45092b9aae2"
 
 
 @pytest.mark.parametrize("series", ["two", "five", "six"])
@@ -1343,29 +1346,32 @@ def test_closed_stderr_keeps_the_exit_code(argv, code):
 
 # sha256 of `special` stdout, pinned from the per-point scalar loops: a
 # workload-sized grid in both formats, out-of-domain rows, out-of-domain
-# tail factors, and a tolerance of 1e-300, which Psi does not read.  The
-# Upsilon entries were re-pinned when Upsilon became tau along its own
+# tail factors, and a small Psi grid, pinned under --tol=1e-300 while
+# `special` had a --tol, which Psi never read.  The Upsilon entries were re-pinned when Upsilon became tau along its own
 # sequence; against a 50-digit mpmath Upsilon their worst relative error
 # went 1.1e-13 -> 7.2e-15 (-12.3:14.2:2000) and 5.1e-14 -> 4.0e-15
 # (-1e4:1e4:101).  Every entry was re-pinned when the error column became a
 # bound, and again when Psi became g's Taylor series: against a 50-digit
 # Psi the worst absolute error went 2.5e-13 -> 4.9e-15 (-12.3:14.2:2000)
 # and 1.5e-11 -> 6.0e-13 (-150:150:601), and
-# Upsilon's 2.2e-14 -> 6.9e-15 and 3.8e-16 -> 1.1e-16
+# Upsilon's 2.2e-14 -> 6.9e-15 and 3.8e-16 -> 1.1e-16.  The Upsilon entries
+# were re-pinned when the tail became P's series: against a 50-digit
+# Upsilon the worst error relative to max(1, |Upsilon|) went 2.7e-15 ->
+# 1.5e-15 (-12.3:14.2:2000) and 1.1e-16 -> 2.0e-17 (-1e4:1e4:101)
 SPECIAL_GOLDEN_SHA256 = {
     ("--fn", "psi", "--range=-12.3:14.2:2000", "--format", "csv"):
         "9de208d1318eec0ec015d3182b080fe232a432299d36e186f38ee9f9af87feed",
     ("--fn", "psi", "--range=-12.3:14.2:2000", "--format", "json"):
         "c72d240bb921c3ed0e96fa66abc460adba89874b7267c73ab984006c845d7551",
     ("--fn", "upsilon", "--range=-12.3:14.2:2000", "--format", "csv"):
-        "3b9ecfef9d736774f3f241389b21410a5d31a59f95f0c3472e7077920f8fb136",
+        "76043d0b19c0179702ce5b5c92a4bc06df72e9c615b420483ede605e2f8f6640",
     ("--fn", "upsilon", "--range=-12.3:14.2:2000", "--format", "json"):
-        "d4b24510f276b97cd0dd7e9ec4f082b31c31876509459088329c0838688fe343",
+        "c4a4c1881807b53a3d91e17cb087417f23d935caf9b427d74e9bce16b87608e5",
     ("--fn", "psi", "--range=-150:150:601"):
         "8fd5b73d1a9752ab3cd3367d8c6d477bc577d148bf2feee03abeed6156f319f1",
     ("--fn", "upsilon", "--range=-1e4:1e4:101"):
-        "63d9fed1cf8a313880754c9c406212fd6ab9e9d2c439b7b5b22c334bad23b6a8",
-    ("--fn", "psi", "--range=1:2:5", "--tol=1e-300"):
+        "9038586a616865fbc9864dcaa6061963bfa1716fdd4611b72265fdbfab17bc42",
+    ("--fn", "psi", "--range=1:2:5"):
         "5f5504505504a8978a8b8304ccaee2c828298b0bca331a687df6bf6c3051455a",
 }
 
@@ -1377,36 +1383,11 @@ def test_special_golden_bytes(args, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SPECIAL_GOLDEN_SHA256[args]
 
 
-def test_special_psi_ignores_the_tolerance(capsys):
-    # Psi is summed to double precision whatever --tol says: the 1:2:5 grid
-    # prints the bytes of its --tol=1e-300 pin at the default tolerance
-    code, out, err = run(["special", "--fn", "psi", "--range=1:2:5"], capsys)
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        SPECIAL_GOLDEN_SHA256[("--fn", "psi", "--range=1:2:5", "--tol=1e-300")]
-
-
-def test_special_loose_tol_errors_bound_the_true_error(capsys):
-    # at --tol 0.9 the tail product stops after a factor or two: the rows
-    # print 492.84, -231.85 and -93.83 where a 50-digit Upsilon gives
-    # 489.17, -230.12 and -93.12 (76.16, 145.06 and 1526.4 while the Psi
-    # walk stopped at the same tolerance).  Each error is at least the true
-    # one, or inf where the head's error reaches 2 - lambda_1
-    code, out, err = run(["special", "--fn", "upsilon", "--range=16.8:16.9:3", "--tol", "0.9"],
-                         capsys)
-    assert code == 0 and err == ""
-    _, rows = parse_csv(out)
-    assert len(rows) == 3
-    for z, value, error, note in rows:
-        assert note == ""
-        assert float(error) >= true_error(float(value), mp_upsilon(float(z)))
-
-
 @pytest.mark.parametrize("fn", ["psi", "upsilon"])
 def test_special_default_tol_errors_are_finite_across_the_pole(fn, capsys):
     # the benchmark's grids: 2000 points over [-50, 60], across Upsilon's
-    # pole at 16.816.  At the default tolerance no converged row's error is
-    # inf, which a benchmark check counts as wrong output
+    # pole at 16.816.  No converged row's error is inf, which a benchmark
+    # check counts as wrong output
     code, out, err = run(["special", "--fn", fn, "--range=-50:60:2000"], capsys)
     assert code == 0 and err == ""
     header, rows = parse_csv(out)
@@ -1562,9 +1543,12 @@ def test_special_count_past_the_float_range_exits_two(capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
 def test_special_non_finite_or_non_positive_tol_exits_two(tol, capsys):
-    code, out, err = run(["special", "--fn", "psi", "--range=0:1:3", f"--tol={tol}"], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("usage error: ") and err.count("\n") == 1
+    # special takes no --tol, whatever its value: Psi and Upsilon are fixed
+    # sums, and the option is argparse's one-line refusal
+    for fn in ("psi", "upsilon"):
+        code, out, err = run(["special", "--fn", fn, "--range=0:1:3", f"--tol={tol}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: unrecognized arguments: --tol={tol}\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -1709,17 +1693,20 @@ def test_eval_verify_takes_values_near_the_float_maximum(seed, level, capsys):
     assert eigen_residual(cells(level), values_on_level(u, level), u.sequence.value(level)) < 1e-14
 
 
-@pytest.mark.parametrize("command", [
+@pytest.mark.parametrize("command, start", [
+    # special takes no --tol: argparse refuses the option and its value
+    (["special", "--fn", "psi", "--range=0:1:3", "--tol", "-1e-9"],
+     "usage error: unrecognized arguments: --tol -1e-9"),
     # argparse reads a negative number in scientific notation as a flag
-    ["special", "--fn", "psi", "--range=0:1:3", "--tol", "-1e-9"],
-    ["tangent", "--seed", "six:1:1", "--word", ":0", "--verify", "--verify-tol", "-1e-9"],
-    ["eval", "--seed", "six:1:1", "--level", "abc"],
-    ["spectrum", "--series", "seven"],
+    (["tangent", "--seed", "six:1:1", "--word", ":0", "--verify", "--verify-tol", "-1e-9"],
+     "usage error: argument --verify-tol: "),
+    (["eval", "--seed", "six:1:1", "--level", "abc"], "usage error: argument --level: "),
+    (["spectrum", "--series", "seven"], "usage error: argument --series: "),
 ], ids=["special-tol", "tangent-verify-tol", "eval-level", "spectrum-series"])
-def test_argparse_errors_are_one_line(command, capsys):
+def test_argparse_errors_are_one_line(command, start, capsys):
     code, out, err = run(command, capsys)
     assert code == 2 and out == ""
-    assert err.startswith("usage error: argument ") and err.count("\n") == 1
+    assert err.startswith(start) and err.count("\n") == 1
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
@@ -1745,21 +1732,14 @@ def test_help_still_prints_and_exits_zero(capsys):
 # mostly well-formed input, so that about half the examples reach the kernel
 _finite_numbers = st.one_of(st.floats(-200.0, 200.0), st.floats(-1e4, 1e4)).map(repr)
 _numbers = st.one_of(_finite_numbers, _finite_numbers, _finite_numbers, st.sampled_from(
-    ["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "abc", "", "5e-324"]))
+    ["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "abc", "", "5e-324", "1e-300", "0",
+     "-1e-9"]))
 _counts = st.one_of(st.integers(1, 40).map(str), st.integers(1, 40).map(str),
                     st.sampled_from(["0", "-2", "x", "2.5", ""]))
 _ranges = st.one_of(st.builds(lambda a, b, n: f"{a}:{b}:{n}", _numbers, _numbers, _counts),
                     st.sampled_from(["", "1:2", "1:2:3:4", "::"]))
-_tols = st.one_of(
-    st.just([]),
-    st.floats(1e-15, 1e-3).map(lambda tol: [f"--tol={tol!r}"]),
-    st.tuples(st.sampled_from(["1e-300", "0", "-1e-9", "nan", "inf", "abc"]), st.booleans())
-    .map(lambda t: [f"--tol={t[0]}"] if t[1] else ["--tol", t[0]]),
-)
-
-
 # every way a special row can fail names itself in its note
-FAILURE_NOTE = re.compile("has a pole|outside|did not converge")
+FAILURE_NOTE = re.compile("has a pole|outside")
 
 
 def _finite(field) -> bool:
@@ -1770,12 +1750,12 @@ def _finite(field) -> bool:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["psi", "upsilon"] * 4 + ["tau"]), _ranges, _tols,
+@given(st.sampled_from(["psi", "upsilon"] * 4 + ["tau"]), _ranges,
        st.sampled_from(["csv", "json"] * 4 + ["obj"]))
-def test_special_grammar_fuzz(fn, grid, tol, fmt):
+def test_special_grammar_fuzz(fn, grid, fmt):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["special", "--fn", fn, f"--range={grid}", *tol, "--format", fmt])
+        code = cli.main(["special", "--fn", fn, f"--range={grid}", "--format", fmt])
     event(f"exit {code}")
     assert code in (0, 2)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
@@ -1792,11 +1772,7 @@ def test_special_grammar_fuzz(fn, grid, tol, fmt):
         if record["note"]:
             assert FAILURE_NOTE.search(record["note"]) and record["value"] in ("", None)
             continue
-        # an Upsilon error is inf where a loose --tol leaves a Psi value's
-        # error as large as its distance to a pole (README)
-        assert _finite(record["value"])
-        assert _finite(record["error"]) or (fn == "upsilon" and tol != []
-                                            and float(record["error"]) == math.inf)
+        assert _finite(record["value"]) and _finite(record["error"])
         assert record.get("functional_eq") in ("", None) or _finite(record["functional_eq"])
 
 
@@ -1883,30 +1859,31 @@ def test_table_blocks_reject_other_cell_types(cell):
 
 
 # sha256 of `spectrum --level m` stdout, recorded from the json.dumps and
-# csv.writer-per-row writers that cli._table_blocks replaced
+# csv.writer-per-row writers that cli._table_blocks replaced, and re-pinned
+# at levels 1-10 when the lambda column became 1.5 * 5^t * Phi(lambda_t)
 SPECTRUM_LEVEL_SHA256 = {
     (0, "csv"): "d043b44a34eda3c326e89e8497475e5f0628261e75b2a8d80b0908cd07a5833c",
-    (1, "csv"): "d203a2f49b140c76412a7c0b3805881ffbc02c852c72a73b4a4a717540441567",
-    (2, "csv"): "6c3d896ad4977890dc5b3a0f72a49542cbfdca583b3440891351e0b23e57c030",
-    (3, "csv"): "378195acf191934cd0773780956f540011fce4318d360c294a22d1ad47d69e05",
-    (4, "csv"): "235ffd28ee1184eb44abfd50a38e6af0713bae8ea3cb718f87542d97262198e8",
-    (5, "csv"): "16ad22ff615db8791529e79007fd6400f80ac75978a6c9c1437cbc8e6d4ff66b",
-    (6, "csv"): "9c660191e48e5da9fa4ee1ea9dbfcdc3e8f41a10a73fc17fdc9c0767d624c117",
-    (7, "csv"): "f5034b76518845eeda4a3aee4e7379bbcdf7a160389239f74680d82df4e61d88",
-    (8, "csv"): "6378d52420f4ac31d097d95f753fa57f649a5db6b5e8beaa1a5003ae61103e42",
-    (9, "csv"): "6f219b0b2b0341e56f7a377c0977fae5189f065e9dc3596448a5d62e8c85536a",
-    (10, "csv"): "a3e7b4352b24fa7217660b97987081846721b3886b745cc275b9c101b003c030",
+    (1, "csv"): "bc5fc1b149a2ed90a3c8ebe54412d38bbf1385e0251ad9a6755762ee59bcee93",
+    (2, "csv"): "ec79da45154fa4836b233b45fb9411debae92e3d9acada618af0242ef0bd73bb",
+    (3, "csv"): "339ea1d90b867c738151587439859d43e0502b4fd2897d24201cfec0e57bf246",
+    (4, "csv"): "80b487e455cf9070ec0793e67782882030c75ccbc547c3e2b26d72db93c72c32",
+    (5, "csv"): "ed027b10a8bb04d7fef7374cf8c77c828c12ac774c9044bee0c41da230e4d530",
+    (6, "csv"): "14f650b2530cde5a9ea821ab2ffdd16731767ad52c745ead2d85d0bc78e92f1a",
+    (7, "csv"): "ac4bea9b2cfe9f5f0c5093c72ff512d4b75f23d78c5732e95a59e292ae61fc5a",
+    (8, "csv"): "81047f246c9d8e9e61629362e5afabbd526ac4461f26252c5f312485badb2725",
+    (9, "csv"): "50264fe7d25d05cc3a5d5d4c3cc78adedb489611b57e549955883b03226b6594",
+    (10, "csv"): "aa29018d3725830f8cb4667310beae4e62747fa754315a0ffd31aaca8c24add2",
     (0, "json"): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-    (1, "json"): "497335a5e9df8649eef63d49561672d08931bca40bb35ba6d9782afcf8666fbb",
-    (2, "json"): "d377cd6937b18487a13683b98618f17ac701e3c8df6a02b26972c4859c0c4242",
-    (3, "json"): "2966c65ec6c44502f428f144ad805a9ec76fa04331289696fcffd2cbc1519440",
-    (4, "json"): "230427aa1cbcf223970e46906cea06f393cbd1e1423a63e70012dc4ed3951c04",
-    (5, "json"): "746520eba6e8583a58bae7be0b24da7e3346ac0ee1ae8eed43646094c6d576c2",
-    (6, "json"): "3a3e210bcd5b8c3cb2d778f35e603b5797e6b51ec865afa354a809f4d11f9853",
-    (7, "json"): "8e3fd27b6b2f2d0053d122e02614bc349c920f18c5bbea65f1e286432c48e9cd",
-    (8, "json"): "1fa7bcea7762ed28a33d3ad1cc83bff13c062a1b4e2011cf6c6e39e6a52a5f9e",
-    (9, "json"): "6e1b37d20ca0e55785035dca53d1978adf054f6ed04d4f1753878bed78f9be04",
-    (10, "json"): "6e442571a8b49dc2dbb8dee1e75e184081f93907f8a2f3d3ad551af862a9a39f",
+    (1, "json"): "3908951e6782e45b289b92a558cccf03e388863816a8433aeac817170f9884e9",
+    (2, "json"): "3fffc9a380b6f9bc362dc18a7efb65d9743809832ae6cee231261a3438bc989f",
+    (3, "json"): "f4767eea487313c440c69dfe567ef1e5e8b6fe0967f8aa273b7932162c698f4d",
+    (4, "json"): "b159e1be5926d8505de208dfca3a8cda9d90075993f8320da81fe587dc661c01",
+    (5, "json"): "66413bac56f885a7769b3f982fef0c2b7f1b8825950fe1da893069f4c03930b7",
+    (6, "json"): "258ef2daf41326a971ef34e2b9521554fe143250c6140b5a5819f8ee31b0e2e5",
+    (7, "json"): "6c8b94f683e7c7a01a2fa87269673e78acd852f96ff84311a85d849db0c16342",
+    (8, "json"): "4bdfeacedd435167eac116d4fb6de5a06e3fa020e79fa2383393835f52a9eb22",
+    (9, "json"): "a711e5ea8f342c193f454a6b0eb54c627fed8c1bb91916f4629a47b8cfa5cc8f",
+    (10, "json"): "5a38d96b710d42bd540fa993f8d618a4ce438e95b8c22f5fe5d7fc1c0982f0d9",
 }
 
 
@@ -1934,7 +1911,7 @@ def test_special_blocks_equal_one_whole_grid_table(fn, spec, fmt, capsys):
     assert code == 0 and err == ""
     columns = ["z", "value", "error", *["functional_eq"] * (fn == "psi"), "note"]
     # the same rows written as one whole table
-    rows = list(cli._special_rows(fn, cli.parse_range(f"{spec}:{n}"), cli.special.TOL))
+    rows = list(cli._special_rows(fn, cli.parse_range(f"{spec}:{n}")))
     assert any(row[-1] for row in rows) and not all(row[-1] for row in rows)
     assert out == REFERENCE_WRITERS[fmt](columns, rows)
 
@@ -1974,7 +1951,7 @@ def test_special_huge_grid_starts_without_building_the_grid():
     grid = cli.parse_range("1:2:100000000")
     assert grid == (1.0, 2.0, 100_000_000)
     blocks = cli._table_blocks("csv", ["z", "value", "error", "note"],
-                               cli._special_rows("upsilon", grid, cli.special.TOL))
+                               cli._special_rows("upsilon", grid))
     assert next(blocks) == "z,value,error,note\n"
     _, rows = parse_csv("\n" + next(blocks))
     assert [float(r[0]) for r in rows] == [1.0 + i / 99_999_999 for i in range(cli.BLOCK_ROWS)]

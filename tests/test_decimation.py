@@ -1,4 +1,5 @@
 """Spectral decimation: sequences, seed eigenfunctions, spectrum enumeration."""
+import decimal
 import hashlib
 import math
 
@@ -8,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (build_level_graph, eigen_matrix, graph_laplacian, harmonic_matrix,
-                      resolve_addresses, seed_array, value_at, values_on_level, vertex_key,
-                      word_index)
+                      reference_phi, resolve_addresses, seed_array, value_at, values_on_level,
+                      vertex_key, word_index)
 
 from sglap import decimation
 from sglap.decimation import (
@@ -20,8 +21,7 @@ from sglap.decimation import (
     sequence_from_limit,
     series_multiplicity,
 )
-from sglap.errors import (ConvergenceError, DomainError, InvariantError, SglapError,
-                          SingularLevelError)
+from sglap.errors import DomainError, InvariantError, SglapError, SingularLevelError
 from sglap.harmonic import (
     SpectralEigenfunction,
     dirichlet_eigenfunction,
@@ -30,7 +30,6 @@ from sglap.harmonic import (
     rotate_six,
 )
 from sglap.mesh import cells, eigen_residual
-from sglap.special import MAX_ITERATIONS, TOL
 
 CLOSED_FORM_SEEDS = [
     ("two", 1, 1),
@@ -413,28 +412,19 @@ class ReferenceSequence:
                 vals[t] = cur
         return vals[j]
 
-    def limit(self, tol, max_iterations):
+    def limit(self):
+        """1.5 * 5^j * Phi(lambda_j) at the first level j, from the last plus
+        level on, with |lambda_j| <= 0.5, Phi summed from the rounded exact
+        coefficients of g's inverse; from j = 441 on, 1.5 * 5.0**j is past
+        the float range."""
         j = max([self.m0, *self.plus_indices])
-        try:
-            prev = 1.5 * 5.0**j * self.value(j)
-            for _ in range(max_iterations):
-                j += 1
-                cur = 1.5 * 5.0**j * self.value(j)
-                if abs(cur - prev) <= tol * abs(cur):  # relative at every size
-                    return cur
-                prev = cur
-        except OverflowError:
-            raise DomainError(f"renormalized eigenvalue overflows at level {j}") from None
-        raise ConvergenceError(f"renormalized eigenvalue did not settle for {self.seq!r}")
-
-
-def limit_under(seq, tol, max_iterations):
-    """seq.limit() with special.TOL and special.MAX_ITERATIONS set to tol and
-    max_iterations, which limit() reads when its cache is empty."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(decimation.special, "TOL", tol)
-        patch.setattr(decimation.special, "MAX_ITERATIONS", max_iterations)
-        return seq.limit()
+        lam = self.value(j)
+        while j < 441:
+            if abs(lam) <= 0.5:
+                return 1.5 * 5.0**j * reference_phi(lam)
+            j += 1
+            lam = self.value(j)
+        raise DomainError(f"renormalized eigenvalue overflows at level {j}")
 
 
 def outcome(fn, *args):
@@ -453,9 +443,38 @@ def test_spectrum_matches_the_scalar_recursion_bit_for_bit():
             if line.series == "six":
                 plus.add(line.m0 + 1)  # the forced plus, past the string at m0 = level
             ref = ReferenceSequence(line.m0, SERIES_SEED[line.series], plus)
-            assert line.value == ref.value(level) and line.limit == ref.limit(TOL, MAX_ITERATIONS)
+            assert line.value == ref.value(level) and line.limit == ref.limit()
             seq = EigenvalueSequence(line.m0, SERIES_SEED[line.series], plus)
             assert line.value == seq.value(level) and line.limit == seq.limit()
+
+
+def decimal_limit(t, lam):
+    """1.5 lim 5^j lambda_j of the minus run from the float lambda_t = lam, in
+    60-digit decimal: minus roots until |lambda_j| < 1e-40, where 5^j
+    lambda_j = Phi(lambda_j) (1 + O(lambda_j)) is within 1e-41 relative of
+    the limit."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x = decimal.Decimal(lam)
+        while abs(x) >= decimal.Decimal("1e-40"):
+            t += 1
+            x = 2 * x / (5 + (25 - 4 * x).sqrt())
+        return decimal.Decimal(1.5) * 5**t * x
+
+
+def test_spectrum_limits_are_the_minus_run_to_the_float_floor():
+    # each limit against its minus run from the same float lambda_t, t the
+    # last plus level, in 60 digits.  Measured at L1-L10 (1,791 lines at
+    # L10): worst 5.1e-16 relative, where the renormalized iterate that Phi
+    # replaced, stopped on an increment of 1e-13, read 2.1e-14
+    for level in range(1, 9):
+        for line in enumerate_dirichlet_spectrum(level):
+            plus = {line.m0 + 1 + i for i, c in enumerate(line.branches) if c == "+"}
+            if line.series == "six":
+                plus.add(line.m0 + 1)
+            t = max(plus, default=line.m0)
+            seq = EigenvalueSequence(line.m0, SERIES_SEED[line.series], plus)
+            error = decimal.Decimal(line.limit) / decimal_limit(t, seq.value(t)) - 1
+            assert abs(error) <= decimal.Decimal("2e-15"), line
 
 
 plus_sets = st.one_of(
@@ -466,26 +485,24 @@ plus_sets = st.one_of(
 seeds = st.one_of(st.sampled_from([2.0, 5.0, 6.0, 0.0, 6.25, 7.0, -1e308, math.nan, math.inf]),
                   st.floats(-50.0, 6.5))
 rows = st.lists(st.tuples(st.integers(0, 4), seeds, plus_sets), min_size=1, max_size=5)
-# (tol, max_iterations)
-sequence_budgets = st.tuples(st.floats(1e-16, 1e-3), st.sampled_from([80, 80, 30, 5, 1, 0]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows, st.integers(0, 12), sequence_budgets)
-def test_eigenvalue_sequence_matches_the_reference_recursion(rows, depth, budget):
+@given(rows, st.integers(0, 12))
+def test_eigenvalue_sequence_matches_the_reference_recursion(rows, depth):
     # plus levels at or below m0 are not part of a sequence
     rows = [(m0, seed, {j for j in plus if j > m0}) for m0, seed, plus in rows]
     level = max(m0 for m0, _, _ in rows) + depth
     for m0, seed, plus in rows:
         expected_value = outcome(ReferenceSequence(m0, seed, plus).value, level)
-        expected_limit = outcome(ReferenceSequence(m0, seed, plus).limit, *budget)
+        expected_limit = outcome(ReferenceSequence(m0, seed, plus).limit)
         # values and limits: a float's repr, or the failure's class and message
         seq = EigenvalueSequence(m0, seed, plus)
         assert outcome(seq.value, level) == expected_value
-        assert outcome(limit_under, seq, *budget) == expected_limit
+        assert outcome(seq.limit) == expected_limit
         # asked for levels out of order, the limit first
         seq = EigenvalueSequence(m0, seed, plus)
-        assert outcome(limit_under, seq, *budget) == expected_limit
+        assert outcome(seq.limit) == expected_limit
         assert outcome(seq.value, level) == expected_value
         assert outcome(seq.value, max(m0, level - 3)) == outcome(
             ReferenceSequence(m0, seed, plus).value, max(m0, level - 3))
@@ -497,39 +514,33 @@ def test_eigenvalue_sequence_matches_the_reference_recursion(rows, depth, budget
 
 
 def test_eigenvalue_sequence_reports_each_failure_kind():
-    budget = 1e-13, 5
     cases = [EigenvalueSequence(1, 6.0), EigenvalueSequence(1, 6.0, {2}),
              EigenvalueSequence(1, 2.0, range(2, 445)), EigenvalueSequence(1, 7.0),
              EigenvalueSequence(3, 2.0)]
     values = [outcome(seq.value, 3) for seq in cases]
-    limits = [outcome(limit_under, seq, *budget) for seq in cases]
+    limits = [outcome(seq.limit) for seq in cases]
     assert values[0][0] is SingularLevelError  # minus root of 6 is 2
     assert values[1] == repr(EigenvalueSequence(1, 6.0, {2}).value(3))
     assert limits[2] == (DomainError, "renormalized eigenvalue overflows at level 444")
     assert "no real refinement of lambda=7.0" in values[3][1]
-    assert limits[1][0] is ConvergenceError
     assert [i for i, v in enumerate(values) if isinstance(v, tuple)] == [0, 3]
-    assert all(isinstance(limit, tuple) for limit in limits)
+    assert [i for i, limit in enumerate(limits) if isinstance(limit, tuple)] == [0, 2, 3]
     for seq, value, limit in zip(cases, values, limits):
         ref = ReferenceSequence(seq.m0, seq.lambda_m0, seq.plus_indices)
-        assert (value, limit) == (outcome(ref.value, 3), outcome(ref.limit, *budget))
+        assert (value, limit) == (outcome(ref.value, 3), outcome(ref.limit))
 
 
-@pytest.mark.parametrize("singular, max_iterations, error", [
+@pytest.mark.parametrize("singular", [
     # every 6-series fails at its forced plus root
-    ((2.0, 5.0, 6.0, 3.0), 80, SingularLevelError),
+    (2.0, 5.0, 6.0, 3.0),
     # the 2-series members with a plus at level 2
-    ((2.0, 5.0, 6.0, 4.561552812808831), 80, SingularLevelError),
-    ((2.0, 5.0, 6.0), 3, ConvergenceError),  # no limit settles
+    (2.0, 5.0, 6.0, 4.561552812808831),
 ])
 @pytest.mark.parametrize("level", [3, 4])
-def test_spectrum_failures_raise_from_the_walk(singular, max_iterations, error, level,
-                                               monkeypatch):
+def test_spectrum_failures_raise_from_the_walk(singular, level, monkeypatch):
     monkeypatch.setattr(decimation, "SINGULAR_VALUES", singular)
-    monkeypatch.setattr(decimation.special, "MAX_ITERATIONS", max_iterations)
-    with pytest.raises(SglapError) as info:
+    with pytest.raises(SingularLevelError):
         enumerate_dirichlet_spectrum(level)
-    assert type(info.value) is error
 
 
 def test_multiplicity_check_raises(monkeypatch):

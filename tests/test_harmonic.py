@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, build_level_graph, cell_values_to_vertex,
-                      dense_values, extend_harmonic, extend_level, graph_laplacian,
-                      harmonic_matrix, harmonic_normal_derivative, level_vertices,
-                      normal_derivative_limit, values_on_level)
+from conftest import (CORNER_SWAPS, HARMONIC_MATRICES, ConvergenceError, build_level_graph,
+                      cell_values_to_vertex, dense_values, extend_harmonic, extend_level,
+                      graph_laplacian, harmonic_matrix, harmonic_normal_derivative,
+                      level_vertices, normal_derivative_limit, values_on_level)
 
 from sglap import mesh
 from sglap.decimation import EigenvalueSequence
-from sglap.errors import ConvergenceError, DomainError
+from sglap.errors import DomainError
 from sglap.harmonic import (
     HARMONIC_INVERSES,
     SpectralEigenfunction,

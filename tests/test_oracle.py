@@ -13,13 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_level_graph, cached_dense_spectrum, dense_count,
+from conftest import (ConvergenceError, build_level_graph, cached_dense_spectrum, dense_count,
                       dense_dirichlet_spectrum, dense_interior_matrix, graph_laplacian,
                       interval_tangent, sorted_pairing_gap, values_on_level)
 
 from sglap.address import EventuallyConstantWord
 from sglap.decimation import enumerate_dirichlet_spectrum, sequence_from_limit
-from sglap.errors import ConvergenceError, DomainError, SingularLevelError
+from sglap.errors import DomainError, SingularLevelError
 from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, eigen_matrices,
                             harmonic_inverses, matmul)
 from sglap.oracle import ORACLE_DPS, bracket_half_widths, dirichlet_count, direct_tangent_limit

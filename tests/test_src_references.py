@@ -271,7 +271,7 @@ REACH_INVOCATIONS = [
     ["eval", "--seed", "two:1:1", "--level", "8"],
     ["tangent", "--seed", "two:1:1", "--word", "01:2", "--verify"],
     ["tangent", "--seed", "free:7.3:1,-2,3", "--word", ":0", "--format", "json"],
-    ["special", "--fn", "psi", "--range=-2:2:5", "--tol", "1e-12"],
+    ["special", "--fn", "psi", "--range=-2:2:5"],
     ["special", "--fn", "upsilon", "--range", "0:3:4", "--format", "json"],
 ]
 

@@ -267,19 +267,25 @@ def cmd_spectrum(args) -> int:
     lines = decimation.enumerate_dirichlet_spectrum(
         args.level, "all" if args.verify else args.series)
     columns = ["series", "m0", "branches", "lambda_m", "lambda", "multiplicity"]
-    widths = None
+    widths = peaks = itertools.repeat(None)
     if args.verify:
         from . import oracle
 
-        widths = oracle.bracket_half_widths(args.level, lines)
+        # the widths read the lines one ahead of the rows, and a running
+        # maximum reads the widths in step with the rows, so that each tee
+        # holds one item; the maximum's last item takes in the count of all
+        # the eigenvalues, which comes after the last line's width
+        lines, ahead = itertools.tee(lines)
+        widths, peaks = itertools.tee(oracle.bracket_half_widths(args.level, ahead))
+        peaks = itertools.accumulate(peaks, max)
         columns.append("residual")
     rows = ([line.series, line.m0, line.branches, line.value, line.limit, line.multiplicity,
-             *([] if widths is None else [widths[i]])]
-            for i, line in enumerate(lines) if args.series in ("all", line.series))
+             *([] if width is None else [width])]
+            for line, width, _ in zip(lines, widths, peaks) if args.series in ("all", line.series))
     _emit(args, _table_blocks(args.format, columns, rows))
-    if widths is None:
+    if not args.verify:
         return 0
-    return _verdict("widest eigenvalue bracket", max(widths), args.verify_tol)
+    return _verdict("widest eigenvalue bracket", next(peaks), args.verify_tol)
 
 
 # --- eval -------------------------------------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import os
 import sys
+from itertools import chain, cycle, islice, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import special
@@ -25,12 +27,11 @@ SINGULAR_VALUES = (2.0, 5.0, 6.0)
 SNAP_TOL = 1e-11
 
 SERIES_SEED = {"two": 2.0, "five": 5.0, "six": 6.0}
-_SERIES_RANK = {"two": 0, "five": 1, "six": 2}
 
 
 def max_level() -> int:
     """Refinement cap; the SG_MAX_LEVEL environment variable overrides it with
-    an integer in 0..441, past which 1.5 * 5^j and every limit overflow."""
+    an integer in 0..440, past which 1.5 * 5^j and every limit overflow."""
     raw = os.environ.get("SG_MAX_LEVEL")
     if raw is None:
         return DEFAULT_LEVEL_CAP
@@ -58,8 +59,8 @@ def vertex_count(m: int) -> int:
     return (3 ** (m + 1) + 3) // 2
 
 
-# 1.5 * 5.0**j for every j whose 5.0**j is a float: j <= 441
-_RENORMALIZERS = tuple(1.5 * 5.0**j for j in range(int(math.log(sys.float_info.max, 5)) + 1))
+# 1.5 * 5.0**j for every j whose 1.5 * 5.0**j is a float: j <= 440
+_RENORMALIZERS = tuple(1.5 * 5.0**j for j in range(int(math.log(sys.float_info.max / 1.5, 5)) + 1))
 
 
 def _overflow(t: int) -> DomainError:
@@ -98,9 +99,9 @@ def _renormalized_limit(t: int, lam: float) -> float:
     """1.5 lim 5^j lambda_j of the minus run from lambda_t = lam: minus roots
     down to the first level t with |lambda_t| <= special.PHI_BOUND, then
     1.5 * 5^t * Phi(lambda_t), since Phi(lambda_{j-1}) = 5 Phi(lambda_j)
-    along the run.  A failed step raises, and so does a 1.5 * 5.0**t past
-    the float range (t >= 441)."""
-    while t < len(_RENORMALIZERS) - 1:
+    along the run.  A failed step raises, and so does a t past the last
+    float 1.5 * 5.0**t (t >= 441, past the deepest level cap)."""
+    while t < len(_RENORMALIZERS):
         if abs(lam) <= special.PHI_BOUND:
             return _RENORMALIZERS[t] * special.phi(lam)
         t += 1
@@ -211,51 +212,120 @@ class SpectrumLine(NamedTuple):
     multiplicity: int
 
 
-def _family_rows(series: str, m0: int, level: int):
-    """(branches, lambda_level, limit) of every branch set of one family.
+def _gray_codes(bits: int) -> tuple:
+    """The reflected Gray code on `bits` free levels in rank order, as
+    branch strings, the first level first."""
+    codes = ("",)
+    for _ in range(bits):
+        codes = (*(code + "-" for code in codes), *(code + "+" for code in reversed(codes)))
+    return codes
 
-    The branch tree is walked depth first: each plus root starts a minus
-    run, which gives lambda_t of every node below it on the minus side and
-    the limit of the one member taking no plus root after it.  A failed step
-    raises."""
-    seed = SERIES_SEED[series]
+
+def _family_lines(series: str, m0: int, level: int, multiplicity: int):
+    """One family's lines in ascending order of lambda_level, each made as
+    it is read.
+
+    The branch tree is walked depth first before this returns: each plus
+    root starts a minus run, which gives lambda_t of every node below it on
+    the minus side and the limit of the one member taking no plus root
+    after it.  A failed step raises.  lambda_level rises with the minus
+    root and falls with the plus root, so the inverse Gray code of a
+    member's plus levels ranks it, bit k standing for the level first + k
+    (m0 + 1, or m0 + 2 past the 6-series' forced plus), the last level the
+    most significant: a child taking its plus at bit k flips bits 0..k of
+    its parent's rank.  The walk lists the members in its own order, and
+    they are placed at their ranks once it is done.  Members whose floats
+    tie there (or, against the rounding, fall) are sorted by
+    (lambda_level, branches), the order of a sort of the whole spectrum."""
+    seed, six = SERIES_SEED[series], series == "six"
     # the 6-series takes the plus root at m0 + 1
-    runs = [(m0 + 1, _root(seed, True, m0 + 1), "+")] if series == "six" else [(m0, seed, "")]
-    rows = []
+    runs = [(m0 + 1, _root(seed, True, m0 + 1), 0)] if six else [(m0, seed, 0)]
+    walked = []
     while runs:
-        t, lam, head = runs.pop()
-        values, limit = _minus_run(t, lam, level), _renormalized_limit(t, lam)
-        if t > level:  # a 6-series born at the level: its plus root lies past it
-            rows.append(("", seed, limit))
-            continue
-        rows.append((head + "-" * (level - t), values[-1], limit))
+        t, lam, rank = runs.pop()
+        run = _minus_run(t, lam, level)
+        # a 6-series born at the level: its plus root lies past it
+        walked.append((rank, seed if t > level else run[-1], _renormalized_limit(t, lam)))
         for u in range(t, level):
-            runs.append((u + 1, _root(values[u - t], True, u + 1), f"{head}{'-' * (u - t)}+"))
-    return rows
+            runs.append((u + 1, _root(run[u - t], True, u + 1), rank ^ ((2 << (u - m0 - six)) - 1)))
+    values, limits = [0.0] * len(walked), [0.0] * len(walked)
+    for rank, value, limit in walked:
+        values[rank], limits[rank] = value, limit
+    del walked
+    # the codes of the low and high halves of the free levels: the low
+    # half's runs forward and back in turn while the high half steps once
+    # per run, as the Gray code does
+    bits = len(values).bit_length() - 1
+    low, high = _gray_codes(bits // 2), _gray_codes(bits - bits // 2)
+    low = ["+" * (six and m0 < level) + code for code in low]
+    spelt = map(str.__add__, chain.from_iterable(islice(cycle((low, low[::-1])), len(high))),
+                chain.from_iterable(map(repeat, high, repeat(len(low)))))
+    if not all(map(float.__lt__, values, values[1:])):
+        spelt = list(spelt)
+        order = sorted(range(len(values)), key=lambda r: (values[r], spelt[r]))
+        values, limits, spelt = ([seq[r] for r in order] for seq in (values, limits, spelt))
+    rows = zip(repeat(series), repeat(m0), spelt, repeat(level), values, limits,
+               repeat(multiplicity))
+    # SpectrumLine._make, but without a Python call per line
+    return map(tuple.__new__, repeat(SpectrumLine), rows)
 
 
-def enumerate_dirichlet_spectrum(level: int, series: str = "all"):
-    """Every (series, m0, branches) family alive at the given level, sorted by
-    its lambda_level; multiplicities add up to dim = (3^{level+1} - 3) / 2.
+class SpectrumLines:
+    """The lines of a spectrum in ascending order, made one at a time as
+    they are read: a one-pass iterator, whose len() is the number of lines
+    it started with (perfbench/launcher.py sizes a spectrum by its len())."""
+
+    __slots__ = ("_lines", "_count")
+
+    def __init__(self, lines, count: int):
+        self._lines, self._count = lines, count
+
+    def __iter__(self):
+        # the generator itself, so that a loop over the lines calls no
+        # Python __next__ per line
+        return self._lines
+
+    def __next__(self):
+        return next(self._lines)
+
+    def __len__(self) -> int:
+        return self._count
+
+
+def enumerate_dirichlet_spectrum(level: int, series: str = "all") -> SpectrumLines:
+    """Every (series, m0, branches) family alive at the given level,
+    ascending in its lambda_level; multiplicities add up to
+    dim = (3^{level+1} - 3) / 2.
+
+    Every branch tree is walked before this returns, so that a failed step
+    raises here; each family's members are held ranked, and the families
+    are merged, and each line made, as the lines are read.  Equal
+    lambda_levels follow (series, m0, branches).
 
     A `series` other than "all" keeps the families of that series: only
-    their branch trees are walked, and the rows are those of the whole
+    their branch trees are walked, and the lines are those of the whole
     spectrum that name it, in the same order.  The multiplicities are still
     counted over every family."""
     if series != "all" and series not in SERIES_SEED:
         raise DomainError(f"unknown series {series!r}")
     if check_level(level) == 0:
-        return []  # no interior vertices, empty operator, empty spectrum
+        # no interior vertices, empty operator, empty spectrum
+        return SpectrumLines(iter(()), 0)
+    # heapq is loaded here, so that no other subcommand loads it
+    import heapq
+
+    # in (series rank, m0) order
     families = [("two", 1), *[("five", m0) for m0 in range(1, level + 1)],
                 *[("six", m0) for m0 in range(2, level + 1)]]
     mult = {family: series_multiplicity(*family) for family in families}
     # a family has a member per branch set on its free levels m0+1..level
-    total = sum(mult[s, m0] << (level - m0 - (s == "six" and m0 < level)) for s, m0 in families)
+    members = {(s, m0): 1 << (level - m0 - (s == "six" and m0 < level)) for s, m0 in families}
+    total = sum(mult[family] * members[family] for family in families)
     dim = vertex_count(level) - 3
     if total != dim:
         raise InvariantError(f"level-{level} multiplicities add up to {total}, not {dim}")
-    rows = [(s, m0, *row) for s, m0 in families if series in ("all", s)
-            for row in _family_rows(s, m0, level)]
-    rows.sort(key=lambda r: (r[3], _SERIES_RANK[r[0]], r[1], r[2]))
-    return [SpectrumLine(s, m0, branches, level, value, limit, mult[s, m0])
-            for s, m0, branches, value, limit in rows]
+    families = [family for family in families if series in ("all", family[0])]
+    streams = [_family_lines(s, m0, level, mult[s, m0]) for s, m0 in families]
+    # the merge breaks a tie in value by the order of the streams
+    return SpectrumLines(heapq.merge(*streams, key=attrgetter("value")),
+                         sum(members[family] for family in families))

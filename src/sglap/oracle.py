@@ -42,25 +42,29 @@ def dirichlet_count(x: float, level: int) -> int:
             x = math.nextafter(x, -math.inf)
 
 
-def bracket_half_widths(level: int, lines) -> list:
+def bracket_half_widths(level: int, lines):
     """Per spectrum line, ascending in value, the half-width h at which
     N(value - h) counts the multiplicities before it and N(value + h) adds
     its own: h starts at u (|value| + |4 - value|), u = 2^-53, which the
     count cannot resolve (value +- h rounds by u |value|, 2 - x/2 by
     u |4 - x| in x), and doubles while below the gap to the neighbouring
     values, else sys.float_info.max.  Last comes 0.0 if the multiplicities
-    add up to all (3^(level+1) - 3)/2 eigenvalues, else sys.float_info.max."""
-    values, widths, below = [-math.inf, *(line.value for line in lines), math.inf], [], 0
-    for line, lo, hi in zip(lines, values, values[2:]):
-        lam = line.value
+    add up to all (3^(level+1) - 3)/2 eigenvalues, else sys.float_info.max.
+    A generator: each width is made when the line after it is read, and no
+    line is held past it."""
+    lines, below, lo = iter(lines), 0, -math.inf
+    line = next(lines, None)
+    while line is not None:
+        after = next(lines, None)
+        lam, hi = line.value, math.inf if after is None else after.value
         h, gap = 2.0**-53 * (abs(lam) + abs(4.0 - lam)), min(lam - lo, hi - lam)
         expected = below, below + line.multiplicity
         while h < gap and (dirichlet_count(lam - h, level),
                            dirichlet_count(lam + h, level)) != expected:
             h *= 2.0
-        widths.append(h if h < gap else sys.float_info.max)
-        below += line.multiplicity
-    return [*widths, 0.0 if below == (3 ** (level + 1) - 3) // 2 else sys.float_info.max]
+        yield h if h < gap else sys.float_info.max
+        below, lo, line = below + line.multiplicity, lam, after
+    yield 0.0 if below == (3 ** (level + 1) - 3) // 2 else sys.float_info.max
 
 
 def direct_tangent_limit(u, w, m: int):

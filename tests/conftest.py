@@ -7,9 +7,10 @@ collapse that eval ran on before its walk, a level's walk, addresses,
 points and cells joined into whole columns, per-cell vertex values, the whole-level vertex
 keys and coordinates and the scalar addressing, the coefficients of g, P
 and Phi in exact rationals, the psi_m approximant and 50-digit Psi and
-Upsilon, the dense Dirichlet oracle that `spectrum
---verify` ran before it counted eigenvalues by inertia, and the oracles'
-spectrum pairing and unit-interval model."""
+Upsilon, the spectrum as it was walked and sorted before
+its families' members were placed by rank, the dense Dirichlet oracle
+that `spectrum --verify` ran before it counted eigenvalues by inertia,
+and the oracles' spectrum pairing and unit-interval model."""
 import cmath
 import functools
 import itertools
@@ -19,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from sglap import decimation
 from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, _glue, check_letter,
                            check_word, vertex_cells)
 from sglap.decimation import EigenvalueSequence, check_level, vertex_count
@@ -496,6 +498,46 @@ def true_error(value: float, reference) -> float:
 
     with mp.workdps(50):
         return float(abs(mpf(value) - reference))
+
+
+# --- spectrum order ----------------------------------------------------------
+
+_SERIES_RANK = {"two": 0, "five": 1, "six": 2}
+
+
+def reference_spectrum(level: int, series: str = "all") -> list:
+    """The spectrum as enumerate_dirichlet_spectrum built it before it placed
+    each family's members by rank: every branch tree walked depth first
+    through decimation's steps, each member's branch string spelt as it is
+    reached, and every row sorted by (lambda_level, series rank, m0,
+    branches).  The steps are read from the decimation module, so that a
+    patched step moves both."""
+    if check_level(level) == 0:
+        return []
+    families = [("two", 1), *[("five", m0) for m0 in range(1, level + 1)],
+                *[("six", m0) for m0 in range(2, level + 1)]]
+    rows = []
+    for s, m0 in families:
+        if series not in ("all", s):
+            continue
+        seed = decimation.SERIES_SEED[s]
+        runs = ([(m0 + 1, decimation._root(seed, True, m0 + 1), "+")] if s == "six"
+                else [(m0, seed, "")])
+        while runs:
+            t, lam, head = runs.pop()
+            values = decimation._minus_run(t, lam, level)
+            limit = decimation._renormalized_limit(t, lam)
+            if t > level:
+                rows.append((s, m0, "", seed, limit))
+                continue
+            rows.append((s, m0, head + "-" * (level - t), values[-1], limit))
+            for u in range(t, level):
+                runs.append((u + 1, decimation._root(values[u - t], True, u + 1),
+                             f"{head}{'-' * (u - t)}+"))
+    rows.sort(key=lambda r: (r[3], _SERIES_RANK[r[0]], r[1], r[2]))
+    return [decimation.SpectrumLine(s, m0, branches, level, value, limit,
+                                    decimation.series_multiplicity(s, m0))
+            for s, m0, branches, value, limit in rows]
 
 
 # --- dense oracle ----------------------------------------------------------

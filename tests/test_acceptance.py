@@ -35,7 +35,7 @@ def _report(num, ok, detail):
 
 
 def _enumerated_multiset(m):
-    lines = enumerate_dirichlet_spectrum(m)
+    lines = list(enumerate_dirichlet_spectrum(m))
     return np.sort(np.repeat([l.value for l in lines], [l.multiplicity for l in lines]))
 
 

@@ -35,7 +35,7 @@ from sglap.address import format_address, lattice_lines
 from sglap.decimation import enumerate_dirichlet_spectrum, max_level, vertex_count
 from sglap.harmonic import SpectralEigenfunction
 from sglap.mesh import cells, eigen_residual, walk
-from sglap.errors import DomainError, LevelCapError, SglapError, UsageError
+from sglap.errors import DomainError, LevelCapError, SglapError, SingularLevelError, UsageError
 
 
 def run(args, capsys):
@@ -309,18 +309,18 @@ def test_domain_errors_exit_three(monkeypatch, capsys):
 
 
 def test_max_level_outside_its_range_exits_three(monkeypatch, capsys):
-    # 441 is the deepest level whose 1.5 * 5^j is a float; a larger cap let
+    # 440 is the deepest level whose 1.5 * 5^j is a float; a larger cap let
     # `five:9100:1` overrun int-to-str limits in its seed line (exit 1)
     argv = ["eval", "--seed", "five:9100:1", "--level", "2"]
-    for raw in ["99999", "442", "-1"]:
+    for raw in ["99999", "442", "441", "-1"]:
         monkeypatch.setenv("SG_MAX_LEVEL", raw)
         assert _assert_exit(3, argv, capsys) == (
-            f"error: SG_MAX_LEVEL must be in 0..441, got '{raw}'\n")
-    monkeypatch.setenv("SG_MAX_LEVEL", "441")
-    assert max_level() == 441
+            f"error: SG_MAX_LEVEL must be in 0..440, got '{raw}'\n")
+    monkeypatch.setenv("SG_MAX_LEVEL", "440")
+    assert max_level() == 440
     assert _assert_exit(3, argv, capsys) == (
-        "error: level 9100 exceeds cap 441 (override with SG_MAX_LEVEL)\n")
-    err = _assert_exit(3, ["eval", "--seed", "five:441:1", "--level", "2"], capsys)
+        "error: level 9100 exceeds cap 440 (override with SG_MAX_LEVEL)\n")
+    err = _assert_exit(3, ["eval", "--seed", "five:440:1", "--level", "2"], capsys)
     assert err.startswith("error: no closed-form seeds") and err.count("\n") == 1
 
 
@@ -945,6 +945,24 @@ def test_eval_peak_memory_at_level_12_stays_near_level_10():
     assert _rss_growth(script, "12") <= 3 * _rss_growth(script, "10")
 
 
+def test_spectrum_at_level_12_holds_no_lines():
+    # the lines are merged from each family's ranked members as they are
+    # printed, and --verify makes each bracket when the next line arrives.
+    # Past a warm-up L2 run, an L12 run grows the RSS by 0.93 MB in csv,
+    # 1.38 MB in json and 1.10 MB with --verify; a spectrum that builds,
+    # sorts and holds every line grows it by 3.18, 3.62 and 3.57 MB, and
+    # each bound is half of that
+    script = """
+        run("spectrum", "--level", "2")
+        base = rss()
+        run("spectrum", "--level", "12", *sys.argv[1:])
+        print(peak() - base)
+    """
+    held = {("--format", "csv"): 3.18e6, ("--format", "json"): 3.62e6, ("--verify",): 3.57e6}
+    for argv, grown in held.items():
+        assert _rss_growth(script, *argv) <= grown / 2, argv
+
+
 def test_a_seed_born_deep_is_refined_by_subtrees():
     # a seed born below the walk's depth is read one vertex at a time from
     # its sparse map: both walks over V_12 of six:12:1 peak 0.18 MB above
@@ -1087,6 +1105,29 @@ def test_spectrum_above_the_cap_raises_level_cap_error(capsys):
     code, out, err = run(["spectrum", "--level", str(cap + 1)], capsys)
     assert (code, out) == (3, "")
     assert err == f"error: level {cap + 1} exceeds cap {cap} (override with SG_MAX_LEVEL)\n"
+
+
+@pytest.mark.parametrize("singular", [
+    # test_spectrum_failures_raise_from_the_walk's planted values: every
+    # 6-series at its forced plus root, the 2-series members with a plus at
+    # level 2
+    (2.0, 5.0, 6.0, 3.0),
+    (2.0, 5.0, 6.0, 4.561552812808831),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_failures_exit_three_before_the_first_byte(singular, fmt, monkeypatch,
+                                                            tmp_path, capsys):
+    # every branch tree is walked before the first line is read, so a
+    # failed step is the one message, to stdout and to --output alike
+    from sglap import decimation
+
+    monkeypatch.setattr(decimation, "SINGULAR_VALUES", singular)
+    with pytest.raises(SingularLevelError) as raised:
+        enumerate_dirichlet_spectrum(4)
+    for output in [[], ["--output", str(tmp_path / f"out.{fmt}")]]:
+        err = _assert_exit(3, ["spectrum", "--level", "4", "--format", fmt, *output], capsys)
+        assert err == f"error: {raised.value}\n"
+        assert os.listdir(tmp_path) == []
 
 
 def _cap_address_space():
@@ -1253,7 +1294,7 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
         # a special grid runs on Python floats, point by point
         assert run("special", "--fn", "psi", "--range=0:1:3") == base
         assert run("special", "--fn", "upsilon", "--range=0:1:3") == base
-        assert "numpy" not in sys.modules
+        assert "numpy" not in sys.modules and "heapq" not in sys.modules
         checks = {"sglap.oracle", "sglap.tangent"}
         assert not run("spectrum", "--level", "2") & checks
         assert not run("eval", "--seed", "six:2:1", "--level", "2", "--verify") & checks
@@ -1280,6 +1321,7 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
                     # only the direct limit loads decimal
                     assert ("decimal" in sys.modules) == bool(verify)
         assert "numpy" not in sys.modules and "dataclasses" not in sys.modules
+        assert "heapq" not in sys.modules
     """
     # eval runs on Python floats, point by point, and walks no level graph;
     # --verify reads its values back and sums its residual on them too
@@ -1291,7 +1333,7 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
                                *verify) == base | {"sglap.decimation", "sglap.address",
                                                    "sglap.harmonic", "sglap.mesh"}
         assert "numpy" not in sys.modules and "decimal" not in sys.modules
-        assert "dataclasses" not in sys.modules
+        assert "dataclasses" not in sys.modules and "heapq" not in sys.modules
     """
     # no subcommand loads numpy, with or without --verify
     no_numpy = """
@@ -1627,7 +1669,7 @@ def _spectrum_verify_with(monkeypatch, capsys, level, change):
 
     enumerate_lines = decimation.enumerate_dirichlet_spectrum
     monkeypatch.setattr(decimation, "enumerate_dirichlet_spectrum",
-                        lambda *args: change(enumerate_lines(*args)))
+                        lambda *args: change(list(enumerate_lines(*args))))
     code, out, err = run(["spectrum", "--level", str(level), "--verify"], capsys)
     return code, parse_csv(out)[1], err
 
@@ -1635,7 +1677,7 @@ def _spectrum_verify_with(monkeypatch, capsys, level, change):
 @pytest.mark.parametrize("e", [1e-8, -1e-8])
 def test_spectrum_verify_fails_a_planted_eigenvalue_error(e, monkeypatch, capsys):
     # every line of L4 with |lambda_m| >= 1, moved by e relative
-    lines = enumerate_dirichlet_spectrum(4)
+    lines = list(enumerate_dirichlet_spectrum(4))
     planted = [i for i, line in enumerate(lines) if abs(line.value) >= 1.0]
     assert len(planted) > 10
     for i in planted:

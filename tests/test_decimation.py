@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (build_level_graph, eigen_matrix, graph_laplacian, harmonic_matrix,
-                      reference_phi, resolve_addresses, seed_array, value_at, values_on_level,
-                      vertex_key, word_index)
+                      reference_phi, reference_spectrum, resolve_addresses, seed_array,
+                      value_at, values_on_level, vertex_key, word_index)
 
 from sglap import decimation
 from sglap.decimation import (
@@ -279,17 +279,17 @@ def test_single_walk_matches_bulk_values(case):
 
 def test_enumeration_dimension_and_order():
     for m in (1, 2, 3):
-        lines = enumerate_dirichlet_spectrum(m)
+        lines = list(enumerate_dirichlet_spectrum(m))
         assert sum(line.multiplicity for line in lines) == (3 ** (m + 1) - 3) // 2
         vals = [line.value for line in lines]
         assert vals == sorted(vals)
     # branch strings cover levels m0+1..level, the first character at m0+1
-    lines = enumerate_dirichlet_spectrum(4)
+    lines = list(enumerate_dirichlet_spectrum(4))
     assert sorted(l.branches for l in lines if l.series == "two") == sorted(
         a + b + c for a in "+-" for b in "+-" for c in "+-")
     assert {l.m0: l.branches for l in lines if l.series == "six" and "-" not in l.branches} == {
         2: "++", 3: "+", 4: ""}
-    assert enumerate_dirichlet_spectrum(0) == []
+    assert list(enumerate_dirichlet_spectrum(0)) == []
     with pytest.raises(DomainError):
         enumerate_dirichlet_spectrum(-1)
 
@@ -306,7 +306,36 @@ def test_series_filter_keeps_the_matching_rows_of_the_whole_spectrum(series):
         whole = [_bits(line) for line in enumerate_dirichlet_spectrum(level)
                  if line.series == series]
         assert [_bits(line) for line in enumerate_dirichlet_spectrum(level, series)] == whole
-        assert enumerate_dirichlet_spectrum(level, "all") == enumerate_dirichlet_spectrum(level)
+        assert list(enumerate_dirichlet_spectrum(level, "all")) == list(
+            enumerate_dirichlet_spectrum(level))
+
+
+@pytest.mark.parametrize("series", ["all", "two", "five", "six"])
+def test_spectrum_is_the_walked_and_sorted_reference(series):
+    # each family's members placed at their Gray-code ranks and merged give
+    # every field of the depth-first walk sorted as a whole, the floats to
+    # the bit, and len() counts the lines before any is read
+    for level in range(13):
+        lines = enumerate_dirichlet_spectrum(level, series)
+        expected = [_bits(line) for line in reference_spectrum(level, series)]
+        assert len(lines) == len(expected), level
+        assert [_bits(line) for line in lines] == expected, level
+
+
+def test_members_tied_in_one_family_follow_their_branches(monkeypatch):
+    # roots rounded to 2 significant digits tie members of one family (3,
+    # 27 and 264 neighbouring pairs at L5, L6 and L8), 1, 10 and 119 of the
+    # pairs the other way round by Gray-code rank; they come out in the
+    # order of their branch strings, as the sort of the whole spectrum
+    # gives them
+    root = decimation._root
+    monkeypatch.setattr(decimation, "_root",
+                        lambda lam, plus, t: float(f"{root(lam, plus, t):.2g}"))
+    for level in (5, 6, 8):
+        lines = [_bits(line) for line in enumerate_dirichlet_spectrum(level)]
+        assert lines == [_bits(line) for line in reference_spectrum(level)], level
+        ties = [(a, b) for a, b in zip(lines, lines[1:]) if a[:2] == b[:2] and a[4] == b[4]]
+        assert ties and all(a[2] < b[2] for a, b in ties), level
 
 
 @pytest.mark.parametrize("series", ["seven", "All", "", "2"])

@@ -65,7 +65,7 @@ def test_dense_level_caps():
 
 def test_enumeration_matches_dense():
     for m in (1, 2, 3):
-        lines = enumerate_dirichlet_spectrum(m)
+        lines = list(enumerate_dirichlet_spectrum(m))
         listed = np.sort(
             np.repeat([line.value for line in lines], [line.multiplicity for line in lines])
         )
@@ -87,7 +87,7 @@ def test_inertia_count_equals_the_dense_count(m):
 
 
 def test_inertia_count_between_neighbouring_lines_is_the_cumulative_multiplicity():
-    lines = enumerate_dirichlet_spectrum(8)
+    lines = list(enumerate_dirichlet_spectrum(8))
     assert dirichlet_count(lines[0].value / 2, 8) == 0
     below = 0
     for line, above in zip(lines, lines[1:]):
@@ -101,13 +101,13 @@ def test_bracket_half_widths_fail_lines_out_of_order_or_of_equal_value():
     two, five = enumerate_dirichlet_spectrum(1)
     assert max(bracket_half_widths(1, [two, five])) < 1e-15
     huge = sys.float_info.max
-    assert bracket_half_widths(1, [five, two]) == [huge, huge, 0.0]
+    assert list(bracket_half_widths(1, [five, two])) == [huge, huge, 0.0]
     # the 5-eigenspace as two lines of one value
     halves = [five._replace(multiplicity=1)] * 2
-    assert bracket_half_widths(1, [two, *halves])[1:] == [huge, huge, 0.0]
+    assert list(bracket_half_widths(1, [two, *halves]))[1:] == [huge, huge, 0.0]
     # the last figure counts the eigenvalues above the last line
-    assert bracket_half_widths(1, [two])[1] == bracket_half_widths(1, [])[0] == huge
-    assert bracket_half_widths(0, []) == [0.0]
+    assert list(bracket_half_widths(1, [two]))[1] == list(bracket_half_widths(1, []))[0] == huge
+    assert list(bracket_half_widths(0, [])) == [0.0]
 
 
 def test_pairing_gap_shape_guard():

@@ -33,7 +33,9 @@ SPECTRUM_TOL = 1e-9
 EVAL_TOL = 1e-9
 TANGENT_TOL = 1e-7
 
-BLOCK_ROWS = 1 << 10  # rows per output block
+# rows per output block: a writer holds one block at a time, as row text,
+# joined text and encoded bytes; below 256 rows the peak hardly falls
+BLOCK_ROWS = 1 << 8
 
 
 def _row_ranges(n: int):

@@ -255,7 +255,7 @@ def test_vertex_ranges_equal_slices_of_the_whole(m):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m + 1))),
-       st.sampled_from([97, 1024, 4096]))
+       st.sampled_from([97, 256, 1024, 4096]))
 def test_vertex_ranges_are_taken_as_slices(walk, block_rows):
     # eval cuts each part into blocks of at most BLOCK_ROWS rows: every
     # block's rows are the slice of the whole level where it lies

@@ -370,13 +370,13 @@ def test_eval_golden_bytes(fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EVAL_GOLDEN_SHA256[fmt]
 
 
-@pytest.mark.parametrize("block_rows", [1, 1000])
+@pytest.mark.parametrize("block_rows", [1, 256, 1000])
 @pytest.mark.parametrize("fmt", sorted(EVAL_GOLDEN_SHA256))
 def test_eval_golden_bytes_across_block_seams(fmt, block_rows, monkeypatch, capsys):
     # the 3282 rows of the golden run come in three parts, each a V_6
-    # subtree's 1092 rows with the few vertices of V_1 before them, so in
-    # two blocks each; a block of 1 row puts a seam after every row, and 1000
-    # rows move every seam inside a part
+    # subtree's 1092 rows with the few vertices of V_1 before them; a block
+    # of 1 row puts a seam after every row, 256 rows (the shipped block)
+    # put five blocks in a part and 1000 rows two
     monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
     code, out, _ = run(["eval", "--seed", "five:2:3:+-+", "--level", "7", "--format", fmt,
                         "--verify"], capsys)
@@ -475,7 +475,7 @@ _eval_seeds = st.builds(_eval_seed, st.one_of(st.sampled_from(_EVAL_SERIES),
 @settings(max_examples=30, deadline=None)
 @given(_eval_seeds.flatmap(lambda seed: st.tuples(st.just(seed[0]), st.integers(seed[1], 6))
                            .flatmap(lambda sl: st.tuples(st.just(sl), st.integers(0, sl[1])))),
-       st.sampled_from(["csv", "json", "obj"]), st.sampled_from([1, 7, 4096]))
+       st.sampled_from(["csv", "json", "obj"]), st.sampled_from([1, 7, 256, 4096]))
 def test_eval_blocks_equal_per_row_repr(seed_level_depth, fmt, block_rows):
     # the rows come from a walk of any depth, so that the seams between
     # subtrees and the rows of V_depth between them show below level 8; the
@@ -794,6 +794,26 @@ class _Sink:
         # as a real stream does, holds no text once it is counted
         self.size += sum(map(len, texts))
 
+    def flush(self):
+        pass
+
+
+class _WidestRow(_Sink):
+    """A sink that keeps the length of the widest row it is written: a csv
+    line, or the text of a json record up to its closing brace."""
+
+    def __init__(self, row_end):
+        super().__init__()
+        self.row_end, self.widest = row_end, 0
+
+    def write(self, text):
+        super().write(text)
+        self.widest = max(self.widest, *map(len, text.split(self.row_end)))
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
 
 def _emission_peak(fmt, level):
     seed = "five:1:2:+-+-++"
@@ -838,6 +858,42 @@ def test_eval_pipeline_peak_memory():
         tracemalloc.stop()
     assert rows == vertex_count(level) + 1
     assert peak < 1e6
+
+
+# what a run holds besides its output block: spectrum's family walk (about
+# 0.17 MB in json, 0.3 MB in csv) and eval's layout and walk at L8 (0.34 MB)
+_NOT_THE_BLOCK = 0.35e6
+# a block is held as its rows' cells, their text and the joined text at
+# once: 4.2 (json) to 5.3 (csv) times the widest row's length per row
+_BLOCK_COPIES = 5
+# the rows of one block that the bound allows for; it is not read from
+# cli.BLOCK_ROWS, so that a larger block fails the bound
+_BLOCK_ROWS = 1 << 8
+
+
+@pytest.mark.parametrize("argv, row_end", [
+    (["spectrum", "--level", "10", "--format", "json"], "}"),
+    (["spectrum", "--level", "10", "--format", "csv"], "\n"),
+    (["eval", "--seed", "six:2:1:+-+", "--level", "8", "--format", "json"], "}"),
+], ids=["spectrum-json", "spectrum-csv", "eval-json"])
+def test_writers_hold_one_block_of_256_rows(argv, row_end):
+    # what a run allocates above what it leaves behind is the writer's
+    # block on top of the walk.  A warm-up run with the same arguments
+    # imports what the format writes with and measures the widest row, so
+    # that the traced run counts the run alone.  tracemalloc's counts are
+    # deterministic: 341, 376 and 356 KB here in 256-row blocks, against
+    # 721, 576 and 653 KB in 1024-row blocks, above the bound
+    widest = _WidestRow(row_end)
+    with contextlib.redirect_stdout(widest):
+        assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Sink()):
+            assert cli.main(argv) == 0
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - after < _NOT_THE_BLOCK + _BLOCK_COPIES * _BLOCK_ROWS * widest.widest
 
 
 # A child process measures a workload by its resident set: it warms up with
@@ -1764,6 +1820,16 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         assert run(argv, capsys)[::2] == (0, ""), argv
 
 
+def test_readme_states_the_block_size():
+    # README states the block size where it describes the table writer,
+    # special's grid and eval's parts, so a change to the constant must
+    # bring the prose along
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"blocks of (?:at most )?(\d+) (?:rows|points)", text)
+    assert len(stated) == 3
+    assert set(stated) == {str(cli.BLOCK_ROWS)}
+
+
 def test_help_still_prints_and_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["special", "--help"])
@@ -1881,7 +1947,7 @@ def _tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tables(), st.integers(1, 4), st.sampled_from(["csv", "json"]))
+@given(_tables(), st.one_of(st.integers(1, 4), st.just(256)), st.sampled_from(["csv", "json"]))
 def test_table_blocks_equal_the_reference_writers(table, block_rows, fmt):
     columns, rows = table
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):

@@ -4,17 +4,17 @@ The gasket is the attractor of F_i(x) = (x + q_i)/2 for the three corners
 q_0, q_1, q_2 of a triangle; a word w = w_1...w_m addresses the cell
 F_w = F_{w_1} o ... o F_{w_m}.  Every vertex of the level-m graph is
 F_w(q_i) for some |w| = m and carries exact barycentric coordinates
-(n_0, n_1, n_2) with n_0 + n_1 + n_2 = 2^m; canonical addressing runs on
-these -- floats never enter.
+(n_0, n_1, n_2) with n_0 + n_1 + n_2 = 2^m; addressing runs on ints --
+floats never enter.
 
 The level-m graph is the union of its three images F_j V_{m-1}, glued at
 the level-1 junctions (_glue): each vertex's canonical address is its
 copy's letter prepended to the address it had one level up, and the
-canonical vertex order falls out of the gluing.  vertex_index runs that
-rule for a single vertex, level by level, and vertex_cells runs it
-backwards.  mesh lays a whole level out by the same rule, one cell at a
-time: walk gives its values, addresses its addresses, points its entries
-of lattice_lines, and cells its graph.  This module imports no numpy.
+canonical vertex order, q_0, q_1, q_2 first, falls out of the gluing.
+vertex_index runs that rule for a single vertex, level by level, and
+vertex_cells runs it backwards.  mesh lays a whole level out by the same
+rule, one cell at a time: walk gives its values, addresses its addresses,
+points its entries of lattice_lines, and cells its graph.
 """
 from __future__ import annotations
 

@@ -125,7 +125,7 @@ def walk(u, m: int):
     midpoint once from its cell's corner values, by the row of
     _midpoint_rows in matvec's order, or reads it from the seed down to
     level m0: so a vertex takes the bits of the cell_triple walk of each of
-    its cells, and no value is -0.0, since each is a sum from 0.  It runs
+    its cells, and no value is -0.0, since each is a sum from 0.0.  It runs
     down to the subtree roots, keeping V_d, then each subtree in turn.  A
     cell spanning two levels adds its 12 values inline, saving two thirds
     of the calls, except in subtrees of one level, which only tests set.
@@ -156,9 +156,9 @@ def walk(u, m: int):
             a01, a02, a12 = 0.0 + get(f0, 0.0), 0.0 + get(f0 + 1, 0.0), 0.0 + get(f0 + e12, 0.0)
         else:
             x0, x1, x2, y0, y1, y2, z0, z1, z2 = r
-            a01 = 0 + x0 * a + x1 * b + x2 * c
-            a02 = 0 + y0 * a + y1 * b + y2 * c
-            a12 = 0 + z0 * a + z1 * b + z2 * c
+            a01 = 0.0 + x0 * a + x1 * b + x2 * c
+            a02 = 0.0 + y0 * a + y1 * b + y2 * c
+            a12 = 0.0 + z0 * a + z1 * b + z2 * c
         if k == 1:  # the subcells add nothing
             values.extend((a01, a02, a12))
             return
@@ -166,13 +166,13 @@ def walk(u, m: int):
             x0, x1, x2, y0, y1, y2, z0, z1, z2 = leaf
             values.extend((
                 a01, a02,
-                0 + x0 * a + x1 * a01 + x2 * a02, 0 + y0 * a + y1 * a01 + y2 * a02,
-                0 + z0 * a + z1 * a01 + z2 * a02,
+                0.0 + x0 * a + x1 * a01 + x2 * a02, 0.0 + y0 * a + y1 * a01 + y2 * a02,
+                0.0 + z0 * a + z1 * a01 + z2 * a02,
                 a12,
-                0 + x0 * a01 + x1 * b + x2 * a12, 0 + y0 * a01 + y1 * b + y2 * a12,
-                0 + z0 * a01 + z1 * b + z2 * a12,
-                0 + x0 * a02 + x1 * a12 + x2 * c, 0 + y0 * a02 + y1 * a12 + y2 * c,
-                0 + z0 * a02 + z1 * a12 + z2 * c))
+                0.0 + x0 * a01 + x1 * b + x2 * a12, 0.0 + y0 * a01 + y1 * b + y2 * a12,
+                0.0 + z0 * a01 + z1 * b + z2 * a12,
+                0.0 + x0 * a02 + x1 * a12 + x2 * c, 0.0 + y0 * a02 + y1 * a12 + y2 * c,
+                0.0 + z0 * a02 + z1 * a12 + z2 * c))
             return
         values.extend((a01, a02))
         fill(k - 1, a, a01, a02, f0 + 2)

@@ -9,10 +9,10 @@ cell triples exists in closed form: with the cut k = max(|prefix|, m0),
 
 where M0 collapses the entire tail of deformed extensions below level k into
 one matrix, and S_t is the corner swap moving the tail letter t to 0.  All
-coefficients reduce to the tail products tau_k, so nothing here iterates to
-convergence except the eigenvalue itself.  The 3x3 products run on Python
-floats, so a tangent does not load numpy.  The normal derivative at a corner
-is the tangent's: with t = T_{:i} u, d_n u(q_i) = 2 t_i - t_{i+1} - t_{i+2}.
+coefficients reduce to the tail products tau_k, fixed sums, so nothing here
+iterates to convergence.  The 3x3 products run on Python floats.  The normal
+derivative at a corner is the tangent's: with t = T_{:i} u and g its
+gradient, d_n u(q_i) = 2 t_i - t_{i+1} - t_{i+2} = 3 g_i.
 """
 from __future__ import annotations
 

@@ -1830,6 +1830,28 @@ def test_readme_states_the_block_size():
     assert set(stated) == {str(cli.BLOCK_ROWS)}
 
 
+# the README lines that may state a run-time figure, each by a phrase that
+# holds the figure, with the test that checks it; measurements belong in
+# CHANGES.md and the BENCH_*.json files, where no later change rewrites them
+README_FIGURES = {
+    "in a 64 MB address space": "test_eval_runs_in_a_64_mb_address_space",
+}
+# a number followed by MB, KB, ms or s
+_RUN_TIME_FIGURE = re.compile(r"\d\s?(?:[MK]B|m?s)\b")
+
+
+def test_readme_figures_are_checked():
+    root = Path(__file__).parents[1]
+    lines = (root / "README.md").read_text(encoding="utf-8").splitlines()
+    stated = [line for line in lines if _RUN_TIME_FIGURE.search(line)]
+    assert [line for line in stated if not any(phrase in line for phrase in README_FIGURES)] == []
+    tests = "".join(path.read_text(encoding="utf-8") for path in root.glob("tests/test_*.py"))
+    for phrase, test in README_FIGURES.items():
+        # an entry whose line is gone is dropped, and its test must exist
+        assert any(phrase in line for line in stated), phrase
+        assert f"\ndef {test}(" in tests, test
+
+
 def test_help_still_prints_and_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["special", "--help"])

@@ -23,12 +23,10 @@ import math
 from .decimation import check_level, vertex_count
 from .errors import DomainError
 
-Word = tuple  # letters in {0, 1, 2}
-
 DEFAULT_CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
 
 
-def check_word(word) -> Word:
+def check_word(word) -> tuple:
     word = tuple(int(c) for c in word)
     if any(c not in (0, 1, 2) for c in word):
         raise DomainError(f"word letters must be 0, 1 or 2: {word!r}")
@@ -47,7 +45,7 @@ def _is_ascii_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def word_from_string(text: str) -> Word:
+def word_from_string(text: str) -> tuple:
     if text == "":
         return ()
     if not _is_ascii_digits(text):
@@ -123,7 +121,7 @@ class EventuallyConstantWord(Frozen):
             raise DomainError("letter positions are 1-indexed")
         return self.prefix[j - 1] if j <= len(self.prefix) else self.tail
 
-    def truncation(self, k: int) -> Word:
+    def truncation(self, k: int) -> tuple:
         return tuple(self.letter(j) for j in range(1, k + 1))
 
     def __str__(self) -> str:

@@ -221,7 +221,7 @@ def parse_seed(text: str):
         if seq.m0 != 0:
             raise UsageError(f"lambda={lam!r} hits a singular level; "
                              "use a series seed for Dirichlet eigenfunctions")
-        return harmonic.SpectralEigenfunction(seq, triple)
+        return harmonic.SpectralEigenfunction(seq, dict(enumerate(triple)))
     if len(parts) not in (3, 4):
         raise UsageError(f"seed needs series:m0:index[:branches], got {text!r}")
     series = parts[0]
@@ -281,8 +281,7 @@ def cmd_spectrum(args) -> int:
         widths, peaks = itertools.tee(oracle.bracket_half_widths(args.level, ahead))
         peaks = itertools.accumulate(peaks, max)
         columns.append("residual")
-    rows = ([line.series, line.m0, line.branches, line.value, line.limit, line.multiplicity,
-             *([] if width is None else [width])]
+    rows = ([*line, *([] if width is None else [width])]
             for line, width, _ in zip(lines, widths, peaks) if args.series in ("all", line.series))
     _emit(args, _table_blocks(args.format, columns, rows))
     if not args.verify:
@@ -402,9 +401,8 @@ def cmd_tangent(args) -> int:
     grad = triple.gradient()
     if not all(map(math.isfinite, [*triple, *grad])):
         raise SglapError(f"seed {args.seed!r} gives a non-finite tangent at {word}")
-    k = max(len(word.prefix), u.m0)
     columns = ["word", "k", "t0", "t1", "t2", "g0", "g1", "g2"]
-    row = [str(word), k, *triple, *grad]
+    row = [str(word), tangent.cut_level(word, u.m0), *triple, *grad]
     deviation = None
     if args.verify:
         from . import oracle

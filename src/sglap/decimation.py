@@ -201,12 +201,11 @@ def series_multiplicity(series: str, m0: int) -> int:
 
 
 class SpectrumLine(NamedTuple):
-    """One decimation family contributing to the level spectrum."""
+    """One decimation family of the level spectrum: the row `spectrum` prints."""
 
     series: str
     m0: int
     branches: str  # "+"/"-" per level m0+1..level
-    level: int
     value: float  # lambda_level
     limit: float  # the renormalized eigenvalue
     multiplicity: int
@@ -264,8 +263,7 @@ def _family_lines(series: str, m0: int, level: int, multiplicity: int):
         spelt = list(spelt)
         order = sorted(range(len(values)), key=lambda r: (values[r], spelt[r]))
         values, limits, spelt = ([seq[r] for r in order] for seq in (values, limits, spelt))
-    rows = zip(repeat(series), repeat(m0), spelt, repeat(level), values, limits,
-               repeat(multiplicity))
+    rows = zip(repeat(series), repeat(m0), spelt, values, limits, repeat(multiplicity))
     # SpectrumLine._make, but without a Python call per line
     return map(tuple.__new__, repeat(SpectrumLine), rows)
 

@@ -21,16 +21,12 @@ class SingularLevelError(DomainError):
     """An eigenvalue sequence hit 2, 5 or 6 past its starting level.
 
     The extension matrices are undefined (2, 5) or the eigenspace bifurcates (6)
-    at these values, so the offending level is reported.
+    at these values; the message names the offending level and value.
     """
 
     def __init__(self, level: int, value: float):
-        self.level = level
-        self.value = value
-        super().__init__(
-            f"eigenvalue sequence is singular at level {level}: "
-            f"lambda_{level} = {value!r} lies in {{2, 5, 6}}"
-        )
+        super().__init__(f"eigenvalue sequence is singular at level {level}: "
+                         f"lambda_{level} = {value!r} lies in {{2, 5, 6}}")
 
 
 class LevelCapError(SglapError):

@@ -68,8 +68,9 @@ def harmonic_pullback(word) -> tuple:
 
 def eigen_matrices(lam: float) -> tuple:
     """The three lambda-deformed extension matrices, one per letter, in the
-    type of lam: a float, or a Decimal in the context's precision."""
-    if not math.isfinite(lam):
+    type of lam: a float, a Decimal in the context's precision, or a sympy
+    number or symbol, since a NaN or infinite lam is found without float(lam)."""
+    if lam != lam or abs(lam) == math.inf:
         raise DomainError(f"extension matrices need a finite lambda, got {lam!r}")
     den = (5 - lam) * (2 - lam)
     if den == 0:
@@ -82,26 +83,18 @@ def eigen_matrices(lam: float) -> tuple:
 class SpectralEigenfunction(Frozen):
     """Seed values on V_{m0} together with the sequence that refines them.
 
-    The seed is held as a {vertex: value} map over V_{m0} (a vertex it does
-    not name is 0), so that looking up one cell of a deep seed costs no more
-    than a shallow one; a dense sequence of |V_{m0}| values is taken too.
-    Its values on V_m come from mesh.walk one subtree at a time and are
-    never held as one array: eval walks them twice, to check them all before
-    its first byte and to write them."""
+    The seed is a {vertex: value} map over V_{m0} (a vertex it does not
+    name is 0), so that looking up one cell of a deep seed costs no more
+    than a shallow one.  Its values on V_m come from mesh.walk one subtree
+    at a time and are never held as one array: eval walks them twice, to
+    check them all before its first byte and to write them."""
 
     __slots__ = ("sequence", "seed_values")
 
-    def __init__(self, sequence: EigenvalueSequence, seed_values):
-        seed, size = seed_values, vertex_count(sequence.m0)
-        if isinstance(seed, dict):
-            seed = {int(v): float(x) for v, x in seed.items()}
-            if not all(0 <= v < size for v in seed):
-                raise DomainError(f"seed names a vertex outside V_{sequence.m0}")
-        else:
-            seed = dict(enumerate(float(x) for x in seed))
-            if len(seed) != size:
-                raise DomainError(f"need {size} vertex values at level {sequence.m0}, "
-                                  f"got {len(seed)}")
+    def __init__(self, sequence: EigenvalueSequence, seed_values: dict):
+        seed = {int(v): float(x) for v, x in seed_values.items()}
+        if not all(0 <= v < vertex_count(sequence.m0) for v in seed):
+            raise DomainError(f"seed names a vertex outside V_{sequence.m0}")
         super().__init__(sequence, seed)
 
     @property

@@ -70,7 +70,8 @@ def bracket_half_widths(level: int, lines):
 def direct_tangent_limit(u, w, m: int):
     """(triple, error): the pulled-back cell triple
     A_{w_1}^{-1}...A_{w_m}^{-1} u|cell([w]_m) of a
-    harmonic.SpectralEigenfunction u, as a tuple of three floats.
+    harmonic.SpectralEigenfunction u at an address.EventuallyConstantWord w,
+    as a tuple of three floats.
 
     This is the defining sequence of the harmonic tangent, iterated with no
     closed-form shortcuts; the reported error is the distance to the m-1
@@ -81,15 +82,11 @@ def direct_tangent_limit(u, w, m: int):
     m0 = u.m0
     if m < m0:
         raise DomainError(f"need m >= m0 = {m0}, got {m}")
-    # address, decimal and harmonic are imported here, so that a spectrum
-    # check loads none of them
+    # decimal and harmonic are imported here, so that a spectrum check loads
+    # neither of them
     from decimal import Context, Decimal, localcontext
 
-    from .address import EventuallyConstantWord
     from .harmonic import IDENTITY, eigen_matrices, harmonic_inverses, matmul, matvec
-
-    if isinstance(w, str):
-        w = EventuallyConstantWord.parse(w)
 
     # a local context: the caller's decimal context is left as it was
     with localcontext(Context(prec=ORACLE_DPS)):

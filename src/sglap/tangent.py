@@ -72,20 +72,18 @@ def m0_matrix(sequence: EigenvalueSequence, k: int) -> tuple:
     )
 
 
-def _as_word(w) -> EventuallyConstantWord:
-    if isinstance(w, EventuallyConstantWord):
-        return w
-    if isinstance(w, str):
-        return EventuallyConstantWord.parse(w)
-    raise DomainError(f"expected an eventually constant word, got {w!r}")
+def cut_level(w: EventuallyConstantWord, m0: int) -> int:
+    """The cut k = max(|prefix|, m0) at which tangent_at factors the tangent
+    at w of an eigenfunction seeded on V_{m0}: the k column of `tangent`."""
+    return max(len(w.prefix), m0)
 
 
-def tangent_at(u: SpectralEigenfunction, w) -> TangentTriple:
-    """Harmonic tangent of u at the point addressed by w, factored at the
-    cut k = max(|prefix|, m0); any cut past it gives the same triple up to
-    roundoff."""
-    w = _as_word(w)
-    k = max(len(w.prefix), u.m0)
+def tangent_at(u: SpectralEigenfunction, w: EventuallyConstantWord) -> TangentTriple:
+    """Harmonic tangent of u at the point addressed by the eventually
+    constant word w (EventuallyConstantWord.parse reads one from text),
+    factored at cut_level(w, u.m0); any cut past it gives the same triple up
+    to roundoff."""
+    k = cut_level(w, u.m0)
     word = w.truncation(k)
     tail_matrix = conjugate(m0_matrix(u.sequence, k), w.tail)
     to_tangent = matmul(harmonic_pullback(word), tail_matrix)

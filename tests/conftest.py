@@ -84,7 +84,6 @@ def numpy_tangent(u, w) -> np.ndarray:
     """tangent.tangent_at as it ran on numpy, kept as the reference of the
     scalar closed form: the seed triple read off the level graph, and every
     3x3 product a numpy `@` (BLAS, with its fused multiply-adds)."""
-    w = EventuallyConstantWord.parse(w) if isinstance(w, str) else w
     k = max(len(w.prefix), u.m0)
     word = w.truncation(k)
     s = np.array(CORNER_SWAPS[w.tail])
@@ -248,7 +247,7 @@ def dense_values(u, m: int) -> np.ndarray:
 
 
 # a function whose walk gives a level's parts without computing a value
-ZERO = SpectralEigenfunction(EigenvalueSequence(0, 0.0), (0.0, 0.0, 0.0))
+ZERO = SpectralEigenfunction(EigenvalueSequence(0, 0.0), {0: 0.0, 1: 0.0, 2: 0.0})
 
 
 def level_columns(m: int, lattice) -> tuple:
@@ -535,7 +534,7 @@ def reference_spectrum(level: int, series: str = "all") -> list:
                 runs.append((u + 1, decimation._root(values[u - t], True, u + 1),
                              f"{head}{'-' * (u - t)}+"))
     rows.sort(key=lambda r: (r[3], _SERIES_RANK[r[0]], r[1], r[2]))
-    return [decimation.SpectrumLine(s, m0, branches, level, value, limit,
+    return [decimation.SpectrumLine(s, m0, branches, value, limit,
                                     decimation.series_multiplicity(s, m0))
             for s, m0, branches, value, limit in rows]
 

@@ -18,6 +18,7 @@ from conftest import (acceptance_log, dense_dirichlet_spectrum, eigen_matrix, ex
                       harmonic_matrix, harmonic_normal_derivative, interval_tangent,
                       normal_derivative_limit, sorted_pairing_gap, value_at, values_on_level)
 
+from sglap.address import EventuallyConstantWord
 from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
                                sequence_from_limit)
 from sglap.harmonic import SpectralEigenfunction, dirichlet_eigenfunction
@@ -164,9 +165,10 @@ def test_criterion_05_tangents_against_direct_limits():
         dirichlet_eigenfunction("two", 1, plus_indices={2}),
         dirichlet_eigenfunction("five", 1, 2),
         dirichlet_eigenfunction("six", 2, 1),
-        SpectralEigenfunction(sequence_from_limit(7.25), [1.0, -0.4, 0.7]),
+        SpectralEigenfunction(sequence_from_limit(7.25), {0: 1.0, 1: -0.4, 2: 0.7}),
     ]
-    words = [":0", ":1", "0:1", "1:0", "01:2"]  # all three tails + a junction double pair
+    # all three tails + a junction double pair
+    words = [EventuallyConstantWord.parse(w) for w in (":0", ":1", "0:1", "1:0", "01:2")]
     worst = 0.0
     pairs = 0
     for u in funcs:
@@ -185,8 +187,9 @@ def test_criterion_05_tangents_against_direct_limits():
 def test_criterion_06_six_series_worked_tangent():
     u = dirichlet_eigenfunction("six", 1)
     want = u.sequence.limit() / 9.0 * np.array([0.0, 1.0, -1.0])
-    closed = np.array(tangent_at(u, ":0"))
-    brute, _ = direct_tangent_limit(u, ":0", 25)
+    w = EventuallyConstantWord.parse(":0")
+    closed = np.array(tangent_at(u, w))
+    brute, _ = direct_tangent_limit(u, w, 25)
     gap_closed = float(np.abs(closed - want).max())
     gap_brute = float(np.abs(np.array(brute) - want).max())
     _report(
@@ -205,10 +208,11 @@ def test_criterion_07_normal_derivative_corollary():
         seq = sequence_from_limit(lam)
         assert seq.m0 == 0  # non-Dirichlet by construction
         for b in triples:
-            u = SpectralEigenfunction(seq, np.array(b))
+            u = SpectralEigenfunction(seq, dict(enumerate(b)))
             for i in range(3):
                 # the closed form is the tangent's: 2 t_i - t_{i+1} - t_{i+2} of t = T_{:i} u
-                closed = harmonic_normal_derivative(tangent_at(u, f":{i}"), i)
+                closed = harmonic_normal_derivative(
+                    tangent_at(u, EventuallyConstantWord((), i)), i)
                 est, _ = normal_derivative_limit(partial(value_at, u), i, levels=20)
                 worst = max(worst, abs(closed - est))
     _report(
@@ -249,7 +253,7 @@ def test_criterion_09_harmonic_degeneration():
     zero = EigenvalueSequence(0, 0.0)
     b = np.array([0.7, -0.2, 1.4])
     word = (0, 2, 1, 1, 0)
-    u = SpectralEigenfunction(zero, b)
+    u = SpectralEigenfunction(zero, dict(enumerate(b)))
     ok = np.array_equal(u.cell_triple(word), extend_harmonic(b, word))
     for i in range(3):
         ok = ok and np.array_equal(eigen_matrix(i, 0.0), harmonic_matrix(i))
@@ -260,7 +264,8 @@ def test_criterion_09_harmonic_degeneration():
         ok = ok and devs[lam] < 1e-6
     ok = ok and 5.0 < devs[1e-5] / devs[1e-6] < 20.0  # deviation vanishes linearly
     worst_t = max(
-        float(np.abs(np.array(tangent_at(u, w)) - b).max()) for w in (":1", "012:0", "2101:2")
+        float(np.abs(np.array(tangent_at(u, EventuallyConstantWord.parse(w))) - b).max())
+        for w in (":1", "012:0", "2101:2")
     )
     ok = ok and worst_t < 1e-12
     _report(

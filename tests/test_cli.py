@@ -423,6 +423,105 @@ def test_eval_golden_bytes_over_many_blocks(fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EVAL_L9_GOLDEN_SHA256[fmt]
 
 
+# sha256 of `eval --seed free:7.3:1,-2,3 --level 7` stdout, pinned while a
+# free: seed still reached SpectralEigenfunction as a dense triple
+EVAL_FREE_GOLDEN_SHA256 = {
+    "csv": "ce5dc319807b8a0ff316fb807a0df619dd9c0d73d813d3dbebeedc6b8bf4265a",
+    "json": "f8c06bdcccd7cef34820cf2f353647b30e4c88f9eeb49a9abc4417b18069652d",
+    "obj": "afdbd907890afb6165b2fc9ad490b4b6f7ea446d79d6d088e46b3db31c0f354c",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EVAL_FREE_GOLDEN_SHA256))
+def test_eval_free_seed_golden_bytes(fmt, capsys):
+    code, out, err = run(["eval", "--seed", "free:7.3:1,-2,3", "--level", "7", "--format", fmt],
+                         capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_FREE_GOLDEN_SHA256[fmt]
+
+
+# sha256 of `tangent --seed S --word W --format F [--verify]` stdout, keyed
+# (S, W, F[, "--verify"]): series and free: seeds (a harmonic one among
+# them), corner, junction and deeper words.  Pinned while tangent_at and
+# the oracle still took a word as text too, and before the cut of the k
+# column had one definition
+TANGENT_GOLDEN_SHA256 = {
+    ("six:1:1", "0:1", "csv"):
+        "e9385932c9e200e34a157f65d81ba441f22f0289aec66955e9a77385e83b265e",
+    ("six:1:1", "0:1", "csv", "--verify"):
+        "bfb1334bb9d675f887fba7603b6db41781791d9e96193b8e3f82af20e7bf4953",
+    ("six:1:1", "0:1", "json"):
+        "ea697ec4106af01379a1818a2c64f1f0164d08535928301e228ea5f7907e3c19",
+    ("six:1:1", "0:1", "json", "--verify"):
+        "50b14a7774931865189a2d0bfffdd91bdcb722665276bb99447fd6690ffafb6b",
+    ("two:1:1", "01:2", "csv"):
+        "73429b0a93d3d2da924fd5f4afc1c62545741771383de4af911992a91404da1f",
+    ("two:1:1", "01:2", "csv", "--verify"):
+        "7f8c89095c3086642dd7e036340ce20fe165278a71ea86f69785bcb673d11ceb",
+    ("two:1:1", "01:2", "json"):
+        "c4bc1117943c654c909752a8e267a2a19a2cccb74c70a3c3891fd94e48021cc6",
+    ("two:1:1", "01:2", "json", "--verify"):
+        "0efc283bc6be7ec072d22f545518566c6575e7b9c4e6fcaa29568da1a92098c3",
+    ("five:2:3:+-+", "120:1", "csv"):
+        "60b5ea2ebe9e8db1c6ae6067ee8a20819823ff6058b471f5d945a64146a0f882",
+    ("five:2:3:+-+", "120:1", "csv", "--verify"):
+        "9ef0139ac2cd28232347119d351a74e938e196ae64844677c2924eb6e49a1ebb",
+    ("five:2:3:+-+", "120:1", "json"):
+        "40057509d5dafa5b5e50d344201538194657dfa88a66590c3936a2bb7c6cea75",
+    ("five:2:3:+-+", "120:1", "json", "--verify"):
+        "4859a3ad6097c7079e3d5ed77c2009cf52697660996b9cf052385bfaa5d31eae",
+    ("six:3:5:+-+-", "2:0", "csv"):
+        "3ed48c4f15692ef7dd0652cdc5f94e69abd351d83350c1fdd86f8e9e17683941",
+    ("six:3:5:+-+-", "2:0", "csv", "--verify"):
+        "e0a195ccf8d33b2d143549a4f302623fb64064c1b363f1d7ec2fe18a314820ba",
+    ("six:3:5:+-+-", "2:0", "json"):
+        "c7019f5f1c3cae4f04cccb9c2ebd33f049014c88485abaaaa5e27fef7300a5d7",
+    ("six:3:5:+-+-", "2:0", "json", "--verify"):
+        "b5df4ccef65ea1a80f095f3261c5425c60c1470c06e42c7993018a1457002297",
+    ("free:7.3:1,-2,3", ":0", "csv"):
+        "45354d2a4b8e77852d0cfbde7393e4b40c00e95dd7d7d94d37878363397435a5",
+    ("free:7.3:1,-2,3", ":0", "csv", "--verify"):
+        "9a653e6dbe96ba2f383967f54a00997a41e6f091abc2b683ec9942f1644532d6",
+    ("free:7.3:1,-2,3", ":0", "json"):
+        "28d494081646f5bb2be7ae3acee9254f4666db28198cc33f2d42b1b1a5f67221",
+    ("free:7.3:1,-2,3", ":0", "json", "--verify"):
+        "fa6fcdb0c322d3a18a7bdd5ac1fda4cf6119822ccfe0661c8b6b0d46aea4e070",
+    ("free:7.3:1,-2,3", "0122:1", "csv"):
+        "ef7252b1b04998594b9e212a1d8102563a5c2d44414c94990c4a94acfb9fa1c3",
+    ("free:7.3:1,-2,3", "0122:1", "csv", "--verify"):
+        "e0535f78a1f18e4264c1ba12c25511f25e41ea53bce89e1c9115179b93c47c46",
+    ("free:7.3:1,-2,3", "0122:1", "json"):
+        "f14c4e12ea44efdbf265249b9b094d49aace96d36e0e9561c1071bb465a5d13c",
+    ("free:7.3:1,-2,3", "0122:1", "json", "--verify"):
+        "4149e8a2e37df11dbc3da31b7a8a1022f099d5f6a6c99819fd85a3734ab2e146",
+    ("free:0:0.3,-1.2,2", "012:0", "csv"):
+        "7aeaa2b996913552c144ad0d95d9150bd7bbd2110922d0741f33af0ac5f5104b",
+    ("free:0:0.3,-1.2,2", "012:0", "csv", "--verify"):
+        "9363bbb005665b0b80d10aea47dfd235655a98aeafb78a8889b378905d19db3e",
+    ("free:0:0.3,-1.2,2", "012:0", "json"):
+        "fea0bee18e80343dbdb0c18ae33afb2810112df63733920a8867f4f0bc440fe6",
+    ("free:0:0.3,-1.2,2", "012:0", "json", "--verify"):
+        "5efb2249e08f89f3356216d5e8d22c60ddc7537158aa8022f1f5a2b168832504",
+    ("free:-3.5:2,0.5,-1", "21:1", "csv"):
+        "9ad4f6a1a0b687e9f68c13dd8bc40bf6338f2c5892f0f7cc8da4c7224c8783e8",
+    ("free:-3.5:2,0.5,-1", "21:1", "csv", "--verify"):
+        "71dda6c2211b48595567148e0cc6f7d5d79cb6afa2d39d8e0b28d8f7ad61f484",
+    ("free:-3.5:2,0.5,-1", "21:1", "json"):
+        "0e91b1f070b814f374084e7daa209e6ff43429feb29caff495f180cd73868d13",
+    ("free:-3.5:2,0.5,-1", "21:1", "json", "--verify"):
+        "ab4e8c0e97f127abb68d73d8d2e8cef9f99f6fabe2d617f5ee4c9735abbb8aa9",
+}
+
+
+@pytest.mark.parametrize("args", list(TANGENT_GOLDEN_SHA256), ids=" ".join)
+def test_tangent_golden_bytes(args, capsys):
+    seed, word, fmt, *verify = args
+    code, out, err = run(["tangent", "--seed", seed, "--word", word, "--format", fmt, *verify],
+                         capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == TANGENT_GOLDEN_SHA256[args]
+
+
 def _reference_eval_blocks(args, graph, values):
     """The eval blocks as formatted one row at a time with repr."""
     level, fmt = args.level, args.format
@@ -542,7 +641,8 @@ def test_eval_values_are_d3_equivariant(seed, level):
     values = values_on_level(u, level)
     scale = max(1.0, float(np.abs(values).max()))
     for p in itertools.permutations(range(3)):
-        moved = SpectralEigenfunction(u.sequence, seed_array(u)[_d3_vertex_map(u.m0, p)])
+        moved = seed_array(u)[_d3_vertex_map(u.m0, p)]
+        moved = SpectralEigenfunction(u.sequence, dict(enumerate(moved)))
         gap = float(np.abs(values_on_level(moved, level) - values[_d3_vertex_map(level, p)]).max())
         assert gap <= D3_EVAL_TOL * scale, (p, gap / scale)
 

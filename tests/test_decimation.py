@@ -254,7 +254,8 @@ def walk_cases(draw):
     else:
         seq = sequence_from_limit(draw(st.floats(-60, 60)))
         assume(seq.m0 == 0)
-        u = SpectralEigenfunction(seq, draw(st.lists(st.floats(-2, 2), min_size=3, max_size=3)))
+        b = draw(st.lists(st.floats(-2, 2), min_size=3, max_size=3))
+        u = SpectralEigenfunction(seq, dict(enumerate(b)))
     m = draw(st.integers(u.m0, 5))
     word = tuple(draw(st.lists(st.integers(0, 2), max_size=m)))
     return u, m, word, draw(st.integers(0, 2))
@@ -406,8 +407,10 @@ def test_eigen_matrix_singularities():
 
 
 def test_seed_shape_is_validated():
-    with pytest.raises(DomainError):
-        SpectralEigenfunction(EigenvalueSequence(1, 2.0), [0.0, 1.0, 2.0])
+    # a seed map names vertices of V_{m0} only, and V_1 has six
+    for vertex in (6, -1):
+        with pytest.raises(DomainError, match="outside V_1"):
+            SpectralEigenfunction(EigenvalueSequence(1, 2.0), {vertex: 1.0})
 
 
 # The scalar recursion EigenvalueSequence once ran, kept literally as the reference.

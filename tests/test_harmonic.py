@@ -75,21 +75,21 @@ def test_pullback_inverts_extension(b, word):
 
 @given(triples)
 def test_extension_is_discrete_harmonic(b):
-    vals = values_on_level(SpectralEigenfunction(HARMONIC, b), 3)
+    vals = values_on_level(SpectralEigenfunction(HARMONIC, dict(enumerate(b))), 3)
     defect = graph_laplacian(build_level_graph(3), vals)[3:]
     assert float(np.abs(defect).max()) < 1e-12 * max(1.0, float(np.abs(vals).max()))
 
 
 @given(triples)
 def test_maximum_principle(b):
-    vals = values_on_level(SpectralEigenfunction(HARMONIC, b), 4)
+    vals = values_on_level(SpectralEigenfunction(HARMONIC, dict(enumerate(b))), 4)
     assert vals.min() >= min(b) - 1e-12
     assert vals.max() <= max(b) + 1e-12
 
 
 def test_extensions_are_nested_across_levels():
     b = (1.0, -0.5, 2.0)
-    u = SpectralEigenfunction(HARMONIC, b)
+    u = SpectralEigenfunction(HARMONIC, dict(enumerate(b)))
     v2, v3 = values_on_level(u, 2), values_on_level(u, 3)
     index3 = {tuple(key): j for j, key in enumerate(level_vertices(3)[0].tolist())}
     for i, key in enumerate(level_vertices(2)[0].tolist()):
@@ -99,7 +99,7 @@ def test_extensions_are_nested_across_levels():
 
 def test_cell_vertex_round_trip():
     g = build_level_graph(3)
-    vals = values_on_level(SpectralEigenfunction(HARMONIC, (0.3, 1.0, -2.0)), 3)
+    vals = values_on_level(SpectralEigenfunction(HARMONIC, {0: 0.3, 1: 1.0, 2: -2.0}), 3)
     cv = vals[g.cells]
     out, gap, scale = cell_values_to_vertex(g, cv)
     assert np.array_equal(out, vals) and gap == 0.0
@@ -118,7 +118,7 @@ def test_junction_mismatch_is_rejected(monkeypatch):
             mats[planted[0]][planted[1]][2] += 1e-3
         return tuple(tuple(map(tuple, mat)) for mat in mats)
 
-    u = SpectralEigenfunction(EigenvalueSequence(0, 3.0), (1.0, 0.0, 0.0))
+    u = SpectralEigenfunction(EigenvalueSequence(0, 3.0), {0: 1.0, 1: 0.0, 2: 0.0})
     values_on_level(u, 2)
     monkeypatch.setattr(mesh, "eigen_matrices", eigen_matrices)
     for row in [(0, 1), (1, 0), (0, 0), (2, 1), (1, 2)]:
@@ -137,8 +137,9 @@ def test_extend_cells_matches_vertex_extension():
         cv = extend_level(cv, HARMONIC_MATRICES)
     vals, gap, _ = cell_values_to_vertex(build_level_graph(3), cv)
     assert gap == 0.0
-    assert np.array_equal(vals, values_on_level(SpectralEigenfunction(HARMONIC, b), 3))
-    assert np.array_equal(vals, dense_values(SpectralEigenfunction(HARMONIC, b), 3))
+    u = SpectralEigenfunction(HARMONIC, dict(enumerate(b)))
+    assert np.array_equal(vals, values_on_level(u, 3))
+    assert np.array_equal(vals, dense_values(u, 3))
 
 
 def test_extend_level_splits_cells():

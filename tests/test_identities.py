@@ -3,9 +3,10 @@ functions themselves, so that an identity holds for the formula as written,
 not at sampled float points.
 
 eigen_matrices and harmonic_inverses take any number type with integer
-arithmetic (the oracle runs them on Decimals), and matvec and matmul sum
-from the integer 0, so sympy Integers and Rationals come out exact."""
-from sympy import Integer, Rational, expand, symbols
+arithmetic (the oracle runs them on Decimals), a sympy symbol included, and
+matvec and matmul sum from the integer 0, so sympy Integers and Rationals
+come out exact."""
+from sympy import Integer, Rational, cancel, expand, symbols
 
 from sglap.address import vertex_index
 from sglap.harmonic import IDENTITY, eigen_matrices, harmonic_inverses, matmul, matvec
@@ -40,6 +41,25 @@ def test_eigen_matrices_solve_the_level_one_eigen_equation():
     # polynomial of degree at most 2 in lambda, with coefficients linear in
     # the corner values: zero at the four lambdas below, outside {2, 5}, it
     # is zero at every lambda
+    for lam in (Rational(1, 3), Rational(-7, 2), Integer(3), Rational(41, 10)):
+        for residual in _level_one_residuals(lam):
+            assert expand(residual) == 0, lam
+
+
+def test_eigen_matrices_solve_the_level_one_eigen_equation_at_every_lambda():
+    # the same residuals at a symbolic lambda: rational functions of lambda
+    # that cancel to 0, which proves the equation for every lambda but the
+    # poles 2 and 5 at once
+    for residual in _level_one_residuals(symbols("lambda")):
+        assert cancel(residual) == 0
+
+
+def _level_one_residuals(lam):
+    """The level-1 eigen-equation's residuals at lam, with u extended from
+    symbolic corner values by eigen_matrices(lam): first the difference of
+    the two cells' values at each midpoint (a midpoint is a corner of two
+    cells, which must agree on it), then sum over its four neighbours of
+    u(y) - (4 - lam) u(x) at each midpoint x."""
     corners = symbols("u0 u1 u2")
     (faces,) = cells(1)
     neighbours = {v: set() for v in faces}
@@ -49,12 +69,10 @@ def test_eigen_matrices_solve_the_level_one_eigen_equation():
             neighbours[v] |= triangle - {v}
     midpoints = sorted(v for v in neighbours if v >= 3)
     assert len(midpoints) == 3 and all(len(neighbours[v]) == 4 for v in midpoints)
-    for lam in (Rational(1, 3), Rational(-7, 2), Integer(3), Rational(41, 10)):
-        u = dict(enumerate(corners))
-        for letter, extension in enumerate(eigen_matrices(lam)):
-            for corner, value in enumerate(matvec(extension, corners)):
-                v = vertex_index((letter,), corner, 1)
-                # a midpoint is a corner of two cells, which must agree on it
-                assert expand(u.setdefault(v, value) - value) == 0, (lam, v)
-        for v in midpoints:
-            assert expand(sum(u[y] for y in neighbours[v]) - (4 - lam) * u[v]) == 0, (lam, v)
+    u = dict(enumerate(corners))
+    for letter, extension in enumerate(eigen_matrices(lam)):
+        for corner, value in enumerate(matvec(extension, corners)):
+            v = vertex_index((letter,), corner, 1)
+            yield u.setdefault(v, value) - value
+    for v in midpoints:
+        yield sum(u[y] for y in neighbours[v]) - (4 - lam) * u[v]

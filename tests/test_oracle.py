@@ -198,7 +198,7 @@ def test_random_seeds_solve_the_dense_problem(seed):
 
 def test_direct_limit_matches_the_closed_tangent():
     u = dirichlet_eigenfunction("six", 1)
-    for w in (":0", "0:1", "20:1"):
+    for w in map(EventuallyConstantWord.parse, (":0", "0:1", "20:1")):
         triple, err = direct_tangent_limit(u, w, 25)
         assert np.abs(np.array(triple) - np.array(tangent_at(u, w))).max() < 1e-9
         assert err < 1e-9
@@ -206,7 +206,8 @@ def test_direct_limit_matches_the_closed_tangent():
 
 def test_direct_limit_error_contracts_by_three():
     u = dirichlet_eigenfunction("six", 1)
-    errs = [direct_tangent_limit(u, "0:1", m)[1] for m in (14, 17, 20)]
+    w = EventuallyConstantWord.parse("0:1")
+    errs = [direct_tangent_limit(u, w, m)[1] for m in (14, 17, 20)]
     assert errs[0] > errs[1] > errs[2] > 0.0
     # the per-level Cauchy ratio tends to 3 from below
     assert (errs[1] / errs[2]) ** (1.0 / 3.0) > 2.9
@@ -216,7 +217,7 @@ def test_direct_limit_error_contracts_by_three():
 def test_direct_limit_rejects_short_truncations():
     u = dirichlet_eigenfunction("six", 2, 1)
     with pytest.raises(DomainError):
-        direct_tangent_limit(u, ":0", 1)  # below the seed level
+        direct_tangent_limit(u, EventuallyConstantWord.parse(":0"), 1)  # below the seed level
 
 
 # The mpmath reference's own matrices, as the oracle coded them before it
@@ -276,8 +277,6 @@ def test_decimal_inverses_invert_the_decimal_harmonic_matrices():
 def _mpmath_tangent_limit(u, w, m):
     """direct_tangent_limit as it ran on mpmath before it moved to stdlib
     decimal, transcribed literally: the reference of the differential test."""
-    if isinstance(w, str):
-        w = EventuallyConstantWord.parse(w)
     m0 = u.m0
     if m < m0:
         raise DomainError(f"need m >= m0 = {m0}, got {m}")
@@ -331,7 +330,7 @@ def oracle_seeds(draw):
     seq = sequence_from_limit(lam)
     assume(seq.m0 == 0)  # a free: seed starts on V_0
     triple = draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
-    return SpectralEigenfunction(seq, np.array(triple))
+    return SpectralEigenfunction(seq, dict(enumerate(triple)))
 
 
 def _outcome(fn, *args):
@@ -417,8 +416,9 @@ _SINGULAR_PLUS_ROOT = pytest.mark.xfail(
 def test_closed_form_tangent_after_a_long_minus_run(series, minus):
     # the seed series:1:1: with `minus` minus letters and then a plus
     u = dirichlet_eigenfunction(series, 1, 1, {minus + 2})
-    ref, _ = direct_tangent_limit(u, ":1", 1 + (minus + 1) + 45)
-    gap = np.abs(np.array(tangent_at(u, ":1")) - np.array(ref)).max()
+    corner = EventuallyConstantWord((), 1)
+    ref, _ = direct_tangent_limit(u, corner, 1 + (minus + 1) + 45)
+    gap = np.abs(np.array(tangent_at(u, corner)) - np.array(ref)).max()
     assert gap <= 1e-12 * np.abs(np.array(ref)).max()
 
 

@@ -22,7 +22,7 @@ from sglap.harmonic import (SpectralEigenfunction, conjugate, dirichlet_eigenfun
                             eigen_matrices, harmonic_pullback, matmul, matvec)
 from sglap.oracle import direct_tangent_limit
 from sglap.special import tau
-from sglap.tangent import TangentTriple, m0_matrix, tangent_at
+from sglap.tangent import TangentTriple, cut_level, m0_matrix, tangent_at
 
 SEQUENCES = [
     EigenvalueSequence(0, 1.0),
@@ -68,15 +68,16 @@ def test_subnormal_lambda_k_gives_the_identity_tail_matrix(lam):
 def test_six_element_tangent_closed_form():
     u = dirichlet_eigenfunction("six", 1)
     lam = u.sequence.limit()
-    t = tangent_at(u, ":0")
+    t = tangent_at(u, EventuallyConstantWord.parse(":0"))
     assert isinstance(t, TangentTriple)
     assert np.allclose(np.array(t), lam / 9.0 * np.array([0.0, 1.0, -1.0]), atol=1e-12)
 
 
 def test_harmonic_tangent_is_the_function_itself():
-    u = SpectralEigenfunction(EigenvalueSequence(0, 0.0), [0.3, -1.2, 2.0])
-    for w in (":0", "21:0", "102:2", "0012:1"):
-        assert np.allclose(np.array(tangent_at(u, w)), [0.3, -1.2, 2.0], atol=1e-12)
+    u = SpectralEigenfunction(EigenvalueSequence(0, 0.0), {0: 0.3, 1: -1.2, 2: 2.0})
+    for text in (":0", "21:0", "102:2", "0012:1"):
+        t = tangent_at(u, EventuallyConstantWord.parse(text))
+        assert np.allclose(np.array(t), [0.3, -1.2, 2.0], atol=1e-12)
 
 
 def test_cut_independence():
@@ -86,6 +87,7 @@ def test_cut_independence():
     assert np.abs(base).max() > 1e-3  # in the support, so the check is not vacuous
     # the factorization at cuts past max(|prefix|, m0) = 2, as tangent_at
     # makes it at that cut
+    assert cut_level(w, u.m0) == 2
     for cut in (3, 5, 8):
         word = w.truncation(cut)
         tail_matrix = conjugate(m0_matrix(u.sequence, cut), w.tail)
@@ -97,21 +99,21 @@ def test_six_mirror_symmetry_at_the_center_junction():
     # the element is invariant under the q0 <-> q1 swap, which exchanges the
     # two one-sided tangents at the shared midpoint and permutes their triples
     u = dirichlet_eigenfunction("six", 1)
-    a = np.array(tangent_at(u, "0:1"))
-    b = np.array(tangent_at(u, "1:0"))
+    a = np.array(tangent_at(u, EventuallyConstantWord.parse("0:1")))
+    b = np.array(tangent_at(u, EventuallyConstantWord.parse("1:0")))
     assert np.allclose(a, b[[1, 0, 2]], atol=1e-10)
 
 
 def test_junction_sides_differ_for_an_asymmetric_function():
-    u = SpectralEigenfunction(sequence_from_limit(7.25), [1.0, -0.4, 0.7])
-    a = np.array(tangent_at(u, "0:1"))
-    b = np.array(tangent_at(u, "1:0"))
+    u = SpectralEigenfunction(sequence_from_limit(7.25), {0: 1.0, 1: -0.4, 2: 0.7})
+    a = np.array(tangent_at(u, EventuallyConstantWord.parse("0:1")))
+    b = np.array(tangent_at(u, EventuallyConstantWord.parse("1:0")))
     assert np.abs(a - b[[1, 0, 2]]).max() > 1e-3
 
 
 def test_gradient_is_mean_free():
     u = dirichlet_eigenfunction("six", 1)
-    triple = tangent_at(u, "010:2")
+    triple = tangent_at(u, EventuallyConstantWord.parse("010:2"))
     g = triple.gradient()
     assert sum(g) == pytest.approx(0.0, abs=1e-12)
     t = np.array(triple)
@@ -137,11 +139,12 @@ def test_free_seed_tangents_are_d3_equivariant(lam, b, prefix, tail):
     seq = sequence_from_limit(lam)
     assume(seq.m0 == 0)  # a free: seed
     b = np.array(b)
-    t = np.array(tangent_at(SpectralEigenfunction(seq, b), EventuallyConstantWord(prefix, tail)))
+    t = np.array(tangent_at(SpectralEigenfunction(seq, dict(enumerate(b))),
+                            EventuallyConstantWord(prefix, tail)))
     scale = max(1.0, float(np.abs(t).max()))
     for p in itertools.permutations(range(3)):
         w = EventuallyConstantWord(tuple(p.index(c) for c in prefix), p.index(tail))
-        moved = np.array(tangent_at(SpectralEigenfunction(seq, b[list(p)]), w))
+        moved = np.array(tangent_at(SpectralEigenfunction(seq, dict(enumerate(b[list(p)]))), w))
         assert float(np.abs(moved - t[list(p)]).max()) <= D3_TOL * scale, p
 
 
@@ -169,7 +172,8 @@ def tangent_cases(draw):
     else:
         seq = sequence_from_limit(draw(st.floats(-100.0, 21.75)))
         assume(seq.m0 == 0)
-        u = SpectralEigenfunction(seq, draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3)))
+        b = draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3))
+        u = SpectralEigenfunction(seq, dict(enumerate(b)))
     prefix = tuple(draw(st.lists(st.integers(0, 2), max_size=6)))
     return u, EventuallyConstantWord(prefix, draw(st.integers(0, 2)))
 
@@ -219,25 +223,28 @@ def test_tangent_osculates_the_function():
 
 def test_normal_derivative_harmonic_case():
     # a harmonic function is its own tangent, so the identity is exact
-    u = SpectralEigenfunction(EigenvalueSequence(0, 0.0), [2.0, -1.0, 0.5])
-    assert harmonic_normal_derivative(tangent_at(u, ":0"), 0) == 2 * 2.0 - (-1.0) - 0.5
+    u = SpectralEigenfunction(EigenvalueSequence(0, 0.0), {0: 2.0, 1: -1.0, 2: 0.5})
+    t = tangent_at(u, EventuallyConstantWord.parse(":0"))
+    assert harmonic_normal_derivative(t, 0) == 2 * 2.0 - (-1.0) - 0.5
     with pytest.raises(DomainError):
-        tangent_at(u, ":3")
+        tangent_at(u, EventuallyConstantWord.parse(":3"))
 
 
 def test_normal_derivative_closed_vs_limit():
-    u = SpectralEigenfunction(sequence_from_limit(9.5), [1.0, 0.3, -0.8])
+    u = SpectralEigenfunction(sequence_from_limit(9.5), {0: 1.0, 1: 0.3, 2: -0.8})
     assert u.m0 == 0
     for i in range(3):
         est, _ = normal_derivative_limit(partial(value_at, u), i, levels=20)
-        assert harmonic_normal_derivative(tangent_at(u, f":{i}"), i) == pytest.approx(est, abs=1e-6)
+        corner = EventuallyConstantWord((), i)
+        assert harmonic_normal_derivative(tangent_at(u, corner), i) == pytest.approx(est, abs=1e-6)
 
 
 def test_normal_derivative_dirichlet_uses_the_limit():
     # the renormalized limit is the reference for a Dirichlet seed; the
     # two-series seed is symmetric under all corner swaps
     u = dirichlet_eigenfunction("two", 1)
-    nd = [harmonic_normal_derivative(tangent_at(u, f":{i}"), i) for i in range(3)]
+    nd = [harmonic_normal_derivative(tangent_at(u, EventuallyConstantWord((), i)), i)
+          for i in range(3)]
     assert all(math.isfinite(x) for x in nd)
     assert nd[0] == pytest.approx(nd[1], rel=1e-9)
     assert nd[1] == pytest.approx(nd[2], rel=1e-9)
@@ -278,8 +285,9 @@ def test_normal_derivative_is_the_tangents(seed):
     u = parse_seed(seed)
     depth = max(u.sequence.plus_indices, default=u.m0) + 45
     for i in range(3):
-        nd = harmonic_normal_derivative(tangent_at(u, f":{i}"), i)
-        ref = harmonic_normal_derivative(direct_tangent_limit(u, f":{i}", depth)[0], i)
+        corner = EventuallyConstantWord((), i)
+        nd = harmonic_normal_derivative(tangent_at(u, corner), i)
+        ref = harmonic_normal_derivative(direct_tangent_limit(u, corner, depth)[0], i)
         assert abs(nd - ref) <= (1e-12 * abs(ref) if ref != 0.0 else 1e-12), i
         if u.m0 == 0:
             assert paper_normal_derivative(u, i) == pytest.approx(nd, rel=1e-13, abs=0.0)
@@ -303,7 +311,7 @@ def gauss_green_cases(draw):
     seq = sequence_from_limit(draw(st.floats(-100.0, 100.0)))
     assume(seq.m0 == 0)
     value = st.floats(-5.0, 5.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
-    return SpectralEigenfunction(seq, draw(st.tuples(value, value, value)))
+    return SpectralEigenfunction(seq, dict(enumerate(draw(st.tuples(value, value, value)))))
 
 
 # Gauss-Green, sum_i d_n u(q_i) = -lambda int u dmu, ties the tangent's
@@ -336,7 +344,8 @@ def test_gauss_green_for_the_corner_normal_derivatives(u):
     m = max(8, max(u.sequence.plus_indices, default=u.m0) + 6)
     coarse, fine = cell_values(u, m), cell_values(u, m + 1)
     integral = (5.0 * fine.mean() - coarse.mean()) / 4.0
-    nd = [harmonic_normal_derivative(tangent_at(u, f":{i}"), i) for i in range(3)]
+    nd = [harmonic_normal_derivative(tangent_at(u, EventuallyConstantWord((), i)), i)
+          for i in range(3)]
     lam, size = u.sequence.limit(), float(np.abs(fine).mean())
     scale = sum(map(abs, nd)) + abs(lam) * size
     assert abs(sum(nd) + lam * integral) <= GAUSS_GREEN_TOL * scale + GAUSS_GREEN_FLOOR * size
@@ -437,7 +446,7 @@ def restriction(u, v: str) -> SpectralEigenfunction:
     lambda_|v|+1, ... rebased to level 0 and its plus set shifted down."""
     n, seq = len(v), u.sequence
     rebased = EigenvalueSequence(0, seq.value(n), {p - n for p in seq.plus_indices if p > n})
-    return SpectralEigenfunction(rebased, u.cell_triple(v))
+    return SpectralEigenfunction(rebased, dict(enumerate(u.cell_triple(v))))
 
 
 def self_similarity_gap(u, v: str, w: str) -> float:
@@ -447,8 +456,9 @@ def self_similarity_gap(u, v: str, w: str) -> float:
     reads alike at every depth and every lambda.  The two sides share every
     matrix but M0, which the left takes at cut |vw'| along u's sequence and
     the right at cut |w'| along the rebased one."""
-    left = tangent_at(u, v + w)
-    right = matvec(harmonic_pullback(v), tangent_at(restriction(u, v), w))
+    left = tangent_at(u, EventuallyConstantWord.parse(v + w))
+    right = tangent_at(restriction(u, v), EventuallyConstantWord.parse(w))
+    right = matvec(harmonic_pullback(v), right)
     cut, tail = v + w.split(":")[0], int(w.split(":")[1])
     magnitudes = [harmonic_pullback(cut), conjugate(m0_matrix(u.sequence, len(cut)), tail)]
     size = [abs(x) for x in u.cell_triple(cut)]

@@ -26,23 +26,30 @@ from .errors import DomainError
 DEFAULT_CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
 
 
+def _is_ascii_digits(text: str) -> bool:
+    # str.isdigit alone also admits superscripts and other scripts' digits
+    return text.isascii() and text.isdigit()
+
+
+def _as_int(c) -> int:
+    # a float is refused, not truncated by int()
+    if isinstance(c, str) and _is_ascii_digits(c) or hasattr(c, "__index__"):
+        return int(c)
+    raise DomainError(f"a letter is an integer or an ASCII digit string, got {c!r}")
+
+
 def check_word(word) -> tuple:
-    word = tuple(int(c) for c in word)
+    word = tuple(map(_as_int, word))
     if any(c not in (0, 1, 2) for c in word):
         raise DomainError(f"word letters must be 0, 1 or 2: {word!r}")
     return word
 
 
 def check_letter(letter) -> int:
-    letter = int(letter)
+    letter = _as_int(letter)
     if letter not in (0, 1, 2):
         raise DomainError(f"letter must be 0, 1 or 2: {letter!r}")
     return letter
-
-
-def _is_ascii_digits(text: str) -> bool:
-    # str.isdigit alone also admits superscripts and other scripts' digits
-    return text.isascii() and text.isdigit()
 
 
 def word_from_string(text: str) -> tuple:

@@ -269,24 +269,23 @@ def cmd_spectrum(args) -> int:
     lines = decimation.enumerate_dirichlet_spectrum(
         args.level, "all" if args.verify else args.series)
     columns = ["series", "m0", "branches", "lambda_m", "lambda", "multiplicity"]
-    widths = peaks = itertools.repeat(None)
-    if args.verify:
-        from . import oracle
-
-        # the widths read the lines one ahead of the rows, and a running
-        # maximum reads the widths in step with the rows, so that each tee
-        # holds one item; the maximum's last item takes in the count of all
-        # the eigenvalues, which comes after the last line's width
-        lines, ahead = itertools.tee(lines)
-        widths, peaks = itertools.tee(oracle.bracket_half_widths(args.level, ahead))
-        peaks = itertools.accumulate(peaks, max)
-        columns.append("residual")
-    rows = ([*line, *([] if width is None else [width])]
-            for line, width, _ in zip(lines, widths, peaks) if args.series in ("all", line.series))
-    _emit(args, _table_blocks(args.format, columns, rows))
     if not args.verify:
+        _emit(args, _table_blocks(args.format, columns, lines))
         return 0
-    return _verdict("widest eigenvalue bracket", next(peaks), args.verify_tol)
+    from . import oracle
+
+    worst = 0.0
+
+    def rows():
+        # the last pair, with no line, holds the count of all the eigenvalues
+        nonlocal worst
+        for line, width in oracle.bracket_half_widths(args.level, lines):
+            worst = max(worst, width)
+            if line is not None and args.series in ("all", line.series):
+                yield (*line, width)
+
+    _emit(args, _table_blocks(args.format, [*columns, "residual"], rows()))
+    return _verdict("widest eigenvalue bracket", worst, args.verify_tol)
 
 
 # --- eval -------------------------------------------------------------------

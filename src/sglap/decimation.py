@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from itertools import chain, cycle, islice, repeat
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -127,10 +127,6 @@ class EigenvalueSequence:
         self.lambda_m0 = float(lambda_m0)
         self._values, self._limit = {m0: self.lambda_m0}, None
 
-    def __repr__(self) -> str:
-        return (f"EigenvalueSequence(m0={self.m0!r}, lambda_m0={self.lambda_m0!r}, "
-                f"plus_indices={self.plus_indices!r})")
-
     def value(self, j: int) -> float:
         if j < self.m0:
             raise DomainError(f"sequence starts at level {self.m0}, got {j}")
@@ -211,15 +207,6 @@ class SpectrumLine(NamedTuple):
     multiplicity: int
 
 
-def _gray_codes(bits: int) -> tuple:
-    """The reflected Gray code on `bits` free levels in rank order, as
-    branch strings, the first level first."""
-    codes = ("",)
-    for _ in range(bits):
-        codes = (*(code + "-" for code in codes), *(code + "+" for code in reversed(codes)))
-    return codes
-
-
 def _family_lines(series: str, m0: int, level: int, multiplicity: int):
     """One family's lines in ascending order of lambda_level, each made as
     it is read.
@@ -232,10 +219,11 @@ def _family_lines(series: str, m0: int, level: int, multiplicity: int):
     member's plus levels ranks it, bit k standing for the level first + k
     (m0 + 1, or m0 + 2 past the 6-series' forced plus), the last level the
     most significant: a child taking its plus at bit k flips bits 0..k of
-    its parent's rank.  The walk lists the members in its own order, and
-    they are placed at their ranks once it is done.  Members whose floats
-    tie there (or, against the rounding, fall) are sorted by
-    (lambda_level, branches), the order of a sort of the whole spectrum."""
+    its parent's rank.  The walk lists the members in its own order, they
+    are placed at their ranks once it is done, and member r's branches are
+    spelt from its Gray code r ^ (r >> 1).  Members whose floats tie there
+    (or, against the rounding, fall) are sorted by (lambda_level,
+    branches), the order of a sort of the whole spectrum."""
     seed, six = SERIES_SEED[series], series == "six"
     # the 6-series takes the plus root at m0 + 1
     runs = [(m0 + 1, _root(seed, True, m0 + 1), 0)] if six else [(m0, seed, 0)]
@@ -251,54 +239,28 @@ def _family_lines(series: str, m0: int, level: int, multiplicity: int):
     for rank, value, limit in walked:
         values[rank], limits[rank] = value, limit
     del walked
-    # the codes of the low and high halves of the free levels: the low
-    # half's runs forward and back in turn while the high half steps once
-    # per run, as the Gray code does
-    bits = len(values).bit_length() - 1
-    low, high = _gray_codes(bits // 2), _gray_codes(bits - bits // 2)
-    low = ["+" * (six and m0 < level) + code for code in low]
-    spelt = map(str.__add__, chain.from_iterable(islice(cycle((low, low[::-1])), len(high))),
-                chain.from_iterable(map(repeat, high, repeat(len(low)))))
+    # top = len(values) is a power of two, so bin(code | top) is "0b1" and
+    # the code's bits, last level first; [:2:-1] turns them round
+    top, forced, branch = len(values), "+" * (six and m0 < level), str.maketrans("01", "-+")
+    spelt = (forced + bin(r ^ (r >> 1) | top)[:2:-1].translate(branch) for r in range(top))
     if not all(map(float.__lt__, values, values[1:])):
         spelt = list(spelt)
-        order = sorted(range(len(values)), key=lambda r: (values[r], spelt[r]))
+        order = sorted(range(top), key=lambda r: (values[r], spelt[r]))
         values, limits, spelt = ([seq[r] for r in order] for seq in (values, limits, spelt))
     rows = zip(repeat(series), repeat(m0), spelt, values, limits, repeat(multiplicity))
     # SpectrumLine._make, but without a Python call per line
     return map(tuple.__new__, repeat(SpectrumLine), rows)
 
 
-class SpectrumLines:
-    """The lines of a spectrum in ascending order, made one at a time as
-    they are read: a one-pass iterator, whose len() is the number of lines
-    it started with (perfbench/launcher.py sizes a spectrum by its len())."""
-
-    __slots__ = ("_lines", "_count")
-
-    def __init__(self, lines, count: int):
-        self._lines, self._count = lines, count
-
-    def __iter__(self):
-        # the generator itself, so that a loop over the lines calls no
-        # Python __next__ per line
-        return self._lines
-
-    def __next__(self):
-        return next(self._lines)
-
-    def __len__(self) -> int:
-        return self._count
-
-
-def enumerate_dirichlet_spectrum(level: int, series: str = "all") -> SpectrumLines:
-    """Every (series, m0, branches) family alive at the given level,
-    ascending in its lambda_level; multiplicities add up to
-    dim = (3^{level+1} - 3) / 2.
+def enumerate_dirichlet_spectrum(level: int, series: str = "all"):
+    """Every (series, m0, branches) family alive at the given level, as an
+    iterator of SpectrumLine rows ascending in lambda_level; multiplicities add
+    up to dim = (3^{level+1} - 3) / 2.
 
     Every branch tree is walked before this returns, so that a failed step
     raises here; each family's members are held ranked, and the families
-    are merged, and each line made, as the lines are read.  Equal
-    lambda_levels follow (series, m0, branches).
+    are merged (heapq.merge), and each line made, as the lines are read.
+    Equal lambda_levels follow (series, m0, branches).
 
     A `series` other than "all" keeps the families of that series: only
     their branch trees are walked, and the lines are those of the whole
@@ -308,7 +270,7 @@ def enumerate_dirichlet_spectrum(level: int, series: str = "all") -> SpectrumLin
         raise DomainError(f"unknown series {series!r}")
     if check_level(level) == 0:
         # no interior vertices, empty operator, empty spectrum
-        return SpectrumLines(iter(()), 0)
+        return iter(())
     # heapq is loaded here, so that no other subcommand loads it
     import heapq
 
@@ -317,13 +279,11 @@ def enumerate_dirichlet_spectrum(level: int, series: str = "all") -> SpectrumLin
                 *[("six", m0) for m0 in range(2, level + 1)]]
     mult = {family: series_multiplicity(*family) for family in families}
     # a family has a member per branch set on its free levels m0+1..level
-    members = {(s, m0): 1 << (level - m0 - (s == "six" and m0 < level)) for s, m0 in families}
-    total = sum(mult[family] * members[family] for family in families)
+    total = sum(mult[s, m0] << (level - m0 - (s == "six" and m0 < level)) for s, m0 in families)
     dim = vertex_count(level) - 3
     if total != dim:
         raise InvariantError(f"level-{level} multiplicities add up to {total}, not {dim}")
-    families = [family for family in families if series in ("all", family[0])]
-    streams = [_family_lines(s, m0, level, mult[s, m0]) for s, m0 in families]
+    streams = [_family_lines(s, m0, level, mult[s, m0]) for s, m0 in families
+               if series in ("all", s)]
     # the merge breaks a tie in value by the order of the streams
-    return SpectrumLines(heapq.merge(*streams, key=attrgetter("value")),
-                         sum(members[family] for family in families))
+    return heapq.merge(*streams, key=attrgetter("value"))

@@ -1,12 +1,13 @@
 """Independent brute-force verifiers for the closed forms elsewhere; each
-hands back plain numbers for the CLI to judge: eigenvalue counts by inertia
-on the graph, with none of decimation's roots, and tangents from literally
-iterating pulled-back cell triples in Decimals (each pullback level
-multiplies roundoff in the antisymmetric component by 5).  That iteration
-shares harmonic's matrices, called on its Decimals, and conjugate, matvec
-and matmul, but not the closed form: nothing of tangent, no M0, no tau, its
-own lambda step.  The shared matrices are checked by an mpmath
-transcription and by graph residuals.
+hands back plain numbers for the CLI to judge: each spectrum line paired
+with its bracket, counted by inertia on the graph with none of
+decimation's roots, and tangents from literally iterating pulled-back cell
+triples in Decimals (each pullback level multiplies roundoff in the
+antisymmetric component by 5).  That iteration shares harmonic's
+matrices, called on its Decimals, and conjugate, matvec and matmul, but
+not the closed form: nothing of tangent, no M0, no tau, its own lambda
+step.  The shared matrices are checked by an mpmath transcription and by
+graph residuals.
 """
 from __future__ import annotations
 
@@ -43,15 +44,15 @@ def dirichlet_count(x: float, level: int) -> int:
 
 
 def bracket_half_widths(level: int, lines):
-    """Per spectrum line, ascending in value, the half-width h at which
-    N(value - h) counts the multiplicities before it and N(value + h) adds
-    its own: h starts at u (|value| + |4 - value|), u = 2^-53, which the
-    count cannot resolve (value +- h rounds by u |value|, 2 - x/2 by
+    """(line, h) per spectrum line, ascending in value, h the half-width at
+    which N(value - h) counts the multiplicities before it and N(value + h)
+    adds its own: h starts at u (|value| + |4 - value|), u = 2^-53, which
+    the count cannot resolve (value +- h rounds by u |value|, 2 - x/2 by
     u |4 - x| in x), and doubles while below the gap to the neighbouring
-    values, else sys.float_info.max.  Last comes 0.0 if the multiplicities
-    add up to all (3^(level+1) - 3)/2 eigenvalues, else sys.float_info.max.
-    A generator: each width is made when the line after it is read, and no
-    line is held past it."""
+    values, else sys.float_info.max.  Last comes (None, 0.0) if the
+    multiplicities add up to all (3^(level+1) - 3)/2 eigenvalues, else
+    (None, sys.float_info.max).  A generator: each pair is made when the
+    line after it is read, and no line is held past it."""
     lines, below, lo = iter(lines), 0, -math.inf
     line = next(lines, None)
     while line is not None:
@@ -62,9 +63,9 @@ def bracket_half_widths(level: int, lines):
         while h < gap and (dirichlet_count(lam - h, level),
                            dirichlet_count(lam + h, level)) != expected:
             h *= 2.0
-        yield h if h < gap else sys.float_info.max
+        yield line, h if h < gap else sys.float_info.max
         below, lo, line = below + line.multiplicity, lam, after
-    yield 0.0 if below == (3 ** (level + 1) - 3) // 2 else sys.float_info.max
+    yield None, 0.0 if below == (3 ** (level + 1) - 3) // 2 else sys.float_info.max
 
 
 def direct_tangent_limit(u, w, m: int):

@@ -52,8 +52,6 @@ def m0_matrix(sequence: EigenvalueSequence, k: int) -> tuple:
     gives the identity."""
     if k < sequence.m0:
         raise DomainError(f"cut level {k} below the sequence start {sequence.m0}")
-    if sequence.lambda_m0 == 0.0:
-        return IDENTITY
     lam_k = sequence.value(k)
     if abs(lam_k) < sys.float_info.min:
         return IDENTITY

@@ -17,6 +17,8 @@ from sglap import cli, decimation, mesh
 from sglap.address import (
     DEFAULT_CORNERS,
     EventuallyConstantWord,
+    check_letter,
+    check_word,
     format_address,
     vertex_cells,
     vertex_index,
@@ -333,6 +335,28 @@ def test_words_take_ascii_digits_only(text):
         EventuallyConstantWord.parse(f"{text}:1")
     with pytest.raises(DomainError):
         EventuallyConstantWord.parse(f"1:{text[-1]}")
+
+
+def test_letters_are_integers_or_digit_strings():
+    assert check_word("012") == check_word(("0", 1, np.int64(2))) == (0, 1, 2)
+    assert check_letter("2") == check_letter(np.int8(2)) == 2
+    assert type(check_letter(np.int64(1))) is int
+
+
+@pytest.mark.parametrize("fn, args", [
+    (check_word, ((0.9, 1.5),)),
+    (check_word, ((0, 1.0),)),
+    (check_word, (("1", "x"),)),
+    (check_letter, (2.7,)),
+    (check_letter, (np.float64(1.0),)),
+    (check_letter, (None,)),
+    (vertex_index, ((0.5,), 1.9, 2)),
+    (EventuallyConstantWord, ((0,), 1.5)),
+])
+def test_a_letter_that_is_no_integer_is_refused_not_truncated(fn, args):
+    # int() truncates 0.9, 1.5, 2.7 and 1.9 to letters 0, 1, 2 and 1
+    with pytest.raises(DomainError, match="integer or an ASCII digit string"):
+        fn(*args)
 
 
 def test_malformed_inputs():

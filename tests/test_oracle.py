@@ -97,17 +97,25 @@ def test_inertia_count_between_neighbouring_lines_is_the_cumulative_multiplicity
     assert dirichlet_count(8.0, 8) == (3**9 - 3) // 2
 
 
+def _widths(level, lines):
+    """The half-widths of bracket_half_widths(level, lines), after checking
+    that its pairs carry the lines in input order and then None."""
+    pairs = list(bracket_half_widths(level, lines))
+    assert [line for line, _ in pairs] == [*lines, None]
+    return [width for _, width in pairs]
+
+
 def test_bracket_half_widths_fail_lines_out_of_order_or_of_equal_value():
     two, five = enumerate_dirichlet_spectrum(1)
-    assert max(bracket_half_widths(1, [two, five])) < 1e-15
+    assert max(_widths(1, [two, five])) < 1e-15
     huge = sys.float_info.max
-    assert list(bracket_half_widths(1, [five, two])) == [huge, huge, 0.0]
+    assert _widths(1, [five, two]) == [huge, huge, 0.0]
     # the 5-eigenspace as two lines of one value
     halves = [five._replace(multiplicity=1)] * 2
-    assert list(bracket_half_widths(1, [two, *halves]))[1:] == [huge, huge, 0.0]
+    assert _widths(1, [two, *halves])[1:] == [huge, huge, 0.0]
     # the last figure counts the eigenvalues above the last line
-    assert list(bracket_half_widths(1, [two]))[1] == list(bracket_half_widths(1, []))[0] == huge
-    assert list(bracket_half_widths(0, [])) == [0.0]
+    assert _widths(1, [two])[1] == _widths(1, [])[0] == huge
+    assert _widths(0, []) == [0.0]
 
 
 def test_pairing_gap_shape_guard():

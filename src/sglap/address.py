@@ -64,36 +64,12 @@ def format_address(word, letter) -> str:
     return "".join(str(c) for c in word) + ":" + str(letter)
 
 
-class Frozen:
-    """Base of the record classes: plain __slots__ classes, not dataclasses,
-    so that no subcommand imports dataclasses.  The fields are set once, in
-    __slots__ order, by __init__; assigning or deleting one afterwards
-    raises AttributeError, as it does on a frozen dataclass."""
-
-    __slots__ = ()
-
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild the record through __init__
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
-
-
-class EventuallyConstantWord(Frozen):
+class EventuallyConstantWord:
     """Infinite word prefix . tail tail tail ... addressing a single point.
 
     Canonical form strips tail letters off the end of the prefix, so the
     prefix never ends with the tail letter.  Junction points have exactly two
-    such addresses; boundary q_i is (), i.  Words are equal, and hash alike,
-    when their canonical forms are.
+    such addresses; boundary q_i is (), i.
     """
 
     __slots__ = ("prefix", "tail")
@@ -102,18 +78,7 @@ class EventuallyConstantWord(Frozen):
         prefix, tail = check_word(prefix), check_letter(tail)
         while prefix and prefix[-1] == tail:
             prefix = prefix[:-1]
-        super().__init__(prefix, tail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.prefix, self.tail) == (other.prefix, other.tail)
-
-    def __hash__(self) -> int:
-        return hash((self.prefix, self.tail))
-
-    def __repr__(self) -> str:
-        return f"EventuallyConstantWord(prefix={self.prefix!r}, tail={self.tail!r})"
+        self.prefix, self.tail = prefix, tail
 
     @classmethod
     def parse(cls, text: str) -> "EventuallyConstantWord":

@@ -35,10 +35,12 @@ def max_level() -> int:
     raw = os.environ.get("SG_MAX_LEVEL")
     if raw is None:
         return DEFAULT_LEVEL_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"SG_MAX_LEVEL must be an integer, got {raw!r}") from exc
+    # an optional "-" and ASCII digits: int() would also take "+", "_",
+    # surrounding whitespace and other scripts' digits
+    digits = raw.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise DomainError(f"SG_MAX_LEVEL must be an integer, got {raw!r}")
+    cap = int(raw)
     if not 0 <= cap < len(_RENORMALIZERS):
         raise DomainError(f"SG_MAX_LEVEL must be in 0..{len(_RENORMALIZERS) - 1}, got {raw!r}")
     return cap
@@ -112,42 +114,35 @@ def _renormalized_limit(t: int, lam: float) -> float:
 class EigenvalueSequence:
     """lambda_{m0}, lambda_{m0+1}, ... determined by the seed and the set of
     levels taking the plus root.  Entries past m0 may not hit {2, 5, 6}.
-    A plain class, not a dataclass, so that `spectrum` need not import
-    dataclasses."""
+    The values are computed once each, in level order, and only as far as
+    they are read.  A plain class, not a dataclass, so that `spectrum` need
+    not import dataclasses."""
 
-    __slots__ = ("m0", "lambda_m0", "plus_indices", "_values", "_limit")
+    __slots__ = ("m0", "lambda_m0", "plus_indices", "_values")
 
     def __init__(self, m0: int, lambda_m0: float, plus_indices=frozenset()):
         if m0 < 0:
             raise DomainError(f"m0 must be nonnegative, got {m0}")
-        # built in ascending order, so that equal sets print alike
-        self.m0, self.plus_indices = m0, frozenset(sorted(int(j) for j in plus_indices))
+        self.m0, self.plus_indices = m0, frozenset(int(j) for j in plus_indices)
         if any(j <= m0 for j in self.plus_indices):
             raise DomainError("plus branches start at level m0 + 1")
         self.lambda_m0 = float(lambda_m0)
-        self._values, self._limit = {m0: self.lambda_m0}, None
+        # lambda_{m0 + i} at index i
+        self._values = [self.lambda_m0]
 
     def value(self, j: int) -> float:
         if j < self.m0:
             raise DomainError(f"sequence starts at level {self.m0}, got {j}")
         vals = self._values
-        if j not in vals:
-            # each level only looks at the one above, so start from the
-            # deepest known level above j
-            base = max(k for k in vals if k < j)
-            lam = vals[base]
-            for t in range(base + 1, j + 1):
-                lam = _root(lam, t in self.plus_indices, t)
-            vals[j] = lam
-        return vals[j]
+        for t in range(self.m0 + len(vals), j + 1):
+            vals.append(_root(vals[-1], t in self.plus_indices, t))
+        return vals[j - self.m0]
 
     def limit(self) -> float:
         """Renormalized eigenvalue (3/2) lim 5^j lambda_j, taken from the last
         plus level on."""
-        if self._limit is None:
-            start = max(self.plus_indices, default=self.m0)
-            self._limit = _renormalized_limit(start, self.value(start))
-        return self._limit
+        start = max(self.plus_indices, default=self.m0)
+        return _renormalized_limit(start, self.value(start))
 
 
 def sequence_from_limit(lam) -> EigenvalueSequence:

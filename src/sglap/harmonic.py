@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .address import Frozen, check_letter, check_word, vertex_cells, vertex_index
+from .address import check_letter, check_word, vertex_cells, vertex_index
 from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_multiplicity,
                          vertex_count)
 from .errors import DomainError
@@ -80,7 +80,7 @@ def eigen_matrices(lam: float) -> tuple:
     return tuple([conjugate(a0, i) for i in range(3)])
 
 
-class SpectralEigenfunction(Frozen):
+class SpectralEigenfunction:
     """Seed values on V_{m0} together with the sequence that refines them.
 
     The seed is a {vertex: value} map over V_{m0} (a vertex it does not
@@ -95,7 +95,7 @@ class SpectralEigenfunction(Frozen):
         seed = {int(v): float(x) for v, x in seed_values.items()}
         if not all(0 <= v < vertex_count(sequence.m0) for v in seed):
             raise DomainError(f"seed names a vertex outside V_{sequence.m0}")
-        super().__init__(sequence, seed)
+        self.sequence, self.seed_values = sequence, seed
 
     @property
     def m0(self) -> int:

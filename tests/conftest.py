@@ -10,7 +10,7 @@ and Phi in exact rationals, the psi_m approximant and 50-digit Psi and
 Upsilon, the spectrum as it was walked and sorted before
 its families' members were placed by rank, the dense Dirichlet oracle
 that `spectrum --verify` ran before it counted eigenvalues by inertia,
-and the oracles' spectrum pairing and unit-interval model."""
+and the oracles' spectrum pairing, unit-interval model and its sine fit."""
 import cmath
 import functools
 import itertools
@@ -630,3 +630,22 @@ def interval_tangent(lam: float, x0: float, f0: float, f1: float) -> np.ndarray:
     left = (f0 * (a + b) + f1 * (s0 - x0 * r * c0)) / s
     right = (f0 * (a - (1.0 - x0) * r * atil) + f1 * (s0 + (1.0 - x0) * r * c0)) / s
     return np.array([left.real, right.real])
+
+
+def sine_fit_tangent(lam, x0, f0, f1):
+    """Fit A sin(r x) + B cos(r x) through the endpoint data and return its
+    first-order Taylor line at x0, evaluated at 0 and 1."""
+    if lam == 0.0:
+        return np.array([f0, f1])
+    r = cmath.sqrt(lam)
+    b = complex(f0)
+    a = (f1 - f0 * cmath.cos(r)) / cmath.sin(r)
+
+    def u(x):
+        return a * cmath.sin(r * x) + b * cmath.cos(r * x)
+
+    def du(x):
+        return r * (a * cmath.cos(r * x) - b * cmath.sin(r * x))
+
+    line = lambda x: u(x0) + du(x0) * (x - x0)
+    return np.array([line(0.0).real, line(1.0).real])

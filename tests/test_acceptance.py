@@ -5,7 +5,6 @@ single pass/fail line per criterion; every test additionally records an
 `ACCEPTANCE NN PASS|FAIL ...` line with the measured figure and its
 tolerance, printed as a report block at the end of the run (see conftest).
 """
-import cmath
 import subprocess
 import sys
 import time
@@ -16,7 +15,8 @@ import numpy as np
 
 from conftest import (acceptance_log, dense_dirichlet_spectrum, eigen_matrix, extend_harmonic,
                       harmonic_matrix, harmonic_normal_derivative, interval_tangent,
-                      normal_derivative_limit, sorted_pairing_gap, value_at, values_on_level)
+                      normal_derivative_limit, sine_fit_tangent, sorted_pairing_gap, value_at,
+                      values_on_level)
 
 from sglap.address import EventuallyConstantWord
 from sglap.decimation import (EigenvalueSequence, enumerate_dirichlet_spectrum,
@@ -276,28 +276,12 @@ def test_criterion_09_harmonic_degeneration():
     )
 
 
-def _sine_fit_tangent(lam, x0, f0, f1):
-    if lam == 0.0:
-        return np.array([f0, f1])
-    r = cmath.sqrt(lam)
-    bcoef = complex(f0)
-    acoef = (f1 - f0 * cmath.cos(r)) / cmath.sin(r)
-
-    def du(x):
-        return r * (acoef * cmath.cos(r * x) - bcoef * cmath.sin(r * x))
-
-    def uval(x):
-        return acoef * cmath.sin(r * x) + bcoef * cmath.cos(r * x)
-
-    return np.array([(uval(x0) + du(x0) * (0.0 - x0)).real, (uval(x0) + du(x0) * (1.0 - x0)).real])
-
-
 def test_criterion_10_interval_oracle():
     worst = 0.0
     for lam in (-25.0, -9.0, -2.0, -0.5, 0.0, 0.3, 1.7, 4.0, 8.0, 30.0, 60.0):
         for x0 in (0.0, 0.125, 1.0 / 3.0, 0.5, 0.77, 1.0):
             for f0, f1 in ((1.3, -0.7), (0.4, 2.2)):
-                gap = np.abs(interval_tangent(lam, x0, f0, f1) - _sine_fit_tangent(lam, x0, f0, f1))
+                gap = np.abs(interval_tangent(lam, x0, f0, f1) - sine_fit_tangent(lam, x0, f0, f1))
                 worst = max(worst, float(gap.max()))
     _report(
         10,

@@ -303,9 +303,12 @@ def test_domain_errors_exit_three(monkeypatch, capsys):
         "error: level 99 exceeds cap 12 (override with SG_MAX_LEVEL)\n")
     assert _assert_exit(3, ["eval", "--seed", "six:2:1", "--level", "1"], capsys) == (
         "error: level 1 below seed level 2\n")
-    monkeypatch.setenv("SG_MAX_LEVEL", "abc")
-    assert _assert_exit(3, ["eval", "--seed", "two:1:1", "--level", "2"], capsys) == (
-        "error: SG_MAX_LEVEL must be an integer, got 'abc'\n")
+    # an integer is an optional "-" and ASCII digits; int() reads each of
+    # the others as 10
+    for raw in ["abc", "1_0", " 10", "10 ", "+10", "١٠", "-", "--1"]:
+        monkeypatch.setenv("SG_MAX_LEVEL", raw)
+        assert _assert_exit(3, ["eval", "--seed", "two:1:1", "--level", "2"], capsys) == (
+            f"error: SG_MAX_LEVEL must be an integer, got {raw!r}\n")
 
 
 def test_max_level_outside_its_range_exits_three(monkeypatch, capsys):

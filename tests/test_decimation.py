@@ -1,5 +1,6 @@
 """Spectral decimation: sequences, seed eigenfunctions, spectrum enumeration."""
 import decimal
+import functools
 import hashlib
 import math
 
@@ -542,6 +543,45 @@ def test_eigenvalue_sequence_matches_the_reference_recursion(rows, depth):
         for plus in (set(), {1}):
             assert outcome(EigenvalueSequence(0, seed, plus).value, 1) == outcome(
                 ReferenceSequence(0, seed, plus).value, 1)
+
+
+@st.composite
+def read_orders(draw):
+    """A way to build one sequence, a series with a branch set or a free:
+    limit, and its levels m0..L in a random order, each marked for a limit()
+    read before it."""
+    if draw(st.booleans()):
+        series = draw(st.sampled_from(sorted(SERIES_SEED)))
+        m0 = 1 if series == "two" else draw(st.integers(1 + (series == "six"), 6))
+        plus = draw(st.sets(st.integers(m0 + 1, m0 + 12), max_size=4))
+        plus |= {m0 + 1} if series == "six" else set()
+        make = functools.partial(EigenvalueSequence, m0, SERIES_SEED[series], plus)
+    else:
+        lam = draw(st.floats(-100.0, 1e6))
+        try:
+            m0 = sequence_from_limit(lam).m0
+        except SglapError:
+            assume(False)
+        make = functools.partial(sequence_from_limit, lam)
+    levels = draw(st.permutations(range(m0, m0 + draw(st.integers(0, 12)) + 1)))
+    return make, [(j, draw(st.booleans())) for j in levels]
+
+
+@settings(max_examples=80, deadline=None)
+@given(read_orders())
+def test_levels_read_in_any_order_keep_the_ascending_bits(case):
+    # mesh.walk reads from the finest level down, cell_triple from the
+    # coarsest up, special.tau from k + 1 on, and limit() from the last plus
+    make, reads = case
+    fresh = make()
+    expected = {j: outcome(fresh.value, j) for j in sorted(j for j, _ in reads)}
+    expected_limit = outcome(fresh.limit)
+    seq = make()
+    for j, limit_first in reads:
+        if limit_first:
+            assert outcome(seq.limit) == expected_limit
+        assert outcome(seq.value, j) == expected[j], j
+    assert outcome(seq.limit) == expected_limit
 
 
 def test_eigenvalue_sequence_reports_each_failure_kind():

@@ -1,6 +1,5 @@
 """Independent verification routes: inertia counts against dense spectra, brute tangent
 limits, 1-D calculus."""
-import cmath
 import decimal
 import hashlib
 import math
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (ConvergenceError, build_level_graph, cached_dense_spectrum, dense_count,
                       dense_dirichlet_spectrum, dense_interior_matrix, graph_laplacian,
-                      interval_tangent, sorted_pairing_gap, values_on_level)
+                      interval_tangent, sine_fit_tangent, sorted_pairing_gap, values_on_level)
 
 from sglap.address import EventuallyConstantWord
 from sglap.decimation import enumerate_dirichlet_spectrum, sequence_from_limit
@@ -430,30 +429,11 @@ def test_closed_form_tangent_after_a_long_minus_run(series, minus):
     assert gap <= 1e-12 * np.abs(np.array(ref)).max()
 
 
-def _sine_fit_tangent(lam, x0, f0, f1):
-    """Fit A sin(r x) + B cos(r x) through the endpoint data and return its
-    first-order Taylor line at x0, evaluated at 0 and 1."""
-    if lam == 0.0:
-        return np.array([f0, f1])
-    r = cmath.sqrt(lam)
-    b = complex(f0)
-    a = (f1 - f0 * cmath.cos(r)) / cmath.sin(r)
-
-    def u(x):
-        return a * cmath.sin(r * x) + b * cmath.cos(r * x)
-
-    def du(x):
-        return r * (a * cmath.cos(r * x) - b * cmath.sin(r * x))
-
-    line = lambda x: u(x0) + du(x0) * (x - x0)
-    return np.array([line(0.0).real, line(1.0).real])
-
-
 def test_interval_tangent_matches_the_sine_fit():
     for lam in (-9.0, -1.0, 0.0, 0.5, 2.0, 7.3, 30.0):
         for x0 in (0.0, 0.25, 0.5, 0.8, 1.0):
             got = interval_tangent(lam, x0, 1.3, -0.7)
-            assert np.allclose(got, _sine_fit_tangent(lam, x0, 1.3, -0.7), atol=1e-10)
+            assert np.allclose(got, sine_fit_tangent(lam, x0, 1.3, -0.7), atol=1e-10)
 
 
 def test_interval_tangent_line_through_the_data():

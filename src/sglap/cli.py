@@ -57,49 +57,33 @@ def _table_blocks(fmt: str, columns, rows):
     taken from `rows` one block at a time and held no longer than their
     text, then the footer.  The bytes equal what csv.writer(lineterminator=
     "\n") and json.dumps(records, indent=2) give for these rows; a JSON
-    block after the first starts with ",\n".  A cell is a str, int, float,
-    bool or None; anything else raises TypeError."""
+    block after the first starts with ",\n".  json's own encoder spells
+    each JSON cell, one call per block.  A cell is a str, int, float, bool
+    or None, or a subclass of one; anything else raises TypeError."""
     rows = iter(rows)
     blocks = iter(lambda: list(itertools.islice(rows, BLOCK_ROWS)), [])
     if fmt == "csv":
         yield _csv_text([columns])
         yield from map(_csv_text, blocks)
         return
-    from json.encoder import encode_basestring_ascii as encode
+    from json.encoder import JSONEncoder, encode_basestring_ascii
 
-    def cell(value) -> str:
-        # the cases and order of json's encoder
-        if isinstance(value, str):
-            return encode(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            if value != value:
-                return "NaN"
-            if value == math.inf:
-                return "Infinity"
-            if value == -math.inf:
-                return "-Infinity"
-            return float.__repr__(value)
-        raise TypeError(f"a table cell must be a str, int, float, bool or None, "
-                        f"got {type(value).__name__}")
-
+    # the encoder writes a control character inside a string as \u00XX, so
+    # in its text "\x1f" only ends a cell and "]\x1f[" only ends a row
+    encode = JSONEncoder(separators=("\x1f", ":")).encode
     record = "  {\n" + ",\n".join(
-        [f"    {encode(c).replace('%', '%%')}: %s" for c in columns]) + "\n  }"
+        [f"    {encode_basestring_ascii(c).replace('%', '%%')}: %s" for c in columns]) + "\n  }"
     seam = "[\n"
-
-    def json_block(block) -> str:
-        nonlocal seam
-        out, seam = seam + ",\n".join([record % tuple(map(cell, row)) for row in block]), ",\n"
-        return out
-
-    yield from map(json_block, blocks)
+    for block in blocks:
+        # the block's distinct types in the order they first appear, so that
+        # a refusal names the first cell of another type
+        for kind in dict.fromkeys(map(type, itertools.chain.from_iterable(block))):
+            if not issubclass(kind, (str, int, float, type(None))):
+                raise TypeError(f"a table cell must be a str, int, float, bool or None, "
+                                f"got {kind.__name__}")
+        yield seam + ",\n".join([record % tuple(row.split("\x1f"))
+                                 for row in encode(block)[2:-2].split("]\x1f[")])
+        seam = ",\n"
     yield "[]\n" if seam == "[\n" else "\n]\n"
 
 
@@ -138,9 +122,12 @@ def _emit(args, blocks):
 
 def _plain(kind, text: str):
     """int or float of text, refusing what both read besides ASCII numbers:
-    "1_0" as 10, digits of any script and whitespace around the number."""
+    "1_0" as 10, "+10" as 10, digits of any script and whitespace around the
+    number.  An exponent keeps its sign: repr writes 1e16 as "1e+16"."""
     if "_" in text:
         raise ValueError(f"invalid digit grouping in {text!r}")
+    if text.startswith("+"):
+        raise ValueError(f"a number must not start with '+', got {text!r}")
     if not (text.isascii() and text.isprintable()) or " " in text:
         raise ValueError(f"a number must be printable ASCII without whitespace, got {text!r}")
     return kind(text)
@@ -397,7 +384,7 @@ def cmd_tangent(args) -> int:
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     triple = tangent.tangent_at(u, word)
-    grad = triple.gradient()
+    grad = tangent.gradient(triple)
     if not all(map(math.isfinite, [*triple, *grad])):
         raise SglapError(f"seed {args.seed!r} gives a non-finite tangent at {word}")
     columns = ["word", "k", "t0", "t1", "t2", "g0", "g1", "g2"]

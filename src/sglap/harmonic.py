@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .address import check_letter, check_word, vertex_cells, vertex_index
+from .address import check_word, vertex_cells, vertex_index
 from .decimation import (SERIES_SEED, EigenvalueSequence, check_level, series_multiplicity,
                          vertex_count)
 from .errors import DomainError
@@ -119,18 +119,6 @@ class SpectralEigenfunction:
         return out
 
 
-def rotate_six(corner: int) -> tuple:
-    """Level-1 values of the basic 6-series element with its 2 at the given
-    corner, in the order q0, q1, q2, (0):1, (0):2, (1):2: adjacent midpoints
-    get -1, the opposite one +1, other corners 0."""
-    c = check_letter(corner)
-    return (*(2.0 if i == c else 0.0 for i in range(3)),
-            *(-1.0 if c in pair else 1.0 for pair in ((0, 1), (0, 2), (1, 2))))
-
-
-# the level-1 vertices of rotate_six's order as (child cell letter, corner)
-_LEVEL1_VERTICES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
 # the 2- and 5-series seeds with closed forms, one {(word, corner): value}
 # chain per index; every vertex a chain does not name is 0.  The 5-series
 # past m0 = 2 would need the cycles around every hole of V_{m0-1}.
@@ -145,19 +133,29 @@ _SEED_CHAINS = {
     ),
 }
 
+# the basic 6-series element around corner i, a chain of the same form: 2 at
+# q_i, -1 at the two midpoints next to it, 1 at the opposite one
+_SIX_CHAINS = (
+    {((0,), 0): 2.0, ((0,), 1): -1.0, ((0,), 2): -1.0, ((1,), 2): 1.0},
+    {((1,), 1): 2.0, ((0,), 1): -1.0, ((1,), 2): -1.0, ((0,), 2): 1.0},
+    {((2,), 2): 2.0, ((0,), 2): -1.0, ((1,), 2): -1.0, ((0,), 1): 1.0},
+)
+
 
 def dirichlet_seed_values(series: str, m0: int, index: int = 1) -> dict:
     """The {vertex: value} map on V_{m0} of seed `index` of the series born
     at level m0.
 
-    A 2- or 5-series seed is a row of _SEED_CHAINS.  A 6-series seed sits
-    at a junction of V_{m0-1}, and each (m0-1)-cell meeting there gets
-    rotate_six with its 2 at the junction on its three child cells.  The
-    junctions are the last `count` vertices of V_{m0-1}: its interior ones,
-    or at m0 = 1 the corner q2, which gives the basic element (not
-    Dirichlet).  Vertices are looked up one at a time, so no level graph is
-    built.  The level cap is checked before 3^m0 is formed; a low m0 is
-    reported by series_multiplicity."""
+    Each seed is one comprehension over (word prefix, chain) pairs: a 2- or
+    5-series seed is a row of _SEED_CHAINS under the empty prefix; a
+    6-series seed sits at a junction of V_{m0-1}, and each (m0-1)-cell
+    meeting there puts the _SIX_CHAINS chain around its corner at the
+    junction under its word (the cells share only the junction, where both
+    put 2).  The junctions are the last `count` vertices of V_{m0-1}: its
+    interior ones, or at m0 = 1 the corner q2, which gives the basic element
+    (not Dirichlet).  Vertices are looked up one at a time, so no level
+    graph is built.  The level cap is checked before 3^m0 is formed; a low
+    m0 is reported by series_multiplicity."""
     check_level(max(m0, 0))
     count = 1 if (series, m0) == ("six", 1) else series_multiplicity(series, m0)
     if series != "six" and (series, m0) not in _SEED_CHAINS:
@@ -166,14 +164,13 @@ def dirichlet_seed_values(series: str, m0: int, index: int = 1) -> dict:
     if not 1 <= index <= count:
         raise DomainError(f"seed index must be in 1..{count} for the {series}-series "
                           f"at m0={m0}, got {index}")
-    if series != "six":
-        return {vertex_index(word, corner, m0): v
-                for (word, corner), v in _SEED_CHAINS[series, m0][index - 1].items()}
-    out = {}
-    for word, corner in vertex_cells(vertex_count(m0 - 1) - count + index - 1, m0 - 1):
-        for (child, child_corner), v in zip(_LEVEL1_VERTICES, rotate_six(corner)):
-            out[vertex_index(word + (child,), child_corner, m0)] = v
-    return out
+    if series == "six":
+        chains = [(word, _SIX_CHAINS[corner]) for word, corner
+                  in vertex_cells(vertex_count(m0 - 1) - count + index - 1, m0 - 1)]
+    else:
+        chains = [((), _SEED_CHAINS[series, m0][index - 1])]
+    return {vertex_index(prefix + word, corner, m0): v
+            for prefix, chain in chains for (word, corner), v in chain.items()}
 
 
 def dirichlet_eigenfunction(series: str, m0: int, index: int = 1,

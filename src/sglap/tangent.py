@@ -17,7 +17,6 @@ gradient, d_n u(q_i) = 2 t_i - t_{i+1} - t_{i+2} = 3 g_i.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple
 
 from . import special
 from .address import EventuallyConstantWord
@@ -27,21 +26,12 @@ from .harmonic import (IDENTITY, SpectralEigenfunction, conjugate, harmonic_pull
                        matvec)
 
 
-class TangentTriple(NamedTuple):
-    """Boundary values of the tangent harmonic function."""
-
-    t0: float
-    t1: float
-    t2: float
-
-    def gradient(self) -> tuple:
-        """Mean-subtracted triple.
-
-        The average-zero projection is taken coordinatewise (plain mean
-        subtraction); tangent-level identities do not depend on this choice.
-        """
-        mean = (self.t0 + self.t1 + self.t2) / 3.0
-        return (self.t0 - mean, self.t1 - mean, self.t2 - mean)
+def gradient(t) -> tuple:
+    """The tangent triple t less its mean, coordinatewise: the gradient
+    column of `tangent`.  Tangent-level identities do not depend on this
+    choice of average-zero projection."""
+    mean = (t[0] + t[1] + t[2]) / 3.0
+    return (t[0] - mean, t[1] - mean, t[2] - mean)
 
 
 def m0_matrix(sequence: EigenvalueSequence, k: int) -> tuple:
@@ -76,13 +66,14 @@ def cut_level(w: EventuallyConstantWord, m0: int) -> int:
     return max(len(w.prefix), m0)
 
 
-def tangent_at(u: SpectralEigenfunction, w: EventuallyConstantWord) -> TangentTriple:
+def tangent_at(u: SpectralEigenfunction, w: EventuallyConstantWord) -> tuple:
     """Harmonic tangent of u at the point addressed by the eventually
-    constant word w (EventuallyConstantWord.parse reads one from text),
-    factored at cut_level(w, u.m0); any cut past it gives the same triple up
-    to roundoff."""
+    constant word w (EventuallyConstantWord.parse reads one from text): the
+    boundary triple (t0, t1, t2) of the tangent harmonic function, factored
+    at cut_level(w, u.m0); any cut past it gives the same triple up to
+    roundoff."""
     k = cut_level(w, u.m0)
     word = w.truncation(k)
     tail_matrix = conjugate(m0_matrix(u.sequence, k), w.tail)
     to_tangent = matmul(harmonic_pullback(word), tail_matrix)
-    return TangentTriple(*matvec(to_tangent, u.cell_triple(word)))
+    return matvec(to_tangent, u.cell_triple(word))

@@ -95,3 +95,26 @@ def test_stdout_identical_counts_the_pairs_whose_every_invocation_matches():
                                                       record("a")]]
     assert bench_pairs.stdout_identical(parent, change) == "1 of 3 pairs"
     assert bench_pairs.stdout_identical(parent, parent) == "3 of 3 pairs"
+
+
+def test_export_refuses_a_destination_that_is_not_empty(tmp_path):
+    # a file left by an earlier export would stay in the tree and in src_sha256
+    (tmp_path / "stale.py").write_text("")
+    with pytest.raises(SystemExit, match=f"{tmp_path} exists and is not empty"):
+        bench_pairs.export("HEAD", tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["stale.py"]
+
+
+def test_run_once_writes_no_bytecode(tmp_path, monkeypatch):
+    # a .pyc on one side only moves fresh runs, so neither side writes one
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    seen = {}
+
+    def fake_run(argv, cwd, env, **kwargs):
+        seen.update(env)
+        raise RuntimeError("stop before perfbench runs")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(RuntimeError, match="stop before"):
+        bench_pairs.run_once(tmp_path, "mesh", 1)
+    assert seen["PYTHONDONTWRITEBYTECODE"] == "1" and seen["OPENBLAS_NUM_THREADS"] == "1"

@@ -258,6 +258,38 @@ def test_underscore_digit_grouping_exits_two(argv, line, capsys):
     assert _assert_exit(2, argv, capsys) == f"usage error: {line}\n"
 
 
+# int and float read "+2" as 2; every number on the command line is refused
+# with a leading "+", where each of these ran (exit 0)
+@pytest.mark.parametrize("argv, line", [
+    (["spectrum", "--level", "+2"], "argument --level: invalid int value: '+2'"),
+    (["eval", "--seed", "six:+2:1", "--level", "2"],
+     "malformed seed 'six:+2:1': a number must not start with '+', got '+2'"),
+    (["eval", "--seed", "six:2:+1", "--level", "2"],
+     "malformed seed 'six:2:+1': a number must not start with '+', got '+1'"),
+    (["eval", "--seed", "free:+1:1,1,1", "--level", "1"],
+     "malformed free seed 'free:+1:1,1,1': a number must not start with '+', got '+1'"),
+    (["tangent", "--seed", "free:1:1,+1,1", "--word", ":0"],
+     "malformed free seed 'free:1:1,+1,1': a number must not start with '+', got '+1'"),
+    (["special", "--fn", "psi", "--range=+0:1:3"],
+     "malformed range '+0:1:3': a number must not start with '+', got '+0'"),
+    (["special", "--fn", "psi", "--range=0:+1:3"],
+     "malformed range '0:+1:3': a number must not start with '+', got '+1'"),
+    (["special", "--fn", "psi", "--range=0:1:+2"],
+     "malformed range '0:1:+2': a number must not start with '+', got '+2'"),
+    (["tangent", "--seed", "two:1:1", "--word", "01:2", "--verify", "--verify-tol", "+1e-8"],
+     "verify tolerance must be a number, got '+1e-8'"),
+], ids=["level", "m0", "index", "free-lambda", "boundary-value", "range-start", "range-end",
+        "range-count", "verify-tol"])
+def test_leading_plus_exits_two(argv, line, capsys):
+    assert _assert_exit(2, argv, capsys) == f"usage error: {line}\n"
+
+
+def test_an_exponent_keeps_its_sign(capsys):
+    # repr writes 1e16 as "1e+16", and a seed copied from the output reads back
+    assert run(["tangent", "--seed", "free:1e+0:1,2e+0,3", "--word", ":0"], capsys) == \
+        run(["tangent", "--seed", "free:1:1,2,3", "--word", ":0"], capsys)
+
+
 # int and float skip whitespace around a number and read digits of any
 # script; each of these ran (exit 0), where seeds were already refused
 @pytest.mark.parametrize("argv, line", [
@@ -2071,8 +2103,30 @@ def _tables(draw):
     return columns, draw(st.lists(st.lists(_cells, min_size=width, max_size=width), max_size=9))
 
 
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_SPECTRUM_COLUMNS = ["series", "m0", "branches", "lambda_m", "lambda", "multiplicity"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tables(), st.one_of(st.integers(1, 4), st.just(256)), st.sampled_from(["csv", "json"]))
+# the json branch cuts the encoder's text at "]\x1f[" and "\x1f", which a
+# string cell or a column name spells as escapes
+@example((["a", "b"], [["]\x1f[", "\x1f"], ["\x1f", "]\x1f["]]), 256, "json")
+@example((["%s\x1f"], [["x"], [None]]), 1, "json")
+@example((_SPECTRUM_COLUMNS, [*enumerate_dirichlet_spectrum(2)]), 2, "json")
+@example((["f", "i", "s"], [[_Float(0.1), _Int(3), _Str("x")]]), 256, "json")
+@example((["f", "i", "s"], [[_Float(0.1), _Int(3), _Str("x")]]), 256, "csv")
 def test_table_blocks_equal_the_reference_writers(table, block_rows, fmt):
     columns, rows = table
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
@@ -2082,11 +2136,12 @@ def test_table_blocks_equal_the_reference_writers(table, block_rows, fmt):
     assert len(blocks) == -(-len(rows) // block_rows) + 1
 
 
-@pytest.mark.parametrize("cell", [np.int64(3), b"bytes", [1.0]],
-                         ids=["int64", "bytes", "list"])
+@pytest.mark.parametrize("cell", [np.int64(3), b"bytes", [1.0], (1.0,), {"a": 1.0}],
+                         ids=["int64", "bytes", "list", "tuple", "dict"])
 def test_table_blocks_reject_other_cell_types(cell):
     # no numpy value reaches a table: a json cell that is not a str, int,
     # float, bool or None is a bug, and raises instead of being converted
+    # (json's encoder would nest a list, tuple or dict)
     with pytest.raises(TypeError, match="a table cell must be"):
         list(cli._table_blocks("json", ["c"], [[cell]]))
 

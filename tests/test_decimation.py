@@ -14,6 +14,7 @@ from conftest import (build_level_graph, eigen_matrix, graph_laplacian, harmonic
                       value_at, values_on_level, vertex_key, word_index)
 
 from sglap import decimation
+from sglap.address import vertex_cells, vertex_index
 from sglap.decimation import (
     SERIES_SEED,
     SINGULAR_VALUES,
@@ -21,6 +22,7 @@ from sglap.decimation import (
     enumerate_dirichlet_spectrum,
     sequence_from_limit,
     series_multiplicity,
+    vertex_count,
 )
 from sglap.errors import DomainError, InvariantError, SglapError, SingularLevelError
 from sglap.harmonic import (
@@ -28,7 +30,6 @@ from sglap.harmonic import (
     dirichlet_eigenfunction,
     dirichlet_seed_values,
     eigen_matrices,
-    rotate_six,
 )
 from sglap.mesh import cells, eigen_residual
 
@@ -359,13 +360,22 @@ def test_six_element_is_interior_eigen_but_not_dirichlet():
                           u.sequence.value(5)) < 1e-12
 
 
-def test_rotate_six_permutes_the_seed():
-    for corner in range(3):
-        v = rotate_six(corner)
-        assert sorted(v) == [-1, -1, 0, 0, 1, 2]
-        assert v[corner] == 2.0
-    with pytest.raises(DomainError):
-        rotate_six(4)
+@pytest.mark.parametrize("m0", [1, 2, 3, 4])
+def test_six_seeds_are_chains_around_their_junction(m0):
+    # the seeds sit at the last `count` vertices of V_{m0-1}, in index order;
+    # each (m0-1)-cell there holds 2 at the junction, -1 at its two midpoints
+    # next to it and +1 at the opposite one, and no other vertex is named
+    count = 1 if m0 == 1 else series_multiplicity("six", m0)
+    for index in range(1, count + 1):
+        seed = dirichlet_seed_values("six", m0, index)
+        sides = vertex_cells(vertex_count(m0 - 1) - count + index - 1, m0 - 1)
+        junction = {vertex_index(word, corner, m0) for word, corner in sides}
+        assert [v for v, x in seed.items() if x == 2.0] == [*junction]
+        for word, corner in sides:
+            a, b = (c for c in range(3) if c != corner)
+            assert [seed[vertex_index(word + (corner,), c, m0)] for c in (a, b)] == [-1.0, -1.0]
+            assert seed[vertex_index(word + (a,), b, m0)] == 1.0
+        assert sorted(seed.values()) == ([-1, -1, 1, 2] if m0 == 1 else [-1] * 4 + [1, 1, 2])
 
 
 def test_closed_form_support_flags():

@@ -22,7 +22,7 @@ from sglap.errors import DomainError, SingularLevelError
 from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, eigen_matrices,
                             harmonic_inverses, matmul)
 from sglap.oracle import ORACLE_DPS, bracket_half_widths, dirichlet_count, direct_tangent_limit
-from sglap.tangent import TangentTriple, tangent_at
+from sglap.tangent import tangent_at
 
 
 def test_level1_dense_spectrum():
@@ -306,7 +306,7 @@ def _mpmath_tangent_limit(u, w, m):
             pull = _mp_matmul(pull, _mp_harmonic_inverse(letter, third))
             prev = cur
             cur = _mp_matvec(pull, triple)
-        out = TangentTriple(*(float(x) for x in cur))
+        out = tuple(float(x) for x in cur)
         err = math.inf if prev is None else float(max(abs(a - b) for a, b in zip(cur, prev)))
     return out, err
 

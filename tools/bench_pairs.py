@@ -9,9 +9,10 @@ BENCHMARK.json whose gain the change claims; the metric defaults to wall_s.
 Without --claim the record's claim is null: the pairs are recorded and no
 metric is claimed.
 
-Each commit is exported with `git archive` into its own directory under
-DIR, and `perfbench/run.py --workload W --seed S --seconds 24 --trace 0`
-runs from the root of each export.  A workload given as NAME:FIRST:COUNT
+Each commit is exported with `git archive` into its own new or empty
+directory under DIR, and `perfbench/run.py --workload W --seed S --seconds
+24 --trace 0` runs from the root of each export with
+PYTHONDONTWRITEBYTECODE=1.  A workload given as NAME:FIRST:COUNT
 runs seeds FIRST..FIRST+COUNT-1; one pair is one run of each commit with
 the same seed, back to back, the parent first for even seeds and the change
 first for odd ones.  The end-to-end metrics of BENCHMARK.json are recorded
@@ -53,6 +54,10 @@ KIND_FIELDS = {"median_s": ("_s", "s"), "peak_rss_mb": ("_peak_rss_mb", "MB")}
 
 
 def export(rev: str, dest: Path) -> Path:
+    """Untar `git archive rev` into dest, which must be new or empty, so
+    that no file of an earlier export stays in the tree."""
+    if dest.exists() and any(dest.iterdir()):
+        raise SystemExit(f"export destination {dest} exists and is not empty")
     dest.mkdir(parents=True, exist_ok=True)
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
                              check=True, capture_output=True).stdout
@@ -71,7 +76,8 @@ def src_sha256(tree: Path) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    # no .pyc written on one side only, which moves fresh runs more than a change does
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=tree, env=env, capture_output=True, text=True)
@@ -188,10 +194,11 @@ def main() -> int:
                                          args.parent], check=True, capture_output=True,
                                         text=True).stdout.strip(),
         "src_sha256": {side: src_sha256(tree) for side, tree in trees.items()},
-        "how": f"OPENBLAS_NUM_THREADS=1 python3 perfbench/run.py --workload W --seed S "
-               f"--seconds {SECONDS} --trace 0, from the root of a clean checkout of each "
-               "commit; one pair is one run of each commit with the same seed, the two run "
-               "back to back; src_sha256 hashes the path and bytes of every file under src/",
+        "how": f"OPENBLAS_NUM_THREADS=1 PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
+               f"--workload W --seed S --seconds {SECONDS} --trace 0, from the root of a clean "
+               "checkout of each commit in a new or empty directory; one pair is one run of "
+               "each commit with the same seed, the two run back to back; src_sha256 hashes "
+               "the path and bytes of every file under src/",
         "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",
         "machine": {"nproc": os.cpu_count(), "cpu_model": platform.processor() or
                     platform.machine(), "python": platform.python_version(),

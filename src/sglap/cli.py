@@ -383,8 +383,7 @@ def cmd_tangent(args) -> int:
         word = EventuallyConstantWord.parse(args.word)
     except DomainError as exc:
         raise UsageError(str(exc)) from None
-    triple = tangent.tangent_at(u, word)
-    grad = tangent.gradient(triple)
+    triple, grad = tangent.tangent_at(u, word)
     if not all(map(math.isfinite, [*triple, *grad])):
         raise SglapError(f"seed {args.seed!r} gives a non-finite tangent at {word}")
     columns = ["word", "k", "t0", "t1", "t2", "g0", "g1", "g2"]

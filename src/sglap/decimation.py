@@ -3,10 +3,11 @@
 A Laplacian eigenfunction is generated by a sequence (lambda_m) with
 lambda_{m-1} = lambda_m (5 - lambda_m); going down a level picks one of the
 two quadratic roots ("minus" decaying, "plus" large), and the eigenvalue is
-lambda = (3/2) lim 5^m lambda_m.  The sequences run on Python floats and
-this module imports no numpy, so that `spectrum` starts without it; the
-eigenfunctions they refine are in harmonic.  The level cap and |V_m| are
-here too, since the spectrum is counted against them.
+lambda = (3/2) lim 5^m lambda_m.  The sequences run on Python floats (the
+tangent's on Decimals) and this module imports no numpy, so that `spectrum`
+starts without it; the eigenfunctions they refine are in harmonic.  The
+level cap and |V_m| are here too, since the spectrum is counted against
+them.
 """
 from __future__ import annotations
 
@@ -69,19 +70,26 @@ def _overflow(t: int) -> DomainError:
     return DomainError(f"renormalized eigenvalue overflows at level {t}")
 
 
-def _root(lam: float, plus: bool, t: int) -> float:
-    """lambda_t from lambda_{t-1} = lam, the one step of every sequence.
+def _root(lam, plus: bool, t: int):
+    """lambda_t from lambda_{t-1} = lam, the one step of every sequence, in
+    the type of lam (a float, or a Decimal in the context's precision).
 
     The minus root is evaluated as 2 lam / (5 + sqrt(25 - 4 lam)); the
     textbook (5 - sqrt(...))/2 form cancels catastrophically once lam is
-    small, which it is after a handful of levels."""
-    disc = 25.0 - 4.0 * lam
-    if not math.isfinite(lam):
+    small, which it is after a handful of levels.  A plus root that rounds
+    to 5 from a lam other than 0 is past the arithmetic's resolution (in
+    floats, a lam below about 3.1e-15), not a singular level."""
+    if lam != lam or abs(lam) == math.inf:
         raise DomainError(f"no refinement of the non-finite lambda={lam!r}")
-    if disc < 0.0:
+    disc = 25 - 4 * lam
+    if disc < 0:
         raise DomainError(f"no real refinement of lambda={lam!r} (needs lambda <= 6.25)")
-    root = math.sqrt(disc)
-    lam = (5.0 + root) / 2.0 if plus else 2.0 * lam / (5.0 + root)
+    # a Decimal's own square root, correctly rounded in the context
+    root = disc.sqrt() if hasattr(disc, "sqrt") else math.sqrt(disc)
+    prev, lam = lam, (5 + root) / 2 if plus else 2 * lam / (5 + root)
+    if lam == 5 and prev:
+        raise DomainError(f"the plus root at level {t} of lambda_{t - 1} = {prev!r} rounds to "
+                          f"5, past the resolution of the arithmetic, not a singular level")
     if lam in SINGULAR_VALUES:
         raise SingularLevelError(t, lam)
     return lam
@@ -115,22 +123,23 @@ class EigenvalueSequence:
     """lambda_{m0}, lambda_{m0+1}, ... determined by the seed and the set of
     levels taking the plus root.  Entries past m0 may not hit {2, 5, 6}.
     The values are computed once each, in level order, and only as far as
-    they are read.  A plain class, not a dataclass, so that `spectrum` need
-    not import dataclasses."""
+    they are read, in the type of lambda_m0 (a float, or a Decimal in the
+    context of the reads).  A plain class, not a dataclass, so that
+    `spectrum` need not import dataclasses."""
 
     __slots__ = ("m0", "lambda_m0", "plus_indices", "_values")
 
-    def __init__(self, m0: int, lambda_m0: float, plus_indices=frozenset()):
+    def __init__(self, m0: int, lambda_m0, plus_indices=frozenset()):
         if m0 < 0:
             raise DomainError(f"m0 must be nonnegative, got {m0}")
         self.m0, self.plus_indices = m0, frozenset(int(j) for j in plus_indices)
         if any(j <= m0 for j in self.plus_indices):
             raise DomainError("plus branches start at level m0 + 1")
-        self.lambda_m0 = float(lambda_m0)
+        self.lambda_m0 = lambda_m0
         # lambda_{m0 + i} at index i
-        self._values = [self.lambda_m0]
+        self._values = [lambda_m0]
 
-    def value(self, j: int) -> float:
+    def value(self, j: int):
         if j < self.m0:
             raise DomainError(f"sequence starts at level {self.m0}, got {j}")
         vals = self._values
@@ -138,11 +147,24 @@ class EigenvalueSequence:
             vals.append(_root(vals[-1], t in self.plus_indices, t))
         return vals[j - self.m0]
 
-    def limit(self) -> float:
+    def settled(self, j: int) -> int:
+        """The first level n >= j, and past every plus level, where
+        1 + lambda_n rounds to 1: from there on the minus run's factors
+        1 - lambda/3 and Phi(lambda)/lambda = 1 + lambda/20 + ... do too."""
+        n = max(j, max(self.plus_indices, default=j))
+        while 1 + self.value(n) != 1:
+            n += 1
+        return n
+
+    def limit(self):
         """Renormalized eigenvalue (3/2) lim 5^j lambda_j, taken from the last
-        plus level on."""
+        plus level on: `spectrum`'s _renormalized_limit on floats, and
+        (3/2) 5^n lambda_n at the settled level n on Decimals."""
         start = max(self.plus_indices, default=self.m0)
-        return _renormalized_limit(start, self.value(start))
+        if isinstance(self.lambda_m0, float):
+            return _renormalized_limit(start, self.value(start))
+        n = self.settled(start)
+        return 3 * 5**n * self.value(n) / 2
 
 
 def sequence_from_limit(lam) -> EigenvalueSequence:

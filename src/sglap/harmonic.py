@@ -9,10 +9,11 @@ same way with the extension matrices deformed by lambda_m of its decimation
 sequence; they degenerate to the harmonic 1-5-5 rule at lambda = 0 and blow
 up at lambda in {2, 5}.
 
-The matrices are nested tuples with integer-coefficient formulas, so that the
-Decimal oracle runs them too, and a single cell triple is walked with the
-3x3 products matvec and matmul on Python floats; mesh walks every cell of a
-level.  This module imports no numpy.
+The matrices are nested tuples with integer-coefficient formulas, so that
+Decimals run them too, and a single cell triple is walked with the 3x3
+products matvec and matmul in its sequence's type (the tangent's Decimals,
+else Python floats); mesh walks every cell of a level.  This module imports
+no numpy.
 """
 from __future__ import annotations
 
@@ -54,15 +55,13 @@ def harmonic_inverses(three) -> tuple:
     return tuple([conjugate(a0, i) for i in range(3)])
 
 
-HARMONIC_INVERSES = harmonic_inverses(3.0)
-
-
-def harmonic_pullback(word) -> tuple:
+def harmonic_pullback(word, three) -> tuple:
     """Inverse of A_w, i.e. A_{w_1}^{-1} ... A_{w_m}^{-1}, built from the
-    exact-rational inverses; used to pull cell data back to boundary data."""
-    m = IDENTITY
+    exact-rational inverses harmonic_inverses(three), in the type of three;
+    used to pull cell data back to boundary data."""
+    m, inverses = IDENTITY, harmonic_inverses(three)
     for c in check_word(word):
-        m = matmul(m, HARMONIC_INVERSES[c])
+        m = matmul(m, inverses[c])
     return m
 
 
@@ -83,16 +82,18 @@ def eigen_matrices(lam: float) -> tuple:
 class SpectralEigenfunction:
     """Seed values on V_{m0} together with the sequence that refines them.
 
-    The seed is a {vertex: value} map over V_{m0} (a vertex it does not
-    name is 0), so that looking up one cell of a deep seed costs no more
-    than a shallow one.  Its values on V_m come from mesh.walk one subtree
-    at a time and are never held as one array: eval walks them twice, to
-    check them all before its first byte and to write them."""
+    The seed is a {vertex: value} map over V_{m0} in the type of the
+    sequence's lambda_m0 (a vertex it does not name is 0), so that looking
+    up one cell of a deep seed costs no more than a shallow one.  Its values
+    on V_m come from mesh.walk one subtree at a time and are never held as
+    one array: eval walks them twice, to check them all before its first
+    byte and to write them."""
 
     __slots__ = ("sequence", "seed_values")
 
     def __init__(self, sequence: EigenvalueSequence, seed_values: dict):
-        seed = {int(v): float(x) for v, x in seed_values.items()}
+        number = type(sequence.lambda_m0)
+        seed = {int(v): number(x) for v, x in seed_values.items()}
         if not all(0 <= v < vertex_count(sequence.m0) for v in seed):
             raise DomainError(f"seed names a vertex outside V_{sequence.m0}")
         self.sequence, self.seed_values = sequence, seed
@@ -113,7 +114,8 @@ class SpectralEigenfunction:
         m0 = self.m0
         if len(word) < m0:
             raise DomainError(f"word of length {len(word)} is shorter than seed level {m0}")
-        out = tuple(self.seed_values.get(vertex_index(word[:m0], i, m0), 0.0) for i in range(3))
+        zero = type(self.sequence.lambda_m0)()
+        out = tuple(self.seed_values.get(vertex_index(word[:m0], i, m0), zero) for i in range(3))
         for t in range(m0 + 1, len(word) + 1):
             out = matvec(eigen_matrices(self.sequence.value(t))[word[t - 1]], out)
         return out

@@ -13,13 +13,13 @@ the same forward relation).
 Two more series over g replace every iterated limit.  The tail product
 P(y) = prod_{i>=0} (1 - g(y/5^i)/3) is entire; Upsilon, which scales tangent
 and normal-derivative limits, is P((2/3) lam/25) / (2 - Psi(lam/5)), and tau
-the same product along an explicit sequence.  Phi = g^-1, the Koenigs
-function of the minus root (Milnor 2006, section 8), gives a renormalized
-limit as 1.5 * 5^t * Phi(lambda_t) (decimation).
+the same product along an explicit sequence, in its type.  Phi = g^-1, the
+Koenigs function of the minus root (Milnor 2006, section 8), gives a
+renormalized limit as 1.5 * 5^t * Phi(lambda_t) (decimation).
 
-Every function takes one point on Python floats: a point's value does not
-depend on any other, and a `special` grid is its points one at a time, so
-this module imports no numpy.  Psi and Upsilon each bound their error from
+Every other function takes one point on Python floats: a point's value
+does not depend on any other, and a `special` grid is its points one at a
+time, so this module imports no numpy.  Psi and Upsilon each bound their error from
 the one evaluation that gives their value.
 """
 from __future__ import annotations
@@ -169,21 +169,19 @@ def upsilon_with_error(lam: float) -> tuple:
     return prod, abs(prod) * rel if rel < math.inf else math.inf
 
 
-def tau(k: int, sequence) -> float:
-    """Tail product of an explicit eigenvalue sequence, anchored at level k.
+def tau(k: int, sequence):
+    """Tail product of an explicit eigenvalue sequence, anchored at level k,
+    in the sequence's type.
 
     Equals Upsilon(5^-k lambda) for the sequence's renormalized limit; taking
     the sequence's own entries keeps it exact through its plus branches.
-    Its factors are multiplied down to the first level
-    n >= max(k + 2, last plus level) with |lambda_n| <= PHI_BOUND, and the
-    minus run from n on is P(Phi(lambda_n)).  Needs k >= m0.
+    Its factors 1 - lambda_n/3 are multiplied from n = k + 2 down to the
+    sequence's settled level.  Needs k >= m0.
     """
     lam1 = sequence.value(k + 1)
-    if lam1 == 2.0:
+    if lam1 == 2:
         raise DomainError(f"tail product undefined at k={k}: lambda_{k + 1} = 2")
-    last_plus = max(sequence.plus_indices, default=0)
-    prod, n = 1.0 / (2.0 - lam1), k + 2
-    while n < last_plus or not abs(sequence.value(n)) <= PHI_BOUND:
-        prod *= 1.0 - sequence.value(n) / 3.0
-        n += 1
-    return prod * _horner(_P_COEFFICIENTS, phi(sequence.value(n)))
+    prod = 1 / (2 - lam1)
+    for n in range(k + 2, sequence.settled(k + 2)):
+        prod *= 1 - sequence.value(n) / 3
+    return prod

@@ -10,53 +10,52 @@ cell triples exists in closed form: with the cut k = max(|prefix|, m0),
 where M0 collapses the entire tail of deformed extensions below level k into
 one matrix, and S_t is the corner swap moving the tail letter t to 0.  All
 coefficients reduce to the tail products tau_k, fixed sums, so nothing here
-iterates to convergence.  The 3x3 products run on Python floats.  The normal
-derivative at a corner is the tangent's: with t = T_{:i} u and g its
-gradient, d_n u(q_i) = 2 t_i - t_{i+1} - t_{i+2} = 3 g_i.
+iterates to convergence.  The normal derivative at a corner is the
+tangent's: with t = T_{:i} u and g its gradient,
+d_n u(q_i) = 2 t_i - t_{i+1} - t_{i+2} = 3 g_i.
 """
 from __future__ import annotations
 
-import sys
+import math
+from decimal import Context, Decimal, localcontext
 
 from . import special
 from .address import EventuallyConstantWord
 from .decimation import EigenvalueSequence
-from .errors import DomainError
+from .errors import DomainError, SglapError
 from .harmonic import (IDENTITY, SpectralEigenfunction, conjugate, harmonic_pullback, matmul,
                        matvec)
 
+# digits kept past the 5^k by which the pullback and M0 can amplify
+# roundoff, and the self-check's extra digits
+_MARGIN, _RECHECK = 45, 20
+
 
 def gradient(t) -> tuple:
-    """The tangent triple t less its mean, coordinatewise: the gradient
-    column of `tangent`.  Tangent-level identities do not depend on this
-    choice of average-zero projection."""
-    mean = (t[0] + t[1] + t[2]) / 3.0
+    """The tangent triple t less its mean, coordinatewise, in t's type: the
+    gradient column of `tangent`.  Tangent-level identities do not depend
+    on this choice of average-zero projection."""
+    mean = (t[0] + t[1] + t[2]) / 3
     return (t[0] - mean, t[1] - mean, t[2] - mean)
 
 
 def m0_matrix(sequence: EigenvalueSequence, k: int) -> tuple:
-    """The closed-form tail matrix M0(lambda, k) at cut level k >= m0.
-
-    M0 = I + O(lambda_k), and a lambda_k below the smallest normal float has
-    too few significant bits to divide by (or has underflowed to 0), so it
-    gives the identity."""
+    """The closed-form tail matrix M0(lambda, k) at cut level k >= m0, in
+    the type of the sequence.  M0 = I + O(lambda_k), and at lambda = 0, the
+    harmonic case, it is I: c's 0/0 there has the limit 1/2."""
     if k < sequence.m0:
         raise DomainError(f"cut level {k} below the sequence start {sequence.m0}")
     lam_k = sequence.value(k)
-    if abs(lam_k) < sys.float_info.min:
+    if not lam_k:
         return IDENTITY
-    try:
-        scale = 3.0 * 5.0**k
-    except OverflowError:
-        raise DomainError(f"cut level {k} is past the float range of 5^k") from None
     lam = sequence.limit()
     t = special.tau(k, sequence)
-    c = lam / (scale * lam_k)
-    off = 1.0 - (4.0 - lam_k) * t * c
+    c = lam / (3 * 5**k * lam_k)
+    off = 1 - (4 - lam_k) * t * c
     return (
-        (1.0, 0.0, 0.0),
-        (off, c * (2.0 * t + 1.0), c * (2.0 * t - 1.0)),
-        (off, c * (2.0 * t - 1.0), c * (2.0 * t + 1.0)),
+        (1, 0, 0),
+        (off, c * (2 * t + 1), c * (2 * t - 1)),
+        (off, c * (2 * t - 1), c * (2 * t + 1)),
     )
 
 
@@ -66,14 +65,44 @@ def cut_level(w: EventuallyConstantWord, m0: int) -> int:
     return max(len(w.prefix), m0)
 
 
-def tangent_at(u: SpectralEigenfunction, w: EventuallyConstantWord) -> tuple:
-    """Harmonic tangent of u at the point addressed by the eventually
-    constant word w (EventuallyConstantWord.parse reads one from text): the
-    boundary triple (t0, t1, t2) of the tangent harmonic function, factored
-    at cut_level(w, u.m0); any cut past it gives the same triple up to
-    roundoff."""
-    k = cut_level(w, u.m0)
+def _rounded(u: SpectralEigenfunction, w: EventuallyConstantWord, k: int, digits: int) -> tuple:
+    """tangent_at's (t, g) in `digits` digits, rounded to floats."""
     word = w.truncation(k)
-    tail_matrix = conjugate(m0_matrix(u.sequence, k), w.tail)
-    to_tangent = matmul(harmonic_pullback(word), tail_matrix)
-    return matvec(to_tangent, u.cell_triple(word))
+    # a local context: the caller's decimal context is left as it was
+    with localcontext(Context(prec=digits)):
+        sequence = EigenvalueSequence(u.m0, Decimal(u.sequence.lambda_m0),
+                                      u.sequence.plus_indices)
+        triple = SpectralEigenfunction(sequence, u.seed_values).cell_triple(word)
+        tail_matrix = conjugate(m0_matrix(sequence, k), w.tail)
+        pullback = harmonic_pullback(word, Decimal(3))
+        t = matvec(matmul(pullback, tail_matrix), triple)
+        floor = max(map(abs, t)).scaleb(20 - _MARGIN)
+        return tuple(tuple(0.0 if abs(x) <= floor else float(x) for x in v)
+                     for v in (t, gradient(t)))
+
+
+def tangent_at(u: SpectralEigenfunction, w: EventuallyConstantWord) -> tuple:
+    """(t, g): the harmonic tangent of u at the point addressed by the
+    eventually constant word w (EventuallyConstantWord.parse reads one from
+    text), the boundary triple (t0, t1, t2) of the tangent harmonic
+    function, and its gradient, factored at cut_level(w, u.m0).
+
+    The closed form runs in decimal, in ceil(max(k, p + 1) log10 5) +
+    _MARGIN digits, k the cut and p the last plus level (0 without one),
+    since the pullback and M0 amplify roundoff by up to 5^k and 5^(p + 1).
+    g = t - mean(t) is formed before rounding, and an entry of t or g at or
+    below 10^(20 - _MARGIN) max|t| (an exact 0 among them, whose noise is
+    all the working precision gives) is 0.0, so the others lie 20 digits
+    above the noise.  As a self-check the whole runs again _RECHECK digits
+    higher, and its floats are returned if each is the lower run's or its
+    neighbour (an exact value halfway between two floats, which a g entry
+    can be, rounds either way); else SglapError is raised."""
+    k = cut_level(w, u.m0)
+    last = max(u.sequence.plus_indices, default=0)
+    digits = math.ceil(max(k, last + 1) * math.log10(5)) + _MARGIN
+    low, out = (_rounded(u, w, k, d) for d in (digits, digits + _RECHECK))
+    for a, b in zip(low[0] + low[1], out[0] + out[1]):
+        if a != b and math.nextafter(a, b) != b:
+            raise SglapError(f"the tangent at {w} differs between {digits} and "
+                             f"{digits + _RECHECK} significant digits")
+    return out

@@ -1,6 +1,7 @@
 """Shared pytest wiring: the acceptance report block, and the references
 that only the tests use: the one-letter extension helpers, the closed-form
-tangent as it ran on numpy, the renormalized normal-derivative limit, the
+tangent as it ran on numpy, the Decimal tail matrix it multiplies by and a
+deep Decimal direct limit, the renormalized normal-derivative limit, the
 whole-level Laplacian and residual, the numpy level-graph builder that
 mesh.cells replaced, the dense seed, the whole-level numpy refinement and
 collapse that eval ran on before its walk, a level's walk, addresses,
@@ -15,6 +16,7 @@ import cmath
 import functools
 import itertools
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,7 +27,8 @@ from sglap.address import (DEFAULT_CORNERS, EventuallyConstantWord, _glue, check
                            check_word, vertex_cells)
 from sglap.decimation import EigenvalueSequence, check_level, vertex_count
 from sglap.errors import DomainError
-from sglap.harmonic import HARMONIC_INVERSES, SpectralEigenfunction, eigen_matrices, matvec
+from sglap.harmonic import (SpectralEigenfunction, eigen_matrices, harmonic_inverses, matmul,
+                            matvec)
 from sglap.mesh import addresses, cells, points, walk
 from sglap.tangent import m0_matrix
 
@@ -80,17 +83,55 @@ def eigen_matrix(i, lam: float) -> np.ndarray:
     return eigen_matrices(float(lam))[check_letter(i)]
 
 
+def decimal_twin(sequence) -> EigenvalueSequence:
+    """A float sequence's Decimal twin, as tangent_at makes it: the same
+    lambda_m0, exactly, and plus levels.  Its values take the precision of
+    the decimal context they are read in."""
+    return EigenvalueSequence(sequence.m0, Decimal(sequence.lambda_m0), sequence.plus_indices)
+
+
+def decimal_m0_matrix(sequence, k: int, digits: int = 80) -> np.ndarray:
+    """m0_matrix on the Decimal twin of a float sequence, in `digits` more
+    significant digits than the 5^max(k, last plus + 1) that M0's entries
+    can reach, rounded to floats once formed: the tail matrix that
+    tangent_at multiplies by, without the float formula's cancellation."""
+    last = max(sequence.plus_indices, default=0)
+    with localcontext(Context(prec=digits + math.ceil(max(k, last + 1) * math.log10(5)))):
+        return np.array(m0_matrix(decimal_twin(sequence), k), dtype=float)
+
+
+def deep_tangent_limit(u, w, depth: int, digits: int) -> tuple:
+    """(t, g) in Decimals: the pulled-back cell triple at `depth` of
+    oracle.direct_tangent_limit's iteration, in `digits` significant digits
+    with its own lambda step, and g = t - mean(t) formed before rounding."""
+    with localcontext(Context(prec=digits)):
+        lam, inverses = Decimal(u.sequence.lambda_m0), harmonic_inverses(Decimal(3))
+        triple = [Decimal(x) for x in u.cell_triple(w.truncation(u.m0))]
+        pull = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for c in w.truncation(u.m0):
+            pull = matmul(pull, inverses[c])
+        for t in range(u.m0 + 1, depth + 1):
+            root = (25 - 4 * lam).sqrt()
+            lam = (5 + root) / 2 if t in u.sequence.plus_indices else 2 * lam / (5 + root)
+            triple = matvec(eigen_matrices(lam)[w.letter(t)], triple)
+            pull = matmul(pull, inverses[w.letter(t)])
+        t = matvec(pull, triple)
+        mean = (t[0] + t[1] + t[2]) / 3
+        return t, tuple(x - mean for x in t)
+
+
 def numpy_tangent(u, w) -> np.ndarray:
     """tangent.tangent_at as it ran on numpy, kept as the reference of the
-    scalar closed form: the seed triple read off the level graph, and every
-    3x3 product a numpy `@` (BLAS, with its fused multiply-adds)."""
+    scalar closed form: the seed triple read off the level graph, every 3x3
+    product a numpy `@` (BLAS, with its fused multiply-adds), and the tail
+    matrix decimal_m0_matrix's."""
     k = max(len(w.prefix), u.m0)
     word = w.truncation(k)
     s = np.array(CORNER_SWAPS[w.tail])
-    tail_matrix = s @ np.array(m0_matrix(u.sequence, k)) @ s
+    tail_matrix = s @ decimal_m0_matrix(u.sequence, k) @ s
     pullback = np.eye(3)
     for c in word:
-        pullback = pullback @ np.array(HARMONIC_INVERSES[c])
+        pullback = pullback @ np.array(harmonic_inverses(3.0)[c])
     triple = seed_array(u)[build_level_graph(u.m0).cells[word_index(word[:u.m0])]]
     for t in range(u.m0 + 1, k + 1):
         triple = np.array(eigen_matrices(u.sequence.value(t)))[word[t - 1]] @ triple

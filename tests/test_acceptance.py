@@ -174,7 +174,7 @@ def test_criterion_05_tangents_against_direct_limits():
     for u in funcs:
         for w in words:
             brute, _ = direct_tangent_limit(u, w, 25)
-            closed = np.array(tangent_at(u, w))
+            closed = np.array(tangent_at(u, w)[0])
             worst = max(worst, float(np.abs(np.array(brute) - closed).max()))
             pairs += 1
     _report(
@@ -188,7 +188,7 @@ def test_criterion_06_six_series_worked_tangent():
     u = dirichlet_eigenfunction("six", 1)
     want = u.sequence.limit() / 9.0 * np.array([0.0, 1.0, -1.0])
     w = EventuallyConstantWord.parse(":0")
-    closed = np.array(tangent_at(u, w))
+    closed = np.array(tangent_at(u, w)[0])
     brute, _ = direct_tangent_limit(u, w, 25)
     gap_closed = float(np.abs(closed - want).max())
     gap_brute = float(np.abs(np.array(brute) - want).max())
@@ -212,7 +212,7 @@ def test_criterion_07_normal_derivative_corollary():
             for i in range(3):
                 # the closed form is the tangent's: 2 t_i - t_{i+1} - t_{i+2} of t = T_{:i} u
                 closed = harmonic_normal_derivative(
-                    tangent_at(u, EventuallyConstantWord((), i)), i)
+                    tangent_at(u, EventuallyConstantWord((), i))[0], i)
                 est, _ = normal_derivative_limit(partial(value_at, u), i, levels=20)
                 worst = max(worst, abs(closed - est))
     _report(
@@ -264,7 +264,7 @@ def test_criterion_09_harmonic_degeneration():
         ok = ok and devs[lam] < 1e-6
     ok = ok and 5.0 < devs[1e-5] / devs[1e-6] < 20.0  # deviation vanishes linearly
     worst_t = max(
-        float(np.abs(np.array(tangent_at(u, EventuallyConstantWord.parse(w))) - b).max())
+        float(np.abs(np.array(tangent_at(u, EventuallyConstantWord.parse(w))[0]) - b).max())
         for w in (":1", "012:0", "2101:2")
     )
     ok = ok and worst_t < 1e-12

@@ -118,3 +118,12 @@ def test_run_once_writes_no_bytecode(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="stop before"):
         bench_pairs.run_once(tmp_path, "mesh", 1)
     assert seen["PYTHONDONTWRITEBYTECODE"] == "1" and seen["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_export_byte_compiles_every_module(tmp_path):
+    # the children write no .pyc, so each side reads the ones compiled here
+    tree = bench_pairs.export("HEAD", tmp_path / "export")
+    modules = sorted(path.stem for path in (tree / "src" / "sglap").glob("*.py"))
+    assert modules and sorted(
+        path.name.split(".")[0] for path in (tree / "src" / "sglap" / "__pycache__").glob("*.pyc")
+    ) == modules

@@ -162,7 +162,7 @@ def test_tangent_verify_default_tolerance(offset, code, monkeypatch, capsys):
     from sglap import oracle, tangent
 
     def stand_in(u, w, m):
-        return tuple(t + offset for t in tangent.tangent_at(u, w)), 0.0
+        return tuple(t + offset for t in tangent.tangent_at(u, w)[0]), 0.0
 
     monkeypatch.setattr(oracle, "direct_tangent_limit", stand_in)
     result, _, err = run(["tangent", "--seed", "six:1:1", "--word", "0:1", "--verify"], capsys)
@@ -477,34 +477,35 @@ def test_eval_free_seed_golden_bytes(fmt, capsys):
 
 # sha256 of `tangent --seed S --word W --format F [--verify]` stdout, keyed
 # (S, W, F[, "--verify"]): series and free: seeds (a harmonic one among
-# them), corner, junction and deeper words.  Pinned while tangent_at and
-# the oracle still took a word as text too, and before the cut of the k
-# column had one definition
+# them), corner, junction and deeper words.  Re-pinned when the closed form
+# moved from floats to decimal: t and g moved in their last bits for every
+# pair but six:3:5:+-+- 2:0, each onto the floats of the direct limit at
+# depth k + 60 in 120 digits, and the oracle columns stayed as they were
 TANGENT_GOLDEN_SHA256 = {
     ("six:1:1", "0:1", "csv"):
-        "e9385932c9e200e34a157f65d81ba441f22f0289aec66955e9a77385e83b265e",
+        "adbd72873af41d3c241cac87b70164376f22e69db3b8736a271f112c83ffa78d",
     ("six:1:1", "0:1", "csv", "--verify"):
-        "bfb1334bb9d675f887fba7603b6db41781791d9e96193b8e3f82af20e7bf4953",
+        "739380e580e019822917fd1ad97f4f85969d3ca80066fd16523d792f47b41dba",
     ("six:1:1", "0:1", "json"):
-        "ea697ec4106af01379a1818a2c64f1f0164d08535928301e228ea5f7907e3c19",
+        "9a64d76af955a1cb6ff03d93ae37acae8704bca3c187f620d86532ceca582ee4",
     ("six:1:1", "0:1", "json", "--verify"):
-        "50b14a7774931865189a2d0bfffdd91bdcb722665276bb99447fd6690ffafb6b",
+        "4b8986913b46a694a1d492f7add149a131863bfb654fd1e66186685f9e2d1b45",
     ("two:1:1", "01:2", "csv"):
-        "73429b0a93d3d2da924fd5f4afc1c62545741771383de4af911992a91404da1f",
+        "b25a862a3fd2c3850210e19df099b3b4f26f673f89449720dd6f31f482886af3",
     ("two:1:1", "01:2", "csv", "--verify"):
-        "7f8c89095c3086642dd7e036340ce20fe165278a71ea86f69785bcb673d11ceb",
+        "b6bf498c1945b8e479c0573f75ab9e848ae15d2138f3c14d26a1c4c0737a2f4f",
     ("two:1:1", "01:2", "json"):
-        "c4bc1117943c654c909752a8e267a2a19a2cccb74c70a3c3891fd94e48021cc6",
+        "07d8e889a80a0f872255f041dec9db79ae0b3fa828ecd80591de4464ad264fc3",
     ("two:1:1", "01:2", "json", "--verify"):
-        "0efc283bc6be7ec072d22f545518566c6575e7b9c4e6fcaa29568da1a92098c3",
+        "7289366271bdde5ffe482059a33b1269a62b08160a4f2ac8f215d2a0990b8a98",
     ("five:2:3:+-+", "120:1", "csv"):
-        "60b5ea2ebe9e8db1c6ae6067ee8a20819823ff6058b471f5d945a64146a0f882",
+        "aca9f9bcaea936ed51db07001bda964b457688b5845815d4923426c5dfb8c6a3",
     ("five:2:3:+-+", "120:1", "csv", "--verify"):
-        "9ef0139ac2cd28232347119d351a74e938e196ae64844677c2924eb6e49a1ebb",
+        "61d753e2178e8e592947886dfb07811935964e6eb46e29fa4bb2bf4a311d89c6",
     ("five:2:3:+-+", "120:1", "json"):
-        "40057509d5dafa5b5e50d344201538194657dfa88a66590c3936a2bb7c6cea75",
+        "65dfd1660b69b6a4b4fe394e66d2997ce1e6787fbcaff0a2b763d6edcef8d23c",
     ("five:2:3:+-+", "120:1", "json", "--verify"):
-        "4859a3ad6097c7079e3d5ed77c2009cf52697660996b9cf052385bfaa5d31eae",
+        "79537839dd7c3a7bd6c0280d26f103bd460fb038a71628877782e633cb60e42b",
     ("six:3:5:+-+-", "2:0", "csv"):
         "3ed48c4f15692ef7dd0652cdc5f94e69abd351d83350c1fdd86f8e9e17683941",
     ("six:3:5:+-+-", "2:0", "csv", "--verify"):
@@ -514,37 +515,37 @@ TANGENT_GOLDEN_SHA256 = {
     ("six:3:5:+-+-", "2:0", "json", "--verify"):
         "b5df4ccef65ea1a80f095f3261c5425c60c1470c06e42c7993018a1457002297",
     ("free:7.3:1,-2,3", ":0", "csv"):
-        "45354d2a4b8e77852d0cfbde7393e4b40c00e95dd7d7d94d37878363397435a5",
+        "b0817dd42c1cb36a72fc0871d9bbae7e9c86545dd72ed6e90e921d76554e6ddc",
     ("free:7.3:1,-2,3", ":0", "csv", "--verify"):
-        "9a653e6dbe96ba2f383967f54a00997a41e6f091abc2b683ec9942f1644532d6",
+        "45aa42064b6ca08c570bd3e21de217e7ff3d65c01fa70dae1b1b9e0a24ffd272",
     ("free:7.3:1,-2,3", ":0", "json"):
-        "28d494081646f5bb2be7ae3acee9254f4666db28198cc33f2d42b1b1a5f67221",
+        "d8f344dd9434d5e357a692a0333e3cd0aac70138b34e23f46f6b16b23aeb3a7d",
     ("free:7.3:1,-2,3", ":0", "json", "--verify"):
-        "fa6fcdb0c322d3a18a7bdd5ac1fda4cf6119822ccfe0661c8b6b0d46aea4e070",
+        "c62e273d5fc6666cfbd7f603ff7ea35bc85f1f4c117f73a28964016683580135",
     ("free:7.3:1,-2,3", "0122:1", "csv"):
-        "ef7252b1b04998594b9e212a1d8102563a5c2d44414c94990c4a94acfb9fa1c3",
+        "f0b4c869ab5edb515a0bed799bd9ce8f7ad8586547dbb7fdc4c3478673bbafea",
     ("free:7.3:1,-2,3", "0122:1", "csv", "--verify"):
-        "e0535f78a1f18e4264c1ba12c25511f25e41ea53bce89e1c9115179b93c47c46",
+        "489f39b9abd1a0f0a07227e71c7feb9723ad4f3ec5f7d1c69a6d19a2cc42dd9a",
     ("free:7.3:1,-2,3", "0122:1", "json"):
-        "f14c4e12ea44efdbf265249b9b094d49aace96d36e0e9561c1071bb465a5d13c",
+        "34c57b726c8df2d5fe6543e2a2badccc697c1094a3af151ef6021324752d4efd",
     ("free:7.3:1,-2,3", "0122:1", "json", "--verify"):
-        "4149e8a2e37df11dbc3da31b7a8a1022f099d5f6a6c99819fd85a3734ab2e146",
+        "78a87519a70d3cd871a927f39eef39116faf7b325bbf0ab5baa4767641543ba5",
     ("free:0:0.3,-1.2,2", "012:0", "csv"):
-        "7aeaa2b996913552c144ad0d95d9150bd7bbd2110922d0741f33af0ac5f5104b",
+        "5eb54da5282283096542328e5f847407de089431e8b7ea30d785a649af9b995f",
     ("free:0:0.3,-1.2,2", "012:0", "csv", "--verify"):
-        "9363bbb005665b0b80d10aea47dfd235655a98aeafb78a8889b378905d19db3e",
+        "7c03a528f78d208737d9351bf89e7af584543362f578699d4d37c07a863e652e",
     ("free:0:0.3,-1.2,2", "012:0", "json"):
-        "fea0bee18e80343dbdb0c18ae33afb2810112df63733920a8867f4f0bc440fe6",
+        "d7662b84b8947a67ece9b6173806ccaa460524f9ddeb82831b0fc5ec451693c0",
     ("free:0:0.3,-1.2,2", "012:0", "json", "--verify"):
-        "5efb2249e08f89f3356216d5e8d22c60ddc7537158aa8022f1f5a2b168832504",
+        "a12640484d02e795dd7dff8e27a4900e7c7485bf1a8aa60207df883d4054ebc5",
     ("free:-3.5:2,0.5,-1", "21:1", "csv"):
-        "9ad4f6a1a0b687e9f68c13dd8bc40bf6338f2c5892f0f7cc8da4c7224c8783e8",
+        "ac5f8410e7b04fc2cec82d4fc4f04ada0428cd8417e154fc3ad0dcb339ced06c",
     ("free:-3.5:2,0.5,-1", "21:1", "csv", "--verify"):
-        "71dda6c2211b48595567148e0cc6f7d5d79cb6afa2d39d8e0b28d8f7ad61f484",
+        "c19ffb415437ffecf79f65f247f2db1d301d4895d4e93a2edfca9e13c170603a",
     ("free:-3.5:2,0.5,-1", "21:1", "json"):
-        "0e91b1f070b814f374084e7daa209e6ff43429feb29caff495f180cd73868d13",
+        "9ba00e7e4ea8ffb305e111b9abac73b399faf7bae4e41a5c7ac6ee110a218ae5",
     ("free:-3.5:2,0.5,-1", "21:1", "json", "--verify"):
-        "ab4e8c0e97f127abb68d73d8d2e8cef9f99f6fabe2d617f5ee4c9735abbb8aa9",
+        "837f3ab72b408bb37e41654872d4d30308ced5bb6831b66106b42666d95ab372",
 }
 
 
@@ -1327,16 +1328,19 @@ def _cap_address_space():
 
 
 def test_spectrum_past_level_23_exits_three():
-    # after a 22-level minus run the plus root of lambda_23 ~ 6e-16 rounds to
-    # 5.0 at level 24.  The walk's failure is the answer; the address-space
-    # cap keeps a regression that visits the 2^24 members of a family one by
-    # one from exhausting the host's memory.
+    # after a 22-level minus run the plus root of lambda_23 ~ 9e-16 rounds to
+    # 5.0 at level 24: the float resolution, not a singular level, whose
+    # message it once gave.  The walk's failure is the answer; the
+    # address-space cap keeps a regression that visits the 2^24 members of a
+    # family one by one from exhausting the host's memory.
     proc = subprocess.run([sys.executable, "-m", "sglap.cli", "spectrum", "--level", "25"],
                           env={**os.environ, "SG_MAX_LEVEL": "25"},
                           preexec_fn=_cap_address_space, capture_output=True, text=True,
                           timeout=5)
     assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr.count("\n") == 1 and "singular at level 24" in proc.stderr
+    assert proc.stderr == ("error: the plus root at level 24 of lambda_23 = 9.404188187411938e-16 "
+                           "rounds to 5, past the resolution of the arithmetic, not a singular "
+                           "level\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
@@ -1509,8 +1513,8 @@ def test_each_subcommand_loads_only_the_layers_it_runs():
             for seed in seeds:
                 for word in (":0", "0121:2"):
                     assert run("tangent", "--seed", seed, "--word", word, *verify) == loaded
-                    # only the direct limit loads decimal
-                    assert ("decimal" in sys.modules) == bool(verify)
+                    # the closed form runs in decimal, with --verify or without
+                    assert "decimal" in sys.modules
         assert "numpy" not in sys.modules and "dataclasses" not in sys.modules
         assert "heapq" not in sys.modules
     """
@@ -1731,20 +1735,61 @@ def test_overflowing_free_seed_tangent_exits_three(seed, capsys):
     assert "no finite generating sequence" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("seed, word, error", [
-    # the pullback overflows: NaN in t1, t2, g* and deviation, which passed
-    # --verify since nan >= tol is False
-    ("two:1:1", "0" * 450 + "1:2", "gives a non-finite tangent"),
-    ("free:7.3:1,2,3", "0" * 450 + "1:2", "gives a non-finite tangent"),
-    # 5.0**446 raised OverflowError from m0_matrix
-    ("free:1e6:1,2,3", "0" * 445 + "1:2", "cut level 446 is past the float range of 5^k"),
-], ids=["two-nan", "free-nan", "free-overflow"])
+@pytest.mark.parametrize("seed, word", [
+    # t2 is past the float range (and t1 too in the second); the check comes
+    # before the direct limit, whose deviation inf - inf = NaN would pass
+    # --verify, since nan >= tol is False
+    ("free:7.3:1e308,-1e308,1e308", ":0"),
+    ("free:7.3:1e308,1e308,1e308", "0122:1"),
+], ids=["free-nan", "free-overflow"])
 @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
-def test_tangent_past_the_float_range_exits_three_with_empty_stdout(seed, word, error, verify,
-                                                                    capsys):
+def test_tangent_past_the_float_range_exits_three_with_empty_stdout(seed, word, verify, capsys):
     code, out, err = run(["tangent", "--seed", seed, "--word", word, *verify], capsys)
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and error in err and err.count("\n") == 1
+    assert err == f"error: seed {seed!r} gives a non-finite tangent at {word}\n"
+
+
+# The row of `tangent --seed S --word W` past 440 prefix letters, after its
+# word and k columns, where the float closed form overflowed (a NaN from the
+# pullback, or 5.0**446 in M0) and exited 3.  Each equals the floats of the
+# direct limit at depth k + 60 in 0.7 (k + 60) + 60 digits, g formed before
+# rounding
+LONG_PREFIX_TANGENTS = {
+    ("two:1:1", "0" * 450 + "1:2"): ("0.0,2.3045206060973604,2.3045206060973604,"
+                                     "-1.5363470707315736,0.7681735353657868,0.7681735353657868"),
+    ("free:7.3:1,2,3", "0" * 450 + "1:2"): ("1.0,5.76027895195413,7.049526499574197,"
+                                            "-3.603268483842776,1.1570104681113544,"
+                                            "2.4462580157314213"),
+    ("free:1e6:1,2,3", "0" * 445 + "1:2"): ("1.0,-140.1096770531585,-140.1096770531585,"
+                                            "94.07311803543898,-47.03655901771949,"
+                                            "-47.03655901771949"),
+}
+
+
+@pytest.mark.parametrize("seed, word", list(LONG_PREFIX_TANGENTS), ids=["two", "free", "free-1e6"])
+def test_tangent_past_440_prefix_letters_is_the_direct_limit(seed, word, capsys):
+    code, out, err = run(["tangent", "--seed", seed, "--word", word], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == f"{word},{word.index(':')},{LONG_PREFIX_TANGENTS[seed, word]}"
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_tangent_self_check_takes_a_neighbouring_float_and_no_farther(steps, monkeypatch,
+                                                                       capsys):
+    # the run 20 digits higher prints if each of its floats is the lower
+    # run's or its neighbour; two floats apart exits 3 with one line
+    from sglap import tangent
+
+    high = ((1.0, 2.0, 3.0), (-1.0, 0.0, 1.0))
+    low = high[0], (-1.0, 0.0, 1.0 + steps * math.ulp(1.0))
+    runs = iter([low, high])
+    monkeypatch.setattr(tangent, "_rounded", lambda u, w, k, digits: next(runs))
+    code, out, err = run(["tangent", "--seed", "free:7.3:1,2,3", "--word", ":0"], capsys)
+    if steps < 2:
+        assert (code, err) == (0, "") and out.splitlines()[1] == ":0,0,1.0,2.0,3.0,-1.0,0.0,1.0"
+    else:
+        assert (code, out) == (3, "")
+        assert err == "error: the tangent at :0 differs between 46 and 66 significant digits\n"
 
 
 def test_special_nan_range_endpoint_exits_two(capsys):

@@ -99,6 +99,19 @@ def test_minus_branch_is_cancellation_free():
     assert seq.value(201) / lam == pytest.approx(0.2, rel=1e-6)
 
 
+def test_a_plus_root_that_rounds_to_5_is_no_singular_level():
+    # lambda_23 of the 2-series after a 22-level minus run is about 9.4e-16,
+    # and its plus root rounds to 5.0; the true root is 5 only at lambda = 0
+    with pytest.raises(DomainError, match="rounds to 5, past the resolution") as info:
+        EigenvalueSequence(1, 2.0, {24}).value(24)
+    assert not isinstance(info.value, SingularLevelError)
+    with pytest.raises(SingularLevelError, match="lambda_1 = 5.0 "):
+        EigenvalueSequence(0, 0.0, {1}).value(1)
+    # a Decimal sequence in 40 digits resolves the same root
+    with decimal.localcontext(decimal.Context(prec=40)):
+        assert 4.9 < EigenvalueSequence(1, decimal.Decimal(2), {24}).value(24) < 5
+
+
 def test_singular_levels_raise():
     with pytest.raises(SingularLevelError):
         EigenvalueSequence(1, 6.0).value(2)  # minus root of 6 is 2
@@ -448,7 +461,12 @@ class ReferenceSequence:
         if j > top:
             cur = vals[top]
             for t in range(top + 1, j + 1):
-                cur = reference_lambda_next(cur, t in self.plus_indices)
+                prev, cur = cur, reference_lambda_next(cur, t in self.plus_indices)
+                if cur == 5.0 and prev != 0.0:
+                    # a plus root that rounds to 5 from a nonzero lambda
+                    raise DomainError(f"the plus root at level {t} of lambda_{t - 1} = "
+                                      f"{prev!r} rounds to 5, past the resolution of the "
+                                      f"arithmetic, not a singular level")
                 if cur in SINGULAR_VALUES:
                     raise SingularLevelError(t, cur)
                 vals[t] = cur

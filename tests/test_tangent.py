@@ -3,6 +3,7 @@ the corner normal derivatives they give."""
 import itertools
 import math
 import sys
+from decimal import Context, Decimal, localcontext
 from functools import partial
 
 import numpy as np
@@ -10,16 +11,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_level_graph, cell_values, extend_harmonic,
-                      harmonic_normal_derivative, normal_derivative_limit, numpy_tangent,
-                      value_at)
+from conftest import (build_level_graph, cell_values, decimal_m0_matrix, decimal_twin,
+                      deep_tangent_limit, extend_harmonic, harmonic_normal_derivative,
+                      normal_derivative_limit, numpy_tangent, value_at)
 
+from sglap import tangent
 from sglap.address import EventuallyConstantWord
 from sglap.cli import parse_seed
 from sglap.decimation import EigenvalueSequence, sequence_from_limit, series_multiplicity
 from sglap.errors import DomainError, UsageError
 from sglap.harmonic import (SpectralEigenfunction, conjugate, dirichlet_eigenfunction,
-                            eigen_matrices, harmonic_pullback, matmul, matvec)
+                            eigen_matrices, harmonic_inverses, harmonic_pullback, matmul,
+                            matvec)
 from sglap.oracle import direct_tangent_limit
 from sglap.special import tau
 from sglap.tangent import cut_level, gradient, m0_matrix, tangent_at
@@ -55,20 +58,126 @@ def test_tail_matrix_guards():
     assert np.array_equal(m0_matrix(EigenvalueSequence(0, 0.0), 3), np.eye(3))
 
 
-@pytest.mark.parametrize("lam", [1e-320, 1e-318, 1e-315, -3e-322])
-def test_subnormal_lambda_k_gives_the_identity_tail_matrix(lam):
-    # M0 = I + O(lambda_k); dividing by a subnormal lambda_k (or one that has
-    # underflowed to 0) gave a matrix off by up to 2e-2, or a DomainError
-    seq = sequence_from_limit(lam)
-    assert seq.lambda_m0 != 0.0 and abs(seq.lambda_m0) < sys.float_info.min
-    for k in range(7):
-        assert np.array_equal(m0_matrix(seq, k), np.eye(3))
+def _series_or_free_seed(draw, letters: int):
+    """A series seed, two:1, five:1-2 or six:1-3, with up to `letters`
+    random branch letters (after the 6-series' forced plus), or a free:
+    seed with lambda = +-10^U(-9, 5) and boundary values in [-5, 5]."""
+    if draw(st.booleans()):
+        series, m0 = draw(st.sampled_from([("two", 1), ("five", 1), ("five", 2), ("six", 1),
+                                           ("six", 2), ("six", 3)]))
+        count = 1 if (series, m0) == ("six", 1) else series_multiplicity(series, m0)
+        branches = "+" * (series == "six") + draw(st.text("+-", max_size=letters))
+        return f"{series}:{m0}:{draw(st.integers(1, count))}:{branches}"
+    lam = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, 5.0))
+    triple = draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3))
+    return f"free:{lam!r}:{triple[0]!r},{triple[1]!r},{triple[2]!r}"
+
+
+@st.composite
+def one_step_cases(draw):
+    """(eigenfunction, k): a seed of _series_or_free_seed with up to 30
+    branch letters, and a cut k from m0 to three past its last plus level."""
+    try:
+        u = parse_seed(_series_or_free_seed(draw, 30))
+    except UsageError:  # a free: lambda that hits a singular level
+        assume(False)
+    return u, draw(st.integers(u.m0, max(u.sequence.plus_indices, default=u.m0) + 3))
+
+
+# M0's one-step relation, M0(k) = H0^-1 M0(k + 1) E0(lambda_{k+1}), H0 the
+# harmonic matrix and E0 the extension matrix of letter 0: tangent_at's
+# factorization at cuts k and k + 1 (test_cut_independence), with the
+# pullback and the walk taken off.  Both sides run on the Decimal twin of
+# the sequence in the digits tangent_at would take at cut k + 1.  Worst gap
+# measured, relative to max|M0(k + 1)|: 1.1e-44 over 300 random draws, where
+# the working precision's 10^-_MARGIN is 1e-45, and 7e-62 for
+# two:1:1:---------------------+, whose plus at level 23 makes
+# |M0(1)| = 5.4e15.  The tolerance is 10^(5 - _MARGIN).  Scaling M0's `off`
+# by 1 + 1e-12 gave gaps of 6e-25 and more (7.9e-15 in the median, 4e-13 at
+# two:1:1:---------------------+).  A factor on `c` that does not depend on
+# k (1 + 1e-12, or 1/5 from 5^(k + 1) for 5^k) keeps the relation, and
+# fails the next test: M0 no longer tends to I.
+@settings(max_examples=40, deadline=None)
+@given(one_step_cases())
+@example((parse_seed("two:1:1:" + "-" * 21 + "+"), 1))
+@example((parse_seed("six:3:1:++-++++-----------------+"), 3))
+@example((parse_seed("free:1e-9:1,1,1"), 0))
+def test_tail_matrix_one_step_relation(case):
+    u, k = case
+    last = max(u.sequence.plus_indices, default=0)
+    digits = math.ceil(max(k + 1, last + 1) * math.log10(5)) + tangent._MARGIN
+    with localcontext(Context(prec=digits)):
+        twin = decimal_twin(u.sequence)
+        below = m0_matrix(twin, k + 1)
+        step = matmul(matmul(harmonic_inverses(Decimal(3))[0], below),
+                      eigen_matrices(twin.value(k + 1))[0])
+        gap = max(abs(a - b) for row, other in zip(m0_matrix(twin, k), step)
+                  for a, b in zip(row, other))
+        size = Decimal(max(abs(x) for row in below for x in row))
+        assert gap <= size.scaleb(5 - tangent._MARGIN)
+
+
+def test_tail_matrix_tends_to_the_identity_as_lambda_tends_to_0():
+    # M0 = I + O(lambda_k): measured, max|M0 - I| <= 0.13 |lambda_k| over
+    # 1000 draws of lambda_0 = +-10^-U(0, 300), to the working precision
+    with localcontext(Context(prec=80)):
+        for j in (0.5, 3, 9, 40, 120, 300):
+            for sign in (1, -1):
+                seq = EigenvalueSequence(0, sign * Decimal(10) ** Decimal(-j))
+                for k in (0, 1, 3, 10):
+                    gap = max(abs(x - (a == b)) for a, row in enumerate(m0_matrix(seq, k))
+                              for b, x in enumerate(row))
+                    assert gap <= abs(seq.value(k)) / 4 + Decimal("1e-78"), (j, k)
+        assert m0_matrix(EigenvalueSequence(0, Decimal(0)), 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@st.composite
+def deep_limit_cases(draw):
+    """(eigenfunction, word): a seed of _series_or_free_seed with up to 30
+    branch letters, and a prefix of up to 60 letters."""
+    try:
+        u = parse_seed(_series_or_free_seed(draw, 30))
+    except UsageError:  # a free: lambda that hits a singular level
+        assume(False)
+    prefix = draw(st.lists(st.integers(0, 2), max_size=60))
+    return u, EventuallyConstantWord(prefix, draw(st.integers(0, 2)))
+
+
+# tangent_at against the direct limit at depth k + 90, k = max(|prefix|, m0,
+# last plus), in 0.7 (k + 90) + 60 digits, its g formed before rounding: t
+# to 1e-12 of max(1, max|t|), and g to 1e-12 relative in each entry above
+# tangent_at's floor, 1e-25 max|t|, below which an entry prints as 0.0, and
+# settled: within 1e-13 of itself at depth k + 60.  (The limit creeps down
+# by about a third per level, so an entry that is exactly 0, as g is at
+# six:3:1:++-++++-----------------+ 0:1, reads 5e-23 max|t| at k + 60 and
+# 2e-37 at k + 90.)  tangent_at's self-check must not fire.  Over 300
+# random draws from this grammar every checked g entry and every t entry
+# above the floor was the limit's float, and the floored t entries were
+# within 3.8e-29 of max(1, max|t|).
+@settings(max_examples=40, deadline=None)
+@given(deep_limit_cases())
+@example((parse_seed("two:1:1"), EventuallyConstantWord.parse("0" * 30 + "1:2")))
+@example((parse_seed("six:3:1:++-++++-----------------+"), EventuallyConstantWord.parse("0:1")))
+@example((parse_seed("two:1:1:" + "-" * 22 + "+"), EventuallyConstantWord.parse(":1")))
+@example((parse_seed("free:1e-9:1,1,1"), EventuallyConstantWord.parse(":0")))
+def test_closed_form_is_the_deep_direct_limit(case):
+    u, w = case
+    t, g = tangent_at(u, w)
+    k = max(len(w.prefix), u.m0, *u.sequence.plus_indices)
+    ref_t, ref_g = deep_tangent_limit(u, w, k + 90, math.ceil(0.7 * (k + 90)) + 60)
+    shallow = deep_tangent_limit(u, w, k + 60, math.ceil(0.7 * (k + 90)) + 60)[1]
+    size = max(map(abs, ref_t))
+    ref_t = list(map(float, ref_t))
+    assert max(abs(a - b) for a, b in zip(t, ref_t)) <= 1e-12 * max(1.0, *map(abs, ref_t))
+    for a, b, c in zip(g, ref_g, shallow):
+        if abs(b) > size.scaleb(-25) and abs(b - c) <= abs(b).scaleb(-13):
+            assert abs(a - float(b)) <= 1e-12 * abs(float(b))
 
 
 def test_six_element_tangent_closed_form():
     u = dirichlet_eigenfunction("six", 1)
     lam = u.sequence.limit()
-    t = tangent_at(u, EventuallyConstantWord.parse(":0"))
+    t = tangent_at(u, EventuallyConstantWord.parse(":0"))[0]
     assert type(t) is tuple and len(t) == 3
     assert np.allclose(np.array(t), lam / 9.0 * np.array([0.0, 1.0, -1.0]), atol=1e-12)
 
@@ -76,14 +185,14 @@ def test_six_element_tangent_closed_form():
 def test_harmonic_tangent_is_the_function_itself():
     u = SpectralEigenfunction(EigenvalueSequence(0, 0.0), {0: 0.3, 1: -1.2, 2: 2.0})
     for text in (":0", "21:0", "102:2", "0012:1"):
-        t = tangent_at(u, EventuallyConstantWord.parse(text))
+        t = tangent_at(u, EventuallyConstantWord.parse(text))[0]
         assert np.allclose(np.array(t), [0.3, -1.2, 2.0], atol=1e-12)
 
 
 def test_cut_independence():
     u = dirichlet_eigenfunction("two", 1, plus_indices={2})
     w = EventuallyConstantWord((0, 1), 2)
-    base = np.array(tangent_at(u, w))
+    base = np.array(tangent_at(u, w)[0])
     assert np.abs(base).max() > 1e-3  # in the support, so the check is not vacuous
     # the factorization at cuts past max(|prefix|, m0) = 2, as tangent_at
     # makes it at that cut
@@ -91,7 +200,7 @@ def test_cut_independence():
     for cut in (3, 5, 8):
         word = w.truncation(cut)
         tail_matrix = conjugate(m0_matrix(u.sequence, cut), w.tail)
-        triple = matvec(matmul(harmonic_pullback(word), tail_matrix), u.cell_triple(word))
+        triple = matvec(matmul(harmonic_pullback(word, 3.0), tail_matrix), u.cell_triple(word))
         assert np.allclose(np.array(triple), base, atol=1e-9)
 
 
@@ -99,21 +208,21 @@ def test_six_mirror_symmetry_at_the_center_junction():
     # the element is invariant under the q0 <-> q1 swap, which exchanges the
     # two one-sided tangents at the shared midpoint and permutes their triples
     u = dirichlet_eigenfunction("six", 1)
-    a = np.array(tangent_at(u, EventuallyConstantWord.parse("0:1")))
-    b = np.array(tangent_at(u, EventuallyConstantWord.parse("1:0")))
+    a = np.array(tangent_at(u, EventuallyConstantWord.parse("0:1"))[0])
+    b = np.array(tangent_at(u, EventuallyConstantWord.parse("1:0"))[0])
     assert np.allclose(a, b[[1, 0, 2]], atol=1e-10)
 
 
 def test_junction_sides_differ_for_an_asymmetric_function():
     u = SpectralEigenfunction(sequence_from_limit(7.25), {0: 1.0, 1: -0.4, 2: 0.7})
-    a = np.array(tangent_at(u, EventuallyConstantWord.parse("0:1")))
-    b = np.array(tangent_at(u, EventuallyConstantWord.parse("1:0")))
+    a = np.array(tangent_at(u, EventuallyConstantWord.parse("0:1"))[0])
+    b = np.array(tangent_at(u, EventuallyConstantWord.parse("1:0"))[0])
     assert np.abs(a - b[[1, 0, 2]]).max() > 1e-3
 
 
 def test_gradient_is_mean_free():
     u = dirichlet_eigenfunction("six", 1)
-    triple = tangent_at(u, EventuallyConstantWord.parse("010:2"))
+    triple = tangent_at(u, EventuallyConstantWord.parse("010:2"))[0]
     g = gradient(triple)
     assert sum(g) == pytest.approx(0.0, abs=1e-12)
     t = np.array(triple)
@@ -140,11 +249,11 @@ def test_free_seed_tangents_are_d3_equivariant(lam, b, prefix, tail):
     assume(seq.m0 == 0)  # a free: seed
     b = np.array(b)
     t = np.array(tangent_at(SpectralEigenfunction(seq, dict(enumerate(b))),
-                            EventuallyConstantWord(prefix, tail)))
+                            EventuallyConstantWord(prefix, tail))[0])
     scale = max(1.0, float(np.abs(t).max()))
     for p in itertools.permutations(range(3)):
         w = EventuallyConstantWord(tuple(p.index(c) for c in prefix), p.index(tail))
-        moved = np.array(tangent_at(SpectralEigenfunction(seq, dict(enumerate(b[list(p)]))), w))
+        moved = np.array(tangent_at(SpectralEigenfunction(seq, dict(enumerate(b[list(p)]))), w)[0])
         assert float(np.abs(moved - t[list(p)]).max()) <= D3_TOL * scale, p
 
 
@@ -154,8 +263,8 @@ def tangent_cases(draw):
     seed, and a prefix of up to 6 letters.  The branches are up to 6 random
     letters, or a 15-21-letter minus run, a plus and up to 3 random letters,
     after a forced plus for the 6-series: the tail products must wait for
-    that plus.  From 22 minus letters the plus root rounds to 5.0, which
-    test_oracle keeps as a strict xfail."""
+    that plus.  From 22 minus letters the float plus root rounds to 5.0,
+    which the float references here cannot step past."""
     if draw(st.booleans()):
         series, m0 = draw(st.sampled_from([("two", 1), ("five", 1), ("five", 2), ("six", 1),
                                            ("six", 2), ("six", 3)]))
@@ -178,33 +287,35 @@ def tangent_cases(draw):
     return u, EventuallyConstantWord(prefix, draw(st.integers(0, 2)))
 
 
-# The scalar products round each product and sum where numpy's BLAS fuses a
-# multiply-add, so the last bits move, by a few roundings of the terms each
-# product adds.  The scale of those terms is the walk and the pullback run on
-# absolute values, |P| |S M0 S| |E_k| ... |E_{m0+1}| |u|, with P the pullback
-# and E_t the extension matrices; a plus branch below the cut makes the walk
-# cancel, so max |t| alone is no scale.  Worst gap measured against it:
-# 4.5e-16 over 32000 random cases with prefixes of up to 6 letters; relative
-# to max |t| it was 3.6e-12 for the seeds the benchmark draws, and 1.1e-10
-# with deep plus branches.  Over 3000 draws of tangent_cases with its 15-21-
-# letter minus runs it was 3.5e-16, with no exception raised.  Each side
-# rounds about 20 times for prefixes this short, which allows 4.4e-15.
+# numpy_tangent runs the closed form in floats, with M0 rounded from the
+# Decimal formula (decimal_m0_matrix), and tangent_at runs it all in
+# Decimals, so the gap is numpy's own rounding, a few roundings of the terms
+# each product adds.  The scale of those terms is the walk and the pullback
+# run on absolute values, |P| |S M0 S| |E_k| ... |E_{m0+1}| |u|, with P the
+# pullback and E_t the extension matrices; a plus branch below the cut makes
+# the walk cancel, so max |t| alone is no scale.  Below the normal range the
+# float side rounds absolutely, by at most half a subnormal spacing per
+# operation, which SCALAR_FLOOR allows a few hundred of.  Worst gap measured
+# against the scale: 2.6e-15 over 4,000 draws of tangent_cases.  The float
+# side rounds about 40 times for prefixes this short, which allows 4.4e-15.
 SCALAR_TOL = 1e-14
+SCALAR_FLOOR = 1e-321
 
 
 @settings(max_examples=200, deadline=None)
 @given(tangent_cases())
 def test_scalar_closed_form_matches_the_numpy_formula(case):
     u, w = case
-    t = np.array(tangent_at(u, w))
+    t = np.array(tangent_at(u, w)[0])
     k = max(len(w.prefix), u.m0)
     word = w.truncation(k)
     walk = np.abs(u.cell_triple(word[:u.m0]))
     for j in range(u.m0 + 1, k + 1):
         walk = np.abs(eigen_matrices(u.sequence.value(j))[word[j - 1]]) @ walk
-    tail_matrix = conjugate(m0_matrix(u.sequence, k), w.tail)
-    terms = np.abs(harmonic_pullback(word)) @ np.abs(tail_matrix) @ walk
-    assert float(np.abs(t - numpy_tangent(u, w)).max()) <= SCALAR_TOL * float(terms.max())
+    tail_matrix = conjugate(decimal_m0_matrix(u.sequence, k), w.tail)
+    terms = np.abs(harmonic_pullback(word, 3.0)) @ np.abs(tail_matrix) @ walk
+    gap = float(np.abs(t - numpy_tangent(u, w)).max())
+    assert gap <= SCALAR_TOL * float(terms.max()) + SCALAR_FLOOR
 
 
 def test_tangent_osculates_the_function():
@@ -212,7 +323,7 @@ def test_tangent_osculates_the_function():
     # u's cell triples with an error that dies out at the point
     u = dirichlet_eigenfunction("six", 1)
     w = EventuallyConstantWord((0, 1), 2)
-    t = np.array(tangent_at(u, w))
+    t = np.array(tangent_at(u, w)[0])
     gaps = []
     for m in (5, 10, 15, 20):
         down = extend_harmonic(t, w.truncation(m))
@@ -224,7 +335,7 @@ def test_tangent_osculates_the_function():
 def test_normal_derivative_harmonic_case():
     # a harmonic function is its own tangent, so the identity is exact
     u = SpectralEigenfunction(EigenvalueSequence(0, 0.0), {0: 2.0, 1: -1.0, 2: 0.5})
-    t = tangent_at(u, EventuallyConstantWord.parse(":0"))
+    t = tangent_at(u, EventuallyConstantWord.parse(":0"))[0]
     assert harmonic_normal_derivative(t, 0) == 2 * 2.0 - (-1.0) - 0.5
     with pytest.raises(DomainError):
         tangent_at(u, EventuallyConstantWord.parse(":3"))
@@ -236,14 +347,14 @@ def test_normal_derivative_closed_vs_limit():
     for i in range(3):
         est, _ = normal_derivative_limit(partial(value_at, u), i, levels=20)
         corner = EventuallyConstantWord((), i)
-        assert harmonic_normal_derivative(tangent_at(u, corner), i) == pytest.approx(est, abs=1e-6)
+        assert harmonic_normal_derivative(tangent_at(u, corner)[0], i) == pytest.approx(est, abs=1e-6)
 
 
 def test_normal_derivative_dirichlet_uses_the_limit():
     # the renormalized limit is the reference for a Dirichlet seed; the
     # two-series seed is symmetric under all corner swaps
     u = dirichlet_eigenfunction("two", 1)
-    nd = [harmonic_normal_derivative(tangent_at(u, EventuallyConstantWord((), i)), i)
+    nd = [harmonic_normal_derivative(tangent_at(u, EventuallyConstantWord((), i))[0], i)
           for i in range(3)]
     assert all(math.isfinite(x) for x in nd)
     assert nd[0] == pytest.approx(nd[1], rel=1e-9)
@@ -286,7 +397,7 @@ def test_normal_derivative_is_the_tangents(seed):
     depth = max(u.sequence.plus_indices, default=u.m0) + 45
     for i in range(3):
         corner = EventuallyConstantWord((), i)
-        nd = harmonic_normal_derivative(tangent_at(u, corner), i)
+        nd = harmonic_normal_derivative(tangent_at(u, corner)[0], i)
         ref = harmonic_normal_derivative(direct_tangent_limit(u, corner, depth)[0], i)
         assert abs(nd - ref) <= (1e-12 * abs(ref) if ref != 0.0 else 1e-12), i
         if u.m0 == 0:
@@ -344,7 +455,7 @@ def test_gauss_green_for_the_corner_normal_derivatives(u):
     m = max(8, max(u.sequence.plus_indices, default=u.m0) + 6)
     coarse, fine = cell_values(u, m), cell_values(u, m + 1)
     integral = (5.0 * fine.mean() - coarse.mean()) / 4.0
-    nd = [harmonic_normal_derivative(tangent_at(u, EventuallyConstantWord((), i)), i)
+    nd = [harmonic_normal_derivative(tangent_at(u, EventuallyConstantWord((), i))[0], i)
           for i in range(3)]
     lam, size = u.sequence.limit(), float(np.abs(fine).mean())
     scale = sum(map(abs, nd)) + abs(lam) * size
@@ -456,11 +567,11 @@ def self_similarity_gap(u, v: str, w: str) -> float:
     reads alike at every depth and every lambda.  The two sides share every
     matrix but M0, which the left takes at cut |vw'| along u's sequence and
     the right at cut |w'| along the rebased one."""
-    left = tangent_at(u, EventuallyConstantWord.parse(v + w))
-    right = tangent_at(restriction(u, v), EventuallyConstantWord.parse(w))
-    right = matvec(harmonic_pullback(v), right)
+    left = tangent_at(u, EventuallyConstantWord.parse(v + w))[0]
+    right = tangent_at(restriction(u, v), EventuallyConstantWord.parse(w))[0]
+    right = matvec(harmonic_pullback(v, 3.0), right)
     cut, tail = v + w.split(":")[0], int(w.split(":")[1])
-    magnitudes = [harmonic_pullback(cut), conjugate(m0_matrix(u.sequence, len(cut)), tail)]
+    magnitudes = [harmonic_pullback(cut, 3.0), conjugate(m0_matrix(u.sequence, len(cut)), tail)]
     size = [abs(x) for x in u.cell_triple(cut)]
     for m in reversed(magnitudes):
         size = matvec([[abs(x) for x in row] for row in m], size)

@@ -10,9 +10,10 @@ Without --claim the record's claim is null: the pairs are recorded and no
 metric is claimed.
 
 Each commit is exported with `git archive` into its own new or empty
-directory under DIR, and `perfbench/run.py --workload W --seed S --seconds
-24 --trace 0` runs from the root of each export with
-PYTHONDONTWRITEBYTECODE=1.  A workload given as NAME:FIRST:COUNT
+directory under DIR and byte-compiled there (`python -m compileall -q`),
+and `perfbench/run.py --workload W --seed S --seconds 24 --trace 0` runs
+from the root of each export with PYTHONDONTWRITEBYTECODE=1, which stops
+the children writing .pyc files, not reading the compiled ones.  A workload given as NAME:FIRST:COUNT
 runs seeds FIRST..FIRST+COUNT-1; one pair is one run of each commit with
 the same seed, back to back, the parent first for even seeds and the change
 first for odd ones.  The end-to-end metrics of BENCHMARK.json are recorded
@@ -55,13 +56,16 @@ KIND_FIELDS = {"median_s": ("_s", "s"), "peak_rss_mb": ("_peak_rss_mb", "MB")}
 
 def export(rev: str, dest: Path) -> Path:
     """Untar `git archive rev` into dest, which must be new or empty, so
-    that no file of an earlier export stays in the tree."""
+    that no file of an earlier export stays in the tree, and byte-compile
+    it, so that the timed children read each module's .pyc instead of
+    compiling the source every time."""
     if dest.exists() and any(dest.iterdir()):
         raise SystemExit(f"export destination {dest} exists and is not empty")
     dest.mkdir(parents=True, exist_ok=True)
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(dest)], check=True)
     return dest
 
 
@@ -196,7 +200,8 @@ def main() -> int:
         "src_sha256": {side: src_sha256(tree) for side, tree in trees.items()},
         "how": f"OPENBLAS_NUM_THREADS=1 PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
                f"--workload W --seed S --seconds {SECONDS} --trace 0, from the root of a clean "
-               "checkout of each commit in a new or empty directory; one pair is one run of "
+               "checkout of each commit in a new or empty directory, byte-compiled with "
+               "python -m compileall -q before the timed runs; one pair is one run of "
                "each commit with the same seed, the two run back to back; src_sha256 hashes "
                "the path and bytes of every file under src/",
         "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",

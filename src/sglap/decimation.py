@@ -77,14 +77,13 @@ def _root(lam, plus: bool, t: int):
     The minus root is evaluated as 2 lam / (5 + sqrt(25 - 4 lam)); the
     textbook (5 - sqrt(...))/2 form cancels catastrophically once lam is
     small, which it is after a handful of levels.  A plus root that rounds
-    to 5 from a lam other than 0 is past the arithmetic's resolution (in
-    floats, a lam below about 3.1e-15), not a singular level."""
+    to 5 from a lam other than 0 (in floats, below about 3.1e-15) is no
+    singular level."""
     if lam != lam or abs(lam) == math.inf:
         raise DomainError(f"no refinement of the non-finite lambda={lam!r}")
     disc = 25 - 4 * lam
     if disc < 0:
         raise DomainError(f"no real refinement of lambda={lam!r} (needs lambda <= 6.25)")
-    # a Decimal's own square root, correctly rounded in the context
     root = disc.sqrt() if hasattr(disc, "sqrt") else math.sqrt(disc)
     prev, lam = lam, (5 + root) / 2 if plus else 2 * lam / (5 + root)
     if lam == 5 and prev:
@@ -135,9 +134,10 @@ class EigenvalueSequence:
         self.m0, self.plus_indices = m0, frozenset(int(j) for j in plus_indices)
         if any(j <= m0 for j in self.plus_indices):
             raise DomainError("plus branches start at level m0 + 1")
-        self.lambda_m0 = lambda_m0
+        # an int starts a float sequence, as float() made every start before
+        self.lambda_m0 = float(lambda_m0) if isinstance(lambda_m0, int) else lambda_m0
         # lambda_{m0 + i} at index i
-        self._values = [lambda_m0]
+        self._values = [self.lambda_m0]
 
     def value(self, j: int):
         if j < self.m0:

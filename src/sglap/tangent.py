@@ -17,7 +17,6 @@ d_n u(q_i) = 2 t_i - t_{i+1} - t_{i+2} = 3 g_i.
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, localcontext
 
 from . import special
 from .address import EventuallyConstantWord
@@ -26,8 +25,8 @@ from .errors import DomainError, SglapError
 from .harmonic import (IDENTITY, SpectralEigenfunction, conjugate, harmonic_pullback, matmul,
                        matvec)
 
-# digits kept past the 5^k by which the pullback and M0 can amplify
-# roundoff, and the self-check's extra digits
+# digits past the 5^k by which the pullback and M0 amplify roundoff, and
+# the self-check's extra digits
 _MARGIN, _RECHECK = 45, 20
 
 
@@ -67,8 +66,12 @@ def cut_level(w: EventuallyConstantWord, m0: int) -> int:
 
 def _rounded(u: SpectralEigenfunction, w: EventuallyConstantWord, k: int, digits: int) -> tuple:
     """tangent_at's (t, g) in `digits` digits, rounded to floats."""
+    # decimal is imported here, not with the module: imported there, ahead
+    # of the layers this module imports, it raised a fresh `tangent
+    # --verify`'s peak RSS by about 0.1 MB (Python 3.11, x86_64, no .pyc)
+    from decimal import Context, Decimal, localcontext
+
     word = w.truncation(k)
-    # a local context: the caller's decimal context is left as it was
     with localcontext(Context(prec=digits)):
         sequence = EigenvalueSequence(u.m0, Decimal(u.sequence.lambda_m0),
                                       u.sequence.plus_indices)
@@ -83,20 +86,14 @@ def _rounded(u: SpectralEigenfunction, w: EventuallyConstantWord, k: int, digits
 
 def tangent_at(u: SpectralEigenfunction, w: EventuallyConstantWord) -> tuple:
     """(t, g): the harmonic tangent of u at the point addressed by the
-    eventually constant word w (EventuallyConstantWord.parse reads one from
-    text), the boundary triple (t0, t1, t2) of the tangent harmonic
+    eventually constant word w, the boundary triple of the tangent harmonic
     function, and its gradient, factored at cut_level(w, u.m0).
 
-    The closed form runs in decimal, in ceil(max(k, p + 1) log10 5) +
-    _MARGIN digits, k the cut and p the last plus level (0 without one),
-    since the pullback and M0 amplify roundoff by up to 5^k and 5^(p + 1).
-    g = t - mean(t) is formed before rounding, and an entry of t or g at or
-    below 10^(20 - _MARGIN) max|t| (an exact 0 among them, whose noise is
-    all the working precision gives) is 0.0, so the others lie 20 digits
-    above the noise.  As a self-check the whole runs again _RECHECK digits
-    higher, and its floats are returned if each is the lower run's or its
-    neighbour (an exact value halfway between two floats, which a g entry
-    can be, rounds either way); else SglapError is raised."""
+    It runs in decimal, in ceil(max(k, p + 1) log10 5) + _MARGIN digits for
+    the cut k and the last plus level p (or 0); g is formed before rounding,
+    and an entry at or below 10^(20 - _MARGIN) max|t|, 20 digits above the
+    noise, is 0.0.  A run _RECHECK digits higher must round each entry alike
+    or to a neighbour (a halfway value rounds either way), else SglapError."""
     k = cut_level(w, u.m0)
     last = max(u.sequence.plus_indices, default=0)
     digits = math.ceil(max(k, last + 1) * math.log10(5)) + _MARGIN

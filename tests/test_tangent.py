@@ -347,7 +347,8 @@ def test_normal_derivative_closed_vs_limit():
     for i in range(3):
         est, _ = normal_derivative_limit(partial(value_at, u), i, levels=20)
         corner = EventuallyConstantWord((), i)
-        assert harmonic_normal_derivative(tangent_at(u, corner)[0], i) == pytest.approx(est, abs=1e-6)
+        t = tangent_at(u, corner)[0]
+        assert harmonic_normal_derivative(t, i) == pytest.approx(est, abs=1e-6)
 
 
 def test_normal_derivative_dirichlet_uses_the_limit():

@@ -134,7 +134,7 @@ class EigenvalueSequence:
         self.m0, self.plus_indices = m0, frozenset(int(j) for j in plus_indices)
         if any(j <= m0 for j in self.plus_indices):
             raise DomainError("plus branches start at level m0 + 1")
-        # an int starts a float sequence, as float() made every start before
+        # an int starts a float sequence: the seed values take this type
         self.lambda_m0 = float(lambda_m0) if isinstance(lambda_m0, int) else lambda_m0
         # lambda_{m0 + i} at index i
         self._values = [self.lambda_m0]

@@ -19,8 +19,8 @@ renormalized limit as 1.5 * 5^t * Phi(lambda_t) (decimation).
 
 Every other function takes one point on Python floats: a point's value
 does not depend on any other, and a `special` grid is its points one at a
-time, so this module imports no numpy.  Psi and Upsilon each bound their error from
-the one evaluation that gives their value.
+time, so this module imports no numpy.  Psi and Upsilon each bound their
+error from the one evaluation that gives their value.
 """
 from __future__ import annotations
 

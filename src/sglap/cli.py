@@ -392,7 +392,9 @@ def cmd_tangent(args) -> int:
     if args.verify:
         from . import oracle
 
-        ref, err = oracle.direct_tangent_limit(u, word, 25)
+        # past the cut and the last plus level the iterates contract three-fold per level
+        depth = max(tangent.cut_level(word, u.m0), max(u.sequence.plus_indices, default=0))
+        ref, err = oracle.direct_tangent_limit(u, word, depth + 40)
         deviation = max(abs(a - b) for a, b in zip(triple, ref))
         columns += ["oracle_t0", "oracle_t1", "oracle_t2", "deviation", "error_estimate"]
         row += [*ref, deviation, err]
@@ -472,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     tg.add_argument("--word", required=True, help="prefix:tail, e.g. 01:2 or :0")
     tg.add_argument("--format", choices=["csv", "json"], default="csv")
     tg.add_argument("--verify", action="store_true",
-                    help="compare against the direct limit iterated to m=25")
+                    help="compare against the direct limit iterated 40 levels past the cut "
+                         "and the last plus level")
     tg.add_argument("--verify-tol", type=parse_verify_tol, default=TANGENT_TOL)
     tg.add_argument("--output")
     tg.set_defaults(run=cmd_tangent)

@@ -46,8 +46,7 @@ def eigen_residual(parts, values, lam_level: float) -> float:
     corner i, every edge lying in exactly one cell.  A vertex other than
     q0, q1 and q2 lies in exactly two cells: its first term waits in
     `pending` for its second, and its defect is |first + second + lam u|,
-    the bits of one sum over the level's cells.  The corners are written
-    out: a loop over them takes a third longer.  Values whose sup norm
+    the bits of one sum over the level's cells.  Values whose sup norm
     passes 1 are scaled by the power of 2 at or above it, so that no cell
     sum overflows: exactly, but for values below 2^(e - 1022), which lose
     bits and move the relative residual by at most a few 2^-1074."""
@@ -61,21 +60,12 @@ def eigen_residual(parts, values, lam_level: float) -> float:
         for a, b, c in zip(corners, corners, corners):
             x, y, z = values[a] * scale, values[b] * scale, values[c] * scale
             s = x + y + z
-            if a in pending:
-                r = abs(pop(a) + (s - 3.0 * x) + lam * x)
-                worst = r if r > worst else worst
-            else:
-                pending[a] = s - 3.0 * x
-            if b in pending:
-                r = abs(pop(b) + (s - 3.0 * y) + lam * y)
-                worst = r if r > worst else worst
-            else:
-                pending[b] = s - 3.0 * y
-            if c in pending:
-                r = abs(pop(c) + (s - 3.0 * z) + lam * z)
-                worst = r if r > worst else worst
-            else:
-                pending[c] = s - 3.0 * z
+            for i, v in ((a, x), (b, y), (c, z)):
+                if i in pending:
+                    r = abs(pop(i) + (s - 3.0 * v) + lam * v)
+                    worst = r if r > worst else worst
+                else:
+                    pending[i] = s - 3.0 * v
     return worst / (sup * scale)
 
 

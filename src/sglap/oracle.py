@@ -16,8 +16,6 @@ import sys
 
 from .errors import DomainError
 
-ORACLE_DPS = 50  # significant digits (stdlib decimal): headroom for 5^25 noise amplification
-
 
 def dirichlet_count(x: float, level: int) -> int:
     """N(x): how many Dirichlet eigenvalues of -Delta_level lie below x.
@@ -76,9 +74,12 @@ def direct_tangent_limit(u, w, m: int):
 
     This is the defining sequence of the harmonic tangent, iterated with no
     closed-form shortcuts; the reported error is the distance to the m-1
-    iterate.  Runs in ORACLE_DPS significant decimal digits because the
-    pullback amplifies the antisymmetric roundoff component five-fold per
-    level.  The matrices and products are harmonic's, run on Decimals.
+    iterate.  Runs in ceil(m log10 5) + 32 significant decimal digits (50 at
+    m = 25), because the pullback amplifies the antisymmetric roundoff
+    component five-fold per level.  Past the cut and the last plus level the
+    iterates contract about three-fold per level, so a caller that wants the
+    limit iterates some tens of levels beyond both.  The matrices and
+    products are harmonic's, run on Decimals.
     """
     m0 = u.m0
     if m < m0:
@@ -87,15 +88,13 @@ def direct_tangent_limit(u, w, m: int):
     # neither of them
     from decimal import Context, Decimal, localcontext
 
-    from .harmonic import IDENTITY, eigen_matrices, harmonic_inverses, matmul, matvec
+    from .harmonic import eigen_matrices, harmonic_inverses, harmonic_pullback, matmul, matvec
 
     # a local context: the caller's decimal context is left as it was
-    with localcontext(Context(prec=ORACLE_DPS)):
+    with localcontext(Context(prec=math.ceil(m * math.log10(5)) + 32)):
         inverses = harmonic_inverses(Decimal(3))
         lam = Decimal(u.sequence.lambda_m0)
-        pull = IDENTITY
-        for c in w.truncation(m0):
-            pull = matmul(pull, inverses[c])
+        pull = harmonic_pullback(w.truncation(m0), Decimal(3))
         triple = [Decimal(x) for x in u.cell_triple(w.truncation(m0))]
         prev = None
         cur = matvec(pull, triple)

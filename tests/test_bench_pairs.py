@@ -1,6 +1,8 @@
 """tools/bench_pairs.py: the quartiles and pair counts a BENCH record holds."""
 import importlib.util
+import json
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -56,6 +58,14 @@ def test_kind_metrics_reads_the_median_and_the_peak_rss_of_each_kind():
     assert {name: bench_pairs.kind_unit(name) for name in metrics} == {
         "tangent_verify_s": "s", "tangent_verify_peak_rss_mb": "MB",
         "special_upsilon_s": "s", "special_upsilon_peak_rss_mb": "MB"}
+
+
+def test_kind_failed_reads_the_failed_count_of_each_kind():
+    record = {"kinds": {
+        "tangent_verify": {"n": 42, "median_s": 0.2045, "failed": 3, "peak_rss_mb": 34.9},
+        "special_upsilon": {"n": 7, "median_s": 0.8596, "failed": 0, "peak_rss_mb": 60.1},
+    }}
+    assert bench_pairs.kind_failed(record) == {"tangent_verify": 3, "special_upsilon": 0}
 
 
 def test_setup_metrics_reads_the_raw_setup_median_and_the_probe_lower_quartile():
@@ -118,6 +128,24 @@ def test_run_once_writes_no_bytecode(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="stop before"):
         bench_pairs.run_once(tmp_path, "mesh", 1)
     assert seen["PYTHONDONTWRITEBYTECODE"] == "1" and seen["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_run_once_keeps_each_kind_failed_count(tmp_path, monkeypatch):
+    # failed_by_kind is built from these, one list per side and kind
+    kinds = {"tangent_verify": {"n": 6, "median_s": 0.05, "failed": 2, "peak_rss_mb": 15.0},
+             "special_psi": {"n": 1, "median_s": 0.07, "failed": 0, "peak_rss_mb": 14.5}}
+    record = {"kinds": kinds, "setup_samples_s": [0.06], "probe_samples_s": [0.1],
+              "invocations": [{"kind": kind, "pass": 0, "traced": False, "args": [kind],
+                               "stdout_sha256": "0"} for kind in kinds]}
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "pointwise-seed1-trace0.json").write_text(json.dumps(record))
+    result = {"attempted": 2, "failed": 2, "metrics": {}}
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: mock.Mock(
+        returncode=0, stdout="report\n" + json.dumps(result) + "\n"))
+    got = bench_pairs.run_once(tmp_path, "pointwise", 1)
+    assert got["failed"] == 2
+    assert got["kind_failed"] == {"tangent_verify": 2, "special_psi": 0}
 
 
 def test_export_byte_compiles_every_module(tmp_path):

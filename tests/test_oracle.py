@@ -21,7 +21,7 @@ from sglap.decimation import enumerate_dirichlet_spectrum, sequence_from_limit
 from sglap.errors import DomainError
 from sglap.harmonic import (SpectralEigenfunction, dirichlet_eigenfunction, eigen_matrices,
                             harmonic_inverses, matmul)
-from sglap.oracle import ORACLE_DPS, bracket_half_widths, dirichlet_count, direct_tangent_limit
+from sglap.oracle import bracket_half_widths, dirichlet_count, direct_tangent_limit
 from sglap.tangent import tangent_at
 
 
@@ -203,6 +203,11 @@ def test_random_seeds_solve_the_dense_problem(seed):
     assert np.abs(cached_dense_spectrum(m) - lam).min() < 1e-9
 
 
+def _oracle_digits(m):
+    """The working precision direct_tangent_limit documents for depth m."""
+    return math.ceil(m * math.log10(5)) + 32
+
+
 def test_direct_limit_matches_the_closed_tangent():
     u = dirichlet_eigenfunction("six", 1)
     for w in map(EventuallyConstantWord.parse, (":0", "0:1", "20:1")):
@@ -264,7 +269,8 @@ def _mp_matmul(m, n):
 
 @pytest.mark.parametrize("lam", [-37.5, -1.0, -1e-9, 0.0, 1e-9, 0.5, 3.0, 4.75, 6.0])
 def test_decimal_matrices_match_the_mpmath_transcription(lam):
-    with decimal.localcontext(decimal.Context(prec=ORACLE_DPS)), mpmath.workdps(ORACLE_DPS):
+    digits = _oracle_digits(25)
+    with decimal.localcontext(decimal.Context(prec=digits)), mpmath.workdps(digits):
         got = eigen_matrices(decimal.Decimal(lam))
         for i in range(3):
             ref = _mp_eigen_matrix(i, mpmath.mpf(lam))
@@ -273,7 +279,7 @@ def test_decimal_matrices_match_the_mpmath_transcription(lam):
 
 
 def test_decimal_inverses_invert_the_decimal_harmonic_matrices():
-    with decimal.localcontext(decimal.Context(prec=ORACLE_DPS)):
+    with decimal.localcontext(decimal.Context(prec=_oracle_digits(25))):
         harmonic = eigen_matrices(decimal.Decimal(0))
         for inverse, matrix in zip(harmonic_inverses(decimal.Decimal(3)), harmonic):
             product = matmul(inverse, matrix)
@@ -289,7 +295,7 @@ def _mpmath_tangent_limit(u, w, m):
         raise DomainError(f"need m >= m0 = {m0}, got {m}")
     mp, mpf = mpmath.mp, mpmath.mpf
 
-    with mp.workdps(ORACLE_DPS):
+    with mp.workdps(_oracle_digits(m)):
         third = mpf(1) / 3
         lam = mpf(u.sequence.lambda_m0)
         pull = [[mpf(1 if a == b else 0) for b in range(3)] for a in range(3)]
@@ -364,12 +370,13 @@ def test_decimal_oracle_matches_the_mpmath_loop(u, w, data):
         assert isinstance(got_exc, type(ref_exc)), (ref_exc, got_exc)
         return
     (triple, err), (ref_triple, ref_err) = got, ref
-    # 50 decimal digits and mpmath's 169 bits round differently, and each
-    # pullback level amplifies that five-fold, so the exact results may part
-    # by this floor (1e-27 of the triple at m = 30), and their floats by the
-    # floor and one ulp. Beyond an ulp, only a component whose exact value is
-    # 0, or an increment that has reached the floor, can show the floor.
-    floor = 5.0**m * 1e-48 * np.abs(np.array(ref_triple)).max()
+    # d decimal digits and mpmath's bits for d digits round differently, and
+    # each pullback level amplifies that five-fold, so the exact results may
+    # part by this floor (1e-30 of the triple at m = 30), and their floats by
+    # the floor and one ulp. Beyond an ulp, only a component whose exact
+    # value is 0, or an increment that has reached the floor, can show the
+    # floor.
+    floor = 5.0**m * 10.0 ** (2 - _oracle_digits(m)) * np.abs(np.array(ref_triple)).max()
     for x, y in zip([*triple, err], [*ref_triple, ref_err]):
         assert x == y or abs(x - y) <= floor + math.ulp(max(abs(x), abs(y)))
 

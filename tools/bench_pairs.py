@@ -23,7 +23,9 @@ the median wall time and the largest peak RSS of each invocation kind
 (`spectrum_s`, `spectrum_peak_rss_mb`, ...), read from the `kinds` block of
 the `perfbench/out/` record each run leaves in its tree, which show the kind
 a change moved: a workload's peak_rss_mb is the largest of its kinds' and
-hides a drop in any other kind.  Beside the scaled setup_s, the record
+hides a drop in any other kind.  Each run's failed count per kind, from
+the same block, is kept as a plain list per side (`failed_by_kind`), so
+that a failure names its kind.  Beside the scaled setup_s, the record
 holds each run's two raw factors of it: the median unscaled `import
 sglap.cli` time (`setup_raw_s`) and the probe's lower quartile
 (`probe_q1_s`), so that a change in set-up can be told apart from probe
@@ -92,6 +94,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     record = json.loads((tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json")
                         .read_text())
     result["kind_metrics"] = kind_metrics(record)
+    result["kind_failed"] = kind_failed(record)
     result["setup_metrics"] = setup_metrics(record)
     result["wall_raw_s"] = wall_raw_s(record)
     result["stdout"] = stdout_digests(record)
@@ -103,6 +106,11 @@ def kind_metrics(record: dict) -> dict:
     record, as `<kind>_s` and `<kind>_peak_rss_mb`."""
     return {f"{kind}{suffix}": row[field] for kind, row in record["kinds"].items()
             for field, (suffix, _) in KIND_FIELDS.items()}
+
+
+def kind_failed(record: dict) -> dict:
+    """Each invocation kind's failed count in a perfbench record."""
+    return {kind: row["failed"] for kind, row in record["kinds"].items()}
 
 
 def setup_metrics(record: dict) -> dict:
@@ -241,6 +249,10 @@ def main() -> int:
                       for name in results["parent"][0]["setup_metrics"]},
             "attempted": {side: [r["attempted"] for r in runs] for side, runs in results.items()},
             "failed": {side: [r["failed"] for r in runs] for side, runs in results.items()},
+            # plain lists: a parent median of 0 leaves compare's delta fraction undefined
+            "failed_by_kind": {side: {kind: [r["kind_failed"][kind] for r in runs]
+                                      for kind in runs[0]["kind_failed"]}
+                               for side, runs in results.items()},
             "stdout_identical": stdout_identical(*([r["stdout"] for r in results[side]]
                                                    for side in ("parent", "change"))),
         }

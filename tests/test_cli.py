@@ -2136,7 +2136,7 @@ def test_tangent_grammar_fuzz(seed, word, verify):
 
 
 # Right tangents that exited 4 while the oracle stopped at depth 25 in 50
-# digits, whatever the word; its deviation then is in the comment
+# digits, whatever the word, each with the deviation it then reported
 @pytest.mark.parametrize("seed, word", [
     ("six:3:9:+-+", "111111:2"),  # 9.7e-6
     ("five:2:3:-+-+", "121212:0"),  # 2.4e-5
@@ -2145,7 +2145,7 @@ def test_tangent_grammar_fuzz(seed, word, verify):
     ("two:1:1", "0210012120201102210120110212012010212102:1"),  # 4.2e-6
 ])
 def test_tangent_verify_iterates_past_the_cut_and_the_last_plus(seed, word, capsys):
-    code, out, err = run(["tangent", "--seed", seed, "--word", word, "--verify"], capsys)
+    code, _, err = run(["tangent", "--seed", seed, "--word", word, "--verify"], capsys)
     assert (code, err) == (0, "")
 
 

@@ -27,7 +27,7 @@ import sys
 # the other layers are imported by the functions that use them, so that a
 # process loads only what its subcommand runs
 from . import special
-from .errors import DomainError, InvariantError, SglapError, UsageError
+from .errors import DomainError, SglapError, UsageError
 
 SPECTRUM_TOL = 1e-9
 EVAL_TOL = 1e-9
@@ -96,7 +96,7 @@ def _emit(args, blocks):
     Targets that exist but are not regular files (/dev/null, a FIFO) are
     written in place.  writelines lets go of each block once it is written,
     before the next one is made."""
-    if not args.output:
+    if args.output is None:
         sys.stdout.writelines(blocks)
         return
     target = os.path.realpath(args.output)
@@ -284,7 +284,7 @@ def _eval_blocks(args, u, lattice):
     rows in blocks of at most BLOCK_ROWS, one block held as text at a time;
     then obj's faces, one part of mesh.cells(level, 1) at a time.  Columns
     that differ in length, or parts that do not make |V_level| rows, raise
-    InvariantError.  The bytes equal what csv.writer and json.dumps(indent=2)
+    SglapError.  The bytes equal what csv.writer and json.dumps(indent=2)
     give for these rows (addresses need no quoting, and finite floats print
     as repr in both); a JSON block after the first starts with ",\n"."""
     from .decimation import vertex_count
@@ -300,7 +300,7 @@ def _eval_blocks(args, u, lattice):
     layout = [points(level, lattice), *([] if fmt == "obj" else [addresses(level)])]
     for (xs, ys), *names, values in zip(*layout, parts):
         if len({len(values), len(xs), len(ys), *map(len, names)}) > 1:
-            raise InvariantError(f"the values of V_{level} come in a part of the wrong length")
+            raise SglapError(f"the values of V_{level} come in a part of the wrong length")
         rows += len(values)
         for i, j in _row_ranges(len(values)):
             x, y, v = xs[i:j], ys[i:j], list(map(repr, values[i:j]))
@@ -318,7 +318,7 @@ def _eval_blocks(args, u, lattice):
                 seam = [""]
     rows += sum(map(len, parts))
     if rows != vertex_count(level):
-        raise InvariantError(f"the values of V_{level} take {rows} rows, not {vertex_count(level)}")
+        raise SglapError(f"the values of V_{level} take {rows} rows, not {vertex_count(level)}")
     if fmt == "obj":
         for part in cells(level, 1):
             yield ("f %d %d %d\n" * (len(part) // 3)) % part

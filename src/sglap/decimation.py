@@ -19,7 +19,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import special
-from .errors import DomainError, InvariantError, LevelCapError, SingularLevelError
+from .errors import DomainError, SglapError
 
 DEFAULT_LEVEL_CAP = 12
 
@@ -48,12 +48,12 @@ def max_level() -> int:
 
 
 def check_level(m: int) -> int:
-    """A refinement level: DomainError below 0, LevelCapError above max_level()."""
+    """A refinement level: DomainError below 0 or above max_level()."""
     if m < 0:
         raise DomainError(f"level must be nonnegative, got {m}")
     cap = max_level()
     if m > cap:
-        raise LevelCapError(f"level {m} exceeds cap {cap} (override with SG_MAX_LEVEL)")
+        raise DomainError(f"level {m} exceeds cap {cap} (override with SG_MAX_LEVEL)")
     return m
 
 
@@ -90,7 +90,8 @@ def _root(lam, plus: bool, t: int):
         raise DomainError(f"the plus root at level {t} of lambda_{t - 1} = {prev!r} rounds to "
                           f"5, past the resolution of the arithmetic, not a singular level")
     if lam in SINGULAR_VALUES:
-        raise SingularLevelError(t, lam)
+        raise DomainError(f"eigenvalue sequence is singular at level {t}: "
+                          f"lambda_{t} = {lam!r} lies in {{2, 5, 6}}")
     return lam
 
 
@@ -299,7 +300,7 @@ def enumerate_dirichlet_spectrum(level: int, series: str = "all"):
     total = sum(mult[s, m0] << (level - m0 - (s == "six" and m0 < level)) for s, m0 in families)
     dim = vertex_count(level) - 3
     if total != dim:
-        raise InvariantError(f"level-{level} multiplicities add up to {total}, not {dim}")
+        raise SglapError(f"level-{level} multiplicities add up to {total}, not {dim}")
     streams = [_family_lines(s, m0, level, mult[s, m0]) for s, m0 in families
                if series in ("all", s)]
     # the merge breaks a tie in value by the order of the streams

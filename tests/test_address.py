@@ -22,7 +22,7 @@ from sglap.address import (
     vertex_index,
     word_from_string,
 )
-from sglap.errors import DomainError, LevelCapError
+from sglap.errors import DomainError
 
 words = st.lists(st.integers(0, 2), max_size=6).map(tuple)
 letters = st.integers(0, 2)
@@ -359,5 +359,5 @@ def test_malformed_inputs():
 def test_level_caps():
     with pytest.raises(DomainError):
         next(mesh.cells(-1))
-    with pytest.raises(LevelCapError):
+    with pytest.raises(DomainError, match="exceeds cap"):
         next(mesh.cells(decimation.max_level() + 1))

@@ -2,6 +2,9 @@
 import importlib.util
 import json
 import pathlib
+import shutil
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -126,7 +129,7 @@ def test_run_once_writes_no_bytecode(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     with pytest.raises(RuntimeError, match="stop before"):
-        bench_pairs.run_once(tmp_path, "mesh", 1)
+        bench_pairs.run_once(tmp_path, "mesh", 1, 24)
     assert seen["PYTHONDONTWRITEBYTECODE"] == "1" and seen["OPENBLAS_NUM_THREADS"] == "1"
 
 
@@ -143,13 +146,48 @@ def test_run_once_keeps_each_kind_failed_count(tmp_path, monkeypatch):
     result = {"attempted": 2, "failed": 2, "metrics": {}}
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: mock.Mock(
         returncode=0, stdout="report\n" + json.dumps(result) + "\n"))
-    got = bench_pairs.run_once(tmp_path, "pointwise", 1)
+    got = bench_pairs.run_once(tmp_path, "pointwise", 1, 24)
     assert got["failed"] == 2
     assert got["kind_failed"] == {"tangent_verify": 2, "special_psi": 0}
 
 
-def test_export_byte_compiles_every_module(tmp_path):
-    # the children write no .pyc, so each side reads the ones compiled here
+def test_main_runs_for_the_run_seconds_of_benchmark_json(tmp_path, monkeypatch):
+    # a resized benchmark is paired at its own length
+    seconds = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    runs, real_run = [], subprocess.run
+
+    def fake_run(argv, **kwargs):
+        if argv[0] == "git":  # rev-parse of the parent
+            return mock.Mock(stdout="abc1234\n")
+        if "perfbench/run.py" not in argv:  # platform's uname
+            return real_run(argv, **kwargs)
+        runs.append(argv)
+        raise RuntimeError("stop before perfbench runs")
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD~1", "--change", "HEAD",
+                                      "--workdir", str(tmp_path), "--workload", "mesh:1:1",
+                                      "--note", "n", "--out", str(tmp_path / "out.json")])
+    with pytest.raises(RuntimeError, match="stop before"):
+        bench_pairs.main()
+    argv = runs[0]
+    assert argv[argv.index("--seconds") + 1] == str(seconds)
+
+
+def test_export_byte_compiles_every_module(tmp_path, monkeypatch):
+    # the children write no .pyc, so each side reads the ones compiled here;
+    # src/sglap is committed to a repository of its own, so that the test
+    # runs outside a git checkout too
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    shutil.copytree(bench_pairs.ROOT / "src" / "sglap", repo / "src" / "sglap",
+                                ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(repo), "-c", "user.name=sglap", "-c", "user.email=sglap@localhost",
+           "-c", "commit.gpgsign=false"]
+    for argv in [["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "export"]]:
+        subprocess.run(git + argv, check=True, capture_output=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
     tree = bench_pairs.export("HEAD", tmp_path / "export")
     modules = sorted(path.stem for path in (tree / "src" / "sglap").glob("*.py"))
     assert modules and sorted(

@@ -35,7 +35,7 @@ from sglap.address import format_address, lattice_lines
 from sglap.decimation import enumerate_dirichlet_spectrum, max_level, vertex_count
 from sglap.harmonic import SpectralEigenfunction
 from sglap.mesh import cells, eigen_residual, walk
-from sglap.errors import DomainError, LevelCapError, SglapError, SingularLevelError, UsageError
+from sglap.errors import DomainError, SglapError, UsageError
 
 
 def run(args, capsys):
@@ -1296,7 +1296,7 @@ def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
 
 def test_spectrum_above_the_cap_raises_level_cap_error(capsys):
     cap = max_level()
-    with pytest.raises(LevelCapError):
+    with pytest.raises(DomainError, match=f"level {cap + 1} exceeds cap {cap} "):
         enumerate_dirichlet_spectrum(cap + 1)
     code, out, err = run(["spectrum", "--level", str(cap + 1)], capsys)
     assert (code, out) == (3, "")
@@ -1318,7 +1318,7 @@ def test_spectrum_failures_exit_three_before_the_first_byte(singular, fmt, monke
     from sglap import decimation
 
     monkeypatch.setattr(decimation, "SINGULAR_VALUES", singular)
-    with pytest.raises(SingularLevelError) as raised:
+    with pytest.raises(DomainError, match="eigenvalue sequence is singular at level ") as raised:
         enumerate_dirichlet_spectrum(4)
     for output in [[], ["--output", str(tmp_path / f"out.{fmt}")]]:
         err = _assert_exit(3, ["spectrum", "--level", "4", "--format", fmt, *output], capsys)
@@ -1695,6 +1695,34 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
                          capsys)
     assert code == 2 and out == ""
     assert err.startswith("usage error: cannot write") and err.count("\n") == 1
+
+
+# an empty --output names no file, and the current directory it resolves
+# to cannot be written: it is refused, not read as stdout
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--level", "2"],
+    ["eval", "--seed", "two:1:1", "--level", "2"],
+    ["tangent", "--seed", "six:1:1", "--word", "0:1"],
+    ["special", "--fn", "psi", "--range=0:1:3"],
+])
+@pytest.mark.parametrize("empty", [["--output", ""], ["--output="]])
+def test_empty_output_exits_two(argv, empty, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    err = _assert_exit(2, [*argv, *empty], capsys)
+    assert err == "usage error: cannot write '': Is a directory\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_range_of_no_points_exits_two(capsys):
+    err = _assert_exit(2, ["special", "--fn", "psi", "--range=0:1:0"], capsys)
+    assert err == "usage error: range needs at least one point, got 0\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_that_fails_after_the_open_exits_two(capsys):
+    # /dev/full opens, and the write fails when the file is flushed
+    err = _assert_exit(2, ["spectrum", "--level", "2", "--output", "/dev/full"], capsys)
+    assert err == "usage error: cannot write '/dev/full': No space left on device\n"
 
 
 def test_malformed_word_exits_two(capsys):

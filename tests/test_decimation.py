@@ -24,7 +24,7 @@ from sglap.decimation import (
     series_multiplicity,
     vertex_count,
 )
-from sglap.errors import DomainError, InvariantError, SglapError, SingularLevelError
+from sglap.errors import DomainError, SglapError
 from sglap.harmonic import (
     SpectralEigenfunction,
     dirichlet_eigenfunction,
@@ -54,7 +54,7 @@ def test_lambda_next_inverts_the_quadratic():
             nxt = EigenvalueSequence(0, lam, plus).value(1)
             assert nxt * (5.0 - nxt) == pytest.approx(lam, rel=1e-14, abs=1e-14)
     assert EigenvalueSequence(0, 6.0, {1}).value(1) == 3.0  # the forced 6-series step
-    with pytest.raises(SingularLevelError, match="lambda_1 = 2.0 "):
+    with pytest.raises(DomainError, match="singular at level 1: lambda_1 = 2.0 "):
         EigenvalueSequence(0, 6.0).value(1)  # the minus root of 6 is 2
 
 
@@ -104,8 +104,8 @@ def test_a_plus_root_that_rounds_to_5_is_no_singular_level():
     # and its plus root rounds to 5.0; the true root is 5 only at lambda = 0
     with pytest.raises(DomainError, match="rounds to 5, past the resolution") as info:
         EigenvalueSequence(1, 2.0, {24}).value(24)
-    assert not isinstance(info.value, SingularLevelError)
-    with pytest.raises(SingularLevelError, match="lambda_1 = 5.0 "):
+    assert "singular at level" not in str(info.value)
+    with pytest.raises(DomainError, match="singular at level 1: lambda_1 = 5.0 "):
         EigenvalueSequence(0, 0.0, {1}).value(1)
     # a Decimal sequence in 40 digits resolves the same root
     with decimal.localcontext(decimal.Context(prec=40)):
@@ -113,7 +113,7 @@ def test_a_plus_root_that_rounds_to_5_is_no_singular_level():
 
 
 def test_singular_levels_raise():
-    with pytest.raises(SingularLevelError):
+    with pytest.raises(DomainError, match="singular at level 2: lambda_2 = 2.0 "):
         EigenvalueSequence(1, 6.0).value(2)  # minus root of 6 is 2
     assert EigenvalueSequence(1, 6.0, plus_indices={2}).value(2) == 3.0
 
@@ -468,7 +468,8 @@ class ReferenceSequence:
                                       f"{prev!r} rounds to 5, past the resolution of the "
                                       f"arithmetic, not a singular level")
                 if cur in SINGULAR_VALUES:
-                    raise SingularLevelError(t, cur)
+                    raise DomainError(f"eigenvalue sequence is singular at level {t}: "
+                                      f"lambda_{t} = {cur!r} lies in {{2, 5, 6}}")
                 vals[t] = cur
         return vals[j]
 
@@ -618,7 +619,8 @@ def test_eigenvalue_sequence_reports_each_failure_kind():
              EigenvalueSequence(3, 2.0)]
     values = [outcome(seq.value, 3) for seq in cases]
     limits = [outcome(seq.limit) for seq in cases]
-    assert values[0][0] is SingularLevelError  # minus root of 6 is 2
+    assert values[0] == (DomainError, "eigenvalue sequence is singular at level 2: "
+                         "lambda_2 = 2.0 lies in {2, 5, 6}")  # minus root of 6 is 2
     assert values[1] == repr(EigenvalueSequence(1, 6.0, {2}).value(3))
     assert limits[2] == (DomainError, "renormalized eigenvalue overflows at level 444")
     assert "no real refinement of lambda=7.0" in values[3][1]
@@ -638,7 +640,7 @@ def test_eigenvalue_sequence_reports_each_failure_kind():
 @pytest.mark.parametrize("level", [3, 4])
 def test_spectrum_failures_raise_from_the_walk(singular, level, monkeypatch):
     monkeypatch.setattr(decimation, "SINGULAR_VALUES", singular)
-    with pytest.raises(SingularLevelError):
+    with pytest.raises(DomainError, match="eigenvalue sequence is singular at level "):
         enumerate_dirichlet_spectrum(level)
 
 
@@ -648,5 +650,5 @@ def test_multiplicity_check_raises(monkeypatch):
                         lambda series, m0: count(series, m0) + (series == "six"))
     # the count runs over every family, whichever series is walked
     for series in ("all", "two", "five", "six"):
-        with pytest.raises(InvariantError, match="level-3 multiplicities add up to 41, not 39"):
+        with pytest.raises(SglapError, match="level-3 multiplicities add up to 41, not 39"):
             enumerate_dirichlet_spectrum(3, series)

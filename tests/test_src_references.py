@@ -23,7 +23,11 @@ that a name shared with another definition hides nothing.
 
 A fifth guard lists the functions of src that import numpy, and no module
 imports it at its top.  The list is empty: numpy is a test dependency, for
-the references that the tests compare against."""
+the references that the tests compare against.
+
+A sixth guard checks that every exception class errors.py defines is named
+by some `except` clause in src: a class that nothing catches by name tells
+apart nothing, and its raises can raise the class it derives from."""
 import ast
 import importlib
 import json
@@ -299,10 +303,7 @@ REACH_INVOCATIONS = [
     ["special", "--fn", "upsilon", "--range", "0:3:4", "--format", "json"],
 ]
 
-UNRUN = {
-    "errors.SingularLevelError.__init__": "raised only at a singular level, and every "
-                                          "invocation here must exit 0",
-}
+UNRUN = {}
 
 # run in a fresh process, so that no cache an earlier test filled hides a call
 _REACH_SCRIPT = """if True:
@@ -353,3 +354,34 @@ def test_every_public_function_runs_in_a_cli_invocation():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == sorted(UNRUN)
     assert all(UNRUN.values())
+
+
+def _caught(trees):
+    """The names in the `except` clauses of the trees, bare or as the last
+    part of an attribute, alone or in a tuple."""
+    return {name for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            for name in _names(node.type)}
+
+
+def _uncaught_errors(trees=None):
+    """The classes errors.py defines that no `except` clause of the trees
+    (src by default) names."""
+    trees = _trees() if trees is None else trees
+    defined = [node.name for node in trees["errors"].body if isinstance(node, ast.ClassDef)]
+    return [name for name in defined if name not in _caught(trees)]
+
+
+def test_every_error_class_is_caught_by_name():
+    assert _uncaught_errors() == []
+
+
+def test_an_uncaught_error_class_is_found():
+    # a class that is raised but never named by an except, next to one
+    # caught in a tuple and one caught as an attribute
+    trees = {"errors": ast.parse("class A(Exception): pass\n"
+                                 "class B(A): pass\n"
+                                 "class C(A): pass\n"),
+             "cli": ast.parse("try:\n    raise B()\nexcept (KeyError, errors.A):\n    pass\n"
+                              "try:\n    pass\nexcept C:\n    raise B()\n")}
+    assert _uncaught_errors(trees) == ["B"]

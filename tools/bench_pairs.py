@@ -11,9 +11,10 @@ metric is claimed.
 
 Each commit is exported with `git archive` into its own new or empty
 directory under DIR and byte-compiled there (`python -m compileall -q`),
-and `perfbench/run.py --workload W --seed S --seconds 24 --trace 0` runs
-from the root of each export with PYTHONDONTWRITEBYTECODE=1, which stops
-the children writing .pyc files, not reading the compiled ones.  A
+and `perfbench/run.py --workload W --seed S --seconds T --trace 0`, with T
+BENCHMARK.json's run_seconds, runs from the root of each export with
+PYTHONDONTWRITEBYTECODE=1, which stops the children writing .pyc files,
+not reading the compiled ones.  A
 workload given as NAME:FIRST:COUNT runs seeds FIRST..FIRST+COUNT-1; one
 pair is one run of each commit with the same seed, back to back, the
 parent first for even seeds and the change first for odd ones.  The end-to-end metrics of BENCHMARK.json are recorded
@@ -51,7 +52,6 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SECONDS = 24
 # a field of a perfbench kind row -> (the suffix of its name here, its unit)
 KIND_FIELDS = {"median_s": ("_s", "s"), "peak_rss_mb": ("_peak_rss_mb", "MB")}
 
@@ -81,11 +81,11 @@ def src_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     # no .pyc written on one side only, which moves fresh runs more than a change does
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree} {workload} seed {seed} exited {proc.returncode}:\n"
@@ -183,6 +183,7 @@ def main() -> int:
     args = parser.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     specs = {m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
              for m in bench["end_to_end"]}
     workloads = [item.split(":")[0] for item in args.workload]
@@ -207,7 +208,7 @@ def main() -> int:
                                         text=True).stdout.strip(),
         "src_sha256": {side: src_sha256(tree) for side, tree in trees.items()},
         "how": f"OPENBLAS_NUM_THREADS=1 PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
-               f"--workload W --seed S --seconds {SECONDS} --trace 0, from the root of a clean "
+               f"--workload W --seed S --seconds {seconds} --trace 0, from the root of a clean "
                "checkout of each commit in a new or empty directory, byte-compiled with "
                "python -m compileall -q before the timed runs; one pair is one run of "
                "each commit with the same seed, the two run back to back; src_sha256 hashes "
@@ -226,7 +227,7 @@ def main() -> int:
         for seed in seeds:
             order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
             for side in order:
-                results[side].append(run_once(trees[side], name, seed))
+                results[side].append(run_once(trees[side], name, seed, seconds))
                 print(f"{name} seed {seed} {side}: {results[side][-1]['metrics']['wall_s']}",
                       file=sys.stderr, flush=True)
         record["workloads"][name] = {

@@ -180,9 +180,8 @@ def test_export_byte_compiles_every_module(tmp_path, monkeypatch):
     # src/sglap is committed to a repository of its own, so that the test
     # runs outside a git checkout too
     repo = tmp_path / "repo"
-    (repo / "src").mkdir(parents=True)
     shutil.copytree(bench_pairs.ROOT / "src" / "sglap", repo / "src" / "sglap",
-                                ignore=shutil.ignore_patterns("__pycache__"))
+                    ignore=shutil.ignore_patterns("__pycache__"))
     git = ["git", "-C", str(repo), "-c", "user.name=sglap", "-c", "user.email=sglap@localhost",
            "-c", "commit.gpgsign=false"]
     for argv in [["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "export"]]:

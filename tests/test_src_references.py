@@ -368,8 +368,9 @@ def _uncaught_errors(trees=None):
     """The classes errors.py defines that no `except` clause of the trees
     (src by default) names."""
     trees = _trees() if trees is None else trees
-    defined = [node.name for node in trees["errors"].body if isinstance(node, ast.ClassDef)]
-    return [name for name in defined if name not in _caught(trees)]
+    caught = _caught(trees)
+    return [node.name for node in trees["errors"].body
+            if isinstance(node, ast.ClassDef) and node.name not in caught]
 
 
 def test_every_error_class_is_caught_by_name():

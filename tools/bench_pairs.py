@@ -14,10 +14,10 @@ directory under DIR and byte-compiled there (`python -m compileall -q`),
 and `perfbench/run.py --workload W --seed S --seconds T --trace 0`, with T
 BENCHMARK.json's run_seconds, runs from the root of each export with
 PYTHONDONTWRITEBYTECODE=1, which stops the children writing .pyc files,
-not reading the compiled ones.  A
-workload given as NAME:FIRST:COUNT runs seeds FIRST..FIRST+COUNT-1; one
-pair is one run of each commit with the same seed, back to back, the
-parent first for even seeds and the change first for odd ones.  The end-to-end metrics of BENCHMARK.json are recorded
+not reading the compiled ones.  A workload given as NAME:FIRST:COUNT runs
+seeds FIRST..FIRST+COUNT-1; one pair is one run of each commit with the
+same seed, back to back, the parent first for even seeds and the change
+first for odd ones.  The end-to-end metrics of BENCHMARK.json are recorded
 for both sides with their quartiles, the per-pair direction and the median
 delta, together with the attempted and failed counts of every run.  So are
 the median wall time and the largest peak RSS of each invocation kind

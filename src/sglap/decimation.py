@@ -95,16 +95,6 @@ def _root(lam, plus: bool, t: int):
     return lam
 
 
-def _minus_run(t: int, lam: float, level: int) -> list:
-    """lambda_t = lam, lambda_{t+1}, ..., lambda_level down the minus root."""
-    values = [lam]
-    while t < level:
-        t += 1
-        lam = _root(lam, False, t)
-        values.append(lam)
-    return values
-
-
 def _renormalized_limit(t: int, lam: float) -> float:
     """1.5 lim 5^j lambda_j of the minus run from lambda_t = lam: minus roots
     down to the first level t with |lambda_t| <= special.PHI_BOUND, then
@@ -229,34 +219,29 @@ def _family_lines(series: str, m0: int, level: int, multiplicity: int):
     """One family's lines in ascending order of lambda_level, each made as
     it is read.
 
-    The branch tree is walked depth first before this returns: each plus
-    root starts a minus run, which gives lambda_t of every node below it on
-    the minus side and the limit of the one member taking no plus root
-    after it.  A failed step raises.  lambda_level rises with the minus
-    root and falls with the plus root, so the inverse Gray code of a
-    member's plus levels ranks it, bit k standing for the level first + k
-    (m0 + 1, or m0 + 2 past the 6-series' forced plus), the last level the
-    most significant: a child taking its plus at bit k flips bits 0..k of
-    its parent's rank.  The walk lists the members in its own order, they
-    are placed at their ranks once it is done, and member r's branches are
-    spelt from its Gray code r ^ (r >> 1).  Members whose floats tie there
-    (or, against the rounding, fall) are sorted by (lambda_level,
-    branches), the order of a sort of the whole spectrum."""
+    The family is built a level at a time before this returns, from its one
+    member at m0 (m0 + 1 past the 6-series' forced plus).  The minus root
+    rises with lambda_{t-1} and the plus root falls, and every minus root
+    lies below every plus root, so the members at level t, ascending, are
+    the minus roots of those at t - 1 in their order and then the plus roots
+    in reverse order.  A minus child keeps its parent's limit and a plus
+    child's is that of the minus run from its plus root.  A failed step
+    raises.  That order is the reflected Gray code: member r's branches are
+    spelt from r ^ (r >> 1), bit k standing for the level first + k (m0 + 1,
+    or m0 + 2 past the forced plus), the last level the most significant.
+    Members whose floats tie there (or, against the rounding, fall) are
+    sorted by (lambda_level, branches), the order of a sort of the whole
+    spectrum."""
     seed, six = SERIES_SEED[series], series == "six"
-    # the 6-series takes the plus root at m0 + 1
-    runs = [(m0 + 1, _root(seed, True, m0 + 1), 0)] if six else [(m0, seed, 0)]
-    walked = []
-    while runs:
-        t, lam, rank = runs.pop()
-        run = _minus_run(t, lam, level)
-        # a 6-series born at the level: its plus root lies past it
-        walked.append((rank, seed if t > level else run[-1], _renormalized_limit(t, lam)))
-        for u in range(t, level):
-            runs.append((u + 1, _root(run[u - t], True, u + 1), rank ^ ((2 << (u - m0 - six)) - 1)))
-    values, limits = [0.0] * len(walked), [0.0] * len(walked)
-    for rank, value, limit in walked:
-        values[rank], limits[rank] = value, limit
-    del walked
+    # the 6-series takes the plus root at m0 + 1; born at the level, its
+    # plus root lies past it
+    t, lam = (m0 + 1, _root(seed, True, m0 + 1)) if six else (m0, seed)
+    values, limits = [lam if t <= level else seed], [_renormalized_limit(t, lam)]
+    for t in range(t + 1, level + 1):
+        minus = [_root(lam, False, t) for lam in values]
+        plus = [_root(lam, True, t) for lam in reversed(values)]
+        values = minus + plus
+        limits += [_renormalized_limit(t, lam) for lam in plus]
     # top = len(values) is a power of two, so bin(code | top) is "0b1" and
     # the code's bits, last level first; [:2:-1] turns them round
     top, forced, branch = len(values), "+" * (six and m0 < level), str.maketrans("01", "-+")
@@ -275,15 +260,18 @@ def enumerate_dirichlet_spectrum(level: int, series: str = "all"):
     iterator of SpectrumLine rows ascending in lambda_level; multiplicities add
     up to dim = (3^{level+1} - 3) / 2.
 
-    Every branch tree is walked before this returns, so that a failed step
-    raises here; each family's members are held ranked, and the families
-    are merged (heapq.merge), and each line made, as the lines are read.
-    Equal lambda_levels follow (series, m0, branches).
+    Every family's all-minus member is stepped first, with its plus root at
+    each level, whichever families `series` keeps: that member has its
+    family's smallest lambda_t at every level, so its plus root is the first
+    to round to 5 (at level 24), and a level past 23 is refused before a
+    family holds its 2^22 members.  Each family kept is then built before
+    this returns, so that a failed step raises here; the families are merged
+    (heapq.merge), and each line made, as the lines are read.  Equal
+    lambda_levels follow (series, m0, branches).
 
-    A `series` other than "all" keeps the families of that series: only
-    their branch trees are walked, and the lines are those of the whole
-    spectrum that name it, in the same order.  The multiplicities are still
-    counted over every family."""
+    A `series` other than "all" keeps the families of that series, and the
+    lines are those of the whole spectrum that name it, in the same order.
+    The multiplicities are still counted over every family."""
     if series != "all" and series not in SERIES_SEED:
         raise DomainError(f"unknown series {series!r}")
     if check_level(level) == 0:
@@ -301,6 +289,13 @@ def enumerate_dirichlet_spectrum(level: int, series: str = "all"):
     dim = vertex_count(level) - 3
     if total != dim:
         raise SglapError(f"level-{level} multiplicities add up to {total}, not {dim}")
+    # every family's all-minus member and its plus roots, before any is built
+    for s, m0 in families:
+        seed = SERIES_SEED[s]
+        t, lam = (m0 + 1, _root(seed, True, m0 + 1)) if s == "six" else (m0, seed)
+        for t in range(t + 1, level + 1):
+            _root(lam, True, t)
+            lam = _root(lam, False, t)
     streams = [_family_lines(s, m0, level, mult[s, m0]) for s, m0 in families
                if series in ("all", s)]
     # the merge breaks a tie in value by the order of the streams

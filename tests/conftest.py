@@ -9,7 +9,7 @@ points and cells joined into whole columns, per-cell vertex values, the whole-le
 keys and coordinates and the scalar addressing, the coefficients of g, P
 and Phi in exact rationals, the psi_m approximant and 50-digit Psi and
 Upsilon, the spectrum as it was walked and sorted before
-its families' members were placed by rank, the dense Dirichlet oracle
+each family was built a level at a time, the dense Dirichlet oracle
 that `spectrum --verify` ran before it counted eigenvalues by inertia,
 and the oracles' spectrum pairing, unit-interval model and its sine fit."""
 import cmath
@@ -546,12 +546,12 @@ _SERIES_RANK = {"two": 0, "five": 1, "six": 2}
 
 
 def reference_spectrum(level: int, series: str = "all") -> list:
-    """The spectrum as enumerate_dirichlet_spectrum built it before it placed
-    each family's members by rank: every branch tree walked depth first
-    through decimation's steps, each member's branch string spelt as it is
-    reached, and every row sorted by (lambda_level, series rank, m0,
-    branches).  The steps are read from the decimation module, so that a
-    patched step moves both."""
+    """The spectrum as enumerate_dirichlet_spectrum built it before it built
+    each family a level at a time: every branch tree walked depth first,
+    each plus root starting a minus run, each member's branch string spelt
+    as it is reached, and every row sorted by (lambda_level, series rank,
+    m0, branches).  The root and limit steps are read from the decimation
+    module, so that a patched step moves both."""
     if check_level(level) == 0:
         return []
     families = [("two", 1), *[("five", m0) for m0 in range(1, level + 1)],
@@ -565,7 +565,9 @@ def reference_spectrum(level: int, series: str = "all") -> list:
                 else [(m0, seed, "")])
         while runs:
             t, lam, head = runs.pop()
-            values = decimation._minus_run(t, lam, level)
+            values = [lam]
+            for u in range(t + 1, level + 1):
+                values.append(decimation._root(values[-1], False, u))
             limit = decimation._renormalized_limit(t, lam)
             if t > level:
                 rows.append((s, m0, "", seed, limit))

@@ -1313,7 +1313,7 @@ def test_spectrum_above_the_cap_raises_level_cap_error(capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_spectrum_failures_exit_three_before_the_first_byte(singular, fmt, monkeypatch,
                                                             tmp_path, capsys):
-    # every branch tree is walked before the first line is read, so a
+    # every family is built before the first line is read, so a
     # failed step is the one message, to stdout and to --output alike
     from sglap import decimation
 
@@ -1331,14 +1331,19 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-def test_spectrum_past_level_23_exits_three():
+@pytest.mark.parametrize("series", ["all", "two", "five", "six"])
+@pytest.mark.parametrize("level", [24, 25])
+def test_spectrum_past_level_23_exits_three(series, level):
     # after a 22-level minus run the plus root of lambda_23 ~ 9e-16 rounds to
     # 5.0 at level 24: the float resolution, not a singular level, whose
-    # message it once gave.  The walk's failure is the answer; the
-    # address-space cap keeps a regression that visits the 2^24 members of a
-    # family one by one from exhausting the host's memory.
-    proc = subprocess.run([sys.executable, "-m", "sglap.cli", "spectrum", "--level", "25"],
-                          env={**os.environ, "SG_MAX_LEVEL": "25"},
+    # message it once gave.  Every family's all-minus member is stepped
+    # before any family is built, whatever --series keeps, so the 2-series'
+    # failure is the answer; the address-space cap keeps a regression that
+    # builds the 2^22 members of a family first from exhausting the host's
+    # memory.
+    proc = subprocess.run([sys.executable, "-m", "sglap.cli", "spectrum", "--level", str(level),
+                           "--series", series],
+                          env={**os.environ, "SG_MAX_LEVEL": str(level)},
                           preexec_fn=_cap_address_space, capture_output=True, text=True,
                           timeout=5)
     assert (proc.returncode, proc.stdout) == (3, "")

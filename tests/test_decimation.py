@@ -328,9 +328,9 @@ def test_series_filter_keeps_the_matching_rows_of_the_whole_spectrum(series):
 
 @pytest.mark.parametrize("series", ["all", "two", "five", "six"])
 def test_spectrum_is_the_walked_and_sorted_reference(series):
-    # each family's members placed at their Gray-code ranks and merged give
-    # every field of the depth-first walk sorted as a whole, the floats to
-    # the bit
+    # each family built a level at a time, in reflected Gray-code order, and
+    # the families merged give every field of the depth-first walk sorted as
+    # a whole, the floats to the bit
     for level in range(13):
         lines = enumerate_dirichlet_spectrum(level, series)
         expected = [_bits(line) for line in reference_spectrum(level, series)]
@@ -648,7 +648,7 @@ def test_multiplicity_check_raises(monkeypatch):
     count = decimation.series_multiplicity
     monkeypatch.setattr(decimation, "series_multiplicity",
                         lambda series, m0: count(series, m0) + (series == "six"))
-    # the count runs over every family, whichever series is walked
+    # the count runs over every family, whichever series is built
     for series in ("all", "two", "five", "six"):
         with pytest.raises(SglapError, match="level-3 multiplicities add up to 41, not 39"):
             enumerate_dirichlet_spectrum(3, series)

@@ -1,7 +1,8 @@
-"""Tooling guards: every public function, class, method and module-level
-constant in src has a caller elsewhere in src, and every field of a
-dataclass, typing.NamedTuple or __slots__ class in src is read somewhere in
-src, or each has a stated reason to exist without one.
+"""Tooling guards: every top-level function, private ones included, and
+every public class, method and module-level constant in src has a caller
+elsewhere in src, and every field of a dataclass, typing.NamedTuple or
+__slots__ class in src is read somewhere in src, or each has a stated
+reason to exist without one.
 
 A name counts as referenced when it appears anywhere in src outside its own
 definition: as a bare name, an attribute or an imported name.  A constant's
@@ -62,11 +63,12 @@ def _setflags(tree, name):
 
 
 def _definitions(tree):
-    """(qualified name, defining nodes) of the public top-level
-    functions, classes and constants and of the public methods of public
-    classes."""
+    """(qualified name, defining nodes) of the top-level functions, private
+    ones included, of the public top-level classes and constants and of the
+    public methods of public classes."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef) or (isinstance(node, ast.ClassDef)
+                                                 and not node.name.startswith("_")):
             yield node.name, [node]
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
@@ -88,8 +90,8 @@ def _names(node):
             yield sub.name
 
 
-def _unreferenced():
-    trees = _trees()
+def _unreferenced(trees=None):
+    trees = _trees() if trees is None else trees
     everywhere = [name for tree in trees.values() for name in _names(tree)]
     found = []
     for module, tree in trees.items():
@@ -108,6 +110,25 @@ def test_every_public_definition_has_a_caller_or_a_reason():
 def test_every_allowlist_entry_is_still_unreferenced():
     assert sorted(set(UNREFERENCED) - set(_unreferenced())) == []
     assert all(UNREFERENCED.values())
+
+
+def test_a_private_helper_that_only_tests_call_is_unreferenced():
+    # a test's call is no caller: a private step kept for the tests alone is
+    # found like a public one
+    source = """
+def _step(x):
+    return x + 1
+
+def _run(x):
+    return _step(x)
+
+def run(x):
+    return _run(x)
+"""
+    tree = ast.parse(source)
+    assert _unreferenced({"synthetic": tree}) == ["synthetic.run"]
+    tree.body.pop()
+    assert _unreferenced({"synthetic": tree}) == ["synthetic._run"]
 
 
 def _is_record(node):

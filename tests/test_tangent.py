@@ -293,29 +293,36 @@ def tangent_cases(draw):
 # each product adds.  The scale of those terms is the walk and the pullback
 # run on absolute values, |P| |S M0 S| |E_k| ... |E_{m0+1}| |u|, with P the
 # pullback and E_t the extension matrices; a plus branch below the cut makes
-# the walk cancel, so max |t| alone is no scale.  Below the normal range the
-# float side rounds absolutely, by at most half a subnormal spacing per
-# operation, which SCALAR_FLOOR allows a few hundred of.  Worst gap measured
-# against the scale: 2.6e-15 over 4,000 draws of tangent_cases.  The float
-# side rounds about 40 times for prefixes this short, which allows 4.4e-15.
+# the walk cancel, so max |t| alone is no scale.  Worst gap measured against
+# the scale: 2.6e-15 over 4,000 draws of tangent_cases.  The float side
+# rounds about 40 times for prefixes this short, which allows 4.4e-15.
+# Below the normal range it rounds absolutely, by up to half a subnormal
+# spacing per operation, and the later products carry an early rounding
+# through: the floor is half a spacing for each of the 40 roundings, times
+# the largest entry of that product run on (1, 1, 1).  For
+# free:0:0,0,2.225073858507e-311 and the word 0000:1 that entry is 632 and
+# the gap 248 spacings.
 SCALAR_TOL = 1e-14
-SCALAR_FLOOR = 1e-321
+SCALAR_FLOOR = 40 * math.ulp(0.0) / 2
 
 
 @settings(max_examples=200, deadline=None)
 @given(tangent_cases())
+@example((parse_seed("free:0:0,0,2.225073858507e-311"), EventuallyConstantWord.parse("0000:1")))
 def test_scalar_closed_form_matches_the_numpy_formula(case):
     u, w = case
     t = np.array(tangent_at(u, w)[0])
     k = max(len(w.prefix), u.m0)
     word = w.truncation(k)
-    walk = np.abs(u.cell_triple(word[:u.m0]))
+    walk, ones = np.abs(u.cell_triple(word[:u.m0])), np.ones(3)
     for j in range(u.m0 + 1, k + 1):
-        walk = np.abs(eigen_matrices(u.sequence.value(j))[word[j - 1]]) @ walk
+        extension = np.abs(eigen_matrices(u.sequence.value(j))[word[j - 1]])
+        walk, ones = extension @ walk, extension @ ones
     tail_matrix = conjugate(decimal_m0_matrix(u.sequence, k), w.tail)
-    terms = np.abs(harmonic_pullback(word, 3.0)) @ np.abs(tail_matrix) @ walk
+    head = np.abs(harmonic_pullback(word, 3.0)) @ np.abs(tail_matrix)
+    terms, growth = head @ walk, head @ ones
     gap = float(np.abs(t - numpy_tangent(u, w)).max())
-    assert gap <= SCALAR_TOL * float(terms.max()) + SCALAR_FLOOR
+    assert gap <= SCALAR_TOL * float(terms.max()) + SCALAR_FLOOR * float(growth.max())
 
 
 def test_tangent_osculates_the_function():

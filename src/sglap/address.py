@@ -52,14 +52,6 @@ def check_letter(letter) -> int:
     return letter
 
 
-def word_from_string(text: str) -> tuple:
-    if text == "":
-        return ()
-    if not _is_ascii_digits(text):
-        raise DomainError(f"malformed word {text!r}")
-    return check_word(text)
-
-
 def format_address(word, letter) -> str:
     return "".join(str(c) for c in word) + ":" + str(letter)
 
@@ -85,16 +77,13 @@ class EventuallyConstantWord:
         head, sep, tail = text.partition(":")
         if not sep or len(tail) != 1 or not _is_ascii_digits(tail):
             raise DomainError(f"expected 'prefix:tail', got {text!r}")
-        return cls(word_from_string(head), int(tail))
-
-    def letter(self, j: int) -> int:
-        """1-indexed j-th letter."""
-        if j < 1:
-            raise DomainError("letter positions are 1-indexed")
-        return self.prefix[j - 1] if j <= len(self.prefix) else self.tail
+        if head and not _is_ascii_digits(head):
+            raise DomainError(f"malformed word {head!r}")
+        return cls(head, int(tail))
 
     def truncation(self, k: int) -> tuple:
-        return tuple(self.letter(j) for j in range(1, k + 1))
+        """The first k >= 0 letters."""
+        return (self.prefix + (self.tail,) * k)[:k]
 
     def __str__(self) -> str:
         return format_address(self.prefix, self.tail)

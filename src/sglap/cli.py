@@ -133,17 +133,13 @@ def _plain(kind, text: str):
     return kind(text)
 
 
-def _float(text: str, what: str) -> float:
-    try:
-        return _plain(float, text)
-    except ValueError:
-        raise UsageError(f"{what} must be a number, got {text!r}") from None
-
-
 def parse_verify_tol(text: str) -> float:
     """--verify-tol: any number but NaN.  _verdict passes a check only when
     its figure is below the tolerance, so 0 or less makes every check fail."""
-    tol = _float(text, "verify tolerance")
+    try:
+        tol = _plain(float, text)
+    except ValueError:
+        raise UsageError(f"verify tolerance must be a number, got {text!r}") from None
     if math.isnan(tol):
         raise UsageError(f"verify tolerance must not be NaN, got {text!r}")
     return tol

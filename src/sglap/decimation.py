@@ -66,10 +66,6 @@ def vertex_count(m: int) -> int:
 _RENORMALIZERS = tuple(1.5 * 5.0**j for j in range(int(math.log(sys.float_info.max / 1.5, 5)) + 1))
 
 
-def _overflow(t: int) -> DomainError:
-    return DomainError(f"renormalized eigenvalue overflows at level {t}")
-
-
 def _root(lam, plus: bool, t: int):
     """lambda_t from lambda_{t-1} = lam, the one step of every sequence, in
     the type of lam (a float, or a Decimal in the context's precision).
@@ -106,7 +102,7 @@ def _renormalized_limit(t: int, lam: float) -> float:
             return _RENORMALIZERS[t] * special.phi(lam)
         t += 1
         lam = _root(lam, False, t)
-    raise _overflow(t)
+    raise DomainError(f"renormalized eigenvalue overflows at level {t}")
 
 
 class EigenvalueSequence:
@@ -169,7 +165,11 @@ def sequence_from_limit(lam) -> EigenvalueSequence:
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError(f"renormalized eigenvalue must be finite, got {lam!r}")
-    J = special.anchor_level(lam)
+    # the sequence takes its one Psi value at the first level J >= 1 with
+    # |lam|/5^J <= 2
+    J = 1
+    while abs(lam) / 5.0**J > 2.0:
+        J += 1
     vals = [0.0] * (J + 1)
     vals[J] = special.psi_limit_with_error(lam / 5.0**J)[0]
     for j in range(J - 1, -1, -1):

@@ -94,14 +94,15 @@ def direct_tangent_limit(u, w, m: int):
     with localcontext(Context(prec=math.ceil(m * math.log10(5)) + 32)):
         inverses = harmonic_inverses(Decimal(3))
         lam = Decimal(u.sequence.lambda_m0)
-        pull = harmonic_pullback(w.truncation(m0), Decimal(3))
-        triple = [Decimal(x) for x in u.cell_triple(w.truncation(m0))]
+        word = w.truncation(m)
+        pull = harmonic_pullback(word[:m0], Decimal(3))
+        triple = [Decimal(x) for x in u.cell_triple(word[:m0])]
         prev = None
         cur = matvec(pull, triple)
         for t in range(m0 + 1, m + 1):
             root = (25 - 4 * lam).sqrt()
             lam = (5 + root) / 2 if t in u.sequence.plus_indices else 2 * lam / (5 + root)
-            letter = w.letter(t)
+            letter = word[t - 1]
             triple = matvec(eigen_matrices(lam)[letter], triple)
             pull = matmul(pull, inverses[letter])
             prev = cur

@@ -30,8 +30,6 @@ from .errors import DomainError
 
 # the validated region of Psi's argument, where |Psi| <= 719
 PSI_DOMAIN_BOUND = 100.0
-# a sequence anchors its Psi at the first level J >= 1 with |lambda|/5^J <= this
-ANCHOR_BOUND = 2.0
 # Phi's series is summed on |x| <= this
 PHI_BOUND = 0.5
 
@@ -122,15 +120,6 @@ def psi_limit_with_error(z: float) -> tuple:
     return _psi_steps(_horner(_G_COEFFICIENTS, w) * w, e, m)
 
 
-def anchor_level(lam: float) -> int:
-    """The first level J >= 1 with |lam|/5^J <= ANCHOR_BOUND, where a
-    generating sequence takes its one Psi value."""
-    J = 1
-    while abs(lam) / 5.0**J > ANCHOR_BOUND:
-        J += 1
-    return J
-
-
 def _rel(e: float, size: float) -> float:
     """A bound on the relative error of s and of 1/s, for an s of this size
     that is off by at most e: e / (size - e), infinite once e reaches it."""
@@ -144,13 +133,14 @@ def phi(x: float) -> float:
 
 def upsilon_with_error(lam: float) -> tuple:
     """Upsilon at lam and a bound on its error, or its failure raised: its
-    head's Psi outside the validated region, or a pole.
+    head's Psi outside the validated region, a pole, or a point so near a
+    pole or a zero that the bound is infinite.
 
     Upsilon is P(y) / (2 - lambda_1), lambda_j = Psi(lam/5^j), y = (2/3)
     lam/25, and P is reduced as Psi is: while |y| > 1, its factor
     1 - lambda_j/3 is taken and y divided by 5 (j <= 4 in the region).  The
     bound runs with the product (Higham 2002, section 3.3): each Psi's error
-    relative to 2 - lambda_1 or 3 - lambda_j (inf once it reaches it),
+    relative to 2 - lambda_1 or 3 - lambda_j (a failure once it reaches it),
     _P_ERROR relative to P's sum, and _EPS of rounding per factor."""
     lam_1, d = psi_limit_with_error(lam / 5.0)
     if lam_1 == 2.0:
@@ -166,7 +156,9 @@ def upsilon_with_error(lam: float) -> tuple:
     s = _horner(_P_COEFFICIENTS, y)
     prod *= s
     rel += (_rel(_P_ERROR, abs(s)) + _EPS) * (1.0 + rel)
-    return prod, abs(prod) * rel if rel < math.inf else math.inf
+    if rel == math.inf:
+        raise DomainError(f"no finite error bound at lambda={lam!r}: next to a pole or a zero")
+    return prod, abs(prod) * rel
 
 
 def tau(k: int, sequence):

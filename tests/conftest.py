@@ -106,15 +106,16 @@ def deep_tangent_limit(u, w, depth: int, digits: int) -> tuple:
     with its own lambda step, and g = t - mean(t) formed before rounding."""
     with localcontext(Context(prec=digits)):
         lam, inverses = Decimal(u.sequence.lambda_m0), harmonic_inverses(Decimal(3))
-        triple = [Decimal(x) for x in u.cell_triple(w.truncation(u.m0))]
+        word = w.truncation(max(depth, u.m0))
+        triple = [Decimal(x) for x in u.cell_triple(word[:u.m0])]
         pull = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        for c in w.truncation(u.m0):
+        for c in word[:u.m0]:
             pull = matmul(pull, inverses[c])
         for t in range(u.m0 + 1, depth + 1):
             root = (25 - 4 * lam).sqrt()
             lam = (5 + root) / 2 if t in u.sequence.plus_indices else 2 * lam / (5 + root)
-            triple = matvec(eigen_matrices(lam)[w.letter(t)], triple)
-            pull = matmul(pull, inverses[w.letter(t)])
+            triple = matvec(eigen_matrices(lam)[word[t - 1]], triple)
+            pull = matmul(pull, inverses[word[t - 1]])
         t = matvec(pull, triple)
         mean = (t[0] + t[1] + t[2]) / 3
         return t, tuple(x - mean for x in t)

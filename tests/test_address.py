@@ -20,7 +20,6 @@ from sglap.address import (
     format_address,
     vertex_cells,
     vertex_index,
-    word_from_string,
 )
 from sglap.errors import DomainError
 
@@ -300,21 +299,17 @@ def test_eventually_constant_word_parse_and_canonical_form():
 
 def test_eventually_constant_word_letters_and_point():
     w = EventuallyConstantWord.parse("01:2")
-    assert [w.letter(j) for j in range(1, 6)] == [0, 1, 2, 2, 2]
-    assert w.truncation(4) == (0, 1, 2, 2)
+    assert [w.truncation(k) for k in range(4)] == [(), (0,), (0, 1), (0, 1, 2)]
+    assert w.truncation(5) == (0, 1, 2, 2, 2)
     # every truncation past the prefix maps q_2 to the same point, F_01(q_2)
     point = apply_ifs((0, 1), DEFAULT_CORNERS[2])
     for k in range(2, 6):
         assert np.array_equal(apply_ifs(w.truncation(k), DEFAULT_CORNERS[2]), point)
-    with pytest.raises(DomainError):
-        w.letter(0)
 
 
 @pytest.mark.parametrize("text", ["\u00b2", "0\u00b2", "\uff11", "1\u0661"])
 def test_words_take_ascii_digits_only(text):
     # str.isdigit holds for superscripts, fullwidth and Arabic-Indic digits
-    with pytest.raises(DomainError):
-        word_from_string(text)
     with pytest.raises(DomainError):
         EventuallyConstantWord.parse(f"{text}:1")
     with pytest.raises(DomainError):
@@ -345,7 +340,7 @@ def test_a_letter_that_is_no_integer_is_refused_not_truncated(fn, args):
 
 def test_malformed_inputs():
     with pytest.raises(DomainError):
-        word_from_string("013")
+        EventuallyConstantWord.parse("013:1")
     with pytest.raises(DomainError):
         EventuallyConstantWord.parse("12")
     with pytest.raises(DomainError):

@@ -309,6 +309,20 @@ def test_other_scripts_digits_and_whitespace_exit_two(argv, line, capsys):
     assert _assert_exit(2, argv, capsys) == f"usage error: {line}\n"
 
 
+# each refusal of a word, in the order a word is read: its shape, its
+# prefix's characters, then its letters
+@pytest.mark.parametrize("word, line", [
+    *[(w, f"expected 'prefix:tail', got {w!r}") for w in ["abc", "01", "01:22", "1:\uff11", ""]],
+    ("0x:1", "malformed word '0x'"),
+    ("0\u00b2:1", "malformed word '0\u00b2'"),
+    ("013:1", "word letters must be 0, 1 or 2: (0, 1, 3)"),
+    (":3", "letter must be 0, 1 or 2: 3"),
+])
+def test_malformed_words_exit_two(word, line, capsys):
+    argv = ["tangent", "--seed", "two:1:1", "--word", word]
+    assert _assert_exit(2, argv, capsys) == f"usage error: {line}\n"
+
+
 SEED_ERROR_LINES = {
     "nope:1:1": "unknown series 'nope'",
     "six:1:2": "seed index must be in 1..1 for the six-series at m0=1, got 2",
@@ -1642,6 +1656,42 @@ def test_special_default_tol_errors_are_finite_across_the_pole(fn, capsys):
     assert len(converged) == 2000
     assert all(math.isfinite(float(row[value])) and math.isfinite(float(row[error]))
                for row in converged)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# every float within 19 ulps of Upsilon's 2-series pole, and from 20 ulps
+# below to 22 above its zero, where the error bound reached inf: csv wrote
+# inf and json the token Infinity.  Each span lies in one binade, so the
+# grid steps one ulp at a time
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("centre, below, above", [(16.815998889348403, 19, 19),
+                                                  (135.57212699578886, 20, 22)],
+                         ids=["pole", "zero"])
+def test_upsilon_next_to_a_pole_or_a_zero_has_no_infinite_cell(centre, below, above, fmt,
+                                                                capsys):
+    lo, hi = centre, centre
+    for _ in range(below):
+        lo = math.nextafter(lo, -math.inf)
+    for _ in range(above):
+        hi = math.nextafter(hi, math.inf)
+    code, out, err = run(["special", "--fn", "upsilon", f"--range={lo!r}:{hi!r}:{below + above + 1}",
+                          "--format", fmt], capsys)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        rows = [list(row.values()) for row in json.loads(out, parse_constant=_refuse_constant)]
+    else:
+        rows = parse_csv(out)[1]
+    z = [float(row[0]) for row in rows]
+    assert z[0] == lo and z[-1] == hi
+    assert all(math.nextafter(a, math.inf) == b for a, b in zip(z, z[1:]))
+    for _, value, error, note in rows:
+        if note in ("", None):
+            assert math.isfinite(float(value)) and math.isfinite(float(error))
+        else:
+            assert value in ("", None) and error in ("", None)
 
 
 def test_special_audit_of_an_overflowing_5z_is_skipped(capsys):

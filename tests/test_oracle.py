@@ -299,15 +299,16 @@ def _mpmath_tangent_limit(u, w, m):
         third = mpf(1) / 3
         lam = mpf(u.sequence.lambda_m0)
         pull = [[mpf(1 if a == b else 0) for b in range(3)] for a in range(3)]
-        for c in w.truncation(m0):
+        word = w.truncation(m)
+        for c in word[:m0]:
             pull = _mp_matmul(pull, _mp_harmonic_inverse(c, third))
-        triple = [mpf(float(x)) for x in u.cell_triple(w.truncation(m0))]
+        triple = [mpf(float(x)) for x in u.cell_triple(word[:m0])]
         prev = None
         cur = _mp_matvec(pull, triple)
         for t in range(m0 + 1, m + 1):
             root = mp.sqrt(25 - 4 * lam)
             lam = (5 + root) / 2 if t in u.sequence.plus_indices else 2 * lam / (5 + root)
-            letter = w.letter(t)
+            letter = word[t - 1]
             triple = _mp_matvec(_mp_eigen_matrix(letter, lam), triple)
             pull = _mp_matmul(pull, _mp_harmonic_inverse(letter, third))
             prev = cur

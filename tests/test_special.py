@@ -170,7 +170,9 @@ def reference_upsilon_with_error(lam):
     for factor, bound in factors:
         prod *= factor
         rel += bound * (1.0 + rel)
-    return prod, abs(prod) * rel if rel < math.inf else math.inf
+    if rel == math.inf:
+        raise DomainError(f"no finite error bound at lambda={lam!r}: next to a pole or a zero")
+    return prod, abs(prod) * rel
 
 
 def assert_matches_reference(function, reference, *args):

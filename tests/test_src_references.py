@@ -17,10 +17,10 @@ at some call in src of its function's name, by position or by keyword (a
 class's name for its __init__), or has a stated reason not to be: a default
 that no call overrides is a setting that nothing sets.
 
-A fourth guard runs the CLI and checks that every public function and
-method of src ran, and every special method (__len__, __repr__, ...)
-that a public class of src defines in src, matched by code object, so
-that a name shared with another definition hides nothing.
+A fourth guard runs the CLI and checks that every function and method of
+src ran, private and special ones (__len__, __repr__, ...) included,
+matched by code object, so that a name shared with another definition
+hides nothing.
 
 A fifth guard lists the functions of src that import numpy, and no module
 imports it at its top.  The list is empty: numpy is a test dependency, for
@@ -307,21 +307,23 @@ def test_every_unpassed_default_entry_is_still_unpassed():
     assert all(UNPASSED_DEFAULTS.values())
 
 
-# small invocations that together reach every subcommand, format and
-# option that changes what runs, with a free:, a series and a six: seed
+# small invocations, each with its exit code, that together reach every
+# subcommand, format and option that changes what runs, with a free:, a
+# series and a six: seed, and a usage error
 REACH_INVOCATIONS = [
-    ["spectrum", "--level", "3", "--format", "json", "--verify", "--verify-tol", "1e-8"],
-    ["spectrum", "--level", "2", "--series", "five"],
-    ["eval", "--seed", "free:7.3:1,-2,3", "--level", "3", "--verify"],
-    ["eval", "--seed", "six:2:1:+-", "--level", "3", "--format", "json", "--verify",
-     "--verify-tol", "1e-8"],
-    ["eval", "--seed", "five:2:1", "--level", "2", "--format", "obj"],
+    (["spectrum", "--level", "3", "--format", "json", "--verify", "--verify-tol", "1e-8"], 0),
+    (["spectrum", "--level", "2", "--series", "five"], 0),
+    (["spectrum", "--level", "x"], 2),
+    (["eval", "--seed", "free:7.3:1,-2,3", "--level", "3", "--verify"], 0),
+    (["eval", "--seed", "six:2:1:+-", "--level", "3", "--format", "json", "--verify",
+      "--verify-tol", "1e-8"], 0),
+    (["eval", "--seed", "five:2:1", "--level", "2", "--format", "obj"], 0),
     # level 8 walks V_8 as 9 subtrees of V_6 and the V_2 vertices between them
-    ["eval", "--seed", "two:1:1", "--level", "8"],
-    ["tangent", "--seed", "two:1:1", "--word", "01:2", "--verify"],
-    ["tangent", "--seed", "free:7.3:1,-2,3", "--word", ":0", "--format", "json"],
-    ["special", "--fn", "psi", "--range=-2:2:5"],
-    ["special", "--fn", "upsilon", "--range", "0:3:4", "--format", "json"],
+    (["eval", "--seed", "two:1:1", "--level", "8"], 0),
+    (["tangent", "--seed", "two:1:1", "--word", "01:2", "--verify"], 0),
+    (["tangent", "--seed", "free:7.3:1,-2,3", "--word", ":0", "--format", "json"], 0),
+    (["special", "--fn", "psi", "--range=-2:2:5"], 0),
+    (["special", "--fn", "upsilon", "--range", "0:3:4", "--format", "json"], 0),
 ]
 
 UNRUN = {}
@@ -334,22 +336,20 @@ _REACH_SCRIPT = """if True:
     from sglap import cli
 
     src = os.path.dirname(sglap.__file__) + os.sep
-    public = {}  # code object -> module.qualified name
+    defined = {}  # code object -> module.qualified name
     for info in pkgutil.iter_modules(sglap.__path__):
         module = importlib.import_module(f"sglap.{info.name}")
         for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            if getattr(obj, "__module__", None) != module.__name__:
                 continue
             members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
             for attr, member in members:
-                if attr.startswith("_") and not (attr.startswith("__") and attr.endswith("__")):
-                    continue
                 # a property's getter, a classmethod's function, an lru_cache's target
                 member = inspect.unwrap(getattr(member, "fget", None)
                                         or getattr(member, "__func__", member))
                 # src's own code, not the methods NamedTuple generates
                 if inspect.isfunction(member) and member.__code__.co_filename.startswith(src):
-                    public[member.__code__] = ".".join(filter(None, [info.name, name, attr]))
+                    defined[member.__code__] = ".".join(filter(None, [info.name, name, attr]))
 
     ran = set()
 
@@ -357,19 +357,18 @@ _REACH_SCRIPT = """if True:
         if event == "call":
             ran.add(frame.f_code)
 
-    codes = []
-    for argv in json.loads(sys.argv[1]):
+    for argv, expected in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()) as err:
             sys.setprofile(profile)
-            codes.append(cli.main(argv))
+            got = cli.main(argv)
             sys.setprofile(None)
-        assert codes[-1] == 0, (argv, err.getvalue())
-    print(json.dumps(sorted(name for code, name in public.items() if code not in ran)))
+        assert got == expected, (argv, got, err.getvalue())
+    print(json.dumps(sorted(name for code, name in defined.items() if code not in ran)))
 """
 
 
-def test_every_public_function_runs_in_a_cli_invocation():
+def test_every_function_runs_in_a_cli_invocation():
     proc = subprocess.run([sys.executable, "-c", _REACH_SCRIPT, json.dumps(REACH_INVOCATIONS)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
